@@ -20,8 +20,8 @@ use smdb_sim::NodeId;
 use smdb_workload::{run_mix, spawn_active, MixParams};
 use std::fmt::Write as _;
 
-fn fixture_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/e3_e4_stats.golden")
+fn fixture_path(name: &str) -> std::path::PathBuf {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden").join(name)
 }
 
 fn render_outcome(out: &mut String, o: &RecoveryOutcome) {
@@ -95,16 +95,59 @@ fn golden_e4(out: &mut String) {
     }
 }
 
-#[test]
-fn golden_e3_e4_stats_equivalence() {
-    let mut got = String::new();
-    golden_e3(&mut got);
-    golden_e4(&mut got);
+/// The restart scenario: an un-checkpointed 5 000-transaction contended
+/// pipelined run with early lock release (every retained log is long and
+/// dominated by four hot records), two in-flight transactions per node —
+/// the first of nodes 0 and 1 pipelined-committed but not yet forced —
+/// then a crash of node 0. Pins every deterministic product of restart
+/// recovery: scan / redo / superseded / skipped / undo counters, the
+/// lock-recovery stats, recovery cycles and the phase order with its
+/// per-phase cycles.
+fn golden_restart(out: &mut String) {
+    let mut cells: Vec<(ProtocolKind, bool)> = Vec::new();
+    for p in ProtocolKind::ifa_protocols() {
+        cells.push((p, false));
+        cells.push((p, true));
+    }
+    cells.push((ProtocolKind::FaOnly, false));
+    for (p, instant) in cells {
+        let _ = writeln!(out, "[restart protocol={p:?} instant={instant}]");
+        let mut cfg = DbConfig::bench(8, p)
+            .without_index()
+            .with_early_lock_release()
+            .with_lock_polling()
+            .with_coalesced_forces();
+        if instant {
+            cfg = cfg.with_instant_restart();
+        }
+        let mut db = SmDb::new(cfg);
+        let report = run_mix(&mut db, MixParams::contended_tp1(5000));
+        let _ = writeln!(out, "committed: {}", report.committed);
+        let active = spawn_active(&mut db, 2, 2, true, 5);
+        for txn in [active[0], active[2]] {
+            db.commit_pipelined(txn).expect("pipelined commit");
+        }
+        let outcome = db.crash_and_recover(&[NodeId(0)]).expect("recovery");
+        let _ = writeln!(out, "redo_pending_at_open: {}", db.redo_pending());
+        while db.redo_pending() > 0 {
+            db.drain_redo(NodeId(1), 64).expect("drain");
+        }
+        db.drain_commit_pipeline().expect("pipeline drain");
+        db.check_ifa(NodeId(1)).assert_ok();
+        render_outcome(out, &outcome);
+        let _ = writeln!(out, "instant_redo: {:?}", db.instant_redo_counters());
+        render_db(out, &db);
+        let _ = writeln!(out);
+    }
+}
 
-    let path = fixture_path();
+/// Compare `got` byte-for-byte against the committed fixture `name`
+/// (rewriting it instead under `UPDATE_GOLDEN`).
+fn check_golden(name: &str, got: &str) {
+    let path = fixture_path(name);
     if std::env::var("UPDATE_GOLDEN").is_ok() {
         std::fs::create_dir_all(path.parent().unwrap()).expect("mkdir fixtures");
-        std::fs::write(&path, &got).expect("write fixture");
+        std::fs::write(&path, got).expect("write fixture");
         eprintln!("rewrote {}", path.display());
         return;
     }
@@ -129,9 +172,24 @@ fn golden_e3_e4_stats_equivalence() {
             );
         }
         panic!(
-            "golden stats diverged from fixture at line {line_no}:\n{context}\n\
-             (the flat-structure hot path must be behaviour-preserving; \
-             regenerate with UPDATE_GOLDEN=1 only for intentional changes)"
+            "golden stats diverged from fixture {name} at line {line_no}:\n{context}\n\
+             (the change must be behaviour-preserving; regenerate with \
+             UPDATE_GOLDEN=1 only for intentional changes)"
         );
     }
+}
+
+#[test]
+fn golden_e3_e4_stats_equivalence() {
+    let mut got = String::new();
+    golden_e3(&mut got);
+    golden_e4(&mut got);
+    check_golden("e3_e4_stats.golden", &got);
+}
+
+#[test]
+fn golden_restart_outcome() {
+    let mut got = String::new();
+    golden_restart(&mut got);
+    check_golden("restart_outcome.golden", &got);
 }
