@@ -19,7 +19,7 @@ use crate::error::DbError;
 use crate::txn::TxnStatus;
 use smdb_btree::VAL_SIZE;
 use smdb_sim::{NodeId, TxnId};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Pending (uncommitted) effects of one transaction. Every entry carries
 /// the global write sequence number it was noted at, so commit application
@@ -396,6 +396,57 @@ impl SmDb {
             }
         }
         report
+    }
+
+    /// Independent oracle for restart's commit predicate. Restart answers
+    /// "is this transaction durably committed?" from the transaction table
+    /// (acknowledged ⇒ settled) plus a dependency fixpoint over the few
+    /// unacknowledged commits ([`SmDb::settled_unacked_commits`]). This
+    /// reference recomputes the answer the long way — the dependency
+    /// fixpoint over **every** stable commit record of all history,
+    /// never consulting the transaction table — and compares the two for
+    /// every transaction either side knows. Valid at any point, including
+    /// between [`SmDb::crash`] and [`SmDb::recover`]; the crash sweeps and
+    /// the schedule fuzzer call it after each of the two. Returns
+    /// human-readable disagreements (empty = the predicate is exact).
+    pub fn check_commit_predicate(&self) -> Vec<String> {
+        let mut reference: BTreeSet<TxnId> = BTreeSet::new();
+        for n in self.m.node_ids() {
+            reference.extend(self.logs.log(n).stable_commits());
+        }
+        loop {
+            let dropped: Vec<TxnId> = reference
+                .iter()
+                .copied()
+                .filter(|t| {
+                    let deps = self.logs.log(t.node()).index().commit_deps_of(*t);
+                    deps.iter().any(|d| !reference.contains(&d.txn))
+                })
+                .collect();
+            if dropped.is_empty() {
+                break;
+            }
+            for t in dropped {
+                reference.remove(&t);
+            }
+        }
+        let unacked = self.settled_unacked_commits();
+        let known: BTreeSet<TxnId> =
+            self.txns.keys().copied().chain(reference.iter().copied()).collect();
+        known
+            .into_iter()
+            .filter_map(|t| {
+                let status = self.txns.get(&t).map(|s| s.status);
+                let predicate = status == Some(TxnStatus::Committed) || unacked.contains(&t);
+                (predicate != reference.contains(&t)).then(|| {
+                    format!(
+                        "{t:?} ({status:?}): restart says committed={predicate}, \
+                         whole-history fixpoint says {}",
+                        !predicate
+                    )
+                })
+            })
+            .collect()
     }
 
     /// Lockstep cross-check of the lock manager's two representations:

@@ -118,15 +118,13 @@ fn phase_histogram(phase: &str) -> &'static str {
     }
 }
 
-/// One planned heap redo write. The after image is a refcounted handle
-/// into the log record (`bytes::Bytes`), never a byte copy — redo lends
-/// the logged payload all the way to the page write.
+/// One planned heap redo write: the final (highest-GSN) image of one
+/// record, reduced inside the analysis scan. The after image is a
+/// refcounted handle into the log record (`bytes::Bytes`), never a byte
+/// copy — redo lends the logged payload all the way to the page write.
 struct HeapRedo {
     gsn: u64,
     rec: RecId,
-    /// The cache line holding `rec` (precomputed during analysis so the
-    /// parallel plan phase is pure computation over owned data).
-    line: LineId,
     txn: TxnId,
     image: bytes::Bytes,
 }
@@ -254,26 +252,38 @@ enum PlannedOp {
     Ix(IxRedo),
 }
 
+/// How restart treats one transaction's log records. Looked up once per
+/// run of adjacent same-transaction records ([`SmDb::analyse_stable`]).
+#[derive(Clone, Copy)]
+struct TxnClass {
+    /// Durably committed ([`SmDb::settled_unacked_commits`] or the
+    /// transaction table).
+    committed: bool,
+    /// Dies in this recovery.
+    doomed: bool,
+    /// Already rolled back by an earlier recovery or a voluntary abort.
+    settled_aborted: bool,
+}
+
 /// Per-crash analysis of the logs, built by **one pass over each retained
-/// log** ([`SmDb::analyse_stable`]): commit status, durable traces of
-/// not-committed transactions, last-writer maps for the stale-tag
-/// predicate, last committed values, redo candidates past the checkpoint
-/// bound, and doomed-transaction undo work.
+/// log** ([`SmDb::analyse_stable`]): durable traces of not-committed
+/// transactions, last-writer commit status for the stale-tag predicate,
+/// last committed values, the reduced redo plan past the checkpoint
+/// bound, and doomed-transaction undo work. Nothing here is sized by
+/// history: every product is bounded by the retained logs.
 #[derive(Default)]
 struct StableAnalysis {
-    /// Committed transactions, from the per-log incremental indexes
-    /// (includes commits whose record was reclaimed by truncation).
-    committed: BTreeSet<TxnId>,
     /// Stable-logged updates of *not-committed* transactions of the
     /// analysed nodes: `(gsn, txn, rec)`.
     uncommitted_updates: Vec<(u64, TxnId, RecId)>,
     /// Stable-logged index ops of not-committed transactions:
     /// `(gsn, txn, key, is_delete)`.
     uncommitted_index: Vec<(u64, TxnId, u64, bool)>,
-    /// Last stable heap-update writer per (node, rec).
-    last_rec_txn: BTreeMap<(NodeId, RecId), TxnId>,
-    /// Last stable index-op writer per (node, key).
-    last_key_txn: BTreeMap<(NodeId, u64), TxnId>,
+    /// Whether the last stable heap-update writer per (node, rec)
+    /// committed.
+    last_rec_committed: BTreeMap<(NodeId, RecId), bool>,
+    /// Whether the last stable index-op writer per (node, key) committed.
+    last_key_committed: BTreeMap<(NodeId, u64), bool>,
     /// Highest-GSN committed after image per record, over every retained
     /// log (the §4.1.2 stable-log source of committed values).
     committed_values: BTreeMap<RecId, (u64, bytes::Bytes)>,
@@ -282,9 +292,15 @@ struct StableAnalysis {
     /// committed value when the committed update itself has been
     /// truncated but the record's stable image was stolen over.
     uncommitted_undo: BTreeMap<RecId, Vec<(u64, TxnId, bytes::Bytes)>>,
-    /// Heap redo candidates past the checkpoint bound, in GSN order.
-    heap_redo: Vec<HeapRedo>,
-    /// Index redo candidates past the checkpoint bound, in GSN order.
+    /// The highest-GSN heap redo candidate past the checkpoint bound per
+    /// record — superseded intermediate images are dropped as the scan
+    /// meets their successor.
+    heap_redo: BTreeMap<RecId, HeapRedo>,
+    /// Heap redo candidates the scan met (`heap_redo` keeps one per
+    /// record; the difference is `redo_superseded`).
+    heap_candidates: u64,
+    /// Index redo candidates past the checkpoint bound, in scan order
+    /// (logical B-tree ops don't commute, so none is superseded).
     index_redo: Vec<(u64, IxRedo)>,
     /// Doomed transactions' effects on surviving logs (applied in reverse
     /// GSN order by the undo phase).
@@ -297,75 +313,12 @@ struct StableAnalysis {
 
 impl StableAnalysis {
     fn is_committed_rec(&self, node: NodeId, rec: RecId) -> bool {
-        self.last_rec_txn.get(&(node, rec)).map(|t| self.committed.contains(t)).unwrap_or(false)
+        self.last_rec_committed.get(&(node, rec)).copied().unwrap_or(false)
     }
 
     fn is_committed_key(&self, node: NodeId, key: u64) -> bool {
-        self.last_key_txn.get(&(node, key)).map(|t| self.committed.contains(t)).unwrap_or(false)
+        self.last_key_committed.get(&(node, key)).copied().unwrap_or(false)
     }
-}
-
-/// Candidate count at which the redo plan fans out to scoped threads;
-/// below it the same partition/reduce runs inline (identical result).
-const PARALLEL_PLAN_THRESHOLD: usize = 64;
-
-/// Number of line-keyed partitions in the redo plan.
-const PLAN_BUCKETS: usize = 8;
-
-/// Reduce one partition of heap redo candidates to the final (highest-GSN)
-/// image per record. Pure computation over owned handles.
-fn reduce_partition(part: Vec<HeapRedo>) -> Vec<HeapRedo> {
-    let mut best: BTreeMap<RecId, HeapRedo> = BTreeMap::new();
-    for c in part {
-        match best.entry(c.rec) {
-            std::collections::btree_map::Entry::Vacant(v) => {
-                v.insert(c);
-            }
-            std::collections::btree_map::Entry::Occupied(mut o) => {
-                if c.gsn >= o.get().gsn {
-                    o.insert(c);
-                }
-            }
-        }
-    }
-    best.into_values().collect()
-}
-
-/// The parallel redo *plan* phase: partition candidates by cache line,
-/// reduce each partition to one final write per record (superseded
-/// intermediate images are dropped), and merge back into a single
-/// GSN-ordered schedule for the deterministic sequential apply.
-///
-/// Determinism: partitioning is a pure function of the line id, each
-/// partition is reduced independently (records never span partitions, so
-/// the reductions are disjoint), and the merged schedule is re-sorted by
-/// the globally unique GSNs — the result is byte-identical whether the
-/// partitions were reduced on worker threads or inline.
-///
-/// Returns the plan and the number of superseded candidates dropped.
-fn plan_heap_redo(candidates: Vec<HeapRedo>) -> (Vec<HeapRedo>, u64) {
-    let total = candidates.len();
-    if total <= 1 {
-        return (candidates, 0);
-    }
-    let mut parts: Vec<Vec<HeapRedo>> = (0..PLAN_BUCKETS).map(|_| Vec::new()).collect();
-    for c in candidates {
-        let b = (c.line.0 % PLAN_BUCKETS as u64) as usize;
-        parts[b].push(c);
-    }
-    let reduced: Vec<Vec<HeapRedo>> = if total >= PARALLEL_PLAN_THRESHOLD {
-        std::thread::scope(|s| {
-            let handles: Vec<_> =
-                parts.into_iter().map(|p| s.spawn(move || reduce_partition(p))).collect();
-            handles.into_iter().map(|h| h.join().expect("plan worker panicked")).collect()
-        })
-    } else {
-        parts.into_iter().map(reduce_partition).collect()
-    };
-    let mut plan: Vec<HeapRedo> = reduced.into_iter().flatten().collect();
-    plan.sort_by_key(|c| c.gsn);
-    let superseded = (total - plan.len()) as u64;
-    (plan, superseded)
 }
 
 impl SmDb {
@@ -414,35 +367,44 @@ impl SmDb {
         crashed
     }
 
-    /// The transactions whose commit is durably *settled*: their commit
-    /// record reached a stable log **and** — under controlled lock
-    /// violation — every commit dependency recorded inside it is itself
-    /// durably settled. Computed as a fixpoint over the per-log
-    /// incremental indexes (no scan; `commit_lsns`/`commit_deps` survive
-    /// checkpoint truncation): chains of violated commits drop from the
-    /// successor end until only fully covered chains remain. A dependency
-    /// on a commit record that was lost with its node's volatile log tail
-    /// can never be satisfied, so the exclusion is permanent across
-    /// however many recoveries follow.
-    pub(crate) fn durably_committed_set(&self) -> BTreeSet<TxnId> {
-        let mut set = BTreeSet::new();
-        let nodes: Vec<NodeId> = self.m.node_ids().collect();
-        for &n in &nodes {
-            for t in self.logs.log(n).stable_commits() {
-                set.insert(t);
-            }
-        }
+    /// The not-yet-acknowledged transactions whose commit is nevertheless
+    /// durably *settled*: their commit record reached their home node's
+    /// stable log **and** — under controlled lock violation — every
+    /// commit dependency recorded inside it is itself durably settled.
+    ///
+    /// Acknowledged commits never enter the computation. An
+    /// acknowledgement (`TxnStatus::Committed`) is only given once the
+    /// commit record is durable and every dependency predecessor has been
+    /// acknowledged, so **acknowledged ⇒ settled** by induction, and the
+    /// transaction table (shared memory, crash-surviving) answers for
+    /// them. The dependency fixpoint therefore runs only over the
+    /// transactions still unacknowledged — the handful in flight at the
+    /// crash plus earlier cascade victims — not over all history: chains
+    /// of violated commits drop from the successor end until only fully
+    /// covered chains remain. A dependency on a commit record that was
+    /// lost with its node's volatile log tail can never be satisfied (its
+    /// transaction is never acknowledged and never re-enters a stable
+    /// log), so the exclusion is permanent across however many recoveries
+    /// follow. No scan: `commit_lsns`/`commit_deps` are per-log
+    /// incremental indexes that survive checkpoint truncation.
+    pub(crate) fn settled_unacked_commits(&self) -> BTreeSet<TxnId> {
+        let acked = |t: TxnId| self.txns.get(&t).is_some_and(|s| s.status == TxnStatus::Committed);
+        let mut set: BTreeSet<TxnId> = self
+            .txns
+            .values()
+            .filter(|t| {
+                t.status != TxnStatus::Committed
+                    && self.logs.log(t.id.node()).is_commit_stable(t.id)
+            })
+            .map(|t| t.id)
+            .collect();
         loop {
             let dropped: Vec<TxnId> = set
                 .iter()
                 .copied()
                 .filter(|t| {
-                    self.logs
-                        .log(t.node())
-                        .index()
-                        .commit_deps_of(*t)
-                        .iter()
-                        .any(|d| !set.contains(&d.txn))
+                    let deps = self.logs.log(t.node()).index().commit_deps_of(*t);
+                    deps.iter().any(|d| !acked(d.txn) && !set.contains(&d.txn))
                 })
                 .collect();
             if dropped.is_empty() {
@@ -457,14 +419,15 @@ impl SmDb {
 
     /// Flip to `Committed` every transaction still marked active whose
     /// commit record reached a stable log with all its dependencies
-    /// durably settled (see [`SmDb::crash`]).
+    /// durably settled (see [`SmDb::crash`]). Promotion applies the very
+    /// test an acknowledgement applies (record durable, predecessors
+    /// settled), so it preserves the acknowledged ⇒ settled invariant
+    /// [`SmDb::settled_unacked_commits`] rests on.
     fn promote_durably_committed(&mut self) {
-        let durable = self.durably_committed_set();
         let promoted: Vec<TxnId> = self
-            .txns
-            .values()
-            .filter(|t| t.is_active() && durable.contains(&t.id))
-            .map(|t| t.id)
+            .settled_unacked_commits()
+            .into_iter()
+            .filter(|t| self.txns.get(t).is_some_and(|s| s.is_active()))
             .collect();
         for txn in promoted {
             if let Some(t) = self.txns.get_mut(&txn) {
@@ -756,20 +719,25 @@ impl SmDb {
     // ------------------------------------------------------------------
 
     /// Analyse the logs — the **single scan** of restart recovery. Each
-    /// retained log is read exactly once (crashed/analysed nodes: the
-    /// stable prefix; survivors: the full retained log, volatile tail
-    /// included), and every product recovery needs is collected in that
-    /// one pass:
+    /// retained log is read exactly once, by reference (crashed/analysed
+    /// nodes: the stable prefix; survivors: the full retained log,
+    /// volatile tail included), and every product recovery needs is
+    /// collected *and reduced* in that one pass:
     ///
-    /// * commit status — no scan at all: read off the per-log incremental
-    ///   indexes, and therefore immune to Commit records reclaimed by
-    ///   checkpoint truncation;
-    /// * durable uncommitted traces + last-writer maps of the analysed
-    ///   nodes (the undo analysis), with undo images lent as refcounted
-    ///   handles;
+    /// * commit status — a predicate, not a set: the transaction table
+    ///   answers for every acknowledged commit and
+    ///   [`SmDb::settled_unacked_commits`] for the few that are not, so
+    ///   it is immune to Commit records reclaimed by checkpoint
+    ///   truncation. The (committed, doomed, settled-aborted) class of a
+    ///   transaction is looked up once per run of adjacent records of
+    ///   that transaction, and only for data records;
+    /// * durable uncommitted traces + last-writer commit status of the
+    ///   analysed nodes (the undo analysis), with undo images lent as
+    ///   refcounted handles;
     /// * the highest-GSN retained committed after image per record (the
     ///   paper's §4.1.2 stable-log source of committed values);
-    /// * redo candidates strictly past each log's checkpoint LSN —
+    /// * the redo plan strictly past each log's checkpoint LSN, already
+    ///   reduced to the final (highest-GSN) image per record —
     ///   truncation keeps the retained prefix near that bound, so the
     ///   scan cost tracks work since the last checkpoint, not history
     ///   length;
@@ -788,43 +756,17 @@ impl SmDb {
     ) -> StableAnalysis {
         let mut a = StableAnalysis::default();
         self.m.obs().metrics.inc(names::RESTART_ANALYSIS_SCANS);
-        let nodes: Vec<NodeId> = self.m.node_ids().collect();
         // Commit status covers *every* node: commit records are always
         // forced, and a parallel transaction's commit lives on its home
         // node, which may differ from the analysed nodes. Under
         // controlled lock violation a durable commit record only counts
-        // when its recorded dependencies are durably settled too — the
-        // dependency-filtered fixpoint decides.
-        a.committed = self.durably_committed_set();
-        let to_arr = |b: &bytes::Bytes| {
-            let mut v = [0u8; 8];
-            let n = b.len().min(8);
-            v[..n].copy_from_slice(&b[..n]);
-            v
-        };
-        for &n in &nodes {
-            let log = self.logs.log(n);
-            let bound = self.ckpt.last().lsn_for(n);
-            a.ckpt_bound = a.ckpt_bound.max(bound.0);
-            if !log.has_data_after(log.truncation_point()) {
-                continue; // index proves no retained data records
-            }
-            let is_analysed = full || analysed.contains(&n);
-            let recs = if is_analysed { log.stable_records() } else { log.records() };
-            for lrec in recs {
-                a.scanned_records += 1;
-                let Some(txn) = lrec.payload.txn() else { continue };
-                // Skip the synthetic recovery transactions (seq 0): an
-                // interrupted recovery attempt leaves its redo's
-                // IndexInsert records in the (now-crashed) recovery node's
-                // stable log, and they re-install *committed* entries —
-                // treating them as uncommitted ops would undo committed
-                // data on the next attempt.
-                if txn.seq() == 0 {
-                    continue;
-                }
-                let committed = a.committed.contains(&txn);
-                let is_doomed = doomed.contains(&txn);
+        // when its recorded dependencies are durably settled too.
+        let unacked = self.settled_unacked_commits();
+        let classify = |txn: TxnId| {
+            let status = self.txns.get(&txn).map(|t| t.status);
+            TxnClass {
+                committed: status == Some(TxnStatus::Committed) || unacked.contains(&txn),
+                doomed: doomed.contains(&txn),
                 // A transaction the (crash-surviving, shared-memory) txn
                 // table already records as `Aborted` was rolled back by a
                 // previous recovery or a voluntary abort — but when its
@@ -836,102 +778,168 @@ impl SmDb {
                 // before images would destroy their updates. (Found by
                 // the schedule fuzzer.) It still feeds the last-writer
                 // maps so the stale-tag predicate sees the true history.
-                let settled_aborted =
-                    self.txns.get(&txn).is_some_and(|t| t.status == TxnStatus::Aborted);
+                settled_aborted: status == Some(TxnStatus::Aborted),
+            }
+        };
+        let to_arr = |b: &bytes::Bytes| {
+            let mut v = [0u8; 8];
+            let n = b.len().min(8);
+            v[..n].copy_from_slice(&b[..n]);
+            v
+        };
+        for n in self.m.node_ids() {
+            let log = self.logs.log(n);
+            let bound = self.ckpt.last().lsn_for(n);
+            a.ckpt_bound = a.ckpt_bound.max(bound.0);
+            if !log.has_data_after(log.truncation_point()) {
+                continue; // index proves no retained data records
+            }
+            let is_analysed = full || analysed.contains(&n);
+            let recs = if is_analysed { log.stable_records() } else { log.records() };
+            a.scanned_records += recs.len() as u64;
+            let mut memo: Option<(TxnId, TxnClass)> = None;
+            for lrec in recs {
+                // Only data records carry a GSN; control, lock and
+                // structural records need no classification at all.
+                let (Some(txn), Some(gsn)) = (lrec.payload.txn(), lrec.payload.gsn()) else {
+                    continue;
+                };
+                // Skip the synthetic recovery transactions (seq 0): an
+                // interrupted recovery attempt leaves its redo's
+                // IndexInsert records in the (now-crashed) recovery node's
+                // stable log, and they re-install *committed* entries —
+                // treating them as uncommitted ops would undo committed
+                // data on the next attempt.
+                if txn.seq() == 0 {
+                    continue;
+                }
+                let class = match memo {
+                    Some((t, c)) if t == txn => c,
+                    _ => {
+                        let c = classify(txn);
+                        memo = Some((txn, c));
+                        c
+                    }
+                };
+                let TxnClass { committed, doomed: is_doomed, settled_aborted } = class;
                 // Redo candidacy: strictly past the checkpoint bound and
                 // never doomed; analysed nodes (and everyone, under a
                 // full restart) contribute committed work only.
-                let redo = lrec.lsn > bound && !is_doomed && (committed || !(is_analysed || full));
+                let redo = lrec.lsn > bound && !is_doomed && (committed || !is_analysed);
                 match &lrec.payload {
-                    LogPayload::Update { rec, undo, redo: after, gsn, .. } => {
+                    LogPayload::Update { rec, undo, redo: after, .. } => {
                         if is_analysed {
-                            a.last_rec_txn.insert((n, *rec), txn);
+                            a.last_rec_committed.insert((n, *rec), committed);
                             if !committed && !settled_aborted {
-                                a.uncommitted_updates.push((*gsn, txn, *rec));
+                                a.uncommitted_updates.push((gsn, txn, *rec));
                                 a.uncommitted_undo.entry(*rec).or_default().push((
-                                    *gsn,
+                                    gsn,
                                     txn,
                                     undo.clone(),
                                 ));
                             }
                         } else if is_doomed {
                             a.doomed_ops
-                                .push((*gsn, DoomedOp::Rec { rec: *rec, before: undo.clone() }));
+                                .push((gsn, DoomedOp::Rec { rec: *rec, before: undo.clone() }));
                         }
                         if committed {
-                            let e = a
-                                .committed_values
-                                .entry(*rec)
-                                .or_insert((0, bytes::Bytes::from(&[][..])));
-                            if *gsn >= e.0 {
-                                *e = (*gsn, after.clone());
+                            match a.committed_values.get_mut(rec) {
+                                Some(e) if gsn < e.0 => {}
+                                Some(e) => *e = (gsn, after.clone()),
+                                None => {
+                                    a.committed_values.insert(*rec, (gsn, after.clone()));
+                                }
                             }
                         }
                         if redo {
-                            a.heap_redo.push(HeapRedo {
-                                gsn: *gsn,
-                                rec: *rec,
-                                line: self.rec_line(*rec),
-                                txn,
-                                image: after.clone(),
-                            });
+                            a.heap_candidates += 1;
+                            match a.heap_redo.get_mut(rec) {
+                                Some(h) if gsn < h.gsn => {}
+                                Some(h) => {
+                                    *h = HeapRedo { gsn, rec: *rec, txn, image: after.clone() }
+                                }
+                                None => {
+                                    let h = HeapRedo { gsn, rec: *rec, txn, image: after.clone() };
+                                    a.heap_redo.insert(*rec, h);
+                                }
+                            }
                         }
                     }
-                    LogPayload::IndexInsert { key, value, gsn, .. } => {
+                    LogPayload::IndexInsert { key, value, .. } => {
                         if is_analysed {
-                            a.last_key_txn.insert((n, *key), txn);
+                            a.last_key_committed.insert((n, *key), committed);
                             if !committed && !settled_aborted {
-                                a.uncommitted_index.push((*gsn, txn, *key, false));
+                                a.uncommitted_index.push((gsn, txn, *key, false));
                             }
                         } else if is_doomed {
-                            a.doomed_ops.push((*gsn, DoomedOp::RemoveKey(*key)));
+                            a.doomed_ops.push((gsn, DoomedOp::RemoveKey(*key)));
                         }
                         if redo {
-                            a.index_redo.push((
-                                *gsn,
-                                IxRedo::Insert { key: *key, value: to_arr(value), txn },
-                            ));
+                            let ix = IxRedo::Insert { key: *key, value: to_arr(value), txn };
+                            a.index_redo.push((gsn, ix));
                         }
                     }
-                    LogPayload::IndexDelete { key, value, gsn, .. } => {
+                    LogPayload::IndexDelete { key, value, .. } => {
                         if is_analysed {
-                            a.last_key_txn.insert((n, *key), txn);
+                            a.last_key_committed.insert((n, *key), committed);
                             if !committed && !settled_aborted {
-                                a.uncommitted_index.push((*gsn, txn, *key, true));
+                                a.uncommitted_index.push((gsn, txn, *key, true));
                             }
                         } else if is_doomed {
-                            a.doomed_ops.push((*gsn, DoomedOp::UnmarkKey(*key)));
+                            a.doomed_ops.push((gsn, DoomedOp::UnmarkKey(*key)));
                         }
                         if redo {
-                            a.index_redo.push((
-                                *gsn,
-                                IxRedo::Delete { key: *key, value: to_arr(value), txn },
-                            ));
+                            let ix = IxRedo::Delete { key: *key, value: to_arr(value), txn };
+                            a.index_redo.push((gsn, ix));
                         }
                     }
-                    LogPayload::IndexRemove { key, gsn, .. } => {
+                    LogPayload::IndexRemove { key, .. } => {
                         if is_analysed {
-                            a.last_key_txn.insert((n, *key), txn);
+                            a.last_key_committed.insert((n, *key), committed);
                         }
                         if redo {
-                            a.index_redo.push((*gsn, IxRedo::Remove { key: *key }));
+                            a.index_redo.push((gsn, IxRedo::Remove { key: *key }));
                         }
                     }
-                    LogPayload::IndexUnmark { key, gsn, .. } => {
+                    LogPayload::IndexUnmark { key, .. } => {
                         if is_analysed {
-                            a.last_key_txn.insert((n, *key), txn);
+                            a.last_key_committed.insert((n, *key), committed);
                         }
                         if redo {
-                            a.index_redo.push((*gsn, IxRedo::Unmark { key: *key }));
+                            a.index_redo.push((gsn, IxRedo::Unmark { key: *key }));
                         }
                     }
                     _ => {}
                 }
             }
         }
-        a.heap_redo.sort_by_key(|c| c.gsn);
-        a.index_redo.sort_by_key(|(gsn, _)| *gsn);
         a
+    }
+
+    /// Open the redo phase over the analysis' reduced candidates: record
+    /// the batch size and the superseded count, and merge the one final
+    /// heap write per record with the index ops into a single GSN-ordered
+    /// schedule for the deterministic sequential apply (GSNs are globally
+    /// unique, so the order is total).
+    fn take_redo_plan(
+        &self,
+        analysis: &mut StableAnalysis,
+        outcome: &mut RecoveryOutcome,
+    ) -> Vec<PlannedOp> {
+        let heap = std::mem::take(&mut analysis.heap_redo);
+        let index = std::mem::take(&mut analysis.index_redo);
+        self.m
+            .obs()
+            .metrics
+            .observe(names::RECOVERY_REDO_BATCH, analysis.heap_candidates + index.len() as u64);
+        outcome.redo_superseded += analysis.heap_candidates - heap.len() as u64;
+        let mut plan: Vec<(u64, PlannedOp)> = heap
+            .into_values()
+            .map(|h| (h.gsn, PlannedOp::Rec(h)))
+            .chain(index.into_iter().map(|(gsn, ix)| (gsn, PlannedOp::Ix(ix))))
+            .collect();
+        plan.sort_by_key(|(gsn, _)| *gsn);
+        plan.into_iter().map(|(_, op)| op).collect()
     }
 
     /// The last committed payload for one record, from the single-pass
@@ -1059,27 +1067,69 @@ impl SmDb {
     /// All heap lines currently cached on surviving nodes (the §4.1.2
     /// probe, snapshotted at crash time before any reinstall).
     fn cached_heap_lines(&self) -> BTreeSet<LineId> {
-        let mut set = BTreeSet::new();
-        for node in self.m.surviving_nodes() {
-            for (line, _) in self.m.iter_cached(node) {
-                if self.is_heap_line(line) {
-                    set.insert(line);
-                }
-            }
+        self.m.iter_held().map(|(_, line, _)| line).filter(|l| self.is_heap_line(*l)).collect()
+    }
+
+    /// The undo tag a redone effect of `txn` carries: its home node while
+    /// the transaction is still active there, null once it has settled (or
+    /// under protocols that do not tag).
+    fn live_tag(&self, txn: TxnId) -> u16 {
+        let live = self.cfg.protocol.uses_undo_tags()
+            && !self.m.is_crashed(txn.node())
+            && self.txns.get(&txn).is_some_and(|t| t.is_active());
+        if live {
+            txn.node().0
+        } else {
+            NULL_TAG
         }
-        set
     }
 
     /// Expected full on-page bytes (tag + payload) of a record after redo.
     fn expected_rec_bytes(&self, txn: TxnId, payload: &[u8]) -> Vec<u8> {
-        let tagging = self.cfg.protocol.uses_undo_tags();
-        let active = self
-            .txns
-            .get(&txn)
-            .map(|t| t.is_active() && !self.m.is_crashed(txn.node()))
-            .unwrap_or(false);
-        let tag = if tagging && active { txn.node().0 } else { NULL_TAG };
-        self.layout.encode(tag, payload)
+        self.layout.encode(self.live_tag(txn), payload)
+    }
+
+    /// Apply one planned index redo op as `recovery_node` (logical B-tree
+    /// ops, never deferred). `live_tags` keeps the undo tag of a writer
+    /// that is still active on a live node; the full restart, where every
+    /// transaction dies, passes `false`.
+    fn apply_index_redo(
+        &mut self,
+        outcome: &mut RecoveryOutcome,
+        recovery_node: NodeId,
+        op: IxRedo,
+        live_tags: bool,
+    ) -> Result<(), DbError> {
+        let tag = match op {
+            IxRedo::Insert { txn, .. } | IxRedo::Delete { txn, .. } if live_tags => {
+                self.live_tag(txn)
+            }
+            _ => NULL_TAG,
+        };
+        let tree = req(self.tree.as_mut(), "index op implies an index")?;
+        let mut ctx = TreeCtx::new(
+            &mut self.m,
+            &mut self.sdb,
+            &mut self.logs,
+            &mut self.plt,
+            self.cfg.protocol.lbm_mode(),
+            &mut self.gsn,
+        );
+        match op {
+            IxRedo::Insert { key, value, .. } => {
+                if tree.redo_insert(&mut ctx, recovery_node, key, value, tag)? {
+                    outcome.index_redo_applied += 1;
+                }
+            }
+            IxRedo::Delete { key, value, .. } => {
+                if tree.redo_delete_mark(&mut ctx, recovery_node, key, value, tag)? {
+                    outcome.index_redo_applied += 1;
+                }
+            }
+            IxRedo::Remove { key } => tree.undo_insert(&mut ctx, recovery_node, key)?,
+            IxRedo::Unmark { key } => tree.undo_delete(&mut ctx, recovery_node, key)?,
+        }
+        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -1387,6 +1437,10 @@ impl SmDb {
         // lines, so the stop-the-world window shrinks to the analysis scan
         // plus index recovery.
         let instant = self.cfg.instant_restart;
+        // Phase 1 ("stable_undo"): the single analysis scan over every
+        // retained log, then undo of stolen updates in the stable
+        // database.
+        let span = self.begin_phase("stable_undo");
         // Snapshot which heap lines genuinely survive in caches *before*
         // any reinstall: this is the Selective-Redo probe (a line we later
         // reinstall from a stale stable image must not be mistaken for a
@@ -1403,10 +1457,6 @@ impl SmDb {
         } else {
             BTreeSet::new()
         };
-        // Phase 1 ("stable_undo"): the single analysis scan over every
-        // retained log, then undo of stolen updates in the stable
-        // database.
-        let span = self.begin_phase("stable_undo");
         let mut analysis = self.analyse_stable(&down, &doomed, false);
         outcome.scan_records = analysis.scanned_records;
         outcome.ckpt_bound_lsn = analysis.ckpt_bound;
@@ -1531,14 +1581,12 @@ impl SmDb {
         self.end_phase(span, outcome);
         self.phase_crash_point(recovery_node)?;
 
-        // Phase 4 ("redo"): candidates were gathered by the analysis scan
+        // Phase 4 ("redo"): the analysis scan gathered the candidates
         // (survivors' full logs + crashed nodes' committed stable records
-        // past the checkpoint bound). The *plan* step partitions the heap
-        // candidates by cache line and reduces each partition — on scoped
-        // worker threads for large batches — to the final image per
-        // record; the merged GSN-ordered plan is then applied
-        // sequentially, so every machine-state mutation stays
-        // deterministic. The cached-skip decisions are snapshotted
+        // past the checkpoint bound) and already reduced the heap side to
+        // the final image per record; the merged GSN-ordered plan is
+        // applied sequentially, so every machine-state mutation stays
+        // deterministic. The cached-skip decisions were snapshotted
         // *before* any reinstall so a line we reinstalled from a stale
         // stable image is never mistaken for a coherent surviving copy.
         let span = self.begin_phase("redo");
@@ -1563,24 +1611,10 @@ impl SmDb {
         } else {
             BTreeSet::new()
         };
-        let raw_heap = std::mem::take(&mut analysis.heap_redo);
-        let raw_index = std::mem::take(&mut analysis.index_redo);
-        self.m
-            .obs()
-            .metrics
-            .observe(names::RECOVERY_REDO_BATCH, (raw_heap.len() + raw_index.len()) as u64);
-        let (heap_plan, superseded) = plan_heap_redo(raw_heap);
-        outcome.redo_superseded += superseded;
-        let mut plan: Vec<(u64, PlannedOp)> =
-            heap_plan.into_iter().map(|h| (h.gsn, PlannedOp::Rec(h))).collect();
-        plan.extend(raw_index.into_iter().map(|(gsn, ix)| (gsn, PlannedOp::Ix(ix))));
-        plan.sort_by_key(|(gsn, _)| *gsn);
-        for (_gsn, op) in plan {
-            if !replay_index && matches!(op, PlannedOp::Ix(_)) {
-                continue;
-            }
+        for op in self.take_redo_plan(&mut analysis, outcome) {
             match op {
-                PlannedOp::Rec(HeapRedo { rec, line, txn, image, .. }) => {
+                PlannedOp::Rec(HeapRedo { rec, txn, image, .. }) => {
+                    let line = self.rec_line(rec);
                     if scheme == RestartScheme::Selective && cached_before.contains(&line) {
                         outcome.redo_skipped_cached += 1;
                         continue;
@@ -1640,79 +1674,10 @@ impl SmDb {
                     self.plt.note_update(rec.page, actor, Lsn::ZERO);
                     outcome.redo_applied += 1;
                 }
-                PlannedOp::Ix(IxRedo::Insert { key, value, txn }) => {
-                    let tag = if self.cfg.protocol.uses_undo_tags()
-                        && self
-                            .txns
-                            .get(&txn)
-                            .map(|t| t.is_active() && !crashed_set.contains(&txn.node()))
-                            .unwrap_or(false)
-                    {
-                        txn.node().0
-                    } else {
-                        smdb_btree::NULL_TAG
-                    };
-                    let tree = req(self.tree.as_mut(), "index op implies an index")?;
-                    let mut ctx = TreeCtx::new(
-                        &mut self.m,
-                        &mut self.sdb,
-                        &mut self.logs,
-                        &mut self.plt,
-                        self.cfg.protocol.lbm_mode(),
-                        &mut self.gsn,
-                    );
-                    if tree.redo_insert(&mut ctx, recovery_node, key, value, tag)? {
-                        outcome.index_redo_applied += 1;
+                PlannedOp::Ix(ix) => {
+                    if replay_index {
+                        self.apply_index_redo(outcome, recovery_node, ix, true)?;
                     }
-                }
-                PlannedOp::Ix(IxRedo::Delete { key, value, txn }) => {
-                    let tag = if self.cfg.protocol.uses_undo_tags()
-                        && self
-                            .txns
-                            .get(&txn)
-                            .map(|t| t.is_active() && !crashed_set.contains(&txn.node()))
-                            .unwrap_or(false)
-                    {
-                        txn.node().0
-                    } else {
-                        smdb_btree::NULL_TAG
-                    };
-                    let tree = req(self.tree.as_mut(), "index op implies an index")?;
-                    let mut ctx = TreeCtx::new(
-                        &mut self.m,
-                        &mut self.sdb,
-                        &mut self.logs,
-                        &mut self.plt,
-                        self.cfg.protocol.lbm_mode(),
-                        &mut self.gsn,
-                    );
-                    if tree.redo_delete_mark(&mut ctx, recovery_node, key, value, tag)? {
-                        outcome.index_redo_applied += 1;
-                    }
-                }
-                PlannedOp::Ix(IxRedo::Remove { key }) => {
-                    let tree = req(self.tree.as_mut(), "index op implies an index")?;
-                    let mut ctx = TreeCtx::new(
-                        &mut self.m,
-                        &mut self.sdb,
-                        &mut self.logs,
-                        &mut self.plt,
-                        self.cfg.protocol.lbm_mode(),
-                        &mut self.gsn,
-                    );
-                    tree.undo_insert(&mut ctx, recovery_node, key)?;
-                }
-                PlannedOp::Ix(IxRedo::Unmark { key }) => {
-                    let tree = req(self.tree.as_mut(), "index op implies an index")?;
-                    let mut ctx = TreeCtx::new(
-                        &mut self.m,
-                        &mut self.sdb,
-                        &mut self.logs,
-                        &mut self.plt,
-                        self.cfg.protocol.lbm_mode(),
-                        &mut self.gsn,
-                    );
-                    tree.undo_delete(&mut ctx, recovery_node, key)?;
                 }
             }
         }
@@ -1892,37 +1857,35 @@ impl SmDb {
         heap_reinstalled: &BTreeSet<LineId>,
         tree_reinstalled: &BTreeSet<PageId>,
     ) -> Result<(), DbError> {
-        // Heap scan.
-        let mut candidates: Vec<(LineId, RecId, u16)> = Vec::new();
-        let mut seen_lines: BTreeSet<LineId> = BTreeSet::new();
+        // Heap scan: one pass over the lines held by any survivor, in
+        // place (the tag probe only reads the borrowed line bytes).
+        let mut candidates: Vec<(NodeId, LineId, RecId, u16)> = Vec::new();
         let rpl = self.layout.records_per_line();
-        let survivors = self.m.surviving_nodes();
-        for node in survivors {
-            // Scan cached lines in place: the tag probe only reads the
-            // borrowed line bytes, so no per-line image copy is needed.
-            for (line, bytes) in self.m.iter_cached(node) {
-                if !self.is_heap_line(line) || !seen_lines.insert(line) {
-                    continue;
+        for (holder, line, bytes) in self.m.iter_held() {
+            if !self.is_heap_line(line) {
+                continue;
+            }
+            let (page, line_idx) = self.layout.geometry.page_of_addr(line.0);
+            if line_idx == 0 {
+                continue; // Page-LSN line holds no records
+            }
+            for k in 0..rpl {
+                let slot = ((line_idx - 1) * rpl + k) as u16;
+                if slot as usize >= self.layout.records_per_page() {
+                    break;
                 }
-                let (page, line_idx) = self.layout.geometry.page_of_addr(line.0);
-                if line_idx == 0 {
-                    continue; // Page-LSN line holds no records
-                }
-                for k in 0..rpl {
-                    let slot = ((line_idx - 1) * rpl + k) as u16;
-                    if slot as usize >= self.layout.records_per_page() {
-                        break;
-                    }
-                    let within = k * self.layout.rec_size();
-                    let tag =
-                        u16::from_le_bytes(bytes[within..within + 2].try_into().expect("tag"));
-                    if tag != NULL_TAG && crashed.contains(&NodeId(tag)) {
-                        candidates.push((line, RecId::new(page, slot), tag));
-                    }
+                let within = k * self.layout.rec_size();
+                let tag = u16::from_le_bytes(bytes[within..within + 2].try_into().expect("tag"));
+                if tag != NULL_TAG && crashed.contains(&NodeId(tag)) {
+                    candidates.push((holder, line, RecId::new(page, slot), tag));
                 }
             }
         }
-        for (line, rec, tag) in candidates {
+        // Undo writes advance clocks and migrate lines, so their order is
+        // observable: keep the order of a survivor-by-survivor cache scan
+        // (each line at its lowest holder; stable within a holder).
+        candidates.sort_by_key(|c| c.0);
+        for (_, line, rec, tag) in candidates {
             if self.instant_covers(rec) {
                 // Instant restart: a deferred entry holds this record's
                 // final bytes; applying it (on access or drain) overwrites
@@ -2155,27 +2118,15 @@ impl SmDb {
             tree.discard_and_reload_all(&mut ctx, recovery_node)?;
         }
         // Redo committed work from stable logs (everyone's commit records
-        // were forced): the analysis already collected the candidates past
-        // the checkpoint bound; plan (partition + reduce), then apply
-        // sequentially in GSN order.
-        let raw_heap = std::mem::take(&mut analysis.heap_redo);
-        let raw_index = std::mem::take(&mut analysis.index_redo);
-        self.m
-            .obs()
-            .metrics
-            .observe(names::RECOVERY_REDO_BATCH, (raw_heap.len() + raw_index.len()) as u64);
-        let (heap_plan, superseded) = plan_heap_redo(raw_heap);
-        outcome.redo_superseded += superseded;
-        let mut plan: Vec<(u64, PlannedOp)> =
-            heap_plan.into_iter().map(|h| (h.gsn, PlannedOp::Rec(h))).collect();
-        plan.extend(raw_index.into_iter().map(|(gsn, ix)| (gsn, PlannedOp::Ix(ix))));
-        plan.sort_by_key(|(gsn, _)| *gsn);
-        for (_gsn, op) in plan {
+        // were forced): the analysis already collected and reduced the
+        // candidates past the checkpoint bound; apply them sequentially in
+        // GSN order.
+        for op in self.take_redo_plan(&mut analysis, outcome) {
             match op {
-                PlannedOp::Rec(HeapRedo { rec, line, image, .. }) => {
+                PlannedOp::Rec(HeapRedo { rec, image, .. }) => {
                     let off = self.layout.page_offset(rec.slot);
                     let expected = self.layout.encode(NULL_TAG, &image);
-                    if !self.m.probe_cached(line) {
+                    if !self.m.probe_cached(self.rec_line(rec)) {
                         let img = self
                             .sdb
                             .peek_page(rec.page)
@@ -2189,70 +2140,7 @@ impl SmDb {
                     ctx.write(recovery_node, rec.page, off, &expected)?;
                     outcome.redo_applied += 1;
                 }
-                PlannedOp::Ix(IxRedo::Insert { key, value, .. }) => {
-                    let tree = req(self.tree.as_mut(), "index op implies an index")?;
-                    let mut ctx = TreeCtx::new(
-                        &mut self.m,
-                        &mut self.sdb,
-                        &mut self.logs,
-                        &mut self.plt,
-                        self.cfg.protocol.lbm_mode(),
-                        &mut self.gsn,
-                    );
-                    if tree.redo_insert(
-                        &mut ctx,
-                        recovery_node,
-                        key,
-                        value,
-                        smdb_btree::NULL_TAG,
-                    )? {
-                        outcome.index_redo_applied += 1;
-                    }
-                }
-                PlannedOp::Ix(IxRedo::Delete { key, value, .. }) => {
-                    let tree = req(self.tree.as_mut(), "index op implies an index")?;
-                    let mut ctx = TreeCtx::new(
-                        &mut self.m,
-                        &mut self.sdb,
-                        &mut self.logs,
-                        &mut self.plt,
-                        self.cfg.protocol.lbm_mode(),
-                        &mut self.gsn,
-                    );
-                    if tree.redo_delete_mark(
-                        &mut ctx,
-                        recovery_node,
-                        key,
-                        value,
-                        smdb_btree::NULL_TAG,
-                    )? {
-                        outcome.index_redo_applied += 1;
-                    }
-                }
-                PlannedOp::Ix(IxRedo::Remove { key }) => {
-                    let tree = req(self.tree.as_mut(), "index op implies an index")?;
-                    let mut ctx = TreeCtx::new(
-                        &mut self.m,
-                        &mut self.sdb,
-                        &mut self.logs,
-                        &mut self.plt,
-                        self.cfg.protocol.lbm_mode(),
-                        &mut self.gsn,
-                    );
-                    tree.undo_insert(&mut ctx, recovery_node, key)?;
-                }
-                PlannedOp::Ix(IxRedo::Unmark { key }) => {
-                    let tree = req(self.tree.as_mut(), "index op implies an index")?;
-                    let mut ctx = TreeCtx::new(
-                        &mut self.m,
-                        &mut self.sdb,
-                        &mut self.logs,
-                        &mut self.plt,
-                        self.cfg.protocol.lbm_mode(),
-                        &mut self.gsn,
-                    );
-                    tree.undo_delete(&mut ctx, recovery_node, key)?;
-                }
+                PlannedOp::Ix(ix) => self.apply_index_redo(outcome, recovery_node, ix, false)?,
             }
         }
         // Undo of uncommitted index entries that had been flushed.

@@ -1,0 +1,181 @@
+//! Restart's commit predicate against its independent oracle.
+//!
+//! Restart decides "durably committed?" from the transaction table
+//! (acknowledged ⇒ settled) plus a dependency fixpoint over the few
+//! unacknowledged commits. [`SmDb::check_commit_predicate`] recomputes the
+//! answer by the whole-history fixpoint over every stable commit record,
+//! never reading the table. These scenarios drive the corners where the
+//! two could part: a violated-lock chain whose head lost its commit
+//! record, LSN reuse on the rebooted node, lane-merged transaction tables,
+//! and a machine-wide outage under the FA-only baseline.
+
+use smdb_core::{DbConfig, MtOp, MtTxn, ProtocolKind, SmDb, TxnStatus};
+use smdb_sim::NodeId;
+
+const N0: NodeId = NodeId(0);
+const N1: NodeId = NodeId(1);
+const N2: NodeId = NodeId(2);
+
+fn assert_predicate_exact(db: &SmDb, at: &str) {
+    let diffs = db.check_commit_predicate();
+    assert!(diffs.is_empty(), "commit predicate diverged {at}:\n  {}", diffs.join("\n  "));
+}
+
+fn crash_and_recover_checked(db: &mut SmDb, nodes: &[NodeId]) {
+    db.crash(nodes);
+    assert_predicate_exact(db, "after crash");
+    db.recover().expect("recovery");
+    assert_predicate_exact(db, "after recover");
+}
+
+/// P (node 0) releases its lock early; S (node 1) overwrites P's value,
+/// inherits the commit dependency, and gets its own commit record forced
+/// — by an unrelated synchronous commit on node 1 — while P's still sits
+/// in node 0's volatile tail. Node 0 dies: P's record is gone for good, so
+/// S's *durable* commit record must never count, neither now, nor after
+/// node 0 reboots and re-uses P's commit LSN for a different, forced
+/// record, nor when S's own home log is re-analysed later.
+#[test]
+fn elr_chain_with_lost_predecessor_stays_excluded_across_lsn_reuse() {
+    let cfg = DbConfig::small(4, ProtocolKind::StableEager)
+        .without_index()
+        .with_early_lock_release()
+        .with_lock_polling();
+    let mut db = SmDb::new(cfg);
+    let base = db.begin(N2).unwrap();
+    db.update(base, 7, b"base").unwrap();
+    db.commit(base).unwrap();
+
+    let p = db.begin(N0).unwrap();
+    db.update(p, 7, b"from-p").unwrap();
+    db.commit_pipelined(p).unwrap();
+    let p_commit_lsn = db.logs().log(N0).last_lsn();
+    let s = db.begin(N1).unwrap();
+    db.update(s, 7, b"from-s").unwrap();
+    db.commit_pipelined(s).unwrap();
+    // Force node 1's log past S's commit record without acknowledging S.
+    let bystander = db.begin(N1).unwrap();
+    db.update(bystander, 100, b"bystander").unwrap();
+    db.commit(bystander).unwrap();
+    assert!(db.logs().log(N1).is_commit_stable(s), "S's commit record is durable");
+    assert!(!db.logs().log(N0).is_commit_stable(p), "P's is still volatile");
+    assert_predicate_exact(&db, "before the crash");
+
+    crash_and_recover_checked(&mut db, &[N0]);
+    assert_eq!(db.txn(p).unwrap().status, TxnStatus::Aborted);
+    assert_eq!(db.txn(s).unwrap().status, TxnStatus::Aborted, "cascade abort");
+    assert_eq!(&db.current_value(7).unwrap()[..4], b"base");
+    db.check_ifa(N1).assert_ok();
+
+    // Node 0 comes back and appends past P's old commit LSN; everything
+    // is forced, so a stable record now sits at exactly that LSN. The
+    // restart checkpoint then reclaims both logs' old records — the
+    // commit index entries outlive them.
+    db.reboot(N0);
+    while db.logs().log(N0).stable_lsn() < p_commit_lsn {
+        let t = db.begin(N0).unwrap();
+        db.update(t, 30, b"reuse").unwrap();
+        db.commit(t).unwrap();
+    }
+    db.checkpoint(N2).unwrap();
+    assert!(db.logs().log(N1).is_commit_stable(s), "S's commit entry survives truncation");
+    assert_predicate_exact(&db, "after LSN reuse");
+
+    // Later recoveries meet S's durable commit entry again; it must
+    // never resurrect "from-s".
+    crash_and_recover_checked(&mut db, &[N1]);
+    assert_eq!(&db.current_value(7).unwrap()[..4], b"base");
+    db.check_ifa(N0).assert_ok();
+    crash_and_recover_checked(&mut db, &[N2]);
+    assert_eq!(&db.current_value(7).unwrap()[..4], b"base");
+    db.check_ifa(N0).assert_ok();
+}
+
+/// The durable half of the same chain: both commit records reach stable
+/// storage before the crash but neither is acknowledged. Both must be
+/// promoted — the successor through the fixpoint, not the table.
+#[test]
+fn elr_chain_with_durable_predecessor_is_promoted_whole() {
+    let cfg = DbConfig::small(4, ProtocolKind::StableTriggered)
+        .without_index()
+        .with_early_lock_release()
+        .with_lock_polling();
+    let mut db = SmDb::new(cfg);
+    let p = db.begin(N0).unwrap();
+    db.update(p, 7, b"from-p").unwrap();
+    db.commit_pipelined(p).unwrap();
+    let s = db.begin(N1).unwrap();
+    db.update(s, 7, b"from-s").unwrap();
+    db.commit_pipelined(s).unwrap();
+    for (node, slot) in [(N0, 60), (N1, 100)] {
+        let t = db.begin(node).unwrap();
+        db.update(t, slot, b"force").unwrap();
+        db.commit(t).unwrap();
+    }
+    assert_predicate_exact(&db, "before the crash");
+    crash_and_recover_checked(&mut db, &[N0]);
+    assert_eq!(db.txn(p).unwrap().status, TxnStatus::Committed);
+    assert_eq!(db.txn(s).unwrap().status, TxnStatus::Committed);
+    db.drain_commit_pipeline().unwrap();
+    assert_eq!(&db.current_value(7).unwrap()[..6], b"from-s");
+    db.check_ifa(N1).assert_ok();
+}
+
+/// Transactions committed inside epoch lanes reach the parent's table by
+/// `lane_merge`; the predicate must know every one of them.
+#[test]
+fn run_epochs_lane_merged_table_answers_for_lane_commits() {
+    let cfg =
+        DbConfig::small(4, ProtocolKind::VolatileSelectiveRedo).without_index().with_sim_shards(8);
+    let mut db = SmDb::new(cfg);
+    let txns: Vec<MtTxn> = (0..64u64)
+        .map(|i| MtTxn {
+            node: NodeId((i % 4) as u16),
+            ops: vec![
+                MtOp::Update { slot: (i * 3) % 256, data: i.to_le_bytes().to_vec() },
+                MtOp::Read { slot: (i * 7) % 256 },
+            ],
+        })
+        .collect();
+    let out = db.run_epochs(txns, 2).unwrap();
+    assert_eq!(out.committed, 64);
+    assert_predicate_exact(&db, "after run_epochs");
+    let active = db.begin(N1).unwrap();
+    db.update(active, 200, b"in-flight").unwrap();
+    crash_and_recover_checked(&mut db, &[N1]);
+    db.check_ifa(N0).assert_ok();
+    crash_and_recover_checked(&mut db, &[N0, N2]);
+    db.check_ifa(NodeId(3)).assert_ok();
+}
+
+/// FA-only baseline, every node down at once: full restart over stable
+/// prefixes only, with a pipelined commit that never reached the disk and
+/// one that did.
+#[test]
+fn fa_only_total_failure() {
+    let cfg = DbConfig::small(4, ProtocolKind::FaOnly).without_index();
+    let mut db = SmDb::new(cfg);
+    for i in 0..12u64 {
+        let t = db.begin(NodeId((i % 4) as u16)).unwrap();
+        db.update(t, i * 5, &i.to_le_bytes()).unwrap();
+        db.commit(t).unwrap();
+    }
+    let durable = db.begin(N0).unwrap();
+    db.update(durable, 90, b"durable").unwrap();
+    db.commit_pipelined(durable).unwrap();
+    let forcer = db.begin(N0).unwrap();
+    db.update(forcer, 91, b"forcer").unwrap();
+    db.commit(forcer).unwrap();
+    let lost = db.begin(N1).unwrap();
+    db.update(lost, 92, b"lost").unwrap();
+    db.commit_pipelined(lost).unwrap();
+    let all: Vec<NodeId> = (0..4).map(NodeId).collect();
+    crash_and_recover_checked(&mut db, &all);
+    assert_eq!(db.txn(durable).unwrap().status, TxnStatus::Committed);
+    assert_eq!(db.txn(lost).unwrap().status, TxnStatus::Aborted);
+    assert_eq!(&db.current_value(90).unwrap()[..7], b"durable");
+    db.check_ifa(N0).assert_ok();
+    // A second outage re-analyses the same stable prefixes.
+    crash_and_recover_checked(&mut db, &all);
+    db.check_ifa(N0).assert_ok();
+}

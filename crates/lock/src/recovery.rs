@@ -18,7 +18,7 @@ use crate::manager::LockManager;
 use crate::mode::LockMode;
 use serde::{Deserialize, Serialize};
 use smdb_sim::{LineId, Machine, MemError, NodeId, TxnId};
-use smdb_wal::{LogPayload, LogSet, StructuralKind};
+use smdb_wal::{LogPayload, LogRecord, LogSet, Lsn, StructuralKind};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Counters describing one lock-space recovery pass.
@@ -41,15 +41,32 @@ pub struct LockRecoveryStats {
     pub overflow_relinked: u64,
 }
 
-/// Replay one node's lock-log records into the desired per-name lock state
-/// for its *surviving active* transactions.
+/// Replay one node's lock log into the desired per-name lock state for
+/// its *surviving active* transactions. The replay starts at the lowest
+/// first-record LSN any of them has on this log (the per-log incremental
+/// index knows it — the same bound checkpoint truncation trusts):
+/// everything below is the settled past and contributes nothing.
 fn replay_node_lock_log(
     logs: &LogSet,
     node: NodeId,
     active: &BTreeSet<TxnId>,
     desired: &mut BTreeMap<u64, Lcb>,
 ) {
-    for rec in logs.log(node).records() {
+    let log = logs.log(node);
+    let Some(first) = active.iter().filter_map(|t| log.index().first_txn_lsn(*t)).min() else {
+        return; // no surviving active transaction ever wrote to this log
+    };
+    replay_lock_records(log.records_after(Lsn(first.0 - 1)), active, desired);
+}
+
+/// Fold lock-log records, in log order, into the desired lock state of the
+/// `active` transactions.
+fn replay_lock_records(
+    recs: &[LogRecord],
+    active: &BTreeSet<TxnId>,
+    desired: &mut BTreeMap<u64, Lcb>,
+) {
+    for rec in recs {
         match &rec.payload {
             LogPayload::LockAcquire { txn, name, mode, queued } if active.contains(txn) => {
                 let lcb = desired.entry(*name).or_insert_with(|| Lcb::new(*name));
@@ -116,12 +133,12 @@ impl LockManager {
         // every allocation appears in some node's *stable* log even if that
         // node crashed; survivors' volatile logs cover the rest.
         let mut links: Vec<(LineId, LineId)> = Vec::new();
-        for node in m.node_ids().collect::<Vec<_>>() {
-            let recs: Vec<_> = if m.is_crashed(node) {
-                logs.log(node).stable_records().to_vec()
-            } else {
-                logs.log(node).records().to_vec()
-            };
+        for node in m.node_ids() {
+            let log = logs.log(node);
+            if log.stats().structural_records == 0 {
+                continue; // this log never carried a structural record
+            }
+            let recs = if m.is_crashed(node) { log.stable_records() } else { log.records() };
             for rec in recs {
                 if let LogPayload::Structural {
                     kind: StructuralKind::LockSpaceAlloc { line, parent },
@@ -527,5 +544,63 @@ mod tests {
             assert_eq!(holders.len(), 1, "lock {} has exactly the survivor", 100 + i);
             assert_eq!(holders[0].txn, txn);
         }
+    }
+
+    /// The bounded replay against the replay-everything reference, behind
+    /// a long settled prefix and again on the checkpoint-truncated log.
+    #[test]
+    fn replay_from_first_active_lsn_equals_replay_from_zero() {
+        let (mut m, mut logs, mut mgr) = setup();
+        // A long settled past on node 1: grants, queued requests, upgrades
+        // and releases by transactions that are all finished.
+        for seq in 1..=200u64 {
+            let a = t(1, seq);
+            let b = t(2, seq);
+            let name = 10 + seq % 7;
+            mgr.acquire(&mut m, &mut logs, a, name, LockMode::Shared).unwrap();
+            mgr.acquire_from(&mut m, &mut logs, b, name, LockMode::Exclusive, N1).unwrap();
+            mgr.acquire(&mut m, &mut logs, a, 50 + seq, LockMode::Exclusive).unwrap();
+            mgr.release_all(&mut m, &mut logs, a).unwrap();
+            mgr.release_all(&mut m, &mut logs, b).unwrap();
+        }
+        let settled_upto = logs.log(N1).last_lsn();
+        // The live tail: two active transactions holding, upgrading and
+        // queueing, interleaved with one more settled transaction.
+        let (x, y, z) = (t(1, 1000), t(1, 1001), t(1, 1002));
+        mgr.acquire(&mut m, &mut logs, x, 12, LockMode::Shared).unwrap();
+        mgr.acquire(&mut m, &mut logs, z, 13, LockMode::Exclusive).unwrap();
+        mgr.acquire(&mut m, &mut logs, y, 12, LockMode::Shared).unwrap();
+        mgr.acquire(&mut m, &mut logs, y, 13, LockMode::Shared).unwrap();
+        mgr.release_all(&mut m, &mut logs, z).unwrap();
+        mgr.acquire(&mut m, &mut logs, x, 14, LockMode::Exclusive).unwrap();
+        mgr.acquire(&mut m, &mut logs, y, 14, LockMode::Shared).unwrap();
+        let active: BTreeSet<TxnId> = [x, y].into_iter().collect();
+
+        let bounded = |logs: &LogSet| {
+            let mut desired = BTreeMap::new();
+            replay_node_lock_log(logs, N1, &active, &mut desired);
+            desired
+        };
+        let mut from_zero = BTreeMap::new();
+        replay_lock_records(logs.log(N1).records(), &active, &mut from_zero);
+        assert!(!from_zero.is_empty());
+        assert_eq!(from_zero[&14].waiters.len(), 1, "the tail queues a request");
+        assert_eq!(bounded(&logs), from_zero);
+
+        // A checkpoint reclaims the settled prefix (its cutoff is the same
+        // first-active-record bound); the bounded replay must not notice.
+        assert!(logs.log(N1).index().first_txn_lsn(x).unwrap() > settled_upto);
+        logs.log_mut(N1).force_all();
+        logs.log_mut(N1).truncate_through(settled_upto);
+        assert_eq!(bounded(&logs), from_zero);
+        let mut retained = BTreeMap::new();
+        replay_lock_records(logs.log(N1).records(), &active, &mut retained);
+        assert_eq!(retained, from_zero);
+
+        // A node whose log no active transaction ever touched is skipped.
+        assert!(!logs.log(N2).is_empty());
+        let mut none = BTreeMap::new();
+        replay_node_lock_log(&logs, N2, &active, &mut none);
+        assert!(none.is_empty());
     }
 }

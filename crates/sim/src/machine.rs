@@ -1198,6 +1198,23 @@ impl Machine {
         })
     }
 
+    /// Iterate once over every line valid in *some* cache, with its
+    /// lowest-numbered holder — the machine-wide form of
+    /// [`Machine::iter_cached`], in the same shard-major slot order.
+    /// Holders are always live nodes (a crash scrubs the crashed nodes
+    /// from every holder set), so this visits exactly the lines the
+    /// per-survivor scans visit, each at the survivor that would have
+    /// reached it first.
+    pub fn iter_held(&self) -> impl Iterator<Item = (NodeId, LineId, &[u8])> {
+        let ls = self.cfg.line_size;
+        self.shards.iter().flat_map(move |shard| {
+            shard.slots.iter().enumerate().filter_map(move |(i, sl)| {
+                let holder = if sl.live { sl.holders.first()? } else { return None };
+                Some((holder, sl.line, &shard.data[i * ls..(i + 1) * ls]))
+            })
+        })
+    }
+
     /// The nodes currently holding valid copies of `line`, as a sorted
     /// slice borrowed from the directory (no allocation; empty if the line
     /// is lost or not resident).

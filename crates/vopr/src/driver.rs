@@ -191,7 +191,14 @@ impl<'a> Driver<'a> {
         self.fired.push(c.to_string());
         self.db.crash(&[NodeId(c.node)]);
         for _ in 0..8 {
-            match self.db.recover() {
+            if let Some(fatal) = self.commit_predicate_oracle("crash") {
+                return fatal;
+            }
+            let recovered = self.db.recover();
+            if let Some(fatal) = self.commit_predicate_oracle("recover") {
+                return fatal;
+            }
+            match recovered {
                 Ok(o) => {
                     self.events.push(format!("R n{} a{}", o.recovery_node.0, o.aborted.len()));
                     return Absorbed::Crashed;
@@ -210,6 +217,19 @@ impl<'a> Driver<'a> {
             "recovery-livelock".into(),
             "recovery did not converge in 8 attempts".into(),
         )
+    }
+
+    /// Standing oracle around every crash and recovery: restart's commit
+    /// predicate must equal the whole-history reference fixpoint
+    /// ([`SmDb::check_commit_predicate`]).
+    fn commit_predicate_oracle(&self, after: &str) -> Option<Absorbed> {
+        let diffs = self.db.check_commit_predicate();
+        (!diffs.is_empty()).then(|| {
+            Absorbed::Fatal(
+                "commit-predicate".into(),
+                format!("after {after}: {}", diffs.join("; ")),
+            )
+        })
     }
 
     /// Pick a home node: the candidate list is the survivors rotated so

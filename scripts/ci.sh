@@ -43,6 +43,16 @@ echo "== schedule fuzz (bounded, fixed seed) =="
 # The larger multi-seed battery is scripts/fuzz.sh.
 SMDB_FUZZ_BUDGET="${SMDB_FUZZ_BUDGET:-500}" scripts/fuzz.sh 0xC0DE
 
+echo "== benchmark smoke (perf --smoke) =="
+# The repo's benchmark (perf/, BENCHMARK.json) is a package of its own,
+# outside the workspace, so none of the steps above build it. Run every
+# workload at 1/50 scale with all output checks on (IFA after each crash
+# episode, committed-state digest, cross-repetition determinism) and its
+# unit tests (which pin BENCHMARK.json to the harness), so the benchmark
+# cannot rot unnoticed. No timing is gated here.
+cargo run --release --offline --quiet --manifest-path perf/Cargo.toml -- --smoke
+cargo test --release --offline -q --manifest-path perf/Cargo.toml
+
 echo "== rustfmt =="
 if cargo fmt --version >/dev/null 2>&1; then
     cargo fmt --all --check

@@ -103,12 +103,24 @@ fn drive_recovery(db: &mut SmDb, first: DbError) -> Result<(), String> {
             return Err(format!("non-crash error out of scenario: {err}"));
         };
         db.crash(&[NodeId(c.node)]);
-        match db.recover() {
+        check_commit_predicate(db, "crash")?;
+        let recovered = db.recover();
+        check_commit_predicate(db, "recover")?;
+        match recovered {
             Ok(_) => return Ok(()),
             Err(e) => err = e,
         }
     }
     Err("recovery did not converge after 8 nested crashes".into())
+}
+
+/// Restart's commit predicate (transaction table + fixpoint over the
+/// unacknowledged) against the whole-history reference fixpoint.
+fn check_commit_predicate(db: &SmDb, after: &str) -> Result<(), String> {
+    match db.check_commit_predicate().as_slice() {
+        [] => Ok(()),
+        diffs => Err(format!("commit predicate after {after}: {}", diffs.join("; "))),
+    }
 }
 
 /// The post-schedule oracles. Any violation becomes the one-line repro's
@@ -416,7 +428,10 @@ fn run_instant_scenario(
         None => f.start_counting(),
     }
     db.crash(&[NodeId(0)]);
-    if let Err(e) = db.recover() {
+    check_commit_predicate(&db, "crash")?;
+    let recovered = db.recover();
+    check_commit_predicate(&db, "recover")?;
+    if let Err(e) = recovered {
         drive_recovery(&mut db, e)?;
     }
     // One single-entry background batch up front: the full forward scan
