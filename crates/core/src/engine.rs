@@ -1028,9 +1028,12 @@ impl SmDb {
         // A synchronous commit acknowledges immediately, so any inherited
         // commit dependencies (early lock release) must be durable *now*:
         // force each unacknowledged predecessor's home log through its
-        // commit record before acknowledging on top of it.
+        // commit record before acknowledging on top of it — and each of
+        // *its* unacknowledged predecessors', transitively, or the
+        // acknowledgement would outrun a commit record that can still be
+        // lost (restart relies on acknowledged ⇒ durably settled).
         let deps = self.commit_deps_for(txn);
-        for d in &deps {
+        for d in &self.unacked_chain(&deps) {
             let pn = d.txn.node();
             if !self.m.is_crashed(pn) && self.logs.log(pn).durable_lsn() < d.lsn {
                 let pending = if obs_on { self.unforced_records(pn) } else { 0 };
@@ -1170,6 +1173,27 @@ impl SmDb {
             }
         }
         deps
+    }
+
+    /// `deps` plus every unacknowledged commit they rest on in turn (a
+    /// pending predecessor's own recorded dependencies), deduplicated per
+    /// transaction, predecessors after their dependents.
+    fn unacked_chain(&self, deps: &[CommitDep]) -> Vec<CommitDep> {
+        let mut chain = deps.to_vec();
+        let mut i = 0;
+        while i < chain.len() {
+            if let Some(p) = self.pending_commits.iter().find(|p| p.txn == chain[i].txn) {
+                for d in &p.deps {
+                    let acked =
+                        self.txns.get(&d.txn).is_some_and(|t| t.status == TxnStatus::Committed);
+                    if !acked && !chain.iter().any(|c| c.txn == d.txn) {
+                        chain.push(*d);
+                    }
+                }
+            }
+            i += 1;
+        }
+        chain
     }
 
     /// Pipelined commit (group commit): append the commit record and

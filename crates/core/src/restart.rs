@@ -123,7 +123,6 @@ fn phase_histogram(phase: &str) -> &'static str {
 /// refcounted handle into the log record (`bytes::Bytes`), never a byte
 /// copy — redo lends the logged payload all the way to the page write.
 struct HeapRedo {
-    gsn: u64,
     rec: RecId,
     txn: TxnId,
     image: bytes::Bytes,
@@ -293,9 +292,9 @@ struct StableAnalysis {
     /// truncated but the record's stable image was stolen over.
     uncommitted_undo: BTreeMap<RecId, Vec<(u64, TxnId, bytes::Bytes)>>,
     /// The highest-GSN heap redo candidate past the checkpoint bound per
-    /// record — superseded intermediate images are dropped as the scan
-    /// meets their successor.
-    heap_redo: BTreeMap<RecId, HeapRedo>,
+    /// record, `(gsn, (writer, after image))` — superseded intermediate
+    /// images are dropped as the scan meets their successor.
+    heap_redo: BTreeMap<RecId, (u64, (TxnId, bytes::Bytes))>,
     /// Heap redo candidates the scan met (`heap_redo` keeps one per
     /// record; the difference is `redo_superseded`).
     heap_candidates: u64,
@@ -318,6 +317,23 @@ impl StableAnalysis {
 
     fn is_committed_key(&self, node: NodeId, key: u64) -> bool {
         self.last_key_committed.get(&(node, key)).copied().unwrap_or(false)
+    }
+}
+
+/// The max-GSN fold of the analysis scan: store `value()` under `rec`
+/// unless the map already holds a higher-GSN entry.
+fn keep_latest<V>(
+    map: &mut BTreeMap<RecId, (u64, V)>,
+    rec: RecId,
+    gsn: u64,
+    value: impl FnOnce() -> V,
+) {
+    match map.get_mut(&rec) {
+        Some(e) if gsn < e.0 => {}
+        Some(e) => *e = (gsn, value()),
+        None => {
+            map.insert(rec, (gsn, value()));
+        }
     }
 }
 
@@ -843,26 +859,11 @@ impl SmDb {
                                 .push((gsn, DoomedOp::Rec { rec: *rec, before: undo.clone() }));
                         }
                         if committed {
-                            match a.committed_values.get_mut(rec) {
-                                Some(e) if gsn < e.0 => {}
-                                Some(e) => *e = (gsn, after.clone()),
-                                None => {
-                                    a.committed_values.insert(*rec, (gsn, after.clone()));
-                                }
-                            }
+                            keep_latest(&mut a.committed_values, *rec, gsn, || after.clone());
                         }
                         if redo {
                             a.heap_candidates += 1;
-                            match a.heap_redo.get_mut(rec) {
-                                Some(h) if gsn < h.gsn => {}
-                                Some(h) => {
-                                    *h = HeapRedo { gsn, rec: *rec, txn, image: after.clone() }
-                                }
-                                None => {
-                                    let h = HeapRedo { gsn, rec: *rec, txn, image: after.clone() };
-                                    a.heap_redo.insert(*rec, h);
-                                }
-                            }
+                            keep_latest(&mut a.heap_redo, *rec, gsn, || (txn, after.clone()));
                         }
                     }
                     LogPayload::IndexInsert { key, value, .. } => {
@@ -934,8 +935,8 @@ impl SmDb {
             .observe(names::RECOVERY_REDO_BATCH, analysis.heap_candidates + index.len() as u64);
         outcome.redo_superseded += analysis.heap_candidates - heap.len() as u64;
         let mut plan: Vec<(u64, PlannedOp)> = heap
-            .into_values()
-            .map(|h| (h.gsn, PlannedOp::Rec(h)))
+            .into_iter()
+            .map(|(rec, (gsn, (txn, image)))| (gsn, PlannedOp::Rec(HeapRedo { rec, txn, image })))
             .chain(index.into_iter().map(|(gsn, ix)| (gsn, PlannedOp::Ix(ix))))
             .collect();
         plan.sort_by_key(|(gsn, _)| *gsn);
@@ -1613,7 +1614,7 @@ impl SmDb {
         };
         for op in self.take_redo_plan(&mut analysis, outcome) {
             match op {
-                PlannedOp::Rec(HeapRedo { rec, txn, image, .. }) => {
+                PlannedOp::Rec(HeapRedo { rec, txn, image }) => {
                     let line = self.rec_line(rec);
                     if scheme == RestartScheme::Selective && cached_before.contains(&line) {
                         outcome.redo_skipped_cached += 1;

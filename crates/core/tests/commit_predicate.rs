@@ -121,6 +121,40 @@ fn elr_chain_with_durable_predecessor_is_promoted_whole() {
     db.check_ifa(N1).assert_ok();
 }
 
+/// A *synchronous* commit on top of a pipelined chain acknowledges at
+/// once, so it must make the whole chain durable first — not just its
+/// direct predecessor — or the acknowledgement would outrun a commit
+/// record that can still be lost (acknowledged ⇒ settled would break).
+/// Q (node 0) → P (node 1, overwrites Q) → T (node 2, overwrites another
+/// record of P's, commits synchronously).
+#[test]
+fn sync_commit_over_a_pipelined_chain_settles_the_whole_chain() {
+    let cfg = DbConfig::small(4, ProtocolKind::StableEager)
+        .without_index()
+        .with_early_lock_release()
+        .with_lock_polling();
+    let mut db = SmDb::new(cfg);
+    let q = db.begin(N0).unwrap();
+    db.update(q, 7, b"from-q").unwrap();
+    db.commit_pipelined(q).unwrap();
+    let p = db.begin(N1).unwrap();
+    db.update(p, 7, b"from-p").unwrap();
+    db.update(p, 90, b"from-p").unwrap();
+    db.commit_pipelined(p).unwrap();
+    let t = db.begin(N2).unwrap();
+    db.update(t, 90, b"from-t").unwrap();
+    db.commit(t).unwrap();
+    assert_eq!(db.txn(t).unwrap().status, TxnStatus::Committed);
+    assert!(db.logs().log(N1).is_commit_stable(p), "direct predecessor forced");
+    assert!(db.logs().log(N0).is_commit_stable(q), "and its predecessor too");
+    assert_predicate_exact(&db, "after the synchronous commit");
+    crash_and_recover_checked(&mut db, &[N0]);
+    db.drain_commit_pipeline().unwrap();
+    assert_eq!(&db.current_value(7).unwrap()[..6], b"from-p");
+    assert_eq!(&db.current_value(90).unwrap()[..6], b"from-t");
+    db.check_ifa(N1).assert_ok();
+}
+
 /// Transactions committed inside epoch lanes reach the parent's table by
 /// `lane_merge`; the predicate must know every one of them.
 #[test]

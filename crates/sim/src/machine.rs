@@ -1209,8 +1209,10 @@ impl Machine {
         let ls = self.cfg.line_size;
         self.shards.iter().flat_map(move |shard| {
             shard.slots.iter().enumerate().filter_map(move |(i, sl)| {
-                let holder = if sl.live { sl.holders.first()? } else { return None };
-                Some((holder, sl.line, &shard.data[i * ls..(i + 1) * ls]))
+                if !sl.live {
+                    return None;
+                }
+                Some((sl.holders.first()?, sl.line, &shard.data[i * ls..(i + 1) * ls]))
             })
         })
     }
