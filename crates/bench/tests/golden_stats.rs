@@ -17,7 +17,10 @@
 
 use smdb_core::{DbConfig, ProtocolKind, RecoveryOutcome, SmDb};
 use smdb_sim::NodeId;
-use smdb_workload::{run_mix, spawn_active, MixParams};
+use smdb_workload::{
+    run_mix, run_mix_mt, run_mix_with_crash, spawn_active, threads_from_env, CrashPlan, MixParams,
+    MixReport,
+};
 use std::fmt::Write as _;
 
 fn fixture_path(name: &str) -> std::path::PathBuf {
@@ -141,6 +144,113 @@ fn golden_restart(out: &mut String) {
     }
 }
 
+/// Everything a driver run leaves behind that a rewrite of the loop could
+/// perturb: the report, the log volume, the makespan and a digest of the
+/// committed record images.
+fn render_run(out: &mut String, report: &MixReport, db: &SmDb) {
+    let _ = writeln!(out, "report: {report:?}");
+    let log_bytes: u64 =
+        (0..db.config().nodes).map(|n| db.logs().log(NodeId(n)).stats().bytes_appended).sum();
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    for slot in 0..db.record_count() as u64 {
+        for b in db.read_committed(slot).expect("slot readable") {
+            digest = (digest ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+        }
+    }
+    let _ = writeln!(out, "log_bytes: {log_bytes}");
+    let _ = writeln!(out, "max_clock: {}", db.max_clock());
+    let _ = writeln!(out, "committed_digest: {digest:#018x}");
+    let _ = writeln!(out);
+}
+
+fn pipelined_cfg(p: ProtocolKind) -> DbConfig {
+    DbConfig::small(4, p).with_coalesced_forces().with_lock_polling()
+}
+
+/// The transaction drivers' corners no other fixture reaches, for all
+/// five protocols: a serial index mix that exhausts its retry budget
+/// against parked lock holders, a pipelined mix whose crash plan fires
+/// mid-window, a pipelined read+update mix that needs the deadlock
+/// breaker, periodic checkpoints in both modes, and an epoch-scheduled
+/// mix that splits into epochs. (No `run_mix_mt` configuration reaches
+/// the scheduler's serial-retry path: lanes never leave the footprint
+/// admission computed for a record-only mix.)
+fn golden_driver(out: &mut String) {
+    let mut protocols = ProtocolKind::ifa_protocols().to_vec();
+    protocols.push(ProtocolKind::FaOnly);
+    for p in protocols {
+        let _ = writeln!(out, "[driver serial-gave-up protocol={p:?}]");
+        let mut db = SmDb::new(DbConfig::small(4, p));
+        let _ = spawn_active(&mut db, 2, 2, true, 5);
+        let report = run_mix(
+            &mut db,
+            MixParams {
+                txns: 80,
+                sharing: 0.9,
+                shared_slots: 16,
+                index_fraction: 0.3,
+                retries: 1,
+                ..Default::default()
+            },
+        );
+        assert!(report.gave_up > 0, "{p:?}: some transaction must exhaust its retries");
+        render_run(out, &report, &db);
+
+        let _ = writeln!(out, "[driver pipelined-crash protocol={p:?}]");
+        let mut db = SmDb::new(pipelined_cfg(p).with_early_lock_release());
+        let plan = CrashPlan { after_txns: 37, nodes: vec![NodeId(2)] };
+        let (report, recovery) =
+            run_mix_with_crash(&mut db, MixParams::contended_tp1(120), Some(plan))
+                .expect("pipelined mix with crash");
+        assert!(report.crash_fired, "{p:?}: the plan fires mid-window");
+        let outcome = recovery.expect("crash fired");
+        let _ = writeln!(out, "outcome.aborted: {:?}", outcome.aborted);
+        render_run(out, &report, &db);
+
+        let _ = writeln!(out, "[driver pipelined-deadlock protocol={p:?}]");
+        let mut db = SmDb::new(pipelined_cfg(p));
+        let report = run_mix(
+            &mut db,
+            MixParams { read_fraction: 0.5, seed: 0xDEAD, ..MixParams::contended_tp1(120) },
+        );
+        assert!(report.conflict_aborts > 0, "{p:?}: S->X upgrades must reach the breaker");
+        render_run(out, &report, &db);
+
+        for window in [0, 4] {
+            let _ = writeln!(out, "[driver checkpoint window={window} protocol={p:?}]");
+            let mut db = SmDb::new(pipelined_cfg(p));
+            let report = run_mix(
+                &mut db,
+                MixParams {
+                    txns: 90,
+                    sharing: 0.6,
+                    checkpoint_every: 7,
+                    commit_window: window,
+                    drain_every: 3,
+                    ..Default::default()
+                },
+            );
+            let _ = writeln!(out, "checkpoints: {}", db.checkpoint_store().checkpoints_taken);
+            render_run(out, &report, &db);
+        }
+
+        let _ = writeln!(out, "[driver epoch-mt protocol={p:?}]");
+        let mut db = SmDb::new(DbConfig::small(4, p).with_sim_shards(32));
+        let params = MixParams {
+            txns: 200,
+            sharing: 0.6,
+            shared_slots: 16,
+            zipf_theta: 0.5,
+            seed: 0xD5,
+            ..Default::default()
+        };
+        let (report, mt) = run_mix_mt(&mut db, params, threads_from_env()).expect("mt run");
+        assert!(mt.epoch_waits > 0, "{p:?}: sharing must split the run into epochs");
+        let _ = writeln!(out, "mt: {mt:?}");
+        render_run(out, &report, &db);
+    }
+}
+
 /// Compare `got` byte-for-byte against the committed fixture `name`
 /// (rewriting it instead under `UPDATE_GOLDEN`).
 fn check_golden(name: &str, got: &str) {
@@ -192,4 +302,11 @@ fn golden_restart_outcome() {
     let mut got = String::new();
     golden_restart(&mut got);
     check_golden("restart_outcome.golden", &got);
+}
+
+#[test]
+fn golden_driver_corners() {
+    let mut got = String::new();
+    golden_driver(&mut got);
+    check_golden("driver_corners.golden", &got);
 }

@@ -3,8 +3,11 @@
 //! engine bug the fuzzer found — each asserts that the shrunk repro line
 //! the fuzzer emitted at discovery time now passes all oracles.
 
-use smdb_vopr::{draw_plan, replay_line, replay_line_with, run_schedule, SchedInput, VoprConfig};
+use smdb_vopr::{
+    draw_plan, encode_tape, replay_line, replay_line_with, run_schedule, SchedInput, VoprConfig,
+};
 use std::collections::BTreeSet;
+use std::fmt::Write as _;
 
 /// Two recordings of the same seed must be byte-identical, and replaying
 /// the recorded tape must reproduce the run exactly. This is the fuzzer's
@@ -220,4 +223,45 @@ fn fixed_seed_smoke_sweep_is_green() {
         eprintln!("{}", f.line);
     }
     assert!(out.passed(), "{} schedules failed", out.failures.len());
+}
+
+/// Serial-window schedules are pinned byte for byte: sixteen fixed seeds
+/// with the commit window forced to 1 (the first eight fire their fault
+/// plan), each recording the event log, the schedule tape, the commit
+/// count and the verdict. The fixture predates the shared transaction
+/// driver, so a pass proves a window-1 schedule still runs — and a
+/// window-1 repro line still replays — exactly as it did before.
+/// Regenerate only for an intentional change, with `UPDATE_GOLDEN=1`.
+#[test]
+fn window_one_schedules_match_golden() {
+    const FIRING: [u64; 8] = [0x100, 0x102, 0x106, 0x108, 0x10e, 0x110, 0x11b, 0x139];
+    const QUIET: [u64; 8] = [0x101, 0x103, 0x105, 0x107, 0x112, 0x129, 0x132, 0x13d];
+    let skip = BTreeSet::new();
+    let mut got = String::new();
+    for (seeds, fires) in [(FIRING, true), (QUIET, false)] {
+        for seed in seeds {
+            let mut cfg = VoprConfig::draw(seed);
+            (cfg.window, cfg.drain_every, cfg.elr) = (1, 0, false);
+            let plan = draw_plan(seed);
+            let run = run_schedule(&cfg, seed, &skip, &plan, SchedInput::Record(seed));
+            assert_eq!(!run.fired.is_empty(), fires, "seed {seed:#x}: plan {plan:?}");
+            let _ = writeln!(got, "[seed={seed:#x} cfg={}]", cfg.encode());
+            let _ = writeln!(got, "fired: {:?}", run.fired);
+            let _ = writeln!(got, "verdict: {:?}", run.failure);
+            let _ = writeln!(got, "committed: {}", run.committed);
+            let _ = writeln!(got, "tape: {}", encode_tape(&run.tape));
+            let _ = writeln!(got, "events: {}\n", run.events.join(" "));
+        }
+    }
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/window1.golden");
+    if std::env::var("UPDATE_GOLDEN").is_ok() {
+        std::fs::create_dir_all(path.parent().unwrap()).expect("mkdir fixtures");
+        std::fs::write(&path, &got).expect("write fixture");
+        return;
+    }
+    let want = std::fs::read_to_string(&path).expect("fixture present (UPDATE_GOLDEN=1 writes it)");
+    for (i, (g, w)) in got.lines().zip(want.lines()).enumerate() {
+        assert_eq!(g, w, "window-1 schedule diverged from the fixture at line {}", i + 1);
+    }
+    assert_eq!(got.lines().count(), want.lines().count(), "fixture length");
 }
