@@ -16,10 +16,10 @@ use crate::oracle::ShadowDb;
 use crate::record::{RecordLayout, NULL_TAG, TAG_SIZE};
 use crate::restart::InstantRedoState;
 use crate::stats::EngineStats;
-use crate::txn::{TxnOp, TxnState, TxnStatus};
+use crate::txn::{Op, TxnOp, TxnState, TxnStatus};
 use bytes::Bytes;
 use smdb_btree::{
-    BTree, LineSpan, TreeCtx, APPEND_BYTES_COUNTER, COALESCED_FORCES_COUNTER,
+    BTree, BtreeError, LineSpan, TreeCtx, APPEND_BYTES_COUNTER, COALESCED_FORCES_COUNTER,
     FORCE_RECORDS_HISTOGRAM, PHYSICAL_FORCES_COUNTER, VAL_SIZE,
 };
 use smdb_fault::{FaultInjector, Scheduler};
@@ -535,21 +535,7 @@ impl SmDb {
                 // not-yet-durable committer released early inherits a
                 // commit-LSN dependency on each such releaser.
                 if self.cfg.early_lock_release {
-                    let edges = self.violations.deps_for(name, txn);
-                    if !edges.is_empty() {
-                        let obs = self.m.obs();
-                        if obs.metrics.is_enabled() {
-                            obs.metrics.add(names::TXN_COMMIT_DEPS, edges.len() as u64);
-                        }
-                        self.stats.commit_deps += edges.len() as u64;
-                        self.inherited_deps.entry(txn).or_default().extend(edges.into_iter().map(
-                            |e| InheritedDep {
-                                releaser: e.releaser,
-                                commit_lsn: e.commit_lsn,
-                                name,
-                            },
-                        ));
-                    }
+                    self.inherit_violation_deps(txn, name);
                 }
                 self.redo_on_lock(txn, name, acting)?;
                 Ok(())
@@ -568,6 +554,28 @@ impl SmDb {
                 Err(DbError::WouldBlock { txn, lock: name })
             }
         }
+    }
+
+    /// Controlled lock violation bookkeeping: `txn` now holds `name`, so it
+    /// inherits a commit-LSN dependency on every not-yet-durable committer
+    /// that released the name early.
+    fn inherit_violation_deps(&mut self, txn: TxnId, name: u64) {
+        let edges = self.violations.deps_for(name, txn);
+        if edges.is_empty() {
+            return;
+        }
+        let obs = self.m.obs();
+        if obs.metrics.is_enabled() {
+            obs.metrics.add(names::TXN_COMMIT_DEPS, edges.len() as u64);
+        }
+        self.stats.commit_deps += edges.len() as u64;
+        self.inherited_deps.entry(txn).or_default().extend(
+            edges.into_iter().map(|e| InheritedDep {
+                releaser: e.releaser,
+                commit_lsn: e.commit_lsn,
+                name,
+            }),
+        );
     }
 
     /// Instant restart: a granted record lock must not let its holder
@@ -837,16 +845,7 @@ impl SmDb {
         let spans_on = self.m.obs().spans.is_enabled();
         let t0 = if spans_on { self.m.now(txn.node()) } else { 0 };
         let tree = req(self.tree.as_mut(), "index op on an engine with an index")?;
-        let mut ctx = TreeCtx::new(
-            &mut self.m,
-            &mut self.sdb,
-            &mut self.logs,
-            &mut self.plt,
-            self.cfg.protocol.lbm_mode(),
-            &mut self.gsn,
-        )
-        .with_coalescing(self.cfg.coalesce_forces)
-        .with_attribution(txn.node());
+        let mut ctx = engine_ctx!(self).with_attribution(txn.node());
         tree.insert(&mut ctx, txn, key, value)?;
         let force_cycles = ctx.attr_force_cycles;
         self.stats.lbm_forces += ctx.trigger_forces;
@@ -879,16 +878,7 @@ impl SmDb {
         let spans_on = self.m.obs().spans.is_enabled();
         let t0 = if spans_on { self.m.now(node) } else { 0 };
         let tree = req(self.tree.as_mut(), "index op on an engine with an index")?;
-        let mut ctx = TreeCtx::new(
-            &mut self.m,
-            &mut self.sdb,
-            &mut self.logs,
-            &mut self.plt,
-            self.cfg.protocol.lbm_mode(),
-            &mut self.gsn,
-        )
-        .with_coalescing(self.cfg.coalesce_forces)
-        .with_attribution(node);
+        let mut ctx = engine_ctx!(self).with_attribution(node);
         let hit = tree.search(&mut ctx, node, key)?;
         let force_cycles = ctx.attr_force_cycles;
         self.stats.lbm_forces += ctx.trigger_forces;
@@ -921,16 +911,7 @@ impl SmDb {
         let t0 = if spans_on { self.m.now(node) } else { 0 };
         let (hits, force_cycles) = {
             let tree = req(self.tree.as_mut(), "index op on an engine with an index")?;
-            let mut ctx = TreeCtx::new(
-                &mut self.m,
-                &mut self.sdb,
-                &mut self.logs,
-                &mut self.plt,
-                self.cfg.protocol.lbm_mode(),
-                &mut self.gsn,
-            )
-            .with_coalescing(self.cfg.coalesce_forces)
-            .with_attribution(node);
+            let mut ctx = engine_ctx!(self).with_attribution(node);
             let hits = tree.range_live(&mut ctx, node, lo, hi)?;
             (hits, ctx.attr_force_cycles)
         };
@@ -956,16 +937,7 @@ impl SmDb {
         let spans_on = self.m.obs().spans.is_enabled();
         let t0 = if spans_on { self.m.now(txn.node()) } else { 0 };
         let tree = req(self.tree.as_mut(), "index op on an engine with an index")?;
-        let mut ctx = TreeCtx::new(
-            &mut self.m,
-            &mut self.sdb,
-            &mut self.logs,
-            &mut self.plt,
-            self.cfg.protocol.lbm_mode(),
-            &mut self.gsn,
-        )
-        .with_coalescing(self.cfg.coalesce_forces)
-        .with_attribution(txn.node());
+        let mut ctx = engine_ctx!(self).with_attribution(txn.node());
         tree.delete(&mut ctx, txn, key)?;
         let force_cycles = ctx.attr_force_cycles;
         self.stats.lbm_forces += ctx.trigger_forces;
@@ -987,44 +959,90 @@ impl SmDb {
         Ok(())
     }
 
-    /// Commit `txn`: force the log through the commit record (durability),
-    /// clear undo tags, reclaim committed-delete space, release all locks
-    /// (strict 2PL).
-    pub fn commit(&mut self, txn: TxnId) -> Result<(), DbError> {
+    /// Apply one generated operation on behalf of `txn`. An insert of a
+    /// key that is already present, or a delete of one that is not, counts
+    /// as done: a retried transaction may meet the effects of an
+    /// independent earlier attempt at the same keys.
+    pub fn apply(&mut self, txn: TxnId, op: &Op) -> Result<(), DbError> {
+        match op {
+            Op::Read(slot) => self.read(txn, *slot).map(drop),
+            Op::Update(slot, v) => self.update(txn, *slot, v),
+            Op::Insert(k, v) => match self.insert(txn, *k, *v) {
+                Err(DbError::Btree(BtreeError::DuplicateKey { .. })) => Ok(()),
+                other => other,
+            },
+            Op::Delete(k) => match self.delete(txn, *k) {
+                Err(DbError::Btree(BtreeError::KeyNotFound { .. })) => Ok(()),
+                other => other,
+            },
+        }
+    }
+
+    /// What both commit flavours do before their commit record exists: the
+    /// pre-append crash point (a crash here dooms the transaction) and, for
+    /// parallel transactions (§9), a force of every other participant's
+    /// log — their updates must be durable before the home node's commit
+    /// record. Participant forces advance the *participants'* clocks, so
+    /// they stay outside the home-clock span total. Returns the home clock
+    /// the commit stage starts at (0 with spans off).
+    fn commit_prologue(&mut self, txn: TxnId) -> Result<u64, DbError> {
         self.check_active(txn)?;
         let node = txn.node();
-        // Crash point: the node dies before its commit record exists —
-        // the transaction must be doomed by recovery.
         if let Some(c) = self.fault.hit(FAULT_COMMIT, node.0) {
             return Err(DbError::FaultCrash(c));
         }
-        // Parallel transactions (§9): every participant's updates must be
-        // durable before the home node's commit record — force the other
-        // participants' logs first.
         let participants: Vec<NodeId> = req(self.txns.get(&txn), "txn checked active")?
             .participants
             .iter()
             .copied()
             .filter(|n| *n != node)
             .collect();
-        let obs_on = self.m.obs().is_enabled();
-        let spans_on = self.m.obs().spans.is_enabled();
-        // Participant forces advance the *participants'* clocks, not the
-        // home node's, so they are outside the home-clock span total and
-        // deliberately unattributed.
-        let commit_t0 = if spans_on { self.m.now(node) } else { 0 };
-        let mut force_wait = 0u64;
         for p in participants {
-            let pending = if obs_on { self.unforced_records(p) } else { 0 };
-            if self.logs.force_all_checked(p)? {
-                let cost = self.m.config().cost.log_force;
-                self.m.advance(p, cost);
-                self.stats.commit_forces += 1;
-                if obs_on {
-                    self.note_wal_force(p, pending, ForceReason::Commit);
-                }
-            }
+            self.commit_force(p, None)?;
         }
+        Ok(if self.m.obs().spans.is_enabled() { self.m.now(node) } else { 0 })
+    }
+
+    /// A commit-path log force on `node` — through `lsn`, or to the log's
+    /// tip. Returns the cycles charged to `node` (0 when the log was
+    /// already durable that far and no physical force ran).
+    fn commit_force(&mut self, node: NodeId, lsn: Option<Lsn>) -> Result<u64, DbError> {
+        let obs_on = self.m.obs().is_enabled();
+        let pending = if obs_on { self.unforced_records(node) } else { 0 };
+        let forced = match lsn {
+            Some(lsn) => self.logs.force_to_checked(node, lsn)?,
+            None => self.logs.force_all_checked(node)?,
+        };
+        if !forced {
+            return Ok(0);
+        }
+        let cost = self.m.config().cost.log_force;
+        self.m.advance(node, cost);
+        self.stats.commit_forces += 1;
+        if obs_on {
+            self.note_wal_force(node, pending, ForceReason::Commit);
+        }
+        Ok(cost)
+    }
+
+    /// Append `txn`'s commit record to its home log.
+    fn append_commit(&mut self, txn: TxnId, deps: Vec<CommitDep>) -> Lsn {
+        let node = txn.node();
+        let lsn = self.logs.append(node, LogPayload::Commit { txn, deps });
+        self.m
+            .obs()
+            .bus
+            .emit(self.m.now(node), || ObsEvent::WalAppend { node: node.0, lsn: lsn.0 });
+        lsn
+    }
+
+    /// Commit `txn` synchronously: append the commit record, force it and
+    /// the unacknowledged chain it rests on, then run the same post-commit
+    /// processing a pipelined acknowledgement runs ([`Self::finish_commit`]:
+    /// undo-tag clears, delete reclaim, lock release — strict 2PL).
+    pub fn commit(&mut self, txn: TxnId) -> Result<(), DbError> {
+        let node = txn.node();
+        let commit_t0 = self.commit_prologue(txn)?;
         // A synchronous commit acknowledges immediately, so any inherited
         // commit dependencies (early lock release) must be durable *now*:
         // force each unacknowledged predecessor's home log through its
@@ -1036,15 +1054,7 @@ impl SmDb {
         for d in &self.unacked_chain(&deps) {
             let pn = d.txn.node();
             if !self.m.is_crashed(pn) && self.logs.log(pn).durable_lsn() < d.lsn {
-                let pending = if obs_on { self.unforced_records(pn) } else { 0 };
-                if self.logs.force_to_checked(pn, d.lsn)? {
-                    let cost = self.m.config().cost.log_force;
-                    self.m.advance(pn, cost);
-                    self.stats.commit_forces += 1;
-                    if obs_on {
-                        self.note_wal_force(pn, pending, ForceReason::Commit);
-                    }
-                }
+                self.commit_force(pn, Some(d.lsn))?;
             }
             if self.logs.log(pn).durable_lsn() < d.lsn {
                 // The predecessor's commit is unrecoverable (its home is
@@ -1055,27 +1065,14 @@ impl SmDb {
                 return Err(DbError::WouldBlock { txn, lock: 0 });
             }
         }
-        let lsn = self.logs.append(node, LogPayload::Commit { txn, deps });
-        self.m
-            .obs()
-            .bus
-            .emit(self.m.now(node), || ObsEvent::WalAppend { node: node.0, lsn: lsn.0 });
-        let pending = if obs_on { self.unforced_records(node) } else { 0 };
+        let lsn = self.append_commit(txn, deps);
         let had_window = self.logs.log(node).pending_force().is_some();
-        if self.logs.force_to_checked(node, lsn)? {
-            let cost = self.m.config().cost.log_force;
-            self.m.advance(node, cost);
-            self.stats.commit_forces += 1;
-            force_wait += cost;
-            // In an execution lane (see [`crate::mt`]) the per-node
-            // appender stalled the committer to drain a pending
-            // coalesced-force window it would otherwise have absorbed.
-            if had_window && self.mt_granted.is_some() {
-                self.m.obs().metrics.inc(names::WAL_APPENDER_STALLS);
-            }
-            if obs_on {
-                self.note_wal_force(node, pending, ForceReason::Commit);
-            }
+        let force_wait = self.commit_force(node, Some(lsn))?;
+        // In an execution lane (see [`crate::mt`]) the per-node appender
+        // stalled the committer to drain a pending coalesced-force window
+        // it would otherwise have absorbed.
+        if force_wait > 0 && had_window && self.mt_granted.is_some() {
+            self.m.obs().metrics.inc(names::WAL_APPENDER_STALLS);
         }
         // Crash point: the commit record is durable but post-commit
         // processing (tag clears, delete reclaim, lock release) has not
@@ -1083,75 +1080,11 @@ impl SmDb {
         if let Some(c) = self.fault.hit(FAULT_COMMIT, node.0) {
             return Err(DbError::FaultCrash(c));
         }
-        let t = req(self.txns.get(&txn), "txn checked active")?.clone();
-        // Clear heap undo tags (the data is no longer active — §4.1.2:
-        // "Once the data is no longer active, the node ID is assigned a
-        // null value").
-        if self.cfg.protocol.uses_undo_tags() {
-            for rec in t.touched_records() {
-                // The tag clear must land on a recovered line: applying a
-                // deferred redo entry afterwards would resurrect the tag.
-                self.ensure_line_recovered(node, self.rec_line(rec))?;
-                let off = self.layout.page_offset(rec.slot);
-                let mut ctx = engine_ctx!(self);
-                ctx.write(node, rec.page, off, &NULL_TAG.to_le_bytes())?;
-            }
+        if self.m.obs().spans.is_enabled() {
+            let appended = self.m.now(node).saturating_sub(commit_t0 + force_wait);
+            self.m.obs().spans.add(txn.0, Stage::Commit, appended);
         }
-        // Index post-commit processing (tag clears + delete reclaim).
-        if let Some(tree) = self.tree.as_mut() {
-            let deleted: Vec<u64> = t
-                .ops
-                .iter()
-                .filter_map(|op| match op {
-                    TxnOp::IndexDelete { key } => Some(*key),
-                    _ => None,
-                })
-                .collect();
-            let mut ctx = TreeCtx::new(
-                &mut self.m,
-                &mut self.sdb,
-                &mut self.logs,
-                &mut self.plt,
-                self.cfg.protocol.lbm_mode(),
-                &mut self.gsn,
-            )
-            .with_coalescing(self.cfg.coalesce_forces);
-            for key in t.index_keys() {
-                // The physical reclaim of a committed delete is logged so
-                // log replay converges to the same physical state.
-                if deleted.contains(&key) {
-                    let gsn = ctx.next_gsn();
-                    ctx.logs.append(node, LogPayload::IndexRemove { txn, key, gsn });
-                }
-                tree.commit_key(&mut ctx, txn, key)?;
-            }
-        }
-        self.locks.release_all(&mut self.m, &mut self.logs, txn)?;
-        self.pending_waits.remove(&txn);
-        req(self.txns.get_mut(&txn), "txn checked active")?.status = TxnStatus::Committed;
-        self.shadow.commit(txn);
-        self.stats.commits += 1;
-        let mut latency = 0u64;
-        if spans_on {
-            let end_at = self.m.now(node);
-            let total = end_at.saturating_sub(commit_t0);
-            let obs = self.m.obs();
-            obs.spans.add(txn.0, Stage::ForceWait, force_wait);
-            obs.spans.add(txn.0, Stage::Commit, total.saturating_sub(force_wait));
-            if let Some(span) = obs.spans.end(txn.0, end_at, true) {
-                latency = span.latency();
-                obs.metrics.observe(names::TXN_LATENCY_CYCLES, latency);
-            }
-        }
-        if obs_on {
-            self.m.obs().metrics.inc(names::TXN_COMMITTED);
-        }
-        let obs = self.m.obs();
-        if obs.timeline.is_enabled() {
-            obs.timeline.on_commit(self.m.max_clock(), latency, self.in_flight());
-        }
-        self.inherited_deps.remove(&txn);
-        Ok(())
+        self.finish_commit(txn, force_wait, false)
     }
 
     /// The not-yet-acknowledged commit-LSN dependencies `txn` inherited,
@@ -1210,40 +1143,10 @@ impl SmDb {
     /// (and cascades through its dependents) exactly like any active
     /// transaction.
     pub fn commit_pipelined(&mut self, txn: TxnId) -> Result<(), DbError> {
-        self.check_active(txn)?;
         let node = txn.node();
-        // Crash point: the node dies before its commit record exists.
-        if let Some(c) = self.fault.hit(FAULT_COMMIT, node.0) {
-            return Err(DbError::FaultCrash(c));
-        }
-        // Parallel transactions (§9): participants' updates must be
-        // durable before the home node's commit record.
-        let participants: Vec<NodeId> = req(self.txns.get(&txn), "txn checked active")?
-            .participants
-            .iter()
-            .copied()
-            .filter(|n| *n != node)
-            .collect();
-        let obs_on = self.m.obs().is_enabled();
-        let spans_on = self.m.obs().spans.is_enabled();
-        let commit_t0 = if spans_on { self.m.now(node) } else { 0 };
-        for p in participants {
-            let pending = if obs_on { self.unforced_records(p) } else { 0 };
-            if self.logs.force_all_checked(p)? {
-                let cost = self.m.config().cost.log_force;
-                self.m.advance(p, cost);
-                self.stats.commit_forces += 1;
-                if obs_on {
-                    self.note_wal_force(p, pending, ForceReason::Commit);
-                }
-            }
-        }
+        let commit_t0 = self.commit_prologue(txn)?;
         let deps = self.commit_deps_for(txn);
-        let lsn = self.logs.append(node, LogPayload::Commit { txn, deps: deps.clone() });
-        self.m
-            .obs()
-            .bus
-            .emit(self.m.now(node), || ObsEvent::WalAppend { node: node.0, lsn: lsn.0 });
+        let lsn = self.append_commit(txn, deps.clone());
         if self.cfg.early_lock_release {
             let (released, promoted) =
                 self.locks.early_release_all(&mut self.m, &mut self.logs, txn)?;
@@ -1259,21 +1162,7 @@ impl SmDb {
             // name without passing through the `lock_from` inheritance
             // hook — inherit its dependencies here.
             for (name, entry) in promoted {
-                let edges = self.violations.deps_for(name, entry.txn);
-                if !edges.is_empty() {
-                    let obs = self.m.obs();
-                    if obs.metrics.is_enabled() {
-                        obs.metrics.add(names::TXN_COMMIT_DEPS, edges.len() as u64);
-                    }
-                    self.stats.commit_deps += edges.len() as u64;
-                    self.inherited_deps.entry(entry.txn).or_default().extend(
-                        edges.into_iter().map(|e| InheritedDep {
-                            releaser: e.releaser,
-                            commit_lsn: e.commit_lsn,
-                            name,
-                        }),
-                    );
-                }
+                self.inherit_violation_deps(entry.txn, name);
                 if let Some(waits) = self.pending_waits.get_mut(&entry.txn) {
                     waits.retain(|n| *n != name);
                 }
@@ -1291,7 +1180,7 @@ impl SmDb {
             self.logs.request_force_to(node, lsn);
         }
         let appended_at = self.m.now(node);
-        if spans_on {
+        if self.m.obs().spans.is_enabled() {
             self.m.obs().spans.add(txn.0, Stage::Commit, appended_at.saturating_sub(commit_t0));
         }
         req(self.txns.get_mut(&txn), "txn checked active")?.committing = true;
@@ -1305,7 +1194,6 @@ impl SmDb {
     /// predecessors are all acknowledged. Returns the number of commits
     /// acknowledged.
     pub fn drain_commit_pipeline(&mut self) -> Result<usize, DbError> {
-        let obs_on = self.m.obs().is_enabled();
         let mut targets: BTreeMap<NodeId, Lsn> = BTreeMap::new();
         for p in &self.pending_commits {
             if !self.m.is_crashed(p.node) {
@@ -1320,17 +1208,8 @@ impl SmDb {
         let mut order: Vec<(NodeId, Lsn)> = targets.into_iter().collect();
         while !order.is_empty() {
             let (node, lsn) = order.remove(self.sched.choose("core.drain.force", order.len()));
-            if self.logs.log(node).durable_lsn() >= lsn {
-                continue;
-            }
-            let pending = if obs_on { self.unforced_records(node) } else { 0 };
-            if self.logs.force_to_checked(node, lsn)? {
-                let cost = self.m.config().cost.log_force;
-                self.m.advance(node, cost);
-                self.stats.commit_forces += 1;
-                if obs_on {
-                    self.note_wal_force(node, pending, ForceReason::Commit);
-                }
+            if self.logs.log(node).durable_lsn() < lsn {
+                self.commit_force(node, Some(lsn))?;
             }
         }
         self.ack_scan()
@@ -1375,21 +1254,38 @@ impl SmDb {
     }
 
     /// Acknowledge one pipelined commit: its record is durable and every
-    /// predecessor settled. Runs the post-commit processing the append
-    /// deferred (tag clears, delete reclaim, lock release or violation
-    /// resolution) and flips the transaction to `Committed`.
+    /// predecessor settled. The wait since the append is force wait.
     fn ack_commit(&mut self, pc: PendingCommit) -> Result<(), DbError> {
-        let PendingCommit { txn, node, appended_at, .. } = pc;
-        let obs_on = self.m.obs().is_enabled();
         let spans_on = self.m.obs().spans.is_enabled();
-        let ack_t0 = if spans_on { self.m.now(node) } else { 0 };
-        let t = req(self.txns.get(&txn), "pending commit txn present in table")?.clone();
+        let waited = if spans_on { self.m.now(pc.node).saturating_sub(pc.appended_at) } else { 0 };
+        self.finish_commit(pc.txn, waited, self.cfg.early_lock_release)
+    }
+
+    /// Post-commit processing, run once `txn`'s commit record is durable —
+    /// at the end of a synchronous commit, or at the acknowledgement of a
+    /// pipelined one: undo-tag clears, delete reclaim, lock release (or,
+    /// when the locks were `early_released` at append time, violation
+    /// resolution), the flip to `Committed`, and span / metric / timeline
+    /// emission with `force_wait` cycles attributed to the force-wait stage.
+    fn finish_commit(
+        &mut self,
+        txn: TxnId,
+        force_wait: u64,
+        early_released: bool,
+    ) -> Result<(), DbError> {
+        let node = txn.node();
+        let spans_on = self.m.obs().spans.is_enabled();
+        let t0 = if spans_on { self.m.now(node) } else { 0 };
+        let t = req(self.txns.get(&txn), "committing txn present in table")?.clone();
+        // Clear heap undo tags (the data is no longer active — §4.1.2:
+        // "Once the data is no longer active, the node ID is assigned a
+        // null value").
         if self.cfg.protocol.uses_undo_tags() {
             for rec in t.touched_records() {
                 // A successor that inherited the record through early
                 // lock release may have re-tagged it and still be in
                 // flight: the tag is the successor's responsibility now.
-                if self.cfg.early_lock_release {
+                if early_released {
                     let owned_elsewhere = self.txns.values().any(|o| {
                         o.id != txn
                             && o.is_active()
@@ -1401,12 +1297,15 @@ impl SmDb {
                         continue;
                     }
                 }
+                // The tag clear must land on a recovered line: applying a
+                // deferred redo entry afterwards would resurrect the tag.
                 self.ensure_line_recovered(node, self.rec_line(rec))?;
                 let off = self.layout.page_offset(rec.slot);
                 let mut ctx = engine_ctx!(self);
                 ctx.write(node, rec.page, off, &NULL_TAG.to_le_bytes())?;
             }
         }
+        // Index post-commit processing (tag clears + delete reclaim).
         if let Some(tree) = self.tree.as_mut() {
             let deleted: Vec<u64> = t
                 .ops
@@ -1416,16 +1315,10 @@ impl SmDb {
                     _ => None,
                 })
                 .collect();
-            let mut ctx = TreeCtx::new(
-                &mut self.m,
-                &mut self.sdb,
-                &mut self.logs,
-                &mut self.plt,
-                self.cfg.protocol.lbm_mode(),
-                &mut self.gsn,
-            )
-            .with_coalescing(self.cfg.coalesce_forces);
+            let mut ctx = engine_ctx!(self);
             for key in t.index_keys() {
+                // The physical reclaim of a committed delete is logged so
+                // log replay converges to the same physical state.
                 if deleted.contains(&key) {
                     let gsn = ctx.next_gsn();
                     ctx.logs.append(node, LogPayload::IndexRemove { txn, key, gsn });
@@ -1433,35 +1326,34 @@ impl SmDb {
                 tree.commit_key(&mut ctx, txn, key)?;
             }
         }
-        if self.cfg.early_lock_release {
-            // Locks were already released at append time; settle the
-            // violation edges so later acquirers stop inheriting.
+        if early_released {
+            // Settle the violation edges so later acquirers stop
+            // inheriting.
             self.violations.resolve(txn);
         } else {
             self.locks.release_all(&mut self.m, &mut self.logs, txn)?;
             self.pending_waits.remove(&txn);
         }
         self.inherited_deps.remove(&txn);
-        let ts = req(self.txns.get_mut(&txn), "pending commit txn present in table")?;
+        let ts = req(self.txns.get_mut(&txn), "committing txn present in table")?;
         ts.status = TxnStatus::Committed;
         ts.committing = false;
         self.shadow.commit(txn);
         self.stats.commits += 1;
         let mut latency = 0u64;
+        let obs = self.m.obs();
         if spans_on {
             let end_at = self.m.now(node);
-            let obs = self.m.obs();
-            obs.spans.add(txn.0, Stage::ForceWait, ack_t0.saturating_sub(appended_at));
-            obs.spans.add(txn.0, Stage::Commit, end_at.saturating_sub(ack_t0));
+            obs.spans.add(txn.0, Stage::ForceWait, force_wait);
+            obs.spans.add(txn.0, Stage::Commit, end_at.saturating_sub(t0));
             if let Some(span) = obs.spans.end(txn.0, end_at, true) {
                 latency = span.latency();
                 obs.metrics.observe(names::TXN_LATENCY_CYCLES, latency);
             }
         }
-        if obs_on {
-            self.m.obs().metrics.inc(names::TXN_COMMITTED);
+        if obs.is_enabled() {
+            obs.metrics.inc(names::TXN_COMMITTED);
         }
-        let obs = self.m.obs();
         if obs.timeline.is_enabled() {
             obs.timeline.on_commit(self.m.max_clock(), latency, self.in_flight());
         }
@@ -1515,30 +1407,14 @@ impl SmDb {
                 }
                 TxnOp::IndexInsert { key } => {
                     let tree = req(self.tree.as_mut(), "logged op implies an index")?;
-                    let mut ctx = TreeCtx::new(
-                        &mut self.m,
-                        &mut self.sdb,
-                        &mut self.logs,
-                        &mut self.plt,
-                        self.cfg.protocol.lbm_mode(),
-                        &mut self.gsn,
-                    )
-                    .with_coalescing(self.cfg.coalesce_forces);
+                    let mut ctx = engine_ctx!(self);
                     let gsn = ctx.next_gsn();
                     ctx.logs.append(node, LogPayload::IndexRemove { txn, key: *key, gsn });
                     tree.undo_insert(&mut ctx, node, *key)?;
                 }
                 TxnOp::IndexDelete { key } => {
                     let tree = req(self.tree.as_mut(), "logged op implies an index")?;
-                    let mut ctx = TreeCtx::new(
-                        &mut self.m,
-                        &mut self.sdb,
-                        &mut self.logs,
-                        &mut self.plt,
-                        self.cfg.protocol.lbm_mode(),
-                        &mut self.gsn,
-                    )
-                    .with_coalescing(self.cfg.coalesce_forces);
+                    let mut ctx = engine_ctx!(self);
                     let gsn = ctx.next_gsn();
                     ctx.logs.append(node, LogPayload::IndexUnmark { txn, key: *key, gsn });
                     tree.undo_delete(&mut ctx, node, *key)?;
@@ -1716,15 +1592,7 @@ impl SmDb {
     /// Live index contents, scanned by `node` (coherent reads).
     pub fn index_scan(&mut self, node: NodeId) -> Result<Vec<(u64, [u8; VAL_SIZE])>, DbError> {
         let tree = self.tree.as_mut().ok_or(DbError::NoIndex)?;
-        let mut ctx = TreeCtx::new(
-            &mut self.m,
-            &mut self.sdb,
-            &mut self.logs,
-            &mut self.plt,
-            self.cfg.protocol.lbm_mode(),
-            &mut self.gsn,
-        )
-        .with_coalescing(self.cfg.coalesce_forces);
+        let mut ctx = engine_ctx!(self);
         Ok(tree.scan_live(&mut ctx, node)?)
     }
 
@@ -1736,15 +1604,7 @@ impl SmDb {
         let Some(tree) = self.tree.as_mut() else {
             return Ok(());
         };
-        let mut ctx = TreeCtx::new(
-            &mut self.m,
-            &mut self.sdb,
-            &mut self.logs,
-            &mut self.plt,
-            self.cfg.protocol.lbm_mode(),
-            &mut self.gsn,
-        )
-        .with_coalescing(self.cfg.coalesce_forces);
+        let mut ctx = engine_ctx!(self);
         tree.check_invariants(&mut ctx, node)?;
         Ok(())
     }

@@ -69,7 +69,7 @@ mod txn;
 pub use config::{DbConfig, ProtocolKind, RestartScheme};
 pub use engine::{SmDb, FAULT_COMMIT, FAULT_COMMIT_DEP};
 pub use error::DbError;
-pub use mt::{MtOp, MtOutcome, MtTxn, SITE_ADMIT};
+pub use mt::{MtOutcome, MtTxn, SITE_ADMIT};
 pub use oracle::{IfaReport, ShadowDb};
 pub use record::RecordLayout;
 pub use restart::{
@@ -77,7 +77,7 @@ pub use restart::{
     FAULT_REDO_ON_DEMAND,
 };
 pub use stats::EngineStats;
-pub use txn::{TxnOp, TxnState, TxnStatus};
+pub use txn::{Op, TxnOp, TxnState, TxnStatus};
 
 /// Re-export of the fault-injection crate: crash drivers need the
 /// injector, plan, and sweep types alongside the engine.

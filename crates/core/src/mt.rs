@@ -55,6 +55,7 @@ use crate::engine::{engine_ctx, SmDb};
 use crate::error::DbError;
 use crate::restart::InstantRedoState;
 use crate::stats::EngineStats;
+use crate::txn::Op;
 use serde::{Deserialize, Serialize};
 use smdb_btree::TreeCtx;
 use smdb_fault::Scheduler;
@@ -72,30 +73,14 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 /// while the default stays deterministic.
 pub const SITE_ADMIT: &str = "mt.admit";
 
-/// One record operation of a multicore-scheduled transaction. Index
-/// operations are not admitted in this mode (their page footprints are
-/// data-dependent); use the serial API for index workloads.
-#[derive(Clone, Debug)]
-pub enum MtOp {
-    /// Read a record slot under a shared lock.
-    Read {
-        /// Global record slot.
-        slot: u64,
-    },
-    /// Update a record slot under an exclusive lock.
-    Update {
-        /// Global record slot.
-        slot: u64,
-        /// Payload (padded to the record size by the engine).
-        data: Vec<u8>,
-    },
-}
-
-impl MtOp {
-    fn slot(&self) -> u64 {
-        match self {
-            MtOp::Read { slot } | MtOp::Update { slot, .. } => *slot,
-        }
+/// The record slot an epoch-scheduled operation touches and the lock mode
+/// it needs. Index operations are not admitted in this mode (their page
+/// footprints are data-dependent); use the serial API for index workloads.
+fn rec_access(op: &Op) -> (u64, LockMode) {
+    match op {
+        Op::Read(slot) => (*slot, LockMode::Shared),
+        Op::Update(slot, _) => (*slot, LockMode::Exclusive),
+        Op::Insert(..) | Op::Delete(..) => panic!("mt excludes index operations"),
     }
 }
 
@@ -105,8 +90,8 @@ impl MtOp {
 pub struct MtTxn {
     /// The node the transaction runs on.
     pub node: NodeId,
-    /// Operations, in order.
-    pub ops: Vec<MtOp>,
+    /// Operations, in order (record reads and updates only).
+    pub ops: Vec<Op>,
 }
 
 /// What one [`SmDb::run_epochs`] call did.
@@ -143,7 +128,7 @@ pub struct MtOutcome {
 #[derive(Clone, Debug)]
 struct Admitted {
     txn: TxnId,
-    ops: Vec<MtOp>,
+    ops: Vec<Op>,
     gsn_base: u64,
     gsn_block: u64,
 }
@@ -180,15 +165,12 @@ fn escalates(e: &DbError) -> bool {
 /// strongest mode any of its operations requires. Admission grants these
 /// serially on the parent manager; the lane then treats membership in the
 /// granted set as the grant.
-fn lock_plan(ops: &[MtOp]) -> Vec<(u64, LockMode)> {
+fn lock_plan(ops: &[Op]) -> Vec<(u64, LockMode)> {
     let mut order: Vec<u64> = Vec::new();
     let mut modes: BTreeMap<u64, LockMode> = BTreeMap::new();
     for op in ops {
-        let name = SmDb::lock_name_for_rec(op.slot());
-        let mode = match op {
-            MtOp::Read { .. } => LockMode::Shared,
-            MtOp::Update { .. } => LockMode::Exclusive,
-        };
+        let (slot, mode) = rec_access(op);
+        let name = SmDb::lock_name_for_rec(slot);
         match modes.get_mut(&name) {
             None => {
                 order.push(name);
@@ -209,11 +191,11 @@ impl SmDb {
     /// operations touch. The engine pins `stripe_lines` to
     /// `lines_per_page`, so a page (including its Page-LSN line) never
     /// straddles stripes and one probe per page suffices.
-    fn mt_footprint(&self, ops: &[MtOp]) -> (BTreeSet<u32>, BTreeSet<PageId>) {
+    fn mt_footprint(&self, ops: &[Op]) -> (BTreeSet<u32>, BTreeSet<PageId>) {
         let mut stripes = BTreeSet::new();
         let mut pages = BTreeSet::new();
         for op in ops {
-            let rec = self.layout.rec_of_global(op.slot());
+            let rec = self.layout.rec_of_global(rec_access(op).0);
             pages.insert(rec.page);
             let line0 = LineId(self.layout.geometry.line_addr(rec.page, 0));
             stripes.insert(self.m.stripe_of(line0));
@@ -274,6 +256,23 @@ impl SmDb {
         self.shadow.absorb(shadow);
     }
 
+    /// Drain every appender and clear every active LBM mark, so no
+    /// deferred-force obligation crosses into a lane whose owner cannot
+    /// force the mark owner's log (forcing first keeps the Stable-LBM
+    /// invariant while clearing).
+    fn settle_lbm_marks(&mut self) -> Result<(), DbError> {
+        let all_stripes: Vec<u32> = (0..self.m.shard_count() as u32).collect();
+        for n in 0..self.cfg.nodes {
+            let node = NodeId(n);
+            if self.logs.force_all_checked(node)? {
+                let cost = self.m.config().cost.log_force;
+                self.m.advance(node, cost);
+            }
+            self.m.clear_active_in_stripes(node, &all_stripes);
+        }
+        Ok(())
+    }
+
     /// Run `txns` to completion under the deterministic epoch scheduler,
     /// executing each epoch's per-node lanes on up to `threads` OS
     /// threads. The result — committed data, log bytes, force counts,
@@ -282,8 +281,7 @@ impl SmDb {
     ///
     /// Requires a quiescent engine (no active transactions, no pending
     /// recovery) and the serial feature set: no early lock release, no
-    /// instant restart, no pipelined commits. Index workloads are not
-    /// admitted ([`MtOp`] has no index operations).
+    /// instant restart, no pipelined commits, no index operations.
     pub fn run_epochs(&mut self, txns: Vec<MtTxn>, threads: usize) -> Result<MtOutcome, DbError> {
         let threads = threads.max(1);
         let nodes = self.cfg.nodes as usize;
@@ -297,19 +295,7 @@ impl SmDb {
             assert!((t.node.0 as usize) < nodes, "mt transaction on unknown node");
         }
 
-        // Prologue: drain every appender and clear every active LBM mark
-        // so no deferred-force obligation crosses into a lane whose owner
-        // cannot force the mark owner's log (forcing first keeps the
-        // Stable-LBM invariant while clearing).
-        let all_stripes: Vec<u32> = (0..self.m.shard_count() as u32).collect();
-        for n in 0..nodes {
-            let node = NodeId(n as u16);
-            if self.logs.force_all_checked(node)? {
-                let cost = self.m.config().cost.log_force;
-                self.m.advance(node, cost);
-            }
-            self.m.clear_active_in_stripes(node, &all_stripes);
-        }
+        self.settle_lbm_marks()?;
 
         let mut queues: Vec<VecDeque<MtTxn>> = (0..nodes).map(|_| VecDeque::new()).collect();
         for t in txns {
@@ -619,14 +605,7 @@ impl SmDb {
                 out.serial_retries += 1;
                 let txn = self.begin(node)?;
                 for op in &a.ops {
-                    match op {
-                        MtOp::Read { slot } => {
-                            self.read_on(txn, node, *slot)?;
-                        }
-                        MtOp::Update { slot, data } => {
-                            self.update_on(txn, node, *slot, data)?;
-                        }
-                    }
+                    self.apply(txn, op)?;
                 }
                 self.commit(txn)?;
                 out.committed += 1;
@@ -636,14 +615,7 @@ impl SmDb {
             // trigger — untrue inside a lane. Re-run the prologue sweep so
             // no such mark survives into the next epoch's lanes.
             if retried {
-                for n in 0..nodes {
-                    let node = NodeId(n as u16);
-                    if self.logs.force_all_checked(node)? {
-                        let cost = self.m.config().cost.log_force;
-                        self.m.advance(node, cost);
-                    }
-                    self.m.clear_active_in_stripes(node, &all_stripes);
-                }
+                self.settle_lbm_marks()?;
             }
         }
         Ok(out)
@@ -656,24 +628,10 @@ fn run_lane(lane: &mut SmDb, work: &[Admitted]) -> Result<LaneReport, DbError> {
     let mut report = LaneReport::default();
     for a in work {
         lane.gsn = a.gsn_base;
-        let node = a.txn.node();
-        let txn = lane.begin(node)?;
+        let txn = lane.begin(a.txn.node())?;
         debug_assert_eq!(txn, a.txn, "lane sequence drifted from admission");
-        let mut failed: Option<DbError> = None;
-        for op in &a.ops {
-            let r = match op {
-                MtOp::Read { slot } => lane.read_on(txn, node, *slot).map(drop),
-                MtOp::Update { slot, data } => lane.update_on(txn, node, *slot, data),
-            };
-            if let Err(e) = r {
-                failed = Some(e);
-                break;
-            }
-        }
-        let outcome = match failed {
-            None => lane.commit(txn),
-            Some(e) => Err(e),
-        };
+        let outcome =
+            a.ops.iter().try_for_each(|op| lane.apply(txn, op)).and_then(|()| lane.commit(txn));
         match outcome {
             Ok(()) => report.committed += 1,
             Err(e) if escalates(&e) => {

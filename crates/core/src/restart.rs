@@ -1895,6 +1895,14 @@ impl SmDb {
             }
             let committed =
                 heap_reinstalled.contains(&line) && analysis.is_committed_rec(NodeId(tag), rec);
+            // Instant restart: the tagged line survives on another node
+            // but the page's Page-LSN header may still await its deferred
+            // reinstall — install it before the coherent write below
+            // probes the page for residency.
+            let header = LineId(self.layout.geometry.line_addr(rec.page, 0));
+            if self.instant.lost_lines.contains(&header) {
+                self.install_deferred_lost(recovery_node, rec.page)?;
+            }
             let off = self.layout.page_offset(rec.slot);
             if committed {
                 // Stale tag on a committed value: scrub the tag only.

@@ -16,6 +16,21 @@ pub enum TxnStatus {
     Aborted,
 }
 
+/// One operation of a generated transaction — the unit every driver (the
+/// workload mix, the schedule fuzzer, the epoch scheduler) feeds to
+/// [`SmDb::apply`](crate::SmDb::apply).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Op {
+    /// Read a record slot under a shared lock.
+    Read(u64),
+    /// Update a record slot under an exclusive lock.
+    Update(u64, [u8; 8]),
+    /// Insert an index key under an exclusive key lock.
+    Insert(u64, [u8; 8]),
+    /// Logically delete an index key under an exclusive key lock.
+    Delete(u64),
+}
+
 /// One logical operation a transaction performed, in execution order.
 /// Kept volatile on the transaction's node (dies with it — recovery never
 /// relies on this; it is the *voluntary* abort/commit bookkeeping).

@@ -9,7 +9,7 @@
 //! record, LSN reuse on the rebooted node, lane-merged transaction tables,
 //! and a machine-wide outage under the FA-only baseline.
 
-use smdb_core::{DbConfig, MtOp, MtTxn, ProtocolKind, SmDb, TxnStatus};
+use smdb_core::{DbConfig, MtTxn, Op, ProtocolKind, SmDb, TxnStatus};
 use smdb_sim::NodeId;
 
 const N0: NodeId = NodeId(0);
@@ -165,10 +165,7 @@ fn run_epochs_lane_merged_table_answers_for_lane_commits() {
     let txns: Vec<MtTxn> = (0..64u64)
         .map(|i| MtTxn {
             node: NodeId((i % 4) as u16),
-            ops: vec![
-                MtOp::Update { slot: (i * 3) % 256, data: i.to_le_bytes().to_vec() },
-                MtOp::Read { slot: (i * 7) % 256 },
-            ],
+            ops: vec![Op::Update((i * 3) % 256, i.to_le_bytes()), Op::Read((i * 7) % 256)],
         })
         .collect();
     let out = db.run_epochs(txns, 2).unwrap();

@@ -285,3 +285,27 @@ fn instant_restart_reaches_first_txn_faster_than_eager() {
     eager.check_ifa(N1).assert_ok();
     instant.check_ifa(N1).assert_ok();
 }
+
+/// Selective Redo's tag-driven undo can meet a page that is only half
+/// there: the victim's uncommitted, tagged record survives on another
+/// node (a dirty read replicated its line) while the page's Page-LSN
+/// header line — sole-held by the victim — is lost and, under instant
+/// restart, still awaiting its deferred reinstall. The undo write must
+/// install the page first instead of failing on the lost header.
+#[test]
+fn tag_undo_installs_a_deferred_lost_header_before_writing() {
+    let mut db = mk(ProtocolKind::VolatileSelectiveRedo, true);
+    let t = db.begin(N0).unwrap();
+    db.update(t, 0, b"uncommitted").unwrap();
+    // Slot 1 shares slot 0's line: the dirty read replicates it onto N1
+    // without touching the header line.
+    db.read_dirty(N1, 1).unwrap();
+    assert_eq!(db.current_tag(0).unwrap(), N0.0, "the survivor's copy carries the victim's tag");
+    let outcome = db.crash_and_recover(&[N0]).expect("recovery over a half-lost page");
+    assert_eq!(outcome.aborted, vec![t]);
+    assert!(outcome.undo_records_applied > 0, "the tagged record is rolled back");
+    drain_all(&mut db, N1);
+    assert_eq!(db.current_value(0).unwrap(), db.read_committed(0).unwrap());
+    assert_eq!(db.current_tag(0).unwrap(), u16::MAX, "the undo clears the tag");
+    db.check_ifa(N1).assert_ok();
+}

@@ -18,6 +18,7 @@
 //! All conflicts are handled with the engine's no-wait policy: a blocked
 //! transaction aborts and retries with fresh timing.
 
+pub mod driver;
 mod mix;
 mod mt;
 mod tp1;

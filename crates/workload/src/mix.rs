@@ -1,10 +1,11 @@
 //! Record-update mix workload and crash scheduling.
 
+use crate::driver::{self, Hooks, Window};
 use crate::zipf::Zipf;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use smdb_core::{DbError, SmDb};
+use smdb_core::{DbError, Op, RecoveryOutcome, SmDb};
 use smdb_sim::{NodeId, TxnId};
 
 /// Parameters for the record-update mix.
@@ -43,12 +44,13 @@ pub struct MixParams {
     /// Pipelined group commit: keep up to this many transactions in
     /// flight, round-robin one operation each, and commit them with
     /// `commit_pipelined` (commit record appended, acknowledgement
-    /// deferred to the next pipeline drain). 0 runs the classic serial
-    /// loop with synchronous commits. Pipelined mode expects the engine
+    /// deferred to the next pipeline drain). 0 or 1 is serial execution:
+    /// one transaction at a time, synchronous commits, conflicts abort
+    /// and retry. Pipelined mode expects the engine
     /// to be configured with lock *polling* (`DbConfig::with_lock_polling`):
     /// a blocked transaction retries its operation in place instead of
     /// aborting, so commit-window lock conflicts cost stall cycles, not
-    /// retry storms.
+    /// retry storms. See [`crate::driver`].
     pub commit_window: usize,
     /// Drain the commit pipeline (group-force the pending commit records
     /// and acknowledge the covered transactions) after this many pipelined
@@ -107,8 +109,8 @@ impl MixParams {
 pub struct MixReport {
     /// Transactions committed.
     pub committed: u64,
-    /// No-wait conflict aborts (each followed by a retry, budget
-    /// permitting).
+    /// Conflict aborts — serial no-wait conflicts, pipelined deadlock
+    /// breaks — each followed by a retry, budget permitting.
     pub conflict_aborts: u64,
     /// Transactions abandoned after exhausting the retry budget.
     pub gave_up: u64,
@@ -142,14 +144,6 @@ pub struct CrashPlan {
     pub after_txns: usize,
     /// Nodes to crash.
     pub nodes: Vec<NodeId>,
-}
-
-/// One generated operation.
-pub(crate) enum Op {
-    Read(u64),
-    Update(u64, [u8; 8]),
-    Insert(u64, [u8; 8]),
-    Delete(u64),
 }
 
 pub(crate) struct Generator {
@@ -229,46 +223,33 @@ impl Generator {
     }
 }
 
-fn apply_op(db: &mut SmDb, txn: TxnId, op: &Op) -> Result<(), DbError> {
-    match op {
-        Op::Read(slot) => db.read(txn, *slot).map(|_| ()),
-        Op::Update(slot, v) => db.update(txn, *slot, v),
-        Op::Insert(k, v) => match db.insert(txn, *k, *v) {
-            // A retried transaction may find its key already present
-            // from an independent earlier attempt; treat as success.
-            Err(DbError::Btree(smdb_btree::BtreeError::DuplicateKey { .. })) => Ok(()),
-            other => other,
-        },
-        Op::Delete(k) => match db.delete(txn, *k) {
-            Err(DbError::Btree(smdb_btree::BtreeError::KeyNotFound { .. })) => Ok(()),
-            other => other,
-        },
-    }
+/// Run start's clock and force counters, to turn into a report's deltas.
+pub(crate) struct Meter {
+    clock: u64,
+    requested: u64,
+    physical: u64,
+    records: u64,
 }
 
-fn run_txn_ops(db: &mut SmDb, node: NodeId, ops: &[Op]) -> Result<TxnId, DbError> {
-    let txn = db.begin(node)?;
-    for op in ops {
-        let r = apply_op(db, txn, op);
-        if let Err(e) = r {
-            // An injected crash means the acting node is dead at this
-            // instant: do NOT run a voluntary abort on its behalf (a dead
-            // node cannot write compensation records — recovery rolls the
-            // transaction back). Everything else rolls back and surfaces.
-            if e.fault_crash().is_none() {
-                if let Err(e2) = db.abort(txn) {
-                    // The rollback itself hit an armed crash point: that
-                    // crash outranks the original error.
-                    if e2.fault_crash().is_some() {
-                        return Err(e2);
-                    }
-                }
-            }
-            return Err(e);
+impl Meter {
+    pub(crate) fn start(db: &SmDb) -> Self {
+        let logs = db.logs();
+        Meter {
+            clock: db.max_clock(),
+            requested: logs.total_forces_requested(),
+            physical: logs.total_forces(),
+            records: logs.total_records_forced(),
         }
     }
-    db.commit(txn)?;
-    Ok(txn)
+
+    /// Fill in what the run consumed since [`Meter::start`].
+    pub(crate) fn stamp(&self, db: &SmDb, report: &mut MixReport) {
+        let logs = db.logs();
+        report.sim_cycles = db.max_clock() - self.clock;
+        report.forces_requested = logs.total_forces_requested() - self.requested;
+        report.physical_forces = logs.total_forces() - self.physical;
+        report.records_forced = logs.total_records_forced() - self.records;
+    }
 }
 
 /// Run the mix to completion (no crash plan, no fault injection).
@@ -281,6 +262,74 @@ pub fn run_mix(db: &mut SmDb, params: MixParams) -> MixReport {
         .0
 }
 
+/// The mix as a transaction source for [`driver::run`]: round-robin homes
+/// over the live nodes, the seeded generator's operations, periodic
+/// checkpoints, and the crash plan.
+struct MixHooks {
+    g: Generator,
+    with_index: bool,
+    issued: usize,
+    plan: Option<CrashPlan>,
+    recovery: Option<RecoveryOutcome>,
+}
+
+impl MixHooks {
+    /// Home of the next transaction: round-robin, routed around down nodes.
+    fn home(&self, db: &SmDb) -> NodeId {
+        let node = NodeId((self.issued % self.g.nodes as usize) as u16);
+        if !db.machine().is_crashed(node) {
+            return node;
+        }
+        let survivors = db.machine().surviving_nodes();
+        survivors[self.issued % survivors.len()]
+    }
+}
+
+impl Hooks for MixHooks {
+    type Fatal = DbError;
+
+    /// Periodic sharp checkpoint, hosted by the next transaction's home.
+    /// (In a serial window nothing of this workload is in flight at that
+    /// point, so the checkpointed stable image is consistent.)
+    fn checkpoint_host(&mut self, db: &SmDb) -> Option<NodeId> {
+        let (i, ck) = (self.issued, self.g.params.checkpoint_every);
+        (i < self.g.params.txns && ck > 0 && i > 0 && i.is_multiple_of(ck)).then(|| self.home(db))
+    }
+
+    fn next_txn(&mut self, db: &SmDb) -> Option<(usize, NodeId, Vec<Op>)> {
+        if self.issued == self.g.params.txns {
+            return None;
+        }
+        let node = self.home(db);
+        let ops = self.g.gen_txn_ops(node, self.with_index);
+        self.issued += 1;
+        Some((self.issued - 1, node, ops))
+    }
+
+    /// Fire the crash plan once `after_txns` transactions have been
+    /// issued. A pipelined run crashes at the next round boundary, window
+    /// full or not; the serial window first lets its one transaction
+    /// finish, so the crash lands between transactions.
+    fn between_rounds(&mut self, db: &mut SmDb, _: u64, in_flight: usize) -> Result<bool, DbError> {
+        let txns = self.g.params.txns;
+        let due = self.plan.as_ref().is_some_and(|p| {
+            self.issued >= p.after_txns
+                && p.after_txns < txns
+                && (in_flight > 0 || self.issued < txns)
+                && (in_flight == 0 || self.g.params.commit_window > 1)
+        });
+        if due {
+            let plan = self.plan.take().expect("plan is due");
+            self.recovery = Some(db.crash_and_recover(&plan.nodes)?);
+        }
+        Ok(due)
+    }
+
+    fn committed(&mut self, ops: &[Op]) {
+        self.g.note_committed(ops);
+    }
+}
+
 /// Run the mix, optionally crashing mid-stream per `plan`. Returns the
 /// report plus the recovery outcome if the plan fired (also surfaced as
 /// [`MixReport::crash_fired`] — a plan with `after_txns >= txns` never
@@ -289,281 +338,28 @@ pub fn run_mix(db: &mut SmDb, params: MixParams) -> MixReport {
 /// Errors — a failed recovery, or a [`DbError::FaultCrash`] from an armed
 /// fault injector — are returned, not panicked, with the partial progress
 /// lost: the caller (typically a crash-sweep driver) owns the
-/// crash-and-recover response.
+/// crash-and-recover response. An injected crash means the acting node is
+/// dead at that instant, so nothing is aborted on its behalf (a dead node
+/// cannot write compensation records — recovery rolls its work back).
 pub fn run_mix_with_crash(
     db: &mut SmDb,
     params: MixParams,
     plan: Option<CrashPlan>,
-) -> Result<(MixReport, Option<smdb_core::RecoveryOutcome>), DbError> {
-    if params.commit_window > 0 {
-        return run_pipelined(db, params, plan);
-    }
+) -> Result<(MixReport, Option<RecoveryOutcome>), DbError> {
+    let shape = Window {
+        window: params.commit_window.max(1),
+        drain_every: params.drain_every,
+        retries: params.retries,
+    };
     let with_index = db.config().with_index;
-    let mut g = Generator::new(db, params);
+    let mut hooks =
+        MixHooks { g: Generator::new(db, params), with_index, issued: 0, plan, recovery: None };
+    let meter = Meter::start(db);
     let mut report = MixReport::default();
-    let clock0 = db.max_clock();
-    let requested0 = db.logs().total_forces_requested();
-    let physical0 = db.logs().total_forces();
-    let records0 = db.logs().total_records_forced();
-    let mut recovery = None;
-    let nodes = g.nodes;
-    for i in 0..g.params.txns {
-        if let Some(p) = &plan {
-            if recovery.is_none() && i == p.after_txns {
-                let outcome = db.crash_and_recover(&p.nodes)?;
-                recovery = Some(outcome);
-                report.crash_fired = true;
-            }
-        }
-        // Round-robin over live nodes.
-        let mut node = NodeId((i % nodes as usize) as u16);
-        if db.machine().is_crashed(node) {
-            let survivors = db.machine().surviving_nodes();
-            node = survivors[i % survivors.len()];
-        }
-        // Periodic sharp checkpoint, hosted by the (live) acting node.
-        // Between serial transactions there are no in-flight writes of
-        // this workload, so the checkpointed stable image is consistent.
-        let ck = g.params.checkpoint_every;
-        if ck > 0 && i > 0 && i % ck == 0 {
-            db.checkpoint(node)?;
-        }
-        let ops = g.gen_txn_ops(node, with_index);
-        let mut attempts = 0;
-        loop {
-            match run_txn_ops(db, node, &ops) {
-                Ok(_) => {
-                    g.note_committed(&ops);
-                    report.committed += 1;
-                    report.ops += ops.len() as u64;
-                    break;
-                }
-                Err(DbError::WouldBlock { .. }) => {
-                    report.conflict_aborts += 1;
-                    attempts += 1;
-                    if attempts > g.params.retries {
-                        report.gave_up += 1;
-                        break;
-                    }
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-    report.sim_cycles = db.max_clock() - clock0;
-    report.forces_requested = db.logs().total_forces_requested() - requested0;
-    report.physical_forces = db.logs().total_forces() - physical0;
-    report.records_forced = db.logs().total_records_forced() - records0;
-    Ok((report, recovery))
-}
-
-/// One transaction in the pipelined commit window.
-struct InFlight {
-    txn: TxnId,
-    node: NodeId,
-    ops: Vec<Op>,
-    /// Next operation to issue (retried in place on a lock stall).
-    next: usize,
-    /// Deadlock-breaker aborts suffered so far.
-    attempts: usize,
-}
-
-/// Order a transaction's operations by a single global key — record slots
-/// first, then index keys, each ascending. Every pipelined transaction
-/// acquires its locks along this order and holds them to commit, so no
-/// wait-for cycle can form between window members: the blocking-and-retry
-/// driver stays deadlock-free without a timeout. (Duplicates are fine —
-/// re-acquisition hits the already-held fast path.) The sort is stable,
-/// so a read and an update of the same slot keep their program order.
-fn sort_for_pipeline(ops: &mut [Op]) {
-    ops.sort_by_key(|op| match op {
-        Op::Read(s) | Op::Update(s, _) => (0u8, *s),
-        Op::Insert(k, _) | Op::Delete(k) => (1u8, *k),
-    });
-}
-
-/// The pipelined-group-commit driver (`MixParams::commit_window > 0`).
-///
-/// Keeps up to `commit_window` transactions in flight and round-robins
-/// one operation per transaction per round. A lock conflict (the engine
-/// must be configured with `DbConfig::with_lock_polling`) leaves the
-/// transaction in place to retry next round and is counted in
-/// [`MixReport::lock_stalls`]. A transaction that finishes its operations
-/// commits with `commit_pipelined` — commit record appended, locks
-/// released early when the engine runs controlled lock violation,
-/// acknowledgement deferred. The pipeline is drained (one group force
-/// per home node, then dependency-ordered acknowledgement) every
-/// `drain_every` commits, whenever a round makes no progress, and at the
-/// end of the run.
-///
-/// Because stalled transactions block and retry instead of aborting, and
-/// because operations are issued in a global lock order
-/// ([`sort_for_pipeline`]), a conflict generates *no* log records and no
-/// compensation: the logged record stream — and therefore the durability
-/// volume — is identical whichever lock-release policy the engine runs.
-/// The deadlock breaker below is a belt-and-braces fallback (reachable
-/// only through lock orders the sorted mix never produces, e.g. S→X
-/// upgrades); it does abort, which would perturb that equality.
-///
-/// `committed` counts commit-record *appends*. A crash between an append
-/// and its covering force can still doom such a transaction (that is the
-/// controlled-violation window), so under a [`CrashPlan`] the count is an
-/// upper bound on durably-acknowledged commits.
-fn run_pipelined(
-    db: &mut SmDb,
-    params: MixParams,
-    plan: Option<CrashPlan>,
-) -> Result<(MixReport, Option<smdb_core::RecoveryOutcome>), DbError> {
-    let with_index = db.config().with_index;
-    let mut g = Generator::new(db, params);
-    let mut report = MixReport::default();
-    let clock0 = db.max_clock();
-    let requested0 = db.logs().total_forces_requested();
-    let physical0 = db.logs().total_forces();
-    let records0 = db.logs().total_records_forced();
-    let mut recovery = None;
-    let nodes = g.nodes;
-    let window = g.params.commit_window;
-    let mut inflight: Vec<InFlight> = Vec::new();
-    let mut issued = 0usize;
-    let mut commits_since_drain = 0usize;
-    let mut fruitless_rounds = 0u32;
-
-    while issued < g.params.txns || !inflight.is_empty() {
-        // Fire the crash plan at the issue boundary, then reconcile the
-        // window with the survivors: recovery aborted every in-flight
-        // transaction homed on a crashed node (and, under early lock
-        // release, any dependent doomed in cascade) — restart those from
-        // scratch on a live node.
-        if let Some(p) = &plan {
-            if recovery.is_none() && issued >= p.after_txns && p.after_txns < g.params.txns {
-                let outcome = db.crash_and_recover(&p.nodes)?;
-                recovery = Some(outcome);
-                report.crash_fired = true;
-                let alive = db.active_txns(None);
-                let survivors = db.machine().surviving_nodes();
-                for (k, e) in inflight.iter_mut().enumerate() {
-                    if !alive.contains(&e.txn) {
-                        e.node = survivors[k % survivors.len()];
-                        e.txn = db.begin(e.node)?;
-                        e.next = 0;
-                    }
-                }
-            }
-        }
-        // Fill the window.
-        while inflight.len() < window && issued < g.params.txns {
-            let mut node = NodeId((issued % nodes as usize) as u16);
-            if db.machine().is_crashed(node) {
-                let survivors = db.machine().surviving_nodes();
-                node = survivors[issued % survivors.len()];
-            }
-            let ck = g.params.checkpoint_every;
-            if ck > 0 && issued > 0 && issued.is_multiple_of(ck) {
-                db.checkpoint(node)?;
-            }
-            let mut ops = g.gen_txn_ops(node, with_index);
-            sort_for_pipeline(&mut ops);
-            let txn = db.begin(node)?;
-            inflight.push(InFlight { txn, node, ops, next: 0, attempts: 0 });
-            issued += 1;
-        }
-        if inflight.is_empty() {
-            break;
-        }
-        // One operation per in-flight transaction.
-        let mut progressed = false;
-        let mut idx = 0;
-        while idx < inflight.len() {
-            let e = &mut inflight[idx];
-            match apply_op(db, e.txn, &e.ops[e.next]) {
-                Ok(()) => {
-                    progressed = true;
-                    e.next += 1;
-                    if e.next == e.ops.len() {
-                        db.commit_pipelined(e.txn)?;
-                        let done = inflight.swap_remove(idx);
-                        g.note_committed(&done.ops);
-                        report.committed += 1;
-                        report.ops += done.ops.len() as u64;
-                        commits_since_drain += 1;
-                        continue; // swap_remove put a fresh entry at idx
-                    }
-                    idx += 1;
-                }
-                Err(DbError::WouldBlock { .. }) => {
-                    report.lock_stalls += 1;
-                    idx += 1;
-                }
-                Err(err) => {
-                    if err.fault_crash().is_none() {
-                        if let Err(e2) = db.abort(e.txn) {
-                            if e2.fault_crash().is_some() {
-                                return Err(e2);
-                            }
-                        }
-                    }
-                    return Err(err);
-                }
-            }
-        }
-        // Drain policy: every `drain_every` commits, or whenever nothing
-        // moved (the window is stalled behind unacknowledged commits that
-        // still hold locks, or behind the force itself).
-        if (g.params.drain_every > 0 && commits_since_drain >= g.params.drain_every)
-            || (!progressed && db.pending_commit_count() > 0)
-        {
-            if db.drain_commit_pipeline()? > 0 {
-                progressed = true;
-            }
-            commits_since_drain = 0;
-        }
-        if progressed {
-            fruitless_rounds = 0;
-        } else {
-            fruitless_rounds += 1;
-            if fruitless_rounds >= 2 {
-                // Two whole rounds without a single grant or
-                // acknowledgement: a genuine wait cycle (impossible for
-                // the sorted update mix, possible with upgrades). Break it
-                // deterministically: abort the oldest stalled entry and
-                // retry it within its budget.
-                let e = &mut inflight[0];
-                report.conflict_aborts += 1;
-                e.attempts += 1;
-                if let Err(e2) = db.abort(e.txn) {
-                    if e2.fault_crash().is_some() {
-                        return Err(e2);
-                    }
-                }
-                if e.attempts > g.params.retries {
-                    report.gave_up += 1;
-                    inflight.swap_remove(0);
-                } else {
-                    if db.machine().is_crashed(e.node) {
-                        e.node = db.machine().surviving_nodes()[0];
-                    }
-                    e.txn = db.begin(e.node)?;
-                    e.next = 0;
-                }
-                fruitless_rounds = 0;
-            }
-        }
-    }
-    // Final drain: acknowledge everything still pending. Each pass pays
-    // at most one physical force per home node; a pass that acknowledges
-    // nothing means the remaining entries are unacknowledgeable (homed on
-    // crashed nodes — recovery already resolved them).
-    while db.pending_commit_count() > 0 {
-        if db.drain_commit_pipeline()? == 0 {
-            break;
-        }
-    }
-    report.sim_cycles = db.max_clock() - clock0;
-    report.forces_requested = db.logs().total_forces_requested() - requested0;
-    report.physical_forces = db.logs().total_forces() - physical0;
-    report.records_forced = db.logs().total_records_forced() - records0;
-    Ok((report, recovery))
+    driver::run(db, shape, &mut hooks, &mut report)?;
+    meter.stamp(db, &mut report);
+    report.crash_fired = hooks.recovery.is_some();
+    Ok((report, hooks.recovery))
 }
 
 /// Start `per_node` transactions on every (live) node, each performing

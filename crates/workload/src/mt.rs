@@ -9,8 +9,8 @@
 //! every thread count, which is what the determinism regression tests
 //! assert.
 
-use crate::mix::{Generator, MixParams, MixReport, Op};
-use smdb_core::mt::{MtOp, MtOutcome, MtTxn};
+use crate::mix::{Generator, Meter, MixParams, MixReport};
+use smdb_core::mt::{MtOutcome, MtTxn};
 use smdb_core::{DbError, SmDb};
 use smdb_sim::NodeId;
 
@@ -41,37 +41,19 @@ pub fn run_mix_mt(
     let mut txns = Vec::with_capacity(g.params.txns);
     for i in 0..g.params.txns {
         let node = NodeId((i % nodes as usize) as u16);
-        let ops = g
-            .gen_txn_ops(node, false)
-            .into_iter()
-            .map(|op| match op {
-                Op::Read(slot) => MtOp::Read { slot },
-                Op::Update(slot, v) => MtOp::Update { slot, data: v.to_vec() },
-                Op::Insert(..) | Op::Delete(..) => {
-                    unreachable!("generator emits no index ops without an index")
-                }
-            })
-            .collect();
-        txns.push(MtTxn { node, ops });
+        txns.push(MtTxn { node, ops: g.gen_txn_ops(node, false) });
     }
     let total_ops: u64 = txns.iter().map(|t| t.ops.len() as u64).sum();
 
-    let clock0 = db.max_clock();
-    let requested0 = db.logs().total_forces_requested();
-    let physical0 = db.logs().total_forces();
-    let records0 = db.logs().total_records_forced();
+    let meter = Meter::start(db);
     let out = db.run_epochs(txns, threads)?;
-    let report = MixReport {
+    let mut report = MixReport {
         committed: out.committed,
         conflict_aborts: out.lock_conflicts,
-        gave_up: 0,
         ops: total_ops,
-        sim_cycles: db.max_clock() - clock0,
-        crash_fired: false,
-        forces_requested: db.logs().total_forces_requested() - requested0,
-        physical_forces: db.logs().total_forces() - physical0,
-        records_forced: db.logs().total_records_forced() - records0,
         lock_stalls: out.epoch_waits,
+        ..Default::default()
     };
+    meter.stamp(db, &mut report);
     Ok((report, out))
 }
