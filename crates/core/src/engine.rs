@@ -1247,18 +1247,14 @@ impl SmDb {
             }
             let i = ready[self.sched.choose("core.ack.pick", ready.len())];
             let p = self.pending_commits.remove(i);
-            self.ack_commit(p)?;
+            // The wait since the append was force wait.
+            let spans_on = self.m.obs().spans.is_enabled();
+            let waited =
+                if spans_on { self.m.now(p.node).saturating_sub(p.appended_at) } else { 0 };
+            self.finish_commit(p.txn, waited, self.cfg.early_lock_release)?;
             acked += 1;
         }
         Ok(acked)
-    }
-
-    /// Acknowledge one pipelined commit: its record is durable and every
-    /// predecessor settled. The wait since the append is force wait.
-    fn ack_commit(&mut self, pc: PendingCommit) -> Result<(), DbError> {
-        let spans_on = self.m.obs().spans.is_enabled();
-        let waited = if spans_on { self.m.now(pc.node).saturating_sub(pc.appended_at) } else { 0 };
-        self.finish_commit(pc.txn, waited, self.cfg.early_lock_release)
     }
 
     /// Post-commit processing, run once `txn`'s commit record is durable —

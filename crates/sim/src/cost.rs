@@ -86,8 +86,8 @@ impl CostModel {
     /// *"advances in technology, such as the proliferation of non-volatile
     /// RAM, may make it feasible to store large portions of the log in low
     /// latency stable store. In this case, a Stable LBM policy may incur
-    /// reasonably low overheads."* The ablation bench `log_forces` uses
-    /// this variant.
+    /// reasonably low overheads."* The E4 log-force experiment
+    /// (`report --e4`) runs this variant as its ablation.
     pub fn with_nvram_log(mut self) -> Self {
         self.log_force = 2_000; // ~20 µs NVRAM write
         self

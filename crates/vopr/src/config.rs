@@ -109,7 +109,7 @@ impl VoprConfig {
             sharing_pct: pick(&mut rng, &[0u8, 30, 60, 100]),
             shared_slots: pick(&mut rng, &[4u64, 16, 32]),
             zipf_x100: pick(&mut rng, &[0u16, 95]),
-            // The pipelined driver's deadlock freedom relies on sorted
+            // The pipelined window's deadlock freedom relies on sorted
             // record-lock acquisition, so index ops run serial-only.
             index_pct: if window == 1 { pick(&mut rng, &[0u8, 25, 50]) } else { 0 },
             checkpoint_every: pick(&mut rng, &[0usize, 3, 5]),

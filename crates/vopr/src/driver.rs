@@ -175,6 +175,14 @@ impl Harness<'_> {
         }
     }
 
+    /// The next transaction index to admit, past any the shrinker dropped.
+    fn next_index(&mut self) -> Option<usize> {
+        while self.skip.contains(&self.next_idx) {
+            self.next_idx += 1;
+        }
+        (self.next_idx < self.cfg.txns).then_some(self.next_idx)
+    }
+
     /// Pick a home node: the candidate list is the survivors rotated so
     /// index 0 is the historical round-robin pick for `ordinal`.
     fn pick_home(&mut self, db: &SmDb, site: &'static str, ordinal: usize) -> NodeId {
@@ -331,22 +339,13 @@ impl Hooks for Harness<'_> {
     type Fatal = Fatal;
 
     fn checkpoint_host(&mut self, db: &SmDb) -> Option<NodeId> {
-        while self.skip.contains(&self.next_idx) {
-            self.next_idx += 1;
-        }
         let (n, ck) = (self.admitted, self.cfg.checkpoint_every);
-        (self.next_idx < self.cfg.txns && ck > 0 && n > 0 && n.is_multiple_of(ck))
+        (self.next_index().is_some() && ck > 0 && n > 0 && n.is_multiple_of(ck))
             .then(|| self.pick_home(db, "vopr.ck.host", n))
     }
 
     fn next_txn(&mut self, db: &SmDb) -> Option<(usize, NodeId, Vec<Op>)> {
-        while self.skip.contains(&self.next_idx) {
-            self.next_idx += 1;
-        }
-        let idx = self.next_idx;
-        if idx >= self.cfg.txns {
-            return None;
-        }
+        let idx = self.next_index()?;
         let node = self.pick_home(db, "vopr.home", idx);
         (self.next_idx, self.admitted) = (idx + 1, self.admitted + 1);
         Some((idx, node, gen_ops(self.cfg, self.seed, idx, node, self.records)))

@@ -284,9 +284,10 @@ impl<H: Hooks> Driver<'_, H> {
                     (0..self.inflight.len()).filter(|&i| self.inflight[i].stepped != round);
                 // Unscheduled runs take the first candidate without
                 // counting the rest.
-                let pick = match sched.is_enabled() {
-                    true => sched.choose(SITE_STEP, unstepped.clone().count()),
-                    false => 0,
+                let pick = if sched.is_enabled() {
+                    sched.choose(SITE_STEP, unstepped.clone().count())
+                } else {
+                    0
                 };
                 let Some(slot) = unstepped.nth(pick) else { break };
                 self.inflight[slot].stepped = round;

@@ -13,10 +13,15 @@
 //!   the Sequent benchmark the paper cites (reference \[27\]);
 //! * [`spawn_active`] — populate every node with in-flight transactions,
 //!   the setup for the crash/abort-count experiments (E2);
-//! * [`CrashPlan`] — mid-workload crash scheduling.
-//!
-//! All conflicts are handled with the engine's no-wait policy: a blocked
-//! transaction aborts and retries with fresh timing.
+//! * [`CrashPlan`] — mid-workload crash scheduling;
+//! * [`driver`] — the one interactive transaction loop. [`run_mix`] and
+//!   [`run_mix_with_crash`] are a transaction source plugged into it, and
+//!   so is the schedule fuzzer (`smdb-vopr`): a serial window aborts and
+//!   retries a blocked transaction (the engine's no-wait policy), a
+//!   pipelined window (`MixParams::commit_window > 1`) stalls it in place.
+//!   [`run_tp1`] (data-dependent read-modify-write) keeps a no-wait loop
+//!   of its own, and [`run_mix_mt`] hands the mix to the engine's epoch
+//!   scheduler.
 
 pub mod driver;
 mod mix;

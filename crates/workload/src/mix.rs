@@ -131,7 +131,7 @@ pub struct MixReport {
     pub records_forced: u64,
     /// Pipelined mode only: operations that found their lock held by
     /// another in-flight transaction and retried in place (polling
-    /// stalls). The serial driver leaves this 0 — its conflicts surface
+    /// stalls). A serial window leaves this 0 — its conflicts surface
     /// as `conflict_aborts` instead.
     pub lock_stalls: u64,
 }
@@ -150,6 +150,8 @@ pub(crate) struct Generator {
     rng: StdRng,
     pub(crate) params: MixParams,
     pub(crate) nodes: u16,
+    /// Whether the engine has an index (index ops are generated only then).
+    with_index: bool,
     private_per_node: u64,
     shared_dist: Zipf,
     private_dist: Zipf,
@@ -170,6 +172,7 @@ impl Generator {
             private_dist: Zipf::new(private_per_node.max(1), params.zipf_theta),
             params: MixParams { shared_slots: shared, ..params },
             nodes,
+            with_index: db.config().with_index,
             private_per_node,
             live_keys: Vec::new(),
             next_key: 1,
@@ -185,12 +188,12 @@ impl Generator {
         }
     }
 
-    pub(crate) fn gen_txn_ops(&mut self, node: NodeId, with_index: bool) -> Vec<Op> {
+    pub(crate) fn gen_txn_ops(&mut self, node: NodeId) -> Vec<Op> {
         let mut ops = Vec::with_capacity(self.params.ops_per_txn);
         for _ in 0..self.params.ops_per_txn {
             if self.rng.gen_bool(self.params.read_fraction) {
                 ops.push(Op::Read(self.pick_slot(node)));
-            } else if with_index
+            } else if self.with_index
                 && self.params.index_fraction > 0.0
                 && self.rng.gen_bool(self.params.index_fraction)
             {
@@ -267,7 +270,6 @@ pub fn run_mix(db: &mut SmDb, params: MixParams) -> MixReport {
 /// checkpoints, and the crash plan.
 struct MixHooks {
     g: Generator,
-    with_index: bool,
     issued: usize,
     plan: Option<CrashPlan>,
     recovery: Option<RecoveryOutcome>,
@@ -301,7 +303,7 @@ impl Hooks for MixHooks {
             return None;
         }
         let node = self.home(db);
-        let ops = self.g.gen_txn_ops(node, self.with_index);
+        let ops = self.g.gen_txn_ops(node);
         self.issued += 1;
         Some((self.issued - 1, node, ops))
     }
@@ -351,9 +353,7 @@ pub fn run_mix_with_crash(
         drain_every: params.drain_every,
         retries: params.retries,
     };
-    let with_index = db.config().with_index;
-    let mut hooks =
-        MixHooks { g: Generator::new(db, params), with_index, issued: 0, plan, recovery: None };
+    let mut hooks = MixHooks { g: Generator::new(db, params), issued: 0, plan, recovery: None };
     let meter = Meter::start(db);
     let mut report = MixReport::default();
     driver::run(db, shape, &mut hooks, &mut report)?;

@@ -41,7 +41,7 @@ pub fn run_mix_mt(
     let mut txns = Vec::with_capacity(g.params.txns);
     for i in 0..g.params.txns {
         let node = NodeId((i % nodes as usize) as u16);
-        txns.push(MtTxn { node, ops: g.gen_txn_ops(node, false) });
+        txns.push(MtTxn { node, ops: g.gen_txn_ops(node) });
     }
     let total_ops: u64 = txns.iter().map(|t| t.ops.len() as u64).sum();
 
