@@ -198,13 +198,20 @@ impl TreeLayout {
         LeafEntry { key, tag, deleted, value }
     }
 
+    /// The on-page bytes of one leaf entry.
+    pub fn encode_leaf_entry(e: &LeafEntry) -> [u8; LEAF_ENTRY_SIZE] {
+        let mut b = [0u8; LEAF_ENTRY_SIZE];
+        b[..8].copy_from_slice(&e.key.to_le_bytes());
+        b[8..10].copy_from_slice(&e.tag.to_le_bytes());
+        b[10] = e.deleted as u8;
+        b[11..].copy_from_slice(&e.value);
+        b
+    }
+
     /// Encode leaf entry `i`.
     pub fn set_leaf_entry(&self, img: &mut [u8], i: usize, e: &LeafEntry) {
-        let (s, _) = self.leaf_entry_range(i);
-        img[s..s + 8].copy_from_slice(&e.key.to_le_bytes());
-        img[s + 8..s + 10].copy_from_slice(&e.tag.to_le_bytes());
-        img[s + 10] = e.deleted as u8;
-        img[s + 11..s + 11 + VAL_SIZE].copy_from_slice(&e.value);
+        let (s, t) = self.leaf_entry_range(i);
+        img[s..t].copy_from_slice(&Self::encode_leaf_entry(e));
     }
 
     /// Decode branch entry `i`.
@@ -230,6 +237,64 @@ impl TreeLayout {
     /// All branch refs of a branch image.
     pub fn branch_refs(&self, img: &[u8]) -> Vec<BranchRef> {
         (0..self.n_entries(img)).map(|i| self.branch_ref(img, i)).collect()
+    }
+
+    // ---- lookups (entries are kept sorted by key) ----
+
+    /// Number of leading entries of a node image whose key satisfies
+    /// `below` (binary search; `below` must hold for a prefix of the
+    /// key-sorted entries). `stride` is the node kind's entry size.
+    fn key_partition(&self, img: &[u8], stride: usize, below: impl Fn(u64) -> bool) -> usize {
+        let (mut lo, mut hi) = (0, self.n_entries(img));
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            let s = ENTRIES_OFF + mid * stride;
+            if below(u64::from_le_bytes(img[s..s + 8].try_into().expect("u64"))) {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
+    }
+
+    /// Child of a branch image under which `key` belongs: the child of
+    /// the last separator `<= key`, or the leftmost child.
+    pub fn child_for(&self, img: &[u8], key: u64) -> PageId {
+        match self.key_partition(img, BRANCH_ENTRY_SIZE, |k| k <= key) {
+            0 => self.left_child(img),
+            n => self.branch_ref(img, n - 1).child,
+        }
+    }
+
+    /// Where a new separator `key` goes in a branch image: before the
+    /// first separator greater than it.
+    pub fn branch_insert_pos(&self, img: &[u8], key: u64) -> usize {
+        self.key_partition(img, BRANCH_ENTRY_SIZE, |k| k <= key)
+    }
+
+    /// Where a new entry for `key` goes in a leaf image: after every
+    /// entry with a key `<= key` (so behind delete-marked entries of the
+    /// same key).
+    pub fn leaf_insert_pos(&self, img: &[u8], key: u64) -> usize {
+        self.key_partition(img, LEAF_ENTRY_SIZE, |k| k <= key)
+    }
+
+    /// The first entry for `key` in a leaf image, skipping delete-marked
+    /// ones unless `include_deleted`. A key can occupy several adjacent
+    /// entries: delete-marked ones awaiting their deleter's commit, then
+    /// at most one live re-insert.
+    pub fn find_leaf_entry(
+        &self,
+        img: &[u8],
+        key: u64,
+        include_deleted: bool,
+    ) -> Option<(usize, LeafEntry)> {
+        let first = self.key_partition(img, LEAF_ENTRY_SIZE, |k| k < key);
+        (first..self.n_entries(img))
+            .map(|i| (i, self.leaf_entry(img, i)))
+            .take_while(|(_, e)| e.key == key)
+            .find(|(_, e)| include_deleted || !e.deleted)
     }
 }
 

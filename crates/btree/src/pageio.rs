@@ -13,10 +13,17 @@
 //! * writes by a `StableTriggered` engine mark the written lines active;
 //! * `StableEager` forcing and `Volatile` no-forcing are driven by the
 //!   callers through [`TreeCtx::after_update`].
+//!
+//! A page is a run of consecutive line addresses, so every page-granular
+//! operation here is one *span* call into the machine (`read_span`,
+//! `write_span`, `install_span`, …) rather than a loop of single-line
+//! calls. Where the §5.2 trigger is live the span is cut at each pending
+//! trigger ([`TreeCtx::for_trigger_free_segments`]), which keeps the
+//! per-line interleaving of force and access; `Volatile` never scans.
 
 use crate::tree::BtreeError;
 use smdb_obs::{Event as ObsEvent, ForceReason};
-use smdb_sim::{LineId, Machine, MemError, NodeId};
+use smdb_sim::{span_bytes, LineId, Machine, MemError, NodeId, SpanResidency, TriggerEvent};
 use smdb_storage::{PageGeometry, PageId, StableDb, PAGE_LSN_OFFSET, PAGE_LSN_SIZE};
 use smdb_wal::{LbmMode, LogSet, Lsn, PageLsnTable};
 
@@ -198,43 +205,89 @@ impl<'a> TreeCtx<'a> {
         obs.bus.emit(self.m.now(node), || ObsEvent::WalForce { node: node.0, records, reason });
     }
 
+    /// Whether the §5.2 coherence trigger is live under this context's
+    /// policy. Volatile logging needs no force and uncoalesced eager
+    /// forcing never leaves active lines behind; coalesced StableEager
+    /// defers its per-update force requests to the same trigger
+    /// StableTriggered uses, so the trigger must be live for it too.
+    fn trigger_live(&self) -> bool {
+        self.lbm.uses_triggers() || (self.coalesce && self.lbm.forces_eagerly())
+    }
+
     /// Enforce the §5.2 trigger for an impending access: if the line is
     /// active with another node's unforced update, force that node's log
-    /// and clear the bit. No-op under policies that don't use triggers
-    /// (volatile logging needs no force; eager forcing never leaves active
-    /// lines behind).
+    /// and clear the bit. No-op under policies that don't use triggers.
     pub fn enforce_trigger(
         &mut self,
         node: NodeId,
         line: LineId,
         is_write: bool,
     ) -> Result<(), BtreeError> {
-        // Coalesced StableEager defers its per-update force requests to
-        // the same coherence trigger StableTriggered uses, so the trigger
-        // must be live for it too.
-        if !(self.lbm.uses_triggers() || (self.coalesce && self.lbm.forces_eagerly())) {
+        if !self.trigger_live() {
             return Ok(());
         }
-        if let Some(ev) = self.m.pending_triggers(node, line, is_write) {
-            let obs_on = self.m.obs().is_enabled();
-            let pending = if obs_on { self.unforced_records(ev.owner) } else { 0 };
-            if self.logs.force_all_checked(ev.owner).map_err(MemError::FaultCrash)? {
-                let cost = self.m.config().cost.log_force;
-                self.m.advance(ev.owner, cost);
-                self.note_attr_force(ev.owner, cost);
-                self.trigger_forces += 1;
-                if obs_on {
-                    let (owner, l) = (ev.owner.0, ev.line.0);
-                    self.m.obs().bus.emit(self.m.now(ev.owner), || ObsEvent::LbmTriggeredForce {
-                        owner,
-                        line: l,
-                    });
-                    self.note_force(ev.owner, pending, ForceReason::Lbm);
-                }
-            }
-            self.m.clear_active(ev.line);
+        match self.m.pending_triggers(node, line, is_write) {
+            Some(ev) => self.fire_trigger(ev),
+            None => Ok(()),
         }
+    }
+
+    /// Fire one pending trigger: force the owner's log (if anything is
+    /// unforced) and clear the line's active bit.
+    fn fire_trigger(&mut self, ev: TriggerEvent) -> Result<(), BtreeError> {
+        let obs_on = self.m.obs().is_enabled();
+        let pending = if obs_on { self.unforced_records(ev.owner) } else { 0 };
+        if self.logs.force_all_checked(ev.owner).map_err(MemError::FaultCrash)? {
+            let cost = self.m.config().cost.log_force;
+            self.m.advance(ev.owner, cost);
+            self.note_attr_force(ev.owner, cost);
+            self.trigger_forces += 1;
+            if obs_on {
+                let (owner, l) = (ev.owner.0, ev.line.0);
+                self.m
+                    .obs()
+                    .bus
+                    .emit(self.m.now(ev.owner), || ObsEvent::LbmTriggeredForce { owner, line: l });
+                self.note_force(ev.owner, pending, ForceReason::Lbm);
+            }
+        }
+        self.m.clear_active(ev.line);
         Ok(())
+    }
+
+    /// Run `access(ctx, from, to)` over the `count` lines starting at
+    /// `first`, cut into maximal trigger-free segments `from..to` (line
+    /// indices): each pending trigger is fired exactly where the per-line
+    /// `enforce_trigger`-then-access loop fired it — after the accesses
+    /// to the lines below it, before the access to its own line. A line's
+    /// trigger depends on that line's directory entry alone, so looking
+    /// ahead for the next one changes nothing. With the trigger off there
+    /// is one segment and no scan.
+    fn for_trigger_free_segments(
+        &mut self,
+        node: NodeId,
+        first: LineId,
+        count: usize,
+        is_write: bool,
+        mut access: impl FnMut(&mut Self, usize, usize) -> Result<(), BtreeError>,
+    ) -> Result<(), BtreeError> {
+        if !self.trigger_live() {
+            return access(self, 0, count);
+        }
+        let mut from = 0;
+        while let Some(ev) =
+            self.m.next_trigger(node, LineId(first.0 + from as u64), count - from, is_write)
+        {
+            let at = (ev.line.0 - first.0) as usize;
+            if at > from {
+                access(self, from, at)?;
+            }
+            // Firing clears the line's active bit, so the next look-ahead
+            // starts past it while the segment still begins at it.
+            self.fire_trigger(ev)?;
+            from = at;
+        }
+        access(self, from, count)
     }
 
     /// Policy hook to run after an update's log record has been appended:
@@ -327,33 +380,36 @@ impl<'a> TreeCtx<'a> {
         Ok(())
     }
 
+    /// The first line address of `page`.
+    fn first_line(&self, page: PageId) -> LineId {
+        LineId(self.geometry().line_addr(page, 0))
+    }
+
     /// Ensure every line of `page` is resident in some cache, faulting the
     /// page in from the stable database if necessary. Errors with
     /// [`MemError::LineLost`] (or a stall) if the page's lines were
     /// destroyed by a crash and not yet recovered.
     pub fn ensure_resident(&mut self, node: NodeId, page: PageId) -> Result<(), BtreeError> {
-        let g = self.geometry();
-        let first = LineId(g.line_addr(page, 0));
-        if self.m.is_lost(first) {
+        let first = self.first_line(page);
+        let probe = self.m.span_residency(first, 1);
+        if probe.lost > 0 {
             // Surface the loss exactly like a direct access would.
-            let mut probe = [0u8; 1];
-            return self.m.read_into(node, first, 0, &mut probe).map_err(BtreeError::from);
+            return self.m.read_into(node, first, 0, &mut []).map_err(BtreeError::from);
         }
-        if self.m.line_exists(first) {
+        if probe.cached > 0 {
             return Ok(());
         }
-        // Fault the page in from the stable database. The stable image is
-        // borrowed directly (`db` and `m` are disjoint fields) — no page
-        // copy is made.
-        let img = self.db.read_page(page).ok_or(BtreeError::StablePageMissing { page })?;
-        let cost = self.m.config().cost.disk_io;
-        self.m.advance(node, cost);
-        for idx in 0..g.lines_per_page {
-            let line = LineId(g.line_addr(page, idx));
-            let off = g.line_offset(idx);
-            self.m.install_line(node, line, &img[off..off + g.line_size])?;
-        }
-        Ok(())
+        self.install_page_from_stable(node, page)
+    }
+
+    /// The lines `first_idx .. first_idx + count` of `page` that the
+    /// `len` bytes at `offset` cover, as (first line, offset within it,
+    /// line count).
+    fn covered_lines(&self, page: PageId, offset: usize, len: usize) -> (LineId, usize, usize) {
+        let g = self.geometry();
+        let first_idx = offset / g.line_size;
+        let last_idx = (offset + len - 1) / g.line_size;
+        (LineId(g.line_addr(page, first_idx)), offset % g.line_size, last_idx - first_idx + 1)
     }
 
     /// Read `buf.len()` bytes at `offset` within `page`, coherently, on
@@ -366,26 +422,28 @@ impl<'a> TreeCtx<'a> {
         buf: &mut [u8],
     ) -> Result<(), BtreeError> {
         self.ensure_resident(node, page)?;
-        let g = self.geometry();
-        let mut done = 0;
-        while done < buf.len() {
-            let abs = offset + done;
-            let idx = abs / g.line_size;
-            let within = abs % g.line_size;
-            let chunk = (g.line_size - within).min(buf.len() - done);
-            let line = LineId(g.line_addr(page, idx));
-            self.enforce_trigger(node, line, false)?;
-            self.m.read_into(node, line, within, &mut buf[done..done + chunk])?;
-            done += chunk;
+        if buf.is_empty() {
+            return Ok(());
         }
-        Ok(())
+        let (first, within, count) = self.covered_lines(page, offset, buf.len());
+        let ls = self.geometry().line_size;
+        self.for_trigger_free_segments(node, first, count, false, |ctx, from, to| {
+            let (start, at) = (LineId(first.0 + from as u64), if from == 0 { within } else { 0 });
+            let part = span_bytes(ls, within, buf.len(), from..to);
+            Ok(ctx.m.read_span(node, start, at, &mut buf[part])?)
+        })
     }
 
-    /// Read the full page image coherently.
-    pub fn read_page_image(&mut self, node: NodeId, page: PageId) -> Result<Vec<u8>, BtreeError> {
-        let mut buf = vec![0u8; self.geometry().page_size()];
-        self.read(node, page, 0, &mut buf)?;
-        Ok(buf)
+    /// Read the full page image coherently into `img` (resized to the
+    /// page size; callers keep one buffer across pages).
+    pub fn read_page_into(
+        &mut self,
+        node: NodeId,
+        page: PageId,
+        img: &mut Vec<u8>,
+    ) -> Result<(), BtreeError> {
+        img.resize(self.geometry().page_size(), 0);
+        self.read(node, page, 0, img)
     }
 
     /// Write `bytes` at `offset` within `page`, coherently, on behalf of
@@ -398,24 +456,17 @@ impl<'a> TreeCtx<'a> {
         bytes: &[u8],
     ) -> Result<LineSpan, BtreeError> {
         self.ensure_resident(node, page)?;
-        let g = self.geometry();
         if bytes.is_empty() {
             return Ok(LineSpan::empty());
         }
-        let first_idx = offset / g.line_size;
-        let mut done = 0;
-        while done < bytes.len() {
-            let abs = offset + done;
-            let idx = abs / g.line_size;
-            let within = abs % g.line_size;
-            let chunk = (g.line_size - within).min(bytes.len() - done);
-            let line = LineId(g.line_addr(page, idx));
-            self.enforce_trigger(node, line, true)?;
-            self.m.write(node, line, within, &bytes[done..done + chunk])?;
-            done += chunk;
-        }
-        let last_idx = (offset + bytes.len() - 1) / g.line_size;
-        Ok(LineSpan::new(LineId(g.line_addr(page, first_idx)), (last_idx - first_idx + 1) as u32))
+        let (first, within, count) = self.covered_lines(page, offset, bytes.len());
+        let ls = self.geometry().line_size;
+        self.for_trigger_free_segments(node, first, count, true, |ctx, from, to| {
+            let (start, at) = (LineId(first.0 + from as u64), if from == 0 { within } else { 0 });
+            let part = span_bytes(ls, within, bytes.len(), from..to);
+            Ok(ctx.m.write_span(node, start, at, &bytes[part])?)
+        })?;
+        Ok(LineSpan::new(first, count as u32))
     }
 
     /// Record an update to `page` by `node` at `lsn`: writes the Page-LSN
@@ -464,25 +515,20 @@ impl<'a> TreeCtx<'a> {
         }
         // Assemble the page image in the reusable scratch buffer (one
         // allocation per context, not per flush).
-        let ps = self.geometry().page_size();
         let mut img = std::mem::take(&mut self.scratch);
-        img.clear();
-        img.resize(ps, 0);
-        self.read(node, page, 0, &mut img)?;
-        // Torn-write crash point: the flush may die between sectors,
-        // leaving a stable image that mixes old and new lines.
-        let write = self.db.write_page_checked(node.0, page, &img);
+        let written = self.read_page_into(node, page, &mut img).and_then(|()| {
+            // Torn-write crash point: the flush may die between sectors,
+            // leaving a stable image that mixes old and new lines.
+            Ok(self.db.write_page_checked(node.0, page, &img).map_err(MemError::FaultCrash)?)
+        });
         self.scratch = img;
-        write.map_err(MemError::FaultCrash)?;
+        written?;
         let cost = self.m.config().cost.disk_io;
         self.m.advance(node, cost);
         self.plt.page_flushed(page);
         // The flushed lines are no longer "active": their updates are
         // either durable or covered by forced undo records.
-        let g = self.geometry();
-        for idx in 0..g.lines_per_page {
-            self.m.clear_active(LineId(g.line_addr(page, idx)));
-        }
+        self.m.clear_active_span(self.first_line(page), self.geometry().lines_per_page);
         Ok(forces)
     }
 
@@ -490,33 +536,22 @@ impl<'a> TreeCtx<'a> {
     /// during Redo-All's cache purge). The stable image must already be
     /// authoritative.
     pub fn evict_page(&mut self, page: PageId) {
-        let g = self.geometry();
-        for idx in 0..g.lines_per_page {
-            let line = LineId(g.line_addr(page, idx));
-            // Discard holders one at a time (the holder slice borrows the
-            // directory, so it is re-fetched after each removal).
-            while let Some(&holder) = self.m.holders(line).first() {
-                let _ = self.m.discard(holder, line);
-            }
-        }
+        self.m.discard_span(self.first_line(page), self.geometry().lines_per_page);
     }
 
     /// (Re)install every line of `page` from the stable image, on
-    /// `node`, overwriting lost lines. Recovery-side primitive.
+    /// `node`, overwriting lost lines. The stable image is borrowed
+    /// directly (`db` and `m` are disjoint fields) — no page copy is made.
     pub fn install_page_from_stable(
         &mut self,
         node: NodeId,
         page: PageId,
     ) -> Result<(), BtreeError> {
-        let g = self.geometry();
+        let first = self.first_line(page);
         let img = self.db.read_page(page).ok_or(BtreeError::StablePageMissing { page })?;
         let cost = self.m.config().cost.disk_io;
         self.m.advance(node, cost);
-        for idx in 0..g.lines_per_page {
-            let line = LineId(g.line_addr(page, idx));
-            let off = g.line_offset(idx);
-            self.m.install_line(node, line, &img[off..off + g.line_size])?;
-        }
+        self.m.install_span(node, first, img)?;
         Ok(())
     }
 
@@ -524,29 +559,35 @@ impl<'a> TreeCtx<'a> {
     /// lines on `node`. Used for structural allocations (the stable write
     /// is part of the early commit).
     pub fn create_zero_page(&mut self, node: NodeId, page: PageId) -> Result<(), BtreeError> {
-        let g = self.geometry();
-        let zeros = vec![0u8; g.page_size()];
+        let zeros = vec![0u8; self.geometry().page_size()];
         self.db.write_page_checked(node.0, page, &zeros).map_err(MemError::FaultCrash)?;
         let cost = self.m.config().cost.disk_io;
         self.m.advance(node, cost);
-        for idx in 0..g.lines_per_page {
-            let line = LineId(g.line_addr(page, idx));
-            self.m.install_line(node, line, &zeros[..g.line_size])?;
-        }
+        self.m.install_span(node, self.first_line(page), &zeros)?;
         Ok(())
+    }
+
+    /// How many of `page`'s lines are lost / cached: one directory walk.
+    fn page_residency(&self, page: PageId) -> SpanResidency {
+        self.m.span_residency(self.first_line(page), self.geometry().lines_per_page)
     }
 
     /// Whether any line of `page` was destroyed by a crash and not yet
     /// recovered.
     pub fn page_has_lost_lines(&self, page: PageId) -> bool {
-        let g = self.geometry();
-        (0..g.lines_per_page).any(|idx| self.m.is_lost(LineId(g.line_addr(page, idx))))
+        self.page_residency(page).lost > 0
     }
 
     /// Whether any line of `page` is cached on a surviving node.
     pub fn page_cached_anywhere(&self, page: PageId) -> bool {
-        let g = self.geometry();
-        (0..g.lines_per_page).any(|idx| self.m.probe_cached(LineId(g.line_addr(page, idx))))
+        self.page_residency(page).cached > 0
+    }
+
+    /// Whether `page` must be reinstalled from its stable image before
+    /// use: it has lost lines, or is cached nowhere.
+    pub fn page_needs_reinstall(&self, page: PageId) -> bool {
+        let r = self.page_residency(page);
+        r.lost > 0 || r.cached == 0
     }
 }
 
@@ -671,6 +712,84 @@ mod tests {
         let mut buf = [0u8; 1];
         c.read(N1, P, 40, &mut buf).unwrap();
         assert_eq!(buf[0], 3);
+    }
+
+    /// Three nodes; `P` resident with two *active* lines owned by
+    /// different nodes (n0's update on line 1, n1's on line 2), event bus
+    /// on. What a third node's page access must cut its span around.
+    fn two_active_lines(lbm: LbmMode, coalesce: bool) -> Owned {
+        let m = Machine::new(SimConfig::new(3));
+        let mut db = StableDb::new(PageGeometry::new(128, 4));
+        db.format(8);
+        let mut o = Owned { m, db, logs: LogSet::new(3), plt: PageLsnTable::new(), gsn: 0 };
+        o.logs.set_coalescing(coalesce);
+        let mut c = ctx(&mut o, lbm).with_coalescing(coalesce);
+        for (node, offset) in [(N0, 130), (N1, 300)] {
+            let touched = c.write(node, P, offset, &[node.0 as u8 + 1; 4]).unwrap();
+            c.logs.append(node, smdb_wal::LogPayload::Checkpoint);
+            c.after_update(node, &[touched]).unwrap();
+            assert_eq!(c.m.active_owner(touched.iter().next().unwrap()), Some(node));
+        }
+        o.m.obs().enable(4096);
+        o
+    }
+
+    /// Everything the span path must reproduce: the bus event sequence
+    /// (with timestamps), coherence counters, every clock, log state.
+    fn observed(o: &Owned, trigger_forces: u64) -> String {
+        format!(
+            "forces {trigger_forces} clocks {:?} stable {:?} stats {:?}\nbus {:#?}",
+            o.m.node_ids().map(|n| o.m.now(n)).collect::<Vec<_>>(),
+            o.m.node_ids().map(|n| o.logs.log(n).stable_lsn()).collect::<Vec<_>>(),
+            o.m.stats(),
+            o.m.obs().bus.snapshot(),
+        )
+    }
+
+    #[test]
+    fn page_spans_fire_triggers_where_the_per_line_loop_did() {
+        const N2: NodeId = NodeId(2);
+        for (lbm, coalesce) in [(LbmMode::StableTriggered, false), (LbmMode::StableEager, true)] {
+            // Whole-page read by the third node: both owners downgraded.
+            let (mut span, mut per_line) =
+                (two_active_lines(lbm, coalesce), two_active_lines(lbm, coalesce));
+            let (mut a, mut b) = ([0u8; 512], [0u8; 512]);
+            let mut c = ctx(&mut span, lbm).with_coalescing(coalesce);
+            c.read(N2, P, 0, &mut a).unwrap();
+            let span_forces = c.trigger_forces;
+            let mut c = ctx(&mut per_line, lbm).with_coalescing(coalesce);
+            for (idx, chunk) in b.chunks_mut(128).enumerate() {
+                let line = c.line_of(P, idx * 128);
+                c.enforce_trigger(N2, line, false).unwrap();
+                c.m.read_into(N2, line, 0, chunk).unwrap();
+            }
+            let line_forces = c.trigger_forces;
+            assert_eq!(span_forces, 2, "{lbm:?}: one force per owner");
+            assert_eq!(a, b);
+            assert_eq!(observed(&span, span_forces), observed(&per_line, line_forces), "{lbm:?}");
+
+            // Multi-line write by the third node, lines 1–3 from mid-line:
+            // both owners invalidated.
+            let (mut span, mut per_line) =
+                (two_active_lines(lbm, coalesce), two_active_lines(lbm, coalesce));
+            let bytes = [9u8; 300];
+            let mut c = ctx(&mut span, lbm).with_coalescing(coalesce);
+            let touched = c.write(N2, P, 200, &bytes).unwrap();
+            let span_forces = c.trigger_forces;
+            assert_eq!(touched, LineSpan::new(c.line_of(P, 128), 3));
+            let mut c = ctx(&mut per_line, lbm).with_coalescing(coalesce);
+            for (offset, within, chunk) in
+                [(200, 72, &bytes[..56]), (256, 0, &bytes[56..184]), (384, 0, &bytes[184..])]
+            {
+                let line = c.line_of(P, offset);
+                c.enforce_trigger(N2, line, true).unwrap();
+                c.m.write(N2, line, within, chunk).unwrap();
+            }
+            let line_forces = c.trigger_forces;
+            assert_eq!(span_forces, 2, "{lbm:?}: one force per owner");
+            assert_eq!(observed(&span, span_forces), observed(&per_line, line_forces), "{lbm:?}");
+            assert_eq!(span.m.peek(LineId(9)), per_line.m.peek(LineId(9)));
+        }
     }
 
     #[test]

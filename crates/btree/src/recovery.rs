@@ -63,30 +63,32 @@ impl BTree {
         let (first_page, _max) = self.page_range();
         let mut root = PageId(first_page);
         let mut high_water = self.allocated_pages().last().copied().unwrap_or(PageId(first_page));
-        for node in ctx.m.node_ids().collect::<Vec<_>>() {
-            let recs: Vec<LogPayload> = if ctx.m.is_crashed(node) {
-                ctx.logs.log(node).stable_records().iter().map(|r| r.payload.clone()).collect()
-            } else {
-                ctx.logs.log(node).records().iter().map(|r| r.payload.clone()).collect()
-            };
-            for p in recs {
-                if let LogPayload::Structural { kind, .. } = p {
-                    match kind {
-                        StructuralKind::BtreeNewRoot { root_page } => {
-                            stats.structural_replays += 1;
-                            // Later roots supersede earlier ones; root pages
-                            // are allocated in increasing order.
-                            if root_page >= root.0 {
-                                root = PageId(root_page);
-                            }
-                            high_water = high_water.max(PageId(root_page));
+        for node in ctx.m.node_ids() {
+            // Stable prefix for crashed nodes, the full log for survivors.
+            // Structural records are rare: a log without any is skipped
+            // unread, and the others are walked by reference.
+            let log = ctx.logs.log(node);
+            if log.stats().structural_records == 0 {
+                continue;
+            }
+            let recs = if ctx.m.is_crashed(node) { log.stable_records() } else { log.records() };
+            for rec in recs {
+                let LogPayload::Structural { kind, .. } = &rec.payload else { continue };
+                match *kind {
+                    StructuralKind::BtreeNewRoot { root_page } => {
+                        stats.structural_replays += 1;
+                        // Later roots supersede earlier ones; root pages
+                        // are allocated in increasing order.
+                        if root_page >= root.0 {
+                            root = PageId(root_page);
                         }
-                        StructuralKind::BtreeSplit { new_page, old_page, .. } => {
-                            stats.structural_replays += 1;
-                            high_water = high_water.max(PageId(new_page)).max(PageId(old_page));
-                        }
-                        StructuralKind::LockSpaceAlloc { .. } => {}
+                        high_water = high_water.max(PageId(root_page));
                     }
+                    StructuralKind::BtreeSplit { new_page, old_page, .. } => {
+                        stats.structural_replays += 1;
+                        high_water = high_water.max(PageId(new_page)).max(PageId(old_page));
+                    }
+                    StructuralKind::LockSpaceAlloc { .. } => {}
                 }
             }
         }
@@ -94,7 +96,7 @@ impl BTree {
         self.set_next_page(high_water.0 + 1);
         // Reinstall any page with destroyed lines from its stable image.
         for page in self.allocated_pages() {
-            if ctx.page_has_lost_lines(page) || !ctx.page_cached_anywhere(page) {
+            if ctx.page_needs_reinstall(page) {
                 ctx.install_page_from_stable(recovery_node, page)?;
                 stats.pages_reinstalled += 1;
                 reinstalled.push(page);
@@ -156,7 +158,7 @@ impl BTree {
                 let mut e = hit.entry;
                 e.deleted = true;
                 e.tag = tag;
-                self.rewrite_entry(ctx, node, hit.page, hit.idx, &e)?;
+                self.write_leaf_entry(ctx, node, hit.page, hit.idx, &e)?;
                 Ok(true)
             }
             None => {
@@ -182,13 +184,14 @@ impl BTree {
         let mut stats = BtreeRecoveryStats::default();
         let mut page = Some(self.first_leaf());
         while let Some(p) = page {
-            let img = ctx.read_page_image(recovery_node, p)?;
-            debug_assert_eq!(self.layout().kind(&img), Some(NodeKind::Leaf));
-            page = self.layout().next_leaf(&img);
-            // Collect candidate entries first; mutating shifts indices.
+            ctx.read_page_into(recovery_node, p, &mut self.img)?;
+            debug_assert_eq!(self.layout().kind(&self.img), Some(NodeKind::Leaf));
+            page = self.layout().next_leaf(&self.img);
+            // Collect candidate entries first; mutating shifts indices
+            // (and the lookups below reuse the image buffer).
             let candidates: Vec<LeafEntry> = self
                 .layout()
-                .leaf_entries(&img)
+                .leaf_entries(&self.img)
                 .into_iter()
                 .filter(|e| e.tag != NULL_TAG && crashed.contains(&NodeId(e.tag)))
                 .collect();
@@ -206,7 +209,7 @@ impl BTree {
                         if hit.entry.tag == e.tag {
                             let mut fixed = hit.entry;
                             fixed.tag = NULL_TAG;
-                            self.rewrite_entry(ctx, recovery_node, hit.page, hit.idx, &fixed)?;
+                            self.write_leaf_entry(ctx, recovery_node, hit.page, hit.idx, &fixed)?;
                             stats.tags_cleared += 1;
                         }
                     }
@@ -252,24 +255,8 @@ impl BTree {
             e.tag = tag;
             e.deleted = deleted;
             e.value = value;
-            self.rewrite_entry(ctx, node, hit.page, hit.idx, &e)?;
+            self.write_leaf_entry(ctx, node, hit.page, hit.idx, &e)?;
         }
-        Ok(())
-    }
-
-    fn rewrite_entry(
-        &mut self,
-        ctx: &mut TreeCtx<'_>,
-        node: NodeId,
-        page: PageId,
-        idx: usize,
-        e: &LeafEntry,
-    ) -> Result<(), BtreeError> {
-        let mut scratch = vec![0u8; self.layout().page_size];
-        self.layout().set_leaf_entry(&mut scratch, idx, e);
-        let (s, t) = self.layout().leaf_entry_range(idx);
-        let span = scratch[s..t].to_vec();
-        ctx.write(node, page, s, &span)?;
         Ok(())
     }
 }
@@ -342,6 +329,116 @@ mod tests {
         assert_eq!(tree.allocated_pages(), pages_before, "allocation high-water recomputed");
         assert!(st.pages_reinstalled > 0, "lost pages reinstalled from stable");
         tree.check_invariants(&mut c, N1).unwrap();
+    }
+
+    /// `recover_structure` as it was before it walked the logs by
+    /// reference: every retained payload cloned, none skipped. Returns
+    /// (root, high-water page, structural replays).
+    fn structure_by_cloning(tree: &BTree, c: &TreeCtx<'_>) -> (PageId, PageId, u64) {
+        let (first_page, _) = tree.page_range();
+        let mut root = PageId(first_page);
+        let mut high_water = tree.allocated_pages().last().copied().unwrap();
+        let mut replays = 0;
+        for node in c.m.node_ids() {
+            let recs: Vec<LogPayload> = if c.m.is_crashed(node) {
+                c.logs.log(node).stable_records().iter().map(|r| r.payload.clone()).collect()
+            } else {
+                c.logs.log(node).records().iter().map(|r| r.payload.clone()).collect()
+            };
+            for p in recs {
+                match p {
+                    LogPayload::Structural {
+                        kind: StructuralKind::BtreeNewRoot { root_page },
+                        ..
+                    } => {
+                        replays += 1;
+                        if root_page >= root.0 {
+                            root = PageId(root_page);
+                        }
+                        high_water = high_water.max(PageId(root_page));
+                    }
+                    LogPayload::Structural {
+                        kind: StructuralKind::BtreeSplit { new_page, old_page, .. },
+                        ..
+                    } => {
+                        replays += 1;
+                        high_water = high_water.max(PageId(new_page)).max(PageId(old_page));
+                    }
+                    _ => {}
+                }
+            }
+        }
+        (root, high_water, replays)
+    }
+
+    /// Crash n0, then check `recover_structure` on n1 against the cloning
+    /// reference and the per-page probes.
+    fn assert_structure_recovery_unchanged(o: &mut Owned, tree: &mut BTree) {
+        o.m.crash(&[N0]);
+        o.logs.crash(&[N0]);
+        let mut c = ctx!(o);
+        let (root, high_water, replays) = structure_by_cloning(tree, &c);
+        let lost: Vec<PageId> = tree
+            .allocated_pages()
+            .into_iter()
+            .filter(|&p| c.page_has_lost_lines(p) || !c.page_cached_anywhere(p))
+            .collect();
+        let (st, reinstalled) = tree.recover_structure(&mut c, N1).unwrap();
+        assert_eq!(tree.root(), root);
+        assert_eq!(tree.allocated_pages().last().copied(), Some(high_water));
+        assert_eq!(st.structural_replays, replays);
+        assert_eq!(reinstalled, lost);
+        assert_eq!(st.pages_reinstalled, lost.len() as u64);
+        assert!(!lost.is_empty(), "the crash destroyed n0's pages");
+    }
+
+    #[test]
+    fn structure_recovery_unchanged_on_a_truncated_log() {
+        let mut o = setup();
+        let mut tree = {
+            let mut c = ctx!(o);
+            let mut tree = BTree::create(&mut c, N0, 10, 40).unwrap();
+            for i in 0..200u64 {
+                tree.insert(&mut c, t(0, i + 1), i, val(i)).unwrap();
+            }
+            // n1 splits too, so two logs carry structural records.
+            for i in 200..320u64 {
+                tree.insert(&mut c, t(1, i + 1), i, val(i)).unwrap();
+            }
+            tree
+        };
+        assert!(tree.stats().root_grows >= 1 && tree.stats().splits >= 4);
+        // Reclaim the prefix of n0's log that holds its first structural
+        // records (the root growth among them), as a checkpoint would.
+        let cut = o.logs.log(N0).stable_lsn().0 / 2;
+        let before = o.logs.log(N0).stats().structural_records;
+        o.logs.truncate_through_checked(N0, smdb_wal::Lsn(cut)).unwrap();
+        let retained = o
+            .logs
+            .log(N0)
+            .records()
+            .iter()
+            .filter(|r| matches!(r.payload, LogPayload::Structural { .. }))
+            .count() as u64;
+        assert!(0 < retained && retained < before, "the cut falls among the structural records");
+        assert_structure_recovery_unchanged(&mut o, &mut tree);
+    }
+
+    #[test]
+    fn structure_recovery_unchanged_without_structural_records() {
+        let mut o = setup();
+        let mut tree = {
+            let mut c = ctx!(o);
+            let mut tree = BTree::create(&mut c, N0, 10, 40).unwrap();
+            for i in 0..20u64 {
+                tree.insert(&mut c, t(0, i + 1), i, val(i)).unwrap();
+            }
+            tree
+        };
+        assert_eq!(tree.stats().splits, 0);
+        assert!(o.logs.iter().all(|l| l.stats().structural_records == 0));
+        assert_structure_recovery_unchanged(&mut o, &mut tree);
+        assert_eq!(tree.root(), tree.first_leaf());
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //! logical delete, commit/abort processing.
 
 use crate::layout::{
-    BranchRef, LeafEntry, NodeKind, TreeLayout, LEAF_ENTRY_SIZE, NULL_TAG, VAL_SIZE,
+    BranchRef, LeafEntry, NodeKind, TreeLayout, BRANCH_ENTRY_SIZE, LEAF_ENTRY_SIZE, NULL_TAG,
+    VAL_SIZE,
 };
-use crate::pageio::TreeCtx;
+use crate::pageio::{LineSpan, TreeCtx};
 use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 use smdb_sim::{MemError, NodeId, TxnId};
@@ -45,6 +46,14 @@ pub enum BtreeError {
         /// The missing page.
         page: PageId,
     },
+    /// A descent reached a page that was never formatted as a tree node:
+    /// the structure above it points outside the tree. An invariant
+    /// violation, reported instead of panicking so a crashed recovery can
+    /// surface it.
+    UnformattedPage {
+        /// The unformatted page.
+        page: PageId,
+    },
 }
 
 impl From<MemError> for BtreeError {
@@ -65,6 +74,9 @@ impl fmt::Display for BtreeError {
             }
             BtreeError::StablePageMissing { page } => {
                 write!(f, "tree page {page} missing from stable db")
+            }
+            BtreeError::UnformattedPage { page } => {
+                write!(f, "unformatted page {page} reached inside the tree")
             }
         }
     }
@@ -104,7 +116,7 @@ pub struct LeafHit {
 /// recorded in a *forced* structural log record (early commit, §4.2), so
 /// the recovery module can re-derive them from the stable logs after any
 /// crash.
-#[derive(Clone, Debug)]
+#[derive(Clone)]
 pub struct BTree {
     layout: TreeLayout,
     root: PageId,
@@ -112,6 +124,26 @@ pub struct BTree {
     next_page: u32,
     max_pages: u32,
     stats: BtreeStats,
+    /// Image of the page under examination. Every level of every descent
+    /// reads into this one buffer instead of a fresh page-sized `Vec`.
+    pub(crate) img: Vec<u8>,
+    /// Image of a child examined while its parent is still in `img`
+    /// (insert's look-ahead for full children).
+    child_img: Vec<u8>,
+}
+
+impl fmt::Debug for BTree {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // The scratch images are not state.
+        f.debug_struct("BTree")
+            .field("layout", &self.layout)
+            .field("root", &self.root)
+            .field("first_page", &self.first_page)
+            .field("next_page", &self.next_page)
+            .field("max_pages", &self.max_pages)
+            .field("stats", &self.stats)
+            .finish_non_exhaustive()
+    }
 }
 
 impl BTree {
@@ -143,6 +175,8 @@ impl BTree {
             next_page: first_page + 1,
             max_pages,
             stats: BtreeStats::default(),
+            img,
+            child_img: Vec::new(),
         })
     }
 
@@ -197,30 +231,21 @@ impl BTree {
     // Search
     // ------------------------------------------------------------------
 
-    /// Child of a branch image for `key`.
-    fn child_for(&self, img: &[u8], key: u64) -> PageId {
-        let n = self.layout.n_entries(img);
-        let mut child = self.layout.left_child(img);
-        for i in 0..n {
-            let r = self.layout.branch_ref(img, i);
-            if key >= r.key {
-                child = r.child;
-            } else {
-                break;
-            }
-        }
-        child
-    }
-
-    /// Descend to the leaf that should hold `key`.
-    fn descend(&self, ctx: &mut TreeCtx<'_>, node: NodeId, key: u64) -> Result<PageId, BtreeError> {
+    /// Descend to the leaf that should hold `key`; the leaf's image is
+    /// left in `self.img`.
+    fn descend(
+        &mut self,
+        ctx: &mut TreeCtx<'_>,
+        node: NodeId,
+        key: u64,
+    ) -> Result<PageId, BtreeError> {
         let mut page = self.root;
         loop {
-            let img = ctx.read_page_image(node, page)?;
-            match self.layout.kind(&img) {
+            ctx.read_page_into(node, page, &mut self.img)?;
+            match self.layout.kind(&self.img) {
                 Some(NodeKind::Leaf) => return Ok(page),
-                Some(NodeKind::Branch) => page = self.child_for(&img, key),
-                None => panic!("unformatted page {page} reached during descent"),
+                Some(NodeKind::Branch) => page = self.layout.child_for(&self.img, key),
+                None => return Err(BtreeError::UnformattedPage { page }),
             }
         }
     }
@@ -233,9 +258,7 @@ impl BTree {
         key: u64,
     ) -> Result<Option<LeafHit>, BtreeError> {
         self.stats.searches += 1;
-        let leaf = self.descend(ctx, node, key)?;
-        let img = ctx.read_page_image(node, leaf)?;
-        Ok(self.find_in_leaf(&img, leaf, key, false))
+        self.find(ctx, node, key, false)
     }
 
     /// Find any entry for `key`, including delete-marked ones (recovery and
@@ -246,29 +269,22 @@ impl BTree {
         node: NodeId,
         key: u64,
     ) -> Result<Option<LeafHit>, BtreeError> {
-        let leaf = self.descend(ctx, node, key)?;
-        let img = ctx.read_page_image(node, leaf)?;
-        Ok(self.find_in_leaf(&img, leaf, key, true))
+        self.find(ctx, node, key, true)
     }
 
-    fn find_in_leaf(
-        &self,
-        img: &[u8],
-        page: PageId,
+    /// Descend to `key`'s leaf, read it (a second coherent read: the
+    /// descent only classified the page) and look the key up.
+    fn find(
+        &mut self,
+        ctx: &mut TreeCtx<'_>,
+        node: NodeId,
         key: u64,
         include_deleted: bool,
-    ) -> Option<LeafHit> {
-        let n = self.layout.n_entries(img);
-        for i in 0..n {
-            let e = self.layout.leaf_entry(img, i);
-            if e.key == key && (include_deleted || !e.deleted) {
-                return Some(LeafHit { page, idx: i, entry: e });
-            }
-            if e.key > key {
-                break;
-            }
-        }
-        None
+    ) -> Result<Option<LeafHit>, BtreeError> {
+        let page = self.descend(ctx, node, key)?;
+        ctx.read_page_into(node, page, &mut self.img)?;
+        let hit = self.layout.find_leaf_entry(&self.img, key, include_deleted);
+        Ok(hit.map(|(idx, entry)| LeafHit { page, idx, entry }))
     }
 
     // ------------------------------------------------------------------
@@ -291,37 +307,39 @@ impl BTree {
         // Preemptive descent: split every full node encountered, so the
         // parent always has room for the separator.
         let mut page = self.root;
-        {
-            let img = ctx.read_page_image(node, page)?;
-            if self.is_full(&img) {
-                self.grow_root(ctx, txn, &img)?;
-                page = self.root;
-            }
+        ctx.read_page_into(node, page, &mut self.img)?;
+        if self.is_full(&self.img) {
+            let root_img = std::mem::take(&mut self.img);
+            self.grow_root(ctx, txn, &root_img)?;
+            self.img = root_img;
+            page = self.root;
         }
         loop {
-            let img = ctx.read_page_image(node, page)?;
-            match self.layout.kind(&img) {
+            ctx.read_page_into(node, page, &mut self.img)?;
+            match self.layout.kind(&self.img) {
                 Some(NodeKind::Leaf) => break,
                 Some(NodeKind::Branch) => {
-                    let child = self.child_for(&img, key);
-                    let child_img = ctx.read_page_image(node, child)?;
-                    if self.is_full(&child_img) {
+                    let child = self.layout.child_for(&self.img, key);
+                    ctx.read_page_into(node, child, &mut self.child_img)?;
+                    if self.is_full(&self.child_img) {
+                        let child_img = std::mem::take(&mut self.child_img);
                         self.split_child(ctx, txn, page, child, &child_img)?;
+                        self.child_img = child_img;
                         // Re-route: the key may now belong to the new
                         // sibling.
-                        let img2 = ctx.read_page_image(node, page)?;
-                        page = self.child_for(&img2, key);
+                        ctx.read_page_into(node, page, &mut self.img)?;
+                        page = self.layout.child_for(&self.img, key);
                     } else {
                         page = child;
                     }
                 }
-                None => panic!("unformatted page {page} reached during insert"),
+                None => return Err(BtreeError::UnformattedPage { page }),
             }
         }
         // Leaf insert.
-        let mut img = ctx.read_page_image(node, page)?;
-        debug_assert!(!self.is_full(&img), "preemptive split guarantees room");
-        if self.find_in_leaf(&img, page, key, false).is_some() {
+        ctx.read_page_into(node, page, &mut self.img)?;
+        debug_assert!(!self.is_full(&self.img), "preemptive split guarantees room");
+        if self.layout.find_leaf_entry(&self.img, key, false).is_some() {
             return Err(BtreeError::DuplicateKey { key });
         }
         let gsn = ctx.next_gsn();
@@ -329,22 +347,19 @@ impl BTree {
             node,
             LogPayload::IndexInsert { txn, key, value: Bytes::copy_from_slice(&value), gsn },
         );
-        let n = self.layout.n_entries(&img);
-        let pos = (0..n).find(|&i| self.layout.leaf_entry(&img, i).key > key).unwrap_or(n);
+        let n = self.layout.n_entries(&self.img);
+        let pos = self.layout.leaf_insert_pos(&self.img, key);
         // Shift entries right in the local image, then write the dirty
         // span (header + moved region) back through the coherent store.
-        for i in (pos..n).rev() {
-            let e = self.layout.leaf_entry(&img, i);
-            self.layout.set_leaf_entry(&mut img, i + 1, &e);
-        }
-        let entry = LeafEntry { key, tag: node.0, deleted: false, value };
-        self.layout.set_leaf_entry(&mut img, pos, &entry);
-        self.layout.set_n_entries(&mut img, n + 1);
-        let (h0, h1) = self.layout.header_range();
         let (d0, _) = self.layout.leaf_entry_range(pos);
         let (_, d1) = self.layout.leaf_entry_range(n);
-        let header_span = ctx.write(node, page, h0, &img[h0..h1])?;
-        let data_span = ctx.write(node, page, d0, &img[d0..d1])?;
+        self.img.copy_within(d0..d1 - LEAF_ENTRY_SIZE, d0 + LEAF_ENTRY_SIZE);
+        let entry = LeafEntry { key, tag: node.0, deleted: false, value };
+        self.layout.set_leaf_entry(&mut self.img, pos, &entry);
+        self.layout.set_n_entries(&mut self.img, n + 1);
+        let (h0, h1) = self.layout.header_range();
+        let header_span = ctx.write(node, page, h0, &self.img[h0..h1])?;
+        let data_span = ctx.write(node, page, d0, &self.img[d0..d1])?;
         ctx.note_update(node, page, lsn)?;
         ctx.after_update(node, &[header_span, data_span])?;
         self.stats.inserts += 1;
@@ -450,21 +465,19 @@ impl BTree {
         ctx.write(node, child, data_start, &child_new[data_start..ps])?;
         ctx.write(node, new_page, data_start, &sibling[data_start..ps])?;
         // Insert the separator into the parent (which has room).
-        let mut pimg = ctx.read_page_image(node, parent)?;
-        let pn = self.layout.n_entries(&pimg);
+        ctx.read_page_into(node, parent, &mut self.img)?;
+        let pn = self.layout.n_entries(&self.img);
         debug_assert!(pn < self.layout.branch_capacity());
-        let pos = (0..pn).find(|&i| self.layout.branch_ref(&pimg, i).key > split_key).unwrap_or(pn);
-        for i in (pos..pn).rev() {
-            let r = self.layout.branch_ref(&pimg, i);
-            self.layout.set_branch_ref(&mut pimg, i + 1, &r);
-        }
-        self.layout.set_branch_ref(&mut pimg, pos, &BranchRef { key: split_key, child: new_page });
-        self.layout.set_n_entries(&mut pimg, pn + 1);
-        let (h0, h1) = self.layout.header_range();
-        ctx.write(node, parent, h0, &pimg[h0..h1])?;
+        let pos = self.layout.branch_insert_pos(&self.img, split_key);
         let (d0, _) = self.layout.branch_entry_range(pos);
         let (_, d1) = self.layout.branch_entry_range(pn);
-        ctx.write(node, parent, d0, &pimg[d0..d1])?;
+        self.img.copy_within(d0..d1 - BRANCH_ENTRY_SIZE, d0 + BRANCH_ENTRY_SIZE);
+        let sep = BranchRef { key: split_key, child: new_page };
+        self.layout.set_branch_ref(&mut self.img, pos, &sep);
+        self.layout.set_n_entries(&mut self.img, pn + 1);
+        let (h0, h1) = self.layout.header_range();
+        ctx.write(node, parent, h0, &self.img[h0..h1])?;
+        ctx.write(node, parent, d0, &self.img[d0..d1])?;
         // Early commit: force the structural record, then flush the three
         // affected pages so the structure is durable before anyone uses it.
         let lsn = ctx.logs.append(
@@ -528,21 +541,17 @@ impl BTree {
         Ok(())
     }
 
-    fn write_leaf_entry(
+    /// Overwrite leaf entry `idx` of `page` in place.
+    pub(crate) fn write_leaf_entry(
         &self,
         ctx: &mut TreeCtx<'_>,
         node: NodeId,
         page: PageId,
         idx: usize,
         e: &LeafEntry,
-    ) -> Result<crate::pageio::LineSpan, BtreeError> {
-        let mut buf = vec![0u8; LEAF_ENTRY_SIZE];
-        // Encode into a scratch image region.
-        let mut scratch = vec![0u8; self.layout.page_size];
-        self.layout.set_leaf_entry(&mut scratch, idx, e);
-        let (s, t) = self.layout.leaf_entry_range(idx);
-        buf.copy_from_slice(&scratch[s..t]);
-        ctx.write(node, page, s, &buf)
+    ) -> Result<LineSpan, BtreeError> {
+        let (at, _) = self.layout.leaf_entry_range(idx);
+        ctx.write(node, page, at, &TreeLayout::encode_leaf_entry(e))
     }
 
     // ------------------------------------------------------------------
@@ -617,20 +626,18 @@ impl BTree {
         page: PageId,
         idx: usize,
     ) -> Result<(), BtreeError> {
-        let mut img = ctx.read_page_image(node, page)?;
-        let n = self.layout.n_entries(&img);
+        ctx.read_page_into(node, page, &mut self.img)?;
+        let n = self.layout.n_entries(&self.img);
         debug_assert!(idx < n);
-        for i in idx..n - 1 {
-            let e = self.layout.leaf_entry(&img, i + 1);
-            self.layout.set_leaf_entry(&mut img, i, &e);
-        }
-        self.layout.set_n_entries(&mut img, n - 1);
+        let (d0, moved_from) = self.layout.leaf_entry_range(idx);
+        let (tail_end, _) = self.layout.leaf_entry_range(n);
+        self.img.copy_within(moved_from..tail_end, d0);
+        self.layout.set_n_entries(&mut self.img, n - 1);
         let (h0, h1) = self.layout.header_range();
-        ctx.write(node, page, h0, &img[h0..h1])?;
+        ctx.write(node, page, h0, &self.img[h0..h1])?;
         if n > 1 && idx < n - 1 {
-            let (d0, _) = self.layout.leaf_entry_range(idx);
-            let (_, d1) = self.layout.leaf_entry_range(n - 2);
-            ctx.write(node, page, d0, &img[d0..d1])?;
+            let d1 = tail_end - LEAF_ENTRY_SIZE;
+            ctx.write(node, page, d0, &self.img[d0..d1])?;
         }
         Ok(())
     }
@@ -648,14 +655,14 @@ impl BTree {
         let mut out = Vec::new();
         let mut page = Some(self.first_leaf());
         while let Some(p) = page {
-            let img = ctx.read_page_image(node, p)?;
-            debug_assert_eq!(self.layout.kind(&img), Some(NodeKind::Leaf));
-            for e in self.layout.leaf_entries(&img) {
+            ctx.read_page_into(node, p, &mut self.img)?;
+            debug_assert_eq!(self.layout.kind(&self.img), Some(NodeKind::Leaf));
+            for e in self.layout.leaf_entries(&self.img) {
                 if !e.deleted {
                     out.push((e.key, e.value));
                 }
             }
-            page = self.layout.next_leaf(&img);
+            page = self.layout.next_leaf(&self.img);
         }
         Ok(out)
     }
@@ -675,9 +682,9 @@ impl BTree {
         }
         let mut page = Some(self.descend(ctx, node, lo)?);
         while let Some(p) = page {
-            let img = ctx.read_page_image(node, p)?;
-            debug_assert_eq!(self.layout.kind(&img), Some(NodeKind::Leaf));
-            for e in self.layout.leaf_entries(&img) {
+            ctx.read_page_into(node, p, &mut self.img)?;
+            debug_assert_eq!(self.layout.kind(&self.img), Some(NodeKind::Leaf));
+            for e in self.layout.leaf_entries(&self.img) {
                 if e.key > hi {
                     return Ok(out);
                 }
@@ -685,7 +692,7 @@ impl BTree {
                     out.push((e.key, e.value));
                 }
             }
-            page = self.layout.next_leaf(&img);
+            page = self.layout.next_leaf(&self.img);
         }
         Ok(out)
     }
@@ -700,9 +707,9 @@ impl BTree {
         let mut out = Vec::new();
         let mut page = Some(self.first_leaf());
         while let Some(p) = page {
-            let img = ctx.read_page_image(node, p)?;
-            out.extend(self.layout.leaf_entries(&img));
-            page = self.layout.next_leaf(&img);
+            ctx.read_page_into(node, p, &mut self.img)?;
+            out.extend(self.layout.leaf_entries(&self.img));
+            page = self.layout.next_leaf(&self.img);
         }
         Ok(out)
     }
@@ -731,7 +738,10 @@ impl BTree {
         lo: u64,
         hi: u64,
     ) -> Result<(), BtreeError> {
-        let img = ctx.read_page_image(node, page)?;
+        // One image per level: the parent's separators are still needed
+        // while its children are walked.
+        let mut img = Vec::new();
+        ctx.read_page_into(node, page, &mut img)?;
         match self.layout.kind(&img) {
             Some(NodeKind::Leaf) => {
                 for e in self.layout.leaf_entries(&img) {
@@ -750,7 +760,7 @@ impl BTree {
                 }
                 self.check_subtree(ctx, node, child, lower, hi)?;
             }
-            None => panic!("unformatted page {page} in tree"),
+            None => return Err(BtreeError::UnformattedPage { page }),
         }
         Ok(())
     }

@@ -4,9 +4,11 @@
 //! operation batch.
 
 use proptest::prelude::*;
-use smdb_btree::{BTree, BtreeError, TreeCtx, NULL_TAG, VAL_SIZE};
+use smdb_btree::{
+    BTree, BranchRef, BtreeError, LeafEntry, NodeKind, TreeCtx, TreeLayout, NULL_TAG, VAL_SIZE,
+};
 use smdb_sim::{Machine, NodeId, SimConfig, TxnId};
-use smdb_storage::{PageGeometry, StableDb};
+use smdb_storage::{PageGeometry, PageId, StableDb};
 use smdb_wal::{LbmMode, LogSet, PageLsnTable};
 use std::collections::BTreeMap;
 
@@ -154,5 +156,107 @@ proptest! {
             tree.scan_live(&mut c, NodeId(0)).expect("scan").into_iter().collect();
         prop_assert_eq!(live, model);
         tree.check_invariants(&mut c, NodeId(0)).expect("invariants");
+    }
+}
+
+// ----------------------------------------------------------------------
+// Binary-search lookups ≡ the linear scans they replaced
+// ----------------------------------------------------------------------
+
+/// The old `find_in_leaf`: first entry for `key` in slot order, skipping
+/// delete-marked ones unless asked, giving up past the key.
+fn linear_find(
+    l: &TreeLayout,
+    img: &[u8],
+    key: u64,
+    include_deleted: bool,
+) -> Option<(usize, LeafEntry)> {
+    for i in 0..l.n_entries(img) {
+        let e = l.leaf_entry(img, i);
+        if e.key == key && (include_deleted || !e.deleted) {
+            return Some((i, e));
+        }
+        if e.key > key {
+            break;
+        }
+    }
+    None
+}
+
+/// The old `child_for`: the child of the last separator `<= key`.
+fn linear_child(l: &TreeLayout, img: &[u8], key: u64) -> PageId {
+    let mut child = l.left_child(img);
+    for r in l.branch_refs(img) {
+        if key >= r.key {
+            child = r.child;
+        } else {
+            break;
+        }
+    }
+    child
+}
+
+proptest! {
+    /// Leaves as the tree builds them: key-sorted, and a key may occupy a
+    /// run of adjacent entries — delete-marked ones (their deleters not
+    /// yet committed or compacted) followed by at most one live re-insert.
+    #[test]
+    fn leaf_lookups_agree_with_the_linear_scan(
+        runs in proptest::collection::vec((1u64..4, 0usize..4, any::<bool>()), 0..16),
+        probe_gap in 0u64..3,
+    ) {
+        let l = TreeLayout::new(1024);
+        let mut img = vec![0u8; 1024];
+        l.format(&mut img, NodeKind::Leaf);
+        let (mut key, mut n) = (0u64, 0usize);
+        for (gap, marked, live) in runs {
+            key += gap;
+            for k in 0..marked + live as usize {
+                let e = LeafEntry {
+                    key,
+                    tag: if k < marked { k as u16 } else { NULL_TAG },
+                    deleted: k < marked,
+                    value: (n as u64).to_le_bytes(),
+                };
+                l.set_leaf_entry(&mut img, n, &e);
+                n += 1;
+            }
+        }
+        prop_assert!(n <= l.leaf_capacity());
+        l.set_n_entries(&mut img, n);
+        for probe in 0..key + 1 + probe_gap {
+            for include_deleted in [false, true] {
+                prop_assert_eq!(
+                    l.find_leaf_entry(&img, probe, include_deleted),
+                    linear_find(&l, &img, probe, include_deleted),
+                    "key {} include_deleted {}", probe, include_deleted
+                );
+            }
+            // A new entry goes before the first entry with a greater key.
+            let pos = (0..n).find(|&i| l.leaf_entry(&img, i).key > probe).unwrap_or(n);
+            prop_assert_eq!(l.leaf_insert_pos(&img, probe), pos, "insert position of {}", probe);
+        }
+    }
+
+    #[test]
+    fn branch_lookups_agree_with_the_linear_scan(
+        gaps in proptest::collection::vec(1u64..5, 0..40),
+        probe_gap in 0u64..3,
+    ) {
+        let l = TreeLayout::new(1024);
+        let mut img = vec![0u8; 1024];
+        l.format(&mut img, NodeKind::Branch);
+        l.set_left_child(&mut img, PageId(1000));
+        let mut key = 0u64;
+        for (i, gap) in gaps.iter().enumerate() {
+            key += gap;
+            l.set_branch_ref(&mut img, i, &BranchRef { key, child: PageId(i as u32) });
+        }
+        l.set_n_entries(&mut img, gaps.len());
+        for probe in 0..key + 1 + probe_gap {
+            prop_assert_eq!(l.child_for(&img, probe), linear_child(&l, &img, probe));
+            let pos = l.branch_refs(&img).iter().position(|r| r.key > probe).unwrap_or(gaps.len());
+            prop_assert_eq!(l.branch_insert_pos(&img, probe), pos);
+        }
     }
 }

@@ -1518,7 +1518,10 @@ impl SmDb {
         // Log reclamation: recovery never scans below the checkpoint for
         // redo (every page is flushed), and never needs undo information
         // below the first record of any still-active transaction. The
-        // truncation point per node is the minimum of the two.
+        // truncation point per node is the minimum of the two. The
+        // transaction table keeps every transaction ever begun; pick the
+        // active ones out once, not once per node.
+        let active = self.active_txns(None);
         for n in 0..self.cfg.nodes {
             let nid = NodeId(n);
             if self.m.is_crashed(nid) {
@@ -1528,8 +1531,8 @@ impl SmDb {
             let mut cutoff = ckpt_lsn;
             // The log's incremental index knows where each transaction's
             // first record sits; no scan needed to find the undo floor.
-            for t in self.txns.values().filter(|t| t.is_active()) {
-                if let Some(first) = self.logs.log(nid).index().first_txn_lsn(t.id) {
+            for &txn in &active {
+                if let Some(first) = self.logs.log(nid).index().first_txn_lsn(txn) {
                     cutoff = cutoff.min(Lsn(first.0.saturating_sub(1)));
                 }
             }

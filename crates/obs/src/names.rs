@@ -78,7 +78,9 @@ pub const LOCK_SHARD_CONFLICTS: &str = "lock.shard_conflicts";
 // -- sim ----------------------------------------------------------------
 /// Buffer-pool line reuses that avoided a stable read.
 pub const SIM_BUF_REUSE: &str = "sim.buf_reuse";
-/// Open-addressed line-index probe steps.
+/// Open-addressed line-index probe steps. A host-side diagnostic, not a
+/// simulated quantity: span operations find most lines in the
+/// neighbouring slot and probe less than per-line loops would.
 pub const SIM_INDEX_PROBES: &str = "sim.index_probes";
 /// Epoch admissions rejected because a data-page stripe was already
 /// claimed by another node's execution lane.
@@ -293,7 +295,7 @@ pub const CATALOG: &[MetricDef] = &[
         name: SIM_INDEX_PROBES,
         kind: MetricKind::Counter,
         layer: "sim",
-        help: "Open-addressed line-index probe steps",
+        help: "Open-addressed line-index probe steps (host-side diagnostic: span walks probe less than per-line loops)",
     },
     MetricDef {
         name: SIM_SHARD_CONFLICTS,

@@ -56,8 +56,8 @@ pub use error::MemError;
 pub use flat::{HolderSet, HOLDERS_INLINE};
 pub use ids::{LineId, NodeId, TxnId};
 pub use machine::{
-    CrashReport, FlatStats, Machine, TransferKind, TriggerEvent, FAULT_INVALIDATE, FAULT_MIGRATE,
-    METRIC_BUF_REUSE, METRIC_INDEX_PROBES,
+    span_bytes, CrashReport, FlatStats, Machine, SpanResidency, TransferKind, TriggerEvent,
+    FAULT_INVALIDATE, FAULT_MIGRATE, METRIC_BUF_REUSE, METRIC_INDEX_PROBES,
 };
 pub use stats::SimStats;
 pub use trace::{Trace, TraceEvent};

@@ -36,6 +36,7 @@ use crate::trace::{Trace, TraceEvent};
 use smdb_fault::FaultInjector;
 use smdb_obs::{Event as ObsEvent, Obs};
 use std::collections::BTreeSet;
+use std::ops::Range;
 
 /// Fault site: a write or `getline` is about to *migrate* the line — the
 /// acting node does not hold a copy and will take the only valid one.
@@ -207,6 +208,16 @@ pub struct FlatStats {
     pub buf_reuse: u64,
 }
 
+/// Residency of a run of consecutive lines (see
+/// [`Machine::span_residency`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SpanResidency {
+    /// Lines whose data a crash destroyed and nothing has reinstalled.
+    pub lost: usize,
+    /// Lines with a valid copy in some surviving cache.
+    pub cached: usize,
+}
+
 /// The simulated multiprocessor. See the crate-level docs for an overview.
 pub struct Machine {
     cfg: SimConfig,
@@ -227,6 +238,20 @@ pub struct Machine {
     /// coherence protocol can never migrate or replicate stale bytes;
     /// `peek*` and `install_line` stay available for the recovery owner.
     unrecovered: BTreeSet<LineId>,
+}
+
+/// Which bytes of a transfer its lines `lines` hold, when the transfer is
+/// `len` bytes long and starts `offset` bytes into line 0 of a run of
+/// `line_size`-byte lines (so line 0 holds the first `line_size - offset`
+/// bytes). The arithmetic every span operation and its callers share.
+#[inline]
+pub fn span_bytes(
+    line_size: usize,
+    offset: usize,
+    len: usize,
+    lines: Range<usize>,
+) -> Range<usize> {
+    (lines.start * line_size).saturating_sub(offset)..(lines.end * line_size - offset).min(len)
 }
 
 impl Machine {
@@ -420,6 +445,9 @@ impl Machine {
     /// sentinel inside a lane machine).
     #[inline]
     fn shard_idx(&self, line: LineId) -> usize {
+        if self.shards.len() == 1 {
+            return 0;
+        }
         ((line.0 / self.cfg.stripe_lines) % self.shards.len() as u64) as usize
     }
 
@@ -446,6 +474,25 @@ impl Machine {
         let slot = shard.index.get(line.0);
         self.obs.metrics.add(METRIC_INDEX_PROBES, shard.index.probe_count() - before);
         slot.map(|slot| Loc { sh: sh as u32, slot })
+    }
+
+    /// The directory walk of a span operation: resolve `line`, the
+    /// successor of the line resolved to `prev`. Pages are installed line
+    /// by line, so consecutive addresses usually sit in consecutive slots
+    /// of one shard; the neighbouring slot is checked first (it names the
+    /// line it holds, so a hit is exact) and the index is only probed on
+    /// a miss. `prev == None` is the plain index lookup.
+    #[inline]
+    fn next_slot(&self, prev: Option<Loc>, line: LineId) -> Option<Loc> {
+        if let Some(p) = prev {
+            let slot = p.slot + 1;
+            if let Some(sl) = self.shards[p.sh as usize].slots.get(slot as usize) {
+                if sl.live && sl.line == line {
+                    return Some(Loc { sh: p.sh, slot });
+                }
+            }
+        }
+        self.slot_of(line)
     }
 
     #[inline]
@@ -564,15 +611,48 @@ impl Machine {
     }
 
     // ------------------------------------------------------------------
-    // Access checks shared by read/write/getline
+    // Span operations, and the access check read/write/getline share
     // ------------------------------------------------------------------
+    //
+    // A page is a run of consecutive line addresses, and
+    // the layers above touch pages far more often than single lines. Each
+    // `*_span` operation is *defined* as the sequence of its single-line
+    // calls in address order, stopping at the first error: identical
+    // per-line state transitions, statistics, clock charges, fault-site
+    // hits and trace/bus events, in identical order. Only work whose
+    // answer cannot change inside the span is hoisted out of the per-line
+    // step: the acting node's liveness check, the pending-redo lookup, and
+    // the directory walk (`next_slot`). The single-line operations are the
+    // span of length one.
 
-    fn check_access(&mut self, node: NodeId, line: LineId) -> Result<Loc, MemError> {
-        self.check_node(node)?;
-        self.check_owned(line)?;
-        let slot = match self.slot_of(line) {
-            None => return Err(MemError::NotResident { line }),
-            Some(s) => s,
+    /// The lowest line of `first .. first + count` carrying pending redo,
+    /// if any: the one pending-redo lookup of a span (only the first such
+    /// line can matter, the span stops there).
+    #[inline]
+    fn first_unrecovered(&self, first: LineId, count: usize) -> Option<LineId> {
+        if self.unrecovered.is_empty() {
+            return None;
+        }
+        self.unrecovered.range(first..LineId(first.0 + count as u64)).next().copied()
+    }
+
+    /// The per-line access check of a span whose acting node was already
+    /// verified: resolve `line` (successor of `prev`) and refuse it unless
+    /// it is resident, not lost, not line-locked by another node and not
+    /// awaiting redo — in that order.
+    #[inline]
+    fn access_line(
+        &mut self,
+        node: NodeId,
+        line: LineId,
+        prev: Option<Loc>,
+        unrecovered: Option<LineId>,
+    ) -> Result<Loc, MemError> {
+        let Some(slot) = self.next_slot(prev, line) else {
+            // Unowned sentinel shards are empty, so a foreign line always
+            // lands here; a resident line is necessarily owned.
+            self.check_owned(line)?;
+            return Err(MemError::NotResident { line });
         };
         let sl = self.slot(slot);
         if sl.lost {
@@ -589,18 +669,34 @@ impl Machine {
                 return Err(MemError::Stalled { line, holder: Some(holder) });
             }
         }
-        if self.unrecovered.contains(&line) {
+        if unrecovered == Some(line) {
             return Err(MemError::Unrecovered { line });
         }
         Ok(slot)
+    }
+
+    fn check_access(&mut self, node: NodeId, line: LineId) -> Result<Loc, MemError> {
+        self.check_node(node)?;
+        let unrecovered = self.first_unrecovered(line, 1);
+        self.access_line(node, line, None, unrecovered)
+    }
+
+    /// How many lines a transfer of `len` bytes starting `offset` bytes
+    /// into a line covers: the first line takes what fits after `offset`
+    /// (an empty transfer still touches it), full lines follow.
+    #[inline]
+    fn lines_covered(&self, offset: usize, len: usize) -> usize {
+        debug_assert!(offset <= self.cfg.line_size, "span offset beyond its first line");
+        (offset + len).div_ceil(self.cfg.line_size).max(1)
     }
 
     // ------------------------------------------------------------------
     // Reads
     // ------------------------------------------------------------------
 
-    /// The coherence transition + accounting for a read, after
-    /// `check_access` succeeded.
+    /// The coherence transition + accounting for a read, after the access
+    /// check succeeded.
+    #[inline]
     fn do_read(&mut self, node: NodeId, line: LineId, slot: Loc) {
         self.stats.reads += 1;
         let sl = self.slot(slot);
@@ -633,9 +729,54 @@ impl Machine {
         }
     }
 
+    /// Coherent read of `count` consecutive lines: per line, the access
+    /// check, the read transition, then `sink(i, line bytes)`.
+    #[inline]
+    fn read_lines(
+        &mut self,
+        node: NodeId,
+        first: LineId,
+        count: usize,
+        mut sink: impl FnMut(usize, &[u8]),
+    ) -> Result<(), MemError> {
+        self.check_node(node)?;
+        let unrecovered = self.first_unrecovered(first, count);
+        let mut prev = None;
+        for i in 0..count {
+            let line = LineId(first.0 + i as u64);
+            let slot = self.access_line(node, line, prev, unrecovered)?;
+            self.do_read(node, line, slot);
+            sink(i, self.line_data(slot));
+            prev = Some(slot);
+        }
+        Ok(())
+    }
+
+    /// Coherent read of `buf.len()` bytes starting `offset` bytes into
+    /// `first` and running on through the following line addresses, on
+    /// behalf of `node`: exactly the [`Machine::read_into`] calls on each
+    /// covered line in address order, stopping at the first error (the
+    /// bytes of the lines read before it are already in `buf`).
+    pub fn read_span(
+        &mut self,
+        node: NodeId,
+        first: LineId,
+        offset: usize,
+        buf: &mut [u8],
+    ) -> Result<(), MemError> {
+        let ls = self.cfg.line_size;
+        let count = self.lines_covered(offset, buf.len());
+        self.read_lines(node, first, count, |i, data| {
+            let part = span_bytes(ls, offset, buf.len(), i..i + 1);
+            let within = if i == 0 { offset } else { 0 };
+            buf[part.clone()].copy_from_slice(&data[within..within + part.len()]);
+        })
+    }
+
     /// Read `buf.len()` bytes at `offset` within `line` into `buf`, on
     /// behalf of `node`. May replicate the line into `node`'s cache
-    /// (downgrading a remote exclusive copy — the `H_wr` pattern).
+    /// (downgrading a remote exclusive copy — the `H_wr` pattern). The
+    /// [`Machine::read_span`] of one line.
     pub fn read_into(
         &mut self,
         node: NodeId,
@@ -643,14 +784,11 @@ impl Machine {
         offset: usize,
         buf: &mut [u8],
     ) -> Result<(), MemError> {
-        let slot = self.check_access(node, line)?;
         if offset + buf.len() > self.cfg.line_size {
+            self.check_access(node, line)?;
             return Err(MemError::OutOfBounds { line, offset, len: buf.len() });
         }
-        self.do_read(node, line, slot);
-        let data = self.line_data(slot);
-        buf.copy_from_slice(&data[offset..offset + buf.len()]);
-        Ok(())
+        self.read_span(node, line, offset, buf)
     }
 
     /// Coherent full-line read without copying: performs the same
@@ -663,33 +801,19 @@ impl Machine {
         line: LineId,
         f: impl FnOnce(&[u8]) -> R,
     ) -> Result<R, MemError> {
-        let slot = self.check_access(node, line)?;
-        self.do_read(node, line, slot);
-        Ok(f(self.line_data(slot)))
+        let mut f = Some(f);
+        let mut out = None;
+        self.read_lines(node, line, 1, |_, data| out = f.take().map(|f| f(data)))?;
+        Ok(out.expect("a successful one-line read ran the sink"))
     }
 
     // ------------------------------------------------------------------
     // Writes
     // ------------------------------------------------------------------
 
-    /// Write `data` at `offset` within `line`, on behalf of `node`.
-    ///
-    /// Under [`CoherenceKind::WriteInvalidate`] all other cached copies are
-    /// invalidated first and the line becomes exclusive in `node`'s cache —
-    /// if another node held it, this is a **migration** (`H_ww1`). Under
-    /// [`CoherenceKind::WriteBroadcast`] every cached copy is updated in
-    /// place and all holders remain valid (§7).
-    pub fn write(
-        &mut self,
-        node: NodeId,
-        line: LineId,
-        offset: usize,
-        data: &[u8],
-    ) -> Result<(), MemError> {
-        let slot = self.check_access(node, line)?;
-        if offset + data.len() > self.cfg.line_size {
-            return Err(MemError::OutOfBounds { line, offset, len: data.len() });
-        }
+    /// The coherence transition + accounting for a write, after the access
+    /// check succeeded (the caller stores the bytes afterwards).
+    fn do_write(&mut self, node: NodeId, line: LineId, slot: Loc) -> Result<(), MemError> {
         self.stats.writes += 1;
         let (holder_count, locally_held) = {
             let h = &self.slot(slot).holders;
@@ -760,10 +884,58 @@ impl Machine {
                 self.slot_mut(slot).holders.insert(node);
             }
         }
-        let ls = self.cfg.line_size;
-        let off = slot.slot as usize * ls + offset;
-        self.shards[slot.sh as usize].data[off..off + data.len()].copy_from_slice(data);
         Ok(())
+    }
+
+    /// Coherent write of `data` starting `offset` bytes into `first` and
+    /// running on through the following line addresses, on behalf of
+    /// `node`: exactly the [`Machine::write`] calls on each covered line
+    /// in address order, stopping at the first error (the lines before it
+    /// stay written).
+    pub fn write_span(
+        &mut self,
+        node: NodeId,
+        first: LineId,
+        offset: usize,
+        data: &[u8],
+    ) -> Result<(), MemError> {
+        self.check_node(node)?;
+        let ls = self.cfg.line_size;
+        let count = self.lines_covered(offset, data.len());
+        let unrecovered = self.first_unrecovered(first, count);
+        let mut prev = None;
+        for i in 0..count {
+            let line = LineId(first.0 + i as u64);
+            let slot = self.access_line(node, line, prev, unrecovered)?;
+            self.do_write(node, line, slot)?;
+            let part = span_bytes(ls, offset, data.len(), i..i + 1);
+            let at = slot.slot as usize * ls + if i == 0 { offset } else { 0 };
+            self.shards[slot.sh as usize].data[at..at + part.len()].copy_from_slice(&data[part]);
+            prev = Some(slot);
+        }
+        Ok(())
+    }
+
+    /// Write `data` at `offset` within `line`, on behalf of `node`. The
+    /// [`Machine::write_span`] of one line.
+    ///
+    /// Under [`CoherenceKind::WriteInvalidate`] all other cached copies are
+    /// invalidated first and the line becomes exclusive in `node`'s cache —
+    /// if another node held it, this is a **migration** (`H_ww1`). Under
+    /// [`CoherenceKind::WriteBroadcast`] every cached copy is updated in
+    /// place and all holders remain valid (§7).
+    pub fn write(
+        &mut self,
+        node: NodeId,
+        line: LineId,
+        offset: usize,
+        data: &[u8],
+    ) -> Result<(), MemError> {
+        if offset + data.len() > self.cfg.line_size {
+            self.check_access(node, line)?;
+            return Err(MemError::OutOfBounds { line, offset, len: data.len() });
+        }
+        self.write_span(node, line, offset, data)
     }
 
     // ------------------------------------------------------------------
@@ -869,11 +1041,24 @@ impl Machine {
         }
     }
 
-    /// Clear the active bit (called after the owner forces its log).
+    /// Clear the active bit (called after the owner forces its log). The
+    /// [`Machine::clear_active_span`] of one line.
     pub fn clear_active(&mut self, line: LineId) {
-        debug_assert!(self.check_owned(line).is_ok(), "clear_active on a foreign stripe");
-        if let Some(s) = self.slot_of(line) {
-            self.slot_mut(s).active_owner = None;
+        self.clear_active_span(line, 1);
+    }
+
+    /// Clear the active bit on `count` consecutive lines starting at
+    /// `first` (a flushed page: every update on it is now durable or
+    /// covered by forced undo records).
+    pub fn clear_active_span(&mut self, first: LineId, count: usize) {
+        let mut prev = None;
+        for i in 0..count {
+            let line = LineId(first.0 + i as u64);
+            debug_assert!(self.check_owned(line).is_ok(), "clear_active on a foreign stripe");
+            prev = self.next_slot(prev, line);
+            if let Some(s) = prev {
+                self.slot_mut(s).active_owner = None;
+            }
         }
     }
 
@@ -886,14 +1071,51 @@ impl Machine {
     /// would inflict on an *active* line owned by another node, without
     /// performing the access. A Stable-LBM engine consults this before
     /// every access and forces the owner's log when an event is pending —
-    /// realising the trigger-based enforcement of §5.2.
+    /// realising the trigger-based enforcement of §5.2. The
+    /// [`Machine::next_trigger`] of one line.
     pub fn pending_triggers(
         &self,
         node: NodeId,
         line: LineId,
         is_write: bool,
     ) -> Option<TriggerEvent> {
-        let sl = self.slot(self.slot_of(line)?);
+        self.next_trigger(node, line, 1, is_write)
+    }
+
+    /// The first pending trigger (in address order) among `count`
+    /// consecutive lines starting at `first`: what
+    /// [`Machine::pending_triggers`] would report for the lowest line that
+    /// has one. A line's trigger depends on that line's directory entry
+    /// alone, so a caller can run a span operation over the trigger-free
+    /// lines below the reported one before enforcing it.
+    pub fn next_trigger(
+        &self,
+        node: NodeId,
+        first: LineId,
+        count: usize,
+        is_write: bool,
+    ) -> Option<TriggerEvent> {
+        let mut prev = None;
+        for i in 0..count {
+            let line = LineId(first.0 + i as u64);
+            prev = self.next_slot(prev, line);
+            if let Some(ev) = prev.and_then(|s| self.trigger_on(self.slot(s), node, line, is_write))
+            {
+                return Some(ev);
+            }
+        }
+        None
+    }
+
+    /// The trigger an access by `node` would fire on one directory entry.
+    #[inline]
+    fn trigger_on(
+        &self,
+        sl: &Slot,
+        node: NodeId,
+        line: LineId,
+        is_write: bool,
+    ) -> Option<TriggerEvent> {
         let owner = sl.active_owner?;
         if owner == node {
             return None;
@@ -1029,6 +1251,24 @@ impl Machine {
         self.slot_of(line).map(|s| !self.slot(s).lost).unwrap_or(false)
     }
 
+    /// How many of `count` consecutive lines starting at `first` are lost
+    /// ([`Machine::is_lost`]) and how many are cached on a surviving node
+    /// ([`Machine::probe_cached`]) — the page-granular form of the two
+    /// probes, one directory walk for both. The rest are not resident.
+    pub fn span_residency(&self, first: LineId, count: usize) -> SpanResidency {
+        let mut r = SpanResidency::default();
+        let mut prev = None;
+        for i in 0..count {
+            prev = self.next_slot(prev, LineId(first.0 + i as u64));
+            match prev {
+                Some(s) if self.slot(s).lost => r.lost += 1,
+                Some(_) => r.cached += 1,
+                None => {}
+            }
+        }
+        r
+    }
+
     /// Mark `line` as carrying pending redo from an instant restart: every
     /// coherent access (read, write, line lock) fails with
     /// [`MemError::Unrecovered`] until [`Machine::clear_unrecovered`], so
@@ -1084,6 +1324,30 @@ impl Machine {
         Ok(())
     }
 
+    /// Discard every cached copy of `count` consecutive lines starting at
+    /// `first` (no writeback): per line, exactly the [`Machine::discard`]
+    /// calls on each holder in ascending node order, so the directory
+    /// entries disappear. `Lost` entries have no copies and stay.
+    pub fn discard_span(&mut self, first: LineId, count: usize) {
+        let local_hit = self.cfg.cost.local_hit;
+        let mut prev = None;
+        for i in 0..count {
+            prev = self.next_slot(prev, LineId(first.0 + i as u64));
+            let Some(slot) = prev else { continue };
+            let holders = std::mem::replace(&mut self.slot_mut(slot).holders, HolderSet::empty());
+            if holders.is_empty() {
+                continue;
+            }
+            for &holder in holders.as_slice() {
+                self.stats.evictions += 1;
+                self.charge(holder, local_hit);
+            }
+            // Freeing keeps the slot's position, so it still anchors the
+            // walk to the next line.
+            self.free_slot(slot);
+        }
+    }
+
     /// Discard every line in `node`'s cache matching `pred`; returns how
     /// many were discarded. Redo-All step 1 uses this to flush all cached
     /// database objects from surviving nodes. Single allocation-free pass
@@ -1109,35 +1373,59 @@ impl Machine {
     /// overwriting any previous directory state including `Lost`. Used by
     /// restart recovery (reconstructing lines from logs) and by the buffer
     /// manager (fetching pages from the stable database). Clears any
-    /// active bit and line lock.
+    /// active bit and line lock. `data` is zero-padded to the line size.
+    /// The [`Machine::install_span`] of one line.
     pub fn install_line(
         &mut self,
         node: NodeId,
         line: LineId,
         data: &[u8],
     ) -> Result<(), MemError> {
+        assert!(data.len() <= self.cfg.line_size, "initialiser longer than a cache line");
+        self.install_span(node, line, data)
+    }
+
+    /// (Re)install consecutive lines starting at `first` from `image`,
+    /// one line per `line_size` bytes (the last one zero-padded; an empty
+    /// image installs one zero line), exclusive in `node`'s cache: exactly
+    /// the [`Machine::install_line`] calls in address order, stopping at
+    /// the first error.
+    pub fn install_span(
+        &mut self,
+        node: NodeId,
+        first: LineId,
+        image: &[u8],
+    ) -> Result<(), MemError> {
         self.check_node(node)?;
-        self.check_owned(line)?;
-        let slot = match self.slot_of(line) {
-            Some(s) => {
-                // Install is authoritative: any surviving copies elsewhere
-                // are dropped along with locks and active bits.
-                let sl = self.slot_mut(s);
-                sl.lost = false;
-                sl.locked_by = None;
-                sl.active_owner = None;
-                sl.holders = HolderSet::single(node);
-                s
-            }
-            None => self.alloc_slot(line, node),
-        };
-        self.write_line_padded(slot, data);
-        self.charge(node, self.cfg.cost.local_hit);
-        self.trace.emit(TraceEvent::Install { node, line });
-        self.obs.bus.emit(self.nodes[node.0 as usize].clock, || ObsEvent::Install {
-            node: node.0,
-            line: line.0,
-        });
+        let ls = self.cfg.line_size;
+        let mut prev = None;
+        for i in 0..self.lines_covered(0, image.len()) {
+            let line = LineId(first.0 + i as u64);
+            let slot = match self.next_slot(prev, line) {
+                Some(s) => {
+                    // Install is authoritative: any surviving copies elsewhere
+                    // are dropped along with locks and active bits.
+                    let sl = self.slot_mut(s);
+                    sl.lost = false;
+                    sl.locked_by = None;
+                    sl.active_owner = None;
+                    sl.holders = HolderSet::single(node);
+                    s
+                }
+                None => {
+                    self.check_owned(line)?;
+                    self.alloc_slot(line, node)
+                }
+            };
+            self.write_line_padded(slot, &image[span_bytes(ls, 0, image.len(), i..i + 1)]);
+            self.charge(node, self.cfg.cost.local_hit);
+            self.trace.emit(TraceEvent::Install { node, line });
+            self.obs.bus.emit(self.nodes[node.0 as usize].clock, || ObsEvent::Install {
+                node: node.0,
+                line: line.0,
+            });
+            prev = Some(slot);
+        }
         Ok(())
     }
 

@@ -4,7 +4,12 @@
 //! the lines whose only copies lived on failed nodes.
 
 use proptest::prelude::*;
-use smdb_sim::{CoherenceKind, LineId, Machine, MemError, NodeId, SimConfig};
+use rand::prelude::*;
+use smdb_sim::fault::{CrashPoint, FaultInjector, FaultPlan};
+use smdb_sim::{
+    CoherenceKind, LineId, Machine, MemError, NodeId, SimConfig, SpanResidency, TriggerEvent,
+    FAULT_INVALIDATE, FAULT_MIGRATE,
+};
 use std::collections::BTreeMap;
 
 #[derive(Clone, Debug)]
@@ -189,5 +194,255 @@ proptest! {
     #[test]
     fn write_broadcast_coherence(ops in proptest::collection::vec(op_strategy(4, 8), 1..120)) {
         run_model(CoherenceKind::WriteBroadcast, ops)?;
+    }
+}
+
+// ----------------------------------------------------------------------
+// Span operations ≡ their per-line sequences
+// ----------------------------------------------------------------------
+//
+// Every `*_span` operation is defined as the sequence of its single-line
+// calls in address order, stopping at the first error. The lockstep
+// property builds two identical machines from one random script, runs
+// the span operation on one and that per-line sequence on the other, and
+// demands the same result *and* the same machine afterwards: directory,
+// data, statistics, every node clock, the trace ring, the event bus, the
+// fault injector's record, and the bytes copied before an error.
+
+const SPAN_NODES: u16 = 4;
+const SPAN_LINES: u64 = 48;
+const SPAN_LINE_SIZE: usize = 16;
+
+/// One random machine, fully determined by `seed`: both coherence kinds,
+/// 1 or 8 shards with stripes short enough that spans cross them, a lane
+/// machine owning only some stripes half of the time a sharded machine
+/// comes up, and in the line range a mix of never-created, shared,
+/// migrated, line-locked, active, crash-lost and pending-redo lines.
+fn span_machine(seed: u64) -> (Machine, bool) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let kind = if rng.gen_bool(0.5) {
+        CoherenceKind::WriteInvalidate
+    } else {
+        CoherenceKind::WriteBroadcast
+    };
+    let shards = if rng.gen_bool(0.5) { 1 } else { 8 };
+    let cfg = SimConfig { coherence: kind, ..SimConfig::new(SPAN_NODES) }
+        .with_line_size(SPAN_LINE_SIZE)
+        .with_stall_on_lost(rng.gen_bool(0.3))
+        .with_shards(shards)
+        .with_stripe_lines([2, 4, 32][rng.gen_range(0..3usize)]);
+    let mut m = Machine::new(cfg);
+    // Residency: mostly whole runs installed in address order (adjacent
+    // slots, as a page fault leaves them), some created out of order,
+    // some absent.
+    let mut l = 0;
+    while l < SPAN_LINES {
+        let run = rng.gen_range(1..10u64).min(SPAN_LINES - l);
+        match rng.gen_range(0..10u32) {
+            0 => {}
+            1 | 2 => {
+                for k in (0..run).rev() {
+                    let byte = rng.gen::<u8>();
+                    m.create_line_at(NodeId(rng.gen_range(0..SPAN_NODES)), LineId(l + k), &[byte])
+                        .unwrap();
+                }
+            }
+            _ => {
+                let img: Vec<u8> =
+                    (0..run as usize * SPAN_LINE_SIZE).map(|_| rng.gen::<u8>()).collect();
+                m.install_span(NodeId(rng.gen_range(0..SPAN_NODES)), LineId(l), &img).unwrap();
+            }
+        }
+        l += run;
+    }
+    // Sharing history. Errors (a line-locked or absent line) are part of
+    // the script: both twins hit the same ones.
+    for _ in 0..rng.gen_range(0..120usize) {
+        let node = NodeId(rng.gen_range(0..SPAN_NODES));
+        let line = LineId(rng.gen_range(0..SPAN_LINES));
+        match rng.gen_range(0..12u32) {
+            0..=3 => {
+                let _ = m.read_into(node, line, 0, &mut [0u8; 3]);
+            }
+            4..=6 => {
+                let _ = m.write(node, line, 1, &[rng.gen::<u8>()]);
+            }
+            7 => {
+                let _ = m.getline(node, line);
+            }
+            8 => {
+                let _ = m.releaseline(node, line);
+            }
+            9 | 10 => m.set_active(line, node),
+            // (Dropping the copy under a line lock is not a state the
+            // engine produces.)
+            _ if m.line_lock_holder(line).is_none() => {
+                let _ = m.discard(node, line);
+            }
+            _ => {}
+        }
+    }
+    if rng.gen_bool(0.5) {
+        m.crash(&[NodeId(rng.gen_range(0..SPAN_NODES))]);
+    }
+    // A lane owns only some stripes: everything else is foreign. (Lanes
+    // refuse pending-redo marks at the split, so those come after.)
+    let lane = shards > 1 && rng.gen_bool(0.5);
+    if lane {
+        let stripes: Vec<u32> = (0..shards as u32).filter(|_| rng.gen_bool(0.7)).collect();
+        m = m.lane_split(&stripes);
+    }
+    for _ in 0..rng.gen_range(0..4usize) {
+        m.mark_unrecovered(LineId(rng.gen_range(0..SPAN_LINES)));
+    }
+    m.enable_trace(4096);
+    m.obs().enable(4096);
+    // A crash point somewhere among the coming migrations/invalidations.
+    if rng.gen_bool(0.3) {
+        let site = if rng.gen_bool(0.5) { FAULT_MIGRATE } else { FAULT_INVALIDATE };
+        let fault = FaultInjector::new();
+        fault.arm(FaultPlan::single(CrashPoint::new(site, rng.gen_range(0..6u64))));
+        m.set_fault_injector(fault);
+    }
+    (m, lane)
+}
+
+/// Everything observable about a machine (the index probe count aside:
+/// probing less is what the span walk is for).
+fn machine_state(m: &Machine) -> String {
+    let mut out = format!("{:?}\n", m.stats());
+    for n in 0..SPAN_NODES {
+        out += &format!("n{n}: clock {} crashed {}\n", m.now(NodeId(n)), m.is_crashed(NodeId(n)));
+    }
+    for l in 0..SPAN_LINES + 8 {
+        let line = LineId(l);
+        out += &format!(
+            "l{l}: exists {} lost {} holders {:?} lock {:?} active {:?} unrecovered {} data {:?}\n",
+            m.line_exists(line),
+            m.is_lost(line),
+            m.holders(line),
+            m.line_lock_holder(line),
+            m.active_owner(line),
+            m.is_unrecovered(line),
+            m.peek(line),
+        );
+    }
+    // Slot order (which slot each line was given) shows in scan order.
+    out += &format!("held {:?}\n", m.iter_held().map(|(n, l, _)| (n, l)).collect::<Vec<_>>());
+    let fs = m.flat_stats();
+    out += &format!(
+        "flat: live {} slots {} free {} capacity {} reuse {}\n",
+        fs.live_lines, fs.slots, fs.free_slots, fs.index_capacity, fs.buf_reuse
+    );
+    out += &format!("trace {:?}\n", m.trace().events().collect::<Vec<_>>());
+    out += &format!("bus {:?}\n", m.obs().bus.snapshot());
+    out += &format!("fired {:?}\n", m.fault_handle().fired());
+    out
+}
+
+/// The byte chunks of a span transfer: (line, offset within it, byte
+/// range of the transfer). The first line takes what fits after `offset`
+/// (nothing, for an empty transfer or `offset == line size`).
+fn span_chunks(
+    first: u64,
+    offset: usize,
+    len: usize,
+) -> Vec<(LineId, usize, std::ops::Range<usize>)> {
+    let head = len.min(SPAN_LINE_SIZE - offset);
+    let mut chunks = vec![(LineId(first), offset, 0..head)];
+    let mut done = head;
+    while done < len {
+        let n = (len - done).min(SPAN_LINE_SIZE);
+        chunks.push((LineId(first + chunks.len() as u64), 0, done..done + n));
+        done += n;
+    }
+    chunks
+}
+
+fn span_lockstep(seed: u64) -> Result<(), TestCaseError> {
+    let ((mut span, lane), (mut per_line, _)) = (span_machine(seed), span_machine(seed));
+    prop_assert_eq!(machine_state(&span), machine_state(&per_line), "twins differ before the op");
+    // The operation draws from its own stream so both twins see the same.
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED_5EED);
+    let node = NodeId(rng.gen_range(0..SPAN_NODES + 1)); // one past: NoSuchNode
+    let first = rng.gen_range(0..SPAN_LINES);
+    let count = rng.gen_range(0..12usize);
+    let offset = rng.gen_range(0..=SPAN_LINE_SIZE);
+    let len = match rng.gen_range(0..4u32) {
+        0 => 0,
+        1 => rng.gen_range(0..=SPAN_LINE_SIZE),
+        _ => rng.gen_range(0..9 * SPAN_LINE_SIZE),
+    };
+    let data: Vec<u8> = (0..len).map(|_| rng.gen::<u8>()).collect();
+    // Clearing active bits outside a lane's stripes is a caller bug (a
+    // debug assertion), not behaviour to compare.
+    let op = match rng.gen_range(0..7u32) {
+        3 if lane => 4,
+        op => op,
+    };
+    match op {
+        0 => {
+            let (mut a, mut b) = (vec![0xEEu8; len], vec![0xEEu8; len]);
+            let ra = span.read_span(node, LineId(first), offset, &mut a);
+            let rb =
+                span_chunks(first, offset, len).into_iter().try_for_each(|(line, within, r)| {
+                    per_line.read_into(node, line, within, &mut b[r])
+                });
+            prop_assert_eq!(ra, rb, "read_span result");
+            prop_assert_eq!(a, b, "bytes copied so far");
+        }
+        1 => {
+            let ra = span.write_span(node, LineId(first), offset, &data);
+            let rb = span_chunks(first, offset, len)
+                .into_iter()
+                .try_for_each(|(line, within, r)| per_line.write(node, line, within, &data[r]));
+            prop_assert_eq!(ra, rb, "write_span result");
+        }
+        2 => {
+            let ra = span.install_span(node, LineId(first), &data);
+            let rb = span_chunks(first, 0, len)
+                .into_iter()
+                .try_for_each(|(line, _, r)| per_line.install_line(node, line, &data[r]));
+            prop_assert_eq!(ra, rb, "install_span result");
+        }
+        3 => {
+            span.clear_active_span(LineId(first), count);
+            for l in first..first + count as u64 {
+                per_line.clear_active(LineId(l));
+            }
+        }
+        4 => {
+            let mut want = SpanResidency::default();
+            for l in first..first + count as u64 {
+                want.lost += per_line.is_lost(LineId(l)) as usize;
+                want.cached += per_line.probe_cached(LineId(l)) as usize;
+            }
+            prop_assert_eq!(span.span_residency(LineId(first), count), want);
+        }
+        5 => {
+            span.discard_span(LineId(first), count);
+            for l in first..first + count as u64 {
+                while let Some(&holder) = per_line.holders(LineId(l)).first() {
+                    per_line.discard(holder, LineId(l)).unwrap();
+                }
+            }
+        }
+        _ => {
+            let is_write = rng.gen_bool(0.5);
+            let want: Option<TriggerEvent> = (first..first + count as u64)
+                .find_map(|l| per_line.pending_triggers(node, LineId(l), is_write));
+            prop_assert_eq!(span.next_trigger(node, LineId(first), count, is_write), want);
+        }
+    }
+    prop_assert_eq!(machine_state(&span), machine_state(&per_line), "op {} diverged", op);
+    span.validate_flat();
+    Ok(())
+}
+
+proptest! {
+    // Default case count, so CI can raise it with PROPTEST_CASES.
+    #[test]
+    fn span_ops_equal_their_per_line_sequences(seed in any::<u64>()) {
+        span_lockstep(seed)?;
     }
 }

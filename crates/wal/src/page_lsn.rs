@@ -13,12 +13,18 @@ use crate::lsn::Lsn;
 use smdb_sim::NodeId;
 use smdb_storage::PageId;
 use std::collections::BTreeMap;
+use std::ops::RangeInclusive;
 
 /// Tracks, per page, the last update LSN of every node that has updated it
 /// since the page was last flushed.
 #[derive(Clone, Debug, Default)]
 pub struct PageLsnTable {
     entries: BTreeMap<(PageId, NodeId), Lsn>,
+}
+
+/// The key range holding every entry of `page`.
+fn page_keys(page: PageId) -> RangeInclusive<(PageId, NodeId)> {
+    (page, NodeId(0))..=(page, NodeId(u16::MAX))
 }
 
 impl PageLsnTable {
@@ -38,15 +44,16 @@ impl PageLsnTable {
     /// The per-node force requirements before `page` may be flushed: every
     /// `(node, lsn)` pair returned must satisfy `stable_lsn(node) >= lsn`.
     pub fn flush_requirements(&self, page: PageId) -> Vec<(NodeId, Lsn)> {
-        self.entries
-            .range((page, NodeId(0))..=(page, NodeId(u16::MAX)))
-            .map(|(&(_, n), &l)| (n, l))
-            .collect()
+        self.entries.range(page_keys(page)).map(|(&(_, n), &l)| (n, l)).collect()
     }
 
-    /// Clear all entries for a page (after it has been flushed).
+    /// Clear all entries for a page (after it has been flushed): its
+    /// `(page, *)` key range, so the cost follows the page's updaters and
+    /// not the table (a checkpoint flushes every dirty page in turn).
     pub fn page_flushed(&mut self, page: PageId) {
-        self.entries.retain(|&(p, _), _| p != page);
+        while let Some((&key, _)) = self.entries.range(page_keys(page)).next() {
+            self.entries.remove(&key);
+        }
     }
 
     /// Reinitialize a crashed node's entries (its updates are being rolled
@@ -119,6 +126,26 @@ mod tests {
         t.page_flushed(PageId(1));
         assert!(t.flush_requirements(PageId(1)).is_empty());
         assert_eq!(t.dirty_pages(), vec![PageId(2)]);
+    }
+
+    #[test]
+    fn flush_leaves_neighbouring_key_ranges_alone() {
+        // The boundary keys of the removed range: the last possible node
+        // of the page below and the first of the page above.
+        let mut t = PageLsnTable::new();
+        t.note_update(PageId(4), NodeId(u16::MAX), Lsn(1));
+        t.note_update(PageId(5), NodeId(0), Lsn(2));
+        t.note_update(PageId(5), NodeId(7), Lsn(3));
+        t.note_update(PageId(5), NodeId(u16::MAX), Lsn(4));
+        t.note_update(PageId(6), NodeId(0), Lsn(5));
+        t.page_flushed(PageId(5));
+        assert!(t.flush_requirements(PageId(5)).is_empty());
+        assert_eq!(t.flush_requirements(PageId(4)), vec![(NodeId(u16::MAX), Lsn(1))]);
+        assert_eq!(t.flush_requirements(PageId(6)), vec![(NodeId(0), Lsn(5))]);
+        assert_eq!(t.len(), 2);
+        // Flushing a page with no entries is a no-op.
+        t.page_flushed(PageId(5));
+        assert_eq!(t.len(), 2);
     }
 
     #[test]

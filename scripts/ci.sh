@@ -34,6 +34,13 @@ echo "== crash-point sweep (bounded, striped directory) =="
 # also replays through the sharded directory and its recovery paths.
 SMDB_SIM_SHARDS=8 cargo test --release -q --test crash_sweep
 
+echo "== span-op lockstep (2000 cases) =="
+# Every simulator span operation against its per-line sequence on a twin
+# machine (DESIGN §10): same result, same machine state, stats, clocks,
+# trace ring and event bus. The workspace test steps above run the
+# default 256 cases; this one digs deeper (~1 s in release).
+PROPTEST_CASES=2000 cargo test --release -q -p smdb-sim --test coherence_proptest span_ops
+
 echo "== schedule fuzz (bounded, fixed seeds) =="
 # Deterministic VOPR-style schedule fuzz (DESIGN §13): three fixed master
 # seeds (500 schedules each), so this step replays the same schedules on
@@ -52,6 +59,11 @@ echo "== benchmark smoke (perf --smoke) =="
 # unit tests (which pin BENCHMARK.json to the harness), so the benchmark
 # cannot rot unnoticed. No timing is gated here.
 cargo run --release --offline --quiet --manifest-path perf/Cargo.toml -- --smoke
+
+echo "== benchmark smoke, traced (perf --smoke --traced) =="
+# The same at --trace 1 (~3 s): the per-layer ledger, the standalone
+# probes and the Chrome-trace writer, which nothing else in CI runs.
+cargo run --release --offline --quiet --manifest-path perf/Cargo.toml -- --smoke --traced
 cargo test --release --offline -q --manifest-path perf/Cargo.toml
 
 echo "== rustfmt =="
