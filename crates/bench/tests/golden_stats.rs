@@ -107,29 +107,10 @@ fn golden_e4(out: &mut String) {
 /// lock-recovery stats, recovery cycles and the phase order with its
 /// per-phase cycles.
 fn golden_restart(out: &mut String) {
-    let mut cells: Vec<(ProtocolKind, bool)> = Vec::new();
-    for p in ProtocolKind::ifa_protocols() {
-        cells.push((p, false));
-        cells.push((p, true));
-    }
-    cells.push((ProtocolKind::FaOnly, false));
-    for (p, instant) in cells {
+    for (p, instant) in restart_cells() {
         let _ = writeln!(out, "[restart protocol={p:?} instant={instant}]");
-        let mut cfg = DbConfig::bench(8, p)
-            .without_index()
-            .with_early_lock_release()
-            .with_lock_polling()
-            .with_coalesced_forces();
-        if instant {
-            cfg = cfg.with_instant_restart();
-        }
-        let mut db = SmDb::new(cfg);
-        let report = run_mix(&mut db, MixParams::contended_tp1(5000));
-        let _ = writeln!(out, "committed: {}", report.committed);
-        let active = spawn_active(&mut db, 2, 2, true, 5);
-        for txn in [active[0], active[2]] {
-            db.commit_pipelined(txn).expect("pipelined commit");
-        }
+        let (mut db, committed) = restart_scenario(p, instant);
+        let _ = writeln!(out, "committed: {committed}");
         let outcome = db.crash_and_recover(&[NodeId(0)]).expect("recovery");
         let _ = writeln!(out, "redo_pending_at_open: {}", db.redo_pending());
         while db.redo_pending() > 0 {
@@ -142,6 +123,38 @@ fn golden_restart(out: &mut String) {
         render_db(out, &db);
         let _ = writeln!(out);
     }
+}
+
+/// The nine cells of the restart scenario: four IFA protocols × eager /
+/// instant restart, plus the FA-only baseline.
+fn restart_cells() -> Vec<(ProtocolKind, bool)> {
+    let mut cells: Vec<(ProtocolKind, bool)> = Vec::new();
+    for p in ProtocolKind::ifa_protocols() {
+        cells.push((p, false));
+        cells.push((p, true));
+    }
+    cells.push((ProtocolKind::FaOnly, false));
+    cells
+}
+
+/// One cell of the restart scenario up to the moment before the crash:
+/// the engine and the number of transactions the forward run committed.
+fn restart_scenario(p: ProtocolKind, instant: bool) -> (SmDb, u64) {
+    let mut cfg = DbConfig::bench(8, p)
+        .without_index()
+        .with_early_lock_release()
+        .with_lock_polling()
+        .with_coalesced_forces();
+    if instant {
+        cfg = cfg.with_instant_restart();
+    }
+    let mut db = SmDb::new(cfg);
+    let report = run_mix(&mut db, MixParams::contended_tp1(5000));
+    let active = spawn_active(&mut db, 2, 2, true, 5);
+    for txn in [active[0], active[2]] {
+        db.commit_pipelined(txn).expect("pipelined commit");
+    }
+    (db, report.committed)
 }
 
 /// Everything a driver run leaves behind that a rewrite of the loop could
@@ -302,6 +315,66 @@ fn golden_restart_outcome() {
     let mut got = String::new();
     golden_restart(&mut got);
     check_golden("restart_outcome.golden", &got);
+}
+
+/// Finish whatever the engine still owes after a recovery and check IFA.
+fn settle_and_check_ifa(db: &mut SmDb, scan_node: NodeId) {
+    while db.redo_pending() > 0 {
+        db.drain_redo(scan_node, 64).expect("drain");
+    }
+    db.drain_commit_pipeline().expect("pipeline drain");
+    db.check_ifa(scan_node).assert_ok();
+}
+
+/// The Selective-Redo probe asks about the redo plan's lines only; on
+/// every cell of the restart scenario it must answer what the whole-cache
+/// snapshot it replaced answers — also when a first recovery attempt died
+/// after its reinstall phase and left stale stable images in a cache,
+/// whether the node that holds them dies next (the usual continuation) or
+/// survives into the second attempt (where trusting them would skip redo
+/// the records still need).
+#[test]
+fn plan_sized_probe_equals_whole_cache_snapshot() {
+    use smdb_core::fault::{CrashPoint, FaultInjector, FaultPlan};
+    let assert_exact = |db: &SmDb, at: &str| {
+        let diffs = db.check_cached_probe();
+        assert!(diffs.is_empty(), "cached probe diverged {at}:\n  {}", diffs.join("\n  "));
+    };
+    for (p, instant) in restart_cells() {
+        let at = format!("{p:?} instant={instant}");
+        let (mut db, _) = restart_scenario(p, instant);
+        db.crash(&[NodeId(0)]);
+        assert_exact(&db, &at);
+        db.recover().expect("recovery");
+        settle_and_check_ifa(&mut db, NodeId(1));
+
+        if !p.guarantees_ifa() {
+            continue; // the full restart has no reinstall phase to die after
+        }
+        for second_victim_is_host in [true, false] {
+            let at = format!("{at}, interrupted, host dies next: {second_victim_is_host}");
+            let (mut db, _) = restart_scenario(p, instant);
+            let fault = FaultInjector::new();
+            db.set_fault_injector(fault.clone());
+            db.crash(&[NodeId(0)]);
+            // The second phase boundary: reinstall is done.
+            fault.arm(FaultPlan::single(CrashPoint::new(smdb_core::FAULT_RECOVERY_PHASE, 1)));
+            let err = db.recover().expect_err("armed phase point must fire");
+            let host = NodeId(err.fault_crash().expect("a crash point").node);
+            let bystander = NodeId(if host == NodeId(7) { 6 } else { 7 });
+            assert_exact(&db, &format!("{at}, before the second crash"));
+            db.crash(&[if second_victim_is_host { host } else { bystander }]);
+            assert_exact(&db, &at);
+            let outcome = db.recover().unwrap_or_else(|e| panic!("{at}: {e}"));
+            let scan = db.machine().surviving_nodes()[0];
+            let planned = outcome.redo_applied
+                + outcome.redo_skipped_cached
+                + outcome.redo_skipped_stable
+                + db.redo_pending() as u64;
+            assert_ne!(planned, 0, "{at}: the probe was asked about an empty plan");
+            settle_and_check_ifa(&mut db, scan);
+        }
+    }
 }
 
 #[test]

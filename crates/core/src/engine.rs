@@ -16,7 +16,7 @@ use crate::oracle::ShadowDb;
 use crate::record::{RecordLayout, NULL_TAG, TAG_SIZE};
 use crate::restart::InstantRedoState;
 use crate::stats::EngineStats;
-use crate::txn::{Op, TxnOp, TxnState, TxnStatus};
+use crate::txn::{Op, TxnOp, TxnState, TxnStatus, TxnTable};
 use bytes::Bytes;
 use smdb_btree::{
     BTree, BtreeError, LineSpan, TreeCtx, APPEND_BYTES_COUNTER, COALESCED_FORCES_COUNTER,
@@ -92,8 +92,9 @@ pub struct SmDb {
     pub(crate) ckpt: CheckpointStore,
     pub(crate) locks: LockManager,
     pub(crate) tree: Option<BTree>,
-    pub(crate) txns: BTreeMap<TxnId, TxnState>,
-    pub(crate) seqs: Vec<u64>,
+    /// Live transactions plus the status of every one ever begun (and
+    /// the per-node sequence counters the ids come from).
+    pub(crate) txns: TxnTable,
     pub(crate) layout: RecordLayout,
     pub(crate) heap_pages: u32,
     pub(crate) gsn: u64,
@@ -218,7 +219,7 @@ impl SmDb {
         } else {
             None
         };
-        let seqs = vec![0u64; cfg.nodes as usize];
+        let txns = TxnTable::new(cfg.nodes);
         let ckpt = CheckpointStore::new(cfg.nodes);
         SmDb {
             cfg,
@@ -229,8 +230,7 @@ impl SmDb {
             ckpt,
             locks,
             tree,
-            txns: BTreeMap::new(),
-            seqs,
+            txns,
             layout,
             heap_pages,
             gsn,
@@ -442,23 +442,34 @@ impl SmDb {
         &self.shadow
     }
 
-    /// Transactions table (read-only view).
+    /// The state of a *live* transaction: in flight, committing, or
+    /// aborted by a recovery while its commit record is still on its home
+    /// log. `None` once the transaction has settled — its operations and
+    /// participants are gone; [`SmDb::txn_status`] still answers for it.
     pub fn txn(&self, txn: TxnId) -> Option<&TxnState> {
-        self.txns.get(&txn)
+        self.txns.get(txn)
     }
 
-    /// Active transaction count (the timeline's in-flight gauge).
-    fn in_flight(&self) -> u64 {
-        self.txns.values().filter(|t| t.is_active()).count() as u64
+    /// The status of any transaction this engine ever began (`None` for an
+    /// id it never issued).
+    pub fn txn_status(&self, txn: TxnId) -> Option<TxnStatus> {
+        self.txns.status(txn)
     }
 
     /// Currently active transactions, optionally filtered by node.
     pub fn active_txns(&self, node: Option<NodeId>) -> Vec<TxnId> {
         self.txns
-            .values()
+            .live()
             .filter(|t| t.is_active() && node.map(|n| t.id.node() == n).unwrap_or(true))
             .map(|t| t.id)
             .collect()
+    }
+
+    /// Account one walk of the active table by `crash`, `recover` or
+    /// `checkpoint` (`restart.txn_entries_visited`): the count must follow
+    /// the transactions live at the time, never the history behind them.
+    pub(crate) fn note_table_walk(&self) {
+        self.m.obs().metrics.add(names::RESTART_TXN_ENTRIES_VISITED, self.txns.live_len() as u64);
     }
 
     pub(crate) fn lock_name_for_rec(slot: u64) -> u64 {
@@ -475,7 +486,7 @@ impl SmDb {
     }
 
     fn check_active(&self, txn: TxnId) -> Result<(), DbError> {
-        match self.txns.get(&txn) {
+        match self.txns.get(txn) {
             // A pipelined commit in flight (`committing`) accepts no
             // further operations: its commit record is already appended.
             Some(t) if t.is_active() && !t.committing => Ok(()),
@@ -615,17 +626,15 @@ impl SmDb {
         if self.m.is_crashed(node) {
             return Err(DbError::NodeDown { node });
         }
-        self.seqs[node.0 as usize] += 1;
-        let txn = TxnId::new(node, self.seqs[node.0 as usize]);
+        let txn = self.txns.begin(node);
         self.logs.append(node, LogPayload::Begin { txn });
-        self.txns.insert(txn, TxnState::new(txn));
         self.stats.begins += 1;
         let obs = self.m.obs();
         if obs.spans.is_enabled() {
             obs.spans.begin(txn.0, node.0, self.m.now(node));
         }
         if obs.timeline.is_enabled() {
-            obs.timeline.on_begin(self.m.max_clock(), self.in_flight());
+            obs.timeline.on_begin(self.m.max_clock(), self.txns.in_flight());
         }
         Ok(txn)
     }
@@ -639,7 +648,7 @@ impl SmDb {
         if self.m.is_crashed(node) {
             return Err(DbError::NodeDown { node });
         }
-        req(self.txns.get_mut(&txn), "txn checked active")?.participants.insert(node);
+        req(self.txns.get_mut(txn), "txn checked active")?.participants.insert(node);
         Ok(())
     }
 
@@ -675,8 +684,10 @@ impl SmDb {
         if self.m.is_crashed(node) {
             return Err(DbError::NodeDown { node });
         }
-        let t = self.txns.get(&txn).ok_or(DbError::TxnNotActive { txn })?;
-        assert!(t.runs_on(node), "{txn} does not run on {node}: attach() it first");
+        let t = self.txns.get(txn).ok_or(DbError::TxnNotActive { txn })?;
+        if !t.runs_on(node) {
+            return Err(DbError::NotParticipant { txn, node });
+        }
         Ok(())
     }
 
@@ -829,7 +840,7 @@ impl SmDb {
             let execute = cycles.saturating_sub(append_cycles + force_cycles);
             obs.spans.add(txn.0, Stage::Execute, execute);
         }
-        let t = req(self.txns.get_mut(&txn), "txn checked active")?;
+        let t = req(self.txns.get_mut(txn), "txn checked active")?;
         t.ops.push(TxnOp::Update { rec, before, node });
         self.shadow.note_update(txn, slot, payload);
         Ok(())
@@ -861,7 +872,7 @@ impl SmDb {
             obs.spans.add(txn.0, Stage::ForceWait, force_cycles);
             obs.spans.add(txn.0, Stage::Execute, cycles.saturating_sub(force_cycles));
         }
-        let t = req(self.txns.get_mut(&txn), "txn checked active")?;
+        let t = req(self.txns.get_mut(txn), "txn checked active")?;
         t.ops.push(TxnOp::IndexInsert { key });
         self.shadow.note_index_insert(txn, key, value);
         Ok(())
@@ -953,7 +964,7 @@ impl SmDb {
             obs.spans.add(txn.0, Stage::ForceWait, force_cycles);
             obs.spans.add(txn.0, Stage::Execute, cycles.saturating_sub(force_cycles));
         }
-        let t = req(self.txns.get_mut(&txn), "txn checked active")?;
+        let t = req(self.txns.get_mut(txn), "txn checked active")?;
         t.ops.push(TxnOp::IndexDelete { key });
         self.shadow.note_index_delete(txn, key);
         Ok(())
@@ -991,14 +1002,12 @@ impl SmDb {
         if let Some(c) = self.fault.hit(FAULT_COMMIT, node.0) {
             return Err(DbError::FaultCrash(c));
         }
-        let participants: Vec<NodeId> = req(self.txns.get(&txn), "txn checked active")?
-            .participants
-            .iter()
-            .copied()
-            .filter(|n| *n != node)
-            .collect();
-        for p in participants {
-            self.commit_force(p, None)?;
+        let t = req(self.txns.get(txn), "txn checked active")?;
+        if t.is_parallel() {
+            let participants = t.participants.clone();
+            for &p in participants.as_slice().iter().filter(|p| **p != node) {
+                self.commit_force(p, None)?;
+            }
         }
         Ok(if self.m.obs().spans.is_enabled() { self.m.now(node) } else { 0 })
     }
@@ -1095,11 +1104,8 @@ impl SmDb {
         let mut deps: Vec<CommitDep> = Vec::new();
         if let Some(list) = self.inherited_deps.get(&txn) {
             for d in list {
-                let unacked = self
-                    .txns
-                    .get(&d.releaser)
-                    .map(|t| t.status != TxnStatus::Committed)
-                    .unwrap_or(false);
+                let unacked =
+                    self.txns.status(d.releaser).is_some_and(|s| s != TxnStatus::Committed);
                 if unacked && !deps.iter().any(|c| c.txn == d.releaser) {
                     deps.push(CommitDep { txn: d.releaser, lsn: d.commit_lsn });
                 }
@@ -1117,8 +1123,7 @@ impl SmDb {
         while i < chain.len() {
             if let Some(p) = self.pending_commits.iter().find(|p| p.txn == chain[i].txn) {
                 for d in &p.deps {
-                    let acked =
-                        self.txns.get(&d.txn).is_some_and(|t| t.status == TxnStatus::Committed);
+                    let acked = self.txns.status(d.txn) == Some(TxnStatus::Committed);
                     if !acked && !chain.iter().any(|c| c.txn == d.txn) {
                         chain.push(*d);
                     }
@@ -1183,7 +1188,7 @@ impl SmDb {
         if self.m.obs().spans.is_enabled() {
             self.m.obs().spans.add(txn.0, Stage::Commit, appended_at.saturating_sub(commit_t0));
         }
-        req(self.txns.get_mut(&txn), "txn checked active")?.committing = true;
+        req(self.txns.get_mut(txn), "txn checked active")?.committing = true;
         self.pending_commits.push(PendingCommit { txn, node, lsn, deps, appended_at });
         Ok(())
     }
@@ -1232,9 +1237,10 @@ impl SmDb {
                 if self.logs.log(p.node).durable_lsn() < p.lsn {
                     continue;
                 }
-                let deps_ok = p.deps.iter().all(|d| {
-                    self.txns.get(&d.txn).map(|t| t.status == TxnStatus::Committed).unwrap_or(true)
-                });
+                let deps_ok = p
+                    .deps
+                    .iter()
+                    .all(|d| self.txns.status(d.txn).is_none_or(|s| s == TxnStatus::Committed));
                 if deps_ok {
                     ready.push(i);
                     if !self.sched.is_enabled() {
@@ -1272,7 +1278,43 @@ impl SmDb {
         let node = txn.node();
         let spans_on = self.m.obs().spans.is_enabled();
         let t0 = if spans_on { self.m.now(node) } else { 0 };
-        let t = req(self.txns.get(&txn), "committing txn present in table")?.clone();
+        // The entry retires here, so its operation list moves out with it;
+        // a failure (an injected crash mid-processing) puts it back.
+        let t = req(self.txns.take(txn), "committing txn present in table")?;
+        if let Err(e) = self.post_commit(&t, early_released) {
+            self.txns.restore(t);
+            return Err(e);
+        }
+        self.inherited_deps.remove(&txn);
+        self.txns.settle_committed(txn);
+        self.shadow.commit(txn);
+        self.stats.commits += 1;
+        let mut latency = 0u64;
+        let obs = self.m.obs();
+        if spans_on {
+            let end_at = self.m.now(node);
+            obs.spans.add(txn.0, Stage::ForceWait, force_wait);
+            obs.spans.add(txn.0, Stage::Commit, end_at.saturating_sub(t0));
+            if let Some(span) = obs.spans.end(txn.0, end_at, true) {
+                latency = span.latency();
+                obs.metrics.observe(names::TXN_LATENCY_CYCLES, latency);
+            }
+        }
+        if obs.is_enabled() {
+            obs.metrics.inc(names::TXN_COMMITTED);
+        }
+        if obs.timeline.is_enabled() {
+            obs.timeline.on_commit(self.m.max_clock(), latency, self.txns.in_flight());
+        }
+        Ok(())
+    }
+
+    /// The fallible half of [`Self::finish_commit`], over the retiring
+    /// entry `t`: undo-tag clears, index post-commit processing, and lock
+    /// release or violation resolution.
+    fn post_commit(&mut self, t: &TxnState, early_released: bool) -> Result<(), DbError> {
+        let txn = t.id;
+        let node = txn.node();
         // Clear heap undo tags (the data is no longer active — §4.1.2:
         // "Once the data is no longer active, the node ID is assigned a
         // null value").
@@ -1282,9 +1324,8 @@ impl SmDb {
                 // lock release may have re-tagged it and still be in
                 // flight: the tag is the successor's responsibility now.
                 if early_released {
-                    let owned_elsewhere = self.txns.values().any(|o| {
-                        o.id != txn
-                            && o.is_active()
+                    let owned_elsewhere = self.txns.live().any(|o| {
+                        o.is_active()
                             && o.ops
                                 .iter()
                                 .any(|op| matches!(op, TxnOp::Update { rec: r, .. } if *r == rec))
@@ -1330,29 +1371,6 @@ impl SmDb {
             self.locks.release_all(&mut self.m, &mut self.logs, txn)?;
             self.pending_waits.remove(&txn);
         }
-        self.inherited_deps.remove(&txn);
-        let ts = req(self.txns.get_mut(&txn), "committing txn present in table")?;
-        ts.status = TxnStatus::Committed;
-        ts.committing = false;
-        self.shadow.commit(txn);
-        self.stats.commits += 1;
-        let mut latency = 0u64;
-        let obs = self.m.obs();
-        if spans_on {
-            let end_at = self.m.now(node);
-            obs.spans.add(txn.0, Stage::ForceWait, force_wait);
-            obs.spans.add(txn.0, Stage::Commit, end_at.saturating_sub(t0));
-            if let Some(span) = obs.spans.end(txn.0, end_at, true) {
-                latency = span.latency();
-                obs.metrics.observe(names::TXN_LATENCY_CYCLES, latency);
-            }
-        }
-        if obs.is_enabled() {
-            obs.metrics.inc(names::TXN_COMMITTED);
-        }
-        if obs.timeline.is_enabled() {
-            obs.timeline.on_commit(self.m.max_clock(), latency, self.in_flight());
-        }
         Ok(())
     }
 
@@ -1371,7 +1389,52 @@ impl SmDb {
         // The whole rollback body is finalization work: attributed to the
         // commit/abort stage rather than re-execution.
         let abort_t0 = if spans_on { self.m.now(node) } else { 0 };
-        let t = req(self.txns.get(&txn), "txn checked active")?.clone();
+        let t = req(self.txns.take(txn), "txn checked active")?;
+        if let Err(e) = self.rollback(&t) {
+            self.txns.restore(t);
+            return Err(e);
+        }
+        self.settle_aborted(txn);
+        // A voluntary abort restores every inherited value itself; its
+        // commit dependencies die with it (it never appended a commit
+        // record — `check_active` rejects committing transactions here).
+        self.inherited_deps.remove(&txn);
+        self.shadow.drop_pending(txn);
+        self.stats.voluntary_aborts += 1;
+        if spans_on {
+            let end_at = self.m.now(node);
+            let obs = self.m.obs();
+            obs.spans.add(txn.0, Stage::Commit, end_at.saturating_sub(abort_t0));
+            if let Some(span) = obs.spans.end(txn.0, end_at, false) {
+                obs.metrics.observe(names::TXN_LATENCY_CYCLES, span.latency());
+            }
+        }
+        let obs = self.m.obs();
+        if obs.metrics.is_enabled() {
+            obs.metrics.inc(names::TXN_ABORTED);
+        }
+        if obs.timeline.is_enabled() {
+            obs.timeline.on_abort(self.m.max_clock(), self.txns.in_flight());
+        }
+        Ok(())
+    }
+
+    /// Settle `txn` as aborted (voluntarily or by a recovery). Its entry
+    /// stays in the active table, stripped to the status, only if a commit
+    /// record of its sits on its home log: stable now or forced later,
+    /// that record keeps entering the commit-dependency fixpoint
+    /// ([`SmDb::settled_unacked_commits`]), which must go on refusing it.
+    pub(crate) fn settle_aborted(&mut self, txn: TxnId) {
+        let owed = self.logs.log(txn.node()).index().commit_lsn(txn).is_some();
+        self.txns.settle_aborted(txn, owed);
+    }
+
+    /// The fallible half of [`Self::abort`], over the retiring entry `t`:
+    /// restore before images in reverse order under compensation records,
+    /// log the abort, withdraw queued lock requests, release the locks.
+    fn rollback(&mut self, t: &TxnState) -> Result<(), DbError> {
+        let txn = t.id;
+        let node = txn.node();
         for op in t.ops.iter().rev() {
             match op {
                 TxnOp::Update { rec, before, node: op_node } => {
@@ -1425,28 +1488,6 @@ impl SmDb {
             }
         }
         self.locks.release_all(&mut self.m, &mut self.logs, txn)?;
-        req(self.txns.get_mut(&txn), "txn checked active")?.status = TxnStatus::Aborted;
-        // A voluntary abort restores every inherited value itself; its
-        // commit dependencies die with it (it never appended a commit
-        // record — `check_active` rejects committing transactions here).
-        self.inherited_deps.remove(&txn);
-        self.shadow.drop_pending(txn);
-        self.stats.voluntary_aborts += 1;
-        if spans_on {
-            let end_at = self.m.now(node);
-            let obs = self.m.obs();
-            obs.spans.add(txn.0, Stage::Commit, end_at.saturating_sub(abort_t0));
-            if let Some(span) = obs.spans.end(txn.0, end_at, false) {
-                obs.metrics.observe(names::TXN_LATENCY_CYCLES, span.latency());
-            }
-        }
-        let obs = self.m.obs();
-        if obs.metrics.is_enabled() {
-            obs.metrics.inc(names::TXN_ABORTED);
-        }
-        if obs.timeline.is_enabled() {
-            obs.timeline.on_abort(self.m.max_clock(), self.in_flight());
-        }
         Ok(())
     }
 
@@ -1518,9 +1559,8 @@ impl SmDb {
         // Log reclamation: recovery never scans below the checkpoint for
         // redo (every page is flushed), and never needs undo information
         // below the first record of any still-active transaction. The
-        // truncation point per node is the minimum of the two. The
-        // transaction table keeps every transaction ever begun; pick the
-        // active ones out once, not once per node.
+        // truncation point per node is the minimum of the two.
+        self.note_table_walk();
         let active = self.active_txns(None);
         for n in 0..self.cfg.nodes {
             let nid = NodeId(n);

@@ -31,6 +31,14 @@ pub enum DbError {
         /// The transaction.
         txn: TxnId,
     },
+    /// Operation of a parallel transaction issued on a node it was never
+    /// [attached](crate::SmDb::attach) to.
+    NotParticipant {
+        /// The transaction.
+        txn: TxnId,
+        /// The node it does not run on.
+        node: smdb_sim::NodeId,
+    },
     /// Record slot outside the configured heap.
     NoSuchRecord {
         /// Global slot index requested.
@@ -129,6 +137,9 @@ impl fmt::Display for DbError {
                 write!(f, "{txn} would block on lock {lock} (no-wait policy)")
             }
             DbError::TxnNotActive { txn } => write!(f, "{txn} is not active"),
+            DbError::NotParticipant { txn, node } => {
+                write!(f, "{txn} does not run on {node}: attach() it first")
+            }
             DbError::NoSuchRecord { slot } => write!(f, "no record slot {slot}"),
             DbError::NodeDown { node } => write!(f, "{node} is down"),
             DbError::NoIndex => write!(f, "engine configured without an index"),

@@ -217,8 +217,7 @@ impl SmDb {
             ckpt: CheckpointStore::new(self.cfg.nodes),
             locks: self.locks.lane_fork(),
             tree: None,
-            txns: BTreeMap::new(),
-            seqs: self.seqs.clone(),
+            txns: self.txns.lane_fork(),
             layout: self.layout,
             heap_pages: self.heap_pages,
             gsn: 0,
@@ -243,15 +242,16 @@ impl SmDb {
     /// Merge a lane back at the epoch barrier. Every component merge
     /// either commutes (counter addition, max-merge) or touches only the
     /// lane's own slice of parent state (its shards, its node's log and
-    /// sequence counter), so the node-ordered merge is deterministic.
+    /// its node's segment of the transaction-status index, which the lane
+    /// extended from the parent's high-water mark), so the node-ordered
+    /// merge is deterministic.
     fn lane_merge(&mut self, node: NodeId, lane: SmDb) {
-        let SmDb { m, logs, plt, locks, txns, seqs, stats, shadow, .. } = lane;
+        let SmDb { m, logs, plt, locks, txns, stats, shadow, .. } = lane;
         self.m.lane_merge(node, m);
         self.logs.lane_merge(node, logs);
         self.plt.absorb(&plt);
         self.locks.lane_absorb(&locks);
-        self.txns.extend(txns);
-        self.seqs[node.0 as usize] = seqs[node.0 as usize];
+        self.txns.lane_absorb(node, txns);
         self.stats.absorb(&stats);
         self.shadow.absorb(shadow);
     }
@@ -289,7 +289,7 @@ impl SmDb {
         assert!(!self.instant_active(), "mt excludes instant restart");
         assert!(self.pending_recovery.is_empty(), "mt requires completed recovery");
         assert!(self.pending_commits.is_empty(), "mt requires drained commit pipeline");
-        assert!(self.active_txns(None).is_empty(), "mt requires a quiescent engine");
+        assert_eq!(self.txns.in_flight(), 0, "mt requires a quiescent engine");
         assert_eq!(self.m.surviving_nodes().len(), nodes, "mt requires every node up");
         for t in &txns {
             assert!((t.node.0 as usize) < nodes, "mt transaction on unknown node");
@@ -328,7 +328,7 @@ impl SmDb {
             // conflict (or a tape deferral) sits out the rest of the
             // epoch; same-node stripe overlap is fine, those transactions
             // run sequentially in one lane.
-            let mut seqs: Vec<u64> = self.seqs.clone();
+            let mut seqs: Vec<u64> = self.txns.seqs();
             let mut stalled = vec![false; nodes];
             let mut waited = vec![false; nodes];
             let mut progress = true;

@@ -307,10 +307,9 @@ impl SmDb {
             .active_txns(None)
             .into_iter()
             .filter(|t| {
-                self.txns
-                    .get(t)
-                    .map(|s| s.participants.iter().all(|p| !self.m.is_crashed(*p)))
-                    .unwrap_or(false)
+                self.txns.get(*t).is_some_and(|s| {
+                    s.participants.as_slice().iter().all(|p| !self.m.is_crashed(*p))
+                })
             })
             .collect();
         let data_size = self.record_layout().data_size;
@@ -361,41 +360,67 @@ impl SmDb {
         // 3. Lock space: crashed/finished transactions hold nothing;
         // surviving active transactions hold the locks covering their
         // pending writes.
-        for (txn, st) in &self.txns {
-            let held = self.locks.held_locks(*txn);
-            match st.status {
-                TxnStatus::Active => {
-                    if !active.contains(txn) {
-                        continue; // doomed by an unrecovered crash: masked
-                    }
-                    // Under early lock release a committing transaction has
-                    // legitimately shed its locks at commit-record append;
-                    // it stays `Active` only until the ack. Requiring held
-                    // locks here would be a false positive.
-                    if self.cfg.early_lock_release && st.committing {
-                        continue;
-                    }
-                    for slot in self.shadow.pending_slots(*txn) {
-                        let name = Self::lock_name_for_rec(slot);
-                        if !held.contains(&name) {
-                            report
-                                .violations
+        //
+        // Only `Active` transactions may hold locks, and they all sit in
+        // the active table: when they account for every lock chain the
+        // manager knows, no finished transaction can hold one, and the
+        // walk is over. Only a mismatch — a violation to be named — sends
+        // the check through every transaction ever begun.
+        let mut violations = Vec::new();
+        let mut chains = 0usize;
+        for st in self.txns.live() {
+            chains += usize::from(self.check_locks_of(st.id, st.status, &active, &mut violations));
+        }
+        if chains != self.locks.transactions_with_locks() {
+            violations.clear();
+            for txn in self.txns.all_ids() {
+                if let Some(status) = self.txns.status(txn) {
+                    self.check_locks_of(txn, status, &active, &mut violations);
+                }
+            }
+        }
+        report.violations.append(&mut violations);
+        report
+    }
+
+    /// The lock-space rule of [`SmDb::check_ifa`] for one transaction;
+    /// returns whether it holds any lock.
+    fn check_locks_of(
+        &self,
+        txn: TxnId,
+        status: TxnStatus,
+        active: &[TxnId],
+        violations: &mut Vec<String>,
+    ) -> bool {
+        let held = self.locks.held_locks(txn);
+        match status {
+            TxnStatus::Active => {
+                // Doomed by an unrecovered crash: masked. Under early lock
+                // release a committing transaction has legitimately shed
+                // its locks at commit-record append; it stays `Active`
+                // only until the ack, so requiring held locks of it would
+                // be a false positive.
+                let shed = self.cfg.early_lock_release
+                    && self.txns.get(txn).is_some_and(|st| st.committing);
+                if active.contains(&txn) && !shed {
+                    for slot in self.shadow.pending_slots(txn) {
+                        if !held.contains(&Self::lock_name_for_rec(slot)) {
+                            violations
                                 .push(format!("{txn}: active but lost its lock on record {slot}"));
                         }
                     }
                 }
-                TxnStatus::Committed | TxnStatus::Aborted => {
-                    if !held.is_empty() {
-                        report.violations.push(format!(
-                            "{txn}: finished ({:?}) but still holds {} lock(s)",
-                            st.status,
-                            held.len()
-                        ));
-                    }
+            }
+            TxnStatus::Committed | TxnStatus::Aborted => {
+                if !held.is_empty() {
+                    violations.push(format!(
+                        "{txn}: finished ({status:?}) but still holds {} lock(s)",
+                        held.len()
+                    ));
                 }
             }
         }
-        report
+        !held.is_empty()
     }
 
     /// Independent oracle for restart's commit predicate. Restart answers
@@ -431,12 +456,11 @@ impl SmDb {
             }
         }
         let unacked = self.settled_unacked_commits();
-        let known: BTreeSet<TxnId> =
-            self.txns.keys().copied().chain(reference.iter().copied()).collect();
+        let known: BTreeSet<TxnId> = self.txns.all_ids().chain(reference.iter().copied()).collect();
         known
             .into_iter()
             .filter_map(|t| {
-                let status = self.txns.get(&t).map(|s| s.status);
+                let status = self.txns.status(t);
                 let predicate = status == Some(TxnStatus::Committed) || unacked.contains(&t);
                 (predicate != reference.contains(&t)).then(|| {
                     format!(

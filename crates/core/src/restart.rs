@@ -264,12 +264,80 @@ struct TxnClass {
     settled_aborted: bool,
 }
 
+/// A page-major table over heap records: one chunk of slots per heap
+/// page, allocated the first time the analysis scan touches the page
+/// (never per database record — a restart that scans 95 log records must
+/// not pay for the heap's size), and read back in ascending page and slot,
+/// which is [`RecId`] order.
+struct RecTable<V> {
+    /// `pages[p]` is page `p`'s chunk, grown to the highest slot touched;
+    /// empty until the first touch.
+    pages: Vec<Vec<Option<V>>>,
+}
+
+impl<V> Default for RecTable<V> {
+    fn default() -> Self {
+        RecTable { pages: Vec::new() }
+    }
+}
+
+impl<V> RecTable<V> {
+    fn get(&self, rec: RecId) -> Option<&V> {
+        self.pages.get(rec.page.0 as usize)?.get(rec.slot as usize)?.as_ref()
+    }
+
+    fn slot_mut(&mut self, rec: RecId) -> &mut Option<V> {
+        let page = rec.page.0 as usize;
+        if page >= self.pages.len() {
+            self.pages.resize_with(page + 1, Vec::new);
+        }
+        let chunk = &mut self.pages[page];
+        let slot = rec.slot as usize;
+        if slot >= chunk.len() {
+            chunk.resize_with(slot + 1, || None);
+        }
+        &mut chunk[slot]
+    }
+
+    /// The records holding an entry, ascending.
+    fn recs(&self) -> impl Iterator<Item = RecId> + '_ {
+        self.pages.iter().enumerate().flat_map(|(page, chunk)| {
+            chunk.iter().enumerate().filter_map(move |(slot, v)| {
+                v.as_ref().map(|_| RecId::new(PageId(page as u32), slot as u16))
+            })
+        })
+    }
+
+    fn into_entries(self) -> impl Iterator<Item = (RecId, V)> {
+        self.pages.into_iter().enumerate().flat_map(|(page, chunk)| {
+            chunk.into_iter().enumerate().filter_map(move |(slot, v)| {
+                v.map(|v| (RecId::new(PageId(page as u32), slot as u16), v))
+            })
+        })
+    }
+}
+
+impl<V> RecTable<(u64, V)> {
+    /// The max-GSN fold of the analysis scan: store `value()` under `rec`
+    /// unless the table already holds a higher-GSN entry.
+    fn keep_latest(&mut self, rec: RecId, gsn: u64, value: impl FnOnce() -> V) {
+        let slot = self.slot_mut(rec);
+        if slot.as_ref().is_none_or(|e| gsn >= e.0) {
+            *slot = Some((gsn, value()));
+        }
+    }
+}
+
 /// Per-crash analysis of the logs, built by **one pass over each retained
 /// log** ([`SmDb::analyse_stable`]): durable traces of not-committed
 /// transactions, last-writer commit status for the stale-tag predicate,
 /// last committed values, the reduced redo plan past the checkpoint
 /// bound, and doomed-transaction undo work. Nothing here is sized by
 /// history: every product is bounded by the retained logs.
+///
+/// The four per-record reductions are [`RecTable`]s: the scan meets the
+/// same record again and again (a hot record's whole retained history),
+/// and each meeting is two array indexings.
 #[derive(Default)]
 struct StableAnalysis {
     /// Stable-logged updates of *not-committed* transactions of the
@@ -278,23 +346,23 @@ struct StableAnalysis {
     /// Stable-logged index ops of not-committed transactions:
     /// `(gsn, txn, key, is_delete)`.
     uncommitted_index: Vec<(u64, TxnId, u64, bool)>,
-    /// Whether the last stable heap-update writer per (node, rec)
-    /// committed.
-    last_rec_committed: BTreeMap<(NodeId, RecId), bool>,
+    /// Whether the last stable heap-update writer per record committed,
+    /// per analysed node.
+    last_rec_committed: BTreeMap<NodeId, RecTable<bool>>,
     /// Whether the last stable index-op writer per (node, key) committed.
     last_key_committed: BTreeMap<(NodeId, u64), bool>,
     /// Highest-GSN committed after image per record, over every retained
     /// log (the §4.1.2 stable-log source of committed values).
-    committed_values: BTreeMap<RecId, (u64, bytes::Bytes)>,
+    committed_values: RecTable<(u64, bytes::Bytes)>,
     /// Undo images of the analysed nodes' stable uncommitted updates per
     /// record: `(gsn, txn, before image)`. The backstop source of a last
     /// committed value when the committed update itself has been
     /// truncated but the record's stable image was stolen over.
-    uncommitted_undo: BTreeMap<RecId, Vec<(u64, TxnId, bytes::Bytes)>>,
+    uncommitted_undo: RecTable<Vec<(u64, TxnId, bytes::Bytes)>>,
     /// The highest-GSN heap redo candidate past the checkpoint bound per
     /// record, `(gsn, (writer, after image))` — superseded intermediate
     /// images are dropped as the scan meets their successor.
-    heap_redo: BTreeMap<RecId, (u64, (TxnId, bytes::Bytes))>,
+    heap_redo: RecTable<(u64, (TxnId, bytes::Bytes))>,
     /// Heap redo candidates the scan met (`heap_redo` keeps one per
     /// record; the difference is `redo_superseded`).
     heap_candidates: u64,
@@ -312,28 +380,11 @@ struct StableAnalysis {
 
 impl StableAnalysis {
     fn is_committed_rec(&self, node: NodeId, rec: RecId) -> bool {
-        self.last_rec_committed.get(&(node, rec)).copied().unwrap_or(false)
+        self.last_rec_committed.get(&node).and_then(|t| t.get(rec)).copied().unwrap_or(false)
     }
 
     fn is_committed_key(&self, node: NodeId, key: u64) -> bool {
         self.last_key_committed.get(&(node, key)).copied().unwrap_or(false)
-    }
-}
-
-/// The max-GSN fold of the analysis scan: store `value()` under `rec`
-/// unless the map already holds a higher-GSN entry.
-fn keep_latest<V>(
-    map: &mut BTreeMap<RecId, (u64, V)>,
-    rec: RecId,
-    gsn: u64,
-    value: impl FnOnce() -> V,
-) {
-    match map.get_mut(&rec) {
-        Some(e) if gsn < e.0 => {}
-        Some(e) => *e = (gsn, value()),
-        None => {
-            map.insert(rec, (gsn, value()));
-        }
     }
 }
 
@@ -393,9 +444,10 @@ impl SmDb {
     /// commit record is durable and every dependency predecessor has been
     /// acknowledged, so **acknowledged ⇒ settled** by induction, and the
     /// transaction table (shared memory, crash-surviving) answers for
-    /// them. The dependency fixpoint therefore runs only over the
-    /// transactions still unacknowledged — the handful in flight at the
-    /// crash plus earlier cascade victims — not over all history: chains
+    /// them. The dependency fixpoint therefore runs only over the active
+    /// table — the handful in flight at the crash plus earlier recovery
+    /// victims kept there for their commit record
+    /// ([`SmDb::settle_aborted`]) — never over history: chains
     /// of violated commits drop from the successor end until only fully
     /// covered chains remain. A dependency on a commit record that was
     /// lost with its node's volatile log tail can never be satisfied (its
@@ -403,15 +455,12 @@ impl SmDb {
     /// log), so the exclusion is permanent across however many recoveries
     /// follow. No scan: `commit_lsns`/`commit_deps` are per-log
     /// incremental indexes that survive checkpoint truncation.
-    pub(crate) fn settled_unacked_commits(&self) -> BTreeSet<TxnId> {
-        let acked = |t: TxnId| self.txns.get(&t).is_some_and(|s| s.status == TxnStatus::Committed);
+    pub fn settled_unacked_commits(&self) -> BTreeSet<TxnId> {
+        let acked = |t: TxnId| self.txns.status(t) == Some(TxnStatus::Committed);
         let mut set: BTreeSet<TxnId> = self
             .txns
-            .values()
-            .filter(|t| {
-                t.status != TxnStatus::Committed
-                    && self.logs.log(t.id.node()).is_commit_stable(t.id)
-            })
+            .live()
+            .filter(|t| self.logs.log(t.id.node()).is_commit_stable(t.id))
             .map(|t| t.id)
             .collect();
         loop {
@@ -440,16 +489,14 @@ impl SmDb {
     /// settled), so it preserves the acknowledged ⇒ settled invariant
     /// [`SmDb::settled_unacked_commits`] rests on.
     fn promote_durably_committed(&mut self) {
+        self.note_table_walk();
         let promoted: Vec<TxnId> = self
             .settled_unacked_commits()
             .into_iter()
-            .filter(|t| self.txns.get(t).is_some_and(|s| s.is_active()))
+            .filter(|t| self.txns.status(*t) == Some(TxnStatus::Active))
             .collect();
         for txn in promoted {
-            if let Some(t) = self.txns.get_mut(&txn) {
-                t.status = TxnStatus::Committed;
-                t.committing = false;
-            }
+            self.txns.settle_committed(txn);
             self.shadow.commit(txn);
             self.stats.commits += 1;
             // The commit settled off its home clock (mid-crash promotion
@@ -485,54 +532,14 @@ impl SmDb {
         self.instant.clear_plan();
         self.m.clear_all_unrecovered();
         let clock0 = self.m.max_clock();
-        // A transaction dies if *any* node it executes on is down — for
-        // single-node transactions that is just the home node; for
-        // parallel transactions (§9) it is any participant. Recomputed
-        // from the machine on every entry (statuses only flip in the final
-        // phase), so an interrupted recovery re-derives the same — or,
-        // after further crashes, a larger — doomed set.
-        let crashed_active: Vec<TxnId> = self
-            .txns
-            .values()
-            .filter(|t| t.is_active() && t.participants.iter().any(|p| self.m.is_crashed(*p)))
-            .map(|t| t.id)
-            .collect();
-        // Controlled lock violation: every still-active transaction that
-        // inherited a commit-LSN dependency — transitively — on a doomed
-        // predecessor saw data that will never commit; it dies with the
-        // predecessor (cascade abort). The closure is recomputed from the
-        // inherited-dependency table on every entry, so an interrupted
-        // recovery re-derives the same set (statuses flip only in the
-        // final phase).
-        let doomed_seed: BTreeSet<TxnId> = crashed_active.iter().copied().collect();
-        let mut dep_doomed: BTreeSet<TxnId> = BTreeSet::new();
-        loop {
-            let mut grew = false;
-            for (txn, deps) in &self.inherited_deps {
-                if doomed_seed.contains(txn) || dep_doomed.contains(txn) {
-                    continue;
-                }
-                if !self.txns.get(txn).map(|t| t.is_active()).unwrap_or(false) {
-                    continue;
-                }
-                if deps
-                    .iter()
-                    .any(|d| doomed_seed.contains(&d.releaser) || dep_doomed.contains(&d.releaser))
-                {
-                    dep_doomed.insert(*txn);
-                    grew = true;
-                }
-            }
-            if !grew {
-                break;
-            }
-        }
+        let (crashed_active, dep_doomed) = self.doomed_partition();
+        self.note_table_walk();
         // Records a doomed dependent reached through a violated lock name
         // are *contaminated*: the dependent's logged before image may be
         // the doomed predecessor's own uncommitted value, so undo must
         // restore the last committed payload instead.
         let mut contaminated: BTreeSet<RecId> = BTreeSet::new();
-        for txn in doomed_seed.iter().chain(dep_doomed.iter()) {
+        for txn in crashed_active.iter().chain(dep_doomed.iter()) {
             if let Some(deps) = self.inherited_deps.get(txn) {
                 for d in deps {
                     if let Some(slot) = smdb_lock::names::rec_slot_of_name(d.name) {
@@ -545,6 +552,7 @@ impl SmDb {
         }
         let doomed_all: Vec<TxnId> =
             crashed_active.iter().copied().chain(dep_doomed.iter().copied()).collect();
+        self.note_table_walk();
         let surviving_active: Vec<TxnId> =
             self.active_txns(None).into_iter().filter(|t| !doomed_all.contains(t)).collect();
 
@@ -630,6 +638,57 @@ impl SmDb {
         Ok(outcome)
     }
 
+    /// The transactions the pending crashes doom, from one walk of the
+    /// active table: those with a participant down, and — under controlled
+    /// lock violation — their cascade victims.
+    fn doomed_partition(&self) -> (Vec<TxnId>, BTreeSet<TxnId>) {
+        // A transaction dies if *any* node it executes on is down — for
+        // single-node transactions that is just the home node; for
+        // parallel transactions (§9) it is any participant. Recomputed
+        // from the machine on every entry (statuses only flip in the final
+        // phase), so an interrupted recovery re-derives the same — or,
+        // after further crashes, a larger — doomed set.
+        let crashed_active: Vec<TxnId> = self
+            .txns
+            .live()
+            .filter(|t| {
+                t.is_active() && t.participants.as_slice().iter().any(|p| self.m.is_crashed(*p))
+            })
+            .map(|t| t.id)
+            .collect();
+        // Controlled lock violation: every still-active transaction that
+        // inherited a commit-LSN dependency — transitively — on a doomed
+        // predecessor saw data that will never commit; it dies with the
+        // predecessor (cascade abort). The closure is recomputed from the
+        // inherited-dependency table on every entry, so an interrupted
+        // recovery re-derives the same set (statuses flip only in the
+        // final phase).
+        let doomed_seed: BTreeSet<TxnId> = crashed_active.iter().copied().collect();
+        let mut dep_doomed: BTreeSet<TxnId> = BTreeSet::new();
+        loop {
+            let mut grew = false;
+            for (txn, deps) in &self.inherited_deps {
+                if doomed_seed.contains(txn) || dep_doomed.contains(txn) {
+                    continue;
+                }
+                if self.txns.status(*txn) != Some(TxnStatus::Active) {
+                    continue;
+                }
+                if deps
+                    .iter()
+                    .any(|d| doomed_seed.contains(&d.releaser) || dep_doomed.contains(&d.releaser))
+                {
+                    dep_doomed.insert(*txn);
+                    grew = true;
+                }
+            }
+            if !grew {
+                break;
+            }
+        }
+        (crashed_active, dep_doomed)
+    }
+
     /// Whether any crashed node awaits recovery (the window between
     /// [`SmDb::crash`] and a completed [`SmDb::recover`]).
     pub fn recovery_pending(&self) -> bool {
@@ -658,7 +717,7 @@ impl SmDb {
             let mut keep = Vec::new();
             let mut settled = Vec::new();
             for p in self.pending_commits.drain(..) {
-                if txns.get(&p.txn).map(|t| t.is_active()).unwrap_or(false) {
+                if txns.status(p.txn) == Some(TxnStatus::Active) {
                     keep.push(p);
                 } else {
                     settled.push(p);
@@ -668,8 +727,7 @@ impl SmDb {
             settled
         };
         for p in settled {
-            let committed =
-                self.txns.get(&p.txn).map(|t| t.status == TxnStatus::Committed).unwrap_or(false);
+            let committed = self.txns.status(p.txn) == Some(TxnStatus::Committed);
             self.violations.resolve(p.txn);
             self.inherited_deps.remove(&p.txn);
             if committed && !self.cfg.early_lock_release {
@@ -771,7 +829,6 @@ impl SmDb {
         full: bool,
     ) -> StableAnalysis {
         let mut a = StableAnalysis::default();
-        self.m.obs().metrics.inc(names::RESTART_ANALYSIS_SCANS);
         // Commit status covers *every* node: commit records are always
         // forced, and a parallel transaction's commit lives on its home
         // node, which may differ from the analysed nodes. Under
@@ -779,7 +836,7 @@ impl SmDb {
         // when its recorded dependencies are durably settled too.
         let unacked = self.settled_unacked_commits();
         let classify = |txn: TxnId| {
-            let status = self.txns.get(&txn).map(|t| t.status);
+            let status = self.txns.status(txn);
             TxnClass {
                 committed: status == Some(TxnStatus::Committed) || unacked.contains(&txn),
                 doomed: doomed.contains(&txn),
@@ -813,6 +870,7 @@ impl SmDb {
             let is_analysed = full || analysed.contains(&n);
             let recs = if is_analysed { log.stable_records() } else { log.records() };
             a.scanned_records += recs.len() as u64;
+            let mut last_rec = is_analysed.then(RecTable::default);
             let mut memo: Option<(TxnId, TxnClass)> = None;
             for lrec in recs {
                 // Only data records carry a GSN; control, lock and
@@ -844,11 +902,11 @@ impl SmDb {
                 let redo = lrec.lsn > bound && !is_doomed && (committed || !is_analysed);
                 match &lrec.payload {
                     LogPayload::Update { rec, undo, redo: after, .. } => {
-                        if is_analysed {
-                            a.last_rec_committed.insert((n, *rec), committed);
+                        if let Some(last_rec) = &mut last_rec {
+                            *last_rec.slot_mut(*rec) = Some(committed);
                             if !committed && !settled_aborted {
                                 a.uncommitted_updates.push((gsn, txn, *rec));
-                                a.uncommitted_undo.entry(*rec).or_default().push((
+                                a.uncommitted_undo.slot_mut(*rec).get_or_insert_default().push((
                                     gsn,
                                     txn,
                                     undo.clone(),
@@ -859,11 +917,11 @@ impl SmDb {
                                 .push((gsn, DoomedOp::Rec { rec: *rec, before: undo.clone() }));
                         }
                         if committed {
-                            keep_latest(&mut a.committed_values, *rec, gsn, || after.clone());
+                            a.committed_values.keep_latest(*rec, gsn, || after.clone());
                         }
                         if redo {
                             a.heap_candidates += 1;
-                            keep_latest(&mut a.heap_redo, *rec, gsn, || (txn, after.clone()));
+                            a.heap_redo.keep_latest(*rec, gsn, || (txn, after.clone()));
                         }
                     }
                     LogPayload::IndexInsert { key, value, .. } => {
@@ -913,6 +971,9 @@ impl SmDb {
                     _ => {}
                 }
             }
+            if let Some(last_rec) = last_rec {
+                a.last_rec_committed.insert(n, last_rec);
+            }
         }
         a
     }
@@ -927,7 +988,7 @@ impl SmDb {
         analysis: &mut StableAnalysis,
         outcome: &mut RecoveryOutcome,
     ) -> Vec<PlannedOp> {
-        let heap = std::mem::take(&mut analysis.heap_redo);
+        let heap: Vec<_> = std::mem::take(&mut analysis.heap_redo).into_entries().collect();
         let index = std::mem::take(&mut analysis.index_redo);
         self.m
             .obs()
@@ -963,8 +1024,8 @@ impl SmDb {
         analysis: &StableAnalysis,
         rec: RecId,
     ) -> Result<Vec<u8>, DbError> {
-        let committed = analysis.committed_values.get(&rec);
-        let chain = analysis.uncommitted_undo.get(&rec);
+        let committed = analysis.committed_values.get(rec);
+        let chain = analysis.uncommitted_undo.get(rec);
         let latest = chain.and_then(|c| c.iter().max_by_key(|(gsn, _, _)| *gsn));
         match (committed, latest) {
             (Some((gc, value)), Some((gu, _, _))) if gc > gu => Ok(value.to_vec()),
@@ -1040,35 +1101,82 @@ impl SmDb {
         &mut self,
         recovery_node: NodeId,
     ) -> Result<BTreeSet<LineId>, DbError> {
-        let mut reinstalled = BTreeSet::new();
         let g = self.layout.geometry;
-        for p in 0..self.heap_pages {
-            let page = PageId(p);
-            let mut charged = false;
-            // Borrow the stable image once per page; `install_line` only
-            // touches `self.m`, so no copy of the page is needed.
-            let img = self.sdb.peek_page(page).ok_or(DbError::StablePageMissing { page })?;
-            for idx in 0..g.lines_per_page {
-                let line = LineId(g.line_addr(page, idx));
-                if self.m.is_lost(line) {
-                    let off = g.line_offset(idx);
-                    self.m.install_line(recovery_node, line, &img[off..off + g.line_size])?;
-                    if !charged {
-                        let cost = self.m.config().cost.disk_io;
-                        self.m.advance(recovery_node, cost);
-                        charged = true;
-                    }
-                    reinstalled.insert(line);
-                }
+        let lost = self.lost_heap_lines();
+        // The stable image of the page being reinstalled: borrowed once
+        // per page (`install_line` only touches `self.m`, so no copy), and
+        // charged as one disk read.
+        let mut current: Option<(PageId, &[u8])> = None;
+        for &line in &lost {
+            let (page, idx) = g.page_of_addr(line.0);
+            let img = match current {
+                Some((p, img)) if p == page => img,
+                _ => self.sdb.peek_page(page).ok_or(DbError::StablePageMissing { page })?,
+            };
+            let off = g.line_offset(idx);
+            self.m.install_line(recovery_node, line, &img[off..off + g.line_size])?;
+            if current.is_none_or(|(p, _)| p != page) {
+                let cost = self.m.config().cost.disk_io;
+                self.m.advance(recovery_node, cost);
+                current = Some((page, img));
             }
         }
-        Ok(reinstalled)
+        Ok(lost.into_iter().collect())
     }
 
-    /// All heap lines currently cached on surviving nodes (the §4.1.2
-    /// probe, snapshotted at crash time before any reinstall).
-    fn cached_heap_lines(&self) -> BTreeSet<LineId> {
-        self.m.iter_held().map(|(_, line, _)| line).filter(|l| self.is_heap_line(*l)).collect()
+    /// The heap lines the crash destroyed, ascending — one walk of the
+    /// directory's lost lines, not a probe per line of every heap page.
+    fn lost_heap_lines(&self) -> Vec<LineId> {
+        self.m.iter_lost().filter(|l| self.is_heap_line(*l)).collect()
+    }
+
+    /// The Selective-Redo "cached before reinstall" probe (§4.1.2), asked
+    /// only about the lines the reduced redo plan writes: which of them a
+    /// surviving cache still holds coherently. Lines reinstalled by an
+    /// *interrupted earlier attempt* are excluded — they sit in a
+    /// survivor's cache now, but their content is the stale stable image,
+    /// not the coherent pre-crash copy.
+    fn cached_plan_lines(&self, analysis: &StableAnalysis) -> BTreeSet<LineId> {
+        analysis
+            .heap_redo
+            .recs()
+            .map(|rec| self.rec_line(rec))
+            .filter(|l| self.m.probe_cached(*l) && !self.stale_heap_lines.contains(l))
+            .collect()
+    }
+
+    /// Independent oracle for the Selective-Redo probe. Restart asks "does
+    /// a surviving cache still hold this line coherently?" only about the
+    /// lines of its reduced redo plan ([`Self::cached_plan_lines`]); this
+    /// reference takes the snapshot the long way — every heap line held in
+    /// any surviving cache, minus the stale reinstalls of an interrupted
+    /// attempt — and compares the two answers for every record of the plan
+    /// the pending crash produces. Call between [`SmDb::crash`] and
+    /// [`SmDb::recover`] (also after an interrupted `recover`). Returns
+    /// human-readable disagreements (empty = the probe is exact).
+    pub fn check_cached_probe(&self) -> Vec<String> {
+        let down: Vec<NodeId> = self.m.node_ids().filter(|n| self.m.is_crashed(*n)).collect();
+        let (crashed_active, mut doomed) = self.doomed_partition();
+        doomed.extend(crashed_active);
+        let analysis = self.analyse_stable(&down, &doomed, false);
+        let probed = self.cached_plan_lines(&analysis);
+        let mut snapshot: BTreeSet<LineId> =
+            self.m.iter_held().map(|(_, l, _)| l).filter(|l| self.is_heap_line(*l)).collect();
+        for line in &self.stale_heap_lines {
+            snapshot.remove(line);
+        }
+        let mut diffs = Vec::new();
+        for rec in analysis.heap_redo.recs() {
+            let line = self.rec_line(rec);
+            if probed.contains(&line) != snapshot.contains(&line) {
+                diffs.push(format!(
+                    "{rec:?} on {line:?}: plan-sized probe says cached={}, whole-cache snapshot says {}",
+                    probed.contains(&line),
+                    snapshot.contains(&line)
+                ));
+            }
+        }
+        diffs
     }
 
     /// The undo tag a redone effect of `txn` carries: its home node while
@@ -1077,7 +1185,7 @@ impl SmDb {
     fn live_tag(&self, txn: TxnId) -> u16 {
         let live = self.cfg.protocol.uses_undo_tags()
             && !self.m.is_crashed(txn.node())
-            && self.txns.get(&txn).is_some_and(|t| t.is_active());
+            && self.txns.status(txn) == Some(TxnStatus::Active);
         if live {
             txn.node().0
         } else {
@@ -1442,23 +1550,18 @@ impl SmDb {
         // retained log, then undo of stolen updates in the stable
         // database.
         let span = self.begin_phase("stable_undo");
-        // Snapshot which heap lines genuinely survive in caches *before*
-        // any reinstall: this is the Selective-Redo probe (a line we later
-        // reinstall from a stale stable image must not be mistaken for a
-        // coherent surviving copy). Lines reinstalled by an *interrupted
-        // earlier attempt* carry the same stale-image hazard — they sit in
-        // a survivor's cache now, but their content is the stable image,
-        // not the coherent pre-crash copy — so they are excluded too.
+        self.m.obs().metrics.inc(names::RESTART_ANALYSIS_SCANS);
+        self.note_table_walk();
+        let mut analysis = self.analyse_stable(&down, &doomed, false);
+        // The Selective-Redo probe, taken *before* any reinstall (a line
+        // we later reinstall from a stale stable image must not be
+        // mistaken for a coherent surviving copy) and only over the lines
+        // the reduced redo plan will ask about.
         let cached_before: BTreeSet<LineId> = if scheme == RestartScheme::Selective {
-            let mut cached = self.cached_heap_lines();
-            for line in &self.stale_heap_lines {
-                cached.remove(line);
-            }
-            cached
+            self.cached_plan_lines(&analysis)
         } else {
             BTreeSet::new()
         };
-        let mut analysis = self.analyse_stable(&down, &doomed, false);
         outcome.scan_records = analysis.scanned_records;
         outcome.ckpt_bound_lsn = analysis.ckpt_bound;
         self.charge_analysis_scan(recovery_node, analysis.scanned_records);
@@ -1490,15 +1593,8 @@ impl SmDb {
             // the accessor instead of the stop-the-world window. The tags
             // of the nodes down *now* are the ones the eager undo passes
             // would have scrubbed.
-            let g = self.layout.geometry;
-            for p in 0..self.heap_pages {
-                for idx in 0..g.lines_per_page {
-                    let line = LineId(g.line_addr(PageId(p), idx));
-                    if self.m.is_lost(line) {
-                        self.instant.lost_lines.insert(line);
-                    }
-                }
-            }
+            let lost = self.lost_heap_lines();
+            self.instant.lost_lines.extend(lost);
             self.instant.scrub_tags.extend(down.iter().map(|n| n.0));
         } else {
             heap_reinstalled.extend(self.normalize_lost_heap_lines(recovery_node)?);
@@ -1828,10 +1924,7 @@ impl SmDb {
         // Phase 7 ("txn_table"): transaction table + shadow bookkeeping.
         let span = self.begin_phase("txn_table");
         for &txn in crashed_active {
-            if let Some(t) = self.txns.get_mut(&txn) {
-                t.status = TxnStatus::Aborted;
-                t.committing = false;
-            }
+            self.settle_aborted(txn);
             self.pending_waits.remove(&txn);
             self.locks.drop_chain(txn);
             self.shadow.drop_pending(txn);
@@ -2095,6 +2188,8 @@ impl SmDb {
     ) -> Result<(), DbError> {
         // The single analysis scan in full mode: every node analysed over
         // its stable prefix, redo restricted to committed transactions.
+        self.m.obs().metrics.inc(names::RESTART_ANALYSIS_SCANS);
+        self.note_table_walk();
         let mut analysis = self.analyse_stable(&[], &BTreeSet::new(), true);
         outcome.scan_records = analysis.scanned_records;
         outcome.ckpt_bound_lsn = analysis.ckpt_bound;
@@ -2162,17 +2257,13 @@ impl SmDb {
         for line in self.locks.table().all_lines() {
             self.m.install_line(recovery_node, line, &vec![0u8; line_size])?;
         }
-        let txns: Vec<TxnId> = self.txns.keys().copied().collect();
-        for txn in txns {
-            self.locks.drop_chain(txn);
-            self.pending_waits.remove(&txn);
-        }
+        self.locks.drop_all_chains();
+        self.pending_waits.clear();
         // Abort everyone.
+        self.note_table_walk();
         let active: Vec<TxnId> = self.active_txns(None);
         for txn in &active {
-            let t = req(self.txns.get_mut(txn), "listed active txn present in table")?;
-            t.status = TxnStatus::Aborted;
-            t.committing = false;
+            self.settle_aborted(*txn);
             self.shadow.drop_pending(*txn);
         }
         self.stats.crash_aborts += active.len() as u64;

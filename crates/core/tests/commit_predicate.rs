@@ -62,8 +62,8 @@ fn elr_chain_with_lost_predecessor_stays_excluded_across_lsn_reuse() {
     assert_predicate_exact(&db, "before the crash");
 
     crash_and_recover_checked(&mut db, &[N0]);
-    assert_eq!(db.txn(p).unwrap().status, TxnStatus::Aborted);
-    assert_eq!(db.txn(s).unwrap().status, TxnStatus::Aborted, "cascade abort");
+    assert_eq!(db.txn_status(p), Some(TxnStatus::Aborted));
+    assert_eq!(db.txn_status(s), Some(TxnStatus::Aborted), "cascade abort");
     assert_eq!(&db.current_value(7).unwrap()[..4], b"base");
     db.check_ifa(N1).assert_ok();
 
@@ -114,8 +114,8 @@ fn elr_chain_with_durable_predecessor_is_promoted_whole() {
     }
     assert_predicate_exact(&db, "before the crash");
     crash_and_recover_checked(&mut db, &[N0]);
-    assert_eq!(db.txn(p).unwrap().status, TxnStatus::Committed);
-    assert_eq!(db.txn(s).unwrap().status, TxnStatus::Committed);
+    assert_eq!(db.txn_status(p), Some(TxnStatus::Committed));
+    assert_eq!(db.txn_status(s), Some(TxnStatus::Committed));
     db.drain_commit_pipeline().unwrap();
     assert_eq!(&db.current_value(7).unwrap()[..6], b"from-s");
     db.check_ifa(N1).assert_ok();
@@ -144,7 +144,7 @@ fn sync_commit_over_a_pipelined_chain_settles_the_whole_chain() {
     let t = db.begin(N2).unwrap();
     db.update(t, 90, b"from-t").unwrap();
     db.commit(t).unwrap();
-    assert_eq!(db.txn(t).unwrap().status, TxnStatus::Committed);
+    assert_eq!(db.txn_status(t), Some(TxnStatus::Committed));
     assert!(db.logs().log(N1).is_commit_stable(p), "direct predecessor forced");
     assert!(db.logs().log(N0).is_commit_stable(q), "and its predecessor too");
     assert_predicate_exact(&db, "after the synchronous commit");
@@ -202,8 +202,8 @@ fn fa_only_total_failure() {
     db.commit_pipelined(lost).unwrap();
     let all: Vec<NodeId> = (0..4).map(NodeId).collect();
     crash_and_recover_checked(&mut db, &all);
-    assert_eq!(db.txn(durable).unwrap().status, TxnStatus::Committed);
-    assert_eq!(db.txn(lost).unwrap().status, TxnStatus::Aborted);
+    assert_eq!(db.txn_status(durable), Some(TxnStatus::Committed));
+    assert_eq!(db.txn_status(lost), Some(TxnStatus::Aborted));
     assert_eq!(&db.current_value(90).unwrap()[..7], b"durable");
     db.check_ifa(N0).assert_ok();
     // A second outage re-analyses the same stable prefixes.

@@ -154,10 +154,12 @@ fn parallel_reads_on_participants() {
 fn op_on_unattached_node_requires_attach() {
     let mut db = mk(ProtocolKind::VolatileSelectiveRedo);
     let t = db.begin(N0).unwrap();
-    let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let _ = db.update_on(t, N1, 0, b"x");
-    }));
-    assert!(r.is_err(), "acting on a non-participant node is a usage error");
+    // A usage error, reported as one: the transaction stays usable.
+    assert_eq!(db.update_on(t, N1, 0, b"x"), Err(DbError::NotParticipant { txn: t, node: N1 }));
+    assert_eq!(db.read_on(t, N1, 0), Err(DbError::NotParticipant { txn: t, node: N1 }));
+    db.attach(t, N1).unwrap();
+    db.update_on(t, N1, 0, b"x").unwrap();
+    db.commit(t).unwrap();
 }
 
 #[test]

@@ -996,6 +996,12 @@ impl LockManager {
         self.chains.drop_txn(txn);
     }
 
+    /// Forget every transaction's chain (a full restart: every
+    /// transaction is dead and the lock space is being reset).
+    pub fn drop_all_chains(&mut self) {
+        self.chains = TxnChains::new();
+    }
+
     /// Current holders of `name` (coherent read by `node`).
     pub fn holders_of(
         &self,

@@ -118,6 +118,10 @@ pub const RESTART_REDO_ON_DEMAND: &str = "restart.redo_on_demand";
 pub const RESTART_REDO_SKIPPED: &str = "restart.redo_skipped";
 /// Log records visited by analysis scans.
 pub const RESTART_SCAN_RECORDS: &str = "restart.scan_records";
+/// Transaction-table entries visited by `crash`, `recover` and
+/// `checkpoint` (follows the transactions live at the time, never the
+/// history behind them).
+pub const RESTART_TXN_ENTRIES_VISITED: &str = "restart.txn_entries_visited";
 /// Redo candidates per recovery (heap + index), before pruning.
 pub const RECOVERY_REDO_BATCH: &str = "recovery.redo_batch";
 /// Whole-recovery simulated cycles (makespan delta).
@@ -284,6 +288,12 @@ pub const CATALOG: &[MetricDef] = &[
         kind: MetricKind::Counter,
         layer: "core",
         help: "Log records visited by analysis scans",
+    },
+    MetricDef {
+        name: RESTART_TXN_ENTRIES_VISITED,
+        kind: MetricKind::Counter,
+        layer: "core",
+        help: "Transaction-table entries visited by crash, recover and checkpoint",
     },
     MetricDef {
         name: SIM_BUF_REUSE,

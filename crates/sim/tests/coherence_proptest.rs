@@ -329,6 +329,12 @@ fn machine_state(m: &Machine) -> String {
     }
     // Slot order (which slot each line was given) shows in scan order.
     out += &format!("held {:?}\n", m.iter_held().map(|(n, l, _)| (n, l)).collect::<Vec<_>>());
+    // The lost half of the directory: the walk must find exactly what the
+    // per-line probe finds, in address order.
+    let lost: Vec<LineId> = m.iter_lost().collect();
+    let probed: Vec<LineId> = (0..SPAN_LINES + 8).map(LineId).filter(|l| m.is_lost(*l)).collect();
+    assert_eq!(lost, probed, "iter_lost disagrees with the is_lost probe");
+    out += &format!("lost {lost:?}\n");
     let fs = m.flat_stats();
     out += &format!(
         "flat: live {} slots {} free {} capacity {} reuse {}\n",

@@ -41,6 +41,16 @@ echo "== span-op lockstep (2000 cases) =="
 # default 256 cases; this one digs deeper (~1 s in release).
 PROPTEST_CASES=2000 cargo test --release -q -p smdb-sim --test coherence_proptest span_ops
 
+echo "== transaction-table lockstep (2000 cases) + live-entries count =="
+# The active table + settled-status index against a whole-history map
+# kept beside the engine, after every step of random begin / commit /
+# pipelined commit / abort / checkpoint / crash / interrupted recover /
+# reboot / run_epochs scripts (DESIGN §9); the same target holds the
+# count test (what crash + recover + checkpoint visit in the table is
+# identical after 5 000 and after 50 000 settled transactions) and the
+# cascade-victim scenario. The workspace test steps run 256 cases.
+PROPTEST_CASES=2000 cargo test --release -q -p smdb-core --test txn_table
+
 echo "== schedule fuzz (bounded, fixed seeds) =="
 # Deterministic VOPR-style schedule fuzz (DESIGN §13): three fixed master
 # seeds (500 schedules each), so this step replays the same schedules on
