@@ -65,14 +65,9 @@ impl BTree {
         let mut high_water = self.allocated_pages().last().copied().unwrap_or(PageId(first_page));
         for node in ctx.m.node_ids() {
             // Stable prefix for crashed nodes, the full log for survivors.
-            // Structural records are rare: a log without any is skipped
-            // unread, and the others are walked by reference.
-            let log = ctx.logs.log(node);
-            if log.stats().structural_records == 0 {
-                continue;
-            }
-            let recs = if ctx.m.is_crashed(node) { log.stable_records() } else { log.records() };
-            for rec in recs {
+            // Structural records are rare: the log hands out those alone,
+            // by reference.
+            for rec in ctx.logs.log(node).structural_records(ctx.m.is_crashed(node)) {
                 let LogPayload::Structural { kind, .. } = &rec.payload else { continue };
                 match *kind {
                     StructuralKind::BtreeNewRoot { root_page } => {
@@ -341,9 +336,9 @@ mod tests {
         let mut replays = 0;
         for node in c.m.node_ids() {
             let recs: Vec<LogPayload> = if c.m.is_crashed(node) {
-                c.logs.log(node).stable_records().iter().map(|r| r.payload.clone()).collect()
+                c.logs.log(node).stable_records().map(|r| r.payload.clone()).collect()
             } else {
-                c.logs.log(node).records().iter().map(|r| r.payload.clone()).collect()
+                c.logs.log(node).records().map(|r| r.payload.clone()).collect()
             };
             for p in recs {
                 match p {
@@ -417,7 +412,6 @@ mod tests {
             .logs
             .log(N0)
             .records()
-            .iter()
             .filter(|r| matches!(r.payload, LogPayload::Structural { .. }))
             .count() as u64;
         assert!(0 < retained && retained < before, "the cut falls among the structural records");

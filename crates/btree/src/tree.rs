@@ -945,7 +945,6 @@ mod tests {
             .logs
             .log(N0)
             .stable_records()
-            .iter()
             .filter(|r| matches!(r.payload, LogPayload::Structural { .. }))
             .count() as u64;
         assert_eq!(structural_total, stable_structural);

@@ -1287,6 +1287,8 @@ impl SmDb {
         }
         self.inherited_deps.remove(&txn);
         self.txns.settle_committed(txn);
+        // Its lock releases are logged: nothing of it is appended again.
+        self.logs.retire_txn(txn);
         self.shadow.commit(txn);
         self.stats.commits += 1;
         let mut latency = 0u64;
@@ -1424,9 +1426,12 @@ impl SmDb {
     /// record of its sits on its home log: stable now or forced later,
     /// that record keeps entering the commit-dependency fixpoint
     /// ([`SmDb::settled_unacked_commits`]), which must go on refusing it.
+    /// Either way it appends nothing further (callers settle after the
+    /// rollback's records), so the logs retire its first-record entries.
     pub(crate) fn settle_aborted(&mut self, txn: TxnId) {
         let owed = self.logs.log(txn.node()).index().commit_lsn(txn).is_some();
         self.txns.settle_aborted(txn, owed);
+        self.logs.retire_txn(txn);
     }
 
     /// The fallible half of [`Self::abort`], over the retiring entry `t`:
@@ -1697,7 +1702,7 @@ impl SmDb {
 
     /// Raw lock names currently held by `txn` (experiment instrumentation).
     pub fn held_lock_names(&self, txn: TxnId) -> Vec<u64> {
-        self.locks.held_locks(txn).to_vec()
+        self.locks.held_locks(txn)
     }
 
     /// Issue a *shared* request on a raw lock name and report whether it

@@ -594,6 +594,8 @@ impl SmDb {
             // (admission granted them there), in admission order.
             for txn in epoch_txns {
                 self.locks.release_all(&mut self.m, &mut self.logs, txn)?;
+                // The lane settled it; these releases were its last records.
+                self.logs.retire_txn(txn);
             }
             if let Some(e) = first_error {
                 return Err(e);

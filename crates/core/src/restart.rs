@@ -497,6 +497,7 @@ impl SmDb {
             .collect();
         for txn in promoted {
             self.txns.settle_committed(txn);
+            self.logs.retire_txn(txn);
             self.shadow.commit(txn);
             self.stats.commits += 1;
             // The commit settled off its home clock (mid-crash promotion
@@ -868,13 +869,15 @@ impl SmDb {
                 continue; // index proves no retained data records
             }
             let is_analysed = full || analysed.contains(&n);
-            let recs = if is_analysed { log.stable_records() } else { log.records() };
-            a.scanned_records += recs.len() as u64;
+            // The scan is charged for every retained record of the prefix
+            // it covers, but only data records carry a GSN; control, lock
+            // and structural records need no classification at all, and
+            // the log hands out the data records alone.
+            let covered = if is_analysed { log.stable_records() } else { log.records() };
+            a.scanned_records += covered.len() as u64;
             let mut last_rec = is_analysed.then(RecTable::default);
             let mut memo: Option<(TxnId, TxnClass)> = None;
-            for lrec in recs {
-                // Only data records carry a GSN; control, lock and
-                // structural records need no classification at all.
+            for lrec in log.data_records(is_analysed) {
                 let (Some(txn), Some(gsn)) = (lrec.payload.txn(), lrec.payload.gsn()) else {
                     continue;
                 };

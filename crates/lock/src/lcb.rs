@@ -120,6 +120,11 @@ impl EntryVec {
         self.len += 1;
     }
 
+    /// Drop every entry (the backing array is left as it is).
+    pub fn clear(&mut self) {
+        self.len = 0;
+    }
+
     /// Remove and return the entry at `i`, shifting later entries down
     /// (order-preserving, like `Vec::remove`).
     pub fn remove(&mut self, i: usize) -> LockEntry {
@@ -202,6 +207,15 @@ impl Lcb {
     pub fn new(name: u64) -> Self {
         assert!(name != 0, "lock name 0 is reserved for empty slots");
         Lcb { name, holders: EntryVec::new(), waiters: EntryVec::new() }
+    }
+
+    /// Turn this LCB into a fresh one for `name` in place — what
+    /// [`Lcb::new`] builds, without constructing the entry arrays again.
+    pub fn reset(&mut self, name: u64) {
+        assert!(name != 0, "lock name 0 is reserved for empty slots");
+        self.name = name;
+        self.holders.clear();
+        self.waiters.clear();
     }
 
     /// The current (strongest) granted mode, if any holder exists.
@@ -315,15 +329,39 @@ pub fn clear_slot(geom: &LcbGeometry, slot_buf: &mut [u8]) {
     slot_buf[..geom.slot_size()].fill(0);
 }
 
+/// The lock name stored in a slot buffer; 0 marks an empty slot.
+pub fn slot_name(slot_buf: &[u8]) -> u64 {
+    u64::from_le_bytes(slot_buf[..8].try_into().expect("8 bytes"))
+}
+
 /// Decode the LCB in a slot buffer; `None` if the slot is empty.
 pub fn decode_slot(geom: &LcbGeometry, slot_buf: &[u8]) -> Option<Lcb> {
-    let name = u64::from_le_bytes(slot_buf[..8].try_into().expect("8 bytes"));
+    let name = slot_name(slot_buf);
     if name == 0 {
         return None;
     }
+    let mut lcb = Lcb::new(name);
+    decode_entries(geom, slot_buf, &mut lcb);
+    Some(lcb)
+}
+
+/// Decode the slot into `out` if it holds the LCB named `name`;
+/// returns whether it did. `out` is untouched on a miss, and reused — not
+/// rebuilt — on a hit: the lock manager's find path decodes into one
+/// scratch LCB it owns instead of moving a fresh 400-byte value out.
+pub fn decode_slot_if_named(geom: &LcbGeometry, slot_buf: &[u8], name: u64, out: &mut Lcb) -> bool {
+    if name == 0 || slot_name(slot_buf) != name {
+        return false;
+    }
+    out.reset(name);
+    decode_entries(geom, slot_buf, out);
+    true
+}
+
+/// Append the holder and waiter entries of a non-empty slot to `lcb`.
+fn decode_entries(geom: &LcbGeometry, slot_buf: &[u8], lcb: &mut Lcb) {
     let n_holders = slot_buf[8] as usize;
     let n_waiters = slot_buf[9] as usize;
-    let mut lcb = Lcb::new(name);
     let mut off = SLOT_HEADER;
     for _ in 0..n_holders {
         lcb.holders.push(decode_entry(&slot_buf[off..off + ENTRY_SIZE]));
@@ -334,7 +372,6 @@ pub fn decode_slot(geom: &LcbGeometry, slot_buf: &[u8]) -> Option<Lcb> {
         lcb.waiters.push(decode_entry(&slot_buf[off..off + ENTRY_SIZE]));
         off += ENTRY_SIZE;
     }
-    Some(lcb)
 }
 
 /// Read the overflow pointer from a bucket line image.

@@ -407,6 +407,14 @@ impl TxnChains {
         }
     }
 
+    /// The oldest held lock of `txn`: releasing it makes the next one
+    /// oldest, so a release-everything loop needs no snapshot of the
+    /// chain.
+    fn first_entry(&self, txn: TxnId) -> Option<(u64, LockMode)> {
+        let slot = self.slot(txn).filter(|s| s.len > 0)?;
+        Some((slot.entry(0).name, slot.entry(0).mode))
+    }
+
     /// Held lock names in acquisition order.
     fn names_of(&self, txn: TxnId) -> Vec<u64> {
         match self.slot(txn) {
@@ -453,13 +461,22 @@ pub struct LockManager {
     /// restore the data that the pointers are derived from, then
     /// reconstruct the pointers"*.
     chains: TxnChains,
+    /// The one decoded LCB the forward path works on: [`LockTable::find`]
+    /// decodes into it and the update is encoded back from it, so no
+    /// 400-byte `Lcb` value is built or moved per call. Dead between calls.
+    scratch: Lcb,
     stats: LockStats,
 }
 
 impl LockManager {
     /// Wrap a created [`LockTable`].
     pub fn new(table: LockTable) -> Self {
-        LockManager { table, chains: TxnChains::new(), stats: LockStats::default() }
+        LockManager {
+            table,
+            chains: TxnChains::new(),
+            scratch: Lcb::default(),
+            stats: LockStats::default(),
+        }
     }
 
     /// The underlying table.
@@ -482,11 +499,7 @@ impl LockManager {
     /// touch no shared memory. Fold the lane back with
     /// [`LockManager::lane_absorb`].
     pub fn lane_fork(&self) -> LockManager {
-        LockManager {
-            table: self.table.clone(),
-            chains: TxnChains::new(),
-            stats: LockStats::default(),
-        }
+        LockManager::new(self.table.clone())
     }
 
     /// Fold a lane manager's counters back into the parent at an epoch
@@ -531,10 +544,11 @@ impl LockManager {
     /// diverge until restart scrubs them.
     pub fn verify_chains(&self, m: &mut Machine, node: NodeId) -> Result<Vec<String>, LockError> {
         let mut violations = Vec::new();
+        let mut lcb = Lcb::default();
         // Chains → table.
         for (txn, name, mode) in self.chains.all_entries() {
-            match self.table.find(m, node, name)? {
-                Some((_, _, lcb)) => match lcb.holders.iter().find(|e| e.txn == txn) {
+            match self.table.find(m, node, name, &mut lcb)? {
+                Some(_) => match lcb.holders.iter().find(|e| e.txn == txn) {
                     Some(h) if h.mode == mode => {}
                     Some(h) => violations.push(format!(
                         "lock {name}: chain says {txn} holds {mode:?}, LCB says {:?}",
@@ -651,13 +665,15 @@ impl LockManager {
         let node = acting;
         // Locate or make room (may allocate an early-committed overflow
         // line).
-        let (line, slot, mut lcb) = match self.table.find(m, node, name)? {
+        let (line, slot) = match self.table.find(m, node, name, &mut self.scratch)? {
             Some(found) => found,
             None => {
-                let (line, slot) = self.ensure_empty_slot(m, logs, txn, name, node)?;
-                (line, slot, Lcb::new(name))
+                let found = self.ensure_empty_slot(m, logs, txn, name, node)?;
+                self.scratch.reset(name);
+                found
             }
         };
+        let lcb = &mut self.scratch;
         // Critical section: the LCB line cannot migrate between the log
         // write and the LCB update.
         m.getline(node, line)?;
@@ -665,9 +681,8 @@ impl LockManager {
             // Re-read under the line lock (the pre-lock find raced with
             // nothing in this deterministic simulator, but the discipline
             // is the real protocol's).
-            if let Some((l2, s2, fresh)) = self.table.find(m, node, name)? {
-                debug_assert_eq!((l2, s2), (line, slot));
-                lcb = fresh;
+            if let Some(found) = self.table.find(m, node, name, lcb)? {
+                debug_assert_eq!(found, (line, slot));
             }
             if lcb.holds(txn) {
                 let held = lcb.holders.iter().find(|e| e.txn == txn).expect("holds() checked").mode;
@@ -681,7 +696,7 @@ impl LockManager {
                         LogPayload::LockAcquire { txn, name, mode: mode.into(), queued: false },
                     );
                     lcb.holders[0].mode = mode;
-                    self.table.write_lcb(m, node, line, slot, &lcb)?;
+                    self.table.write_lcb(m, node, line, slot, lcb)?;
                     self.chains.grant(txn, name, mode);
                     self.stats.acquires += 1;
                     self.stats.exclusive_acquires += 1;
@@ -700,7 +715,7 @@ impl LockManager {
                     LogPayload::LockAcquire { txn, name, mode: mode.into(), queued: true },
                 );
                 lcb.waiters.push(LockEntry { txn, mode });
-                self.table.write_lcb(m, node, line, slot, &lcb)?;
+                self.table.write_lcb(m, node, line, slot, lcb)?;
                 self.stats.waits += 1;
                 return Ok(LockOutcome::Waiting);
             }
@@ -721,7 +736,7 @@ impl LockManager {
                         LogPayload::LockAcquire { txn, name, mode: mode.into(), queued: true },
                     );
                     lcb.waiters.push(LockEntry { txn, mode });
-                    self.table.write_lcb(m, node, line, slot, &lcb)?;
+                    self.table.write_lcb(m, node, line, slot, lcb)?;
                     self.stats.waits += 1;
                     return Ok(LockOutcome::Waiting);
                 }
@@ -730,7 +745,7 @@ impl LockManager {
                     LogPayload::LockAcquire { txn, name, mode: mode.into(), queued: false },
                 );
                 lcb.holders.push(LockEntry { txn, mode });
-                self.table.write_lcb(m, node, line, slot, &lcb)?;
+                self.table.write_lcb(m, node, line, slot, lcb)?;
                 self.chains.grant(txn, name, mode);
                 self.stats.acquires += 1;
                 match mode {
@@ -750,7 +765,7 @@ impl LockManager {
                     LogPayload::LockAcquire { txn, name, mode: mode.into(), queued: true },
                 );
                 lcb.waiters.push(LockEntry { txn, mode });
-                self.table.write_lcb(m, node, line, slot, &lcb)?;
+                self.table.write_lcb(m, node, line, slot, lcb)?;
                 self.stats.waits += 1;
                 Ok(LockOutcome::Waiting)
             }
@@ -829,8 +844,9 @@ impl LockManager {
         name: u64,
     ) -> Result<Vec<LockEntry>, LockError> {
         let node = txn.node();
-        let (line, slot, mut lcb) =
-            self.table.find(m, node, name)?.ok_or(LockError::NotHolder { txn, name })?;
+        let lcb = &mut self.scratch;
+        let (line, slot) =
+            self.table.find(m, node, name, lcb)?.ok_or(LockError::NotHolder { txn, name })?;
         if !lcb.holds(txn) {
             return Err(LockError::NotHolder { txn, name });
         }
@@ -857,7 +873,7 @@ impl LockManager {
                 self.table.clear_lcb(m, node, line, slot)?;
                 self.table.forget_placement(name);
             } else {
-                self.table.write_lcb(m, node, line, slot, &lcb)?;
+                self.table.write_lcb(m, node, line, slot, lcb)?;
             }
             self.stats.releases += 1;
             self.stats.promotions += promoted.len() as u64;
@@ -902,7 +918,8 @@ impl LockManager {
         name: u64,
     ) -> Result<bool, LockError> {
         let node = txn.node();
-        let Some((line, slot, mut lcb)) = self.table.find(m, node, name)? else {
+        let lcb = &mut self.scratch;
+        let Some((line, slot)) = self.table.find(m, node, name, lcb)? else {
             return Ok(false);
         };
         if !lcb.waiters.iter().any(|w| w.txn == txn) {
@@ -930,7 +947,7 @@ impl LockManager {
                 self.table.clear_lcb(m, node, line, slot)?;
                 self.table.forget_placement(name);
             } else {
-                self.table.write_lcb(m, node, line, slot, &lcb)?;
+                self.table.write_lcb(m, node, line, slot, lcb)?;
             }
             Ok(true)
         })();
@@ -947,9 +964,8 @@ impl LockManager {
         logs: &mut LogSet,
         txn: TxnId,
     ) -> Result<Vec<(u64, LockEntry)>, LockError> {
-        let names: Vec<u64> = self.held_locks(txn);
         let mut promoted = Vec::new();
-        for name in names {
+        while let Some((name, _)) = self.chains.first_entry(txn) {
             promoted.extend(self.release(m, logs, txn, name)?.into_iter().map(|e| (name, e)));
         }
         Ok(promoted)
@@ -974,11 +990,9 @@ impl LockManager {
         logs: &mut LogSet,
         txn: TxnId,
     ) -> Result<(Vec<(u64, LockMode)>, Vec<(u64, LockEntry)>), LockError> {
-        let names: Vec<u64> = self.held_locks(txn);
-        let mut released = Vec::with_capacity(names.len());
+        let mut released = Vec::new();
         let mut promoted = Vec::new();
-        for name in names {
-            let mode = self.chains.mode_of(txn, name).expect("held_locks listed it");
+        while let Some((name, mode)) = self.chains.first_entry(txn) {
             if mode == LockMode::Exclusive {
                 self.stats.early_released += 1;
                 m.obs().metrics.inc(EARLY_RELEASED_COUNTER);
@@ -1009,7 +1023,12 @@ impl LockManager {
         node: NodeId,
         name: u64,
     ) -> Result<Vec<LockEntry>, LockError> {
-        Ok(self.table.find(m, node, name)?.map(|(_, _, l)| l.holders.to_vec()).unwrap_or_default())
+        let mut lcb = Lcb::default();
+        Ok(self
+            .table
+            .find(m, node, name, &mut lcb)?
+            .map(|_| lcb.holders.to_vec())
+            .unwrap_or_default())
     }
 
     /// Current waiters on `name`.
@@ -1019,7 +1038,12 @@ impl LockManager {
         node: NodeId,
         name: u64,
     ) -> Result<Vec<LockEntry>, LockError> {
-        Ok(self.table.find(m, node, name)?.map(|(_, _, l)| l.waiters.to_vec()).unwrap_or_default())
+        let mut lcb = Lcb::default();
+        Ok(self
+            .table
+            .find(m, node, name, &mut lcb)?
+            .map(|_| lcb.waiters.to_vec())
+            .unwrap_or_default())
     }
 
     pub(crate) fn table_mut(&mut self) -> &mut LockTable {
@@ -1215,7 +1239,6 @@ mod tests {
         let queued = logs
             .log(N1)
             .records()
-            .iter()
             .any(|r| matches!(r.payload, LogPayload::LockAcquire { queued: true, .. }));
         assert!(queued);
     }
@@ -1333,8 +1356,7 @@ mod tests {
         assert_eq!(logs.log(N0).stats().forces, mgr.stats().overflow_allocs);
         let stable = logs.log(N0).stable_records();
         let forced_structural =
-            stable.iter().filter(|r| matches!(r.payload, LogPayload::Structural { .. })).count()
-                as u64;
+            stable.filter(|r| matches!(r.payload, LogPayload::Structural { .. })).count() as u64;
         assert_eq!(forced_structural, mgr.stats().overflow_allocs);
     }
 

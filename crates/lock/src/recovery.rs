@@ -18,7 +18,7 @@ use crate::manager::LockManager;
 use crate::mode::LockMode;
 use serde::{Deserialize, Serialize};
 use smdb_sim::{LineId, Machine, MemError, NodeId, TxnId};
-use smdb_wal::{LogPayload, LogRecord, LogSet, Lsn, StructuralKind};
+use smdb_wal::{LogPayload, LogSet, Lsn, Records, StructuralKind};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Counters describing one lock-space recovery pass.
@@ -62,7 +62,7 @@ fn replay_node_lock_log(
 /// Fold lock-log records, in log order, into the desired lock state of the
 /// `active` transactions.
 fn replay_lock_records(
-    recs: &[LogRecord],
+    recs: Records<'_>,
     active: &BTreeSet<TxnId>,
     desired: &mut BTreeMap<u64, Lcb>,
 ) {
@@ -134,12 +134,7 @@ impl LockManager {
         // node crashed; survivors' volatile logs cover the rest.
         let mut links: Vec<(LineId, LineId)> = Vec::new();
         for node in m.node_ids() {
-            let log = logs.log(node);
-            if log.stats().structural_records == 0 {
-                continue; // this log never carried a structural record
-            }
-            let recs = if m.is_crashed(node) { log.stable_records() } else { log.records() };
-            for rec in recs {
+            for rec in logs.log(node).structural_records(m.is_crashed(node)) {
                 if let LogPayload::Structural {
                     kind: StructuralKind::LockSpaceAlloc { line, parent },
                     ..
@@ -238,10 +233,10 @@ impl LockManager {
                 stats.lines_reinstalled += 1;
             }
         }
+        let mut existing = Lcb::default();
         for (name, want) in &desired {
-            let have = self.table().find(m, recovery_node, *name)?;
-            match have {
-                Some((line, slot, mut existing)) => {
+            match self.table().find(m, recovery_node, *name, &mut existing)? {
+                Some((line, slot)) => {
                     // The LCB survived (phase 1 already scrubbed crashed
                     // entries). Ensure every surviving entry is present —
                     // entries can be missing if the surviving copy of the

@@ -277,8 +277,10 @@ impl LockTable {
         Ok(chain)
     }
 
-    /// Find the slot holding `name`: returns `(line, slot index, decoded
-    /// LCB)`.
+    /// Find the slot holding `name`: returns `(line, slot index)` with the
+    /// LCB decoded into `out` — a scratch the caller owns and reuses, so
+    /// no decoded LCB is moved out per call. `out` is untouched when the
+    /// name is not in the table.
     ///
     /// Fast path: one verified coherent read at the cached placement.
     /// Slow path (cache miss or stale hint): the chain walk, which then
@@ -288,18 +290,20 @@ impl LockTable {
         m: &mut Machine,
         node: NodeId,
         name: u64,
-    ) -> Result<Option<(LineId, usize, Lcb)>, MemError> {
+        out: &mut Lcb,
+    ) -> Result<Option<(LineId, usize)>, MemError> {
+        let slot_size = self.geom.slot_size();
         let hint = self.placement.borrow().get(name);
         if let Some((line, slot)) = hint {
             let off = self.geom.slot_offset(slot);
             match m.read_line_with(node, line, |img| {
-                lcb::decode_slot(&self.geom, &img[off..off + self.geom.slot_size()])
+                lcb::decode_slot_if_named(&self.geom, &img[off..off + slot_size], name, out)
             }) {
-                Ok(Some(l)) if l.name == name => return Ok(Some((line, slot, l))),
+                Ok(true) => return Ok(Some((line, slot))),
                 // Slot empty, reused by another name, or the line is
                 // stalled/lost: the hint is stale — heal and fall back to
                 // the authoritative walk (which re-raises any real error).
-                Ok(_)
+                Ok(false)
                 | Err(MemError::LineLost { .. })
                 | Err(MemError::Stalled { .. })
                 | Err(MemError::NotResident { .. }) => {}
@@ -311,21 +315,14 @@ impl LockTable {
             // Scan the line's slots inside the coherent read — no image
             // copy is made.
             let hit = m.read_line_with(node, line, |img| {
-                for slot in 0..self.geom.lcbs_per_line {
+                (0..self.geom.lcbs_per_line).find(|&slot| {
                     let off = self.geom.slot_offset(slot);
-                    if let Some(l) =
-                        lcb::decode_slot(&self.geom, &img[off..off + self.geom.slot_size()])
-                    {
-                        if l.name == name {
-                            return Some((slot, l));
-                        }
-                    }
-                }
-                None
+                    lcb::decode_slot_if_named(&self.geom, &img[off..off + slot_size], name, out)
+                })
             })?;
-            if let Some((slot, l)) = hit {
+            if let Some(slot) = hit {
                 self.placement.borrow_mut().insert(name, line, slot);
-                return Ok(Some((line, slot, l)));
+                return Ok(Some((line, slot)));
             }
         }
         Ok(None)
@@ -342,10 +339,8 @@ impl LockTable {
     ) -> Result<Option<(LineId, usize)>, MemError> {
         for line in self.chain_for(m, node, name)? {
             let empty = m.read_line_with(node, line, |img| {
-                (0..self.geom.lcbs_per_line).find(|&slot| {
-                    let off = self.geom.slot_offset(slot);
-                    lcb::decode_slot(&self.geom, &img[off..off + self.geom.slot_size()]).is_none()
-                })
+                (0..self.geom.lcbs_per_line)
+                    .find(|&slot| lcb::slot_name(&img[self.geom.slot_offset(slot)..]) == 0)
             })?;
             if let Some(slot) = empty {
                 return Ok(Some((line, slot)));
@@ -461,7 +456,9 @@ mod tests {
     #[test]
     fn find_on_empty_table_is_none() {
         let (mut m, t) = setup();
-        assert_eq!(t.find(&mut m, N0, 42).unwrap(), None);
+        let mut lcb = Lcb::default();
+        assert_eq!(t.find(&mut m, N0, 42, &mut lcb).unwrap(), None);
+        assert_eq!(lcb, Lcb::default(), "a miss leaves the scratch alone");
     }
 
     #[test]
@@ -471,8 +468,10 @@ mod tests {
         let mut l = Lcb::new(42);
         l.holders.push(LockEntry { txn: TxnId::new(N0, 1), mode: LockMode::Exclusive });
         t.write_lcb(&mut m, N0, line, slot, &l).unwrap();
-        let (fline, fslot, found) = t.find(&mut m, N0, 42).unwrap().unwrap();
-        assert_eq!((fline, fslot), (line, slot));
+        // The scratch is reused, not rebuilt: stale contents are replaced.
+        let mut found = Lcb::new(9);
+        found.waiters.push(LockEntry { txn: TxnId::new(N0, 9), mode: LockMode::Shared });
+        assert_eq!(t.find(&mut m, N0, 42, &mut found).unwrap(), Some((line, slot)));
         assert_eq!(found, l);
     }
 
@@ -482,7 +481,8 @@ mod tests {
         let (line, slot) = t.find_empty_slot(&mut m, N0, 42).unwrap().unwrap();
         t.write_lcb(&mut m, N0, line, slot, &Lcb::new(42)).unwrap();
         t.clear_lcb(&mut m, N0, line, slot).unwrap();
-        assert_eq!(t.find(&mut m, N0, 42).unwrap(), None, "stale hint self-heals");
+        let mut lcb = Lcb::default();
+        assert_eq!(t.find(&mut m, N0, 42, &mut lcb).unwrap(), None, "stale hint self-heals");
     }
 
     #[test]
@@ -501,7 +501,7 @@ mod tests {
         let (line, slot) = t.find_empty_slot(&mut m, N0, name).unwrap().unwrap();
         assert_eq!(line, of);
         t.write_lcb(&mut m, N0, line, slot, &Lcb::new(name)).unwrap();
-        let (fline, _, _) = t.find(&mut m, N0, name).unwrap().unwrap();
+        let (fline, _) = t.find(&mut m, N0, name, &mut Lcb::default()).unwrap().unwrap();
         assert_eq!(fline, of);
         assert!(t.owns_line(of));
         assert_eq!(t.all_lines().len(), 9);
@@ -528,12 +528,13 @@ mod tests {
         t.clear_lcb(&mut m, N0, line, slot).unwrap();
         let other = 1042u64;
         t.write_lcb(&mut m, N0, line, slot, &Lcb::new(other)).unwrap();
-        assert_eq!(t.find(&mut m, N0, name).unwrap(), None, "mismatched hint healed");
-        let hit = t.find(&mut m, N0, other).unwrap();
-        assert!(hit.is_some());
+        let mut lcb = Lcb::default();
+        assert_eq!(t.find(&mut m, N0, name, &mut lcb).unwrap(), None, "mismatched hint healed");
+        assert!(t.find(&mut m, N0, other, &mut lcb).unwrap().is_some());
+        assert_eq!(lcb.name, other);
         t.invalidate_placement();
         assert_eq!(t.placement_len(), 0);
-        assert!(t.find(&mut m, N0, other).unwrap().is_some(), "walk refills the cache");
+        assert!(t.find(&mut m, N0, other, &mut lcb).unwrap().is_some(), "walk refills the cache");
         assert_eq!(t.placement_len(), 1);
     }
 

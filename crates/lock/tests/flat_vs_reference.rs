@@ -66,7 +66,6 @@ fn t(node: u16, seq: u64) -> TxnId {
 fn lock_stream(logs: &LogSet, node: NodeId) -> Vec<RefLockRecord> {
     logs.log(node)
         .records()
-        .iter()
         .filter_map(|r| match &r.payload {
             LogPayload::LockAcquire { txn, name, mode, queued } => Some(RefLockRecord::Acquire {
                 txn: *txn,

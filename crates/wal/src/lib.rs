@@ -41,5 +41,5 @@ pub use lsn::Lsn;
 pub use page_lsn::PageLsnTable;
 pub use record::{
     CommitDep, LockModeRepr, LogIndex, LogPayload, LogRecord, NodeLog, NodeLogStats, RecId,
-    StructuralKind,
+    Records, StructuralKind,
 };

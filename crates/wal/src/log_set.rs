@@ -3,7 +3,7 @@
 use crate::lsn::Lsn;
 use crate::record::{LogPayload, LogRecord, NodeLog};
 use smdb_fault::{FaultCrash, FaultInjector};
-use smdb_sim::NodeId;
+use smdb_sim::{NodeId, TxnId};
 
 /// Fault site: visited once per volatile record a log force is about to
 /// make durable. Firing at ordinal `k` of a force means the force wrote
@@ -121,6 +121,16 @@ impl LogSet {
         self.log_mut(node).append(payload)
     }
 
+    /// `txn` has settled and appends nothing further to any log: retire
+    /// its first-record entries (see [`NodeLog::retire_txn`]). Every log is
+    /// told — a transaction's lock and update records land on each node it
+    /// acted on, not only its home.
+    pub fn retire_txn(&mut self, txn: TxnId) {
+        for l in &mut self.logs {
+            l.retire_txn(txn);
+        }
+    }
+
     /// Crash the given nodes' logs (volatile tails vanish).
     pub fn crash(&mut self, nodes: &[NodeId]) {
         for &n in nodes {
@@ -143,7 +153,7 @@ impl LogSet {
     /// log records on all surviving nodes" (§4.2.2); this view (filtered by
     /// the caller to surviving nodes) is that merged log.
     pub fn all_records(&self) -> impl Iterator<Item = &LogRecord> {
-        self.logs.iter().flat_map(|l| l.records().iter())
+        self.logs.iter().flat_map(|l| l.records())
     }
 
     /// Enable or disable force coalescing on every node's log.
@@ -218,7 +228,6 @@ impl LogSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smdb_sim::TxnId;
 
     #[test]
     fn per_node_logs_are_independent() {

@@ -5,7 +5,7 @@ use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 use smdb_sim::{NodeId, TxnId};
 use smdb_storage::PageId;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
 /// Identity of a database record: a slot within a heap page.
@@ -297,91 +297,102 @@ pub struct NodeLogStats {
 /// answer "who committed?", "where does this transaction start?", or "is
 /// there any data record past the checkpoint?".
 ///
-/// Two asymmetries are deliberate:
+/// What each part is sized by, and why:
 ///
-/// * **Commit entries survive truncation.** A committed transaction whose
-///   Commit record has been reclaimed by a checkpoint may still have
-///   participant records retained on *another* node's log; classifying it
-///   as uncommitted there would patch committed data away. The entry is
-///   the durable memory of the reclaimed record (conceptually part of the
-///   checkpoint metadata on the shared disk).
+/// * **Commit entries survive truncation, densely.** A committed
+///   transaction whose Commit record has been reclaimed by a checkpoint
+///   may still have participant records retained on *another* node's log;
+///   classifying it as uncommitted there would patch committed data away.
+///   The entry is the durable memory of the reclaimed record
+///   (conceptually part of the checkpoint metadata on the shared disk).
+///   Commit records live on the home log and sequence numbers are dense
+///   per node, so the memory is one LSN per sequence number — an array
+///   lookup, not a tree descent — and the whole-history commit oracle
+///   ([`NodeLog::stable_commits`]) reads it in order.
+/// * **First-record entries are sized by live transactions.** They are
+///   only ever read for *active* transactions (the checkpoint's undo
+///   floor, lock-log replay), so an entry is retired when its transaction
+///   settles ([`NodeLog::retire_txn`], after the transaction's last
+///   append — lock-release records follow the Commit record), and
+///   truncation drops whatever sits at or below its cutoff: the cutoff is
+///   below the first record of every active transaction, so such an entry
+///   can only belong to a settled one.
 /// * **Crash clamps are conservative upper bounds.** After a crash the
 ///   retained maximum data LSN may be lower than the clamped value; the
 ///   safe direction is "scan anyway", never "skip".
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct LogIndex {
-    /// Commit-record LSN per transaction (kept across truncation).
-    commit_lsns: BTreeMap<TxnId, Lsn>,
+    /// The log's node: the home of every transaction in `commit_lsns`.
+    node: NodeId,
+    /// Commit-record LSN of the home transaction with sequence number `i`
+    /// at index `i`; [`Lsn::ZERO`] for "no commit record" (kept across
+    /// truncation).
+    commit_lsns: Vec<Lsn>,
     /// Commit-LSN dependencies per committed transaction (kept across
     /// truncation, like `commit_lsns` — a reclaimed commit record's
     /// constraints remain part of the durable checkpoint metadata). Only
     /// populated for commits with a non-empty dependency list.
     commit_deps: BTreeMap<TxnId, Vec<CommitDep>>,
-    /// LSN of the first record each transaction wrote to this log.
+    /// LSN of the first retained record of each unsettled transaction
+    /// that wrote to this log.
     first_txn_lsns: BTreeMap<TxnId, Lsn>,
-    /// First/last Update-record LSN per dirtied heap page.
-    dirty_pages: BTreeMap<PageId, (Lsn, Lsn)>,
     /// Highest LSN of any data record (Update / Index*); [`Lsn::ZERO`]
     /// when the log has never carried one.
     last_data_lsn: Lsn,
 }
 
 impl LogIndex {
+    fn new(node: NodeId) -> Self {
+        LogIndex {
+            node,
+            commit_lsns: Vec::new(),
+            commit_deps: BTreeMap::new(),
+            first_txn_lsns: BTreeMap::new(),
+            last_data_lsn: Lsn::ZERO,
+        }
+    }
+
     fn note_append(&mut self, lsn: Lsn, payload: &LogPayload) {
-        match payload {
-            LogPayload::Commit { txn, deps } => {
-                self.commit_lsns.insert(*txn, lsn);
-                if !deps.is_empty() {
-                    self.commit_deps.insert(*txn, deps.clone());
-                }
+        if let LogPayload::Commit { txn, deps } = payload {
+            assert_eq!(txn.node(), self.node, "commit records live on the home log");
+            let seq = txn.seq() as usize;
+            if self.commit_lsns.len() <= seq {
+                self.commit_lsns.resize(seq + 1, Lsn::ZERO);
             }
-            LogPayload::Update { rec, .. } => {
-                let span = self.dirty_pages.entry(rec.page).or_insert((lsn, lsn));
-                span.1 = lsn;
-                self.last_data_lsn = lsn;
+            self.commit_lsns[seq] = lsn;
+            if !deps.is_empty() {
+                self.commit_deps.insert(*txn, deps.clone());
             }
-            LogPayload::IndexInsert { .. }
-            | LogPayload::IndexDelete { .. }
-            | LogPayload::IndexRemove { .. }
-            | LogPayload::IndexUnmark { .. } => {
-                self.last_data_lsn = lsn;
-            }
-            _ => {}
+        } else if payload.gsn().is_some() {
+            self.last_data_lsn = lsn;
         }
         if let Some(txn) = payload.txn() {
             self.first_txn_lsns.entry(txn).or_insert(lsn);
         }
     }
 
-    /// Drop knowledge of volatile records lost in a crash; spans that
-    /// straddle the boundary are clamped (upper bounds, see type docs).
-    fn purge_volatile(&mut self, stable: Lsn) {
-        let lsns = &self.commit_lsns;
-        self.commit_deps.retain(|t, _| lsns.get(t).is_some_and(|l| *l <= stable));
-        self.commit_lsns.retain(|_, l| *l <= stable);
-        self.first_txn_lsns.retain(|_, l| *l <= stable);
-        self.dirty_pages.retain(|_, (first, _)| *first <= stable);
-        for (_, last) in self.dirty_pages.values_mut() {
-            *last = (*last).min(stable);
-        }
-        self.last_data_lsn = self.last_data_lsn.min(stable);
+    /// Forget a Commit record lost with the volatile tail.
+    fn forget_commit(&mut self, txn: TxnId) {
+        self.commit_lsns[txn.seq() as usize] = Lsn::ZERO;
+        self.commit_deps.remove(&txn);
     }
 
-    /// Forget dirty-page spans wholly below a truncation cutoff. Commit
-    /// and first-record entries are kept (see type docs); `last_data_lsn`
-    /// is an all-time high-water mark and unaffected.
-    fn note_truncation(&mut self, cutoff: Lsn) {
-        self.dirty_pages.retain(|_, (_, last)| *last > cutoff);
-    }
-
-    /// Transactions whose Commit record reached LSN ≤ `stable`.
+    /// Transactions whose Commit record reached LSN ≤ `stable`, ascending.
     pub fn stable_commits(&self, stable: Lsn) -> impl Iterator<Item = TxnId> + '_ {
-        self.commit_lsns.iter().filter(move |(_, l)| **l <= stable).map(|(t, _)| *t)
+        let node = self.node;
+        self.commit_lsns
+            .iter()
+            .enumerate()
+            .filter(move |(_, l)| **l != Lsn::ZERO && **l <= stable)
+            .map(move |(seq, _)| TxnId::new(node, seq as u64))
     }
 
     /// LSN of `txn`'s Commit record on this log, if it ever committed here.
     pub fn commit_lsn(&self, txn: TxnId) -> Option<Lsn> {
-        self.commit_lsns.get(&txn).copied()
+        if txn.node() != self.node {
+            return None;
+        }
+        self.commit_lsns.get(txn.seq() as usize).copied().filter(|l| *l != Lsn::ZERO)
     }
 
     /// The commit-LSN dependencies recorded with `txn`'s Commit record
@@ -390,19 +401,16 @@ impl LogIndex {
         self.commit_deps.get(&txn).map(|v| v.as_slice()).unwrap_or(&[])
     }
 
-    /// LSN of `txn`'s first record on this log, if it ever wrote one.
+    /// LSN of the first retained record of the unsettled transaction
+    /// `txn` on this log, if it wrote one.
     pub fn first_txn_lsn(&self, txn: TxnId) -> Option<Lsn> {
         self.first_txn_lsns.get(&txn).copied()
     }
 
-    /// First/last Update-record LSN for a retained dirty heap page.
-    pub fn dirty_page_span(&self, page: PageId) -> Option<(Lsn, Lsn)> {
-        self.dirty_pages.get(&page).copied()
-    }
-
-    /// Number of heap pages with retained Update records.
-    pub fn dirty_page_count(&self) -> usize {
-        self.dirty_pages.len()
+    /// Number of first-record entries held: transactions with a retained
+    /// record here that have not been retired (bounded-growth checks).
+    pub fn first_txn_entries(&self) -> usize {
+        self.first_txn_lsns.len()
     }
 
     /// Highest LSN of any data record ever appended (upper bound after a
@@ -411,6 +419,86 @@ impl LogIndex {
         self.last_data_lsn
     }
 }
+
+/// Records per log segment. One constant: a segment is ~120 KB, so the
+/// slack of a checkpointed log (one partly filled segment, one partly
+/// truncated one) stays below the doubling slack of the `Vec` it
+/// replaced, and a long log is a few hundred segments.
+const SEGMENT_RECORDS: usize = 1024;
+
+/// A double-ended, exact-size iterator over a run of a log's retained
+/// records, in LSN order. Walks the segments slice by slice: the run is
+/// the rest of a first segment, whole segments, and the start of a last.
+#[derive(Clone, Debug)]
+pub struct Records<'a> {
+    front: std::slice::Iter<'a, LogRecord>,
+    /// The whole segments between `front`'s and `back`'s, each `seg_len`
+    /// records long.
+    mid: std::collections::vec_deque::Iter<'a, Vec<LogRecord>>,
+    back: std::slice::Iter<'a, LogRecord>,
+    seg_len: usize,
+}
+
+impl<'a> Records<'a> {
+    /// The records at physical positions `from..to` of `segments` (every
+    /// segment but the last holds `seg_len` records).
+    fn new(segments: &'a VecDeque<Vec<LogRecord>>, seg_len: usize, from: usize, to: usize) -> Self {
+        let none: &[LogRecord] = &[];
+        let (mut front, mut mid, mut back) = (none.iter(), segments.range(0..0), none.iter());
+        if from < to {
+            let (first, first_at) = (from / seg_len, from % seg_len);
+            let (last, last_end) = ((to - 1) / seg_len, (to - 1) % seg_len + 1);
+            if first == last {
+                front = segments[first][first_at..last_end].iter();
+            } else {
+                front = segments[first][first_at..].iter();
+                mid = segments.range(first + 1..last);
+                back = segments[last][..last_end].iter();
+            }
+        }
+        Records { front, mid, back, seg_len }
+    }
+}
+
+impl<'a> Iterator for Records<'a> {
+    type Item = &'a LogRecord;
+
+    #[inline]
+    fn next(&mut self) -> Option<&'a LogRecord> {
+        loop {
+            if let Some(r) = self.front.next() {
+                return Some(r);
+            }
+            match self.mid.next() {
+                Some(seg) => self.front = seg.iter(),
+                None => return self.back.next(),
+            }
+        }
+    }
+
+    #[inline]
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = self.front.len() + self.mid.len() * self.seg_len + self.back.len();
+        (n, Some(n))
+    }
+}
+
+impl DoubleEndedIterator for Records<'_> {
+    #[inline]
+    fn next_back(&mut self) -> Option<Self::Item> {
+        loop {
+            if let Some(r) = self.back.next_back() {
+                return Some(r);
+            }
+            match self.mid.next_back() {
+                Some(seg) => self.back = seg.iter(),
+                None => return self.front.next_back(),
+            }
+        }
+    }
+}
+
+impl ExactSizeIterator for Records<'_> {}
 
 /// One node's log: a volatile tail in the node's local memory plus a stable
 /// prefix on a shared disk.
@@ -425,13 +513,31 @@ impl LogIndex {
 /// recovery procedure can no longer need (everything at or below the
 /// checkpoint, bounded by the oldest record of any still-active
 /// transaction); LSNs are stable identities and survive truncation.
+///
+/// Records sit in fixed-size segments: an append writes in place and never
+/// moves an older record, truncation pops whole segments, a crash pops the
+/// tail, and an empty log owns no memory.
 #[derive(Clone, Debug)]
 pub struct NodeLog {
     node: NodeId,
-    /// Retained records; the record at index `i` has LSN `base + i + 1`.
-    records: Vec<LogRecord>,
+    /// Retained records. Every segment but the last holds `seg_len`
+    /// records and none is empty; the first `head` records of the first
+    /// segment are truncated. The retained record at offset `i` has LSN
+    /// `base + i + 1`.
+    segments: VecDeque<Vec<LogRecord>>,
+    /// Truncated records at the front of the first segment: they stay in
+    /// place, payload dropped, until the whole segment goes.
+    head: usize,
+    /// Records per segment ([`SEGMENT_RECORDS`] outside tests).
+    seg_len: usize,
     /// Number of records discarded from the front by truncation.
     base: u64,
+    /// Ascending LSNs of the retained records that carry a GSN, and of
+    /// the retained `Structural` records: the two classes recovery reads
+    /// on their own ([`NodeLog::data_records`],
+    /// [`NodeLog::structural_records`]).
+    data_lsns: VecDeque<Lsn>,
+    structural_lsns: VecDeque<Lsn>,
     /// LSN up to which (inclusive) the log is on stable storage.
     stable_upto: Lsn,
     /// Whether logical durability requests may be deferred into the
@@ -441,7 +547,7 @@ pub struct NodeLog {
     /// value ≤ `stable_upto`) means the window is empty. Volatile: a crash
     /// discards it along with the unforced tail it pointed at.
     pending_force: Lsn,
-    /// Incremental per-append index (commits, first records, dirty pages).
+    /// Incremental per-append index (commits, first records, data mark).
     index: LogIndex,
     stats: NodeLogStats,
 }
@@ -449,14 +555,27 @@ pub struct NodeLog {
 impl NodeLog {
     /// Create an empty log for `node`.
     pub fn new(node: NodeId) -> Self {
+        Self::with_segment_len(node, SEGMENT_RECORDS)
+    }
+
+    /// An empty log with `seg_len` records per segment — for tests that
+    /// want segment boundaries crossed constantly; [`NodeLog::new`] is the
+    /// production constructor.
+    #[doc(hidden)]
+    pub fn with_segment_len(node: NodeId, seg_len: usize) -> Self {
+        assert!(seg_len > 0, "a segment holds at least one record");
         NodeLog {
             node,
-            records: Vec::new(),
+            segments: VecDeque::new(),
+            head: 0,
+            seg_len,
             base: 0,
+            data_lsns: VecDeque::new(),
+            structural_lsns: VecDeque::new(),
             stable_upto: Lsn::ZERO,
             coalesce: false,
             pending_force: Lsn::ZERO,
-            index: LogIndex::default(),
+            index: LogIndex::new(node),
             stats: NodeLogStats::default(),
         }
     }
@@ -468,7 +587,7 @@ impl NodeLog {
 
     /// Append a record to the volatile tail; returns its LSN.
     pub fn append(&mut self, payload: LogPayload) -> Lsn {
-        let lsn = Lsn(self.base + self.records.len() as u64 + 1);
+        let lsn = Lsn(self.last_lsn().0 + 1);
         self.stats.appends += 1;
         self.stats.bytes_appended += payload.approx_size() as u64;
         if let LogPayload::LockAcquire { mode: LockModeRepr::Shared, .. } = payload {
@@ -476,15 +595,23 @@ impl NodeLog {
         }
         if let LogPayload::Structural { .. } = payload {
             self.stats.structural_records += 1;
+            self.structural_lsns.push_back(lsn);
+        }
+        if payload.gsn().is_some() {
+            self.data_lsns.push_back(lsn);
         }
         self.index.note_append(lsn, &payload);
-        self.records.push(LogRecord { lsn, node: self.node, payload });
+        if self.segments.back().is_none_or(|s| s.len() == self.seg_len) {
+            self.segments.push_back(Vec::with_capacity(self.seg_len));
+        }
+        let tail = self.segments.back_mut().expect("a segment with room was just ensured");
+        tail.push(LogRecord { lsn, node: self.node, payload });
         lsn
     }
 
     /// LSN of the most recently appended record ([`Lsn::ZERO`] if empty).
     pub fn last_lsn(&self) -> Lsn {
-        Lsn(self.base + self.records.len() as u64)
+        Lsn(self.base + self.len() as u64)
     }
 
     /// LSN up to which (inclusive) the log is stable.
@@ -590,31 +717,98 @@ impl NodeLog {
     /// Crash this node's log: the volatile tail vanishes; the stable prefix
     /// remains.
     pub fn crash(&mut self) {
-        let keep = self.stable_upto.0.saturating_sub(self.base) as usize;
-        self.records.truncate(keep);
+        let stable = self.stable_upto;
+        // Physical positions: end of the stable prefix, end of the log.
+        let (kept, end) = (self.head + self.stable_len(), self.head + self.len());
+        // Commit records die with the tail they sat in.
+        for rec in Records::new(&self.segments, self.seg_len, kept, end) {
+            if let LogPayload::Commit { txn, .. } = rec.payload {
+                self.index.forget_commit(txn);
+            }
+        }
+        if kept == self.head {
+            self.segments.clear();
+            self.head = 0;
+        } else {
+            self.segments.truncate(kept.div_ceil(self.seg_len));
+            let tail = self.segments.back_mut().expect("a kept record retains its segment");
+            tail.truncate(kept - (kept - 1) / self.seg_len * self.seg_len);
+        }
         self.pending_force = Lsn::ZERO;
-        self.index.purge_volatile(self.stable_upto);
+        for lsns in [&mut self.data_lsns, &mut self.structural_lsns] {
+            lsns.truncate(lsns.partition_point(|l| *l <= stable));
+        }
+        self.index.first_txn_lsns.retain(|_, l| *l <= stable);
+        self.index.last_data_lsn = self.index.last_data_lsn.min(stable);
+    }
+
+    /// Number of retained records on the stable prefix.
+    fn stable_len(&self) -> usize {
+        (self.stable_upto.0.saturating_sub(self.base) as usize).min(self.len())
+    }
+
+    /// The retained records at offsets `from..to`.
+    fn range(&self, from: usize, to: usize) -> Records<'_> {
+        Records::new(&self.segments, self.seg_len, self.head + from, self.head + to)
     }
 
     /// All retained records (stable prefix + volatile tail). For a
     /// surviving node this is the full history since the last truncation;
     /// for a crashed node call after [`NodeLog::crash`] and only the
     /// stable prefix remains.
-    pub fn records(&self) -> &[LogRecord] {
-        &self.records
+    pub fn records(&self) -> Records<'_> {
+        self.range(0, self.len())
     }
 
     /// Only the (retained part of the) stable prefix.
-    pub fn stable_records(&self) -> &[LogRecord] {
-        let n = (self.stable_upto.0.saturating_sub(self.base) as usize).min(self.records.len());
-        &self.records[..n]
+    pub fn stable_records(&self) -> Records<'_> {
+        self.range(0, self.stable_len())
     }
 
     /// Records with LSN strictly greater than `after`.
-    pub fn records_after(&self, after: Lsn) -> &[LogRecord] {
-        let start =
-            (after.0.max(self.base).saturating_sub(self.base) as usize).min(self.records.len());
-        &self.records[start..]
+    pub fn records_after(&self, after: Lsn) -> Records<'_> {
+        let start = (after.0.saturating_sub(self.base) as usize).min(self.len());
+        self.range(start, self.len())
+    }
+
+    /// The retained records that carry a GSN (`Update` / `Index*`), in LSN
+    /// order; with `stable_only`, those on the stable prefix. Restart
+    /// analysis classifies nothing else, so it walks these instead of
+    /// streaming past every lock and control record.
+    pub fn data_records(&self, stable_only: bool) -> impl Iterator<Item = &LogRecord> + '_ {
+        self.records_at(&self.data_lsns, stable_only)
+    }
+
+    /// The retained `Structural` records (index splits and root growth,
+    /// lock-space allocations), in LSN order; with `stable_only`, those on
+    /// the stable prefix. They are rare and forced at once, and the two
+    /// recoveries that rebuild a skeleton from them read nothing else.
+    pub fn structural_records(&self, stable_only: bool) -> impl Iterator<Item = &LogRecord> + '_ {
+        self.records_at(&self.structural_lsns, stable_only)
+    }
+
+    /// The records at the ascending retained `lsns` (through the stable
+    /// boundary only, with `stable_only`). A cursor walks the segments
+    /// forward once; no per-record position arithmetic.
+    fn records_at<'a>(
+        &'a self,
+        lsns: &'a VecDeque<Lsn>,
+        stable_only: bool,
+    ) -> impl Iterator<Item = &'a LogRecord> + 'a {
+        let upto = if stable_only { self.stable_upto } else { self.last_lsn() };
+        let n = lsns.partition_point(|l| *l <= upto);
+        // LSN of the record at position 0 of the cursor's segment
+        // (truncated or not: `base >= head`).
+        let mut first_lsn = self.base + 1 - self.head as u64;
+        let mut segments = self.segments.iter();
+        let mut segment: &[LogRecord] = &[];
+        lsns.range(..n).map(move |lsn| {
+            while lsn.0 - first_lsn >= segment.len() as u64 {
+                first_lsn += segment.len() as u64;
+                segment = segments.next().expect("an indexed LSN is retained");
+            }
+            &segment[(lsn.0 - first_lsn) as usize]
+        })
     }
 
     /// Discard every record with LSN ≤ `lsn` (checkpoint-driven log
@@ -629,10 +823,27 @@ impl NodeLog {
         if lsn.0 <= self.base {
             return;
         }
-        let n = (lsn.0 - self.base) as usize;
-        self.records.drain(..n.min(self.records.len()));
+        let n = ((lsn.0 - self.base) as usize).min(self.len());
+        if n == self.len() {
+            self.segments.clear();
+            self.head = 0;
+        } else {
+            let head = self.head + n;
+            let whole = head / self.seg_len;
+            self.segments.drain(..whole);
+            // The first segment stays where it is; its truncated records
+            // give their payloads back now.
+            let blank_from = if whole == 0 { self.head } else { 0 };
+            self.head = head % self.seg_len;
+            for rec in &mut self.segments[0][blank_from..self.head] {
+                rec.payload = LogPayload::Checkpoint;
+            }
+        }
         self.base = lsn.0;
-        self.index.note_truncation(lsn);
+        for lsns in [&mut self.data_lsns, &mut self.structural_lsns] {
+            lsns.drain(..lsns.partition_point(|l| *l <= lsn));
+        }
+        self.index.first_txn_lsns.retain(|_, first| *first > lsn);
     }
 
     /// LSN below which records have been discarded.
@@ -642,17 +853,27 @@ impl NodeLog {
 
     /// Number of retained records.
     pub fn len(&self) -> usize {
-        self.records.len()
+        match self.segments.back() {
+            Some(tail) => (self.segments.len() - 1) * self.seg_len + tail.len() - self.head,
+            None => 0,
+        }
     }
 
     /// Whether no records are retained.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.segments.is_empty()
     }
 
     /// The incremental per-append index.
     pub fn index(&self) -> &LogIndex {
         &self.index
+    }
+
+    /// `txn` has settled and appends nothing further: drop its
+    /// first-record entry (see [`LogIndex`]). A no-op for a transaction
+    /// that never wrote here.
+    pub fn retire_txn(&mut self, txn: TxnId) {
+        self.index.first_txn_lsns.remove(&txn);
     }
 
     /// Transactions whose Commit record is on this log's stable prefix
@@ -663,7 +884,7 @@ impl NodeLog {
 
     /// Whether `txn`'s Commit record on this log reached stable storage.
     pub fn is_commit_stable(&self, txn: TxnId) -> bool {
-        self.index.commit_lsns.get(&txn).is_some_and(|l| *l <= self.stable_upto)
+        self.index.commit_lsn(txn).is_some_and(|l| l <= self.stable_upto)
     }
 
     /// Whether any data record with LSN > `after` may be retained — the
@@ -773,7 +994,7 @@ mod tests {
         log.force_to(Lsn(2));
         log.crash();
         assert_eq!(log.len(), 2);
-        assert_eq!(log.records().last().unwrap().lsn, Lsn(2));
+        assert_eq!(log.records().next_back().unwrap().lsn, Lsn(2));
         // The paper's "left no trace" scenario: nothing forced, all gone.
         let mut log2 = NodeLog::new(n0());
         log2.append(begin(9));
@@ -878,7 +1099,7 @@ mod truncation_tests {
         log.truncate_through(Lsn(3));
         assert_eq!(log.truncation_point(), Lsn(3));
         assert_eq!(log.len(), 3);
-        assert_eq!(log.records()[0].lsn, Lsn(4), "LSNs survive truncation");
+        assert_eq!(log.records().next().unwrap().lsn, Lsn(4), "LSNs survive truncation");
         assert_eq!(log.last_lsn(), Lsn(6));
         // Appends continue the sequence.
         assert_eq!(log.append(begin(7)), Lsn(7));
@@ -905,9 +1126,9 @@ mod truncation_tests {
         }
         log.force_to(Lsn(4));
         log.truncate_through(Lsn(2));
-        let stable = log.stable_records();
+        let mut stable = log.stable_records();
         assert_eq!(stable.len(), 2, "lsn 3..=4 retained and stable");
-        assert_eq!(stable[0].lsn, Lsn(3));
+        assert_eq!(stable.next().unwrap().lsn, Lsn(3));
         // Crash drops the volatile tail only.
         log.crash();
         assert_eq!(log.last_lsn(), Lsn(4));
@@ -981,7 +1202,7 @@ mod index_tests {
         // stable point (an empty scan may still be suggested), but nothing
         // past it is ever claimed.
         assert!(!log.has_data_after(Lsn(1)), "update died with the tail");
-        assert_eq!(log.index().dirty_page_count(), 0);
+        assert_eq!(log.data_records(false).count(), 0);
     }
 
     #[test]
@@ -993,25 +1214,31 @@ mod index_tests {
         log.force_all();
         log.truncate_through(Lsn(3));
         assert!(log.is_commit_stable(txn(1)), "truncated commit is still a commit");
-        assert_eq!(log.index().dirty_page_count(), 0, "dirty span reclaimed");
+        assert_eq!(log.data_records(false).count(), 0, "data record reclaimed");
         assert!(!log.has_data_after(Lsn(3)));
         assert!(log.has_data_after(Lsn(1)), "high-water mark is all-time");
     }
 
     #[test]
-    fn dirty_page_spans_track_first_and_last() {
-        let mut log = NodeLog::new(NodeId(0));
+    fn data_records_follow_force_crash_and_truncation() {
+        let mut log = NodeLog::with_segment_len(NodeId(0), 2);
         log.append(update(1, 7, 1)); // lsn 1
         log.append(LogPayload::Begin { txn: txn(2) }); // lsn 2
         log.append(update(2, 7, 2)); // lsn 3
         log.append(update(2, 9, 3)); // lsn 4
-        assert_eq!(log.index().dirty_page_span(PageId(7)), Some((Lsn(1), Lsn(3))));
-        assert_eq!(log.index().dirty_page_span(PageId(9)), Some((Lsn(4), Lsn(4))));
-        assert_eq!(log.index().last_data_lsn(), Lsn(4));
-        log.force_all();
+        log.append(LogPayload::IndexRemove { txn: txn(2), key: 5, gsn: 4 }); // lsn 5
+        let lsns = |log: &NodeLog, stable| -> Vec<u64> {
+            log.data_records(stable).map(|r| r.lsn.0).collect()
+        };
+        assert_eq!(lsns(&log, false), [1, 3, 4, 5]);
+        assert_eq!(lsns(&log, true), [0u64; 0]);
+        assert_eq!(log.index().last_data_lsn(), Lsn(5));
+        log.force_to(Lsn(4));
+        assert_eq!(lsns(&log, true), [1, 3, 4]);
         log.truncate_through(Lsn(3));
-        assert_eq!(log.index().dirty_page_span(PageId(7)), None);
-        assert_eq!(log.index().dirty_page_span(PageId(9)), Some((Lsn(4), Lsn(4))));
+        assert_eq!(lsns(&log, false), [4, 5]);
+        log.crash();
+        assert_eq!(lsns(&log, false), [4]);
     }
 
     #[test]
@@ -1020,5 +1247,30 @@ mod index_tests {
         log.append(LogPayload::Begin { txn: txn(5) }); // lsn 1
         log.append(update(5, 0, 1)); // lsn 2
         assert_eq!(log.index().first_txn_lsn(txn(5)), Some(Lsn(1)));
+    }
+
+    #[test]
+    fn first_txn_entries_go_at_retire_and_below_a_truncation() {
+        let mut log = NodeLog::new(NodeId(0));
+        log.append(LogPayload::Begin { txn: txn(1) }); // lsn 1
+        log.append(LogPayload::Begin { txn: txn(2) }); // lsn 2
+        log.append(LogPayload::Begin { txn: txn(3) }); // lsn 3
+        assert_eq!(log.index().first_txn_entries(), 3);
+        log.retire_txn(txn(2));
+        log.retire_txn(txn(9)); // never wrote here
+        assert_eq!(log.index().first_txn_lsn(txn(2)), None);
+        log.force_all();
+        // A cutoff below txn 3's first record: txn 1 can only be settled.
+        log.truncate_through(Lsn(2));
+        assert_eq!(log.index().first_txn_lsn(txn(1)), None);
+        assert_eq!(log.index().first_txn_lsn(txn(3)), Some(Lsn(3)));
+        assert_eq!(log.index().first_txn_entries(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "home log")]
+    fn commit_record_on_a_foreign_log_rejected() {
+        let mut log = NodeLog::new(NodeId(1));
+        log.append(LogPayload::Commit { txn: txn(1), deps: vec![] });
     }
 }

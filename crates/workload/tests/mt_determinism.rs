@@ -47,7 +47,7 @@ fn log_digests(db: &SmDb) -> Vec<(usize, u64)> {
         .map(|n| {
             let records = db.logs().log(NodeId(n)).records();
             let mut h = 0xcbf29ce484222325u64;
-            for r in records {
+            for r in records.clone() {
                 fnv(&mut h, format!("{r:?}").as_bytes());
             }
             (records.len(), h)

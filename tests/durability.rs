@@ -197,7 +197,7 @@ fn checkpoint_truncates_logs_and_recovery_still_works() {
     }
     db.checkpoint(N0).unwrap();
     assert!(
-        db.logs().log(N1).records().iter().any(|r| r.payload.txn() == Some(pin)),
+        db.logs().log(N1).records().any(|r| r.payload.txn() == Some(pin)),
         "active transaction's records must survive truncation"
     );
     // ...and recovery after all this is still exact.
