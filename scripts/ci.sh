@@ -51,6 +51,16 @@ echo "== transaction-table lockstep (2000 cases) + live-entries count =="
 # cascade-victim scenario. The workspace test steps run 256 cases.
 PROPTEST_CASES=2000 cargo test --release -q -p smdb-core --test txn_table
 
+echo "== segmented-log model (2000 cases) =="
+# The segmented NodeLog against one plain Vec<LogRecord> with a
+# whole-history index, after every step of random append / force / torn
+# force / coalesced request / crash / truncate / settle scripts at
+# segment lengths of 1-5 records (DESIGN §10.2): every reader, LSN,
+# counter and index answer. The same package holds the in-place test
+# (record 1 does not move across 100 000 appends). The workspace test
+# steps run 256 cases.
+PROPTEST_CASES=2000 cargo test --release -q -p smdb-wal
+
 echo "== schedule fuzz (bounded, fixed seeds) =="
 # Deterministic VOPR-style schedule fuzz (DESIGN §13): three fixed master
 # seeds (500 schedules each), so this step replays the same schedules on
