@@ -332,13 +332,17 @@ fn settle_and_check_ifa(db: &mut SmDb, scan_node: NodeId) {
 /// after its reinstall phase and left stale stable images in a cache,
 /// whether the node that holds them dies next (the usual continuation) or
 /// survives into the second attempt (where trusting them would skip redo
-/// the records still need).
+/// the records still need). The plan itself, and the committed values
+/// beside it, must be what a fold over every retained log record says
+/// (`check_redo_plan`) at the same points.
 #[test]
 fn plan_sized_probe_equals_whole_cache_snapshot() {
     use smdb_core::fault::{CrashPoint, FaultInjector, FaultPlan};
     let assert_exact = |db: &SmDb, at: &str| {
         let diffs = db.check_cached_probe();
         assert!(diffs.is_empty(), "cached probe diverged {at}:\n  {}", diffs.join("\n  "));
+        let diffs = db.check_redo_plan();
+        assert!(diffs.is_empty(), "redo plan diverged {at}:\n  {}", diffs.join("\n  "));
     };
     for (p, instant) in restart_cells() {
         let at = format!("{p:?} instant={instant}");

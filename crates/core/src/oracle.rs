@@ -19,7 +19,9 @@ use crate::error::DbError;
 use crate::txn::TxnStatus;
 use smdb_btree::VAL_SIZE;
 use smdb_sim::{NodeId, TxnId};
+use smdb_wal::{LogPayload, RecId};
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::Debug;
 
 /// Pending (uncommitted) effects of one transaction. Every entry carries
 /// the global write sequence number it was noted at, so commit application
@@ -262,6 +264,26 @@ impl IfaReport {
     }
 }
 
+/// Disagreements between what the analysis holds per record (`got`) and
+/// the reference fold (`want`), one line each.
+fn diff_per_record<V: PartialEq + Debug>(
+    what: &str,
+    got: &BTreeMap<RecId, V>,
+    want: &BTreeMap<RecId, V>,
+) -> Vec<String> {
+    let recs: BTreeSet<&RecId> = got.keys().chain(want.keys()).collect();
+    recs.into_iter()
+        .filter(|rec| got.get(rec) != want.get(rec))
+        .map(|rec| {
+            format!(
+                "{what} of {rec:?}: analysis holds {:?}, whole-log fold says {:?}",
+                got.get(rec),
+                want.get(rec)
+            )
+        })
+        .collect()
+}
+
 impl SmDb {
     /// Check the IFA guarantee against the shadow model.
     ///
@@ -471,6 +493,47 @@ impl SmDb {
                 })
             })
             .collect()
+    }
+
+    /// Independent oracle for the analysis' per-record reductions. Restart
+    /// folds each retained log into a reduced heap redo plan (the final
+    /// image per record past the checkpoint bound) and the last committed
+    /// value per record ([`SmDb::recover`]'s first phase). This reference
+    /// takes the long way round — every retained record of every log,
+    /// payload in hand, each transaction classified afresh, a plain
+    /// max-GSN fold into a `BTreeMap` — and compares the two record by
+    /// record: GSN, writer, after image. Call between [`SmDb::crash`] and
+    /// [`SmDb::recover`] (also after an interrupted `recover`). Returns
+    /// human-readable disagreements (empty = the analysis is exact).
+    pub fn check_redo_plan(&self) -> Vec<String> {
+        let (analysed, doomed) = self.pending_restart_scope();
+        let unacked = self.settled_unacked_commits();
+        let mut plan = BTreeMap::new();
+        let mut values = BTreeMap::new();
+        for n in self.m.node_ids() {
+            let log = self.logs.log(n);
+            let is_analysed = analysed.contains(&n);
+            let bound = self.ckpt.last().lsn_for(n);
+            let covered = if is_analysed { log.stable_records() } else { log.records() };
+            for r in covered {
+                let LogPayload::Update { txn, rec, redo: after, gsn, .. } = &r.payload else {
+                    continue;
+                };
+                let committed =
+                    self.txns.status(*txn) == Some(TxnStatus::Committed) || unacked.contains(txn);
+                if committed && values.get(rec).is_none_or(|(g, _)| gsn >= g) {
+                    values.insert(*rec, (*gsn, after.clone()));
+                }
+                let redo = r.lsn > bound && !doomed.contains(txn) && (committed || !is_analysed);
+                if redo && plan.get(rec).is_none_or(|(g, _, _)| gsn >= g) {
+                    plan.insert(*rec, (*gsn, *txn, after.clone()));
+                }
+            }
+        }
+        let (got_plan, got_values) = self.analysed_heap_images(&analysed, &doomed);
+        let mut diffs = diff_per_record("redo plan", &got_plan, &plan);
+        diffs.extend(diff_per_record("committed value", &got_values, &values));
+        diffs
     }
 
     /// Lockstep cross-check of the lock manager's two representations:

@@ -1158,10 +1158,8 @@ impl SmDb {
     /// [`SmDb::recover`] (also after an interrupted `recover`). Returns
     /// human-readable disagreements (empty = the probe is exact).
     pub fn check_cached_probe(&self) -> Vec<String> {
-        let down: Vec<NodeId> = self.m.node_ids().filter(|n| self.m.is_crashed(*n)).collect();
-        let (crashed_active, mut doomed) = self.doomed_partition();
-        doomed.extend(crashed_active);
-        let analysis = self.analyse_stable(&down, &doomed, false);
+        let (analysed, doomed) = self.pending_restart_scope();
+        let analysis = self.analyse_stable(&analysed, &doomed, false);
         let probed = self.cached_plan_lines(&analysis);
         let mut snapshot: BTreeSet<LineId> =
             self.m.iter_held().map(|(_, l, _)| l).filter(|l| self.is_heap_line(*l)).collect();
@@ -1180,6 +1178,43 @@ impl SmDb {
             }
         }
         diffs
+    }
+
+    /// What the analysis of the pending crash covers, as [`SmDb::recover`]
+    /// would call it: the nodes read over their stable prefix only, and
+    /// the transactions that die. The full restart (FA-only, or no
+    /// survivor) analyses every node and dooms nobody — everything not
+    /// committed is simply never redone.
+    pub(crate) fn pending_restart_scope(&self) -> (Vec<NodeId>, BTreeSet<TxnId>) {
+        let full = self.cfg.protocol == ProtocolKind::FaOnly
+            || self.pending_total_failure
+            || self.m.surviving_nodes().is_empty();
+        if full {
+            return (self.m.node_ids().collect(), BTreeSet::new());
+        }
+        let down = self.m.node_ids().filter(|n| self.m.is_crashed(*n)).collect();
+        let (crashed_active, mut doomed) = self.doomed_partition();
+        doomed.extend(crashed_active);
+        (down, doomed)
+    }
+
+    /// The analysis' two per-record reductions over the pending crash, for
+    /// [`SmDb::check_redo_plan`]: the reduced heap redo plan as
+    /// `(gsn, writer, after image)` and the last committed values as
+    /// `(gsn, after image)`.
+    #[allow(clippy::type_complexity)]
+    pub(crate) fn analysed_heap_images(
+        &self,
+        analysed: &[NodeId],
+        doomed: &BTreeSet<TxnId>,
+    ) -> (BTreeMap<RecId, (u64, TxnId, bytes::Bytes)>, BTreeMap<RecId, (u64, bytes::Bytes)>) {
+        let a = self.analyse_stable(analysed, doomed, false);
+        let plan = a
+            .heap_redo
+            .into_entries()
+            .map(|(rec, (gsn, (txn, image)))| (rec, (gsn, txn, image)))
+            .collect();
+        (plan, a.committed_values.into_entries().collect())
     }
 
     /// The undo tag a redone effect of `txn` carries: its home node while

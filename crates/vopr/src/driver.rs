@@ -175,6 +175,16 @@ impl Harness<'_> {
         }
     }
 
+    /// Standing oracle between every crash and its recovery: the analysis'
+    /// reduced redo plan and committed values must equal a fold over every
+    /// retained log record ([`SmDb::check_redo_plan`]).
+    fn redo_plan_oracle(&self, db: &SmDb) -> Result<(), Fatal> {
+        match db.check_redo_plan().as_slice() {
+            [] => Ok(()),
+            diffs => Err(fatal("redo-plan", diffs.join("; "))),
+        }
+    }
+
     /// The next transaction index to admit, past any the shrinker dropped.
     fn next_index(&mut self) -> Option<usize> {
         while self.skip.contains(&self.next_idx) {
@@ -366,6 +376,7 @@ impl Hooks for Harness<'_> {
         self.crash(db, c);
         for _ in 0..8 {
             self.commit_predicate_oracle(db, "crash")?;
+            self.redo_plan_oracle(db)?;
             let recovered = db.recover();
             self.commit_predicate_oracle(db, "recover")?;
             match recovered {

@@ -104,6 +104,7 @@ fn drive_recovery(db: &mut SmDb, first: DbError) -> Result<(), String> {
         };
         db.crash(&[NodeId(c.node)]);
         check_commit_predicate(db, "crash")?;
+        check_redo_plan(db)?;
         let recovered = db.recover();
         check_commit_predicate(db, "recover")?;
         match recovered {
@@ -120,6 +121,15 @@ fn check_commit_predicate(db: &SmDb, after: &str) -> Result<(), String> {
     match db.check_commit_predicate().as_slice() {
         [] => Ok(()),
         diffs => Err(format!("commit predicate after {after}: {}", diffs.join("; "))),
+    }
+}
+
+/// The analysis' reduced redo plan and committed values for the pending
+/// crash against a fold over every retained log record.
+fn check_redo_plan(db: &SmDb) -> Result<(), String> {
+    match db.check_redo_plan().as_slice() {
+        [] => Ok(()),
+        diffs => Err(format!("redo plan: {}", diffs.join("; "))),
     }
 }
 
@@ -429,6 +439,7 @@ fn run_instant_scenario(
     }
     db.crash(&[NodeId(0)]);
     check_commit_predicate(&db, "crash")?;
+    check_redo_plan(&db)?;
     let recovered = db.recover();
     check_commit_predicate(&db, "recover")?;
     if let Err(e) = recovered {
