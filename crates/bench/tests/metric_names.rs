@@ -50,6 +50,12 @@ fn every_emitted_metric_is_catalogued() {
             .unwrap_or_else(|| panic!("histogram `{name}` missing from obs::names::CATALOG"));
         assert_eq!(def.kind, names::MetricKind::Histogram, "`{name}` kind mismatch");
     }
+    // The analysis reads the logs' data-record indexes; the recovery above
+    // still opens log records (index operations, the writes it applies).
+    assert!(
+        snap.counters.iter().any(|(n, v)| n == names::RESTART_LOG_RECORDS_READ && *v > 0),
+        "the representative recovery opened no log record"
+    );
 }
 
 #[test]

@@ -1504,19 +1504,29 @@ impl SmDb {
     /// uncommitted data — permitted; the WAL rule forces the updaters'
     /// logs first). `node` performs (and is charged for) the I/O.
     pub fn flush_page(&mut self, node: NodeId, page: PageId) -> Result<(), DbError> {
+        self.flush_pages(node, &[page])
+    }
+
+    /// [`SmDb::flush_page`] for each of `pages` in order, through one
+    /// context: the page image is assembled in the context's buffer, so a
+    /// checkpoint's dirty set shares one allocation instead of paying one
+    /// (and its zero-fill) per page.
+    fn flush_pages(&mut self, node: NodeId, pages: &[PageId]) -> Result<(), DbError> {
         let mut ctx = engine_ctx!(self);
-        let forces = ctx.flush_page(node, page)?;
-        self.stats.wal_flush_forces += forces;
-        self.stats.page_flushes += 1;
-        // A flush that fired the WAL rule wrote back records with
-        // unforced (hence uncommitted) updates: a buffer *steal*.
-        self.m.obs().bus.emit(self.m.now(node), || {
-            if forces > 0 {
-                ObsEvent::BufSteal { node: node.0, page: page.0 as u64 }
-            } else {
-                ObsEvent::BufFlush { node: node.0, page: page.0 as u64 }
-            }
-        });
+        for &page in pages {
+            let forces = ctx.flush_page(node, page)?;
+            self.stats.wal_flush_forces += forces;
+            self.stats.page_flushes += 1;
+            // A flush that fired the WAL rule wrote back records with
+            // unforced (hence uncommitted) updates: a buffer *steal*.
+            ctx.m.obs().bus.emit(ctx.m.now(node), || {
+                if forces > 0 {
+                    ObsEvent::BufSteal { node: node.0, page: page.0 as u64 }
+                } else {
+                    ObsEvent::BufFlush { node: node.0, page: page.0 as u64 }
+                }
+            });
+        }
         Ok(())
     }
 
@@ -1538,9 +1548,7 @@ impl SmDb {
             self.drain_redo(node, usize::MAX)?;
         }
         let dirty = self.plt.dirty_pages();
-        for page in dirty {
-            self.flush_page(node, page)?;
-        }
+        self.flush_pages(node, &dirty)?;
         let mut lsns = Vec::with_capacity(self.cfg.nodes as usize);
         for n in 0..self.cfg.nodes {
             let n = NodeId(n);

@@ -521,8 +521,8 @@ impl SmDb {
                 };
                 let committed =
                     self.txns.status(*txn) == Some(TxnStatus::Committed) || unacked.contains(txn);
-                if committed && values.get(rec).is_none_or(|(g, _)| gsn >= g) {
-                    values.insert(*rec, (*gsn, after.clone()));
+                if committed && values.get(rec).is_none_or(|(g, _, _)| gsn >= g) {
+                    values.insert(*rec, (*gsn, *txn, after.clone()));
                 }
                 let redo = r.lsn > bound && !doomed.contains(txn) && (committed || !is_analysed);
                 if redo && plan.get(rec).is_none_or(|(g, _, _)| gsn >= g) {
@@ -530,7 +530,10 @@ impl SmDb {
                 }
             }
         }
-        let (got_plan, got_values) = self.analysed_heap_images(&analysed, &doomed);
+        let [got_plan, got_values] = match self.analysed_heap_images(&analysed, &doomed) {
+            Ok(images) => images,
+            Err(e) => return vec![format!("analysis failed: {e}")],
+        };
         let mut diffs = diff_per_record("redo plan", &got_plan, &plan);
         diffs.extend(diff_per_record("committed value", &got_values, &values));
         diffs

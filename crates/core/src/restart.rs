@@ -30,7 +30,8 @@ use smdb_lock::LockRecoveryStats;
 use smdb_obs::{names, Event as ObsEvent, PhaseSpan, PhaseTiming};
 use smdb_sim::{LineId, NodeId, TxnId};
 use smdb_storage::PageId;
-use smdb_wal::{LogPayload, Lsn, RecId};
+use smdb_wal::{LogPayload, LogRecord, Lsn, NodeLog, RecId};
+use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Fault-injection site visited between restart-recovery phases (after
@@ -95,6 +96,10 @@ pub struct RecoveryOutcome {
     pub recovery_node: NodeId,
     /// Log records visited by the single analysis scan.
     pub scan_records: u64,
+    /// Log records the recovery *opened*: the analysis' slow paths (index
+    /// operations, undo images) plus one per heap write it resolved. The
+    /// scan itself reads the logs' data-record indexes.
+    pub log_records_read: u64,
     /// Highest per-node checkpoint LSN that bounded the redo scan (0 when
     /// no checkpoint had been taken).
     pub ckpt_bound_lsn: u64,
@@ -118,14 +123,26 @@ fn phase_histogram(phase: &str) -> &'static str {
     }
 }
 
-/// One planned heap redo write: the final (highest-GSN) image of one
-/// record, reduced inside the analysis scan. The after image is a
-/// refcounted handle into the log record (`bytes::Bytes`), never a byte
-/// copy — redo lends the logged payload all the way to the page write.
+/// Where one log record sits: `lsn` on `node`'s log. The analysis deals
+/// in these instead of payload handles, and they are good for exactly the
+/// [`SmDb::recover`] call that derived them: nothing truncates a log
+/// inside it, a log never moves a retained record, recovery's own appends
+/// only extend tails, and an interrupted recovery drops its analysis (the
+/// next attempt derives its own positions from the logs as they then are).
+#[derive(Clone, Copy, Default)]
+struct LogPos {
+    node: NodeId,
+    lsn: Lsn,
+}
+
+/// One planned heap redo write: a record and the position of its final
+/// (highest-GSN) update, reduced inside the analysis scan. The writer and
+/// the after image are read from the log when the write is applied
+/// ([`SmDb::logged_update`]) — a plan entry skipped as cached never
+/// touches the log.
 struct HeapRedo {
     rec: RecId,
-    txn: TxnId,
-    image: bytes::Bytes,
+    at: LogPos,
 }
 
 /// One deferred heap redo write of an instant restart: the final on-page
@@ -268,11 +285,12 @@ struct TxnClass {
 /// page, allocated the first time the analysis scan touches the page
 /// (never per database record — a restart that scans 95 log records must
 /// not pay for the heap's size), and read back in ascending page and slot,
-/// which is [`RecId`] order.
+/// which is [`RecId`] order. A slot the scan never wrote holds
+/// `V::default()`.
 struct RecTable<V> {
     /// `pages[p]` is page `p`'s chunk, grown to the highest slot touched;
     /// empty until the first touch.
-    pages: Vec<Vec<Option<V>>>,
+    pages: Vec<Vec<V>>,
 }
 
 impl<V> Default for RecTable<V> {
@@ -281,12 +299,12 @@ impl<V> Default for RecTable<V> {
     }
 }
 
-impl<V> RecTable<V> {
+impl<V: Default> RecTable<V> {
     fn get(&self, rec: RecId) -> Option<&V> {
-        self.pages.get(rec.page.0 as usize)?.get(rec.slot as usize)?.as_ref()
+        self.pages.get(rec.page.0 as usize)?.get(rec.slot as usize)
     }
 
-    fn slot_mut(&mut self, rec: RecId) -> &mut Option<V> {
+    fn slot_mut(&mut self, rec: RecId) -> &mut V {
         let page = rec.page.0 as usize;
         if page >= self.pages.len() {
             self.pages.resize_with(page + 1, Vec::new);
@@ -294,38 +312,53 @@ impl<V> RecTable<V> {
         let chunk = &mut self.pages[page];
         let slot = rec.slot as usize;
         if slot >= chunk.len() {
-            chunk.resize_with(slot + 1, || None);
+            chunk.resize_with(slot + 1, V::default);
         }
         &mut chunk[slot]
     }
 
-    /// The records holding an entry, ascending.
-    fn recs(&self) -> impl Iterator<Item = RecId> + '_ {
+    /// Every slot of every touched chunk, ascending.
+    fn slots(&self) -> impl Iterator<Item = (RecId, &V)> + '_ {
         self.pages.iter().enumerate().flat_map(|(page, chunk)| {
-            chunk.iter().enumerate().filter_map(move |(slot, v)| {
-                v.as_ref().map(|_| RecId::new(PageId(page as u32), slot as u16))
-            })
-        })
-    }
-
-    fn into_entries(self) -> impl Iterator<Item = (RecId, V)> {
-        self.pages.into_iter().enumerate().flat_map(|(page, chunk)| {
-            chunk.into_iter().enumerate().filter_map(move |(slot, v)| {
-                v.map(|v| (RecId::new(PageId(page as u32), slot as u16), v))
-            })
+            chunk
+                .iter()
+                .enumerate()
+                .map(move |(slot, v)| (RecId::new(PageId(page as u32), slot as u16), v))
         })
     }
 }
 
-impl<V> RecTable<(u64, V)> {
-    /// The max-GSN fold of the analysis scan: store `value()` under `rec`
-    /// unless the table already holds a higher-GSN entry.
-    fn keep_latest(&mut self, rec: RecId, gsn: u64, value: impl FnOnce() -> V) {
-        let slot = self.slot_mut(rec);
-        if slot.as_ref().is_none_or(|e| gsn >= e.0) {
-            *slot = Some((gsn, value()));
+/// The highest-GSN update of one class the scan has met for a record: its
+/// GSN and where it sits. Plain words, so a chunk of them is born zeroed;
+/// GSN 0 is "none yet" (GSNs start at 1).
+#[derive(Clone, Copy, Default)]
+struct Latest {
+    gsn: u64,
+    at: LogPos,
+}
+
+impl Latest {
+    /// The max-GSN fold of the analysis scan.
+    fn keep(&mut self, gsn: u64, at: LogPos) {
+        if gsn >= self.gsn {
+            *self = Latest { gsn, at };
         }
     }
+
+    fn is_some(&self) -> bool {
+        self.gsn != 0
+    }
+}
+
+/// What the scan reduces one heap record's retained history to.
+#[derive(Clone, Copy, Default)]
+struct RecFold {
+    /// The last committed update, over every retained log (the §4.1.2
+    /// stable-log source of committed values).
+    committed: Latest,
+    /// The last redo candidate past the checkpoint bound — superseded
+    /// intermediate updates are dropped as the scan meets their successor.
+    redo: Latest,
 }
 
 /// Per-crash analysis of the logs, built by **one pass over each retained
@@ -335,9 +368,9 @@ impl<V> RecTable<(u64, V)> {
 /// bound, and doomed-transaction undo work. Nothing here is sized by
 /// history: every product is bounded by the retained logs.
 ///
-/// The four per-record reductions are [`RecTable`]s: the scan meets the
-/// same record again and again (a hot record's whole retained history),
-/// and each meeting is two array indexings.
+/// The per-record reductions are [`RecTable`]s: the scan meets the same
+/// record again and again (a hot record's whole retained history), and
+/// each meeting is two array indexings.
 #[derive(Default)]
 struct StableAnalysis {
     /// Stable-logged updates of *not-committed* transactions of the
@@ -347,24 +380,20 @@ struct StableAnalysis {
     /// `(gsn, txn, key, is_delete)`.
     uncommitted_index: Vec<(u64, TxnId, u64, bool)>,
     /// Whether the last stable heap-update writer per record committed,
-    /// per analysed node.
+    /// per analysed node (never written = not committed).
     last_rec_committed: BTreeMap<NodeId, RecTable<bool>>,
     /// Whether the last stable index-op writer per (node, key) committed.
     last_key_committed: BTreeMap<(NodeId, u64), bool>,
-    /// Highest-GSN committed after image per record, over every retained
-    /// log (the §4.1.2 stable-log source of committed values).
-    committed_values: RecTable<(u64, bytes::Bytes)>,
+    /// The last committed update and the last redo candidate per record,
+    /// as log positions.
+    heap: RecTable<RecFold>,
     /// Undo images of the analysed nodes' stable uncommitted updates per
     /// record: `(gsn, txn, before image)`. The backstop source of a last
     /// committed value when the committed update itself has been
     /// truncated but the record's stable image was stolen over.
     uncommitted_undo: RecTable<Vec<(u64, TxnId, bytes::Bytes)>>,
-    /// The highest-GSN heap redo candidate past the checkpoint bound per
-    /// record, `(gsn, (writer, after image))` — superseded intermediate
-    /// images are dropped as the scan meets their successor.
-    heap_redo: RecTable<(u64, (TxnId, bytes::Bytes))>,
-    /// Heap redo candidates the scan met (`heap_redo` keeps one per
-    /// record; the difference is `redo_superseded`).
+    /// Heap redo candidates the scan met (`heap` keeps one per record;
+    /// the difference is `redo_superseded`).
     heap_candidates: u64,
     /// Index redo candidates past the checkpoint bound, in scan order
     /// (logical B-tree ops don't commute, so none is superseded).
@@ -374,11 +403,25 @@ struct StableAnalysis {
     doomed_ops: Vec<(u64, DoomedOp)>,
     /// Log records visited by the scan.
     scanned_records: u64,
+    /// Log records *opened* — by the scan's slow paths and by whatever
+    /// later resolves one of this analysis' positions.
+    records_read: Cell<u64>,
     /// Highest per-node checkpoint LSN bounding the redo scan.
     ckpt_bound: u64,
 }
 
 impl StableAnalysis {
+    /// Open the record at a retained `lsn` of `log`.
+    fn open<'l>(&self, log: &'l NodeLog, lsn: Lsn) -> Result<&'l LogRecord, DbError> {
+        self.records_read.set(self.records_read.get() + 1);
+        req(log.record(lsn), "an analysis position names a retained log record")
+    }
+
+    /// The records the reduced redo plan writes, ascending.
+    fn planned_recs(&self) -> impl Iterator<Item = (RecId, Latest)> + '_ {
+        self.heap.slots().filter(|(_, f)| f.redo.is_some()).map(|(rec, f)| (rec, f.redo))
+    }
+
     fn is_committed_rec(&self, node: NodeId, rec: RecId) -> bool {
         self.last_rec_committed.get(&node).and_then(|t| t.get(rec)).copied().unwrap_or(false)
     }
@@ -601,6 +644,7 @@ impl SmDb {
         let obs = self.m.obs();
         obs.metrics.observe(names::RECOVERY_TOTAL_CYCLES, cycles);
         obs.metrics.add(names::RESTART_SCAN_RECORDS, outcome.scan_records);
+        obs.metrics.add(names::RESTART_LOG_RECORDS_READ, outcome.log_records_read);
         obs.metrics.add(names::RESTART_REDO_APPLIED, outcome.redo_applied);
         obs.metrics.add(
             names::RESTART_REDO_SKIPPED,
@@ -794,10 +838,17 @@ impl SmDb {
     // ------------------------------------------------------------------
 
     /// Analyse the logs — the **single scan** of restart recovery. Each
-    /// retained log is read exactly once, by reference (crashed/analysed
-    /// nodes: the stable prefix; survivors: the full retained log,
-    /// volatile tail included), and every product recovery needs is
-    /// collected *and reduced* in that one pass:
+    /// retained log is covered exactly once (crashed/analysed nodes: the
+    /// stable prefix; survivors: the full retained log, volatile tail
+    /// included), and every product recovery needs is collected *and
+    /// reduced* in that one pass. What the pass reads is the log's
+    /// data-record index ([`NodeLog::data_refs`]): until a write is
+    /// applied, the analysis needs four words of an `Update` — LSN, GSN,
+    /// writer, record — and the log keeps exactly those beside its
+    /// records. The index is a pure function of the retained records, so
+    /// nothing learnt from it is something a scan of the same prefix would
+    /// not have told; the simulated scan charge stays that of the whole
+    /// covered prefix.
     ///
     /// * commit status — a predicate, not a set: the transaction table
     ///   answers for every acknowledged commit and
@@ -807,17 +858,22 @@ impl SmDb {
     ///   transaction is looked up once per run of adjacent records of
     ///   that transaction, and only for data records;
     /// * durable uncommitted traces + last-writer commit status of the
-    ///   analysed nodes (the undo analysis), with undo images lent as
-    ///   refcounted handles;
-    /// * the highest-GSN retained committed after image per record (the
-    ///   paper's §4.1.2 stable-log source of committed values);
+    ///   analysed nodes (the undo analysis);
+    /// * the position of the highest-GSN retained committed update per
+    ///   record (the paper's §4.1.2 stable-log source of committed
+    ///   values);
     /// * the redo plan strictly past each log's checkpoint LSN, already
-    ///   reduced to the final (highest-GSN) image per record —
-    ///   truncation keeps the retained prefix near that bound, so the
-    ///   scan cost tracks work since the last checkpoint, not history
-    ///   length;
+    ///   reduced to the position of the final (highest-GSN) update per
+    ///   record — truncation keeps the retained prefix near that bound,
+    ///   so the scan cost tracks work since the last checkpoint, not
+    ///   history length;
     /// * doomed transactions' effects on surviving logs, for the undo
     ///   phase.
+    ///
+    /// The log record itself is opened on three slow paths only: an index
+    /// operation (key and value live in the payload), an analysed node's
+    /// not-committed, not-settled update (its undo image), and a doomed
+    /// transaction's update on a survivor's log (its before image).
     ///
     /// A log whose incremental index proves it retains no data records is
     /// skipped without being read at all. With `full` set (FA-only / total
@@ -828,7 +884,7 @@ impl SmDb {
         analysed: &[NodeId],
         doomed: &BTreeSet<TxnId>,
         full: bool,
-    ) -> StableAnalysis {
+    ) -> Result<StableAnalysis, DbError> {
         let mut a = StableAnalysis::default();
         // Commit status covers *every* node: commit records are always
         // forced, and a parallel transaction's commit lives on its home
@@ -872,15 +928,13 @@ impl SmDb {
             // The scan is charged for every retained record of the prefix
             // it covers, but only data records carry a GSN; control, lock
             // and structural records need no classification at all, and
-            // the log hands out the data records alone.
+            // the log hands out the data records' index entries alone.
             let covered = if is_analysed { log.stable_records() } else { log.records() };
             a.scanned_records += covered.len() as u64;
             let mut last_rec = is_analysed.then(RecTable::default);
             let mut memo: Option<(TxnId, TxnClass)> = None;
-            for lrec in log.data_records(is_analysed) {
-                let (Some(txn), Some(gsn)) = (lrec.payload.txn(), lrec.payload.gsn()) else {
-                    continue;
-                };
+            for d in log.data_refs(is_analysed) {
+                let (txn, gsn) = (d.txn, d.gsn);
                 // Skip the synthetic recovery transactions (seq 0): an
                 // interrupted recovery attempt leaves its redo's
                 // IndexInsert records in the (now-crashed) recovery node's
@@ -902,83 +956,107 @@ impl SmDb {
                 // Redo candidacy: strictly past the checkpoint bound and
                 // never doomed; analysed nodes (and everyone, under a
                 // full restart) contribute committed work only.
-                let redo = lrec.lsn > bound && !is_doomed && (committed || !is_analysed);
-                match &lrec.payload {
-                    LogPayload::Update { rec, undo, redo: after, .. } => {
-                        if let Some(last_rec) = &mut last_rec {
-                            *last_rec.slot_mut(*rec) = Some(committed);
-                            if !committed && !settled_aborted {
-                                a.uncommitted_updates.push((gsn, txn, *rec));
-                                a.uncommitted_undo.slot_mut(*rec).get_or_insert_default().push((
-                                    gsn,
-                                    txn,
-                                    undo.clone(),
-                                ));
+                let redo = d.lsn > bound && !is_doomed && (committed || !is_analysed);
+                let Some(rec) = d.rec() else {
+                    // An index operation: key and value are log reads.
+                    let lrec = a.open(log, d.lsn)?;
+                    match &lrec.payload {
+                        LogPayload::IndexInsert { key, value, .. } => {
+                            if is_analysed {
+                                a.last_key_committed.insert((n, *key), committed);
+                                if !committed && !settled_aborted {
+                                    a.uncommitted_index.push((gsn, txn, *key, false));
+                                }
+                            } else if is_doomed {
+                                a.doomed_ops.push((gsn, DoomedOp::RemoveKey(*key)));
                             }
-                        } else if is_doomed {
-                            a.doomed_ops
-                                .push((gsn, DoomedOp::Rec { rec: *rec, before: undo.clone() }));
-                        }
-                        if committed {
-                            a.committed_values.keep_latest(*rec, gsn, || after.clone());
-                        }
-                        if redo {
-                            a.heap_candidates += 1;
-                            a.heap_redo.keep_latest(*rec, gsn, || (txn, after.clone()));
-                        }
-                    }
-                    LogPayload::IndexInsert { key, value, .. } => {
-                        if is_analysed {
-                            a.last_key_committed.insert((n, *key), committed);
-                            if !committed && !settled_aborted {
-                                a.uncommitted_index.push((gsn, txn, *key, false));
+                            if redo {
+                                let ix = IxRedo::Insert { key: *key, value: to_arr(value), txn };
+                                a.index_redo.push((gsn, ix));
                             }
-                        } else if is_doomed {
-                            a.doomed_ops.push((gsn, DoomedOp::RemoveKey(*key)));
                         }
-                        if redo {
-                            let ix = IxRedo::Insert { key: *key, value: to_arr(value), txn };
-                            a.index_redo.push((gsn, ix));
-                        }
-                    }
-                    LogPayload::IndexDelete { key, value, .. } => {
-                        if is_analysed {
-                            a.last_key_committed.insert((n, *key), committed);
-                            if !committed && !settled_aborted {
-                                a.uncommitted_index.push((gsn, txn, *key, true));
+                        LogPayload::IndexDelete { key, value, .. } => {
+                            if is_analysed {
+                                a.last_key_committed.insert((n, *key), committed);
+                                if !committed && !settled_aborted {
+                                    a.uncommitted_index.push((gsn, txn, *key, true));
+                                }
+                            } else if is_doomed {
+                                a.doomed_ops.push((gsn, DoomedOp::UnmarkKey(*key)));
                             }
-                        } else if is_doomed {
-                            a.doomed_ops.push((gsn, DoomedOp::UnmarkKey(*key)));
+                            if redo {
+                                let ix = IxRedo::Delete { key: *key, value: to_arr(value), txn };
+                                a.index_redo.push((gsn, ix));
+                            }
                         }
-                        if redo {
-                            let ix = IxRedo::Delete { key: *key, value: to_arr(value), txn };
-                            a.index_redo.push((gsn, ix));
+                        LogPayload::IndexRemove { key, .. } => {
+                            if is_analysed {
+                                a.last_key_committed.insert((n, *key), committed);
+                            }
+                            if redo {
+                                a.index_redo.push((gsn, IxRedo::Remove { key: *key }));
+                            }
                         }
+                        LogPayload::IndexUnmark { key, .. } => {
+                            if is_analysed {
+                                a.last_key_committed.insert((n, *key), committed);
+                            }
+                            if redo {
+                                a.index_redo.push((gsn, IxRedo::Unmark { key: *key }));
+                            }
+                        }
+                        _ => {}
                     }
-                    LogPayload::IndexRemove { key, .. } => {
-                        if is_analysed {
-                            a.last_key_committed.insert((n, *key), committed);
-                        }
-                        if redo {
-                            a.index_redo.push((gsn, IxRedo::Remove { key: *key }));
-                        }
+                    continue;
+                };
+                let at = LogPos { node: n, lsn: d.lsn };
+                if let Some(last_rec) = &mut last_rec {
+                    *last_rec.slot_mut(rec) = committed;
+                    if !committed && !settled_aborted {
+                        let (_, undo, _) = self.logged_update(&a, at, rec)?;
+                        a.uncommitted_updates.push((gsn, txn, rec));
+                        a.uncommitted_undo.slot_mut(rec).push((gsn, txn, undo.clone()));
                     }
-                    LogPayload::IndexUnmark { key, .. } => {
-                        if is_analysed {
-                            a.last_key_committed.insert((n, *key), committed);
-                        }
-                        if redo {
-                            a.index_redo.push((gsn, IxRedo::Unmark { key: *key }));
-                        }
+                } else if is_doomed {
+                    let (_, undo, _) = self.logged_update(&a, at, rec)?;
+                    a.doomed_ops.push((gsn, DoomedOp::Rec { rec, before: undo.clone() }));
+                }
+                if committed || redo {
+                    let fold = a.heap.slot_mut(rec);
+                    if committed {
+                        fold.committed.keep(gsn, at);
                     }
-                    _ => {}
+                    if redo {
+                        fold.redo.keep(gsn, at);
+                        a.heap_candidates += 1;
+                    }
                 }
             }
             if let Some(last_rec) = last_rec {
                 a.last_rec_committed.insert(n, last_rec);
             }
         }
-        a
+        Ok(a)
+    }
+
+    /// Open the `Update` of `rec` that `analysis` placed at `at`: its
+    /// writer, before image and after image, lent from the log. A position
+    /// that opens anything else is a broken invariant of the data-record
+    /// index, reported as such.
+    fn logged_update<'s>(
+        &'s self,
+        analysis: &StableAnalysis,
+        at: LogPos,
+        rec: RecId,
+    ) -> Result<(TxnId, &'s bytes::Bytes, &'s bytes::Bytes), DbError> {
+        match &analysis.open(self.logs.log(at.node), at.lsn)?.payload {
+            LogPayload::Update { txn, rec: logged, undo, redo, .. } if *logged == rec => {
+                Ok((*txn, undo, redo))
+            }
+            _ => Err(DbError::Invariant {
+                what: "an analysis position opens an Update of the record it was kept for",
+            }),
+        }
     }
 
     /// Open the redo phase over the analysis' reduced candidates: record
@@ -991,18 +1069,17 @@ impl SmDb {
         analysis: &mut StableAnalysis,
         outcome: &mut RecoveryOutcome,
     ) -> Vec<PlannedOp> {
-        let heap: Vec<_> = std::mem::take(&mut analysis.heap_redo).into_entries().collect();
         let index = std::mem::take(&mut analysis.index_redo);
+        let mut plan: Vec<(u64, PlannedOp)> = analysis
+            .planned_recs()
+            .map(|(rec, redo)| (redo.gsn, PlannedOp::Rec(HeapRedo { rec, at: redo.at })))
+            .collect();
         self.m
             .obs()
             .metrics
             .observe(names::RECOVERY_REDO_BATCH, analysis.heap_candidates + index.len() as u64);
-        outcome.redo_superseded += analysis.heap_candidates - heap.len() as u64;
-        let mut plan: Vec<(u64, PlannedOp)> = heap
-            .into_iter()
-            .map(|(rec, (gsn, (txn, image)))| (gsn, PlannedOp::Rec(HeapRedo { rec, txn, image })))
-            .chain(index.into_iter().map(|(gsn, ix)| (gsn, PlannedOp::Ix(ix))))
-            .collect();
+        outcome.redo_superseded += analysis.heap_candidates - plan.len() as u64;
+        plan.extend(index.into_iter().map(|(gsn, ix)| (gsn, PlannedOp::Ix(ix))));
         plan.sort_by_key(|(gsn, _)| *gsn);
         plan.into_iter().map(|(_, op)| op).collect()
     }
@@ -1027,11 +1104,12 @@ impl SmDb {
         analysis: &StableAnalysis,
         rec: RecId,
     ) -> Result<Vec<u8>, DbError> {
-        let committed = analysis.committed_values.get(rec);
+        let committed = analysis.heap.get(rec).map(|f| f.committed).filter(Latest::is_some);
+        let logged = |c: Latest| Ok(self.logged_update(analysis, c.at, rec)?.2.to_vec());
         let chain = analysis.uncommitted_undo.get(rec);
         let latest = chain.and_then(|c| c.iter().max_by_key(|(gsn, _, _)| *gsn));
         match (committed, latest) {
-            (Some((gc, value)), Some((gu, _, _))) if gc > gu => Ok(value.to_vec()),
+            (Some(c), Some((gu, _, _))) if c.gsn > *gu => logged(c),
             (_, Some((_, tstar, _))) => {
                 let (_, _, before) = req(
                     req(chain, "latest undo entry drawn from a present chain")?
@@ -1042,7 +1120,7 @@ impl SmDb {
                 )?;
                 Ok(before.to_vec())
             }
-            (Some((_, value)), None) => Ok(value.to_vec()),
+            (Some(c), None) => logged(c),
             (None, None) => {
                 let img = self
                     .sdb
@@ -1141,9 +1219,8 @@ impl SmDb {
     /// not the coherent pre-crash copy.
     fn cached_plan_lines(&self, analysis: &StableAnalysis) -> BTreeSet<LineId> {
         analysis
-            .heap_redo
-            .recs()
-            .map(|rec| self.rec_line(rec))
+            .planned_recs()
+            .map(|(rec, _)| self.rec_line(rec))
             .filter(|l| self.m.probe_cached(*l) && !self.stale_heap_lines.contains(l))
             .collect()
     }
@@ -1159,7 +1236,10 @@ impl SmDb {
     /// human-readable disagreements (empty = the probe is exact).
     pub fn check_cached_probe(&self) -> Vec<String> {
         let (analysed, doomed) = self.pending_restart_scope();
-        let analysis = self.analyse_stable(&analysed, &doomed, false);
+        let analysis = match self.analyse_stable(&analysed, &doomed, false) {
+            Ok(analysis) => analysis,
+            Err(e) => return vec![format!("analysis failed: {e}")],
+        };
         let probed = self.cached_plan_lines(&analysis);
         let mut snapshot: BTreeSet<LineId> =
             self.m.iter_held().map(|(_, l, _)| l).filter(|l| self.is_heap_line(*l)).collect();
@@ -1167,7 +1247,7 @@ impl SmDb {
             snapshot.remove(line);
         }
         let mut diffs = Vec::new();
-        for rec in analysis.heap_redo.recs() {
+        for (rec, _) in analysis.planned_recs() {
             let line = self.rec_line(rec);
             if probed.contains(&line) != snapshot.contains(&line) {
                 diffs.push(format!(
@@ -1199,22 +1279,26 @@ impl SmDb {
     }
 
     /// The analysis' two per-record reductions over the pending crash, for
-    /// [`SmDb::check_redo_plan`]: the reduced heap redo plan as
-    /// `(gsn, writer, after image)` and the last committed values as
-    /// `(gsn, after image)`.
+    /// [`SmDb::check_redo_plan`]: the reduced heap redo plan and the last
+    /// committed values, each position opened the way recovery opens it,
+    /// as `(gsn the analysis kept, writer, after image)`.
     #[allow(clippy::type_complexity)]
     pub(crate) fn analysed_heap_images(
         &self,
         analysed: &[NodeId],
         doomed: &BTreeSet<TxnId>,
-    ) -> (BTreeMap<RecId, (u64, TxnId, bytes::Bytes)>, BTreeMap<RecId, (u64, bytes::Bytes)>) {
-        let a = self.analyse_stable(analysed, doomed, false);
-        let plan = a
-            .heap_redo
-            .into_entries()
-            .map(|(rec, (gsn, (txn, image)))| (rec, (gsn, txn, image)))
-            .collect();
-        (plan, a.committed_values.into_entries().collect())
+    ) -> Result<[BTreeMap<RecId, (u64, TxnId, bytes::Bytes)>; 2], DbError> {
+        let a = self.analyse_stable(analysed, doomed, false)?;
+        let mut images = [BTreeMap::new(), BTreeMap::new()];
+        for (rec, fold) in a.heap.slots() {
+            for (kept, images) in [fold.redo, fold.committed].into_iter().zip(&mut images) {
+                if kept.is_some() {
+                    let (txn, _, after) = self.logged_update(&a, kept.at, rec)?;
+                    images.insert(rec, (kept.gsn, txn, after.clone()));
+                }
+            }
+        }
+        Ok(images)
     }
 
     /// The undo tag a redone effect of `txn` carries: its home node while
@@ -1590,7 +1674,7 @@ impl SmDb {
         let span = self.begin_phase("stable_undo");
         self.m.obs().metrics.inc(names::RESTART_ANALYSIS_SCANS);
         self.note_table_walk();
-        let mut analysis = self.analyse_stable(&down, &doomed, false);
+        let mut analysis = self.analyse_stable(&down, &doomed, false)?;
         // The Selective-Redo probe, taken *before* any reinstall (a line
         // we later reinstall from a stale stable image must not be
         // mistaken for a coherent surviving copy) and only over the lines
@@ -1748,24 +1832,27 @@ impl SmDb {
         };
         for op in self.take_redo_plan(&mut analysis, outcome) {
             match op {
-                PlannedOp::Rec(HeapRedo { rec, txn, image }) => {
+                PlannedOp::Rec(HeapRedo { rec, at }) => {
                     let line = self.rec_line(rec);
                     if scheme == RestartScheme::Selective && cached_before.contains(&line) {
                         outcome.redo_skipped_cached += 1;
                         continue;
                     }
+                    if instant && undo_writes.contains(&rec) {
+                        continue;
+                    }
+                    // Only a write that happens opens its log record.
+                    let (txn, _, image) = self.logged_update(&analysis, at, rec)?;
+                    let expected = self.expected_rec_bytes(txn, image);
                     if instant {
                         // Defer: the final bytes are computed *now* (the
                         // tag decision reads transaction statuses, which
                         // phase 7 flips) and applied on first access or by
-                        // the background drain.
-                        if !undo_writes.contains(&rec) {
-                            let bytes = self.expected_rec_bytes(txn, &image);
-                            self.instant.push(rec, line, bytes);
-                        }
+                        // the background drain; the entry owns them, so it
+                        // outlives this analysis' positions.
+                        self.instant.push(rec, line, expected);
                         continue;
                     }
-                    let expected = self.expected_rec_bytes(txn, &image);
                     let off = self.layout.page_offset(rec.slot);
                     if !self.m.probe_cached(line) {
                         // Page not resident: is the stable image already
@@ -1970,6 +2057,7 @@ impl SmDb {
         }
         self.stats.crash_aborts += crashed_active.len() as u64;
         outcome.preserved_active = surviving_active.to_vec();
+        outcome.log_records_read = analysis.records_read.get();
         self.end_phase(span, outcome);
         Ok(())
     }
@@ -2228,7 +2316,7 @@ impl SmDb {
         // its stable prefix, redo restricted to committed transactions.
         self.m.obs().metrics.inc(names::RESTART_ANALYSIS_SCANS);
         self.note_table_walk();
-        let mut analysis = self.analyse_stable(&[], &BTreeSet::new(), true);
+        let mut analysis = self.analyse_stable(&[], &BTreeSet::new(), true)?;
         outcome.scan_records = analysis.scanned_records;
         outcome.ckpt_bound_lsn = analysis.ckpt_bound;
         self.charge_analysis_scan(recovery_node, analysis.scanned_records);
@@ -2265,9 +2353,10 @@ impl SmDb {
         // GSN order.
         for op in self.take_redo_plan(&mut analysis, outcome) {
             match op {
-                PlannedOp::Rec(HeapRedo { rec, image, .. }) => {
+                PlannedOp::Rec(HeapRedo { rec, at }) => {
                     let off = self.layout.page_offset(rec.slot);
-                    let expected = self.layout.encode(NULL_TAG, &image);
+                    let (_, _, image) = self.logged_update(&analysis, at, rec)?;
+                    let expected = self.layout.encode(NULL_TAG, image);
                     if !self.m.probe_cached(self.rec_line(rec)) {
                         let img = self
                             .sdb
@@ -2287,6 +2376,7 @@ impl SmDb {
         }
         // Undo of uncommitted index entries that had been flushed.
         self.undo_index_from_stable(outcome, recovery_node, &analysis)?;
+        outcome.log_records_read = analysis.records_read.get();
         // Crash point: the rebuild host dies mid full-restart (data redone,
         // lock space and transaction table not yet reset).
         self.phase_crash_point(recovery_node)?;

@@ -105,6 +105,11 @@ pub const WAL_PHYSICAL_FORCES: &str = "wal.physical_forces";
 pub const RESTART_CKPT_BOUND_LSN: &str = "restart.ckpt_bound_lsn";
 /// Analysis scans performed (exactly one per recovery).
 pub const RESTART_ANALYSIS_SCANS: &str = "restart.analysis_scans";
+/// Log records opened by recoveries: the analysis reads the logs'
+/// data-record indexes and opens a record only for an index operation,
+/// an undo image, or a heap write it applies (follows the crash, never
+/// the retained history).
+pub const RESTART_LOG_RECORDS_READ: &str = "restart.log_records_read";
 /// Simulated cycles to reach the open point of an instant restart (the
 /// database serves transactions from here; heap redo is still pending).
 pub const RESTART_OPEN_EARLY_CYCLES: &str = "restart.open_early_cycles";
@@ -252,6 +257,12 @@ pub const CATALOG: &[MetricDef] = &[
         kind: MetricKind::Gauge,
         layer: "core",
         help: "Highest checkpoint LSN that bounded the last redo scan",
+    },
+    MetricDef {
+        name: RESTART_LOG_RECORDS_READ,
+        kind: MetricKind::Counter,
+        layer: "core",
+        help: "Log records opened by recoveries (index ops, undo images, applied heap writes)",
     },
     MetricDef {
         name: RESTART_OPEN_EARLY_CYCLES,

@@ -40,6 +40,6 @@ pub use log_set::{LogSet, FAULT_CHECKPOINT_RECORD, FAULT_FORCE_RECORD, FAULT_TRU
 pub use lsn::Lsn;
 pub use page_lsn::PageLsnTable;
 pub use record::{
-    CommitDep, LockModeRepr, LogIndex, LogPayload, LogRecord, NodeLog, NodeLogStats, RecId,
-    Records, StructuralKind,
+    CommitDep, DataRef, LockModeRepr, LogIndex, LogPayload, LogRecord, NodeLog, NodeLogStats,
+    RecId, Records, StructuralKind,
 };

@@ -14,7 +14,7 @@ use proptest::prelude::*;
 use smdb_sim::{NodeId, TxnId};
 use smdb_storage::PageId;
 use smdb_wal::{
-    CommitDep, LockModeRepr, LogPayload, LogRecord, Lsn, NodeLog, NodeLogStats, RecId,
+    CommitDep, DataRef, LockModeRepr, LogPayload, LogRecord, Lsn, NodeLog, NodeLogStats, RecId,
     StructuralKind,
 };
 use std::collections::{BTreeMap, BTreeSet};
@@ -178,7 +178,7 @@ impl Model {
             self.last_data = lsn.0;
         }
         prop_assert_eq!(log.append(payload.clone()), lsn);
-        self.records.push(LogRecord { lsn, node: HOME, payload });
+        self.records.push(LogRecord { lsn, payload });
         Ok(())
     }
 
@@ -336,15 +336,36 @@ impl Model {
         // Readers by class.
         for stable_only in [false, true] {
             let scope = if stable_only { &all[..stable_n] } else { &all[..] };
-            let data: Vec<&LogRecord> =
-                scope.iter().copied().filter(|r| r.payload.gsn().is_some()).collect();
-            prop_assert_eq!(log.data_records(stable_only).collect::<Vec<_>>(), data);
+            // An index entry is four words of its record — LSN, GSN,
+            // writer and, for an `Update` alone, the heap record.
+            let data: Vec<_> = scope
+                .iter()
+                .filter_map(|r| {
+                    let rec = match r.payload {
+                        LogPayload::Update { rec, .. } => Some(rec),
+                        _ => None,
+                    };
+                    Some((r.lsn, r.payload.gsn()?, r.payload.txn()?, rec))
+                })
+                .collect();
+            prop_assert_eq!(log.data_refs(stable_only).len(), data.len());
+            let entry = |d: &DataRef| (d.lsn, d.gsn, d.txn, d.rec());
+            prop_assert_eq!(log.data_refs(stable_only).map(entry).collect::<Vec<_>>(), data);
             let structural: Vec<&LogRecord> = scope
                 .iter()
                 .copied()
                 .filter(|r| matches!(r.payload, LogPayload::Structural { .. }))
                 .collect();
             prop_assert_eq!(log.structural_records(stable_only).collect::<Vec<_>>(), structural);
+        }
+
+        // Positions: every retained LSN opens its record; a truncated or
+        // never-written one opens nothing.
+        for r in &all {
+            prop_assert_eq!(log.record(r.lsn), Some(*r));
+        }
+        for lsn in (0..=self.base).chain(self.last() + 1..self.last() + 4) {
+            prop_assert_eq!(log.record(Lsn(lsn)), None, "lsn {}", lsn);
         }
 
         // The index: first records of the live, commits of all history.

@@ -61,6 +61,19 @@ echo "== segmented-log model (2000 cases) =="
 # steps run 256 cases.
 PROPTEST_CASES=2000 cargo test --release -q -p smdb-wal
 
+echo "== analysis index vs whole-log fold (2000 cases) + records-opened count =="
+# Restart analysis reads the logs' data-record indexes and opens a log
+# record only for what it applies (DESIGN §9). Between every crash and
+# its recovery of random begin / update / commit / abort / checkpoint /
+# crash / interrupted recover / reboot scripts, the reduced redo plan and
+# the committed values — each position opened the way recovery opens it
+# — must equal a fold over every retained record (check_redo_plan); the
+# same target holds the count test (restart.log_records_read is
+# identical after 5 000 and after 50 000 un-checkpointed transactions
+# while restart.scan_records differs tenfold). The workspace test steps
+# run 256 cases.
+PROPTEST_CASES=2000 cargo test --release -q -p smdb-core --test analysis_index
+
 echo "== schedule fuzz (bounded, fixed seeds) =="
 # Deterministic VOPR-style schedule fuzz (DESIGN §13): three fixed master
 # seeds (500 schedules each), so this step replays the same schedules on
