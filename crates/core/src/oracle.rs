@@ -530,7 +530,7 @@ impl SmDb {
                 }
             }
         }
-        let [got_plan, got_values] = match self.analysed_heap_images(&analysed, &doomed) {
+        let (got_plan, got_values) = match self.analysed_heap_images(&analysed, &doomed) {
             Ok(images) => images,
             Err(e) => return vec![format!("analysis failed: {e}")],
         };

@@ -135,6 +135,9 @@ struct LogPos {
     lsn: Lsn,
 }
 
+/// What an oracle compares per record: `(gsn, writer, after image)`.
+pub(crate) type HeapImages = BTreeMap<RecId, (u64, TxnId, bytes::Bytes)>;
+
 /// One planned heap redo write: a record and the position of its final
 /// (highest-GSN) update, reduced inside the analysis scan. The writer and
 /// the after image are read from the log when the write is applied
@@ -1282,23 +1285,22 @@ impl SmDb {
     /// [`SmDb::check_redo_plan`]: the reduced heap redo plan and the last
     /// committed values, each position opened the way recovery opens it,
     /// as `(gsn the analysis kept, writer, after image)`.
-    #[allow(clippy::type_complexity)]
     pub(crate) fn analysed_heap_images(
         &self,
         analysed: &[NodeId],
         doomed: &BTreeSet<TxnId>,
-    ) -> Result<[BTreeMap<RecId, (u64, TxnId, bytes::Bytes)>; 2], DbError> {
+    ) -> Result<(HeapImages, HeapImages), DbError> {
         let a = self.analyse_stable(analysed, doomed, false)?;
-        let mut images = [BTreeMap::new(), BTreeMap::new()];
+        let (mut plan, mut values) = (HeapImages::new(), HeapImages::new());
         for (rec, fold) in a.heap.slots() {
-            for (kept, images) in [fold.redo, fold.committed].into_iter().zip(&mut images) {
+            for (kept, images) in [(fold.redo, &mut plan), (fold.committed, &mut values)] {
                 if kept.is_some() {
                     let (txn, _, after) = self.logged_update(&a, kept.at, rec)?;
                     images.insert(rec, (kept.gsn, txn, after.clone()));
                 }
             }
         }
-        Ok(images)
+        Ok((plan, values))
     }
 
     /// The undo tag a redone effect of `txn` carries: its home node while

@@ -7,7 +7,9 @@
 //!   abort / checkpoint / crash / interrupted recovery / reboot /
 //!   `run_epochs` sequences and, after every step, compares everything
 //!   the engine answers from the table with what a whole-history map
-//!   kept beside it answers;
+//!   kept beside it answers — and, between every crash and its recovery,
+//!   the pending restart's analysis with a fold over every retained log
+//!   record ([`SmDb::check_redo_plan`]);
 //! * a scenario pins the one settled transaction that must stay in the
 //!   active table: a recovery victim whose commit record is durable;
 //! * a count pins the property the split exists for: what `crash`,
@@ -166,6 +168,18 @@ fn predicate_exact(db: &SmDb, at: &str) -> Result<(), TestCaseError> {
     Ok(())
 }
 
+/// Between a crash and its recovery: the pending restart's analysis —
+/// derived from the logs' data-record indexes, as truncation, lost tails
+/// and earlier recoveries' appends have left them — holds what a fold
+/// over every retained log record holds.
+fn analysis_exact(db: &SmDb, at: &str) -> Result<(), TestCaseError> {
+    let diffs = db.check_redo_plan();
+    prop_assert!(diffs.is_empty(), "redo plan diverged {}:\n  {}", at, diffs.join("\n  "));
+    let diffs = db.check_cached_probe();
+    prop_assert!(diffs.is_empty(), "cached probe diverged {}:\n  {}", at, diffs.join("\n  "));
+    Ok(())
+}
+
 // ---------------------------------------------------------------------------
 // The script.
 // ---------------------------------------------------------------------------
@@ -272,7 +286,8 @@ impl Lockstep {
         self.db.crash(nodes);
         self.model.promote(&self.db);
         self.model.compare(&self.db, at)?;
-        predicate_exact(&self.db, at)
+        predicate_exact(&self.db, at)?;
+        analysis_exact(&self.db, at)
     }
 
     fn begin(&mut self, node: NodeId) -> Result<Option<TxnId>, TestCaseError> {

@@ -462,7 +462,7 @@ impl LogIndex {
     }
 }
 
-/// Records per log segment. One constant: a segment is ~120 KB, so the
+/// Records per log segment. One constant: a segment is ~104 KB, so the
 /// slack of a checkpointed log (one partly filled segment, one partly
 /// truncated one) stays below the doubling slack of the `Vec` it
 /// replaced, and a long log is a few hundred segments.
