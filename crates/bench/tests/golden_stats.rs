@@ -15,7 +15,7 @@
 //! UPDATE_GOLDEN=1 cargo test -p smdb-bench --test golden_stats
 //! ```
 
-use smdb_core::{DbConfig, ProtocolKind, RecoveryOutcome, SmDb};
+use smdb_core::{DbConfig, MtOutcome, ProtocolKind, RecoveryOutcome, SmDb};
 use smdb_sim::NodeId;
 use smdb_workload::{
     run_mix, run_mix_mt, run_mix_with_crash, spawn_active, threads_from_env, CrashPlan, MixParams,
@@ -386,4 +386,176 @@ fn golden_driver_corners() {
     let mut got = String::new();
     golden_driver(&mut got);
     check_golden("driver_corners.golden", &got);
+}
+
+/// Everything one `run_mix_mt` call leaves behind that a rewrite of the
+/// epoch scheduler could perturb: both reports, the lock manager's and
+/// the simulator's counters, every node's log (counters, length, a digest
+/// of every record), the committed images and the makespan.
+fn render_mt(report: &MixReport, mt: &MtOutcome, db: &SmDb) -> String {
+    let fnv = |h: &mut u64, bytes: &[u8]| {
+        for &b in bytes {
+            *h = (*h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+        }
+    };
+    let mut out = String::new();
+    let _ = writeln!(out, "mt: {mt:?}");
+    let _ = writeln!(out, "report: {report:?}");
+    let _ = writeln!(out, "lock: {:?}", db.lock_stats());
+    let _ = writeln!(out, "sim: {:?}", db.machine().stats());
+    for n in 0..db.config().nodes {
+        let log = db.logs().log(NodeId(n));
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        for r in log.records() {
+            fnv(&mut digest, format!("{r:?}").as_bytes());
+        }
+        let _ = writeln!(
+            out,
+            "log[{n}]: {:?} records={} digest={digest:#018x}",
+            log.stats(),
+            log.records().len()
+        );
+    }
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    for slot in 0..db.record_count() as u64 {
+        fnv(&mut digest, &db.read_committed(slot).expect("slot readable"));
+    }
+    let _ = writeln!(out, "committed_digest: {digest:#018x}");
+    let _ = writeln!(out, "max_clock: {}", db.max_clock());
+    out
+}
+
+/// One cell of the epoch-scheduler fixture: the same run at 1, 2, 3 and 4
+/// OS threads (3 divides none of the lane counts these cells produce),
+/// rendered identically at each, appended to `out` once. `record` runs
+/// every repetition under a schedule tape recorded from that seed.
+fn mt_cell(
+    out: &mut String,
+    label: &str,
+    cfg: &DbConfig,
+    params: &MixParams,
+    record: Option<u64>,
+) -> (MtOutcome, SmDb) {
+    let mut base: Option<(String, MtOutcome, SmDb)> = None;
+    for threads in 1..=4 {
+        let mut db = SmDb::new(cfg.clone());
+        if let Some(seed) = record {
+            db.sched_handle().start_recording(seed);
+        }
+        let (report, mt) = run_mix_mt(&mut db, params.clone(), threads).expect("mt run");
+        assert_eq!(report.committed, params.txns as u64, "{label}: everything commits");
+        let got = render_mt(&report, &mt, &db);
+        match &base {
+            None => base = Some((got, mt, db)),
+            Some((want, ..)) => {
+                assert_eq!(*want, got, "{label}: {threads} threads diverged from 1 thread")
+            }
+        }
+    }
+    let (rendered, mt, db) = base.expect("four repetitions ran");
+    let _ = writeln!(out, "[mt {label}]");
+    out.push_str(&rendered);
+    let _ = writeln!(out);
+    (mt, db)
+}
+
+/// `(txn, name)` pairs some log holds both a granted Shared and a granted
+/// Exclusive acquisition record for. A transaction's own plan asks for each
+/// name once, in its strongest mode, and lanes append no lock records, so
+/// such a pair is a sibling upgrade: admission promoted the grant of an
+/// earlier transaction of the node for a later one that piggybacks on it.
+fn sibling_upgrades(db: &SmDb) -> usize {
+    use smdb_wal::{LockModeRepr, LogPayload};
+    use std::collections::BTreeSet;
+    let mut shared = BTreeSet::new();
+    let mut upgraded = BTreeSet::new();
+    for n in 0..db.config().nodes {
+        for r in db.logs().log(NodeId(n)).records() {
+            if let LogPayload::LockAcquire { txn, name, mode, queued: false } = r.payload {
+                match mode {
+                    LockModeRepr::Shared => {
+                        shared.insert((txn, name));
+                    }
+                    LockModeRepr::Exclusive if shared.contains(&(txn, name)) => {
+                        upgraded.insert((txn, name));
+                    }
+                    LockModeRepr::Exclusive => {}
+                }
+            }
+        }
+    }
+    upgraded.len()
+}
+
+/// The epoch scheduler's corners `driver_corners.golden`'s five
+/// `run_mix_mt` cells (4 nodes, one mix) do not reach, each byte-identical
+/// at 1–4 threads: lopsided lanes from stripe false sharing alone, a
+/// sibling's Shared grant upgraded for a later sibling, a candidate
+/// blocked in the lock space, and a tape that defers admissions.
+#[test]
+fn golden_mt_schedule() {
+    let mut got = String::new();
+    let small = |p| DbConfig::small(4, p).with_sim_shards(32);
+
+    // `perf`'s `epoch_mt2` at a tenth of one driver call: private
+    // partitions, pure write. Neighbouring partitions meet in a boundary
+    // page, so a node stalls on a stripe and sits the epoch out while the
+    // others keep admitting.
+    let mut cfg = DbConfig::bench(8, ProtocolKind::VolatileSelectiveRedo).with_sim_shards(64);
+    cfg.records = 4096;
+    let params = MixParams {
+        txns: 1000,
+        ops_per_txn: 4,
+        read_fraction: 0.0,
+        sharing: 0.0,
+        shared_slots: 0,
+        seed: 0xE12,
+        ..Default::default()
+    };
+    let (mt, _) = mt_cell(&mut got, "private-write 8 nodes 64 stripes", &cfg, &params, None);
+    assert!(mt.data_conflicts > 0, "partition boundaries must collide on stripes");
+    assert_eq!(mt.lock_conflicts, 0, "private partitions share no record name");
+
+    let params = MixParams {
+        txns: 300,
+        ops_per_txn: 4,
+        read_fraction: 0.5,
+        sharing: 0.5,
+        shared_slots: 8,
+        seed: 0x5B,
+        ..Default::default()
+    };
+    let cfg = small(ProtocolKind::VolatileSelectiveRedo);
+    let (_, db) = mt_cell(&mut got, "read-write sibling upgrade", &cfg, &params, None);
+    assert!(sibling_upgrades(&db) > 0, "a Shared sibling grant must be upgraded");
+
+    let params = MixParams {
+        txns: 120,
+        ops_per_txn: 4,
+        read_fraction: 0.0,
+        sharing: 1.0,
+        shared_slots: 4,
+        zipf_theta: 0.95,
+        seed: 0xC0,
+        ..Default::default()
+    };
+    let cfg = small(ProtocolKind::StableEager).with_coalesced_forces();
+    let (mt, _) = mt_cell(&mut got, "full-sharing zipf stable-eager", &cfg, &params, None);
+    assert!(mt.lock_conflicts > 0, "four hot names must collide in the lock space");
+
+    let params = MixParams {
+        txns: 200,
+        ops_per_txn: 4,
+        read_fraction: 0.25,
+        sharing: 0.2,
+        shared_slots: 16,
+        zipf_theta: 0.5,
+        seed: 0xD5,
+        ..Default::default()
+    };
+    let cfg = small(ProtocolKind::VolatileSelectiveRedo);
+    let (mt, _) = mt_cell(&mut got, "recorded tape", &cfg, &params, Some(0xBEEF));
+    assert!(mt.deferred > 0, "the recorded schedule must defer an admission");
+
+    check_golden("mt_schedule.golden", &got);
 }
