@@ -157,6 +157,24 @@ fn restart_scenario(p: ProtocolKind, instant: bool) -> (SmDb, u64) {
     (db, report.committed)
 }
 
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// FNV-1a step over `bytes`.
+fn fnv(h: &mut u64, bytes: &[u8]) {
+    for &b in bytes {
+        *h = (*h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+    }
+}
+
+/// FNV-1a over every committed record image, in slot order.
+fn committed_digest(db: &SmDb) -> u64 {
+    let mut digest = FNV_OFFSET;
+    for slot in 0..db.record_count() as u64 {
+        fnv(&mut digest, &db.read_committed(slot).expect("slot readable"));
+    }
+    digest
+}
+
 /// Everything a driver run leaves behind that a rewrite of the loop could
 /// perturb: the report, the log volume, the makespan and a digest of the
 /// committed record images.
@@ -164,15 +182,9 @@ fn render_run(out: &mut String, report: &MixReport, db: &SmDb) {
     let _ = writeln!(out, "report: {report:?}");
     let log_bytes: u64 =
         (0..db.config().nodes).map(|n| db.logs().log(NodeId(n)).stats().bytes_appended).sum();
-    let mut digest = 0xcbf2_9ce4_8422_2325u64;
-    for slot in 0..db.record_count() as u64 {
-        for b in db.read_committed(slot).expect("slot readable") {
-            digest = (digest ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-        }
-    }
     let _ = writeln!(out, "log_bytes: {log_bytes}");
     let _ = writeln!(out, "max_clock: {}", db.max_clock());
-    let _ = writeln!(out, "committed_digest: {digest:#018x}");
+    let _ = writeln!(out, "committed_digest: {:#018x}", committed_digest(db));
     let _ = writeln!(out);
 }
 
@@ -393,11 +405,6 @@ fn golden_driver_corners() {
 /// the simulator's counters, every node's log (counters, length, a digest
 /// of every record), the committed images and the makespan.
 fn render_mt(report: &MixReport, mt: &MtOutcome, db: &SmDb) -> String {
-    let fnv = |h: &mut u64, bytes: &[u8]| {
-        for &b in bytes {
-            *h = (*h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-        }
-    };
     let mut out = String::new();
     let _ = writeln!(out, "mt: {mt:?}");
     let _ = writeln!(out, "report: {report:?}");
@@ -405,7 +412,7 @@ fn render_mt(report: &MixReport, mt: &MtOutcome, db: &SmDb) -> String {
     let _ = writeln!(out, "sim: {:?}", db.machine().stats());
     for n in 0..db.config().nodes {
         let log = db.logs().log(NodeId(n));
-        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        let mut digest = FNV_OFFSET;
         for r in log.records() {
             fnv(&mut digest, format!("{r:?}").as_bytes());
         }
@@ -416,11 +423,7 @@ fn render_mt(report: &MixReport, mt: &MtOutcome, db: &SmDb) -> String {
             log.records().len()
         );
     }
-    let mut digest = 0xcbf2_9ce4_8422_2325u64;
-    for slot in 0..db.record_count() as u64 {
-        fnv(&mut digest, &db.read_committed(slot).expect("slot readable"));
-    }
-    let _ = writeln!(out, "committed_digest: {digest:#018x}");
+    let _ = writeln!(out, "committed_digest: {:#018x}", committed_digest(db));
     let _ = writeln!(out, "max_clock: {}", db.max_clock());
     out
 }

@@ -141,12 +141,13 @@ pub struct SmDb {
     /// the early open), drained on demand and in the background.
     pub(crate) instant: InstantRedoState,
     /// Epoch-parallel lane marker (see [`crate::mt`]). `Some` makes this
-    /// engine an execution lane: the set holds every `(txn, lock name)`
-    /// pair the deterministic epoch scheduler granted *serially* on the
-    /// parent manager before the lane ran, so [`SmDb::lock_from`] treats
-    /// membership as a grant without touching the (parent-owned) lock
-    /// table, and treats a miss as a footprint violation to escalate.
-    pub(crate) mt_granted: Option<BTreeSet<(TxnId, u64)>>,
+    /// engine an execution lane, and holds the lock names of the plan of
+    /// the one transaction the lane is running: the deterministic epoch
+    /// scheduler granted each of them *serially* on the parent manager
+    /// before the lane ran, so [`SmDb::lock_from`] treats membership as a
+    /// grant without touching the (parent-owned) lock table, and treats a
+    /// miss as a footprint violation to escalate.
+    pub(crate) mt_plan: Option<Vec<u64>>,
 }
 
 /// Construct a [`TreeCtx`] over the engine's split-borrowed fields.
@@ -248,7 +249,7 @@ impl SmDb {
             violations: ViolationTable::new(),
             inherited_deps: BTreeMap::new(),
             instant: InstantRedoState::default(),
-            mt_granted: None,
+            mt_plan: None,
         }
     }
 
@@ -494,7 +495,7 @@ impl SmDb {
         }
     }
 
-    fn check_slot(&self, slot: u64) -> Result<RecId, DbError> {
+    pub(crate) fn check_slot(&self, slot: u64) -> Result<RecId, DbError> {
         if slot >= self.cfg.records as u64 {
             return Err(DbError::NoSuchRecord { slot });
         }
@@ -515,15 +516,16 @@ impl SmDb {
         mode: LockMode,
         acting: NodeId,
     ) -> Result<(), DbError> {
-        // Execution lane (epoch-parallel): every lock this lane's
-        // transactions may touch was granted serially by the scheduler on
-        // the parent manager before the lane ran, in its strongest needed
-        // mode. Membership is the grant; the LCB lines stay parent-owned
-        // and are never touched from a lane. A miss means the admitted
-        // footprint was wrong — surface it as a conflict so the lane
-        // aborts the transaction and the scheduler retries it serially.
-        if let Some(granted) = &self.mt_granted {
-            if granted.contains(&(txn, name)) {
+        // Execution lane (epoch-parallel): every lock of the running
+        // transaction's plan was granted serially by the scheduler on the
+        // parent manager before the lane ran, in its strongest needed
+        // mode, and a lane runs one transaction at a time. Membership in
+        // that plan is the grant; the LCB lines stay parent-owned and are
+        // never touched from a lane. A miss means the admitted footprint
+        // was wrong — surface it as a conflict so the lane aborts the
+        // transaction and the scheduler retries it serially.
+        if let Some(plan) = &self.mt_plan {
+            if plan.contains(&name) {
                 return Ok(());
             }
             self.stats.would_blocks += 1;
@@ -1080,7 +1082,7 @@ impl SmDb {
         // In an execution lane (see [`crate::mt`]) the per-node appender
         // stalled the committer to drain a pending coalesced-force window
         // it would otherwise have absorbed.
-        if force_wait > 0 && had_window && self.mt_granted.is_some() {
+        if force_wait > 0 && had_window && self.mt_plan.is_some() {
             self.m.obs().metrics.inc(names::WAL_APPENDER_STALLS);
         }
         // Crash point: the commit record is durable but post-commit

@@ -51,6 +51,19 @@ pub enum DbError {
     },
     /// The engine was built without an index.
     NoIndex,
+    /// A transaction was submitted for a node the machine does not have.
+    NoSuchNode {
+        /// The node.
+        node: smdb_sim::NodeId,
+    },
+    /// An index operation was submitted to the epoch scheduler
+    /// ([`crate::SmDb::run_epochs`]), which admits record reads and
+    /// updates only: an index operation's page footprint is data-dependent,
+    /// so admission cannot claim it up front. Use the serial API.
+    IndexOpInEpoch {
+        /// The index key of the refused operation.
+        key: u64,
+    },
     /// An armed fault-injection point fired: the acting node must be
     /// treated as crashed at this instant. The crash driver catches this
     /// variant, calls [`crate::SmDb::crash`] on the victim, and then
@@ -143,6 +156,10 @@ impl fmt::Display for DbError {
             DbError::NoSuchRecord { slot } => write!(f, "no record slot {slot}"),
             DbError::NodeDown { node } => write!(f, "{node} is down"),
             DbError::NoIndex => write!(f, "engine configured without an index"),
+            DbError::NoSuchNode { node } => write!(f, "the machine has no {node}"),
+            DbError::IndexOpInEpoch { key } => {
+                write!(f, "index operation on key {key} submitted to the epoch scheduler")
+            }
             DbError::FaultCrash(c) => write!(f, "injected crash point fired: {c}"),
             DbError::StablePageMissing { page } => {
                 write!(f, "stable database page {page} missing during recovery")

@@ -27,10 +27,17 @@
 //!    stripes ([`Machine::lane_split`]), its own WAL appender
 //!    (`LogSet::lane_split`), a forked lock manager, shadow, and stats.
 //!    The lane runs the §6 update protocol *verbatim*; only record-lock
-//!    acquisition short-circuits against the pre-granted set. Any access
+//!    acquisition short-circuits: an admitted transaction carries the
+//!    lock names of its plan, the lane holds the running transaction's,
+//!    and a lock call is a membership check against that list. Any access
 //!    outside the admitted footprint surfaces as
 //!    [`MemError::ForeignStripe`] (or a lock-grant miss), aborts the
 //!    transaction inside the lane, and escalates it to a serial retry.
+//!    Lanes go to OS threads longest first by admitted operation count
+//!    (`assign_lanes`): a node that meets a stripe conflict sits the
+//!    epoch out, so lanes are routinely lopsided by two orders of
+//!    magnitude, and a round-robin deal can put the two big ones on one
+//!    thread.
 //! 3. **Epoch barrier.** Lanes are merged back in node order (machine,
 //!    logs, page-LSN table, transaction table, stats, shadow — every merge
 //!    operator commutes or is order-fixed), each appender's pending
@@ -49,7 +56,24 @@
 //! counts, clocks — identical at every thread count, including 1. The
 //! only scheduling freedom is *which* transactions share an epoch, and
 //! that choice is made serially at the [`SITE_ADMIT`] tape site, so a
-//! recorded schedule replays byte-identically on any host.
+//! recorded schedule replays byte-identically on any host. Which thread
+//! runs which lane is not a freedom in that sense: no lane reads what
+//! another writes and reports are written back by lane index, so the
+//! assignment moves wall time only — and it is itself a pure function of
+//! barrier state (the admitted operation counts), never of the host.
+//!
+//! **Admission state.** What admission knows about the epoch so far lives
+//! in `EpochTables`: three dense arrays owned by the `run_epochs` call —
+//! stripe → claiming node, record slot → the parent-side grant protecting
+//! its lock name, heap page → pre-faulted — each entry stamped with the
+//! epoch that wrote it. Starting an epoch bumps the stamp and an entry is
+//! *present* only while its stamp equals the current one; the arrays are
+//! created zeroed and stamps start at 1, so an entry of an earlier epoch
+//! (or one never written) cannot be read as current, and nothing is
+//! cleared or reallocated between epochs. A candidate's lock plan and
+//! footprint are computed once per attempt into one reused `Candidate`;
+//! its pages are pre-faulted in ascending page order — pre-faulting is
+//! simulated traffic, and that is the order every fixture pins it in.
 
 use crate::engine::{engine_ctx, SmDb};
 use crate::error::DbError;
@@ -76,11 +100,11 @@ pub const SITE_ADMIT: &str = "mt.admit";
 /// The record slot an epoch-scheduled operation touches and the lock mode
 /// it needs. Index operations are not admitted in this mode (their page
 /// footprints are data-dependent); use the serial API for index workloads.
-fn rec_access(op: &Op) -> (u64, LockMode) {
+fn rec_access(op: &Op) -> Result<(u64, LockMode), DbError> {
     match op {
-        Op::Read(slot) => (*slot, LockMode::Shared),
-        Op::Update(slot, _) => (*slot, LockMode::Exclusive),
-        Op::Insert(..) | Op::Delete(..) => panic!("mt excludes index operations"),
+        Op::Read(slot) => Ok((*slot, LockMode::Shared)),
+        Op::Update(slot, _) => Ok((*slot, LockMode::Exclusive)),
+        Op::Insert(key, _) | Op::Delete(key) => Err(DbError::IndexOpInEpoch { key: *key }),
     }
 }
 
@@ -129,6 +153,11 @@ pub struct MtOutcome {
 struct Admitted {
     txn: TxnId,
     ops: Vec<Op>,
+    /// The lock names of the transaction's plan. Admission granted each on
+    /// the parent manager (to this transaction, or to an earlier one of
+    /// the same lane it piggybacks on); the lane treats membership as the
+    /// grant.
+    names: Vec<u64>,
     gsn_base: u64,
     gsn_block: u64,
 }
@@ -161,53 +190,169 @@ fn escalates(e: &DbError) -> bool {
     )
 }
 
-/// The lock names a transaction needs, in first-touch order, each in the
-/// strongest mode any of its operations requires. Admission grants these
-/// serially on the parent manager; the lane then treats membership in the
-/// granted set as the grant.
-fn lock_plan(ops: &[Op]) -> Vec<(u64, LockMode)> {
-    let mut order: Vec<u64> = Vec::new();
-    let mut modes: BTreeMap<u64, LockMode> = BTreeMap::new();
-    for op in ops {
-        let (slot, mode) = rec_access(op);
-        let name = SmDb::lock_name_for_rec(slot);
-        match modes.get_mut(&name) {
-            None => {
-                order.push(name);
-                modes.insert(name, mode);
-            }
-            Some(m) => {
-                if mode > *m {
-                    *m = mode;
-                }
-            }
+/// One admission candidate's lock plan and footprint, computed once per
+/// attempt by [`SmDb::mt_candidate`] into buffers every candidate of the
+/// call reuses (each holds at most one entry per operation).
+#[derive(Default)]
+struct Candidate {
+    /// The record slots the transaction locks, in first-touch order, each
+    /// with the strongest mode any of its operations requires. The lock
+    /// name is [`SmDb::lock_name_for_rec`] of the slot. Admission grants
+    /// these serially on the parent manager; the lane then treats
+    /// membership of the name in the transaction's plan as the grant.
+    plan: Vec<(u64, LockMode)>,
+    /// The distinct heap pages the operations touch, ascending.
+    pages: Vec<PageId>,
+    /// The distinct coherence-directory stripes those pages map to.
+    stripes: Vec<u32>,
+}
+
+/// The parent-side grant protecting one lock name for the current epoch.
+#[derive(Clone, Copy)]
+struct Holder {
+    stamp: u64,
+    /// The lane (node) whose transactions run under the grant.
+    node: usize,
+    /// The transaction the parent manager granted the name to. Later
+    /// transactions of the same node piggyback on it (they serialize
+    /// inside one lane), upgrading the holder's mode through the manager
+    /// when one needs a stronger one.
+    txn: TxnId,
+    mode: LockMode,
+}
+
+/// What admission knows about the epoch so far, as arrays indexed by
+/// stripe, record slot and heap page (module docs, "Admission state"). An
+/// entry is present only while its stamp is the current epoch's.
+struct EpochTables {
+    /// The current epoch's stamp: 1 for the call's first epoch.
+    stamp: u64,
+    /// stripe → (stamp, claiming node).
+    claimed: Vec<(u64, usize)>,
+    /// record slot → the grant protecting `lock_name_for_rec(slot)`.
+    holders: Vec<Holder>,
+    /// heap page → stamp of the epoch that pre-faulted it. Indexed by page
+    /// alone: a page lies in one stripe and a stripe has one claimant per
+    /// epoch, so only that node can have faulted it.
+    faulted: Vec<u64>,
+}
+
+impl EpochTables {
+    fn new(stripes: usize, records: usize, heap_pages: usize) -> Self {
+        let empty = Holder { stamp: 0, node: 0, txn: TxnId(0), mode: LockMode::Shared };
+        EpochTables {
+            stamp: 0,
+            claimed: vec![(0, 0); stripes],
+            holders: vec![empty; records],
+            faulted: vec![0; heap_pages],
         }
     }
-    order.into_iter().map(|n| (n, modes[&n])).collect()
+
+    fn claimant(&self, stripe: u32) -> Option<usize> {
+        let (stamp, node) = self.claimed[stripe as usize];
+        (stamp == self.stamp).then_some(node)
+    }
+
+    fn claim(&mut self, stripe: u32, node: usize) {
+        self.claimed[stripe as usize] = (self.stamp, node);
+    }
+
+    fn holder(&self, slot: u64) -> Option<Holder> {
+        let h = self.holders[slot as usize];
+        (h.stamp == self.stamp).then_some(h)
+    }
+
+    fn hold(&mut self, slot: u64, node: usize, txn: TxnId, mode: LockMode) {
+        self.holders[slot as usize] = Holder { stamp: self.stamp, node, txn, mode };
+    }
+
+    fn unhold(&mut self, slot: u64) {
+        self.holders[slot as usize].stamp = 0;
+    }
+
+    /// Mark `page` pre-faulted; whether this epoch had not yet done so.
+    fn first_fault(&mut self, page: PageId) -> bool {
+        let stamp = std::mem::replace(&mut self.faulted[page.0 as usize], self.stamp);
+        stamp != self.stamp
+    }
+}
+
+/// Which of up to `threads` OS threads runs each lane, given every lane's
+/// admitted work (its operation count): longest lane first, each to the
+/// thread with the least work so far; equal lanes go in lane order, equal
+/// threads in thread order. Greedy, so the busiest thread carries at most
+/// 4/3 of the best possible split, where a deal in lane order carries
+/// whatever the lane order deals it. Equal lanes reproduce that deal
+/// (`lane % threads`).
+fn assign_lanes(work: &[u64], threads: usize) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..work.len()).collect();
+    order.sort_by_key(|&lane| (std::cmp::Reverse(work[lane]), lane));
+    let mut load = vec![0u64; threads.clamp(1, work.len().max(1))];
+    let mut thread_of = vec![0usize; work.len()];
+    for lane in order {
+        // `min_by_key` returns the first of equal minima: the lowest thread.
+        let thread = (0..load.len()).min_by_key(|&t| load[t]).unwrap_or(0);
+        load[thread] += work[lane];
+        thread_of[lane] = thread;
+    }
+    thread_of
 }
 
 impl SmDb {
-    /// The coherence-directory stripes and heap pages a transaction's
-    /// operations touch. The engine pins `stripe_lines` to
-    /// `lines_per_page`, so a page (including its Page-LSN line) never
-    /// straddles stripes and one probe per page suffices.
-    fn mt_footprint(&self, ops: &[Op]) -> (BTreeSet<u32>, BTreeSet<PageId>) {
-        let mut stripes = BTreeSet::new();
-        let mut pages = BTreeSet::new();
-        for op in ops {
-            let rec = self.layout.rec_of_global(rec_access(op).0);
-            pages.insert(rec.page);
-            let line0 = LineId(self.layout.geometry.line_addr(rec.page, 0));
-            stripes.insert(self.m.stripe_of(line0));
+    /// Refuse a batch the scheduler cannot run before anything is touched:
+    /// a node the machine does not have, an index operation, a record slot
+    /// outside the heap (which would also index past the admission
+    /// tables).
+    fn mt_validate(&self, txns: &[MtTxn]) -> Result<(), DbError> {
+        for t in txns {
+            if t.node.0 >= self.cfg.nodes {
+                return Err(DbError::NoSuchNode { node: t.node });
+            }
+            for op in &t.ops {
+                self.check_slot(rec_access(op)?.0)?;
+            }
         }
-        (stripes, pages)
+        Ok(())
+    }
+
+    /// Compute a candidate's lock plan and footprint into `c`. The engine
+    /// pins `stripe_lines` to `lines_per_page`, so a page (including its
+    /// Page-LSN line) never straddles stripes and one probe per page
+    /// suffices.
+    fn mt_candidate(&self, ops: &[Op], c: &mut Candidate) -> Result<(), DbError> {
+        c.plan.clear();
+        c.pages.clear();
+        c.stripes.clear();
+        for op in ops {
+            let (slot, mode) = rec_access(op)?;
+            if let Some((_, m)) = c.plan.iter_mut().find(|(s, _)| *s == slot) {
+                if mode > *m {
+                    *m = mode;
+                }
+                continue;
+            }
+            c.plan.push((slot, mode));
+            let page = self.layout.rec_of_global(slot).page;
+            if c.pages.contains(&page) {
+                continue;
+            }
+            c.pages.push(page);
+            let line0 = LineId(self.layout.geometry.line_addr(page, 0));
+            let stripe = self.m.stripe_of(line0);
+            if !c.stripes.contains(&stripe) {
+                c.stripes.push(stripe);
+            }
+        }
+        c.pages.sort_unstable();
+        Ok(())
     }
 
     /// Assemble an execution lane for `node`: a real engine over the
     /// detached stripes and the node's own WAL appender. The lane runs
     /// the full §6 protocol; only record-lock acquisition short-circuits
-    /// against `granted` (the locks admission took on the parent).
-    fn lane_for(&mut self, node: NodeId, stripes: &[u32], granted: BTreeSet<(TxnId, u64)>) -> SmDb {
+    /// against the running transaction's plan (`mt_plan`, which
+    /// `run_lane` fills per transaction).
+    fn lane_for(&mut self, node: NodeId, stripes: &[u32]) -> SmDb {
         SmDb {
             cfg: self.cfg.clone(),
             m: self.m.lane_split(stripes),
@@ -235,7 +380,7 @@ impl SmDb {
             violations: ViolationTable::new(),
             inherited_deps: BTreeMap::new(),
             instant: InstantRedoState::default(),
-            mt_granted: Some(granted),
+            mt_plan: Some(Vec::new()),
         }
     }
 
@@ -273,6 +418,191 @@ impl SmDb {
         Ok(())
     }
 
+    /// Serial admission of one epoch (module docs, step 1): returns each
+    /// node's admitted transactions. `epoch_txns` lists, in admission
+    /// order, every transaction that may hold a parent-side grant — the
+    /// admitted ones and, while its plan is being granted, the candidate —
+    /// so a caller that gets an error knows what to release.
+    fn admit_epoch(
+        &mut self,
+        queues: &mut [VecDeque<MtTxn>],
+        tables: &mut EpochTables,
+        cand: &mut Candidate,
+        epoch_txns: &mut Vec<TxnId>,
+        out: &mut MtOutcome,
+    ) -> Result<Vec<Vec<Admitted>>, DbError> {
+        let nodes = queues.len();
+        let obs_on = self.m.obs().is_enabled();
+        tables.stamp += 1;
+        let mut admitted: Vec<Vec<Admitted>> = (0..nodes).map(|_| Vec::new()).collect();
+        let mut admitted_total = 0u64;
+        let mut gsn_cursor = self.gsn;
+        // Round-robin over nodes, one candidate per node per round:
+        // stripe claims — and therefore lane work — grow evenly across
+        // nodes, instead of the first node swallowing its whole queue
+        // and starving the epoch of parallelism. A node that hits a
+        // conflict (or a tape deferral) sits out the rest of the
+        // epoch; same-node stripe overlap is fine, those transactions
+        // run sequentially in one lane.
+        let mut seqs: Vec<u64> = self.txns.seqs();
+        let mut stalled = vec![false; nodes];
+        let mut waited = vec![false; nodes];
+        let mut progress = true;
+        while progress {
+            progress = false;
+            for n in 0..nodes {
+                if stalled[n] {
+                    continue;
+                }
+                let node = NodeId(n as u16);
+                let Some(t) = queues[n].front() else { continue };
+                self.mt_candidate(&t.ops, cand)?;
+                if cand.stripes.iter().any(|&s| tables.claimant(s).is_some_and(|o| o != n)) {
+                    // Classify the stall. A record name held in an
+                    // incompatible mode by another node's admitted
+                    // transaction is a logical collision in the striped
+                    // lock space (the lock table would block it too);
+                    // anything else is physical false sharing in the
+                    // coherence directory — a foreign page, or a
+                    // foreign stripe by hash. Either way the candidate
+                    // waits for the next epoch, so the split changes
+                    // attribution only, never the schedule.
+                    let lock_hit = cand.plan.iter().any(|&(slot, mode)| {
+                        tables.holder(slot).is_some_and(|h| {
+                            h.node != n && !(mode == LockMode::Shared && h.mode == LockMode::Shared)
+                        })
+                    });
+                    if lock_hit {
+                        out.lock_conflicts += 1;
+                        if obs_on {
+                            self.m.obs().metrics.inc(names::LOCK_SHARD_CONFLICTS);
+                        }
+                    } else {
+                        out.data_conflicts += 1;
+                        if obs_on {
+                            self.m.obs().metrics.inc(names::SIM_SHARD_CONFLICTS);
+                        }
+                    }
+                    stalled[n] = true;
+                    waited[n] = true;
+                    continue;
+                }
+                if admitted_total > 0 && self.sched.choose(SITE_ADMIT, 2) == 1 {
+                    out.deferred += 1;
+                    stalled[n] = true;
+                    continue;
+                }
+                // Deterministic serial lock grant on the parent. A
+                // conflict can only be with a lock granted to another
+                // node's admitted transaction (everything else was
+                // released at the last barrier): a cross-node name
+                // collision in the striped lock space.
+                let txn = TxnId::new(node, seqs[n] + 1);
+                epoch_txns.push(txn);
+                let mut blocked = false;
+                for &(slot, mode) in &cand.plan {
+                    // Whose parent-side grant to take or promote.
+                    let grantee = match tables.holder(slot) {
+                        Some(h) if h.node != n => {
+                            blocked = true;
+                            break;
+                        }
+                        // Sibling piggyback: the holder's parent-side
+                        // grant already protects the name in a
+                        // sufficient mode.
+                        Some(h) if h.mode >= mode => continue,
+                        // Sibling upgrade: promote the holder's grant
+                        // (sole holder — any other holder would be
+                        // cross-node, caught above).
+                        Some(h) => h.txn,
+                        None => txn,
+                    };
+                    let name = Self::lock_name_for_rec(slot);
+                    match self.locks.poll_from(
+                        &mut self.m,
+                        &mut self.logs,
+                        grantee,
+                        name,
+                        mode,
+                        node,
+                    )? {
+                        LockOutcome::Granted | LockOutcome::AlreadyHeld => {
+                            tables.hold(slot, n, grantee, mode);
+                        }
+                        LockOutcome::Waiting => {
+                            blocked = true;
+                            break;
+                        }
+                    }
+                }
+                if blocked {
+                    // Roll back this candidate's fresh grants (an
+                    // upgraded sibling grant stays — strictly
+                    // stronger protection, still released at the
+                    // barrier by the holder).
+                    for &(slot, _) in &cand.plan {
+                        if tables.holder(slot).is_some_and(|h| h.txn == txn) {
+                            tables.unhold(slot);
+                        }
+                    }
+                    self.locks.release_all(&mut self.m, &mut self.logs, txn)?;
+                    epoch_txns.pop();
+                    out.lock_conflicts += 1;
+                    if obs_on {
+                        self.m.obs().metrics.inc(names::LOCK_SHARD_CONFLICTS);
+                    }
+                    stalled[n] = true;
+                    waited[n] = true;
+                    continue;
+                }
+                // Admitted: claim stripes, pre-fault pages, assign the
+                // GSN block, hand the plan's names to the lane.
+                seqs[n] += 1;
+                for &s in &cand.stripes {
+                    tables.claim(s, n);
+                }
+                for &page in &cand.pages {
+                    if tables.first_fault(page) {
+                        let mut ctx = engine_ctx!(self);
+                        ctx.ensure_resident(node, page)?;
+                    }
+                }
+                let t = queues[n].pop_front().expect("front() just matched");
+                let names =
+                    cand.plan.iter().map(|&(slot, _)| Self::lock_name_for_rec(slot)).collect();
+                // Worst case per operation: one Update record (undo +
+                // redo GSN) plus slack for Begin/Commit bookkeeping.
+                let gsn_block = t.ops.len() as u64 * 2 + 8;
+                admitted[n].push(Admitted {
+                    txn,
+                    ops: t.ops,
+                    names,
+                    gsn_base: gsn_cursor,
+                    gsn_block,
+                });
+                gsn_cursor += gsn_block;
+                admitted_total += 1;
+                progress = true;
+            }
+        }
+        for &w in &waited {
+            if w {
+                out.epoch_waits += 1;
+                if obs_on {
+                    self.m.obs().metrics.inc(names::ENGINE_EPOCH_WAITS);
+                }
+            }
+        }
+        assert!(
+            admitted_total > 0,
+            "epoch admitted nothing with work pending: admission cannot stall every node"
+        );
+        out.epochs += 1;
+        out.max_epoch_txns = out.max_epoch_txns.max(admitted_total);
+        self.gsn = gsn_cursor;
+        Ok(admitted)
+    }
+
     /// Run `txns` to completion under the deterministic epoch scheduler,
     /// executing each epoch's per-node lanes on up to `threads` OS
     /// threads. The result — committed data, log bytes, force counts,
@@ -281,7 +611,9 @@ impl SmDb {
     ///
     /// Requires a quiescent engine (no active transactions, no pending
     /// recovery) and the serial feature set: no early lock release, no
-    /// instant restart, no pipelined commits, no index operations.
+    /// instant restart, no pipelined commits. A batch naming a node the
+    /// machine does not have, a record slot outside the heap or an index
+    /// operation is refused with a typed error before anything is touched.
     pub fn run_epochs(&mut self, txns: Vec<MtTxn>, threads: usize) -> Result<MtOutcome, DbError> {
         let threads = threads.max(1);
         let nodes = self.cfg.nodes as usize;
@@ -291,9 +623,7 @@ impl SmDb {
         assert!(self.pending_commits.is_empty(), "mt requires drained commit pipeline");
         assert_eq!(self.txns.in_flight(), 0, "mt requires a quiescent engine");
         assert_eq!(self.m.surviving_nodes().len(), nodes, "mt requires every node up");
-        for t in &txns {
-            assert!((t.node.0 as usize) < nodes, "mt transaction on unknown node");
-        }
+        self.mt_validate(&txns)?;
 
         self.settle_lbm_marks()?;
 
@@ -303,233 +633,73 @@ impl SmDb {
         }
         let mut out = MtOutcome::default();
         let obs_on = self.m.obs().is_enabled();
+        let stripe_count = self.m.shard_count();
+        let mut tables =
+            EpochTables::new(stripe_count, self.cfg.records as usize, self.heap_pages as usize);
+        let mut cand = Candidate::default();
+        let mut epoch_txns: Vec<TxnId> = Vec::new();
 
         while queues.iter().any(|q| !q.is_empty()) {
             // ---- serial admission --------------------------------------
-            let mut admitted: Vec<Vec<Admitted>> = (0..nodes).map(|_| Vec::new()).collect();
-            // stripe -> claiming node, across this epoch.
-            let mut claimed: BTreeMap<u32, usize> = BTreeMap::new();
-            let mut granted: Vec<BTreeSet<(TxnId, u64)>> =
-                (0..nodes).map(|_| BTreeSet::new()).collect();
-            // name -> (claiming node, parent-side holder txn, held mode).
-            // Same-node siblings piggyback on the holder's parent-side
-            // grant (they serialize inside one lane), upgrading the
-            // holder's mode through the manager when a later sibling
-            // needs a stronger one.
-            let mut name_holders: BTreeMap<u64, (usize, TxnId, LockMode)> = BTreeMap::new();
-            let mut faulted: BTreeSet<(u16, PageId)> = BTreeSet::new();
-            let mut epoch_txns: Vec<TxnId> = Vec::new();
-            let mut admitted_total = 0u64;
-            let mut gsn_cursor = self.gsn;
-            // Round-robin over nodes, one candidate per node per round:
-            // stripe claims — and therefore lane work — grow evenly across
-            // nodes, instead of the first node swallowing its whole queue
-            // and starving the epoch of parallelism. A node that hits a
-            // conflict (or a tape deferral) sits out the rest of the
-            // epoch; same-node stripe overlap is fine, those transactions
-            // run sequentially in one lane.
-            let mut seqs: Vec<u64> = self.txns.seqs();
-            let mut stalled = vec![false; nodes];
-            let mut waited = vec![false; nodes];
-            let mut progress = true;
-            while progress {
-                progress = false;
-                for n in 0..nodes {
-                    if stalled[n] {
-                        continue;
+            epoch_txns.clear();
+            let admitted = match self.admit_epoch(
+                &mut queues,
+                &mut tables,
+                &mut cand,
+                &mut epoch_txns,
+                &mut out,
+            ) {
+                Ok(admitted) => admitted,
+                Err(e) => {
+                    // Nothing admitted this epoch will run: give back what
+                    // admission took on the parent manager, or the names
+                    // stay locked by transactions that never begin. Best
+                    // effort — the admission error is the one to report.
+                    for &txn in &epoch_txns {
+                        let _ = self.locks.release_all(&mut self.m, &mut self.logs, txn);
+                        self.logs.retire_txn(txn);
                     }
-                    let node = NodeId(n as u16);
-                    let Some(t) = queues[n].front() else { continue };
-                    let (stripes, pages) = self.mt_footprint(&t.ops);
-                    if stripes.iter().any(|s| claimed.get(s).is_some_and(|&o| o != n)) {
-                        // Classify the stall. A record name held in an
-                        // incompatible mode by another node's admitted
-                        // transaction is a logical collision in the striped
-                        // lock space (the lock table would block it too);
-                        // anything else is physical false sharing in the
-                        // coherence directory — a foreign page, or a
-                        // foreign stripe by hash. Either way the candidate
-                        // waits for the next epoch, so the split changes
-                        // attribution only, never the schedule.
-                        let lock_hit = lock_plan(&t.ops).iter().any(|&(name, mode)| {
-                            name_holders.get(&name).is_some_and(|&(o, _, held)| {
-                                o != n && !(mode == LockMode::Shared && held == LockMode::Shared)
-                            })
-                        });
-                        if lock_hit {
-                            out.lock_conflicts += 1;
-                            if obs_on {
-                                self.m.obs().metrics.inc(names::LOCK_SHARD_CONFLICTS);
-                            }
-                        } else {
-                            out.data_conflicts += 1;
-                            if obs_on {
-                                self.m.obs().metrics.inc(names::SIM_SHARD_CONFLICTS);
-                            }
-                        }
-                        stalled[n] = true;
-                        waited[n] = true;
-                        continue;
-                    }
-                    if admitted_total > 0 && self.sched.choose(SITE_ADMIT, 2) == 1 {
-                        out.deferred += 1;
-                        stalled[n] = true;
-                        continue;
-                    }
-                    // Deterministic serial lock grant on the parent. A
-                    // conflict can only be with a lock granted to another
-                    // node's admitted transaction (everything else was
-                    // released at the last barrier): a cross-node name
-                    // collision in the striped lock space.
-                    let plan = lock_plan(&t.ops);
-                    let txn = TxnId::new(node, seqs[n] + 1);
-                    let mut blocked = false;
-                    // Parent-side grants/upgrades performed for THIS
-                    // candidate, undone if a later plan entry blocks.
-                    let mut acquired: Vec<(u64, TxnId)> = Vec::new();
-                    for &(name, mode) in &plan {
-                        match name_holders.get(&name).copied() {
-                            Some((owner, _, _)) if owner != n => {
-                                blocked = true;
-                                break;
-                            }
-                            Some((_, _holder, held)) if held >= mode => {
-                                // Sibling piggyback: the holder's
-                                // parent-side grant already protects the
-                                // name in a sufficient mode.
-                            }
-                            Some((_, holder, _)) => {
-                                // Sibling upgrade: promote the holder's
-                                // grant (sole holder — any other holder
-                                // would be cross-node, caught above).
-                                match self.locks.poll_from(
-                                    &mut self.m,
-                                    &mut self.logs,
-                                    holder,
-                                    name,
-                                    mode,
-                                    node,
-                                )? {
-                                    LockOutcome::Granted | LockOutcome::AlreadyHeld => {
-                                        acquired.push((name, holder));
-                                        name_holders.insert(name, (n, holder, mode));
-                                    }
-                                    LockOutcome::Waiting => {
-                                        blocked = true;
-                                        break;
-                                    }
-                                }
-                            }
-                            None => {
-                                match self.locks.poll_from(
-                                    &mut self.m,
-                                    &mut self.logs,
-                                    txn,
-                                    name,
-                                    mode,
-                                    node,
-                                )? {
-                                    LockOutcome::Granted | LockOutcome::AlreadyHeld => {
-                                        acquired.push((name, txn));
-                                        name_holders.insert(name, (n, txn, mode));
-                                    }
-                                    LockOutcome::Waiting => {
-                                        blocked = true;
-                                        break;
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    if blocked {
-                        // Roll back this candidate's fresh grants (an
-                        // upgraded sibling grant stays — strictly
-                        // stronger protection, still released at the
-                        // barrier by the holder).
-                        for &(name, holder) in &acquired {
-                            if holder == txn {
-                                name_holders.remove(&name);
-                            }
-                        }
-                        self.locks.release_all(&mut self.m, &mut self.logs, txn)?;
-                        out.lock_conflicts += 1;
-                        if obs_on {
-                            self.m.obs().metrics.inc(names::LOCK_SHARD_CONFLICTS);
-                        }
-                        stalled[n] = true;
-                        waited[n] = true;
-                        continue;
-                    }
-                    // Admitted: claim stripes, pre-fault pages, assign the
-                    // GSN block, record the grants for the lane.
-                    seqs[n] += 1;
-                    for s in stripes {
-                        claimed.insert(s, n);
-                    }
-                    for page in pages {
-                        if faulted.insert((node.0, page)) {
-                            let mut ctx = engine_ctx!(self);
-                            ctx.ensure_resident(node, page)?;
-                        }
-                    }
-                    for &(name, _) in &plan {
-                        granted[n].insert((txn, name));
-                    }
-                    let t = queues[n].pop_front().expect("front() just matched");
-                    // Worst case per operation: one Update record (undo +
-                    // redo GSN) plus slack for Begin/Commit bookkeeping.
-                    let gsn_block = t.ops.len() as u64 * 2 + 8;
-                    admitted[n].push(Admitted { txn, ops: t.ops, gsn_base: gsn_cursor, gsn_block });
-                    gsn_cursor += gsn_block;
-                    epoch_txns.push(txn);
-                    admitted_total += 1;
-                    progress = true;
+                    return Err(e);
                 }
-            }
-            for &w in &waited {
-                if w {
-                    out.epoch_waits += 1;
-                    if obs_on {
-                        self.m.obs().metrics.inc(names::ENGINE_EPOCH_WAITS);
-                    }
-                }
-            }
-            assert!(
-                admitted_total > 0,
-                "epoch admitted nothing with work pending: admission cannot stall every node"
-            );
-            out.epochs += 1;
-            out.max_epoch_txns = out.max_epoch_txns.max(admitted_total);
-            self.gsn = gsn_cursor;
+            };
 
             // ---- lane assembly (serial) --------------------------------
-            let participants: Vec<usize> =
-                (0..nodes).filter(|&n| !admitted[n].is_empty()).collect();
+            let mut lane_stripes: Vec<Vec<u32>> = (0..nodes).map(|_| Vec::new()).collect();
+            for s in 0..stripe_count as u32 {
+                if let Some(n) = tables.claimant(s) {
+                    lane_stripes[n].push(s);
+                }
+            }
             let mut lanes: Vec<Lane> = Vec::new();
-            for &n in &participants {
+            for (n, work) in admitted.into_iter().enumerate().filter(|(_, w)| !w.is_empty()) {
                 let node = NodeId(n as u16);
-                let stripes: Vec<u32> =
-                    claimed.iter().filter(|&(_, &o)| o == n).map(|(&s, _)| s).collect();
-                let lane = self.lane_for(node, &stripes, std::mem::take(&mut granted[n]));
-                lanes.push((node, stripes, lane, std::mem::take(&mut admitted[n])));
+                let stripes = std::mem::take(&mut lane_stripes[n]);
+                let lane = self.lane_for(node, &stripes);
+                lanes.push((node, stripes, lane, work));
             }
 
             // ---- parallel execution ------------------------------------
-            // Lanes are distributed round-robin over `threads` OS threads;
-            // each thread runs its lanes sequentially. Outcomes are a pure
-            // function of barrier state, so the distribution (and the
-            // interleaving) cannot affect results.
+            // Lanes go to `threads` OS threads by admitted work
+            // ([`assign_lanes`]); each thread runs its lanes sequentially.
+            // Outcomes are a pure function of barrier state, so the
+            // distribution (and the interleaving) cannot affect results.
             let mut results: Vec<Option<Result<LaneReport, DbError>>> =
                 (0..lanes.len()).map(|_| None).collect();
             if threads == 1 || lanes.len() == 1 {
                 results =
                     lanes.iter_mut().map(|(_, _, lane, work)| Some(run_lane(lane, work))).collect();
             } else {
-                let spawn = threads.min(lanes.len());
-                let mut buckets: Vec<Vec<(usize, &mut Lane)>> =
-                    (0..spawn).map(|_| Vec::new()).collect();
+                let work: Vec<u64> = lanes
+                    .iter()
+                    .map(|(_, _, _, work)| work.iter().map(|a| a.ops.len() as u64).sum())
+                    .collect();
+                let thread_of = assign_lanes(&work, threads);
+                let mut buckets: Vec<Vec<(usize, &mut Lane)>> = Vec::new();
                 for (i, lane) in lanes.iter_mut().enumerate() {
-                    buckets[i % spawn].push((i, lane));
+                    if buckets.len() <= thread_of[i] {
+                        buckets.resize_with(thread_of[i] + 1, Vec::new);
+                    }
+                    buckets[thread_of[i]].push((i, lane));
                 }
                 let bucket_results = std::thread::scope(|s| {
                     let handles: Vec<_> = buckets
@@ -592,7 +762,7 @@ impl SmDb {
             }
             // Release every admitted transaction's locks on the parent
             // (admission granted them there), in admission order.
-            for txn in epoch_txns {
+            for &txn in &epoch_txns {
                 self.locks.release_all(&mut self.m, &mut self.logs, txn)?;
                 // The lane settled it; these releases were its last records.
                 self.logs.retire_txn(txn);
@@ -630,6 +800,9 @@ fn run_lane(lane: &mut SmDb, work: &[Admitted]) -> Result<LaneReport, DbError> {
     let mut report = LaneReport::default();
     for a in work {
         lane.gsn = a.gsn_base;
+        // The grants travel with the transaction: what `lock_from` checks
+        // is the plan of the one transaction running.
+        lane.mt_plan.get_or_insert_with(Vec::new).clone_from(&a.names);
         let txn = lane.begin(a.txn.node())?;
         debug_assert_eq!(txn, a.txn, "lane sequence drifted from admission");
         let outcome =
@@ -648,4 +821,56 @@ fn run_lane(lane: &mut SmDb, work: &[Admitted]) -> Result<LaneReport, DbError> {
         );
     }
     Ok(report)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::assign_lanes;
+
+    /// The busiest thread's work under an assignment.
+    fn max_load(work: &[u64], thread_of: &[usize]) -> u64 {
+        let threads = thread_of.iter().max().map_or(0, |&t| t + 1);
+        (0..threads)
+            .map(|t| work.iter().zip(thread_of).filter(|&(_, &of)| of == t).map(|(w, _)| w).sum())
+            .max()
+            .unwrap_or(0)
+    }
+
+    #[test]
+    fn measured_lopsided_epoch_splits_its_two_large_lanes() {
+        // One `epoch_mt2` epoch's admitted transactions per lane.
+        let work = [310, 4, 2, 1243, 3, 1247];
+        let thread_of = assign_lanes(&work, 2);
+        assert_ne!(thread_of[3], thread_of[5], "the two large lanes share a thread");
+        assert_eq!(max_load(&work, &thread_of), 1553);
+        let round_robin: Vec<usize> = (0..work.len()).map(|i| i % 2).collect();
+        assert_eq!(max_load(&work, &round_robin), 2494);
+    }
+
+    #[test]
+    fn every_lane_gets_exactly_one_thread_in_range() {
+        for threads in 1..=5 {
+            for lanes in 0..=7usize {
+                let work: Vec<u64> = (0..lanes as u64).map(|i| (i * 7) % 5).collect();
+                let thread_of = assign_lanes(&work, threads);
+                assert_eq!(thread_of.len(), lanes);
+                assert!(thread_of.iter().all(|&t| t < threads.min(lanes).max(1)));
+                assert_eq!(thread_of, assign_lanes(&work, threads), "not a pure function");
+            }
+        }
+    }
+
+    #[test]
+    fn ties_go_to_the_lower_lane_then_the_lower_thread() {
+        // Equal lanes are dealt in lane order: the round-robin deal.
+        assert_eq!(assign_lanes(&[5; 7], 3), [0, 1, 2, 0, 1, 2, 0]);
+        // Lanes 0 and 2 tie for longest: lane 0 is placed first (thread 0),
+        // lane 2 next (thread 1); lane 1 then meets equal loads and takes
+        // thread 0; lane 3 goes to the lighter thread 1.
+        assert_eq!(assign_lanes(&[9, 4, 9, 1], 2), [0, 0, 1, 1]);
+        // More threads than lanes: one lane each, in order of size.
+        assert_eq!(assign_lanes(&[1, 3, 2], 8), [2, 0, 1]);
+        // No work at all is still an assignment.
+        assert_eq!(assign_lanes(&[0, 0, 0], 2), [0, 0, 0]);
+    }
 }

@@ -3,7 +3,7 @@
 //! with and without a recorded schedule tape, and the engine must come
 //! out of a multicore run fully recoverable.
 
-use smdb_core::{DbConfig, ProtocolKind, SmDb};
+use smdb_core::{DbConfig, MtTxn, Op, ProtocolKind, SmDb};
 use smdb_sim::NodeId;
 use smdb_workload::{run_mix_mt, threads_from_env, MixParams};
 
@@ -55,22 +55,55 @@ fn log_digests(db: &SmDb) -> Vec<(usize, u64)> {
         .collect()
 }
 
+/// The even mix: every node is dealt the same number of transactions.
+fn even_mix(db: &mut SmDb, threads: usize) -> String {
+    let (report, out) = run_mix_mt(db, params(), threads).expect("mt run");
+    assert_eq!(report.committed, 200, "every transaction commits eventually");
+    format!("{report:?} {out:?}")
+}
+
+/// One epoch in which node 2 owns five sixths of the work, every node on
+/// pages of its own: lanes of 20, 20, 300 and 20 operations. Longest-first
+/// assignment puts lane 2 on thread 0 at every thread count above 1, where
+/// dealing lanes in order put lane 0 there — so the byte-identity below is
+/// asserted across lane-to-thread maps that actually differ.
+fn one_node_owns_most_of_the_work(db: &mut SmDb, threads: usize) -> String {
+    let mut batch: Vec<MtTxn> = Vec::new();
+    for i in 0..150u64 {
+        for n in 0..4u64 {
+            if n == 2 || i < 10 {
+                let slot = 64 * n + 8 + i % 32;
+                batch.push(MtTxn {
+                    node: NodeId(n as u16),
+                    ops: vec![Op::Update(slot, i.to_le_bytes()), Op::Read(64 * n + 8)],
+                });
+            }
+        }
+    }
+    let out = db.run_epochs(batch, threads).expect("mt run");
+    assert_eq!((out.committed, out.epochs), (180, 1), "nothing collides: one epoch");
+    format!("{out:?}")
+}
+
 #[test]
 fn same_seed_same_bytes_at_every_thread_count() {
-    // `SMDB_THREADS` joins the sweep so the CI matrix (1 and 4) drives
-    // this gate at the matrix value even if the literal list changes.
-    let mut base = None;
-    for threads in [1usize, 2, 4, threads_from_env()] {
-        let mut db = engine(ProtocolKind::VolatileSelectiveRedo);
-        let (report, out) = run_mix_mt(&mut db, params(), threads).expect("mt run");
-        assert_eq!(report.committed, 200, "every transaction commits eventually");
-        let snapshot = (report, out, data_digest(&db), log_digests(&db), db.max_clock());
-        match &base {
-            None => base = Some(snapshot),
-            Some(b) => assert_eq!(
-                *b, snapshot,
-                "thread count {threads} diverged from the single-threaded run"
-            ),
+    // 3 divides neither workload's lane count (4). `SMDB_THREADS` joins
+    // the sweep so the CI matrix drives this gate at the matrix value even
+    // if the literal list changes.
+    type Run = fn(&mut SmDb, usize) -> String;
+    for run in [even_mix as Run, one_node_owns_most_of_the_work] {
+        let mut base = None;
+        for threads in [1usize, 2, 3, 4, threads_from_env()] {
+            let mut db = engine(ProtocolKind::VolatileSelectiveRedo);
+            let reports = run(&mut db, threads);
+            let snapshot = (reports, data_digest(&db), log_digests(&db), db.max_clock());
+            match &base {
+                None => base = Some(snapshot),
+                Some(b) => assert_eq!(
+                    *b, snapshot,
+                    "thread count {threads} diverged from the single-threaded run"
+                ),
+            }
         }
     }
 }

@@ -19,6 +19,16 @@ echo "== tests (SMDB_THREADS=4) =="
 # assert the results stay byte-identical to the serial run.
 SMDB_THREADS=4 cargo test -q --workspace
 
+echo "== epoch scheduler at an odd thread count (SMDB_THREADS=3) =="
+# The matrix above runs 1 and 4 threads, and both divide the lane counts
+# the tests produce (4 and 8); 3 does not, so lanes meet threads unevenly
+# and the longest-first assignment (DESIGN §15) has something to decide.
+# mt_determinism asserts byte-identical results at 1/2/3/4 and the matrix
+# value; golden_stats holds the epoch-scheduler fixtures
+# (mt_schedule.golden, the run_mix_mt cells of driver_corners.golden).
+SMDB_THREADS=3 cargo test --release -q -p smdb-workload --test mt_determinism
+SMDB_THREADS=3 cargo test --release -q -p smdb-bench --test golden_stats
+
 echo "== crash-point sweep (bounded) =="
 # Deterministic fault-injection sweep over all protocols (DESIGN §8);
 # release build keeps the bounded sweep fast. The checkpoint-machinery
