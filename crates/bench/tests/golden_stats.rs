@@ -41,7 +41,6 @@ fn render_outcome(out: &mut String, o: &RecoveryOutcome) {
     let _ = writeln!(out, "outcome.index_redo_applied: {}", o.index_redo_applied);
     let _ = writeln!(out, "outcome.undo_records_applied: {}", o.undo_records_applied);
     let _ = writeln!(out, "outcome.tags_cleared: {}", o.tags_cleared);
-    let _ = writeln!(out, "outcome.stable_undo_patches: {}", o.stable_undo_patches);
     let _ = writeln!(out, "outcome.lock_recovery: {:?}", o.lock_recovery);
     let _ = writeln!(out, "outcome.btree_recovery: {:?}", o.btree_recovery);
     let _ = writeln!(out, "outcome.recovery_cycles: {}", o.recovery_cycles);

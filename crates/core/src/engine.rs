@@ -137,8 +137,18 @@ pub struct SmDb {
     /// violated name. Kept until the transaction is acknowledged or
     /// aborted — recovery's cascade analysis reads the violated names.
     pub(crate) inherited_deps: BTreeMap<TxnId, Vec<InheritedDep>>,
-    /// Deferred heap redo of an instant restart (the plan remainder after
-    /// the early open), drained on demand and in the background.
+    /// Transactions a restart rolled back whose rollback no checkpoint has
+    /// flushed yet. Restart undoes heap updates through the caches; until
+    /// a checkpoint writes those pages back the stable database may still
+    /// hold a stolen update of theirs, and the rolled-back copy can die
+    /// with its cache — so until then their log records stay what they
+    /// were to the restart that rolled them back: never redone, undone
+    /// again ([`SmDb::recover`]'s analysis). Shared memory, like the
+    /// transaction table.
+    pub(crate) unflushed_rollbacks: BTreeSet<TxnId>,
+    /// What a restart still owes the heap: lost lines not yet installed
+    /// and, past an instant restart's early open, the plan entries left to
+    /// first access and the background drain.
     pub(crate) instant: InstantRedoState,
     /// Epoch-parallel lane marker (see [`crate::mt`]). `Some` makes this
     /// engine an execution lane, and holds the lock names of the plan of
@@ -150,8 +160,10 @@ pub struct SmDb {
     pub(crate) mt_plan: Option<Vec<u64>>,
 }
 
-/// Construct a [`TreeCtx`] over the engine's split-borrowed fields.
-macro_rules! engine_ctx {
+/// Construct a [`TreeCtx`] over the engine's split-borrowed fields, with
+/// physical log forces: what restart's index operations run on (recovery
+/// forces are never coalesced).
+macro_rules! tree_ctx {
     ($self:expr) => {
         TreeCtx::new(
             &mut $self.m,
@@ -161,7 +173,15 @@ macro_rules! engine_ctx {
             $self.cfg.protocol.lbm_mode(),
             &mut $self.gsn,
         )
-        .with_coalescing($self.cfg.coalesce_forces)
+    };
+}
+pub(crate) use tree_ctx;
+
+/// [`tree_ctx!`] for the forward path: LBM force requests go through the
+/// coalescing window when the configuration has one.
+macro_rules! engine_ctx {
+    ($self:expr) => {
+        $crate::engine::tree_ctx!($self).with_coalescing($self.cfg.coalesce_forces)
     };
 }
 pub(crate) use engine_ctx;
@@ -197,44 +217,26 @@ impl SmDb {
         }
         let mut logs = LogSet::new(cfg.nodes);
         logs.set_coalescing(cfg.coalesce_forces);
-        let mut plt = PageLsnTable::new();
         let lock_base = total_pages as u64 * cfg.lines_per_page as u64 + LOCK_TABLE_GAP;
         let table =
             LockTable::create(&mut m, NodeId(0), lock_base, cfg.lock_buckets, cfg.lcb_geometry)
                 .expect("lock table creation on a fresh machine cannot fail");
         let locks = LockManager::new(table);
-        let mut gsn = 0u64;
-        let tree = if cfg.with_index {
-            let mut ctx = TreeCtx::new(
-                &mut m,
-                &mut sdb,
-                &mut logs,
-                &mut plt,
-                cfg.protocol.lbm_mode(),
-                &mut gsn,
-            );
-            Some(
-                BTree::create(&mut ctx, NodeId(0), heap_pages, cfg.index_pages)
-                    .expect("index creation on a fresh machine cannot fail"),
-            )
-        } else {
-            None
-        };
         let txns = TxnTable::new(cfg.nodes);
         let ckpt = CheckpointStore::new(cfg.nodes);
-        SmDb {
+        let mut db = SmDb {
             cfg,
             m,
             sdb,
             logs,
-            plt,
+            plt: PageLsnTable::new(),
             ckpt,
             locks,
-            tree,
+            tree: None,
             txns,
             layout,
             heap_pages,
-            gsn,
+            gsn: 0,
             stats: EngineStats::default(),
             shadow: ShadowDb::new(),
             pending_waits: BTreeMap::new(),
@@ -248,9 +250,18 @@ impl SmDb {
             pending_commits: Vec::new(),
             violations: ViolationTable::new(),
             inherited_deps: BTreeMap::new(),
+            unflushed_rollbacks: BTreeSet::new(),
             instant: InstantRedoState::default(),
             mt_plan: None,
+        };
+        if db.cfg.with_index {
+            let mut ctx = tree_ctx!(db);
+            db.tree = Some(
+                BTree::create(&mut ctx, NodeId(0), heap_pages, db.cfg.index_pages)
+                    .expect("index creation on a fresh machine cannot fail"),
+            );
         }
+        db
     }
 
     /// Wire one fault injector through every layer: coherence traffic
@@ -597,7 +608,7 @@ impl SmDb {
     /// charging the cycles to the accessor's force-wait stage (the
     /// transaction is waiting on recovery work, not executing).
     fn redo_on_lock(&mut self, txn: TxnId, name: u64, acting: NodeId) -> Result<(), DbError> {
-        if !self.instant_active() {
+        if self.redo_pending() == 0 {
             return Ok(());
         }
         let Some(slot) = smdb_lock::names::rec_slot_of_name(name) else {
@@ -1571,6 +1582,10 @@ impl SmDb {
             lsns.push(lsn);
         }
         self.ckpt.install(CheckpointMeta { node_lsns: lsns.clone() });
+        // Every rollback a restart left in the caches is on disk, and the
+        // redo bound is past the rolled-back records: nothing can bring
+        // them back, so the analysis need not be told about them.
+        self.unflushed_rollbacks.clear();
         // Log reclamation: recovery never scans below the checkpoint for
         // redo (every page is flushed), and never needs undo information
         // below the first record of any still-active transaction. The

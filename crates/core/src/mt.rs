@@ -379,6 +379,7 @@ impl SmDb {
             pending_commits: Vec::new(),
             violations: ViolationTable::new(),
             inherited_deps: BTreeMap::new(),
+            unflushed_rollbacks: BTreeSet::new(),
             instant: InstantRedoState::default(),
             mt_plan: Some(Vec::new()),
         }
@@ -618,7 +619,7 @@ impl SmDb {
         let threads = threads.max(1);
         let nodes = self.cfg.nodes as usize;
         assert!(!self.cfg.early_lock_release, "mt excludes early lock release");
-        assert!(!self.instant_active(), "mt excludes instant restart");
+        assert!(self.redo_pending() == 0, "mt excludes instant restart");
         assert!(self.pending_recovery.is_empty(), "mt requires completed recovery");
         assert!(self.pending_commits.is_empty(), "mt requires drained commit pipeline");
         assert_eq!(self.txns.in_flight(), 0, "mt requires a quiescent engine");

@@ -12,24 +12,37 @@
 //!   crashed nodes themselves are re-applied from their *stable* log
 //!   prefixes (their commit force made them durable).
 //!
-//! Two schemes implement the redo side, as in the paper: **Redo All**
-//! (discard every cached database line, rebuild from logs against the
-//! stable database) and **Selective Redo** (redo only what was resident
-//! exclusively on crashed nodes, then undo via per-record tags). The
-//! FA-only baseline instead aborts *every* active transaction and performs
-//! a full rebuild — the behaviour the paper's protocols exist to avoid.
+//! For heap records both halves are **one plan** ([`SmDb::heap_plan`]):
+//! the analysis reduces the retained logs to the heap lines the crash
+//! destroyed plus, per record, its *final* on-page bytes — the redo image
+//! of the highest-GSN candidate, or the last committed value under a null
+//! tag wherever undo wins. One routine installs a lost page
+//! ([`SmDb::install_lost_page`]) and one writes a plan entry
+//! ([`SmDb::write_heap_entry`]); an *eager* restart applies the plan before
+//! the database opens ([`SmDb::apply_heap_plan`]), an *instant* restart
+//! leaves the same plan pending and applies it on first access
+//! ([`SmDb::ensure_line_recovered`]) or from the background drain
+//! ([`SmDb::drain_redo`]). The FA-only baseline — abort *every* active
+//! transaction and rebuild, the behaviour the paper's protocols exist to
+//! avoid — applies the same kind of plan, always before the open.
+//!
+//! The two redo schemes of the paper differ in what the plan may skip:
+//! **Redo All** discards every cached database line first, **Selective
+//! Redo** skips what a surviving cache still holds and then undoes via
+//! per-record tags. The tag scan and index redo / undo are not part of the
+//! plan; they run inside [`SmDb::recover`].
 
 use crate::config::{ProtocolKind, RestartScheme};
-use crate::engine::{engine_ctx, PendingCommit, SmDb};
+use crate::engine::{engine_ctx, tree_ctx, PendingCommit, SmDb};
 use crate::error::{req, DbError};
-use crate::record::NULL_TAG;
+use crate::record::{RecordLayout, NULL_TAG};
 use crate::txn::TxnStatus;
 use serde::{Deserialize, Serialize};
 use smdb_btree::{BtreeRecoveryStats, TreeCtx};
 use smdb_lock::LockRecoveryStats;
 use smdb_obs::{names, Event as ObsEvent, PhaseSpan, PhaseTiming};
 use smdb_sim::{LineId, NodeId, TxnId};
-use smdb_storage::PageId;
+use smdb_storage::{PageGeometry, PageId};
 use smdb_wal::{LogPayload, LogRecord, Lsn, NodeLog, RecId};
 use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
@@ -67,25 +80,26 @@ pub struct RecoveryOutcome {
     pub preserved_active: Vec<TxnId>,
     /// Cache lines destroyed by the crash.
     pub lost_lines: u64,
-    /// Heap redo operations applied.
+    /// Heap plan entries written before the open — one per record, an
+    /// entry where undo won included (an instant restart writes none
+    /// here; see [`InstantRedoCounters`]).
     pub redo_applied: u64,
     /// Heap redo candidates skipped because the line was still cached on a
     /// survivor (the Selective-Redo probe).
     pub redo_skipped_cached: u64,
-    /// Heap redo candidates skipped because the stable image already
-    /// reflected the update.
+    /// Heap plan entries retired before the open without a write, because
+    /// nothing was cached and the stable image already agreed.
     pub redo_skipped_stable: u64,
     /// Heap redo candidates dropped by the plan phase because a later
     /// candidate for the same record superseded them.
     pub redo_superseded: u64,
     /// Index redo operations applied.
     pub index_redo_applied: u64,
-    /// Undo operations applied to cached records.
+    /// Undo operations applied: the plan entries written before the open
+    /// where undo won, the tag scan's rollbacks, and index undo.
     pub undo_records_applied: u64,
     /// Stale committed tags cleared during the undo scan.
     pub tags_cleared: u64,
-    /// Records patched in the stable database (undo of stolen updates).
-    pub stable_undo_patches: u64,
     /// Lock-space recovery counters.
     pub lock_recovery: LockRecoveryStats,
     /// B-tree recovery counters.
@@ -138,23 +152,23 @@ struct LogPos {
 /// What an oracle compares per record: `(gsn, writer, after image)`.
 pub(crate) type HeapImages = BTreeMap<RecId, (u64, TxnId, bytes::Bytes)>;
 
-/// One planned heap redo write: a record and the position of its final
-/// (highest-GSN) update, reduced inside the analysis scan. The writer and
-/// the after image are read from the log when the write is applied
-/// ([`SmDb::logged_update`]) — a plan entry skipped as cached never
-/// touches the log.
-struct HeapRedo {
-    rec: RecId,
-    at: LogPos,
-}
-
-/// One deferred heap redo write of an instant restart: the final on-page
-/// bytes (tag + payload) for one record, precomputed by the recovery pass
-/// and applied on first forward-path access or by the background drain.
-struct PendingRedo {
+/// One entry of the heap plan: the *final* on-page bytes (tag + payload)
+/// of one record, computed by the recovery pass (the tag decision reads
+/// transaction statuses, which the last phase flips; the entry owns its
+/// bytes, so it outlives the analysis' log positions).
+struct HeapWrite {
     rec: RecId,
     line: LineId,
     bytes: Vec<u8>,
+    /// Who writes the entry when the plan is applied before the open.
+    /// §4.1.2: "each surviving node performs redo for ... record updates
+    /// which were made by the local node" — the update's own node if it
+    /// survives, else the recovery node, which also writes every undo.
+    /// Past the open the writer is whoever touches the line first, or the
+    /// draining node.
+    node: NodeId,
+    /// Undo won: the bytes are the last committed value under a null tag.
+    undo: bool,
 }
 
 /// Instant-restart redo-work counters. Cumulative over the engine's
@@ -172,40 +186,48 @@ pub struct InstantRedoCounters {
     pub skipped_stable: u64,
 }
 
-/// Deferred-redo state of an instant restart: the GSN-ordered remainder of
-/// the heap redo plan after the early open. Empty whenever no drain is in
-/// progress.
+/// What an instant restart still owes the heap past its early open: the
+/// plan entries not yet applied and the crash-lost lines not yet
+/// installed. Empty whenever no drain is in progress (`scrub_tags` aside,
+/// which every restart sets for its installs).
 #[derive(Default)]
 pub(crate) struct InstantRedoState {
-    /// GSN-ordered plan; an entry flips to `None` once retired.
-    entries: Vec<Option<PendingRedo>>,
-    /// Pending entry indexes per cache line (ascending, hence GSN order).
+    /// The deferred plan in its own order; an entry flips to `None` once
+    /// retired.
+    entries: Vec<Option<HeapWrite>>,
+    /// Pending entry indexes per cache line (ascending, hence plan order).
     by_line: BTreeMap<LineId, Vec<usize>>,
     /// Background-drain cursor: every entry below it is retired.
     cursor: usize,
     /// Entries not yet retired.
     pending: usize,
-    /// Heap lines destroyed by the crash whose reinstall was deferred past
-    /// the open point: installed from stable on first access (or when a
-    /// deferred entry's write faults their page in). A line leaves the set
-    /// the moment it is installed.
-    lost_lines: BTreeSet<LineId>,
-    /// Node ids whose undo tags a deferred reinstall must scrub: the nodes
-    /// down at plan time. The eager path clears these tags during its
-    /// reinstall-plus-undo passes; the lazy path does it at install time
-    /// for records no pending entry will overwrite anyway.
+    /// Heap lines destroyed by the crash and not yet installed from
+    /// stable, ascending, under their page. A page leaves the map the
+    /// moment it is installed ([`SmDb::install_registered`]).
+    lost_pages: BTreeMap<PageId, Vec<LineId>>,
+    /// Lines under `lost_pages`.
+    lost_left: usize,
+    /// Node ids whose undo tags an install scrubs from the stable image:
+    /// the nodes down at plan time. Their transactions are rolled back by
+    /// this restart, so a tag of theirs on a record no plan entry
+    /// overwrites is stale.
     scrub_tags: BTreeSet<u16>,
     /// Lifetime counters.
     counters: InstantRedoCounters,
 }
 
 impl InstantRedoState {
-    fn push(&mut self, rec: RecId, line: LineId, bytes: Vec<u8>) {
-        let idx = self.entries.len();
-        self.entries.push(Some(PendingRedo { rec, line, bytes }));
-        self.by_line.entry(line).or_default().push(idx);
-        self.pending += 1;
-        self.counters.planned += 1;
+    /// Leave `plan` pending past the open, and the crash-lost lines
+    /// registered under their pages.
+    fn defer(&mut self, plan: Vec<HeapWrite>, lost_pages: BTreeMap<PageId, Vec<LineId>>) {
+        self.lost_left = lost_pages.values().map(Vec::len).sum();
+        self.lost_pages = lost_pages;
+        for entry in plan {
+            self.by_line.entry(entry.line).or_default().push(self.entries.len());
+            self.entries.push(Some(entry));
+            self.pending += 1;
+            self.counters.planned += 1;
+        }
     }
 
     /// Drop the plan (a re-entered recovery re-derives it from the logs).
@@ -214,29 +236,24 @@ impl InstantRedoState {
         self.by_line.clear();
         self.cursor = 0;
         self.pending = 0;
-        self.lost_lines.clear();
+        self.lost_pages.clear();
+        self.lost_left = 0;
         self.scrub_tags.clear();
     }
 
-    pub(crate) fn pending(&self) -> usize {
-        self.pending
+    /// Whether `line` of `page` is registered lost.
+    fn is_lost(&self, page: PageId, line: LineId) -> bool {
+        self.lost_pages.get(&page).is_some_and(|lines| lines.contains(&line))
     }
 
-    fn planned_len(&self) -> u64 {
-        self.entries.len() as u64
+    /// Stop tracking `page`'s lost lines (it is being installed).
+    fn take_lost(&mut self, page: PageId) -> Vec<LineId> {
+        let lines = self.lost_pages.remove(&page).unwrap_or_default();
+        self.lost_left -= lines.len();
+        lines
     }
 
-    /// Lines still carrying pending entries.
-    fn lines(&self) -> Vec<LineId> {
-        self.by_line.keys().copied().collect()
-    }
-
-    /// Pending entry indexes for one line, in GSN order.
-    fn line_entries(&self, line: LineId) -> Option<Vec<usize>> {
-        self.by_line.get(&line).cloned()
-    }
-
-    /// Lowest-GSN pending entry (advances the background cursor).
+    /// First pending entry in plan order (advances the background cursor).
     fn next_pending(&mut self) -> Option<usize> {
         while self.cursor < self.entries.len() {
             if self.entries[self.cursor].is_some() {
@@ -250,6 +267,7 @@ impl InstantRedoState {
 
 /// One redo candidate for the index (applied sequentially in GSN order —
 /// logical B-tree ops don't commute).
+#[derive(Clone, Copy)]
 enum IxRedo {
     Insert { key: u64, value: [u8; 8], txn: TxnId },
     Delete { key: u64, value: [u8; 8], txn: TxnId },
@@ -257,18 +275,10 @@ enum IxRedo {
     Unmark { key: u64 },
 }
 
-/// One undo action for a doomed transaction's effect recorded on a
-/// surviving node's intact log.
-enum DoomedOp {
-    Rec { rec: RecId, before: bytes::Bytes },
+/// The logical inverse of an index operation that restart rolls back.
+enum IxUndo {
     RemoveKey(u64),
     UnmarkKey(u64),
-}
-
-/// A planned restart operation: a reduced heap write or an index op.
-enum PlannedOp {
-    Rec(HeapRedo),
-    Ix(IxRedo),
 }
 
 /// How restart treats one transaction's log records. Looked up once per
@@ -282,6 +292,10 @@ struct TxnClass {
     doomed: bool,
     /// Already rolled back by an earlier recovery or a voluntary abort.
     settled_aborted: bool,
+    /// Rolled back by an earlier recovery whose heap writes no checkpoint
+    /// has flushed yet ([`SmDb::unflushed_rollbacks`]): for heap records
+    /// it is doomed still — never redone, undone again unless superseded.
+    rolled_back: bool,
 }
 
 /// A page-major table over heap records: one chunk of slots per heap
@@ -376,12 +390,12 @@ struct RecFold {
 /// each meeting is two array indexings.
 #[derive(Default)]
 struct StableAnalysis {
-    /// Stable-logged updates of *not-committed* transactions of the
-    /// analysed nodes: `(gsn, txn, rec)`.
-    uncommitted_updates: Vec<(u64, TxnId, RecId)>,
-    /// Stable-logged index ops of not-committed transactions:
-    /// `(gsn, txn, key, is_delete)`.
-    uncommitted_index: Vec<(u64, TxnId, u64, bool)>,
+    /// Records with a stable-logged update of a *not-committed*
+    /// transaction of an analysed node.
+    uncommitted_recs: BTreeSet<RecId>,
+    /// The inverses of the stable-logged index ops of not-committed
+    /// transactions of the analysed nodes, by GSN.
+    uncommitted_index: Vec<(u64, IxUndo)>,
     /// Whether the last stable heap-update writer per record committed,
     /// per analysed node (never written = not committed).
     last_rec_committed: BTreeMap<NodeId, RecTable<bool>>,
@@ -401,9 +415,14 @@ struct StableAnalysis {
     /// Index redo candidates past the checkpoint bound, in scan order
     /// (logical B-tree ops don't commute, so none is superseded).
     index_redo: Vec<(u64, IxRedo)>,
-    /// Doomed transactions' effects on surviving logs (applied in reverse
-    /// GSN order by the undo phase).
-    doomed_ops: Vec<(u64, DoomedOp)>,
+    /// Doomed transactions' updates on surviving logs: `(gsn, rec, before
+    /// image)` — a parallel transaction with a crashed participant leaves
+    /// intact records on its surviving participants (§9: the entire
+    /// transaction must be aborted).
+    doomed_updates: Vec<(u64, RecId, bytes::Bytes)>,
+    /// The inverses of doomed transactions' index operations on surviving
+    /// logs, by GSN.
+    doomed_index: Vec<(u64, IxUndo)>,
     /// Log records visited by the scan.
     scanned_records: u64,
     /// Log records *opened* — by the scan's slow paths and by whatever
@@ -434,6 +453,12 @@ impl StableAnalysis {
     }
 }
 
+/// `lost`, ascending, cut into one run per page.
+fn by_page(g: PageGeometry, lost: &[LineId]) -> impl Iterator<Item = (PageId, &[LineId])> {
+    let page_of = move |l: &LineId| g.page_of_addr(l.0).0;
+    lost.chunk_by(move |a, b| page_of(a) == page_of(b)).map(move |ls| (page_of(&ls[0]), ls))
+}
+
 impl SmDb {
     /// Crash the given nodes and run the configured restart-recovery
     /// protocol. Thin wrapper over [`SmDb::crash`] + [`SmDb::recover`];
@@ -461,7 +486,7 @@ impl SmDb {
         self.pending_lost_lines += report.lost_lines.len() as u64;
         self.logs.crash(&crashed);
         for &n in &crashed {
-            self.plt.clear_node(n);
+            self.plt.reset_node(n);
             self.pending_recovery.insert(n);
         }
         if self.m.surviving_nodes().is_empty() {
@@ -665,14 +690,14 @@ impl SmDb {
         self.pending_recovery.clear();
         self.pending_lost_lines = 0;
         self.pending_total_failure = false;
-        if self.instant.pending() > 0 {
+        if self.instant.pending > 0 {
             // Instant restart: the database opens *here*, with the heap
             // redo plan still pending. Mark every affected line so the
             // coherence layer refuses to migrate or replicate its stale
             // bytes before the deferred redo applies. The index is fully
             // recovered (index redo is never deferred), but reinstalled
             // heap lines stay stale until the drain completes.
-            for line in self.instant.lines() {
+            for &line in self.instant.by_line.keys() {
                 self.m.mark_unrecovered(line);
             }
             self.m.obs().metrics.add(names::RESTART_OPEN_EARLY_CYCLES, cycles);
@@ -912,8 +937,16 @@ impl SmDb {
                 // the schedule fuzzer.) It still feeds the last-writer
                 // maps so the stale-tag predicate sees the true history.
                 settled_aborted: status == Some(TxnStatus::Aborted),
+                // The exception, for heap records: until a checkpoint has
+                // flushed a restart's rollback, its only copy can die with
+                // a cache, so the records keep counting — unless a later
+                // update shows the record re-written (end of this scan).
+                rolled_back: self.unflushed_rollbacks.contains(&txn),
             }
         };
+        // Heap updates of rolled-back transactions, kept aside until every
+        // log is folded: `(gsn, rec, before image on a surviving log)`.
+        let mut rolled_back_updates: Vec<(u64, RecId, Option<bytes::Bytes>)> = Vec::new();
         let to_arr = |b: &bytes::Bytes| {
             let mut v = [0u8; 8];
             let n = b.len().min(8);
@@ -955,7 +988,7 @@ impl SmDb {
                         c
                     }
                 };
-                let TxnClass { committed, doomed: is_doomed, settled_aborted } = class;
+                let TxnClass { committed, doomed: is_doomed, settled_aborted, rolled_back } = class;
                 // Redo candidacy: strictly past the checkpoint bound and
                 // never doomed; analysed nodes (and everyone, under a
                 // full restart) contribute committed work only.
@@ -968,10 +1001,10 @@ impl SmDb {
                             if is_analysed {
                                 a.last_key_committed.insert((n, *key), committed);
                                 if !committed && !settled_aborted {
-                                    a.uncommitted_index.push((gsn, txn, *key, false));
+                                    a.uncommitted_index.push((gsn, IxUndo::RemoveKey(*key)));
                                 }
                             } else if is_doomed {
-                                a.doomed_ops.push((gsn, DoomedOp::RemoveKey(*key)));
+                                a.doomed_index.push((gsn, IxUndo::RemoveKey(*key)));
                             }
                             if redo {
                                 let ix = IxRedo::Insert { key: *key, value: to_arr(value), txn };
@@ -982,10 +1015,10 @@ impl SmDb {
                             if is_analysed {
                                 a.last_key_committed.insert((n, *key), committed);
                                 if !committed && !settled_aborted {
-                                    a.uncommitted_index.push((gsn, txn, *key, true));
+                                    a.uncommitted_index.push((gsn, IxUndo::UnmarkKey(*key)));
                                 }
                             } else if is_doomed {
-                                a.doomed_ops.push((gsn, DoomedOp::UnmarkKey(*key)));
+                                a.doomed_index.push((gsn, IxUndo::UnmarkKey(*key)));
                             }
                             if redo {
                                 let ix = IxRedo::Delete { key: *key, value: to_arr(value), txn };
@@ -1013,16 +1046,25 @@ impl SmDb {
                     continue;
                 };
                 let at = LogPos { node: n, lsn: d.lsn };
+                let redo = redo && !rolled_back;
                 if let Some(last_rec) = &mut last_rec {
                     *last_rec.slot_mut(rec) = committed;
-                    if !committed && !settled_aborted {
+                    if !committed && (!settled_aborted || rolled_back) {
                         let (_, undo, _) = self.logged_update(&a, at, rec)?;
-                        a.uncommitted_updates.push((gsn, txn, rec));
                         a.uncommitted_undo.slot_mut(rec).push((gsn, txn, undo.clone()));
+                        if rolled_back {
+                            rolled_back_updates.push((gsn, rec, None));
+                        } else {
+                            a.uncommitted_recs.insert(rec);
+                        }
                     }
-                } else if is_doomed {
+                } else if is_doomed || rolled_back {
                     let (_, undo, _) = self.logged_update(&a, at, rec)?;
-                    a.doomed_ops.push((gsn, DoomedOp::Rec { rec, before: undo.clone() }));
+                    if rolled_back {
+                        rolled_back_updates.push((gsn, rec, Some(undo.clone())));
+                    } else {
+                        a.doomed_updates.push((gsn, rec, undo.clone()));
+                    }
                 }
                 if committed || redo {
                     let fold = a.heap.slot_mut(rec);
@@ -1037,6 +1079,20 @@ impl SmDb {
             }
             if let Some(last_rec) = last_rec {
                 a.last_rec_committed.insert(n, last_rec);
+            }
+        }
+        // A rolled-back update is undone again only while it is still its
+        // record's last word. Every update since the rollback is retained
+        // (no checkpoint has completed, or the transaction would not be in
+        // the set), so a later one in the folds means the record was
+        // legitimately re-written and the old trace must stay out.
+        for (gsn, rec, before) in rolled_back_updates {
+            if a.heap.get(rec).is_some_and(|f| f.redo.gsn.max(f.committed.gsn) > gsn) {
+                continue;
+            }
+            match before {
+                Some(before) => a.doomed_updates.push((gsn, rec, before)),
+                None => drop(a.uncommitted_recs.insert(rec)),
             }
         }
         Ok(a)
@@ -1062,29 +1118,89 @@ impl SmDb {
         }
     }
 
-    /// Open the redo phase over the analysis' reduced candidates: record
-    /// the batch size and the superseded count, and merge the one final
-    /// heap write per record with the index ops into a single GSN-ordered
-    /// schedule for the deterministic sequential apply (GSNs are globally
-    /// unique, so the order is total).
-    fn take_redo_plan(
+    /// Reduce the analysis to the **heap plan**: per record, its final
+    /// on-page bytes and the node that writes them. Redo entries come
+    /// first, in GSN order (GSNs are globally unique, so the order is
+    /// total): the analysis already kept one final image per record, a
+    /// line in `cached` is skipped before anything is installed (the
+    /// Selective-Redo probe), and only an entry that is planned opens its
+    /// log record. Then, in record order, the entries where **undo wins**
+    /// — a stable-logged uncommitted update of an analysed node, or a
+    /// doomed transaction's update on a surviving log: undo runs after
+    /// redo, so such a record gets no redo entry and one write of its last
+    /// committed value under a null tag instead.
+    ///
+    /// With `own_node`, a redo entry is written by its update's own node
+    /// when that survives; the full restart, where every transaction dies,
+    /// writes everything as the recovery node.
+    fn heap_plan(
         &self,
-        analysis: &mut StableAnalysis,
+        analysis: &StableAnalysis,
         outcome: &mut RecoveryOutcome,
-    ) -> Vec<PlannedOp> {
-        let index = std::mem::take(&mut analysis.index_redo);
-        let mut plan: Vec<(u64, PlannedOp)> = analysis
-            .planned_recs()
-            .map(|(rec, redo)| (redo.gsn, PlannedOp::Rec(HeapRedo { rec, at: redo.at })))
-            .collect();
-        self.m
-            .obs()
-            .metrics
-            .observe(names::RECOVERY_REDO_BATCH, analysis.heap_candidates + index.len() as u64);
-        outcome.redo_superseded += analysis.heap_candidates - plan.len() as u64;
-        plan.extend(index.into_iter().map(|(gsn, ix)| (gsn, PlannedOp::Ix(ix))));
-        plan.sort_by_key(|(gsn, _)| *gsn);
-        plan.into_iter().map(|(_, op)| op).collect()
+        recovery_node: NodeId,
+        cached: &BTreeSet<LineId>,
+        contaminated: &BTreeSet<RecId>,
+        own_node: bool,
+    ) -> Result<Vec<HeapWrite>, DbError> {
+        // Doomed updates are rolled back in reverse GSN order, so the
+        // lowest-GSN before image is the one that sticks. A doomed
+        // dependent that reached the record through a violated lock name
+        // (early lock release) logged a contaminated before image —
+        // possibly the doomed predecessor's own uncommitted value — and
+        // takes the last committed payload instead; every other doomed
+        // update keeps the logged image (for parallel transactions on
+        // non-analysed survivors it is the only undo source).
+        let mut undo: BTreeMap<RecId, Vec<u8>> = BTreeMap::new();
+        let mut doomed: Vec<&(u64, RecId, bytes::Bytes)> = analysis.doomed_updates.iter().collect();
+        doomed.sort_by_key(|(gsn, _, _)| *gsn);
+        for (_, rec, before) in doomed {
+            if let std::collections::btree_map::Entry::Vacant(e) = undo.entry(*rec) {
+                let value = if contaminated.contains(rec) {
+                    self.last_committed_payload(analysis, *rec)?
+                } else {
+                    before.to_vec()
+                };
+                e.insert(self.layout.encode(NULL_TAG, &value));
+            }
+        }
+        // The protocol undo follows the doomed rollback, so its last
+        // committed values override. WAL guarantees the durable trace
+        // exists whenever an uncommitted update was stolen.
+        for &rec in &analysis.uncommitted_recs {
+            let value = self.last_committed_payload(analysis, rec)?;
+            undo.insert(rec, self.layout.encode(NULL_TAG, &value));
+        }
+        let mut redo: Vec<(RecId, Latest)> = analysis.planned_recs().collect();
+        redo.sort_by_key(|(_, kept)| kept.gsn);
+        self.m.obs().metrics.observe(
+            names::RECOVERY_REDO_BATCH,
+            analysis.heap_candidates + analysis.index_redo.len() as u64,
+        );
+        outcome.redo_superseded += analysis.heap_candidates - redo.len() as u64;
+        let mut plan = Vec::with_capacity(redo.len() + undo.len());
+        for (rec, kept) in redo {
+            let line = self.rec_line(rec);
+            if cached.contains(&line) {
+                outcome.redo_skipped_cached += 1;
+                continue;
+            }
+            if undo.contains_key(&rec) {
+                continue;
+            }
+            let (txn, _, image) = self.logged_update(analysis, kept.at, rec)?;
+            let bytes = self.layout.encode(self.live_tag(txn), image);
+            let node =
+                if own_node && !self.m.is_crashed(txn.node()) { txn.node() } else { recovery_node };
+            plan.push(HeapWrite { rec, line, bytes, node, undo: false });
+        }
+        plan.extend(undo.into_iter().map(|(rec, bytes)| HeapWrite {
+            rec,
+            line: self.rec_line(rec),
+            bytes,
+            node: recovery_node,
+            undo: true,
+        }));
+        Ok(plan)
     }
 
     /// The last committed payload for one record, from the single-pass
@@ -1135,33 +1251,6 @@ impl SmDb {
         }
     }
 
-    /// Undo stolen updates in the stable database: every record with a
-    /// durable trace of a not-committed transaction gets its last
-    /// committed value (and a null tag) patched into the stable image.
-    /// WAL guarantees the trace exists whenever a steal happened.
-    fn patch_stable_undo(
-        &mut self,
-        analysis: &StableAnalysis,
-        outcome: &mut RecoveryOutcome,
-    ) -> Result<(), DbError> {
-        let recs: BTreeSet<RecId> =
-            analysis.uncommitted_updates.iter().map(|(_, _, r)| *r).collect();
-        for rec in recs {
-            let value = self.last_committed_payload(analysis, rec)?;
-            let off = self.layout.page_offset(rec.slot);
-            let bytes = self.layout.encode(NULL_TAG, &value);
-            let img = self
-                .sdb
-                .peek_page(rec.page)
-                .ok_or(DbError::StablePageMissing { page: rec.page })?;
-            if img[off..off + bytes.len()] != bytes[..] {
-                self.sdb.patch(rec.page, off, &bytes);
-                outcome.stable_undo_patches += 1;
-            }
-        }
-        Ok(())
-    }
-
     /// Charge the sequential log-device read behind the analysis scan to
     /// the recovery node's clock: restart time must scale with the log
     /// actually retained, which is what checkpoint truncation bounds.
@@ -1174,44 +1263,6 @@ impl SmDb {
     pub(crate) fn rec_line(&self, rec: RecId) -> LineId {
         let (line_idx, _) = self.layout.line_and_offset(rec.slot);
         LineId(self.layout.geometry.line_addr(rec.page, line_idx))
-    }
-
-    /// Reinstall every heap line destroyed by the crash from its stable
-    /// page image, restoring the per-page all-or-nothing residency
-    /// invariant the buffer manager relies on. Returns the reinstalled
-    /// lines (they carry *stale stable* content, which the redo and undo
-    /// passes treat accordingly).
-    fn normalize_lost_heap_lines(
-        &mut self,
-        recovery_node: NodeId,
-    ) -> Result<BTreeSet<LineId>, DbError> {
-        let g = self.layout.geometry;
-        let lost = self.lost_heap_lines();
-        // The stable image of the page being reinstalled: borrowed once
-        // per page (`install_line` only touches `self.m`, so no copy), and
-        // charged as one disk read.
-        let mut current: Option<(PageId, &[u8])> = None;
-        for &line in &lost {
-            let (page, idx) = g.page_of_addr(line.0);
-            let img = match current {
-                Some((p, img)) if p == page => img,
-                _ => self.sdb.peek_page(page).ok_or(DbError::StablePageMissing { page })?,
-            };
-            let off = g.line_offset(idx);
-            self.m.install_line(recovery_node, line, &img[off..off + g.line_size])?;
-            if current.is_none_or(|(p, _)| p != page) {
-                let cost = self.m.config().cost.disk_io;
-                self.m.advance(recovery_node, cost);
-                current = Some((page, img));
-            }
-        }
-        Ok(lost.into_iter().collect())
-    }
-
-    /// The heap lines the crash destroyed, ascending — one walk of the
-    /// directory's lost lines, not a probe per line of every heap page.
-    fn lost_heap_lines(&self) -> Vec<LineId> {
-        self.m.iter_lost().filter(|l| self.is_heap_line(*l)).collect()
     }
 
     /// The Selective-Redo "cached before reinstall" probe (§4.1.2), asked
@@ -1317,68 +1368,61 @@ impl SmDb {
         }
     }
 
-    /// Expected full on-page bytes (tag + payload) of a record after redo.
-    fn expected_rec_bytes(&self, txn: TxnId, payload: &[u8]) -> Vec<u8> {
-        self.layout.encode(self.live_tag(txn), payload)
-    }
-
-    /// Apply one planned index redo op as `recovery_node` (logical B-tree
-    /// ops, never deferred). `live_tags` keeps the undo tag of a writer
-    /// that is still active on a live node; the full restart, where every
-    /// transaction dies, passes `false`.
-    fn apply_index_redo(
+    /// Replay the analysis' index redo candidates as `recovery_node`:
+    /// logical B-tree ops, which do not commute, so none is superseded,
+    /// they run sequentially in GSN order, and they are never deferred.
+    /// `live_tags` keeps the undo tag of a writer that is still active on a
+    /// live node; the full restart, where every transaction dies, passes
+    /// `false`.
+    fn replay_index(
         &mut self,
         outcome: &mut RecoveryOutcome,
         recovery_node: NodeId,
-        op: IxRedo,
+        analysis: &mut StableAnalysis,
         live_tags: bool,
     ) -> Result<(), DbError> {
-        let tag = match op {
-            IxRedo::Insert { txn, .. } | IxRedo::Delete { txn, .. } if live_tags => {
-                self.live_tag(txn)
-            }
-            _ => NULL_TAG,
-        };
-        let tree = req(self.tree.as_mut(), "index op implies an index")?;
-        let mut ctx = TreeCtx::new(
-            &mut self.m,
-            &mut self.sdb,
-            &mut self.logs,
-            &mut self.plt,
-            self.cfg.protocol.lbm_mode(),
-            &mut self.gsn,
-        );
-        match op {
-            IxRedo::Insert { key, value, .. } => {
-                if tree.redo_insert(&mut ctx, recovery_node, key, value, tag)? {
-                    outcome.index_redo_applied += 1;
+        analysis.index_redo.sort_by_key(|(gsn, _)| *gsn);
+        for &(_, op) in &analysis.index_redo {
+            let tag = match op {
+                IxRedo::Insert { txn, .. } | IxRedo::Delete { txn, .. } if live_tags => {
+                    self.live_tag(txn)
                 }
-            }
-            IxRedo::Delete { key, value, .. } => {
-                if tree.redo_delete_mark(&mut ctx, recovery_node, key, value, tag)? {
-                    outcome.index_redo_applied += 1;
+                _ => NULL_TAG,
+            };
+            let tree = req(self.tree.as_mut(), "index op implies an index")?;
+            let mut ctx = tree_ctx!(self);
+            match op {
+                IxRedo::Insert { key, value, .. } => {
+                    if tree.redo_insert(&mut ctx, recovery_node, key, value, tag)? {
+                        outcome.index_redo_applied += 1;
+                    }
                 }
+                IxRedo::Delete { key, value, .. } => {
+                    if tree.redo_delete_mark(&mut ctx, recovery_node, key, value, tag)? {
+                        outcome.index_redo_applied += 1;
+                    }
+                }
+                IxRedo::Remove { key } => tree.undo_insert(&mut ctx, recovery_node, key)?,
+                IxRedo::Unmark { key } => tree.undo_delete(&mut ctx, recovery_node, key)?,
             }
-            IxRedo::Remove { key } => tree.undo_insert(&mut ctx, recovery_node, key)?,
-            IxRedo::Unmark { key } => tree.undo_delete(&mut ctx, recovery_node, key)?,
         }
         Ok(())
     }
 
     // ------------------------------------------------------------------
-    // Instant restart: on-demand + background redo
+    // Applying the heap plan: before the open, on demand, in the background
     // ------------------------------------------------------------------
 
     /// Deferred recovery work still pending from an instant restart's
-    /// early open: heap redo entries plus lost lines whose reinstall was
-    /// deferred but have no redo candidate of their own. Zero whenever no
-    /// drain is in progress (including always, without
+    /// early open: plan entries plus lost lines not yet installed (they
+    /// may have no entry of their own). Zero whenever no drain is in
+    /// progress (including always, without
     /// [`crate::DbConfig::instant_restart`]). Counting the uninstalled
     /// lost lines matters when the deferred plan is *empty*: the window
     /// is not closed until they are resident again, or a raw full-page
     /// reader (checkpoint flush) trips over a still-lost line.
     pub fn redo_pending(&self) -> usize {
-        self.instant.pending() + self.instant.lost_lines.len()
+        self.instant.pending + self.instant.lost_left
     }
 
     /// Lifetime instant-redo counters (entries planned at open points,
@@ -1386,13 +1430,6 @@ impl SmDb {
     /// stable-image skips).
     pub fn instant_redo_counters(&self) -> InstantRedoCounters {
         self.instant.counters
-    }
-
-    /// Whether an instant restart still has deferred recovery work — plan
-    /// entries pending or lost lines awaiting their lazy reinstall. The
-    /// forward-path hooks gate on this (one cheap check in steady state).
-    pub(crate) fn instant_active(&self) -> bool {
-        self.instant.pending > 0 || !self.instant.lost_lines.is_empty()
     }
 
     /// Whether a pending deferred entry holds `rec`'s final bytes.
@@ -1403,66 +1440,159 @@ impl SmDb {
         })
     }
 
-    /// Install the still-lost lines of `page` from its stable image (the
-    /// deferred half of the eager reinstall phase), charging one disk read
-    /// to `node`. Every line with no surviving holder is installed — not
-    /// just flagged-lost ones — restoring the per-page all-or-nothing
-    /// residency the line-0 probe relies on (a write updates the page-LSN
-    /// header too, so the last writer sole-holds the header while data
-    /// lines keep older holders; Redo-All's discard then strips those,
-    /// leaving holder-less lines next to deferred-lost ones). Undo tags of
-    /// nodes down at plan time are scrubbed for records no pending entry
-    /// covers — exactly the tags the eager reinstall-plus-undo passes
-    /// would have cleared. Installed lines are recorded as stale
-    /// reinstalls until the drain completes.
-    fn install_deferred_lost(&mut self, node: NodeId, page: PageId) -> Result<(), DbError> {
+    /// **The** install of a crash-lost heap page: its `lost` lines, from
+    /// the stable image, exclusive on `node`, for one disk read. Every
+    /// line with no surviving holder is installed — not just the lost ones
+    /// — restoring the per-page all-or-nothing residency the line-0 probe
+    /// relies on (a write updates the page-LSN header too, so the last
+    /// writer sole-holds the header while data lines keep older holders;
+    /// Redo-All's discard then strips those, leaving holder-less lines
+    /// next to lost ones). Undo tags of the nodes down at plan time are
+    /// scrubbed from records no pending entry overwrites (the image is
+    /// borrowed; only a line that needs a scrub is copied). Installed
+    /// lines are stale reinstalls until the restart, or its drain,
+    /// completes. No-op on a page with every line held.
+    fn install_lost_page(
+        &mut self,
+        node: NodeId,
+        page: PageId,
+        lost: &[LineId],
+    ) -> Result<(), DbError> {
         let g = self.layout.geometry;
-        let todo: Vec<(usize, LineId)> = (0..g.lines_per_page)
-            .map(|idx| (idx, LineId(g.line_addr(page, idx))))
-            .filter(|(_, l)| self.instant.lost_lines.contains(l) || self.m.holders(*l).is_empty())
-            .collect();
+        let first = g.line_addr(page, 0);
+        // One directory walk tells the usual case — every line either held
+        // or in `lost` — from the one that needs a probe per line.
+        let r = self.m.span_residency(LineId(first), g.lines_per_page);
+        let probed: Vec<LineId>;
+        let todo = if r.lost == lost.len() && r.lost + r.cached == g.lines_per_page {
+            lost
+        } else {
+            let holderless = |l: &LineId| lost.contains(l) || self.m.holders(*l).is_empty();
+            probed =
+                (first..first + g.lines_per_page as u64).map(LineId).filter(holderless).collect();
+            &probed
+        };
         if todo.is_empty() {
             return Ok(());
         }
-        let mut img = self.sdb.peek_page(page).ok_or(DbError::StablePageMissing { page })?.to_vec();
-        let rpl = self.layout.records_per_line();
-        for &(line_idx, _) in &todo {
-            if line_idx == 0 {
-                continue; // Page-LSN line holds no records
-            }
-            for k in 0..rpl {
-                let slot = ((line_idx - 1) * rpl + k) as u16;
-                if slot as usize >= self.layout.records_per_page() {
-                    break;
-                }
-                let off = self.layout.page_offset(slot);
-                let tag = u16::from_le_bytes(img[off..off + 2].try_into().expect("tag"));
-                if tag != NULL_TAG
-                    && self.instant.scrub_tags.contains(&tag)
-                    && !self.instant_covers(RecId::new(page, slot))
-                {
-                    img[off..off + 2].copy_from_slice(&NULL_TAG.to_le_bytes());
-                }
-            }
-        }
+        let img = self.sdb.peek_page(page).ok_or(DbError::StablePageMissing { page })?;
         let cost = self.m.config().cost.disk_io;
         self.m.advance(node, cost);
-        for (idx, line) in todo {
-            let off = g.line_offset(idx);
-            self.m.install_line(node, line, &img[off..off + g.line_size])?;
-            self.instant.lost_lines.remove(&line);
+        let (rpl, rec_size) = (self.layout.records_per_line(), self.layout.rec_size());
+        for &line in todo {
+            let idx = (line.0 - first) as usize;
+            let bytes = &img[g.line_offset(idx)..][..g.line_size];
+            // Line 0 holds the page LSN and no records; line `idx` holds
+            // slots `(idx - 1) * rpl ..`.
+            let stale_tag = |k: &usize| {
+                let tag = RecordLayout::tag_of(&bytes[k * rec_size..]);
+                tag != NULL_TAG
+                    && self.instant.scrub_tags.contains(&tag)
+                    && !self.instant_covers(RecId::new(page, ((idx - 1) * rpl + k) as u16))
+            };
+            let scrub: Vec<usize> = (0..if idx == 0 { 0 } else { rpl }).filter(stale_tag).collect();
+            if scrub.is_empty() {
+                self.m.install_line(node, line, bytes)?;
+            } else {
+                let mut bytes = bytes.to_vec();
+                for k in scrub {
+                    bytes[k * rec_size..][..2].copy_from_slice(&NULL_TAG.to_le_bytes());
+                }
+                self.m.install_line(node, line, &bytes)?;
+            }
             self.stale_heap_lines.insert(line);
         }
         Ok(())
     }
 
+    /// [`Self::install_lost_page`] over what is still registered for
+    /// `page` past an instant restart's open (possibly nothing).
+    fn install_registered(&mut self, node: NodeId, page: PageId) -> Result<(), DbError> {
+        let lost = self.instant.take_lost(page);
+        self.install_lost_page(node, page, &lost)
+    }
+
+    /// Install every page still carrying registered lost lines, as `node`.
+    fn install_all_lost(&mut self, node: NodeId) -> Result<(), DbError> {
+        while let Some(&page) = self.instant.lost_pages.keys().next() {
+            self.install_registered(node, page)?;
+        }
+        Ok(())
+    }
+
+    /// **The** heap write of recovery, one plan entry as `actor`: skip when
+    /// nothing is cached and the stable image already agrees; otherwise
+    /// write through the coherent store and leave the page dirty for the
+    /// next checkpoint. The coherent write notes no page-LSN entry, and a
+    /// page whose stolen update is undone here was *flushed* since its
+    /// last update — clean to the table — so the explicit zero-LSN entry
+    /// (dirty, no force requirement: the source records are already
+    /// stable) is what makes that checkpoint write the corrected image
+    /// back before it advances the redo bound and lets the trace be
+    /// truncated. Returns whether a write happened.
+    fn write_heap_entry(&mut self, actor: NodeId, entry: &HeapWrite) -> Result<bool, DbError> {
+        let HeapWrite { rec, line, ref bytes, .. } = *entry;
+        let off = self.layout.page_offset(rec.slot);
+        let cached = self.m.probe_cached(line);
+        if !cached {
+            let img = self
+                .sdb
+                .peek_page(rec.page)
+                .ok_or(DbError::StablePageMissing { page: rec.page })?;
+            if img[off..off + bytes.len()] == bytes[..] {
+                return Ok(false);
+            }
+            // The write below faults the whole page in from stable: every
+            // line of it is a stale reinstall.
+            let g = self.layout.geometry;
+            self.stale_heap_lines
+                .extend((0..g.lines_per_page).map(|idx| LineId(g.line_addr(rec.page, idx))));
+        }
+        // A page with lost lines must be installed before the coherent
+        // write can fault it in (the machine refuses lost lines); a page
+        // held nowhere is installed the same way, for the tag scrub.
+        if !cached || self.instant.lost_pages.contains_key(&rec.page) {
+            self.install_registered(actor, rec.page)?;
+        }
+        let mut ctx = engine_ctx!(self);
+        ctx.write(actor, rec.page, off, bytes)?;
+        self.plt.note_update(rec.page, actor, Lsn::ZERO);
+        Ok(true)
+    }
+
+    /// Apply the plan **before the open** — what makes a restart *eager*:
+    /// every `lost` page installed as the recovery node, every entry
+    /// written as its own node, in plan order. Nothing of the deferred
+    /// window is built: no registration, no per-line index, no coherence
+    /// marks.
+    fn apply_heap_plan(
+        &mut self,
+        plan: Vec<HeapWrite>,
+        lost: &[LineId],
+        outcome: &mut RecoveryOutcome,
+        recovery_node: NodeId,
+    ) -> Result<(), DbError> {
+        for (page, lines) in by_page(self.layout.geometry, lost) {
+            self.install_lost_page(recovery_node, page, lines)?;
+        }
+        for entry in &plan {
+            if self.write_heap_entry(entry.node, entry)? {
+                outcome.redo_applied += 1;
+                outcome.undo_records_applied += entry.undo as u64;
+            } else {
+                outcome.redo_skipped_stable += 1;
+            }
+        }
+        Ok(())
+    }
+
     /// Apply a line's pending recovery before `node` accesses it
-    /// coherently: install it from stable if its reinstall was deferred,
-    /// then apply its pending plan entries. No-op when the line carries
-    /// neither. The engine calls this from every forward path that can
-    /// reach an unrecovered heap line: record-lock grants (reads/updates),
-    /// commit and acknowledgement tag clears, abort rollbacks, and
-    /// lockless dirty reads.
+    /// coherently: install its page from stable if the line (or the page's
+    /// header) is still lost, then apply its pending plan entries. No-op
+    /// when the line carries neither. The engine calls this from every
+    /// forward path that can reach an unrecovered heap line: record-lock
+    /// grants (reads/updates), commit and acknowledgement tag clears,
+    /// abort rollbacks, and lockless dirty reads.
     pub(crate) fn ensure_line_recovered(
         &mut self,
         node: NodeId,
@@ -1473,19 +1603,18 @@ impl SmDb {
         // The page-LSN header line gates every resident-page probe: if the
         // crash destroyed it (even with the record's own line intact), the
         // page must be installed before any access.
-        let deferred_lost =
-            self.instant.lost_lines.contains(&line) || self.instant.lost_lines.contains(&header);
-        if !deferred_lost && !self.instant.by_line.contains_key(&line) {
+        let lost = self.instant.is_lost(page, line) || self.instant.is_lost(page, header);
+        if !lost && !self.instant.by_line.contains_key(&line) {
             return Ok(());
         }
         // Crash point: the accessing node dies before the inline redo.
         if let Some(c) = self.fault.hit(FAULT_REDO_ON_DEMAND, node.0) {
             return Err(DbError::FaultCrash(c));
         }
-        if deferred_lost {
-            self.install_deferred_lost(node, page)?;
+        if lost {
+            self.install_registered(node, page)?;
         }
-        if let Some(idxs) = self.instant.line_entries(line) {
+        if let Some(idxs) = self.instant.by_line.get(&line).cloned() {
             for idx in idxs {
                 self.apply_pending_entry(idx, node, false)?;
             }
@@ -1493,15 +1622,15 @@ impl SmDb {
         Ok(())
     }
 
-    /// Background drain: retire up to `batch` pending entries in GSN
+    /// Background drain: retire up to `batch` pending entries in plan
     /// order, acting (and charged) as `node`. Returns the number retired.
     /// Call between scheduler steps until [`SmDb::redo_pending`] reaches
     /// zero; each non-empty batch lands a recovery-progress sample in the
     /// availability timeline.
     pub fn drain_redo(&mut self, node: NodeId, batch: usize) -> Result<usize, DbError> {
         // Gate on the whole window (entries OR uninstalled lost lines):
-        // a plan with zero entries still owes the deferred reinstall.
-        if !self.instant_active() || batch == 0 {
+        // a plan with zero entries still owes the install.
+        if self.redo_pending() == 0 || batch == 0 {
             return Ok(0);
         }
         if self.m.is_crashed(node) {
@@ -1520,20 +1649,17 @@ impl SmDb {
             drained += 1;
         }
         if self.instant.pending == 0 {
-            // Plan drained: finish the deferred reinstall too, so the
+            // Plan drained: install what is still lost too, so the
             // fully-drained state matches an eager recovery (every lost
             // line resident again, stale stable tags scrubbed).
-            while let Some(&line) = self.instant.lost_lines.iter().next() {
-                let (page, _) = self.layout.geometry.page_of_addr(line.0);
-                self.install_deferred_lost(node, page)?;
-            }
+            self.install_all_lost(node)?;
             if self.pending_recovery.is_empty() {
                 self.stale_heap_lines.clear();
                 self.stale_tree_pages.clear();
             }
         }
-        let planned = self.instant.planned_len();
-        let retired = planned - self.instant.pending() as u64;
+        let planned = self.instant.entries.len() as u64;
+        let retired = planned - self.instant.pending as u64;
         let obs = self.m.obs();
         if obs.timeline.is_enabled() {
             obs.timeline.recovery_progress(self.m.max_clock(), 0, retired, planned);
@@ -1541,32 +1667,30 @@ impl SmDb {
         Ok(drained)
     }
 
-    /// Retire one pending entry: perform the same write the eager phase-4
-    /// redo would have performed, and lift the line's coherence mark once
-    /// its last entry retires. On failure the entry and the mark are
-    /// restored, so an injected crash mid-apply loses nothing.
+    /// Retire one pending entry as `actor`, and lift the line's coherence
+    /// mark once its last entry retires. On failure the entry and the mark
+    /// are restored, so an injected crash mid-apply loses nothing.
     fn apply_pending_entry(
         &mut self,
         idx: usize,
         actor: NodeId,
         background: bool,
     ) -> Result<(), DbError> {
-        let Some(entry) = self.instant.entries[idx].as_ref() else {
+        let Some(entry) = self.instant.entries[idx].take() else {
             return Ok(());
         };
-        let (rec, line) = (entry.rec, entry.line);
-        let bytes = entry.bytes.clone();
+        let line = entry.line;
         // Lift the mark for the duration of our own authoritative write —
         // the coherence guard refuses every other writer.
         self.m.clear_unrecovered(line);
-        let wrote = match self.write_pending_bytes(actor, rec, line, &bytes) {
+        let wrote = match self.write_heap_entry(actor, &entry) {
             Ok(w) => w,
             Err(e) => {
                 self.m.mark_unrecovered(line);
+                self.instant.entries[idx] = Some(entry);
                 return Err(e);
             }
         };
-        self.instant.entries[idx] = None;
         self.instant.pending -= 1;
         let line_done = match self.instant.by_line.get_mut(&line) {
             Some(list) => {
@@ -1605,43 +1729,6 @@ impl SmDb {
         Ok(())
     }
 
-    /// The deferred write itself: skip when nothing is cached and the
-    /// stable image already reflects the entry; otherwise write through
-    /// the coherent store — faulting the page in marks its lines stale,
-    /// exactly like the eager pass — and leave the page dirty for the
-    /// next checkpoint (zero-LSN entry: dirty, no force requirement; the
-    /// redo source record is already stable).
-    fn write_pending_bytes(
-        &mut self,
-        actor: NodeId,
-        rec: RecId,
-        line: LineId,
-        bytes: &[u8],
-    ) -> Result<bool, DbError> {
-        let off = self.layout.page_offset(rec.slot);
-        if !self.m.probe_cached(line) {
-            let img = self
-                .sdb
-                .peek_page(rec.page)
-                .ok_or(DbError::StablePageMissing { page: rec.page })?;
-            if img[off..off + bytes.len()] == bytes[..] {
-                return Ok(false);
-            }
-            let g = self.layout.geometry;
-            for idx in 0..g.lines_per_page {
-                self.stale_heap_lines.insert(LineId(g.line_addr(rec.page, idx)));
-            }
-        }
-        // A deferred-reinstall page must be installed before the coherent
-        // write can fault it in (the machine refuses lost lines).
-        self.install_deferred_lost(actor, rec.page)?;
-        let mut ctx = engine_ctx!(self);
-        ctx.write(actor, rec.page, off, bytes)?;
-        drop(ctx);
-        self.plt.note_update(rec.page, actor, Lsn::ZERO);
-        Ok(true)
-    }
-
     // ------------------------------------------------------------------
     // IFA restart recovery
     // ------------------------------------------------------------------
@@ -1664,23 +1751,22 @@ impl SmDb {
         let down: Vec<NodeId> = self.m.node_ids().filter(|n| self.m.is_crashed(*n)).collect();
         let crashed_set: BTreeSet<NodeId> = down.iter().copied().collect();
         let scheme = self.cfg.protocol.restart_scheme();
-        // Instant restart defers every per-record heap write — stable-undo
-        // patches, lost-line reinstall, Redo-All's cache discard, redo, and
-        // undo — past the open point as plan entries and lazily-installed
-        // lines, so the stop-the-world window shrinks to the analysis scan
-        // plus index recovery.
-        let instant = self.cfg.instant_restart;
         // Phase 1 ("stable_undo"): the single analysis scan over every
-        // retained log, then undo of stolen updates in the stable
-        // database.
+        // retained log. Stolen updates are not patched in the stable
+        // database here: their undo is a plan entry like any other, the
+        // coherent write dirties the page, and the next checkpoint — which
+        // drains a pending plan first — writes the corrected image back.
+        // Until then the trace stays in the retained logs and its
+        // transaction in `unflushed_rollbacks`, which is what a later
+        // recovery re-derives the entry from.
         let span = self.begin_phase("stable_undo");
         self.m.obs().metrics.inc(names::RESTART_ANALYSIS_SCANS);
         self.note_table_walk();
         let mut analysis = self.analyse_stable(&down, &doomed, false)?;
-        // The Selective-Redo probe, taken *before* any reinstall (a line
-        // we later reinstall from a stale stable image must not be
-        // mistaken for a coherent surviving copy) and only over the lines
-        // the reduced redo plan will ask about.
+        // The Selective-Redo probe, taken *before* any install (a line
+        // installed from a stale stable image must not be mistaken for a
+        // coherent surviving copy) and only over the lines the reduced
+        // redo plan will ask about.
         let cached_before: BTreeSet<LineId> = if scheme == RestartScheme::Selective {
             self.cached_plan_lines(&analysis)
         } else {
@@ -1689,44 +1775,18 @@ impl SmDb {
         outcome.scan_records = analysis.scanned_records;
         outcome.ckpt_bound_lsn = analysis.ckpt_bound;
         self.charge_analysis_scan(recovery_node, analysis.scanned_records);
-        if !instant {
-            // Instant restart folds the stolen-update undo into the
-            // deferred plan (phase 5 pushes the last-committed bytes as
-            // entries); the coherent apply dirties the page, so the next
-            // checkpoint — which drains the plan first — writes the
-            // corrected image back. Until then the stolen trace stays in
-            // the retained stable logs, which is exactly what a re-entered
-            // recovery re-derives the plan from.
-            self.patch_stable_undo(&analysis, outcome)?;
-        }
         self.end_phase(span, outcome);
         self.phase_crash_point(recovery_node)?;
 
-        // Phase 2 ("reinstall"): reinstall heap lines destroyed by the
-        // crash from the (just-patched) stable images, restoring page
-        // residency invariants, then the index's structural skeleton.
+        // Phase 2 ("reinstall"): take the census of what the crash
+        // destroyed — the heap lines are installed with the plan, and the
+        // tags of the nodes down now scrubbed as they are — and restore
+        // the index's structural skeleton (root, allocation map, lost
+        // pages) from the forced structural records.
         let span = self.begin_phase("reinstall");
-        // Seed with the stale reinstalls of any interrupted earlier
-        // attempt: for undo purposes they are reinstalled lines of *this*
-        // restart too.
-        let mut heap_reinstalled: BTreeSet<LineId> = self.stale_heap_lines.clone();
-        if instant {
-            // Defer the heap reinstall: record which lines are lost and
-            // install them from stable on first access (or when a deferred
-            // entry's write needs their page), charging the disk read to
-            // the accessor instead of the stop-the-world window. The tags
-            // of the nodes down *now* are the ones the eager undo passes
-            // would have scrubbed.
-            let lost = self.lost_heap_lines();
-            self.instant.lost_lines.extend(lost);
-            self.instant.scrub_tags.extend(down.iter().map(|n| n.0));
-        } else {
-            heap_reinstalled.extend(self.normalize_lost_heap_lines(recovery_node)?);
-        }
-
-        // Still in "reinstall": restore the index's structural skeleton
-        // (root, allocation map, lost pages) from the forced structural
-        // records.
+        let lost: Vec<LineId> = self.m.iter_lost().collect();
+        let heap_lost = lost.partition_point(|l| self.is_heap_line(*l));
+        self.instant.scrub_tags.extend(down.iter().map(|n| n.0));
         // Record whether the crash destroyed *any* tree line first: if it
         // did not, every index effect still lives in a coherent cache and
         // the Selective scheme can skip index replay entirely.
@@ -1735,36 +1795,21 @@ impl SmDb {
         // are still the stale stable images, so index replay is required
         // all the same.
         let mut tree_lost_any = !self.stale_tree_pages.is_empty();
-        let mut reinstalled_pages: BTreeSet<PageId> = self.stale_tree_pages.clone();
-        if let Some(tree) = self.tree.as_ref() {
-            let g = self.layout.geometry;
-            'outer: for page in tree.allocated_pages() {
-                for idx in 0..g.lines_per_page {
-                    if self.m.is_lost(LineId(g.line_addr(page, idx))) {
-                        tree_lost_any = true;
-                        break 'outer;
-                    }
-                }
-            }
-        }
         if let Some(tree) = self.tree.as_mut() {
-            let mut ctx = TreeCtx::new(
-                &mut self.m,
-                &mut self.sdb,
-                &mut self.logs,
-                &mut self.plt,
-                self.cfg.protocol.lbm_mode(),
-                &mut self.gsn,
-            );
+            let g = self.layout.geometry;
+            let pages = tree.allocated_pages();
+            tree_lost_any |= lost[heap_lost..]
+                .iter()
+                .any(|l| pages.binary_search(&g.page_of_addr(l.0).0).is_ok());
+            let mut ctx = tree_ctx!(self);
             let (st, pages) = tree.recover_structure(&mut ctx, recovery_node)?;
             outcome.btree_recovery = st;
-            reinstalled_pages.extend(pages);
+            // Persist the stale-reinstall knowledge *before* the next
+            // crash window: if this restart is interrupted from here on,
+            // the next attempt must still treat these pages as stale
+            // images.
+            self.stale_tree_pages.extend(pages);
         }
-        // Persist the stale-reinstall knowledge *before* the next crash
-        // window: if this restart is interrupted from here on, the next
-        // attempt must still treat these lines/pages as stale images.
-        self.stale_heap_lines.extend(heap_reinstalled.iter().copied());
-        self.stale_tree_pages.extend(reinstalled_pages.iter().copied());
         self.end_phase(span, outcome);
         self.phase_crash_point(recovery_node)?;
 
@@ -1774,29 +1819,21 @@ impl SmDb {
         // index wholesale.
         let span = self.begin_phase("cache_discard");
         if scheme == RestartScheme::RedoAll {
-            // The discard runs under instant restart too: it is a pure
-            // cache drop (no disk reads — the reinstall cost lands lazily
-            // on whoever faults the page back in), and it is *required* —
-            // a migrated uncommitted update of a doomed transaction whose
-            // record's last committed update predates the checkpoint
-            // bound has no redo candidate, hence no plan entry, and only
-            // the discard removes its stale bytes from survivor caches.
+            // A pure cache drop (no disk reads — the reinstall cost lands
+            // on whoever faults the page back in), and *required* whenever
+            // the plan is applied: a migrated uncommitted update of a
+            // doomed transaction whose record's last committed update
+            // predates the checkpoint bound has no redo candidate, hence
+            // no plan entry, and only the discard removes its stale bytes
+            // from survivor caches.
             let heap_limit = self.heap_pages as u64 * self.cfg.lines_per_page as u64;
             for node in self.m.surviving_nodes() {
                 self.m.discard_matching(node, |l| l.0 < heap_limit);
             }
             if let Some(tree) = self.tree.as_mut() {
-                let mut ctx = TreeCtx::new(
-                    &mut self.m,
-                    &mut self.sdb,
-                    &mut self.logs,
-                    &mut self.plt,
-                    self.cfg.protocol.lbm_mode(),
-                    &mut self.gsn,
-                );
+                let mut ctx = tree_ctx!(self);
                 tree.discard_and_reload_all(&mut ctx, recovery_node)?;
-                reinstalled_pages.extend(tree.allocated_pages());
-                self.stale_tree_pages.extend(reinstalled_pages.iter().copied());
+                self.stale_tree_pages.extend(tree.allocated_pages());
             }
         }
         self.end_phase(span, outcome);
@@ -1804,218 +1841,44 @@ impl SmDb {
 
         // Phase 4 ("redo"): the analysis scan gathered the candidates
         // (survivors' full logs + crashed nodes' committed stable records
-        // past the checkpoint bound) and already reduced the heap side to
-        // the final image per record; the merged GSN-ordered plan is
-        // applied sequentially, so every machine-state mutation stays
-        // deterministic. The cached-skip decisions were snapshotted
-        // *before* any reinstall so a line we reinstalled from a stale
-        // stable image is never mistaken for a coherent surviving copy.
+        // past the checkpoint bound). Index operations are logical and do
+        // not commute, so they are replayed here, sequentially in GSN
+        // order, whenever any tree line was lost; the heap side is the
+        // plan.
         let span = self.begin_phase("redo");
-        let replay_index = tree_lost_any || scheme == RestartScheme::RedoAll;
-        // Instant restart: heap redo entries are *deferred* past the open
-        // point — except for records the undo phase targets (stable-logged
-        // uncommitted updates of down nodes, and doomed ops on surviving
-        // logs). In eager order undo runs after redo and wins, so for
-        // those records the redo entry is dropped here and phase 5 pushes
-        // the undo's last-committed bytes as the record's single deferred
-        // entry instead.
-        let undo_writes: BTreeSet<RecId> = if instant {
-            analysis
-                .uncommitted_updates
-                .iter()
-                .map(|(_, _, r)| *r)
-                .chain(analysis.doomed_ops.iter().filter_map(|(_, op)| match op {
-                    DoomedOp::Rec { rec, .. } => Some(*rec),
-                    _ => None,
-                }))
-                .collect()
-        } else {
-            BTreeSet::new()
-        };
-        for op in self.take_redo_plan(&mut analysis, outcome) {
-            match op {
-                PlannedOp::Rec(HeapRedo { rec, at }) => {
-                    let line = self.rec_line(rec);
-                    if scheme == RestartScheme::Selective && cached_before.contains(&line) {
-                        outcome.redo_skipped_cached += 1;
-                        continue;
-                    }
-                    if instant && undo_writes.contains(&rec) {
-                        continue;
-                    }
-                    // Only a write that happens opens its log record.
-                    let (txn, _, image) = self.logged_update(&analysis, at, rec)?;
-                    let expected = self.expected_rec_bytes(txn, image);
-                    if instant {
-                        // Defer: the final bytes are computed *now* (the
-                        // tag decision reads transaction statuses, which
-                        // phase 7 flips) and applied on first access or by
-                        // the background drain; the entry owns them, so it
-                        // outlives this analysis' positions.
-                        self.instant.push(rec, line, expected);
-                        continue;
-                    }
-                    let off = self.layout.page_offset(rec.slot);
-                    if !self.m.probe_cached(line) {
-                        // Page not resident: is the stable image already
-                        // current for this record?
-                        let img = self
-                            .sdb
-                            .peek_page(rec.page)
-                            .ok_or(DbError::StablePageMissing { page: rec.page })?;
-                        if img[off..off + expected.len()] == expected[..] {
-                            outcome.redo_skipped_stable += 1;
-                            continue;
-                        }
-                        // The write below faults the whole page in from
-                        // stable: every line of it is a stale reinstall.
-                        let g = self.layout.geometry;
-                        for idx in 0..g.lines_per_page {
-                            let line = LineId(g.line_addr(rec.page, idx));
-                            heap_reinstalled.insert(line);
-                            self.stale_heap_lines.insert(line);
-                        }
-                    }
-                    // §4.1.2: "each surviving node performs redo for ...
-                    // record updates which were made by the local node" —
-                    // the replaying actor (and the one charged) is the
-                    // update's own node when it survived.
-                    let actor =
-                        if self.m.is_crashed(txn.node()) { recovery_node } else { txn.node() };
-                    let mut ctx = engine_ctx!(self);
-                    ctx.write(actor, rec.page, off, &expected)?;
-                    drop(ctx);
-                    // The crash cleared the crashed node's WAL-table
-                    // entries (§6: "will be reinitialized on the crashed
-                    // node"), and `ctx.write` does not restore them — so
-                    // without an explicit mark the redone page would look
-                    // clean to the next checkpoint, which would advance
-                    // the redo bound *without flushing it*, and a second
-                    // crash would lose the committed data. The redo
-                    // source record is already stable, so a zero-LSN
-                    // entry (dirty, no force requirement) is exactly
-                    // right. (Found by the schedule fuzzer.)
-                    self.plt.note_update(rec.page, actor, Lsn::ZERO);
-                    outcome.redo_applied += 1;
-                }
-                PlannedOp::Ix(ix) => {
-                    if replay_index {
-                        self.apply_index_redo(outcome, recovery_node, ix, true)?;
-                    }
-                }
-            }
+        if tree_lost_any || scheme == RestartScheme::RedoAll {
+            self.replay_index(outcome, recovery_node, &mut analysis, true)?;
         }
-
+        let plan =
+            self.heap_plan(&analysis, outcome, recovery_node, &cached_before, contaminated, true)?;
+        // The one difference between the two restarts: *when* the plan is
+        // applied. Everything before and after this point is the same
+        // code.
+        let lost = &lost[..heap_lost];
+        if self.cfg.instant_restart {
+            let lost_pages = by_page(self.layout.geometry, lost);
+            self.instant
+                .defer(plan, lost_pages.map(|(page, lines)| (page, lines.to_vec())).collect());
+        } else {
+            self.apply_heap_plan(plan, lost, outcome, recovery_node)?;
+        }
         self.end_phase(span, outcome);
         self.phase_crash_point(recovery_node)?;
 
-        // Phase 5 ("undo"): first roll back doomed transactions' effects
-        // recorded on *surviving* nodes — a parallel transaction with a
-        // crashed participant leaves intact log records (with undo images)
-        // on its surviving participants (§9: the entire transaction must
-        // be aborted); the analysis scan already collected them — then the
-        // protocol-specific undo pass.
+        // Phase 5 ("undo"): heap undo that the logs can tell is in the
+        // plan already; what is left is the index — the doomed
+        // transactions' operations on surviving logs, then, wherever tags
+        // are not the undo vehicle, the uncommitted crashed transactions'
+        // flushed (steal / structural flush) and reloaded entries — and
+        // §4.1.2's tag scan of the surviving caches.
         let span = self.begin_phase("undo");
-        let doomed_ops = std::mem::take(&mut analysis.doomed_ops);
-        if instant {
-            // Heap undo joins the deferred plan. The final bytes per
-            // record are computed *now* — the before images are handles
-            // into retained log records, and the last-committed derivation
-            // needs this analysis — and applied on first access or by the
-            // background drain, exactly like deferred redo. Reverse-GSN
-            // application means the lowest-GSN before image is the one
-            // that sticks; the protocol undo (stable-log or tag driven)
-            // runs after the doomed rollback in the eager order, so its
-            // last-committed values override. Index undo is never
-            // deferred.
-            let mut rec_ops = doomed_ops;
-            rec_ops.sort_by_key(|(gsn, _)| *gsn);
-            let mut index_ops: Vec<(u64, DoomedOp)> = Vec::new();
-            let mut undo_final: BTreeMap<RecId, Vec<u8>> = BTreeMap::new();
-            for (gsn, op) in rec_ops {
-                match op {
-                    DoomedOp::Rec { rec, before } => {
-                        if let std::collections::btree_map::Entry::Vacant(e) = undo_final.entry(rec)
-                        {
-                            let value: Vec<u8> = if contaminated.contains(&rec) {
-                                self.last_committed_payload(&analysis, rec)?
-                            } else {
-                                before.to_vec()
-                            };
-                            e.insert(self.layout.encode(NULL_TAG, &value));
-                        }
-                    }
-                    other => index_ops.push((gsn, other)),
-                }
-            }
-            let uncommitted: BTreeSet<RecId> =
-                analysis.uncommitted_updates.iter().map(|(_, _, r)| *r).collect();
-            for rec in uncommitted {
-                let value = self.last_committed_payload(&analysis, rec)?;
-                undo_final.insert(rec, self.layout.encode(NULL_TAG, &value));
-            }
-            for (rec, bytes) in undo_final {
-                let line = self.rec_line(rec);
-                self.instant.push(rec, line, bytes);
-            }
-            self.undo_doomed_ops(outcome, recovery_node, index_ops, &analysis, contaminated)?;
-            match self.cfg.protocol {
-                ProtocolKind::VolatileSelectiveRedo => {
-                    // The tag scan still runs (cheap — the only candidates
-                    // without plan entries are stale committed tags), but
-                    // records a deferred entry covers are skipped: the
-                    // entry's apply writes their final bytes.
-                    self.undo_by_tags(
-                        outcome,
-                        recovery_node,
-                        &crashed_set,
-                        &analysis,
-                        &heap_reinstalled,
-                        &reinstalled_pages,
-                    )?;
-                }
-                ProtocolKind::VolatileRedoAll
-                | ProtocolKind::StableEager
-                | ProtocolKind::StableTriggered => {
-                    // Heap undo is fully deferred (every stable-logged
-                    // uncommitted update has a plan entry); only index
-                    // effects of uncommitted crashed transactions need
-                    // eager undo.
-                    self.undo_index_from_stable(outcome, recovery_node, &analysis)?;
-                }
-                ProtocolKind::FaOnly => unreachable!("handled by full_restart"),
-            }
+        let doomed_index = std::mem::take(&mut analysis.doomed_index);
+        self.undo_index_ops(outcome, recovery_node, doomed_index)?;
+        if self.cfg.protocol.uses_undo_tags() {
+            self.undo_by_tags(outcome, recovery_node, &crashed_set, &analysis)?;
         } else {
-            self.undo_doomed_ops(outcome, recovery_node, doomed_ops, &analysis, contaminated)?;
-            match self.cfg.protocol {
-                ProtocolKind::VolatileSelectiveRedo => {
-                    self.undo_by_tags(
-                        outcome,
-                        recovery_node,
-                        &crashed_set,
-                        &analysis,
-                        &heap_reinstalled,
-                        &reinstalled_pages,
-                    )?;
-                }
-                ProtocolKind::VolatileRedoAll => {
-                    // The cache purge already removed migrated uncommitted
-                    // data; stolen data was patched in phase 1. Index
-                    // entries of uncommitted crashed transactions that had
-                    // been flushed (steal / structural flush) and reloaded
-                    // still need undo from the crashed stable logs.
-                    self.undo_index_from_stable(outcome, recovery_node, &analysis)?;
-                }
-                ProtocolKind::StableEager | ProtocolKind::StableTriggered => {
-                    // Stable LBM: every migrated uncommitted update has
-                    // stable undo information; apply it to any surviving
-                    // cached copies (stable images were patched in phase
-                    // 1).
-                    self.undo_from_stable_logs(outcome, recovery_node, &analysis)?;
-                    self.undo_index_from_stable(outcome, recovery_node, &analysis)?;
-                }
-                ProtocolKind::FaOnly => unreachable!("handled by full_restart"),
-            }
+            let uncommitted_index = std::mem::take(&mut analysis.uncommitted_index);
+            self.undo_index_ops(outcome, recovery_node, uncommitted_index)?;
         }
         self.end_phase(span, outcome);
         self.phase_crash_point(recovery_node)?;
@@ -2052,6 +1915,7 @@ impl SmDb {
         let span = self.begin_phase("txn_table");
         for &txn in crashed_active {
             self.settle_aborted(txn);
+            self.unflushed_rollbacks.insert(txn);
             self.pending_waits.remove(&txn);
             self.locks.drop_chain(txn);
             self.shadow.drop_pending(txn);
@@ -2076,8 +1940,6 @@ impl SmDb {
         recovery_node: NodeId,
         crashed: &BTreeSet<NodeId>,
         analysis: &StableAnalysis,
-        heap_reinstalled: &BTreeSet<LineId>,
-        tree_reinstalled: &BTreeSet<PageId>,
     ) -> Result<(), DbError> {
         // Heap scan: one pass over the lines held by any survivor, in
         // place (the tag probe only reads the borrowed line bytes).
@@ -2092,13 +1954,9 @@ impl SmDb {
                 continue; // Page-LSN line holds no records
             }
             for k in 0..rpl {
-                let slot = ((line_idx - 1) * rpl + k) as u16;
-                if slot as usize >= self.layout.records_per_page() {
-                    break;
-                }
-                let within = k * self.layout.rec_size();
-                let tag = u16::from_le_bytes(bytes[within..within + 2].try_into().expect("tag"));
+                let tag = RecordLayout::tag_of(&bytes[k * self.layout.rec_size()..]);
                 if tag != NULL_TAG && crashed.contains(&NodeId(tag)) {
+                    let slot = ((line_idx - 1) * rpl + k) as u16;
                     candidates.push((holder, line, RecId::new(page, slot), tag));
                 }
             }
@@ -2109,20 +1967,23 @@ impl SmDb {
         candidates.sort_by_key(|c| c.0);
         for (_, line, rec, tag) in candidates {
             if self.instant_covers(rec) {
-                // Instant restart: a deferred entry holds this record's
-                // final bytes; applying it (on access or drain) overwrites
-                // tag and payload both.
+                // A pending plan entry holds this record's final bytes;
+                // applying it (on access or drain) overwrites tag and
+                // payload both.
                 continue;
             }
-            let committed =
-                heap_reinstalled.contains(&line) && analysis.is_committed_rec(NodeId(tag), rec);
-            // Instant restart: the tagged line survives on another node
-            // but the page's Page-LSN header may still await its deferred
-            // reinstall — install it before the coherent write below
-            // probes the page for residency.
+            // A line installed from a stable image, by this restart or by
+            // an interrupted earlier attempt, may carry a stale tag on a
+            // committed value.
+            let committed = self.stale_heap_lines.contains(&line)
+                && analysis.is_committed_rec(NodeId(tag), rec);
+            // The tagged line survives on another node, but the page's
+            // Page-LSN header may still await its install — install it
+            // before the coherent write below probes the page for
+            // residency.
             let header = LineId(self.layout.geometry.line_addr(rec.page, 0));
-            if self.instant.lost_lines.contains(&header) {
-                self.install_deferred_lost(recovery_node, rec.page)?;
+            if self.instant.is_lost(rec.page, header) {
+                self.install_registered(recovery_node, rec.page)?;
             }
             let off = self.layout.page_offset(rec.slot);
             if committed {
@@ -2140,18 +2001,14 @@ impl SmDb {
         }
         // Index scan (the tree's own tag walk).
         if let Some(tree) = self.tree.as_mut() {
-            let mut ctx = TreeCtx::new(
-                &mut self.m,
-                &mut self.sdb,
-                &mut self.logs,
-                &mut self.plt,
-                self.cfg.protocol.lbm_mode(),
-                &mut self.gsn,
-            );
-            let st =
-                tree.undo_by_tags(&mut ctx, recovery_node, crashed, tree_reinstalled, |n, k| {
-                    analysis.is_committed_key(n, k)
-                })?;
+            let mut ctx = tree_ctx!(self);
+            let st = tree.undo_by_tags(
+                &mut ctx,
+                recovery_node,
+                crashed,
+                &self.stale_tree_pages,
+                |n, k| analysis.is_committed_key(n, k),
+            )?;
             outcome.undo_records_applied += st.undo_inserts + st.undo_deletes;
             outcome.tags_cleared += st.tags_cleared;
             outcome.btree_recovery.undo_inserts += st.undo_inserts;
@@ -2161,142 +2018,27 @@ impl SmDb {
         Ok(())
     }
 
-    /// Stable-LBM undo: install last committed values over any surviving
-    /// cached copies of records with durable uncommitted updates from
-    /// crashed nodes.
-    fn undo_from_stable_logs(
+    /// Apply the logical inverses of index operations that are rolled back
+    /// — a doomed transaction's, from a surviving node's intact log, or an
+    /// uncommitted crashed transaction's, from its stable log — in reverse
+    /// GSN order. No-op without an index.
+    fn undo_index_ops(
         &mut self,
         outcome: &mut RecoveryOutcome,
         recovery_node: NodeId,
-        analysis: &StableAnalysis,
+        mut ops: Vec<(u64, IxUndo)>,
     ) -> Result<(), DbError> {
-        let recs: BTreeSet<RecId> =
-            analysis.uncommitted_updates.iter().map(|(_, _, r)| *r).collect();
-        for rec in recs {
-            let line = self.rec_line(rec);
-            if !self.m.probe_cached(line) {
-                continue; // nothing cached; stable image already patched
-            }
-            let value = self.last_committed_payload(analysis, rec)?;
-            let bytes = self.layout.encode(NULL_TAG, &value);
-            let off = self.layout.page_offset(rec.slot);
-            let mut ctx = engine_ctx!(self);
-            ctx.write(recovery_node, rec.page, off, &bytes)?;
-            outcome.undo_records_applied += 1;
-        }
-        Ok(())
-    }
-
-    /// Undo index effects of uncommitted crashed transactions recorded in
-    /// their stable logs (needed wherever tags are not the undo vehicle).
-    fn undo_index_from_stable(
-        &mut self,
-        outcome: &mut RecoveryOutcome,
-        recovery_node: NodeId,
-        analysis: &StableAnalysis,
-    ) -> Result<(), DbError> {
-        if self.tree.is_none() {
+        let Some(tree) = self.tree.as_mut() else {
             return Ok(());
-        }
-        let mut ops = analysis.uncommitted_index.clone();
-        ops.sort_by_key(|(gsn, _, _, _)| std::cmp::Reverse(*gsn));
-        for (_, _, key, is_delete) in ops {
-            let tree = req(self.tree.as_mut(), "index undo implies an index")?;
-            let mut ctx = TreeCtx::new(
-                &mut self.m,
-                &mut self.sdb,
-                &mut self.logs,
-                &mut self.plt,
-                self.cfg.protocol.lbm_mode(),
-                &mut self.gsn,
-            );
-            if is_delete {
-                tree.undo_delete(&mut ctx, recovery_node, key)?;
-            } else {
-                tree.undo_insert(&mut ctx, recovery_node, key)?;
+        };
+        ops.sort_by_key(|(gsn, _)| std::cmp::Reverse(*gsn));
+        for (_, op) in ops {
+            let mut ctx = tree_ctx!(self);
+            match op {
+                IxUndo::RemoveKey(key) => tree.undo_insert(&mut ctx, recovery_node, key)?,
+                IxUndo::UnmarkKey(key) => tree.undo_delete(&mut ctx, recovery_node, key)?,
             }
             outcome.undo_records_applied += 1;
-        }
-        Ok(())
-    }
-
-    /// Roll back every effect a doomed transaction recorded on a
-    /// surviving node's intact log (undo images for records, logical
-    /// inverses for index ops), in reverse GSN order. The ops were
-    /// collected by the single analysis scan; the before images are
-    /// refcounted handles into the log records.
-    fn undo_doomed_ops(
-        &mut self,
-        outcome: &mut RecoveryOutcome,
-        recovery_node: NodeId,
-        mut ops: Vec<(u64, DoomedOp)>,
-        analysis: &StableAnalysis,
-        contaminated: &BTreeSet<RecId>,
-    ) -> Result<(), DbError> {
-        ops.sort_by_key(|(gsn, _)| std::cmp::Reverse(*gsn));
-        for (_gsn, op) in ops {
-            match op {
-                DoomedOp::Rec { rec, before } => {
-                    // A doomed dependent that reached this record through
-                    // a violated lock name (early lock release) logged a
-                    // contaminated before image — possibly the doomed
-                    // predecessor's own uncommitted value. Restore the
-                    // last committed payload instead. All other doomed
-                    // ops keep the logged before image (for parallel
-                    // transactions on non-analysed survivors it is the
-                    // only undo source).
-                    let value: Vec<u8> = if contaminated.contains(&rec) {
-                        self.last_committed_payload(analysis, rec)?
-                    } else {
-                        before.to_vec()
-                    };
-                    let bytes = self.layout.encode(NULL_TAG, &value);
-                    let off = self.layout.page_offset(rec.slot);
-                    // Undo in the coherent store and in the stable image
-                    // (the update may have been stolen; WAL forced its
-                    // undo record, but surviving logs give us the image
-                    // directly).
-                    let mut ctx = engine_ctx!(self);
-                    ctx.write(recovery_node, rec.page, off, &bytes)?;
-                    let img = self
-                        .sdb
-                        .peek_page(rec.page)
-                        .ok_or(DbError::StablePageMissing { page: rec.page })?;
-                    if img[off..off + bytes.len()] != bytes[..] {
-                        self.sdb.patch(rec.page, off, &bytes);
-                        outcome.stable_undo_patches += 1;
-                    }
-                    outcome.undo_records_applied += 1;
-                }
-                DoomedOp::RemoveKey(key) => {
-                    if let Some(tree) = self.tree.as_mut() {
-                        let mut ctx = TreeCtx::new(
-                            &mut self.m,
-                            &mut self.sdb,
-                            &mut self.logs,
-                            &mut self.plt,
-                            self.cfg.protocol.lbm_mode(),
-                            &mut self.gsn,
-                        );
-                        tree.undo_insert(&mut ctx, recovery_node, key)?;
-                        outcome.undo_records_applied += 1;
-                    }
-                }
-                DoomedOp::UnmarkKey(key) => {
-                    if let Some(tree) = self.tree.as_mut() {
-                        let mut ctx = TreeCtx::new(
-                            &mut self.m,
-                            &mut self.sdb,
-                            &mut self.logs,
-                            &mut self.plt,
-                            self.cfg.protocol.lbm_mode(),
-                            &mut self.gsn,
-                        );
-                        tree.undo_delete(&mut ctx, recovery_node, key)?;
-                        outcome.undo_records_applied += 1;
-                    }
-                }
-            }
         }
         Ok(())
     }
@@ -2322,62 +2064,35 @@ impl SmDb {
         outcome.scan_records = analysis.scanned_records;
         outcome.ckpt_bound_lsn = analysis.ckpt_bound;
         self.charge_analysis_scan(recovery_node, analysis.scanned_records);
-        // Undo every durable trace of every not-committed transaction.
-        self.patch_stable_undo(&analysis, outcome)?;
         // Discard all cached database lines machine-wide, and forget lost
-        // ones: the (patched) stable database is now the authority.
+        // ones: the stable database and the plan are now the authority.
         for node in self.m.surviving_nodes() {
             self.m.discard_matching(node, |_| true);
         }
-        let g = self.layout.geometry;
-        for p in 0..self.heap_pages {
-            for idx in 0..g.lines_per_page {
-                self.m.clear_lost(LineId(g.line_addr(PageId(p), idx)));
-            }
+        let lost: Vec<LineId> = self.m.iter_lost().filter(|l| self.is_heap_line(*l)).collect();
+        for line in lost {
+            self.m.clear_lost(line);
         }
         // Rebuild the index structure + contents.
         if let Some(tree) = self.tree.as_mut() {
-            let mut ctx = TreeCtx::new(
-                &mut self.m,
-                &mut self.sdb,
-                &mut self.logs,
-                &mut self.plt,
-                self.cfg.protocol.lbm_mode(),
-                &mut self.gsn,
-            );
+            let mut ctx = tree_ctx!(self);
             let (st, _) = tree.recover_structure(&mut ctx, recovery_node)?;
             outcome.btree_recovery = st;
             tree.discard_and_reload_all(&mut ctx, recovery_node)?;
         }
-        // Redo committed work from stable logs (everyone's commit records
-        // were forced): the analysis already collected and reduced the
-        // candidates past the checkpoint bound; apply them sequentially in
-        // GSN order.
-        for op in self.take_redo_plan(&mut analysis, outcome) {
-            match op {
-                PlannedOp::Rec(HeapRedo { rec, at }) => {
-                    let off = self.layout.page_offset(rec.slot);
-                    let (_, _, image) = self.logged_update(&analysis, at, rec)?;
-                    let expected = self.layout.encode(NULL_TAG, image);
-                    if !self.m.probe_cached(self.rec_line(rec)) {
-                        let img = self
-                            .sdb
-                            .peek_page(rec.page)
-                            .ok_or(DbError::StablePageMissing { page: rec.page })?;
-                        if img[off..off + expected.len()] == expected[..] {
-                            outcome.redo_skipped_stable += 1;
-                            continue;
-                        }
-                    }
-                    let mut ctx = engine_ctx!(self);
-                    ctx.write(recovery_node, rec.page, off, &expected)?;
-                    outcome.redo_applied += 1;
-                }
-                PlannedOp::Ix(ix) => self.apply_index_redo(outcome, recovery_node, ix, false)?,
-            }
-        }
-        // Undo of uncommitted index entries that had been flushed.
-        self.undo_index_from_stable(outcome, recovery_node, &analysis)?;
+        // The heap plan in full mode: committed work redone from the
+        // stable logs (everyone's commit records were forced), every
+        // durable trace of every not-committed transaction undone. Never
+        // left pending: nobody is alive to open for.
+        let no_lines = BTreeSet::new();
+        let plan =
+            self.heap_plan(&analysis, outcome, recovery_node, &no_lines, &BTreeSet::new(), false)?;
+        self.apply_heap_plan(plan, &[], outcome, recovery_node)?;
+        // Index redo past the checkpoint bound, sequentially in GSN order,
+        // then undo of uncommitted index entries that had been flushed.
+        self.replay_index(outcome, recovery_node, &mut analysis, false)?;
+        let uncommitted_index = std::mem::take(&mut analysis.uncommitted_index);
+        self.undo_index_ops(outcome, recovery_node, uncommitted_index)?;
         outcome.log_records_read = analysis.records_read.get();
         // Crash point: the rebuild host dies mid full-restart (data redone,
         // lock space and transaction table not yet reset).
@@ -2394,6 +2109,7 @@ impl SmDb {
         let active: Vec<TxnId> = self.active_txns(None);
         for txn in &active {
             self.settle_aborted(*txn);
+            self.unflushed_rollbacks.insert(*txn);
             self.shadow.drop_pending(*txn);
         }
         self.stats.crash_aborts += active.len() as u64;

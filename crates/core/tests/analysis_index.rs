@@ -69,7 +69,7 @@ fn recovery_opens_log_records_for_what_it_applies_only() {
         // its undo image, and each undo write may open the record's last
         // committed update once more.
         let applied = outcome.redo_applied + outcome.redo_skipped_stable;
-        let undone = outcome.undo_records_applied + outcome.stable_undo_patches;
+        let undone = outcome.undo_records_applied;
         assert!(applied > 0 && outcome.redo_skipped_cached > 0, "{outcome:?}");
         assert!(
             (applied..=applied + 1 + undone).contains(&outcome.log_records_read),

@@ -8,6 +8,7 @@
 
 use smdb_core::{DbConfig, DbError, ProtocolKind, SmDb};
 use smdb_sim::NodeId;
+use smdb_storage::PageId;
 
 const N0: NodeId = NodeId(0);
 const N1: NodeId = NodeId(1);
@@ -40,15 +41,44 @@ fn drain_all(db: &mut SmDb, node: NodeId) {
     }
 }
 
+/// Undo work for the heap plan, left in flight by N0: an update a
+/// checkpoint *steals* into the stable database (committed value
+/// underneath), and — the transaction runs on N2 as well — a doomed update
+/// on a log that survives N0's crash.
+fn seed_stolen_and_doomed(db: &mut SmDb) {
+    let t = db.begin(N0).unwrap();
+    db.update(t, 40, b"committed-40").unwrap();
+    db.commit(t).unwrap();
+    let t = db.begin(N0).unwrap();
+    db.update(t, 40, b"stolen-wip").unwrap();
+    db.attach(t, N2).unwrap();
+    db.update_on(t, N2, 44, b"doomed-wip").unwrap();
+    db.checkpoint(N1).unwrap();
+}
+
+/// Tag and payload of every record as the stable database holds them:
+/// one checkpoint, then every heap page evicted, so the inspection reads
+/// fall through to the stable images.
+fn stable_records(db: &mut SmDb, node: NodeId) -> Vec<(u16, Vec<u8>)> {
+    db.checkpoint(node).unwrap();
+    for page in 0..db.heap_pages() {
+        db.evict_page(PageId(page));
+    }
+    (0..db.record_count() as u64)
+        .map(|slot| (db.current_tag(slot).unwrap(), db.current_value(slot).unwrap()))
+        .collect()
+}
+
 #[test]
 fn instant_recovery_defers_redo_then_drains_to_eager_state() {
     for p in ProtocolKind::ifa_protocols() {
         let mut eager = mk(p, false);
         let mut instant = mk(p, true);
-        seed_history(&mut eager);
-        seed_history(&mut instant);
-        eager.crash_and_recover(&[N0]).unwrap();
-        instant.crash_and_recover(&[N0]).unwrap();
+        for db in [&mut eager, &mut instant] {
+            seed_stolen_and_doomed(db);
+            seed_history(db);
+            db.crash_and_recover(&[N0]).unwrap();
+        }
         assert_eq!(eager.redo_pending(), 0, "{p:?}: eager must not defer");
         assert!(
             instant.redo_pending() > 0,
@@ -61,7 +91,14 @@ fn instant_recovery_defers_redo_then_drains_to_eager_state() {
                 instant.current_value(slot).unwrap(),
                 "{p:?}: slot {slot} diverged from eager recovery"
             );
+            assert_eq!(
+                eager.current_tag(slot).unwrap(),
+                instant.current_tag(slot).unwrap(),
+                "{p:?}: slot {slot}'s tag diverged from eager recovery"
+            );
         }
+        assert_eq!(&eager.current_value(40).unwrap()[..12], b"committed-40", "{p:?}");
+        assert_eq!(eager.current_value(44).unwrap(), eager.read_committed(44).unwrap(), "{p:?}");
         eager.check_ifa(N1).assert_ok();
         instant.check_ifa(N1).assert_ok();
         let c = instant.instant_redo_counters();
@@ -71,6 +108,45 @@ fn instant_recovery_defers_redo_then_drains_to_eager_state() {
             "{p:?}: every planned entry must retire exactly once"
         );
         assert!(c.background > 0, "{p:?}: the drain should have retired entries");
+        assert_eq!(
+            stable_records(&mut eager, N1),
+            stable_records(&mut instant, N1),
+            "{p:?}: stable images diverged one checkpoint after recovery"
+        );
+    }
+}
+
+/// Restart undoes a stolen update through the cache, not by patching the
+/// stable database: the corrected image reaches disk with the next
+/// checkpoint, and until then a crash of whoever holds it is recovered
+/// from the trace the retained logs still carry.
+#[test]
+fn stolen_update_undo_reaches_disk_with_the_next_checkpoint() {
+    for p in ProtocolKind::ifa_protocols() {
+        for instant in [false, true] {
+            for holder_crashes_first in [false, true] {
+                let at = format!("{p:?} instant={instant} second crash={holder_crashes_first}");
+                let mut db = mk(p, instant);
+                seed_stolen_and_doomed(&mut db);
+                let host = db.crash_and_recover(&[N0]).unwrap().recovery_node;
+                drain_all(&mut db, host);
+                let survivor = if holder_crashes_first {
+                    // The undone copies live in the host's cache alone.
+                    db.crash_and_recover(&[host]).unwrap();
+                    let survivor = db.machine().surviving_nodes()[0];
+                    drain_all(&mut db, survivor);
+                    survivor
+                } else {
+                    host
+                };
+                assert_eq!(&db.current_value(40).unwrap()[..12], b"committed-40", "{at}");
+                db.check_ifa(survivor).assert_ok();
+                let committed: Vec<(u16, Vec<u8>)> = (0..db.record_count() as u64)
+                    .map(|slot| (u16::MAX, db.read_committed(slot).unwrap()))
+                    .collect();
+                assert_eq!(stable_records(&mut db, survivor), committed, "{at}");
+            }
+        }
     }
 }
 

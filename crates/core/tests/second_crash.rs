@@ -1,0 +1,96 @@
+//! A second crash after a checkpoint: committed data whose only up-to-date
+//! copy sits in a cache must still be *dirty* to the checkpoint that
+//! advances the redo bound past its log records. Two ways the fact was
+//! lost: the full restart redid a value into a cache without marking the
+//! page, and a crash erased the crashed node's page-LSN entries — the only
+//! record that a page another node still caches differs from its stable
+//! image. Each scenario acknowledged a commit and then read the
+//! pre-update bytes.
+
+use smdb_core::{DbConfig, ProtocolKind, SmDb};
+use smdb_sim::NodeId;
+
+const N0: NodeId = NodeId(0);
+const N1: NodeId = NodeId(1);
+
+/// The protocols whose restart skips what a surviving cache still holds.
+const SELECTIVE: [ProtocolKind; 3] =
+    [ProtocolKind::VolatileSelectiveRedo, ProtocolKind::StableEager, ProtocolKind::StableTriggered];
+
+fn mk(p: ProtocolKind, instant: bool) -> SmDb {
+    let cfg = DbConfig::small(2, p);
+    SmDb::new(if instant { cfg.with_instant_restart() } else { cfg })
+}
+
+fn recover_and_drain(db: &mut SmDb, crashed: &[NodeId]) {
+    db.crash_and_recover(crashed).unwrap();
+    let host = db.machine().surviving_nodes()[0];
+    while db.redo_pending() > 0 {
+        db.drain_redo(host, 8).unwrap();
+    }
+}
+
+#[test]
+fn full_restart_redo_is_dirty_to_the_next_checkpoint() {
+    for p in ProtocolKind::all() {
+        for instant in [false, true] {
+            let mut db = mk(p, instant);
+            let t = db.begin(N0).unwrap();
+            db.update(t, 5, b"kept").unwrap();
+            db.commit(t).unwrap();
+            // Total failure: the value is redone into the host's cache.
+            recover_and_drain(&mut db, &[N0, N1]);
+            db.reboot(N1);
+            db.checkpoint(N0).unwrap();
+            recover_and_drain(&mut db, &[N0, N1]);
+            assert_eq!(&db.current_value(5).unwrap()[..4], b"kept", "{p:?} instant={instant}");
+            assert_eq!(db.current_value(5).unwrap(), db.read_committed(5).unwrap());
+        }
+    }
+}
+
+#[test]
+fn crashed_writers_page_stays_dirty_while_a_survivor_caches_it() {
+    for p in SELECTIVE {
+        for instant in [false, true] {
+            let mut db = mk(p, instant);
+            let t = db.begin(N0).unwrap();
+            db.update(t, 5, b"kept").unwrap();
+            db.commit(t).unwrap();
+            let r = db.begin(N1).unwrap();
+            db.read(r, 5).unwrap();
+            db.commit(r).unwrap();
+            // Redo is skipped: N1 still caches the line.
+            recover_and_drain(&mut db, &[N0]);
+            db.checkpoint(N1).unwrap();
+            db.reboot(N0);
+            recover_and_drain(&mut db, &[N1]);
+            assert_eq!(&db.current_value(5).unwrap()[..4], b"kept", "{p:?} instant={instant}");
+            db.check_ifa(N0).assert_ok();
+        }
+    }
+}
+
+#[test]
+fn crashed_inserters_index_page_stays_dirty_while_a_survivor_caches_it() {
+    for p in SELECTIVE {
+        for instant in [false, true] {
+            let mut db = mk(p, instant);
+            let t = db.begin(N0).unwrap();
+            db.insert(t, 77, *b"kept-77.").unwrap();
+            db.commit(t).unwrap();
+            let r = db.begin(N1).unwrap();
+            assert_eq!(db.lookup(r, 77).unwrap(), Some(*b"kept-77."));
+            db.commit(r).unwrap();
+            // No tree line is lost, so index replay is skipped.
+            recover_and_drain(&mut db, &[N0]);
+            db.checkpoint(N1).unwrap();
+            db.reboot(N0);
+            recover_and_drain(&mut db, &[N1]);
+            let r = db.begin(N0).unwrap();
+            assert_eq!(db.lookup(r, 77).unwrap(), Some(*b"kept-77."), "{p:?} instant={instant}");
+            db.commit(r).unwrap();
+            db.check_ifa(N0).assert_ok();
+        }
+    }
+}

@@ -131,13 +131,13 @@ pub const RESTART_TXN_ENTRIES_VISITED: &str = "restart.txn_entries_visited";
 pub const RECOVERY_REDO_BATCH: &str = "recovery.redo_batch";
 /// Whole-recovery simulated cycles (makespan delta).
 pub const RECOVERY_TOTAL_CYCLES: &str = "recovery.total_cycles";
-/// Per-phase simulated cycles: stable-undo patching.
+/// Per-phase simulated cycles: the analysis scan.
 pub const RECOVERY_PHASE_STABLE_UNDO: &str = "recovery.phase.stable_undo";
-/// Per-phase simulated cycles: lost-line reinstall.
+/// Per-phase simulated cycles: lost-line census and index skeleton.
 pub const RECOVERY_PHASE_REINSTALL: &str = "recovery.phase.reinstall";
 /// Per-phase simulated cycles: stale-cache discard.
 pub const RECOVERY_PHASE_CACHE_DISCARD: &str = "recovery.phase.cache_discard";
-/// Per-phase simulated cycles: redo.
+/// Per-phase simulated cycles: index redo and the heap plan.
 pub const RECOVERY_PHASE_REDO: &str = "recovery.phase.redo";
 /// Per-phase simulated cycles: undo of doomed transactions.
 pub const RECOVERY_PHASE_UNDO: &str = "recovery.phase.undo";
@@ -208,19 +208,19 @@ pub const CATALOG: &[MetricDef] = &[
         name: RECOVERY_PHASE_REDO,
         kind: MetricKind::Histogram,
         layer: "core",
-        help: "Recovery phase cycles: redo",
+        help: "Recovery phase cycles: index redo, the heap plan",
     },
     MetricDef {
         name: RECOVERY_PHASE_REINSTALL,
         kind: MetricKind::Histogram,
         layer: "core",
-        help: "Recovery phase cycles: lost-line reinstall",
+        help: "Recovery phase cycles: lost-line census, index skeleton",
     },
     MetricDef {
         name: RECOVERY_PHASE_STABLE_UNDO,
         kind: MetricKind::Histogram,
         layer: "core",
-        help: "Recovery phase cycles: stable-undo patching",
+        help: "Recovery phase cycles: the analysis scan",
     },
     MetricDef {
         name: RECOVERY_PHASE_TXN_TABLE,

@@ -56,10 +56,17 @@ impl PageLsnTable {
         }
     }
 
-    /// Reinitialize a crashed node's entries (its updates are being rolled
-    /// back or redone by recovery; the stale LSNs are meaningless).
-    pub fn clear_node(&mut self, node: NodeId) {
-        self.entries.retain(|&(_, n), _| n != node);
+    /// Reinitialize a crashed node's entries: its LSNs become
+    /// [`Lsn::ZERO`] — no force requirement; its volatile log tail is gone
+    /// and recovery rolls back or redoes what it held — but the entries
+    /// stay. They are the only record that a page differs from its stable
+    /// image: a surviving cache may still hold the crashed node's
+    /// committed update, and a checkpoint that did not see the page as
+    /// dirty would advance the redo bound past it unflushed.
+    pub fn reset_node(&mut self, node: NodeId) {
+        for (_, lsn) in self.entries.iter_mut().filter(|(&(_, n), _)| n == node) {
+            *lsn = Lsn::ZERO;
+        }
     }
 
     /// All pages any node has updated since their last flush (the dirty
@@ -149,11 +156,16 @@ mod tests {
     }
 
     #[test]
-    fn crashed_node_entries_reinitialized() {
+    fn crashed_node_entries_reinitialized_but_still_dirty() {
         let mut t = PageLsnTable::new();
         t.note_update(PageId(1), NodeId(0), Lsn(3));
         t.note_update(PageId(1), NodeId(1), Lsn(5));
-        t.clear_node(NodeId(1));
-        assert_eq!(t.flush_requirements(PageId(1)), vec![(NodeId(0), Lsn(3))]);
+        t.note_update(PageId(2), NodeId(1), Lsn(6));
+        t.reset_node(NodeId(1));
+        assert_eq!(
+            t.flush_requirements(PageId(1)),
+            vec![(NodeId(0), Lsn(3)), (NodeId(1), Lsn::ZERO)]
+        );
+        assert_eq!(t.dirty_pages(), vec![PageId(1), PageId(2)]);
     }
 }

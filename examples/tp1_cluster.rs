@@ -35,11 +35,10 @@ fn main() {
     println!("\n=== nodes 5 and 6 fail ===");
     let outcome = db.crash_and_recover(&[NodeId(5), NodeId(6)]).expect("recovery");
     println!(
-        "recovery: {} lines lost, {} redo, {} undo, {} stable patches, {} sim-cycles",
+        "recovery: {} lines lost, {} redo, {} undo, {} sim-cycles",
         outcome.lost_lines,
         outcome.redo_applied,
         outcome.undo_records_applied,
-        outcome.stable_undo_patches,
         outcome.recovery_cycles
     );
     db.check_ifa(NodeId(0)).assert_ok();
