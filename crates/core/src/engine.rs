@@ -14,7 +14,7 @@ use crate::config::{DbConfig, ProtocolKind};
 use crate::error::{req, DbError};
 use crate::oracle::ShadowDb;
 use crate::record::{RecordLayout, NULL_TAG, TAG_SIZE};
-use crate::restart::InstantRedoState;
+use crate::restart::OwedHeap;
 use crate::stats::EngineStats;
 use crate::txn::{Op, TxnOp, TxnState, TxnStatus, TxnTable};
 use bytes::Bytes;
@@ -137,19 +137,9 @@ pub struct SmDb {
     /// violated name. Kept until the transaction is acknowledged or
     /// aborted — recovery's cascade analysis reads the violated names.
     pub(crate) inherited_deps: BTreeMap<TxnId, Vec<InheritedDep>>,
-    /// Transactions a restart rolled back whose rollback no checkpoint has
-    /// flushed yet. Restart undoes heap updates through the caches; until
-    /// a checkpoint writes those pages back the stable database may still
-    /// hold a stolen update of theirs, and the rolled-back copy can die
-    /// with its cache — so until then their log records stay what they
-    /// were to the restart that rolled them back: never redone, undone
-    /// again ([`SmDb::recover`]'s analysis). Shared memory, like the
-    /// transaction table.
-    pub(crate) unflushed_rollbacks: BTreeSet<TxnId>,
-    /// What a restart still owes the heap: lost lines not yet installed
-    /// and, past an instant restart's early open, the plan entries left to
-    /// first access and the background drain.
-    pub(crate) instant: InstantRedoState,
+    /// What a restart still owes the heap: lost lines to install and, past
+    /// an instant restart's early open, plan entries to apply.
+    pub(crate) owed: OwedHeap,
     /// Epoch-parallel lane marker (see [`crate::mt`]). `Some` makes this
     /// engine an execution lane, and holds the lock names of the plan of
     /// the one transaction the lane is running: the deterministic epoch
@@ -250,8 +240,7 @@ impl SmDb {
             pending_commits: Vec::new(),
             violations: ViolationTable::new(),
             inherited_deps: BTreeMap::new(),
-            unflushed_rollbacks: BTreeSet::new(),
-            instant: InstantRedoState::default(),
+            owed: OwedHeap::default(),
             mt_plan: None,
         };
         if db.cfg.with_index {
@@ -1582,10 +1571,6 @@ impl SmDb {
             lsns.push(lsn);
         }
         self.ckpt.install(CheckpointMeta { node_lsns: lsns.clone() });
-        // Every rollback a restart left in the caches is on disk, and the
-        // redo bound is past the rolled-back records: nothing can bring
-        // them back, so the analysis need not be told about them.
-        self.unflushed_rollbacks.clear();
         // Log reclamation: recovery never scans below the checkpoint for
         // redo (every page is flushed), and never needs undo information
         // below the first record of any still-active transaction. The

@@ -77,7 +77,7 @@
 
 use crate::engine::{engine_ctx, SmDb};
 use crate::error::DbError;
-use crate::restart::InstantRedoState;
+use crate::restart::OwedHeap;
 use crate::stats::EngineStats;
 use crate::txn::Op;
 use serde::{Deserialize, Serialize};
@@ -379,8 +379,7 @@ impl SmDb {
             pending_commits: Vec::new(),
             violations: ViolationTable::new(),
             inherited_deps: BTreeMap::new(),
-            unflushed_rollbacks: BTreeSet::new(),
-            instant: InstantRedoState::default(),
+            owed: OwedHeap::default(),
             mt_plan: Some(Vec::new()),
         }
     }

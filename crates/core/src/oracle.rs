@@ -524,10 +524,7 @@ impl SmDb {
                 if committed && values.get(rec).is_none_or(|(g, _, _)| gsn >= g) {
                     values.insert(*rec, (*gsn, *txn, after.clone()));
                 }
-                // Doomed now, or rolled back by an earlier restart and not
-                // yet checkpointed: never redone.
-                let dead = doomed.contains(txn) || self.unflushed_rollbacks.contains(txn);
-                let redo = r.lsn > bound && !dead && (committed || !is_analysed);
+                let redo = r.lsn > bound && !doomed.contains(txn) && (committed || !is_analysed);
                 if redo && plan.get(rec).is_none_or(|(g, _, _)| gsn >= g) {
                     plan.insert(*rec, (*gsn, *txn, after.clone()));
                 }

@@ -16,11 +16,13 @@
 //! the analysis reduces the retained logs to the heap lines the crash
 //! destroyed plus, per record, its *final* on-page bytes — the redo image
 //! of the highest-GSN candidate, or the last committed value under a null
-//! tag wherever undo wins. One routine installs a lost page
-//! ([`SmDb::install_lost_page`]) and one writes a plan entry
-//! ([`SmDb::write_heap_entry`]); an *eager* restart applies the plan before
-//! the database opens ([`SmDb::apply_heap_plan`]), an *instant* restart
-//! leaves the same plan pending and applies it on first access
+//! tag wherever undo wins (those are written through to the stable image
+//! as the plan is built: no later restart could re-derive them). One
+//! routine installs a lost page ([`SmDb::install_lost_page`]) and one
+//! writes a plan entry ([`SmDb::write_heap_entry`]); an *eager* restart
+//! applies the plan before the database opens
+//! ([`SmDb::apply_heap_plan`]), an *instant* restart leaves the same plan
+//! pending and applies it on first access
 //! ([`SmDb::ensure_line_recovered`]) or from the background drain
 //! ([`SmDb::drain_redo`]). The FA-only baseline — abort *every* active
 //! transaction and rebuild, the behaviour the paper's protocols exist to
@@ -186,12 +188,15 @@ pub struct InstantRedoCounters {
     pub skipped_stable: u64,
 }
 
-/// What an instant restart still owes the heap past its early open: the
-/// plan entries not yet applied and the crash-lost lines not yet
-/// installed. Empty whenever no drain is in progress (`scrub_tags` aside,
-/// which every restart sets for its installs).
+/// What the restart owes the heap: the plan entries not yet applied and
+/// the crash-lost lines not yet installed, plus the scrub set its installs
+/// use. An eager restart pays before the open, so it only ever sets
+/// `scrub_tags`, and clears it as it returns; an instant restart leaves
+/// the rest here past its early open, for first access and the background
+/// drain. The full restart sets nothing and installs raw stable images:
+/// its undo is all plan entries, and it runs no tag scan.
 #[derive(Default)]
-pub(crate) struct InstantRedoState {
+pub(crate) struct OwedHeap {
     /// The deferred plan in its own order; an entry flips to `None` once
     /// retired.
     entries: Vec<Option<HeapWrite>>,
@@ -210,13 +215,14 @@ pub(crate) struct InstantRedoState {
     /// Node ids whose undo tags an install scrubs from the stable image:
     /// the nodes down at plan time. Their transactions are rolled back by
     /// this restart, so a tag of theirs on a record no plan entry
-    /// overwrites is stale.
+    /// overwrites is stale. Set by [`SmDb::ifa_restart`], read by
+    /// [`SmDb::install_lost_page`], cleared once nothing is owed.
     scrub_tags: BTreeSet<u16>,
     /// Lifetime counters.
     counters: InstantRedoCounters,
 }
 
-impl InstantRedoState {
+impl OwedHeap {
     /// Leave `plan` pending past the open, and the crash-lost lines
     /// registered under their pages.
     fn defer(&mut self, plan: Vec<HeapWrite>, lost_pages: BTreeMap<PageId, Vec<LineId>>) {
@@ -239,6 +245,13 @@ impl InstantRedoState {
         self.lost_pages.clear();
         self.lost_left = 0;
         self.scrub_tags.clear();
+    }
+
+    /// Nothing owed any more: no install is left to read the scrub set.
+    fn settle(&mut self) {
+        if self.pending == 0 && self.lost_left == 0 {
+            self.scrub_tags.clear();
+        }
     }
 
     /// Whether `line` of `page` is registered lost.
@@ -292,10 +305,6 @@ struct TxnClass {
     doomed: bool,
     /// Already rolled back by an earlier recovery or a voluntary abort.
     settled_aborted: bool,
-    /// Rolled back by an earlier recovery whose heap writes no checkpoint
-    /// has flushed yet ([`SmDb::unflushed_rollbacks`]): for heap records
-    /// it is doomed still — never redone, undone again unless superseded.
-    rolled_back: bool,
 }
 
 /// A page-major table over heap records: one chunk of slots per heap
@@ -601,7 +610,7 @@ impl SmDb {
         // retained logs (a checkpoint cannot have advanced the bound past
         // a pending entry — it drains first), so the stale deferred
         // entries and their coherence marks are dropped wholesale.
-        self.instant.clear_plan();
+        self.owed.clear_plan();
         self.m.clear_all_unrecovered();
         let clock0 = self.m.max_clock();
         let (crashed_active, dep_doomed) = self.doomed_partition();
@@ -690,14 +699,14 @@ impl SmDb {
         self.pending_recovery.clear();
         self.pending_lost_lines = 0;
         self.pending_total_failure = false;
-        if self.instant.pending > 0 {
+        if self.owed.pending > 0 {
             // Instant restart: the database opens *here*, with the heap
             // redo plan still pending. Mark every affected line so the
             // coherence layer refuses to migrate or replicate its stale
             // bytes before the deferred redo applies. The index is fully
             // recovered (index redo is never deferred), but reinstalled
             // heap lines stay stale until the drain completes.
-            for &line in self.instant.by_line.keys() {
+            for &line in self.owed.by_line.keys() {
                 self.m.mark_unrecovered(line);
             }
             self.m.obs().metrics.add(names::RESTART_OPEN_EARLY_CYCLES, cycles);
@@ -707,6 +716,7 @@ impl SmDb {
             // redone and undone; their contents are authoritative again.
             self.stale_heap_lines.clear();
             self.stale_tree_pages.clear();
+            self.owed.settle();
         }
         Ok(outcome)
     }
@@ -937,16 +947,8 @@ impl SmDb {
                 // the schedule fuzzer.) It still feeds the last-writer
                 // maps so the stale-tag predicate sees the true history.
                 settled_aborted: status == Some(TxnStatus::Aborted),
-                // The exception, for heap records: until a checkpoint has
-                // flushed a restart's rollback, its only copy can die with
-                // a cache, so the records keep counting — unless a later
-                // update shows the record re-written (end of this scan).
-                rolled_back: self.unflushed_rollbacks.contains(&txn),
             }
         };
-        // Heap updates of rolled-back transactions, kept aside until every
-        // log is folded: `(gsn, rec, before image on a surviving log)`.
-        let mut rolled_back_updates: Vec<(u64, RecId, Option<bytes::Bytes>)> = Vec::new();
         let to_arr = |b: &bytes::Bytes| {
             let mut v = [0u8; 8];
             let n = b.len().min(8);
@@ -988,7 +990,7 @@ impl SmDb {
                         c
                     }
                 };
-                let TxnClass { committed, doomed: is_doomed, settled_aborted, rolled_back } = class;
+                let TxnClass { committed, doomed: is_doomed, settled_aborted } = class;
                 // Redo candidacy: strictly past the checkpoint bound and
                 // never doomed; analysed nodes (and everyone, under a
                 // full restart) contribute committed work only.
@@ -1046,25 +1048,16 @@ impl SmDb {
                     continue;
                 };
                 let at = LogPos { node: n, lsn: d.lsn };
-                let redo = redo && !rolled_back;
                 if let Some(last_rec) = &mut last_rec {
                     *last_rec.slot_mut(rec) = committed;
-                    if !committed && (!settled_aborted || rolled_back) {
+                    if !committed && !settled_aborted {
                         let (_, undo, _) = self.logged_update(&a, at, rec)?;
                         a.uncommitted_undo.slot_mut(rec).push((gsn, txn, undo.clone()));
-                        if rolled_back {
-                            rolled_back_updates.push((gsn, rec, None));
-                        } else {
-                            a.uncommitted_recs.insert(rec);
-                        }
+                        a.uncommitted_recs.insert(rec);
                     }
-                } else if is_doomed || rolled_back {
+                } else if is_doomed {
                     let (_, undo, _) = self.logged_update(&a, at, rec)?;
-                    if rolled_back {
-                        rolled_back_updates.push((gsn, rec, Some(undo.clone())));
-                    } else {
-                        a.doomed_updates.push((gsn, rec, undo.clone()));
-                    }
+                    a.doomed_updates.push((gsn, rec, undo.clone()));
                 }
                 if committed || redo {
                     let fold = a.heap.slot_mut(rec);
@@ -1079,20 +1072,6 @@ impl SmDb {
             }
             if let Some(last_rec) = last_rec {
                 a.last_rec_committed.insert(n, last_rec);
-            }
-        }
-        // A rolled-back update is undone again only while it is still its
-        // record's last word. Every update since the rollback is retained
-        // (no checkpoint has completed, or the transaction would not be in
-        // the set), so a later one in the folds means the record was
-        // legitimately re-written and the old trace must stay out.
-        for (gsn, rec, before) in rolled_back_updates {
-            if a.heap.get(rec).is_some_and(|f| f.redo.gsn.max(f.committed.gsn) > gsn) {
-                continue;
-            }
-            match before {
-                Some(before) => a.doomed_updates.push((gsn, rec, before)),
-                None => drop(a.uncommitted_recs.insert(rec)),
             }
         }
         Ok(a)
@@ -1130,11 +1109,19 @@ impl SmDb {
     /// redo, so such a record gets no redo entry and one write of its last
     /// committed value under a null tag instead.
     ///
+    /// An entry where undo wins is also written through to the **stable
+    /// image**, here, while its transaction still counts as doomed: the
+    /// last phase settles it, every later analysis skips a settled
+    /// transaction's records, and nothing would re-derive the entry if the
+    /// only corrected copy then died with a cache — or with the pending
+    /// plan, past an early open — over a stable image that still held the
+    /// stolen update.
+    ///
     /// With `own_node`, a redo entry is written by its update's own node
     /// when that survives; the full restart, where every transaction dies,
     /// writes everything as the recovery node.
     fn heap_plan(
-        &self,
+        &mut self,
         analysis: &StableAnalysis,
         outcome: &mut RecoveryOutcome,
         recovery_node: NodeId,
@@ -1192,6 +1179,9 @@ impl SmDb {
             let node =
                 if own_node && !self.m.is_crashed(txn.node()) { txn.node() } else { recovery_node };
             plan.push(HeapWrite { rec, line, bytes, node, undo: false });
+        }
+        for (rec, bytes) in &undo {
+            self.sdb.patch(rec.page, self.layout.page_offset(rec.slot), bytes);
         }
         plan.extend(undo.into_iter().map(|(rec, bytes)| HeapWrite {
             rec,
@@ -1422,21 +1412,21 @@ impl SmDb {
     /// is not closed until they are resident again, or a raw full-page
     /// reader (checkpoint flush) trips over a still-lost line.
     pub fn redo_pending(&self) -> usize {
-        self.instant.pending + self.instant.lost_left
+        self.owed.pending + self.owed.lost_left
     }
 
     /// Lifetime instant-redo counters (entries planned at open points,
     /// applied on demand, applied by the background drain, retired as
     /// stable-image skips).
     pub fn instant_redo_counters(&self) -> InstantRedoCounters {
-        self.instant.counters
+        self.owed.counters
     }
 
     /// Whether a pending deferred entry holds `rec`'s final bytes.
-    fn instant_covers(&self, rec: RecId) -> bool {
+    fn pending_covers(&self, rec: RecId) -> bool {
         let line = self.rec_line(rec);
-        self.instant.by_line.get(&line).is_some_and(|idxs| {
-            idxs.iter().any(|&i| self.instant.entries[i].as_ref().is_some_and(|e| e.rec == rec))
+        self.owed.by_line.get(&line).is_some_and(|idxs| {
+            idxs.iter().any(|&i| self.owed.entries[i].as_ref().is_some_and(|e| e.rec == rec))
         })
     }
 
@@ -1487,8 +1477,8 @@ impl SmDb {
             let stale_tag = |k: &usize| {
                 let tag = RecordLayout::tag_of(&bytes[k * rec_size..]);
                 tag != NULL_TAG
-                    && self.instant.scrub_tags.contains(&tag)
-                    && !self.instant_covers(RecId::new(page, ((idx - 1) * rpl + k) as u16))
+                    && self.owed.scrub_tags.contains(&tag)
+                    && !self.pending_covers(RecId::new(page, ((idx - 1) * rpl + k) as u16))
             };
             let scrub: Vec<usize> = (0..if idx == 0 { 0 } else { rpl }).filter(stale_tag).collect();
             if scrub.is_empty() {
@@ -1508,13 +1498,13 @@ impl SmDb {
     /// [`Self::install_lost_page`] over what is still registered for
     /// `page` past an instant restart's open (possibly nothing).
     fn install_registered(&mut self, node: NodeId, page: PageId) -> Result<(), DbError> {
-        let lost = self.instant.take_lost(page);
+        let lost = self.owed.take_lost(page);
         self.install_lost_page(node, page, &lost)
     }
 
     /// Install every page still carrying registered lost lines, as `node`.
     fn install_all_lost(&mut self, node: NodeId) -> Result<(), DbError> {
-        while let Some(&page) = self.instant.lost_pages.keys().next() {
+        while let Some(&page) = self.owed.lost_pages.keys().next() {
             self.install_registered(node, page)?;
         }
         Ok(())
@@ -1522,14 +1512,11 @@ impl SmDb {
 
     /// **The** heap write of recovery, one plan entry as `actor`: skip when
     /// nothing is cached and the stable image already agrees; otherwise
-    /// write through the coherent store and leave the page dirty for the
-    /// next checkpoint. The coherent write notes no page-LSN entry, and a
-    /// page whose stolen update is undone here was *flushed* since its
-    /// last update — clean to the table — so the explicit zero-LSN entry
-    /// (dirty, no force requirement: the source records are already
-    /// stable) is what makes that checkpoint write the corrected image
-    /// back before it advances the redo bound and lets the trace be
-    /// truncated. Returns whether a write happened.
+    /// write through the coherent store. The page is dirty to the next
+    /// checkpoint already: a crash keeps the page-LSN entries of the
+    /// updates being redone ([`smdb_wal::PageLsnTable::reset_node`]), and
+    /// where undo wins over a page flushed since, the plan wrote the entry
+    /// through to the stable image. Returns whether a write happened.
     fn write_heap_entry(&mut self, actor: NodeId, entry: &HeapWrite) -> Result<bool, DbError> {
         let HeapWrite { rec, line, ref bytes, .. } = *entry;
         let off = self.layout.page_offset(rec.slot);
@@ -1551,12 +1538,11 @@ impl SmDb {
         // A page with lost lines must be installed before the coherent
         // write can fault it in (the machine refuses lost lines); a page
         // held nowhere is installed the same way, for the tag scrub.
-        if !cached || self.instant.lost_pages.contains_key(&rec.page) {
+        if !cached || self.owed.lost_pages.contains_key(&rec.page) {
             self.install_registered(actor, rec.page)?;
         }
         let mut ctx = engine_ctx!(self);
         ctx.write(actor, rec.page, off, bytes)?;
-        self.plt.note_update(rec.page, actor, Lsn::ZERO);
         Ok(true)
     }
 
@@ -1603,8 +1589,8 @@ impl SmDb {
         // The page-LSN header line gates every resident-page probe: if the
         // crash destroyed it (even with the record's own line intact), the
         // page must be installed before any access.
-        let lost = self.instant.is_lost(page, line) || self.instant.is_lost(page, header);
-        if !lost && !self.instant.by_line.contains_key(&line) {
+        let lost = self.owed.is_lost(page, line) || self.owed.is_lost(page, header);
+        if !lost && !self.owed.by_line.contains_key(&line) {
             return Ok(());
         }
         // Crash point: the accessing node dies before the inline redo.
@@ -1614,7 +1600,7 @@ impl SmDb {
         if lost {
             self.install_registered(node, page)?;
         }
-        if let Some(idxs) = self.instant.by_line.get(&line).cloned() {
+        if let Some(idxs) = self.owed.by_line.get(&line).cloned() {
             for idx in idxs {
                 self.apply_pending_entry(idx, node, false)?;
             }
@@ -1642,24 +1628,25 @@ impl SmDb {
         }
         let mut drained = 0usize;
         while drained < batch {
-            let Some(idx) = self.instant.next_pending() else {
+            let Some(idx) = self.owed.next_pending() else {
                 break;
             };
             self.apply_pending_entry(idx, node, true)?;
             drained += 1;
         }
-        if self.instant.pending == 0 {
+        if self.owed.pending == 0 {
             // Plan drained: install what is still lost too, so the
             // fully-drained state matches an eager recovery (every lost
             // line resident again, stale stable tags scrubbed).
             self.install_all_lost(node)?;
+            self.owed.settle();
             if self.pending_recovery.is_empty() {
                 self.stale_heap_lines.clear();
                 self.stale_tree_pages.clear();
             }
         }
-        let planned = self.instant.entries.len() as u64;
-        let retired = planned - self.instant.pending as u64;
+        let planned = self.owed.entries.len() as u64;
+        let retired = planned - self.owed.pending as u64;
         let obs = self.m.obs();
         if obs.timeline.is_enabled() {
             obs.timeline.recovery_progress(self.m.max_clock(), 0, retired, planned);
@@ -1676,7 +1663,7 @@ impl SmDb {
         actor: NodeId,
         background: bool,
     ) -> Result<(), DbError> {
-        let Some(entry) = self.instant.entries[idx].take() else {
+        let Some(entry) = self.owed.entries[idx].take() else {
             return Ok(());
         };
         let line = entry.line;
@@ -1687,12 +1674,12 @@ impl SmDb {
             Ok(w) => w,
             Err(e) => {
                 self.m.mark_unrecovered(line);
-                self.instant.entries[idx] = Some(entry);
+                self.owed.entries[idx] = Some(entry);
                 return Err(e);
             }
         };
-        self.instant.pending -= 1;
-        let line_done = match self.instant.by_line.get_mut(&line) {
+        self.owed.pending -= 1;
+        let line_done = match self.owed.by_line.get_mut(&line) {
             Some(list) => {
                 list.retain(|&i| i != idx);
                 list.is_empty()
@@ -1700,7 +1687,7 @@ impl SmDb {
             None => true,
         };
         if line_done {
-            self.instant.by_line.remove(&line);
+            self.owed.by_line.remove(&line);
         } else {
             self.m.mark_unrecovered(line);
         }
@@ -1709,16 +1696,17 @@ impl SmDb {
             obs.metrics.inc(names::RESTART_REDO_APPLIED);
             if background {
                 obs.metrics.inc(names::RESTART_REDO_BACKGROUND);
-                self.instant.counters.background += 1;
+                self.owed.counters.background += 1;
             } else {
                 obs.metrics.inc(names::RESTART_REDO_ON_DEMAND);
-                self.instant.counters.on_demand += 1;
+                self.owed.counters.on_demand += 1;
             }
         } else {
             obs.metrics.inc(names::RESTART_REDO_SKIPPED);
-            self.instant.counters.skipped_stable += 1;
+            self.owed.counters.skipped_stable += 1;
         }
-        if self.instant.pending == 0 && self.pending_recovery.is_empty() {
+        self.owed.settle();
+        if self.owed.pending == 0 && self.pending_recovery.is_empty() {
             // Drain complete: every reinstalled heap line has its redo
             // applied; contents are authoritative again. (With a crash
             // pending, the stale knowledge is instead carried into the
@@ -1752,13 +1740,8 @@ impl SmDb {
         let crashed_set: BTreeSet<NodeId> = down.iter().copied().collect();
         let scheme = self.cfg.protocol.restart_scheme();
         // Phase 1 ("stable_undo"): the single analysis scan over every
-        // retained log. Stolen updates are not patched in the stable
-        // database here: their undo is a plan entry like any other, the
-        // coherent write dirties the page, and the next checkpoint — which
-        // drains a pending plan first — writes the corrected image back.
-        // Until then the trace stays in the retained logs and its
-        // transaction in `unflushed_rollbacks`, which is what a later
-        // recovery re-derives the entry from.
+        // retained log. The undo it finds — stolen updates included — is
+        // not applied here: it becomes plan entries ([`Self::heap_plan`]).
         let span = self.begin_phase("stable_undo");
         self.m.obs().metrics.inc(names::RESTART_ANALYSIS_SCANS);
         self.note_table_walk();
@@ -1786,7 +1769,7 @@ impl SmDb {
         let span = self.begin_phase("reinstall");
         let lost: Vec<LineId> = self.m.iter_lost().collect();
         let heap_lost = lost.partition_point(|l| self.is_heap_line(*l));
-        self.instant.scrub_tags.extend(down.iter().map(|n| n.0));
+        self.owed.scrub_tags.extend(down.iter().map(|n| n.0));
         // Record whether the crash destroyed *any* tree line first: if it
         // did not, every index effect still lives in a coherent cache and
         // the Selective scheme can skip index replay entirely.
@@ -1857,8 +1840,7 @@ impl SmDb {
         let lost = &lost[..heap_lost];
         if self.cfg.instant_restart {
             let lost_pages = by_page(self.layout.geometry, lost);
-            self.instant
-                .defer(plan, lost_pages.map(|(page, lines)| (page, lines.to_vec())).collect());
+            self.owed.defer(plan, lost_pages.map(|(page, lines)| (page, lines.to_vec())).collect());
         } else {
             self.apply_heap_plan(plan, lost, outcome, recovery_node)?;
         }
@@ -1915,7 +1897,6 @@ impl SmDb {
         let span = self.begin_phase("txn_table");
         for &txn in crashed_active {
             self.settle_aborted(txn);
-            self.unflushed_rollbacks.insert(txn);
             self.pending_waits.remove(&txn);
             self.locks.drop_chain(txn);
             self.shadow.drop_pending(txn);
@@ -1966,7 +1947,7 @@ impl SmDb {
         // (each line at its lowest holder; stable within a holder).
         candidates.sort_by_key(|c| c.0);
         for (_, line, rec, tag) in candidates {
-            if self.instant_covers(rec) {
+            if self.pending_covers(rec) {
                 // A pending plan entry holds this record's final bytes;
                 // applying it (on access or drain) overwrites tag and
                 // payload both.
@@ -1982,7 +1963,7 @@ impl SmDb {
             // before the coherent write below probes the page for
             // residency.
             let header = LineId(self.layout.geometry.line_addr(rec.page, 0));
-            if self.instant.is_lost(rec.page, header) {
+            if self.owed.is_lost(rec.page, header) {
                 self.install_registered(recovery_node, rec.page)?;
             }
             let off = self.layout.page_offset(rec.slot);
@@ -2109,7 +2090,6 @@ impl SmDb {
         let active: Vec<TxnId> = self.active_txns(None);
         for txn in &active {
             self.settle_aborted(*txn);
-            self.unflushed_rollbacks.insert(*txn);
             self.shadow.drop_pending(*txn);
         }
         self.stats.crash_aborts += active.len() as u64;

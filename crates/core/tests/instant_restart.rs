@@ -43,16 +43,18 @@ fn drain_all(db: &mut SmDb, node: NodeId) {
 
 /// Undo work for the heap plan, left in flight by N0: an update a
 /// checkpoint *steals* into the stable database (committed value
-/// underneath), and — the transaction runs on N2 as well — a doomed update
-/// on a log that survives N0's crash.
-fn seed_stolen_and_doomed(db: &mut SmDb) {
+/// underneath), and — with `on_survivor`, the transaction runs on N2 as
+/// well — a doomed update on a log, and in a cache, that survive N0's crash.
+fn seed_undo_work(db: &mut SmDb, on_survivor: bool) {
     let t = db.begin(N0).unwrap();
     db.update(t, 40, b"committed-40").unwrap();
     db.commit(t).unwrap();
     let t = db.begin(N0).unwrap();
     db.update(t, 40, b"stolen-wip").unwrap();
-    db.attach(t, N2).unwrap();
-    db.update_on(t, N2, 44, b"doomed-wip").unwrap();
+    if on_survivor {
+        db.attach(t, N2).unwrap();
+        db.update_on(t, N2, 44, b"doomed-wip").unwrap();
+    }
     db.checkpoint(N1).unwrap();
 }
 
@@ -75,7 +77,7 @@ fn instant_recovery_defers_redo_then_drains_to_eager_state() {
         let mut eager = mk(p, false);
         let mut instant = mk(p, true);
         for db in [&mut eager, &mut instant] {
-            seed_stolen_and_doomed(db);
+            seed_undo_work(db, true);
             seed_history(db);
             db.crash_and_recover(&[N0]).unwrap();
         }
@@ -116,22 +118,28 @@ fn instant_recovery_defers_redo_then_drains_to_eager_state() {
     }
 }
 
-/// Restart undoes a stolen update through the cache, not by patching the
-/// stable database: the corrected image reaches disk with the next
-/// checkpoint, and until then a crash of whoever holds it is recovered
-/// from the trace the retained logs still carry.
+/// The restart that plans a stolen update's undo also writes it through to
+/// the stable image: its last phase settles the transaction, and a settled
+/// transaction's records are skipped by every later analysis — so the
+/// corrected value must not live in a cache alone, nor in a plan still
+/// pending past an early open. A second crash of whoever holds the undone
+/// copies, after the drain or (instant restart) before it, leaves the
+/// record at its last committed value, and one checkpoint later so does
+/// every stable image.
 #[test]
-fn stolen_update_undo_reaches_disk_with_the_next_checkpoint() {
+fn stolen_update_undo_reaches_disk() {
     for p in ProtocolKind::ifa_protocols() {
         for instant in [false, true] {
-            for holder_crashes_first in [false, true] {
-                let at = format!("{p:?} instant={instant} second crash={holder_crashes_first}");
+            for second_crash in [None, Some("after drain"), Some("before drain")] {
+                let at = format!("{p:?} instant={instant} second crash={second_crash:?}");
                 let mut db = mk(p, instant);
-                seed_stolen_and_doomed(&mut db);
+                // Not before the drain: see the known defect below.
+                seed_undo_work(&mut db, second_crash != Some("before drain"));
                 let host = db.crash_and_recover(&[N0]).unwrap().recovery_node;
-                drain_all(&mut db, host);
-                let survivor = if holder_crashes_first {
-                    // The undone copies live in the host's cache alone.
+                if second_crash != Some("before drain") {
+                    drain_all(&mut db, host);
+                }
+                let survivor = if second_crash.is_some() {
                     db.crash_and_recover(&[host]).unwrap();
                     let survivor = db.machine().surviving_nodes()[0];
                     drain_all(&mut db, survivor);
@@ -148,6 +156,25 @@ fn stolen_update_undo_reaches_disk_with_the_next_checkpoint() {
             }
         }
     }
+}
+
+/// Known defect, as old as instant restart: a pending undo entry over a
+/// line a *survivor still caches* is not re-derived when a second crash
+/// drops the plan before the drain reaches it — its transaction settled
+/// with the first restart, so the analysis skips the record and the cached
+/// copy keeps the rolled-back bytes. (Where the crash destroyed the line,
+/// the stable image the plan wrote through is what comes back.) One of the
+/// uncompensated-rollback family: ROADMAP item 1.
+#[test]
+#[ignore = "known defect: a second crash before the drain loses a pending undo entry over a survivor-cached line"]
+fn known_defect_pending_undo_over_a_cached_line_must_survive_a_second_crash() {
+    let mut db = mk(ProtocolKind::StableEager, true);
+    seed_undo_work(&mut db, true);
+    let host = db.crash_and_recover(&[N0]).unwrap().recovery_node;
+    assert_ne!(host, N2, "N2's cache must outlive the second crash");
+    db.crash_and_recover(&[host]).unwrap();
+    drain_all(&mut db, N2);
+    db.check_ifa(N2).assert_ok();
 }
 
 #[test]

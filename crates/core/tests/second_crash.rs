@@ -1,11 +1,16 @@
-//! A second crash after a checkpoint: committed data whose only up-to-date
-//! copy sits in a cache must still be *dirty* to the checkpoint that
-//! advances the redo bound past its log records. Two ways the fact was
-//! lost: the full restart redid a value into a cache without marking the
-//! page, and a crash erased the crashed node's page-LSN entries — the only
-//! record that a page another node still caches differs from its stable
-//! image. Each scenario acknowledged a commit and then read the
-//! pre-update bytes.
+//! A second crash, and what only it exposes.
+//!
+//! After a checkpoint: committed data whose only up-to-date copy sits in a
+//! cache must still be *dirty* to the checkpoint that advances the redo
+//! bound past its log records. A crash used to erase the crashed node's
+//! page-LSN entries — the only record that a page differs from its stable
+//! image, whether the full restart has just redone the value into a cache
+//! or another node still caches it. Each of the three scenarios
+//! acknowledged a commit and then read the pre-update bytes.
+//!
+//! With no checkpoint between: what the first restart knew about a
+//! transaction it rolled back is gone by the second (the cascade-victim
+//! scenario).
 
 use smdb_core::{DbConfig, ProtocolKind, SmDb};
 use smdb_sim::NodeId;
@@ -91,6 +96,39 @@ fn crashed_inserters_index_page_stays_dirty_while_a_survivor_caches_it() {
             assert_eq!(db.lookup(r, 77).unwrap(), Some(*b"kept-77."), "{p:?} instant={instant}");
             db.commit(r).unwrap();
             db.check_ifa(N0).assert_ok();
+        }
+    }
+}
+
+/// Early lock release: T overwrites P's uncommitted value, so the before
+/// image T logs is not a committed value. When P's node dies with P's
+/// update still in its volatile tail, the restart rolls T back to the last
+/// committed value because it knows the record is contaminated — knowledge
+/// that goes away with T's inherited dependencies. A later restart must
+/// therefore never undo T again from its surviving log: the before image
+/// there is P's. (Redo All is left out: it replays T's *after* image from
+/// that log — the uncompensated-rollback defect, ROADMAP item 1.)
+#[test]
+fn cascade_victims_before_image_is_never_written_by_a_later_restart() {
+    for p in [ProtocolKind::VolatileSelectiveRedo, ProtocolKind::StableEager] {
+        for instant in [false, true] {
+            let cfg = DbConfig::small(4, p).with_early_lock_release();
+            let mut db = SmDb::new(if instant { cfg.with_instant_restart() } else { cfg });
+            let base = db.begin(NodeId(2)).unwrap();
+            db.update(base, 7, b"base").unwrap();
+            db.commit(base).unwrap();
+            let pred = db.begin(N0).unwrap();
+            db.update(pred, 7, b"from-p").unwrap();
+            db.commit_pipelined(pred).unwrap();
+            let victim = db.begin(N1).unwrap();
+            db.update(victim, 7, b"from-t").unwrap();
+            db.commit_pipelined(victim).unwrap();
+            recover_and_drain(&mut db, &[N0]);
+            assert_eq!(&db.current_value(7).unwrap()[..4], b"base", "{p:?} instant={instant}");
+            // An unrelated node, before any checkpoint.
+            recover_and_drain(&mut db, &[NodeId(3)]);
+            assert_eq!(&db.current_value(7).unwrap()[..4], b"base", "{p:?} instant={instant}");
+            db.check_ifa(N1).assert_ok();
         }
     }
 }

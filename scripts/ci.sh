@@ -88,11 +88,13 @@ echo "== one heap-recovery path: second crash + eager vs instant =="
 # routine, before the open (eager) or after it (instant) — DESIGN §9,
 # §14. second_crash: a checkpoint between two crashes must still see the
 # pages a dead node dirtied, and the full restart's redo, as dirty (each
-# scenario lost an acknowledged commit). instant_restart: the drained
-# instant state equals the eager one — values, tags, and one checkpoint
-# later the stable images — on a history with a stolen update and a
-# doomed update on a surviving log, and a stolen update's undo survives
-# a crash of the cache that held it.
+# scenario lost an acknowledged commit); and a later restart must never
+# write a cascade victim's logged before image. instant_restart: the
+# drained instant state equals the eager one — values, tags, and one
+# checkpoint later the stable images — on a history with a stolen update
+# and a doomed update on a surviving log, and a stolen update's undo
+# survives a crash of the cache that held it, or of the plan that still
+# owed it.
 cargo test --release -q -p smdb-core --test second_crash --test instant_restart
 
 echo "== schedule fuzz (bounded, fixed seeds) =="
@@ -101,8 +103,8 @@ echo "== schedule fuzz (bounded, fixed seeds) =="
 # every run. A failure prints shrunk one-line repros (and scripts/fuzz.sh
 # collects them in results/fuzz_failures.txt); replay any line with
 #   cargo run -q --release -p smdb-bench --bin fuzz -- --replay "LINE"
-# These are scripts/fuzz.sh's default seeds; 0x5EED (one known-red
-# schedule, pinned as an ignored test) runs only when named.
+# These are scripts/fuzz.sh's default seeds; 0x5EED (two known-red
+# schedules, pinned as ignored tests) runs only when named.
 SMDB_FUZZ_BUDGET="${SMDB_FUZZ_BUDGET:-500}" scripts/fuzz.sh 0xC0DE 0xBEEF 0xD00D1234
 
 echo "== benchmark smoke (perf --smoke) =="

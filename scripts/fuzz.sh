@@ -22,10 +22,10 @@ BUDGET="${SMDB_FUZZ_BUDGET:-500}"
 SHRINK="${SMDB_FUZZ_SHRINK_BUDGET:-400}"
 SEEDS=("$@")
 if [ ${#SEEDS[@]} -eq 0 ]; then
-    # The clean battery. 0x5EED stays out of it: its one red schedule is
-    # pinned as an `#[ignore = "known defect: …"]` test in
+    # The clean battery. 0x5EED stays out of it: its two red schedules are
+    # pinned as `#[ignore = "known defect: …"]` tests in
     # crates/vopr/tests/vopr.rs (`known_defect_*`); run it by name —
-    # `scripts/fuzz.sh 0x5EED` — to see it.
+    # `scripts/fuzz.sh 0x5EED` — to see them.
     SEEDS=(0xC0DE 0xBEEF 0xD00D1234)
 fi
 
