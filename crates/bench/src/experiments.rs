@@ -469,9 +469,6 @@ pub struct RecoveryScalingPoint {
     pub redo_skipped: u64,
     /// Highest per-node checkpoint LSN bounding the redo scan.
     pub ckpt_bound_lsn: u64,
-    /// Recovery wall-clock, nanoseconds (host-dependent; the CSV carries
-    /// it for the report, the gates use the deterministic cycle counts).
-    pub wall_ns: u64,
 }
 
 /// Grow the pre-crash history with and without periodic sharp
@@ -501,9 +498,7 @@ pub fn e7_recovery_scaling(
                     },
                 );
                 let _ = spawn_active(&mut db, 2, 2, true, 5);
-                let t0 = std::time::Instant::now();
                 let outcome = db.crash_and_recover(&[NodeId(0)]).expect("recovery");
-                let wall_ns = t0.elapsed().as_nanos() as u64;
                 db.check_ifa(NodeId(1)).assert_ok();
                 out.push(RecoveryScalingPoint {
                     protocol: format!("{p:?}"),
@@ -516,7 +511,6 @@ pub fn e7_recovery_scaling(
                         + outcome.redo_skipped_stable
                         + outcome.redo_superseded,
                     ckpt_bound_lsn: outcome.ckpt_bound_lsn,
-                    wall_ns,
                 });
             }
         }
@@ -1067,10 +1061,6 @@ pub struct MulticorePoint {
     pub threads: usize,
     /// Transactions committed (identical across thread counts).
     pub committed: u64,
-    /// Host wall-clock for the run, microseconds. The only
-    /// non-deterministic column — everything else is byte-identical
-    /// across thread counts by construction.
-    pub wall_micros: u64,
     /// Simulated machine makespan, cycles (thread-count-invariant).
     pub sim_cycles: u64,
     /// Epochs the scheduler split the run into.
@@ -1132,9 +1122,7 @@ pub fn e12_multicore(txns: usize) -> Vec<MulticorePoint> {
             let mut db = SmDb::new(
                 DbConfig::bench(8, ProtocolKind::VolatileSelectiveRedo).with_sim_shards(64),
             );
-            let t0 = std::time::Instant::now();
             let (report, o) = run_mix_mt(&mut db, params.clone(), threads).expect("multicore run");
-            let wall_micros = t0.elapsed().as_micros() as u64;
             db.check_ifa(NodeId(0)).assert_ok();
             let mut digest = 0xcbf2_9ce4_8422_2325u64;
             for slot in 0..db.record_count() as u64 {
@@ -1152,7 +1140,6 @@ pub fn e12_multicore(txns: usize) -> Vec<MulticorePoint> {
                 cell: cell.to_string(),
                 threads,
                 committed: report.committed,
-                wall_micros,
                 sim_cycles: report.sim_cycles,
                 epochs: o.epochs,
                 max_epoch_txns: o.max_epoch_txns,
@@ -1165,19 +1152,6 @@ pub fn e12_multicore(txns: usize) -> Vec<MulticorePoint> {
         }
     }
     out
-}
-
-// ----------------------------------------------------------------------
-// Shared small helpers for the report binary and benches
-// ----------------------------------------------------------------------
-
-/// Run a mix and a single-node crash; return the recovery outcome (used
-/// by the `recovery` criterion bench).
-pub fn mix_then_crash(protocol: ProtocolKind, txns: usize, sharing: f64) -> RecoveryOutcome {
-    let mut db = bench_db(protocol);
-    run_mix(&mut db, MixParams { txns, sharing, ..Default::default() });
-    let _ = spawn_active(&mut db, 2, 2, true, 5);
-    db.crash_and_recover(&[NodeId(7)]).expect("recovery")
 }
 
 #[cfg(test)]

@@ -1,69 +1,4 @@
-//! Parallel experiment harness: fan independent, deterministic experiment
-//! cells across OS threads and merge the results in submission order.
-//!
-//! Every experiment in this crate is a pure function of its parameters
-//! (the simulator is fully deterministic), so cells can run on any thread
-//! in any order. The harness guarantees the *merged* result vector is in
-//! the original cell order regardless of `jobs`, which is what lets the
-//! `report` binary promise byte-identical stdout/CSV output for
-//! sequential and parallel runs.
-//!
-//! No external dependencies: `std::thread::scope` plus an atomic
-//! work-stealing index.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
-/// Run `f` over `items`, `jobs` at a time, returning results in the
-/// original item order.
-///
-/// * `jobs == 1` (or one item) short-circuits to a plain sequential loop
-///   on the calling thread — no thread is spawned, so a sequential run is
-///   exactly the old code path.
-/// * `jobs > 1` spawns `min(jobs, items.len())` scoped workers that pull
-///   the next unclaimed index from a shared atomic counter (coarse-grained
-///   work stealing: cells have very uneven runtimes).
-///
-/// Panics in `f` are not isolated: a panicking worker poisons the result
-/// mutex and the whole call panics, which is the right behaviour for a
-/// benchmark driver (fail loudly, never emit a partial report).
-pub fn parallel_map<T, R, F>(items: Vec<T>, jobs: usize, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, T) -> R + Sync,
-{
-    let n = items.len();
-    if jobs <= 1 || n <= 1 {
-        return items.into_iter().enumerate().map(|(i, t)| f(i, t)).collect();
-    }
-    let workers = jobs.min(n);
-    // Items are taken by value, one per cell; results land at the cell's
-    // original index so the merge order is fixed.
-    let slots: Mutex<Vec<Option<T>>> = Mutex::new(items.into_iter().map(Some).collect());
-    let results: Mutex<Vec<Option<R>>> = Mutex::new((0..n).map(|_| None).collect());
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let item = slots.lock().expect("cell slots").get_mut(i).and_then(Option::take);
-                let item = item.expect("cell claimed once");
-                let r = f(i, item);
-                results.lock().expect("cell results")[i] = Some(r);
-            });
-        }
-    });
-    results
-        .into_inner()
-        .expect("workers joined")
-        .into_iter()
-        .map(|r| r.expect("every cell ran"))
-        .collect()
-}
+//! Small host-side helpers shared with the benchmark (`perf/`).
 
 /// Peak resident set size of this process in kilobytes, if the platform
 /// exposes it (`VmHWM` in `/proc/self/status` on Linux).
@@ -77,7 +12,7 @@ pub fn peak_rss_kb() -> Option<u64> {
     None
 }
 
-/// Minimal JSON string escaping for the hand-rolled report writer (the
+/// Minimal JSON string escaping for `perf`'s hand-rolled writers (the
 /// container has no serde; names and labels are ASCII identifiers but we
 /// escape defensively anyway).
 pub fn json_escape(s: &str) -> String {
@@ -99,33 +34,6 @@ pub fn json_escape(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sequential_and_parallel_agree_in_order() {
-        let items: Vec<u64> = (0..37).collect();
-        let seq = parallel_map(items.clone(), 1, |i, x| (i, x * x));
-        for jobs in [2, 3, 8, 64] {
-            let par = parallel_map(items.clone(), jobs, |i, x| (i, x * x));
-            assert_eq!(par, seq, "jobs={jobs} must merge in submission order");
-        }
-    }
-
-    #[test]
-    fn uneven_cell_runtimes_still_merge_in_order() {
-        // Later cells finish first (they sleep less); order must hold.
-        let items: Vec<u64> = (0..8).collect();
-        let out = parallel_map(items, 4, |i, x| {
-            std::thread::sleep(std::time::Duration::from_millis(8 - x));
-            i
-        });
-        assert_eq!(out, (0..8).collect::<Vec<usize>>());
-    }
-
-    #[test]
-    fn empty_and_single_item_edge_cases() {
-        assert_eq!(parallel_map(Vec::<u8>::new(), 4, |_, x| x), Vec::<u8>::new());
-        assert_eq!(parallel_map(vec![9u8], 4, |_, x| x + 1), vec![10]);
-    }
 
     #[test]
     fn json_escape_handles_specials() {

@@ -321,6 +321,21 @@ fn golden_e3_e4_stats_equivalence() {
     check_golden("e3_e4_stats.golden", &got);
 }
 
+/// `report --fast`: its stdout, then every CSV `--csv` writes, through the
+/// entry point the binary calls. These are the paper-mapped tables
+/// EXPERIMENTS.md quotes, all in simulated cycles and counts: a change
+/// that moves a row says so and explains it.
+#[test]
+fn golden_report_fast() {
+    let report = smdb_bench::report::render(true, &[]).expect("every cell renders");
+    let mut got = report.text;
+    for (name, contents) in &report.csvs {
+        let _ = writeln!(got, "--- results/{name}.csv ---");
+        got += contents;
+    }
+    check_golden("report_fast.golden", &got);
+}
+
 #[test]
 fn golden_restart_outcome() {
     let mut got = String::new();

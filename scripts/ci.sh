@@ -136,60 +136,4 @@ else
     echo "clippy not installed; skipping"
 fi
 
-echo "== bench trajectory (non-blocking) =="
-# Wall-clock is machine-dependent; a regression here warns but never
-# fails the gate. See scripts/bench.sh for the blocking local variant.
-if ! scripts/bench.sh; then
-    echo "bench gate failed (non-blocking): inspect BENCH_report.json" >&2
-fi
-
-echo "== E8 forward-path report (non-blocking) =="
-# Refresh the forward-path fast-lane CSV (DESIGN §10). The blocking
-# acceptance gate is the e8_forward integration test, already run by the
-# workspace test step above; this render is informational only.
-if ! ./target/release/report --e8fwd --fast --csv > /dev/null; then
-    echo "e8fwd report failed (non-blocking): rerun report --e8fwd" >&2
-fi
-
-echo "== E9-lat latency report (non-blocking) =="
-# Refresh the transaction-latency breakdown CSV (DESIGN §11). The
-# blocking gates are the e9_latency / exporter_golden / metric_names
-# integration tests, already run by the workspace test step above.
-if ! ./target/release/report --e9lat --fast --csv > /dev/null; then
-    echo "e9lat report failed (non-blocking): rerun report --e9lat" >&2
-fi
-
-echo "== E10-elr early-lock-release report (non-blocking) =="
-# Refresh the controlled-lock-violation CSV (DESIGN §12). The blocking
-# acceptance gate is the e10_elr integration test (speedup, lock-wait
-# reduction, durability parity), already run by the workspace test step.
-if ! ./target/release/report --e10elr --fast --csv > /dev/null; then
-    echo "e10elr report failed (non-blocking): rerun report --e10elr" >&2
-fi
-
-echo "== E11 instant-restart report (non-blocking) =="
-# Refresh the instant-restart CSV (DESIGN §14). The blocking acceptance
-# gate is the e11_instant integration test (TTFT speedup, drained-state
-# digest equality, redo parity), already run by the workspace test step.
-if ! ./target/release/report --e11instant --fast --csv > /dev/null; then
-    echo "e11instant report failed (non-blocking): rerun report --e11instant" >&2
-fi
-
-echo "== E12 multicore scaling report (non-blocking) =="
-# Refresh the multicore scaling CSV (DESIGN §15). The blocking gates are
-# the e12_multicore / mt_determinism integration tests, already run by
-# the workspace test steps; the ≥1.6× wall-clock gate self-skips on
-# hosts with fewer than four cores.
-if ! ./target/release/report --e12mt --fast --csv > /dev/null; then
-    echo "e12mt report failed (non-blocking): rerun report --e12mt" >&2
-fi
-
-echo "== observability overhead smoke (non-blocking) =="
-# The disabled-path contract (one relaxed load + branch per emission
-# site) is wall-clock sensitive; run the bench in test mode so broken
-# instrumentation fails loudly without gating on timings.
-if ! cargo bench -q -p smdb-bench --bench obs_overhead -- --test > /dev/null; then
-    echo "obs_overhead smoke failed (non-blocking)" >&2
-fi
-
 echo "CI OK"
