@@ -9,7 +9,7 @@
 //!
 //! Like the bus and registry, the tracker is a shared handle gated on a
 //! relaxed [`AtomicBool`]: while disabled every mutator is a single load
-//! plus branch, verified by the `obs_overhead` micro-benchmark.
+//! plus branch.
 
 use crate::metrics::Histogram;
 use std::collections::BTreeMap;
