@@ -9,6 +9,7 @@
 pub mod experiments;
 pub mod harness;
 pub mod report;
+pub mod table;
 
 pub use experiments::*;
 pub use harness::{json_escape, peak_rss_kb};

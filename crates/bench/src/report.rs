@@ -3,28 +3,18 @@
 //! question (`perf/README.md`).
 //!
 //! [`render`] is the one entry point: the `report` binary prints what it
-//! returns, and `tests/report.rs` pins the `--fast` rendering byte for
-//! byte (`tests/golden/report_fast.golden`).
+//! returns, and `tests/golden_stats.rs` pins the `--fast` rendering byte
+//! for byte (`tests/golden/report_fast.golden`). Each cell declares its
+//! table as one column list ([`crate::table`]).
 
 use crate as x;
-use std::fmt::Write as _;
+use crate::table::{csv, text_table, Align::L, Align::R, Col};
 
 /// The rendered output of one experiment cell: its stdout section and,
-/// for the cells that have one, the rows of `results/<cell name>.csv`.
+/// for the cells that have one, the contents of `results/<cell name>.csv`.
 struct Section {
     text: String,
-    csv: Option<Csv>,
-}
-
-struct Csv {
-    header: &'static str,
-    rows: Vec<String>,
-}
-
-impl Section {
-    fn text_only(text: String) -> Section {
-        Section { text, csv: None }
-    }
+    csv: Option<String>,
 }
 
 /// An experiment cell: its unique name (also the stem of its CSV file)
@@ -38,23 +28,23 @@ pub struct Cell {
 
 /// Every cell, in report order.
 pub const CELLS: [Cell; 17] = [
-    Cell { name: "table1", run: table1_cell },
-    Cell { name: "e1_line_lock", run: e1_cell },
-    Cell { name: "e2_abort_counts", run: e2_cell },
-    Cell { name: "e3_recovery_cost", run: e3_cell },
-    Cell { name: "e4_log_forces", run: e4_cell },
-    Cell { name: "e5_coherence", run: e5_cell },
-    Cell { name: "e6_update_protocol", run: e6_cell },
-    Cell { name: "e7_lock_recovery", run: e7_cell },
-    Cell { name: "e7_recovery_scaling", run: e7scale_cell },
-    Cell { name: "e9_colocation", run: e9_cell },
-    Cell { name: "e8_btree_recovery", run: e8_cell },
-    Cell { name: "e8_forward_throughput", run: e8fwd_cell },
-    Cell { name: "e9_latency", run: e9lat_cell },
-    Cell { name: "e10_blast_radius", run: e10_cell },
-    Cell { name: "e10_elr", run: e10elr_cell },
-    Cell { name: "e11_instant_restart", run: e11instant_cell },
-    Cell { name: "e12_multicore", run: e12mt_cell },
+    Cell { name: "table1", run: table1 },
+    Cell { name: "e1_line_lock", run: e1_line_lock },
+    Cell { name: "e2_abort_counts", run: e2_abort_counts },
+    Cell { name: "e3_recovery_cost", run: e3_recovery_cost },
+    Cell { name: "e4_log_forces", run: e4_log_forces },
+    Cell { name: "e5_coherence", run: e5_coherence },
+    Cell { name: "e6_update_protocol", run: e6_update_protocol },
+    Cell { name: "e7_lock_recovery", run: e7_lock_recovery },
+    Cell { name: "e7_recovery_scaling", run: e7_recovery_scaling },
+    Cell { name: "e9_colocation", run: e9_colocation },
+    Cell { name: "e8_btree_recovery", run: e8_btree_recovery },
+    Cell { name: "e8_forward_throughput", run: e8_forward_throughput },
+    Cell { name: "e9_latency", run: e9_latency },
+    Cell { name: "e10_blast_radius", run: e10_blast_radius },
+    Cell { name: "e10_elr", run: e10_elr },
+    Cell { name: "e11_instant_restart", run: e11_instant_restart },
+    Cell { name: "e12_multicore", run: e12_multicore },
 ];
 
 /// A rendered report: what `report` prints, and the CSV files `--csv`
@@ -81,14 +71,7 @@ pub fn render(fast: bool, names: &[String]) -> Result<Report, String> {
     for cell in CELLS.iter().filter(|c| names.is_empty() || names.iter().any(|n| n == c.name)) {
         let section = (cell.run)(fast);
         text += &section.text;
-        if let Some(csv) = section.csv {
-            let mut file = format!("{}\n", csv.header);
-            for row in &csv.rows {
-                file += row;
-                file.push('\n');
-            }
-            csvs.push((cell.name, file));
-        }
+        csvs.extend(section.csv.map(|file| (cell.name, file)));
     }
     text += "done.\n";
     Ok(Report { text, csvs })
@@ -112,777 +95,445 @@ fn mix_txns(fast: bool) -> usize {
     }
 }
 
-fn table1_cell(fast: bool) -> Section {
-    let t1_txns = t1_txns(fast);
-    let mut s = String::new();
-    let p = &mut s;
-    let _ = writeln!(p, "== Table 1: incremental overheads of protocols ensuring IFA ==");
-    let _ = writeln!(
-        p,
-        "   workload: TP1 debit-credit, 8 nodes, {t1_txns} transactions, history index\n"
-    );
-    let rows = x::table1_overheads(t1_txns);
-    let _ = writeln!(
-        p,
-        "{:<24} {:>10} {:>10} {:>9} {:>10} {:>9}",
-        "protocol", "structural", "read-lock", "undo-tag", "LBM", "committed"
-    );
-    let _ = writeln!(
-        p,
-        "{:<24} {:>10} {:>10} {:>9} {:>10} {:>9}",
-        "", "early-cmts", "log recs", "writes", "forces", "txns"
-    );
-    for r in &rows {
-        let _ = writeln!(
-            p,
-            "{:<24} {:>10} {:>10} {:>9} {:>10} {:>9}",
-            r.protocol,
-            r.structural_early_commits,
-            r.read_lock_records,
-            r.undo_tag_writes,
-            r.lbm_forces,
-            r.committed
-        );
+fn on_off(on: bool) -> &'static str {
+    if on {
+        "on"
+    } else {
+        "off"
     }
-    let csv = Some(Csv {
-        header: "protocol,structural_early_commits,read_lock_records,undo_tag_writes,lbm_forces,commit_forces,committed",
-        rows: rows
-            .iter()
-            .map(|r| {
-                format!(
-                    "{},{},{},{},{},{},{}",
-                    r.protocol,
-                    r.structural_early_commits,
-                    r.read_lock_records,
-                    r.undo_tag_writes,
-                    r.lbm_forces,
-                    r.commit_forces,
-                    r.committed
-                )
-            })
-            .collect(),
-    });
-    let _ = writeln!(
-        p,
-        "\n   paper's checkmark matrix (✓ = overhead incurred), derived from the counts:"
-    );
-    let _ = writeln!(
-        p,
-        "{:<32} {:>12} {:>18} {:>12}",
-        "overhead", "Stable LBM", "Vol.+SelectiveRedo", "Vol.+RedoAll"
-    );
-    let find = |s: &str| rows.iter().find(|r| r.protocol.contains(s)).expect("row");
-    let sel = find("VolatileSelective");
-    let all = find("VolatileRedoAll");
-    let stable = find("StableTriggered");
-    let mark = |v: u64| if v > 0 { "✓" } else { "—" };
-    let _ = writeln!(
-        p,
-        "{:<32} {:>12} {:>18} {:>12}",
-        "early commit of structural chgs",
-        mark(stable.structural_early_commits),
-        mark(sel.structural_early_commits),
-        mark(all.structural_early_commits)
-    );
-    let _ = writeln!(
-        p,
-        "{:<32} {:>12} {:>18} {:>12}",
-        "logging of read locks",
-        mark(stable.read_lock_records),
-        mark(sel.read_lock_records),
-        mark(all.read_lock_records)
-    );
-    let _ = writeln!(
-        p,
-        "{:<32} {:>12} {:>18} {:>12}",
-        "undo tagging",
-        mark(stable.undo_tag_writes),
-        mark(sel.undo_tag_writes),
-        mark(all.undo_tag_writes)
-    );
-    let _ = writeln!(
-        p,
-        "{:<32} {:>12} {:>18} {:>12}",
-        "higher frequency of log forces",
-        mark(stable.lbm_forces),
-        mark(sel.lbm_forces),
-        mark(all.lbm_forces)
-    );
-    let _ = writeln!(p);
-    Section { text: s, csv }
 }
 
-fn e1_cell(_fast: bool) -> Section {
-    let mut s = String::new();
-    let p = &mut s;
-    let _ = writeln!(p, "== E1 (§5.1): line-lock acquisition latency vs contention ==");
-    let _ = writeln!(p, "   paper (KSR-1 measurements): <10 µs uncontended, <40 µs at 32-way\n");
-    let _ = writeln!(p, "{:>10} {:>12} {:>12}", "contenders", "mean (µs)", "max (µs)");
+fn table1(fast: bool) -> Section {
+    let txns = t1_txns(fast);
+    type C = Col<x::OverheadRow>;
+    let cols = [
+        C::new("protocol", L(24), "protocol", |r| r.protocol.clone()),
+        C::new("structural\nearly-cmts", R(10), "structural_early_commits", |r| {
+            r.structural_early_commits
+        }),
+        C::new("read-lock\nlog recs", R(10), "read_lock_records", |r| r.read_lock_records),
+        C::new("undo-tag\nwrites", R(9), "undo_tag_writes", |r| r.undo_tag_writes),
+        C::new("LBM\nforces", R(10), "lbm_forces", |r| r.lbm_forces),
+        C::csv_only("commit_forces", |r| r.commit_forces),
+        C::new("committed\ntxns", R(9), "committed", |r| r.committed),
+    ];
+    let rows = x::table1_overheads(txns);
+    // The paper's matrix is the transpose: one row per overhead class, one
+    // column per protocol, a checkmark where the measured count is non-zero.
+    type Class = (&'static str, fn(&x::OverheadRow) -> u64);
+    let classes: [Class; 4] = [
+        ("early commit of structural chgs", |r| r.structural_early_commits),
+        ("logging of read locks", |r| r.read_lock_records),
+        ("undo tagging", |r| r.undo_tag_writes),
+        ("higher frequency of log forces", |r| r.lbm_forces),
+    ];
+    let protocol = |heading, width, name: &str| {
+        let row = rows.iter().find(|r| r.protocol.contains(name)).expect("row").clone();
+        let mark = move |class: &Class| if class.1(&row) > 0 { "✓" } else { "—" };
+        Col::text_only(heading, R(width), mark)
+    };
+    let matrix = [
+        Col::text_only("overhead", L(32), |class: &Class| class.0),
+        protocol("Stable LBM", 12, "StableTriggered"),
+        protocol("Vol.+SelectiveRedo", 18, "VolatileSelective"),
+        protocol("Vol.+RedoAll", 12, "VolatileRedoAll"),
+    ];
+    let text = format!(
+        "== Table 1: incremental overheads of protocols ensuring IFA ==\n   \
+         workload: TP1 debit-credit, 8 nodes, {txns} transactions, history index\n\n\
+         {}\n   \
+         paper's checkmark matrix (✓ = overhead incurred), derived from the counts:\n\
+         {}\n",
+        text_table(&cols, &rows),
+        text_table(&matrix, &classes)
+    );
+    Section { text, csv: Some(csv(&cols, &rows)) }
+}
+
+fn e1_line_lock(_fast: bool) -> Section {
+    type C = Col<x::LineLockPoint>;
+    let cols = [
+        C::new("contenders", R(10), "contenders", |p| p.contenders),
+        C::new("mean (µs)", R(12), "mean_us", |p| p.mean_us)
+            .text_as(|p| format!("{:.2}", p.mean_us)),
+        C::new("max (µs)", R(12), "max_us", |p| p.max_us).text_as(|p| format!("{:.2}", p.max_us)),
+    ];
     let pts = x::e1_line_lock_contention(32);
-    for pt in &pts {
-        if [1, 2, 4, 8, 16, 24, 32].contains(&pt.contenders) {
-            let _ = writeln!(p, "{:>10} {:>12.2} {:>12.2}", pt.contenders, pt.mean_us, pt.max_us);
-        }
-    }
-    let csv = Some(Csv {
-        header: "contenders,mean_us,max_us",
-        rows: pts
-            .iter()
-            .map(|pt| format!("{},{},{}", pt.contenders, pt.mean_us, pt.max_us))
-            .collect(),
-    });
-    let _ = writeln!(p);
-    Section { text: s, csv }
+    let shown = pts.iter().filter(|p| [1, 2, 4, 8, 16, 24, 32].contains(&p.contenders));
+    let text = format!(
+        "== E1 (§5.1): line-lock acquisition latency vs contention ==\n   \
+         paper (KSR-1 measurements): <10 µs uncontended, <40 µs at 32-way\n\n\
+         {}\n",
+        text_table(&cols, shown)
+    );
+    Section { text, csv: Some(csv(&cols, &pts)) }
 }
 
-fn e2_cell(fast: bool) -> Section {
-    let mut s = String::new();
-    let p = &mut s;
-    let _ = writeln!(p, "== E2 (§1/§3.3): transactions aborted by a single node crash ==");
-    let _ = writeln!(p, "   (per-node active txns: 3; the paper's motivation — at KSR-1 scale a");
-    let _ = writeln!(p, "    single failure would otherwise affect thousands of transactions)\n");
+fn e2_abort_counts(fast: bool) -> Section {
+    type C = Col<x::AbortCountPoint>;
+    let cols = [
+        C::new("nodes", R(6), "nodes", |p| p.nodes),
+        C::new("active", R(8), "active", |p| p.active),
+        C::new("FA-only aborts", R(16), "fa_only_aborts", |p| p.fa_only_aborts),
+        C::new("IFA aborts", R(12), "ifa_aborts", |p| p.ifa_aborts),
+        C::text_only("saved", R(8), |p| format!("{}x", p.fa_only_aborts / p.ifa_aborts.max(1))),
+    ];
     let sizes: &[u16] = if fast { &[2, 8, 32] } else { &[2, 8, 32, 128, 1088] };
-    let _ = writeln!(
-        p,
-        "{:>6} {:>8} {:>16} {:>12} {:>8}",
-        "nodes", "active", "FA-only aborts", "IFA aborts", "saved"
-    );
     let pts = x::e2_abort_counts(sizes, 3);
-    for pt in &pts {
-        let _ = writeln!(
-            p,
-            "{:>6} {:>8} {:>16} {:>12} {:>7}x",
-            pt.nodes,
-            pt.active,
-            pt.fa_only_aborts,
-            pt.ifa_aborts,
-            pt.fa_only_aborts / pt.ifa_aborts.max(1)
-        );
-    }
-    let csv = Some(Csv {
-        header: "nodes,active,fa_only_aborts,ifa_aborts",
-        rows: pts
-            .iter()
-            .map(|pt| format!("{},{},{},{}", pt.nodes, pt.active, pt.fa_only_aborts, pt.ifa_aborts))
-            .collect(),
-    });
-    let _ = writeln!(p);
-    Section { text: s, csv }
+    let text = format!(
+        "== E2 (§1/§3.3): transactions aborted by a single node crash ==\n   \
+         (per-node active txns: 3; the paper's motivation — at KSR-1 scale a\n    \
+         single failure would otherwise affect thousands of transactions)\n\n\
+         {}\n",
+        text_table(&cols, &pts)
+    );
+    Section { text, csv: Some(csv(&cols, &pts)) }
 }
 
-fn e3_cell(fast: bool) -> Section {
-    let mix_txns = mix_txns(fast);
-    let mut s = String::new();
-    let p = &mut s;
-    let _ = writeln!(p, "== E3 (§4.1.2): Redo All vs Selective Redo recovery cost ==\n");
-    let _ = writeln!(
-        p,
-        "{:<24} {:>8} {:>8} {:>9} {:>8} {:>8} {:>12} {:>7}",
-        "protocol", "sharing", "redo", "skipped", "undo", "scanned", "rec cycles", "lost"
+fn e3_recovery_cost(fast: bool) -> Section {
+    type C = Col<x::RecoveryCostPoint>;
+    let cols = [
+        C::new("protocol", L(24), "protocol", |p| p.protocol.clone()),
+        C::new("sharing", R(8), "sharing", |p| p.sharing).text_as(|p| format!("{:.1}", p.sharing)),
+        C::new("redo", R(8), "redo_applied", |p| p.redo_applied),
+        C::new("skipped", R(9), "redo_skipped_cached", |p| p.redo_skipped_cached),
+        C::new("undo", R(8), "undo_applied", |p| p.undo_applied),
+        C::new("scanned", R(8), "scan_records", |p| p.scan_records),
+        C::new("rec cycles", R(12), "recovery_cycles", |p| p.recovery_cycles),
+        C::new("lost", R(7), "lost_lines", |p| p.lost_lines),
+        C::new("st-undo", R(8), "phase_stable_undo_cycles", |p| p.phase_stable_undo),
+        C::new("reinstall", R(9), "phase_reinstall_cycles", |p| p.phase_reinstall),
+        C::new("discard", R(8), "phase_cache_discard_cycles", |p| p.phase_cache_discard),
+        C::new("redo", R(8), "phase_redo_cycles", |p| p.phase_redo),
+        C::new("undo", R(8), "phase_undo_cycles", |p| p.phase_undo),
+        C::new("locks", R(8), "phase_lock_recovery_cycles", |p| p.phase_lock_recovery),
+        C::new("txn-tbl", R(8), "phase_txn_table_cycles", |p| p.phase_txn_table),
+    ];
+    let pts = x::e3_recovery_cost(mix_txns(fast), &[0.1, 0.5, 0.9]);
+    let (totals, phases) = cols.split_at(8);
+    let text = format!(
+        "== E3 (§4.1.2): Redo All vs Selective Redo recovery cost ==\n\n\
+         {}\n   \
+         per-phase breakdown of recovery cycles (IFA restart phases):\n\n\
+         {}\n",
+        text_table(totals, &pts),
+        text_table(totals[..2].iter().chain(phases), &pts)
     );
-    let pts = x::e3_recovery_cost(mix_txns, &[0.1, 0.5, 0.9]);
-    for pt in &pts {
-        let _ = writeln!(
-            p,
-            "{:<24} {:>8.1} {:>8} {:>9} {:>8} {:>8} {:>12} {:>7}",
-            pt.protocol,
-            pt.sharing,
-            pt.redo_applied,
-            pt.redo_skipped_cached,
-            pt.undo_applied,
-            pt.scan_records,
-            pt.recovery_cycles,
-            pt.lost_lines
-        );
-    }
-    let _ = writeln!(p, "\n   per-phase breakdown of recovery cycles (IFA restart phases):\n");
-    let _ = writeln!(
-        p,
-        "{:<24} {:>8} {:>8} {:>9} {:>8} {:>8} {:>8} {:>8} {:>8}",
-        "protocol",
-        "sharing",
-        "st-undo",
-        "reinstall",
-        "discard",
-        "redo",
-        "undo",
-        "locks",
-        "txn-tbl"
-    );
-    for pt in &pts {
-        let _ = writeln!(
-            p,
-            "{:<24} {:>8.1} {:>8} {:>9} {:>8} {:>8} {:>8} {:>8} {:>8}",
-            pt.protocol,
-            pt.sharing,
-            pt.phase_stable_undo,
-            pt.phase_reinstall,
-            pt.phase_cache_discard,
-            pt.phase_redo,
-            pt.phase_undo,
-            pt.phase_lock_recovery,
-            pt.phase_txn_table
-        );
-    }
-    let csv = Some(Csv {
-        header: "protocol,sharing,redo_applied,redo_skipped_cached,undo_applied,scan_records,recovery_cycles,lost_lines,\
-             phase_stable_undo_cycles,phase_reinstall_cycles,phase_cache_discard_cycles,phase_redo_cycles,\
-             phase_undo_cycles,phase_lock_recovery_cycles,phase_txn_table_cycles",
-        rows: pts
-            .iter()
-            .map(|pt| {
-                format!(
-                    "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
-                    pt.protocol,
-                    pt.sharing,
-                    pt.redo_applied,
-                    pt.redo_skipped_cached,
-                    pt.undo_applied,
-                    pt.scan_records,
-                    pt.recovery_cycles,
-                    pt.lost_lines,
-                    pt.phase_stable_undo,
-                    pt.phase_reinstall,
-                    pt.phase_cache_discard,
-                    pt.phase_redo,
-                    pt.phase_undo,
-                    pt.phase_lock_recovery,
-                    pt.phase_txn_table
-                )
-            })
-            .collect(),
-    });
-    let _ = writeln!(p);
-    Section { text: s, csv }
+    Section { text, csv: Some(csv(&cols, &pts)) }
 }
 
-fn e4_cell(fast: bool) -> Section {
-    let mix_txns = mix_txns(fast);
-    let mut s = String::new();
-    let p = &mut s;
-    let _ = writeln!(p, "== E4 (§5.2/§7): log-force frequency by LBM policy and sharing rate ==\n");
-    let _ = writeln!(
-        p,
-        "{:<24} {:>8} {:>8} {:>8} {:>8} {:>8} {:>12}",
-        "protocol", "sharing", "forces", "commit", "LBM", "txns", "cyc/txn"
+fn e4_log_forces(fast: bool) -> Section {
+    type C = Col<x::LogForcePoint>;
+    let cols = [
+        C::new("protocol", L(24), "protocol", |p| p.protocol.clone()),
+        C::new("sharing", R(8), "sharing", |p| p.sharing).text_as(|p| format!("{:.1}", p.sharing)),
+        C::new("forces", R(8), "total_forces", |p| p.total_forces),
+        C::csv_only("forces_requested", |p| p.forces_requested),
+        C::new("commit", R(8), "commit_forces", |p| p.commit_forces),
+        C::new("LBM", R(8), "lbm_forces", |p| p.lbm_forces),
+        C::new("txns", R(8), "committed", |p| p.committed),
+        C::new("cyc/txn", R(12), "cycles_per_txn", |p| p.cycles_per_txn),
+    ];
+    let pts = x::e4_log_forces(mix_txns(fast), &[0.0, 0.5, 1.0], false);
+    let nvram = x::e4_log_forces(mix_txns(fast), &[0.5], true);
+    let text = format!(
+        "== E4 (§5.2/§7): log-force frequency by LBM policy and sharing rate ==\n\n\
+         {}\n   \
+         ablation: NVRAM log device (§7: Stable LBM becomes affordable)\n\n\
+         {}\n",
+        text_table(&cols, &pts),
+        text_table([&cols[0], &cols[1], &cols[2], &cols[7]], &nvram)
     );
-    let pts = x::e4_log_forces(mix_txns, &[0.0, 0.5, 1.0], false);
-    for pt in &pts {
-        let _ = writeln!(
-            p,
-            "{:<24} {:>8.1} {:>8} {:>8} {:>8} {:>8} {:>12}",
-            pt.protocol,
-            pt.sharing,
-            pt.total_forces,
-            pt.commit_forces,
-            pt.lbm_forces,
-            pt.committed,
-            pt.cycles_per_txn
-        );
-    }
-    let csv = Some(Csv {
-        header: "protocol,sharing,total_forces,forces_requested,commit_forces,lbm_forces,committed,cycles_per_txn",
-        rows: pts
-            .iter()
-            .map(|pt| {
-                format!(
-                    "{},{},{},{},{},{},{},{}",
-                    pt.protocol,
-                    pt.sharing,
-                    pt.total_forces,
-                    pt.forces_requested,
-                    pt.commit_forces,
-                    pt.lbm_forces,
-                    pt.committed,
-                    pt.cycles_per_txn
-                )
-            })
-            .collect(),
-    });
-    let _ = writeln!(p, "\n   ablation: NVRAM log device (§7: Stable LBM becomes affordable)\n");
-    let _ = writeln!(p, "{:<24} {:>8} {:>8} {:>12}", "protocol", "sharing", "forces", "cyc/txn");
-    for pt in x::e4_log_forces(mix_txns, &[0.5], true) {
-        let _ = writeln!(
-            p,
-            "{:<24} {:>8.1} {:>8} {:>12}",
-            pt.protocol, pt.sharing, pt.total_forces, pt.cycles_per_txn
-        );
-    }
-    let _ = writeln!(p);
-    Section { text: s, csv }
+    Section { text, csv: Some(csv(&cols, &pts)) }
 }
 
-fn e5_cell(fast: bool) -> Section {
-    let mix_txns = mix_txns(fast);
-    let mut s = String::new();
-    let p = &mut s;
-    let _ = writeln!(p, "== E5 (§7): write-invalidate vs write-broadcast recovery demands ==\n");
-    let _ = writeln!(
-        p,
-        "{:<18} {:>7} {:>7} {:>7} {:>14}",
-        "coherence", "lost", "redo", "undo", "traffic (msgs)"
+fn e5_coherence(fast: bool) -> Section {
+    type C = Col<x::CoherencePoint>;
+    let cols = [
+        C::text_only("coherence", L(18), |p| p.coherence.clone()),
+        C::text_only("lost", R(7), |p| p.lost_lines),
+        C::text_only("redo", R(7), |p| p.redo_applied),
+        C::text_only("undo", R(7), |p| p.undo_applied),
+        C::text_only("traffic (msgs)", R(14), |p| p.coherence_traffic),
+    ];
+    let text = format!(
+        "== E5 (§7): write-invalidate vs write-broadcast recovery demands ==\n\n{}\n",
+        text_table(&cols, &x::e5_coherence_comparison(mix_txns(fast)))
     );
-    for pt in x::e5_coherence_comparison(mix_txns) {
-        let _ = writeln!(
-            p,
-            "{:<18} {:>7} {:>7} {:>7} {:>14}",
-            pt.coherence, pt.lost_lines, pt.redo_applied, pt.undo_applied, pt.coherence_traffic
-        );
-    }
-    let _ = writeln!(p);
-    Section::text_only(s)
+    Section { text, csv: None }
 }
 
-fn e6_cell(fast: bool) -> Section {
-    let mix_txns = mix_txns(fast);
-    let mut s = String::new();
-    let p = &mut s;
-    let _ = writeln!(p, "== E6 (§6): update-protocol cost, line locks vs semaphores ==\n");
-    let _ = writeln!(
-        p,
-        "{:<14} {:>12} {:>14} {:>18}",
-        "primitive", "cyc/txn", "µs per update", "crit. section µs"
+fn e6_update_protocol(fast: bool) -> Section {
+    type C = Col<x::UpdateProtocolPoint>;
+    let cols = [
+        C::text_only("primitive", L(14), |p| p.primitive.clone()),
+        C::text_only("cyc/txn", R(12), |p| p.cycles_per_txn),
+        C::text_only("µs per update", R(14), |p| format!("{:.2}", p.us_per_update)),
+        C::text_only("crit. section µs", R(18), |p| format!("{:.2}", p.critical_section_us)),
+    ];
+    let text = format!(
+        "== E6 (§6): update-protocol cost, line locks vs semaphores ==\n\n{}\n",
+        text_table(&cols, &x::e6_update_protocol(mix_txns(fast)))
     );
-    let pts = x::e6_update_protocol(mix_txns);
-    for pt in &pts {
-        let _ = writeln!(
-            p,
-            "{:<14} {:>12} {:>14.2} {:>18.2}",
-            pt.primitive, pt.cycles_per_txn, pt.us_per_update, pt.critical_section_us
-        );
-    }
-    let _ = writeln!(p);
-    Section::text_only(s)
+    Section { text, csv: None }
 }
 
-fn e7_cell(_fast: bool) -> Section {
-    let mut s = String::new();
-    let p = &mut s;
-    let _ = writeln!(p, "== E7 (§4.2.2): lock-space recovery after a node crash ==\n");
-    let _ = writeln!(
-        p,
-        "{:<28} {:>9} {:>9} {:>9} {:>9} {:>9}",
-        "LCB layout", "lines", "released", "rebuilt", "restored", "promoted"
+fn e7_lock_recovery(_fast: bool) -> Section {
+    type C = Col<x::LockRecoveryPoint>;
+    let cols = [
+        C::text_only("LCB layout", L(28), |p| p.layout.clone()),
+        C::text_only("lines", R(9), |p| p.lines_reinstalled),
+        C::text_only("released", R(9), |p| p.crashed_entries_released),
+        C::text_only("rebuilt", R(9), |p| p.lcbs_reconstructed),
+        C::text_only("restored", R(9), |p| p.survivor_entries_restored),
+        C::text_only("promoted", R(9), |p| p.promotions),
+    ];
+    let text = format!(
+        "== E7 (§4.2.2): lock-space recovery after a node crash ==\n\n{}\n",
+        text_table(&cols, &x::e7_lock_recovery(4))
     );
-    for pt in x::e7_lock_recovery(4) {
-        let _ = writeln!(
-            p,
-            "{:<28} {:>9} {:>9} {:>9} {:>9} {:>9}",
-            pt.layout,
-            pt.lines_reinstalled,
-            pt.crashed_entries_released,
-            pt.lcbs_reconstructed,
-            pt.survivor_entries_restored,
-            pt.promotions
-        );
-    }
-    let _ = writeln!(p);
-    Section::text_only(s)
+    Section { text, csv: None }
 }
 
-fn e7scale_cell(fast: bool) -> Section {
-    let mut s = String::new();
-    let p = &mut s;
-    let _ = writeln!(p, "== E7b: checkpoint-bounded restart — recovery cost vs history length ==");
+fn e7_recovery_scaling(fast: bool) -> Section {
+    type C = Col<x::RecoveryScalingPoint>;
+    let cols = [
+        C::new("protocol", L(24), "protocol", |p| p.protocol.clone()),
+        C::new("history", R(8), "history_txns", |p| p.history_txns),
+        C::new("ckpt", R(6), "checkpoint_every", |p| p.checkpoint_every),
+        C::new("scanned", R(9), "scan_records", |p| p.scan_records),
+        C::new("redo", R(8), "redo_applied", |p| p.redo_applied),
+        C::new("skipped", R(9), "redo_skipped", |p| p.redo_skipped),
+        C::csv_only("ckpt_bound_lsn", |p| p.ckpt_bound_lsn),
+        C::new("rec cycles", R(12), "recovery_cycles", |p| p.recovery_cycles),
+    ];
     let interval = 25;
     let lens: &[usize] = if fast { &[50, 200] } else { &[50, 200, 400] };
-    let _ = writeln!(
-        p,
-        "   sharp checkpoint every {interval} txns vs none; crash one of 8 nodes after the mix\n"
-    );
-    let _ = writeln!(
-        p,
-        "{:<24} {:>8} {:>6} {:>9} {:>8} {:>9} {:>12}",
-        "protocol", "history", "ckpt", "scanned", "redo", "skipped", "rec cycles"
-    );
     let pts = x::e7_recovery_scaling(lens, interval);
-    for pt in &pts {
-        let _ = writeln!(
-            p,
-            "{:<24} {:>8} {:>6} {:>9} {:>8} {:>9} {:>12}",
-            pt.protocol,
-            pt.history_txns,
-            pt.checkpoint_every,
-            pt.scan_records,
-            pt.redo_applied,
-            pt.redo_skipped,
-            pt.recovery_cycles
-        );
-    }
-    let csv = Some(Csv {
-        header: "protocol,history_txns,checkpoint_every,scan_records,redo_applied,redo_skipped,\
-             ckpt_bound_lsn,recovery_cycles",
-        rows: pts
-            .iter()
-            .map(|pt| {
-                format!(
-                    "{},{},{},{},{},{},{},{}",
-                    pt.protocol,
-                    pt.history_txns,
-                    pt.checkpoint_every,
-                    pt.scan_records,
-                    pt.redo_applied,
-                    pt.redo_skipped,
-                    pt.ckpt_bound_lsn,
-                    pt.recovery_cycles
-                )
-            })
-            .collect(),
-    });
-    let _ = writeln!(p);
-    Section { text: s, csv }
-}
-
-fn e9_cell(fast: bool) -> Section {
-    let mix_txns = mix_txns(fast);
-    let mut s = String::new();
-    let p = &mut s;
-    let _ = writeln!(p, "== E9 (§3.1 ablation): record co-location per cache line ==\n");
-    let _ = writeln!(
-        p,
-        "{:>9} {:>9} {:>12} {:>7} {:>13} {:>11}",
-        "recs/line", "rec size", "ww traffic", "lost", "recovery ops", "B/rec slot"
+    let text = format!(
+        "== E7b: checkpoint-bounded restart — recovery cost vs history length ==\n   \
+         sharp checkpoint every {interval} txns vs none; crash one of 8 nodes after the mix\n\n\
+         {}\n",
+        text_table(&cols, &pts)
     );
-    for pt in x::e9_colocation(mix_txns) {
-        let _ = writeln!(
-            p,
-            "{:>9} {:>9} {:>12} {:>7} {:>13} {:>11}",
-            pt.records_per_line,
-            pt.rec_data_size,
-            pt.coherence_traffic,
-            pt.lost_lines,
-            pt.recovery_work,
-            pt.bytes_per_record_slot
-        );
-    }
-    let _ = writeln!(p);
-    Section::text_only(s)
+    Section { text, csv: Some(csv(&cols, &pts)) }
 }
 
-fn e8_cell(fast: bool) -> Section {
-    let mix_txns = mix_txns(fast);
-    let mut s = String::new();
-    let p = &mut s;
-    let _ = writeln!(p, "== E8 (§4.2.1): B-tree recovery ==\n");
-    let pt = x::e8_btree_recovery(mix_txns);
-    let _ = writeln!(p, "committed index ops:        {}", pt.committed_ops);
-    let _ = writeln!(p, "structural early commits:   {}", pt.structural_changes);
-    let _ = writeln!(p, "tree pages reinstalled:     {}", pt.pages_reinstalled);
-    let _ = writeln!(p, "index redo ops applied:     {}", pt.index_redo_applied);
-    let _ = writeln!(p, "index undo ops applied:     {}", pt.index_undo_applied);
-    let _ = writeln!(p);
-    Section::text_only(s)
-}
-
-fn e8fwd_cell(fast: bool) -> Section {
-    let t1_txns = t1_txns(fast);
-    let mut s = String::new();
-    let p = &mut s;
-    let _ = writeln!(p, "== E8-fwd: forward-path fast lane — TP1 with coalesced log forces ==");
-    let _ = writeln!(p, "   (8 nodes, {t1_txns} TP1 transactions per cell; coalescing defers LBM");
-    let _ = writeln!(p, "    force requests to the coherence trigger / next covering force)\n");
-    let _ = writeln!(
-        p,
-        "{:<24} {:>9} {:>8} {:>12} {:>10} {:>10} {:>10}",
-        "protocol", "coalesce", "txns", "cyc/txn", "requested", "physical", "fast-hits"
+fn e9_colocation(fast: bool) -> Section {
+    type C = Col<x::ColocationPoint>;
+    let cols = [
+        C::text_only("recs/line", R(9), |p| p.records_per_line),
+        C::text_only("rec size", R(9), |p| p.rec_data_size),
+        C::text_only("ww traffic", R(12), |p| p.coherence_traffic),
+        C::text_only("lost", R(7), |p| p.lost_lines),
+        C::text_only("recovery ops", R(13), |p| p.recovery_work),
+        C::text_only("B/rec slot", R(11), |p| p.bytes_per_record_slot),
+    ];
+    let text = format!(
+        "== E9 (§3.1 ablation): record co-location per cache line ==\n\n{}\n",
+        text_table(&cols, &x::e9_colocation(mix_txns(fast)))
     );
-    let pts = x::e8_forward_throughput(t1_txns);
-    for pt in &pts {
-        let _ = writeln!(
-            p,
-            "{:<24} {:>9} {:>8} {:>12} {:>10} {:>10} {:>10}",
-            pt.protocol,
-            if pt.coalesce { "on" } else { "off" },
-            pt.committed,
-            pt.cycles_per_txn,
-            pt.forces_requested,
-            pt.physical_forces,
-            pt.lock_fast_hits
-        );
-    }
-    let csv = Some(Csv {
-        header: "protocol,coalesce,committed,cycles_per_txn,tps_per_mcycle,forces_requested,\
-             physical_forces,records_forced,lock_fast_hits",
-        rows: pts
-            .iter()
-            .map(|pt| {
-                format!(
-                    "{},{},{},{},{},{},{},{},{}",
-                    pt.protocol,
-                    pt.coalesce,
-                    pt.committed,
-                    pt.cycles_per_txn,
-                    pt.tps_per_mcycle,
-                    pt.forces_requested,
-                    pt.physical_forces,
-                    pt.records_forced,
-                    pt.lock_fast_hits
-                )
-            })
-            .collect(),
-    });
-    let _ = writeln!(p);
-    Section { text: s, csv }
+    Section { text, csv: None }
 }
 
-fn e9lat_cell(fast: bool) -> Section {
-    let t1_txns = t1_txns(fast);
-    let mut s = String::new();
-    let p = &mut s;
-    let _ = writeln!(p, "== E9-lat: transaction-latency breakdown by protocol ==");
-    let _ = writeln!(p, "   (8 nodes, {t1_txns} TP1 transactions per protocol, spans enabled;");
-    let _ = writeln!(p, "    cycles attributed lock-wait / execute / log-append / force-wait /");
-    let _ = writeln!(p, "    commit; latencies in simulated cycles)\n");
-    let _ = writeln!(
-        p,
-        "{:<24} {:>6} {:>10} {:>10} {:>10} {:>7} {:>7} {:>7} {:>7} {:>7}",
-        "protocol", "txns", "p50", "p99", "p999", "lock%", "exec%", "appnd%", "force%", "commit%"
+fn e8_btree_recovery(fast: bool) -> Section {
+    let pt = x::e8_btree_recovery(mix_txns(fast));
+    let text = format!(
+        "== E8 (§4.2.1): B-tree recovery ==\n\n\
+         committed index ops:        {}\n\
+         structural early commits:   {}\n\
+         tree pages reinstalled:     {}\n\
+         index redo ops applied:     {}\n\
+         index undo ops applied:     {}\n\n",
+        pt.committed_ops,
+        pt.structural_changes,
+        pt.pages_reinstalled,
+        pt.index_redo_applied,
+        pt.index_undo_applied
     );
-    let pts = x::e9_latency(t1_txns);
-    for pt in &pts {
-        let total = pt.total_latency_cycles.max(1) as f64;
-        let pct = |c: u64| 100.0 * c as f64 / total;
-        let _ = writeln!(
-            p,
-            "{:<24} {:>6} {:>10} {:>10} {:>10} {:>6.1}% {:>6.1}% {:>6.1}% {:>6.1}% {:>6.1}%",
-            pt.protocol,
-            pt.committed,
-            pt.p50_cycles,
-            pt.p99_cycles,
-            pt.p999_cycles,
-            pct(pt.lock_wait_cycles),
-            pct(pt.execute_cycles),
-            pct(pt.log_append_cycles),
-            pct(pt.force_wait_cycles),
-            pct(pt.commit_cycles)
-        );
-    }
-    let csv = Some(Csv {
-        header: "protocol,committed,aborted,mean_cycles,p50_cycles,p99_cycles,p999_cycles,\
-             max_cycles,total_latency_cycles,lock_wait_cycles,execute_cycles,\
-             log_append_cycles,force_wait_cycles,commit_cycles,attributed_fraction",
-        rows: pts
-            .iter()
-            .map(|pt| {
-                format!(
-                    "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
-                    pt.protocol,
-                    pt.committed,
-                    pt.aborted,
-                    pt.mean_cycles,
-                    pt.p50_cycles,
-                    pt.p99_cycles,
-                    pt.p999_cycles,
-                    pt.max_cycles,
-                    pt.total_latency_cycles,
-                    pt.lock_wait_cycles,
-                    pt.execute_cycles,
-                    pt.log_append_cycles,
-                    pt.force_wait_cycles,
-                    pt.commit_cycles,
-                    pt.attributed_fraction
-                )
-            })
-            .collect(),
-    });
-    let _ = writeln!(p);
-    Section { text: s, csv }
+    Section { text, csv: None }
 }
 
-fn e10elr_cell(fast: bool) -> Section {
-    let mix_txns = mix_txns(fast);
-    let mut s = String::new();
-    let p = &mut s;
-    let _ = writeln!(p, "== E10-elr: early lock release + pipelined group commit ==");
-    let _ = writeln!(p, "   (8 nodes, {mix_txns} contended Zipf TP1 txns per cell, pipelined");
-    let _ = writeln!(p, "    commit window 8, polling locks, coalesced forces; ELR releases");
-    let _ = writeln!(p, "    write locks at commit-record append)\n");
-    let _ = writeln!(
-        p,
-        "{:<24} {:>4} {:>6} {:>10} {:>12} {:>8} {:>9} {:>6} {:>9}",
-        "protocol", "elr", "txns", "cyc/txn", "lock-wait", "stalls", "violated", "deps", "rec-frcd"
+fn e8_forward_throughput(fast: bool) -> Section {
+    type C = Col<x::ForwardPoint>;
+    let cols = [
+        C::new("protocol", L(24), "protocol", |p| p.protocol.clone()),
+        C::new("coalesce", R(9), "coalesce", |p| p.coalesce).text_as(|p| on_off(p.coalesce)),
+        C::new("txns", R(8), "committed", |p| p.committed),
+        C::new("cyc/txn", R(12), "cycles_per_txn", |p| p.cycles_per_txn),
+        C::csv_only("tps_per_mcycle", |p| p.tps_per_mcycle),
+        C::new("requested", R(10), "forces_requested", |p| p.forces_requested),
+        C::new("physical", R(10), "physical_forces", |p| p.physical_forces),
+        C::csv_only("records_forced", |p| p.records_forced),
+        C::new("fast-hits", R(10), "lock_fast_hits", |p| p.lock_fast_hits),
+    ];
+    let txns = t1_txns(fast);
+    let pts = x::e8_forward_throughput(txns);
+    let text = format!(
+        "== E8-fwd: forward-path fast lane — TP1 with coalesced log forces ==\n   \
+         (8 nodes, {txns} TP1 transactions per cell; coalescing defers LBM\n    \
+         force requests to the coherence trigger / next covering force)\n\n\
+         {}\n",
+        text_table(&cols, &pts)
     );
-    let pts = x::e10_elr(mix_txns);
-    for pt in &pts {
-        let _ = writeln!(
-            p,
-            "{:<24} {:>4} {:>6} {:>10} {:>12} {:>8} {:>9} {:>6} {:>9}",
-            pt.protocol,
-            if pt.elr { "on" } else { "off" },
-            pt.committed,
-            pt.cycles_per_txn,
-            pt.lock_wait_cycles,
-            pt.lock_stalls,
-            pt.early_released,
-            pt.commit_deps,
-            pt.records_forced
-        );
-    }
-    let csv = Some(Csv {
-        header: "protocol,elr,committed,cycles_per_txn,lock_wait_cycles,lock_stalls,\
-             early_released,commit_deps,dep_aborts,forces_requested,physical_forces,\
-             records_forced",
-        rows: pts
-            .iter()
-            .map(|pt| {
-                format!(
-                    "{},{},{},{},{},{},{},{},{},{},{},{}",
-                    pt.protocol,
-                    pt.elr,
-                    pt.committed,
-                    pt.cycles_per_txn,
-                    pt.lock_wait_cycles,
-                    pt.lock_stalls,
-                    pt.early_released,
-                    pt.commit_deps,
-                    pt.dep_aborts,
-                    pt.forces_requested,
-                    pt.physical_forces,
-                    pt.records_forced
-                )
-            })
-            .collect(),
-    });
-    let _ = writeln!(p);
-    Section { text: s, csv }
+    Section { text, csv: Some(csv(&cols, &pts)) }
 }
 
-fn e11instant_cell(fast: bool) -> Section {
-    let mut s = String::new();
-    let p = &mut s;
+fn e9_latency(fast: bool) -> Section {
+    // A stage: its cycles in the CSV, its share of the total in the text.
+    fn stage(
+        heading: &'static str,
+        csv: &'static str,
+        cycles: fn(&x::LatencyPoint) -> u64,
+    ) -> Col<x::LatencyPoint> {
+        Col::new(heading, R(7), csv, cycles).text_as(move |p| {
+            format!("{:.1}%", 100.0 * cycles(p) as f64 / p.total_latency_cycles.max(1) as f64)
+        })
+    }
+    type C = Col<x::LatencyPoint>;
+    let cols = [
+        C::new("protocol", L(24), "protocol", |p| p.protocol.clone()),
+        C::new("txns", R(6), "committed", |p| p.committed),
+        C::csv_only("aborted", |p| p.aborted),
+        C::csv_only("mean_cycles", |p| p.mean_cycles),
+        C::new("p50", R(10), "p50_cycles", |p| p.p50_cycles),
+        C::new("p99", R(10), "p99_cycles", |p| p.p99_cycles),
+        C::new("p999", R(10), "p999_cycles", |p| p.p999_cycles),
+        C::csv_only("max_cycles", |p| p.max_cycles),
+        C::csv_only("total_latency_cycles", |p| p.total_latency_cycles),
+        stage("lock%", "lock_wait_cycles", |p| p.lock_wait_cycles),
+        stage("exec%", "execute_cycles", |p| p.execute_cycles),
+        stage("appnd%", "log_append_cycles", |p| p.log_append_cycles),
+        stage("force%", "force_wait_cycles", |p| p.force_wait_cycles),
+        stage("commit%", "commit_cycles", |p| p.commit_cycles),
+        C::csv_only("attributed_fraction", |p| p.attributed_fraction),
+    ];
+    let txns = t1_txns(fast);
+    let pts = x::e9_latency(txns);
+    let text = format!(
+        "== E9-lat: transaction-latency breakdown by protocol ==\n   \
+         (8 nodes, {txns} TP1 transactions per protocol, spans enabled;\n    \
+         cycles attributed lock-wait / execute / log-append / force-wait /\n    \
+         commit; latencies in simulated cycles)\n\n\
+         {}\n",
+        text_table(&cols, &pts)
+    );
+    Section { text, csv: Some(csv(&cols, &pts)) }
+}
+
+fn e10_blast_radius(_fast: bool) -> Section {
+    type C = Col<x::ParallelBlastPoint>;
+    let cols = [
+        C::text_only("fan", R(5), |p| p.fan),
+        C::text_only("active", R(8), |p| p.active),
+        C::text_only("aborted", R(9), |p| p.aborted),
+        C::text_only("kill fraction", R(14), |p| format!("{:.0}%", p.kill_fraction * 100.0)),
+    ];
+    let text = format!(
+        "== E10 (§9 extension): parallel transactions widen the blast radius ==\n   \
+         (8 nodes, 2 active txns homed per node, crash one node)\n\n\
+         {}\n",
+        text_table(&cols, &x::e10_parallel_blast_radius(2))
+    );
+    Section { text, csv: None }
+}
+
+fn e10_elr(fast: bool) -> Section {
+    type C = Col<x::ElrPoint>;
+    let cols = [
+        C::new("protocol", L(24), "protocol", |p| p.protocol.clone()),
+        C::new("elr", R(4), "elr", |p| p.elr).text_as(|p| on_off(p.elr)),
+        C::new("txns", R(6), "committed", |p| p.committed),
+        C::new("cyc/txn", R(10), "cycles_per_txn", |p| p.cycles_per_txn),
+        C::new("lock-wait", R(12), "lock_wait_cycles", |p| p.lock_wait_cycles),
+        C::new("stalls", R(8), "lock_stalls", |p| p.lock_stalls),
+        C::new("violated", R(9), "early_released", |p| p.early_released),
+        C::new("deps", R(6), "commit_deps", |p| p.commit_deps),
+        C::csv_only("dep_aborts", |p| p.dep_aborts),
+        C::csv_only("forces_requested", |p| p.forces_requested),
+        C::csv_only("physical_forces", |p| p.physical_forces),
+        C::new("rec-frcd", R(9), "records_forced", |p| p.records_forced),
+    ];
+    let txns = mix_txns(fast);
+    let pts = x::e10_elr(txns);
+    let text = format!(
+        "== E10-elr: early lock release + pipelined group commit ==\n   \
+         (8 nodes, {txns} contended Zipf TP1 txns per cell, pipelined\n    \
+         commit window 8, polling locks, coalesced forces; ELR releases\n    \
+         write locks at commit-record append)\n\n\
+         {}\n",
+        text_table(&cols, &pts)
+    );
+    Section { text, csv: Some(csv(&cols, &pts)) }
+}
+
+fn e11_instant_restart(fast: bool) -> Section {
+    type C = Col<x::InstantRestartPoint>;
+    let cols = [
+        C::new("protocol", L(24), "protocol", |p| p.protocol.clone()),
+        C::new("instant", R(8), "instant", |p| p.instant).text_as(|p| on_off(p.instant)),
+        C::new("ttft-cyc", R(12), "ttft_cycles", |p| p.ttft_cycles),
+        C::new("recovery", R(12), "recovery_cycles", |p| p.recovery_cycles),
+        C::new("redo", R(6), "redo_total", |p| p.redo_total),
+        C::new("on-dem", R(9), "redo_on_demand", |p| p.redo_on_demand),
+        C::new("bkgnd", R(7), "redo_background", |p| p.redo_background),
+        C::new("skip", R(7), "redo_skipped_stable", |p| p.redo_skipped_stable),
+        C::csv_only("state_digest", |p| format!("{:016x}", p.state_digest)),
+        C::new("state", R(6), "matches_committed", |p| p.matches_committed).text_as(|p| {
+            if p.matches_committed {
+                "ok"
+            } else {
+                "BAD"
+            }
+        }),
+    ];
     let (txns, ckpt) = if fast { (200, 25) } else { (600, 50) };
-    let _ = writeln!(p, "== E11: instant restart — serve transactions during recovery ==");
-    let _ = writeln!(p, "   (8 nodes, E7b-scale history: {txns} txns, checkpoint every {ckpt};");
-    let _ = writeln!(p, "    crash node 0, first txn = locked read in its partition; drain to");
-    let _ = writeln!(p, "    completion, then compare end state byte-for-byte with eager)\n");
-    let _ = writeln!(
-        p,
-        "{:<24} {:>8} {:>12} {:>12} {:>6} {:>9} {:>7} {:>7} {:>6}",
-        "protocol", "instant", "ttft-cyc", "recovery", "redo", "on-dem", "bkgnd", "skip", "state"
-    );
     let pts = x::e11_instant_restart(txns, ckpt);
-    for pt in &pts {
-        let _ = writeln!(
-            p,
-            "{:<24} {:>8} {:>12} {:>12} {:>6} {:>9} {:>7} {:>7} {:>6}",
-            pt.protocol,
-            if pt.instant { "on" } else { "off" },
-            pt.ttft_cycles,
-            pt.recovery_cycles,
-            pt.redo_total,
-            pt.redo_on_demand,
-            pt.redo_background,
-            pt.redo_skipped_stable,
-            if pt.matches_committed { "ok" } else { "BAD" },
-        );
-    }
+    let mut text = format!(
+        "== E11: instant restart — serve transactions during recovery ==\n   \
+         (8 nodes, E7b-scale history: {txns} txns, checkpoint every {ckpt};\n    \
+         crash node 0, first txn = locked read in its partition; drain to\n    \
+         completion, then compare end state byte-for-byte with eager)\n\n\
+         {}",
+        text_table(&cols, &pts)
+    );
     for pair in pts.chunks(2) {
         if let [eager, instant] = pair {
-            let _ = writeln!(
-                p,
-                "   {}: TTFT {:.1}x lower, end state {}",
+            text += &format!(
+                "   {}: TTFT {:.1}x lower, end state {}\n",
                 eager.protocol,
                 eager.ttft_cycles as f64 / instant.ttft_cycles.max(1) as f64,
                 if eager.state_digest == instant.state_digest { "identical" } else { "DIVERGED" },
             );
         }
     }
-    let csv = Some(Csv {
-        header: "protocol,instant,ttft_cycles,recovery_cycles,redo_total,redo_on_demand,\
-             redo_background,redo_skipped_stable,state_digest,matches_committed",
-        rows: pts
-            .iter()
-            .map(|pt| {
-                format!(
-                    "{},{},{},{},{},{},{},{},{:016x},{}",
-                    pt.protocol,
-                    pt.instant,
-                    pt.ttft_cycles,
-                    pt.recovery_cycles,
-                    pt.redo_total,
-                    pt.redo_on_demand,
-                    pt.redo_background,
-                    pt.redo_skipped_stable,
-                    pt.state_digest,
-                    pt.matches_committed
-                )
-            })
-            .collect(),
-    });
-    let _ = writeln!(p);
-    Section { text: s, csv }
+    text.push('\n');
+    Section { text, csv: Some(csv(&cols, &pts)) }
 }
 
-fn e12mt_cell(fast: bool) -> Section {
-    let mut s = String::new();
-    let p = &mut s;
+fn e12_multicore(fast: bool) -> Section {
+    type C = Col<x::MulticorePoint>;
+    let cols = [
+        C::new("cell", L(16), "cell", |p| p.cell.clone()),
+        C::new("threads", R(7), "threads", |p| p.threads),
+        C::new("txns", R(6), "committed", |p| p.committed),
+        C::csv_only("sim_cycles", |p| p.sim_cycles),
+        C::new("epochs", R(7), "epochs", |p| p.epochs),
+        C::new("max-ep", R(7), "max_epoch_txns", |p| p.max_epoch_txns),
+        C::new("d-conf", R(7), "data_conflicts", |p| p.data_conflicts),
+        C::new("l-conf", R(7), "lock_conflicts", |p| p.lock_conflicts),
+        C::csv_only("epoch_waits", |p| p.epoch_waits),
+        C::new("retries", R(8), "serial_retries", |p| p.serial_retries),
+        C::csv_only("state_digest", |p| format!("{:016x}", p.state_digest)),
+    ];
     let txns = if fast { 800 } else { 4000 };
-    let _ = writeln!(p, "== E12: true multicore execution — epoch lanes on OS threads ==");
-    let _ = writeln!(p, "   (8 nodes, 64 coherence shards, {txns} update txns per cell; every");
-    let _ = writeln!(p, "    column is simulated and must not vary with the thread count)\n");
-    let _ = writeln!(
-        p,
-        "{:<16} {:>7} {:>6} {:>7} {:>7} {:>7} {:>7} {:>8}",
-        "cell", "threads", "txns", "epochs", "max-ep", "d-conf", "l-conf", "retries"
-    );
     let pts = x::e12_multicore(txns);
-    for pt in &pts {
-        let _ = writeln!(
-            p,
-            "{:<16} {:>7} {:>6} {:>7} {:>7} {:>7} {:>7} {:>8}",
-            pt.cell,
-            pt.threads,
-            pt.committed,
-            pt.epochs,
-            pt.max_epoch_txns,
-            pt.data_conflicts,
-            pt.lock_conflicts,
-            pt.serial_retries,
-        );
-    }
-    let csv = Some(Csv {
-        header: "cell,threads,committed,sim_cycles,epochs,max_epoch_txns,\
-             data_conflicts,lock_conflicts,epoch_waits,serial_retries,state_digest",
-        rows: pts
-            .iter()
-            .map(|pt| {
-                format!(
-                    "{},{},{},{},{},{},{},{},{},{},{:016x}",
-                    pt.cell,
-                    pt.threads,
-                    pt.committed,
-                    pt.sim_cycles,
-                    pt.epochs,
-                    pt.max_epoch_txns,
-                    pt.data_conflicts,
-                    pt.lock_conflicts,
-                    pt.epoch_waits,
-                    pt.serial_retries,
-                    pt.state_digest
-                )
-            })
-            .collect(),
-    });
-    let _ = writeln!(p);
-    Section { text: s, csv }
-}
-
-fn e10_cell(_fast: bool) -> Section {
-    let mut s = String::new();
-    let p = &mut s;
-    let _ = writeln!(p, "== E10 (§9 extension): parallel transactions widen the blast radius ==");
-    let _ = writeln!(p, "   (8 nodes, 2 active txns homed per node, crash one node)\n");
-    let _ = writeln!(p, "{:>5} {:>8} {:>9} {:>14}", "fan", "active", "aborted", "kill fraction");
-    for pt in x::e10_parallel_blast_radius(2) {
-        let _ = writeln!(
-            p,
-            "{:>5} {:>8} {:>9} {:>13.0}%",
-            pt.fan,
-            pt.active,
-            pt.aborted,
-            pt.kill_fraction * 100.0
-        );
-    }
-    let _ = writeln!(p);
-    Section::text_only(s)
+    let text = format!(
+        "== E12: true multicore execution — epoch lanes on OS threads ==\n   \
+         (8 nodes, 64 coherence shards, {txns} update txns per cell; every\n    \
+         column is simulated and must not vary with the thread count)\n\n\
+         {}\n",
+        text_table(&cols, &pts)
+    );
+    Section { text, csv: Some(csv(&cols, &pts)) }
 }
