@@ -305,13 +305,6 @@ impl SmDb {
         &self.m
     }
 
-    /// Mutable machine access for trace control (enable/drain the
-    /// coherence event trace). Not for issuing memory operations — the
-    /// engine owns the access protocols.
-    pub fn machine_mut_for_trace(&mut self) -> &mut Machine {
-        &mut self.m
-    }
-
     /// Engine counters. The `structural_early_commits` field is derived
     /// on the fly from the tree and lock-manager counters.
     pub fn stats(&self) -> EngineStats {

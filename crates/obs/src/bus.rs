@@ -1,11 +1,12 @@
 //! The machine-wide event bus: a sequence-numbered, bounded timeline of
 //! typed events from every layer.
 //!
-//! Unlike `sim::Trace` (coherence-only, owned by the machine), the bus is a
-//! shared handle that lock, WAL, buffer, and recovery code all emit into,
-//! so one global sequence numbering orders events *across* layers: a line
-//! lock, the cache-line migration it allowed, and the log force that
-//! migration triggered appear in causal order.
+//! The bus is the machine's coherence trace — the simulator emits every
+//! cache-line transition onto it — and a shared handle that lock, WAL,
+//! buffer, and recovery code emit into as well, so one global sequence
+//! numbering orders events *across* layers: a line lock, the cache-line
+//! migration it allowed, and the log force that migration triggered appear
+//! in causal order.
 //!
 //! Field types are raw integers (`u16` nodes, `u64` lines/pages/txns) to
 //! keep this crate dependency-free; the emitting layers unwrap their
@@ -22,7 +23,7 @@ pub const DEFAULT_CAPACITY: usize = 4096;
 /// One typed cross-layer event.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Event {
-    // -- Cache coherence (mirrors `sim::TraceEvent`) --------------------
+    // -- Cache coherence (emitted by `sim::Machine`) --------------------
     /// Read served from the local cache.
     ReadHit {
         /// Reading node.

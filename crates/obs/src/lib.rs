@@ -5,9 +5,9 @@
 //! - [`Bus`] — a machine-wide, sequence-numbered, bounded timeline of typed
 //!   [`Event`]s from every layer (coherence transitions, lock traffic, WAL
 //!   appends and forces, LBM migration-triggered forces, buffer steals,
-//!   crash injection, recovery phases). Generalizes the coherence-only
-//!   `sim::Trace` ring: one global sequence numbering means events from
-//!   different layers can be causally ordered against each other.
+//!   crash injection, recovery phases). It is the simulator's only trace:
+//!   one global sequence numbering means events from different layers can
+//!   be causally ordered against each other.
 //! - [`Registry`] — named counters, gauges, and fixed-bucket log₂
 //!   [`Histogram`]s with percentile queries and CSV/JSON export. Every
 //!   metric name lives in the [`names`] catalog.

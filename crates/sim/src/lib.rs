@@ -47,7 +47,6 @@ mod flat;
 mod ids;
 mod machine;
 mod stats;
-mod trace;
 
 pub use config::{CoherenceKind, SimConfig};
 pub use contention::{contended_line_lock_costs, ContentionOutcome};
@@ -60,7 +59,6 @@ pub use machine::{
     FAULT_INVALIDATE, FAULT_MIGRATE, METRIC_BUF_REUSE, METRIC_INDEX_PROBES,
 };
 pub use stats::SimStats;
-pub use trace::{Trace, TraceEvent};
 
 /// Re-export of the observability layer the [`Machine`] emits into, so
 /// downstream crates can name event and metric types without a separate

@@ -32,7 +32,6 @@ use crate::error::MemError;
 use crate::flat::{HolderSet, LineIndex};
 use crate::ids::{LineId, NodeId};
 use crate::stats::SimStats;
-use crate::trace::{Trace, TraceEvent};
 use smdb_fault::FaultInjector;
 use smdb_obs::{Event as ObsEvent, Obs};
 use std::collections::BTreeSet;
@@ -224,7 +223,6 @@ pub struct Machine {
     shards: Vec<CoherShard>,
     nodes: Vec<NodeState>,
     stats: SimStats,
-    trace: Trace,
     obs: Obs,
     fault: FaultInjector,
     next_dynamic: u64,
@@ -267,7 +265,6 @@ impl Machine {
             shards,
             nodes,
             stats: SimStats::default(),
-            trace: Trace::default(),
             obs: Obs::new(),
             fault: FaultInjector::new(),
             next_dynamic: LineId::DYNAMIC_BASE,
@@ -343,32 +340,12 @@ impl Machine {
         ((line.0 / self.cfg.stripe_lines) % self.shards.len() as u64) as u32
     }
 
-    /// Enable coherence-event tracing with a bounded ring of `capacity`
-    /// events (see [`TraceEvent`]). Off by default.
-    pub fn enable_trace(&mut self, capacity: usize) {
-        self.trace.enable(capacity);
-    }
-
-    /// Disable tracing and drop retained events.
-    pub fn disable_trace(&mut self) {
-        self.trace.disable();
-    }
-
-    /// The coherence event trace.
-    pub fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
-    /// Drain the retained trace events.
-    pub fn take_trace(&mut self) -> Vec<(u64, TraceEvent)> {
-        self.trace.take()
-    }
-
     /// The machine-wide observability handle (event bus + metrics). The
-    /// coherence events mirrored onto the bus share one sequence numbering
-    /// with lock, WAL, and recovery events emitted by higher layers, so
-    /// cross-layer causality is visible in a single timeline. Disabled by
-    /// default; see [`smdb_obs::Obs::enable`].
+    /// bus is the coherence trace — every transition of the §3.2
+    /// data-sharing histories is emitted onto it — and shares one sequence
+    /// numbering with the lock, WAL, and recovery events of the higher
+    /// layers, so cross-layer causality is visible in a single timeline.
+    /// Disabled by default; see [`smdb_obs::Obs::enable`].
     pub fn obs(&self) -> &Obs {
         &self.obs
     }
@@ -619,7 +596,7 @@ impl Machine {
     // `*_span` operation is *defined* as the sequence of its single-line
     // calls in address order, stopping at the first error: identical
     // per-line state transitions, statistics, clock charges, fault-site
-    // hits and trace/bus events, in identical order. Only work whose
+    // hits and bus events, in identical order. Only work whose
     // answer cannot change inside the span is hoisted out of the per-line
     // step: the acting node's liveness check, the pending-redo lookup, and
     // the directory walk (`next_slot`). The single-line operations are the
@@ -703,7 +680,6 @@ impl Machine {
         if sl.holders.contains(node) {
             self.stats.local_hits += 1;
             self.charge(node, self.cfg.cost.local_hit);
-            self.trace.emit(TraceEvent::ReadHit { node, line });
             self.obs.bus.emit(self.nodes[node.0 as usize].clock, || ObsEvent::ReadHit {
                 node: node.0,
                 line: line.0,
@@ -720,7 +696,6 @@ impl Machine {
             self.slot_mut(slot).holders.insert(node);
             self.stats.remote_transfers += 1;
             self.charge(node, self.cfg.cost.remote_transfer);
-            self.trace.emit(TraceEvent::ReadRemote { node, line, downgraded });
             self.obs.bus.emit(self.nodes[node.0 as usize].clock, || ObsEvent::ReadRemote {
                 node: node.0,
                 line: line.0,
@@ -833,7 +808,6 @@ impl Machine {
                 if locally_held && holder_count == 1 {
                     self.stats.local_hits += 1;
                     self.charge(node, self.cfg.cost.local_hit);
-                    self.trace.emit(TraceEvent::WriteLocal { node, line });
                     self.obs.bus.emit(self.nodes[node.0 as usize].clock, || ObsEvent::WriteLocal {
                         node: node.0,
                         line: line.0,
@@ -852,7 +826,6 @@ impl Machine {
                     }
                     self.stats.invalidations += invalidated as u64;
                     self.charge(node, self.cfg.cost.invalidate * invalidated as u64);
-                    self.trace.emit(TraceEvent::WriteTake { node, line, invalidated, migration });
                     self.obs.bus.emit(self.nodes[node.0 as usize].clock, || ObsEvent::WriteTake {
                         node: node.0,
                         line: line.0,
@@ -875,7 +848,6 @@ impl Machine {
                 let updated = (holder_count - locally_held as usize) as u16;
                 self.stats.broadcast_updates += updated as u64;
                 self.charge(node, self.cfg.cost.broadcast_update * updated as u64);
-                self.trace.emit(TraceEvent::WriteBroadcast { node, line, updated });
                 self.obs.bus.emit(self.nodes[node.0 as usize].clock, || ObsEvent::WriteBroadcast {
                     node: node.0,
                     line: line.0,
@@ -995,7 +967,6 @@ impl Machine {
         sl.locked_by = Some(node);
         self.stats.line_lock_acquires += 1;
         self.charge(node, self.cfg.cost.line_lock_acquire);
-        self.trace.emit(TraceEvent::LineLock { node, line });
         self.obs.bus.emit(self.nodes[node.0 as usize].clock, || ObsEvent::LineLock {
             node: node.0,
             line: line.0,
@@ -1014,7 +985,6 @@ impl Machine {
         }
         sl.locked_by = None;
         self.charge(node, self.cfg.cost.line_lock_release);
-        self.trace.emit(TraceEvent::LineUnlock { node, line });
         self.obs.bus.emit(self.nodes[node.0 as usize].clock, || ObsEvent::LineUnlock {
             node: node.0,
             line: line.0,
@@ -1207,10 +1177,6 @@ impl Machine {
         // (the order the old BTreeMap directory yielded them in).
         report.lost_lines.sort();
         report.broken_line_locks.sort();
-        self.trace.emit(TraceEvent::Crash {
-            nodes: report.crashed.clone(),
-            lost: report.lost_lines.len() as u64,
-        });
         self.obs.bus.emit(self.max_clock(), || ObsEvent::CrashInjected {
             nodes: report.crashed.len() as u16,
             lost_lines: report.lost_lines.len() as u64,
@@ -1419,7 +1385,6 @@ impl Machine {
             };
             self.write_line_padded(slot, &image[span_bytes(ls, 0, image.len(), i..i + 1)]);
             self.charge(node, self.cfg.cost.local_hit);
-            self.trace.emit(TraceEvent::Install { node, line });
             self.obs.bus.emit(self.nodes[node.0 as usize].clock, || ObsEvent::Install {
                 node: node.0,
                 line: line.0,
@@ -1662,7 +1627,6 @@ impl Machine {
                 .map(|n| NodeState { clock: n.clock, crashed: n.crashed })
                 .collect(),
             stats: SimStats::default(),
-            trace: Trace::default(),
             obs: self.obs.clone(),
             fault: self.fault.clone(),
             next_dynamic: self.next_dynamic,
@@ -2101,5 +2065,23 @@ mod tests {
         m.crash(&[N0, N2]);
         assert!(!m.is_lost(L));
         assert_eq!(m.exclusive_owner(L), Some(N1));
+    }
+
+    /// The §3.2 histories and a crash, as the bus records them.
+    #[test]
+    fn sharing_histories_and_crash_appear_on_the_bus() {
+        let mut m = machine(2);
+        m.obs().enable(32);
+        m.create_line_at(N0, L, &[0]).unwrap();
+        m.write(N0, L, 0, &[1]).unwrap();
+        m.write(N1, L, 0, &[2]).unwrap(); // H_ww1: the line migrates to y
+        m.read_into(N0, L, 0, &mut [0u8]).unwrap(); // H_wr: x's read downgrades y
+        m.write(N1, L, 0, &[3]).unwrap();
+        m.crash(&[N1]);
+        let events: Vec<ObsEvent> = m.obs().bus.drain().into_iter().map(|r| r.event).collect();
+        let has = |want: ObsEvent| assert!(events.contains(&want), "{want:?} not in {events:?}");
+        has(ObsEvent::WriteTake { node: 1, line: L.0, invalidated: 1, migration: true });
+        has(ObsEvent::ReadRemote { node: 0, line: L.0, downgraded: true });
+        has(ObsEvent::CrashInjected { nodes: 1, lost_lines: 1 });
     }
 }

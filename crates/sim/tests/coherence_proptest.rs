@@ -206,8 +206,8 @@ proptest! {
 // property builds two identical machines from one random script, runs
 // the span operation on one and that per-line sequence on the other, and
 // demands the same result *and* the same machine afterwards: directory,
-// data, statistics, every node clock, the trace ring, the event bus, the
-// fault injector's record, and the bytes copied before an error.
+// data, statistics, every node clock, the event bus, the fault injector's
+// record, and the bytes copied before an error.
 
 const SPAN_NODES: u16 = 4;
 const SPAN_LINES: u64 = 48;
@@ -295,7 +295,6 @@ fn span_machine(seed: u64) -> (Machine, bool) {
     for _ in 0..rng.gen_range(0..4usize) {
         m.mark_unrecovered(LineId(rng.gen_range(0..SPAN_LINES)));
     }
-    m.enable_trace(4096);
     m.obs().enable(4096);
     // A crash point somewhere among the coming migrations/invalidations.
     if rng.gen_bool(0.3) {
@@ -340,7 +339,6 @@ fn machine_state(m: &Machine) -> String {
         "flat: live {} slots {} free {} capacity {} reuse {}\n",
         fs.live_lines, fs.slots, fs.free_slots, fs.index_capacity, fs.buf_reuse
     );
-    out += &format!("trace {:?}\n", m.trace().events().collect::<Vec<_>>());
     out += &format!("bus {:?}\n", m.obs().bus.snapshot());
     out += &format!("fired {:?}\n", m.fault_handle().fired());
     out

@@ -46,9 +46,9 @@ SMDB_SIM_SHARDS=8 cargo test --release -q --test crash_sweep
 
 echo "== span-op lockstep (2000 cases) =="
 # Every simulator span operation against its per-line sequence on a twin
-# machine (DESIGN §10): same result, same machine state, stats, clocks,
-# trace ring and event bus. The workspace test steps above run the
-# default 256 cases; this one digs deeper (~1 s in release).
+# machine (DESIGN §10): same result, same machine state, stats, clocks
+# and event bus. The workspace test steps above run the default 256
+# cases; this one digs deeper (~1 s in release).
 PROPTEST_CASES=2000 cargo test --release -q -p smdb-sim --test coherence_proptest span_ops
 
 echo "== transaction-table lockstep (2000 cases) + live-entries count =="
