@@ -1,6 +1,5 @@
 //! Experiment implementations (T1, E1–E8 of `DESIGN.md` §3).
 
-use serde::{Deserialize, Serialize};
 use smdb_core::{DbConfig, ProtocolKind, RecoveryOutcome, SmDb};
 use smdb_lock::LcbGeometry;
 use smdb_obs::Stage;
@@ -19,7 +18,7 @@ fn bench_db(protocol: ProtocolKind) -> SmDb {
 // ----------------------------------------------------------------------
 
 /// Measured overheads for one protocol column of Table 1.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct OverheadRow {
     /// The protocol measured.
     pub protocol: String,
@@ -66,7 +65,7 @@ pub fn table1_overheads(txns: usize) -> Vec<OverheadRow> {
 // ----------------------------------------------------------------------
 
 /// One contention level's line-lock costs.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct LineLockPoint {
     /// Simultaneous requesters.
     pub contenders: u32,
@@ -93,7 +92,7 @@ pub fn e1_line_lock_contention(max: u32) -> Vec<LineLockPoint> {
 // ----------------------------------------------------------------------
 
 /// Abort counts for one machine size.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct AbortCountPoint {
     /// Nodes in the machine.
     pub nodes: u16,
@@ -141,7 +140,7 @@ pub fn e2_abort_counts(node_counts: &[u16], per_node: usize) -> Vec<AbortCountPo
 // ----------------------------------------------------------------------
 
 /// Recovery-cost measurements for one (protocol, sharing) cell.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct RecoveryCostPoint {
     /// Protocol measured.
     pub protocol: String,
@@ -224,7 +223,7 @@ pub fn e3_recovery_cost(txns: usize, sharings: &[f64]) -> Vec<RecoveryCostPoint>
 // ----------------------------------------------------------------------
 
 /// Log-force measurements for one (protocol, sharing) cell.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct LogForcePoint {
     /// Protocol measured.
     pub protocol: String,
@@ -283,7 +282,7 @@ pub fn e4_log_forces(txns: usize, sharings: &[f64], nvram: bool) -> Vec<LogForce
 // ----------------------------------------------------------------------
 
 /// Coherence-protocol comparison for one cell.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct CoherencePoint {
     /// Hardware coherence protocol.
     pub coherence: String,
@@ -330,7 +329,7 @@ pub fn e5_coherence_comparison(txns: usize) -> Vec<CoherencePoint> {
 // ----------------------------------------------------------------------
 
 /// Update-protocol cost for one synchronisation primitive.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct UpdateProtocolPoint {
     /// Primitive modelled.
     pub primitive: String,
@@ -389,7 +388,7 @@ pub fn e6_update_protocol(txns: usize) -> Vec<UpdateProtocolPoint> {
 // ----------------------------------------------------------------------
 
 /// Lock-space recovery measurements for one LCB layout.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct LockRecoveryPoint {
     /// LCB layout used.
     pub layout: String,
@@ -449,7 +448,7 @@ pub fn e7_lock_recovery(per_node: usize) -> Vec<LockRecoveryPoint> {
 
 /// Recovery-scaling measurements for one (protocol, history, checkpoint
 /// interval) cell.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct RecoveryScalingPoint {
     /// Protocol measured.
     pub protocol: String,
@@ -523,7 +522,7 @@ pub fn e7_recovery_scaling(
 // ----------------------------------------------------------------------
 
 /// B-tree recovery measurements.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct BtreeRecoveryPoint {
     /// Index operations committed before the crash.
     pub committed_ops: u64,
@@ -602,7 +601,7 @@ pub fn e8_btree_recovery(txns: usize) -> BtreeRecoveryPoint {
 // ----------------------------------------------------------------------
 
 /// Co-location ablation measurements for one record size.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ColocationPoint {
     /// Records per cache line.
     pub records_per_line: usize,
@@ -658,7 +657,7 @@ pub fn e9_colocation(txns: usize) -> Vec<ColocationPoint> {
 // ----------------------------------------------------------------------
 
 /// Blast-radius measurement for one fan-out.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ParallelBlastPoint {
     /// Participant nodes per transaction.
     pub fan: u16,
@@ -700,7 +699,7 @@ pub fn e10_parallel_blast_radius(per_node: usize) -> Vec<ParallelBlastPoint> {
 // ----------------------------------------------------------------------
 
 /// Forward-path throughput for one (protocol, coalescing) cell.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ForwardPoint {
     /// Protocol measured.
     pub protocol: String,
@@ -760,7 +759,7 @@ pub fn e8_forward_throughput(txns: usize) -> Vec<ForwardPoint> {
 // ----------------------------------------------------------------------
 
 /// Latency distribution and per-stage cycle attribution for one protocol.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct LatencyPoint {
     /// Protocol measured.
     pub protocol: String,
@@ -838,7 +837,7 @@ pub fn e9_latency(txns: usize) -> Vec<LatencyPoint> {
 // ----------------------------------------------------------------------
 
 /// One (protocol, early-lock-release) cell of the contended pipelined mix.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ElrPoint {
     /// Protocol measured.
     pub protocol: String,
@@ -926,7 +925,7 @@ pub fn e10_elr(txns: usize) -> Vec<ElrPoint> {
 // ----------------------------------------------------------------------
 
 /// One cell of the instant-restart availability experiment.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct InstantRestartPoint {
     /// Protocol under test.
     pub protocol: String,
@@ -1053,7 +1052,7 @@ pub fn e11_instant_restart(txns: usize, checkpoint_every: usize) -> Vec<InstantR
 // ----------------------------------------------------------------------
 
 /// One cell×thread-count point of the multicore scaling experiment.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct MulticorePoint {
     /// Workload cell (`private_tp1` or `contended_zipf`).
     pub cell: String,

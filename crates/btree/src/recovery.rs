@@ -20,14 +20,13 @@
 use crate::layout::{LeafEntry, NodeKind, NULL_TAG, VAL_SIZE};
 use crate::pageio::TreeCtx;
 use crate::tree::{BTree, BtreeError};
-use serde::{Deserialize, Serialize};
 use smdb_sim::{NodeId, TxnId};
 use smdb_storage::PageId;
 use smdb_wal::{LogPayload, StructuralKind};
 use std::collections::BTreeSet;
 
 /// Counters from one B-tree recovery pass.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct BtreeRecoveryStats {
     /// Pages reinstalled from stable images.
     pub pages_reinstalled: u64,

@@ -7,7 +7,6 @@ use crate::layout::{
 };
 use crate::pageio::{LineSpan, TreeCtx};
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
 use smdb_sim::{MemError, NodeId, TxnId};
 use smdb_storage::PageId;
 use smdb_wal::{LogPayload, StructuralKind};
@@ -85,7 +84,7 @@ impl fmt::Display for BtreeError {
 impl std::error::Error for BtreeError {}
 
 /// Tree operation counters.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct BtreeStats {
     /// Successful inserts.
     pub inserts: u64,

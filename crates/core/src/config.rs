@@ -1,12 +1,11 @@
 //! Engine configuration: protocol selection and machine/database sizing.
 
-use serde::{Deserialize, Serialize};
 use smdb_lock::LcbGeometry;
 use smdb_sim::{CoherenceKind, CostModel};
 use smdb_wal::LbmMode;
 
 /// Which restart-recovery scheme runs after a crash (§4.1.2).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RestartScheme {
     /// **Redo All**: every surviving node discards all cached database
     /// lines, then rebuilds its cache from its local redo log (records not
@@ -23,7 +22,7 @@ pub enum RestartScheme {
 
 /// The crash-recovery protocol the engine runs. The three middle variants
 /// are the paper's Table 1 columns; `FaOnly` is the §3.3 baseline.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ProtocolKind {
     /// Baseline that guarantees plain failure atomicity but **not** IFA:
     /// any node crash aborts *every* active transaction in the machine

@@ -80,7 +80,6 @@ use crate::error::DbError;
 use crate::restart::OwedHeap;
 use crate::stats::EngineStats;
 use crate::txn::Op;
-use serde::{Deserialize, Serialize};
 use smdb_btree::TreeCtx;
 use smdb_fault::Scheduler;
 use smdb_lock::{LockMode, LockOutcome, ViolationTable};
@@ -119,7 +118,7 @@ pub struct MtTxn {
 }
 
 /// What one [`SmDb::run_epochs`] call did.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MtOutcome {
     /// Transactions committed (inside lanes or by serial retry).
     pub committed: u64,

@@ -9,7 +9,6 @@
 //! `tag + payload` is at most half a line: the co-location that produces
 //! the paper's §3.1 failure scenarios.
 
-use serde::{Deserialize, Serialize};
 use smdb_storage::{PageGeometry, PageId};
 use smdb_wal::RecId;
 
@@ -19,7 +18,7 @@ pub const NULL_TAG: u16 = u16::MAX;
 pub const TAG_SIZE: usize = 2;
 
 /// Maps record slots to pages, lines, and byte offsets.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RecordLayout {
     /// Page geometry of the stable database.
     pub geometry: PageGeometry,

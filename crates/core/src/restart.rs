@@ -39,7 +39,6 @@ use crate::engine::{engine_ctx, tree_ctx, PendingCommit, SmDb};
 use crate::error::{req, DbError};
 use crate::record::{RecordLayout, NULL_TAG};
 use crate::txn::TxnStatus;
-use serde::{Deserialize, Serialize};
 use smdb_btree::{BtreeRecoveryStats, TreeCtx};
 use smdb_lock::LockRecoveryStats;
 use smdb_obs::{names, Event as ObsEvent, PhaseSpan, PhaseTiming};
@@ -69,7 +68,7 @@ pub const FAULT_REDO_ON_DEMAND: &str = "restart.redo.on_demand";
 pub const FAULT_REDO_BACKGROUND: &str = "restart.redo.background";
 
 /// What one crash-and-recover episode did.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct RecoveryOutcome {
     /// Nodes that crashed.
     pub crashed: Vec<NodeId>,
@@ -175,7 +174,7 @@ struct HeapWrite {
 
 /// Instant-restart redo-work counters. Cumulative over the engine's
 /// lifetime, like metrics ([`SmDb::instant_redo_counters`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct InstantRedoCounters {
     /// Heap redo entries deferred past open points (plan sizes summed).
     pub planned: u64,

@@ -1,12 +1,10 @@
 //! Engine-level counters, including the Table 1 overhead breakdown.
 
-use serde::{Deserialize, Serialize};
-
 /// Counters maintained by the engine during normal operation. The fields
 /// marked *(Table 1)* quantify the paper's qualitative overhead matrix:
 /// a protocol "checks the box" exactly when its counter is non-zero under
 /// a workload that exercises the mechanism.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Transactions begun.
     pub begins: u64,

@@ -1,13 +1,12 @@
 //! Transaction state tracking.
 
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
 use smdb_sim::{HolderSet, NodeId, TxnId};
 use smdb_wal::RecId;
 use std::collections::BTreeMap;
 
 /// Lifecycle status of a transaction.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TxnStatus {
     /// Running; holds locks; effects are uncommitted.
     Active,

@@ -9,14 +9,13 @@
 //! simulation.
 
 use crate::mode::LockMode;
-use serde::{Deserialize, Serialize};
 use smdb_sim::TxnId;
 
 /// One grant or wait entry: the transaction and the mode it holds/requests.
 ///
 /// The transaction id encodes the node id (§4.2.2), which is what lets
 /// recovery classify surviving entries by the fate of their node.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LockEntry {
     /// Holding or waiting transaction.
     pub txn: TxnId,
@@ -31,7 +30,7 @@ pub struct LockEntry {
 /// paper recommends for recovery simplicity: *"it may be feasible to ensure
 /// that an LCB spans at most one cache line ... a node crash will either
 /// destroy all or none of a specific LCB."*
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LcbGeometry {
     /// Maximum concurrent holders encodable per LCB.
     pub max_holders: usize,

@@ -18,7 +18,6 @@
 use crate::lcb::{Lcb, LockEntry};
 use crate::mode::LockMode;
 use crate::table::LockTable;
-use serde::{Deserialize, Serialize};
 use smdb_obs::Event as ObsEvent;
 use smdb_sim::{LineId, Machine, MemError, NodeId, TxnId};
 use smdb_wal::{LogPayload, LogSet, StructuralKind};
@@ -89,7 +88,7 @@ impl fmt::Display for LockError {
 impl std::error::Error for LockError {}
 
 /// Lock-manager counters (several feed the Table 1 overhead report).
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct LockStats {
     /// Granted acquisitions.
     pub acquires: u64,

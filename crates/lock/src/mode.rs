@@ -1,13 +1,12 @@
 //! Lock modes and compatibility.
 
-use serde::{Deserialize, Serialize};
 use smdb_wal::LockModeRepr;
 
 /// Basic lock modes of the paper's concurrency-control model (§2):
 /// *"An exclusive lock on a record r guarantees that no other transaction
 /// will read or modify r, while a shared lock on r ensures that no other
 /// transaction will modify r."*
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum LockMode {
     /// Shared (read). Multiple shared holders may coexist.
     Shared,

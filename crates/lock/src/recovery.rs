@@ -16,13 +16,12 @@
 use crate::lcb::{Lcb, LockEntry};
 use crate::manager::LockManager;
 use crate::mode::LockMode;
-use serde::{Deserialize, Serialize};
 use smdb_sim::{LineId, Machine, MemError, NodeId, TxnId};
 use smdb_wal::{LogPayload, LogSet, Lsn, Records, StructuralKind};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Counters describing one lock-space recovery pass.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct LockRecoveryStats {
     /// Entries (grants or waits) of crashed-node transactions removed from
     /// surviving LCBs.

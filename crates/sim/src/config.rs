@@ -2,10 +2,9 @@
 
 use crate::cost::CostModel;
 use crate::DEFAULT_LINE_SIZE;
-use serde::{Deserialize, Serialize};
 
 /// Which hardware cache-coherence protocol the machine runs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CoherenceKind {
     /// Before a write to a cache line by one node occurs, all other cached
     /// copies of the line are invalidated (paper §2). The assumption under
@@ -19,7 +18,7 @@ pub enum CoherenceKind {
 }
 
 /// Configuration for a [`crate::Machine`].
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SimConfig {
     /// Number of nodes (processor/memory pairs). The KSR-1 scales to 1,088
     /// nodes (paper §3.3); the simulator accepts any `u16` population.

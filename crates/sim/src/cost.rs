@@ -6,15 +6,13 @@
 //! an uncontended `getline` ≈ 10 µs and a 32-way contended `getline`
 //! ≈ 40 µs (see experiment E1 in `DESIGN.md`).
 
-use serde::{Deserialize, Serialize};
-
 /// Cycle costs for the simulated machine.
 ///
 /// The ordering the paper assumes (§2) is preserved by the defaults:
 /// *"operation execution time is minimal if the data item is already in the
 /// cache, more expensive if the data item is in another node's cache, and
 /// the most expensive if the data item must be fetched from disk."*
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CostModel {
     /// Access to a line already valid in the local cache.
     pub local_hit: u64,

@@ -1,13 +1,12 @@
 //! Identifier newtypes shared across the whole reproduction.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A node: a processor/memory pair in the shared-memory multiprocessor.
 ///
 /// The paper's failure model is *independent node failure*: a crash destroys
 /// exactly one node's cache and volatile memory.
-#[derive(Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u16);
 
 impl fmt::Debug for NodeId {
@@ -26,7 +25,7 @@ impl fmt::Display for NodeId {
 ///
 /// The unit of coherence is the cache line (typically 128 bytes), which is
 /// smaller than the unit of I/O (a page) — paper §2.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LineId(pub u64);
 
 impl LineId {
@@ -50,7 +49,7 @@ impl fmt::Debug for LineId {
 /// alone: the high 16 bits carry the [`NodeId`]. This is what lets the
 /// recovery procedure decide, for any lock-table entry or undo tag that
 /// survives a crash, whether its transaction ran on a failed node.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TxnId(pub u64);
 
 impl TxnId {

@@ -1,7 +1,5 @@
 //! Coherence-traffic and failure statistics.
 
-use serde::{Deserialize, Serialize};
-
 /// Counters maintained by the [`crate::Machine`].
 ///
 /// The migration/replication counters correspond directly to the data
@@ -9,7 +7,7 @@ use serde::{Deserialize, Serialize};
 /// transition (a write moves the only copy of a line to the writer), a
 /// **replication** is the `H_wr` transition (a read of an exclusively-held
 /// line leaves copies on both nodes).
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SimStats {
     /// Total read operations.
     pub reads: u64,

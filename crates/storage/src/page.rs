@@ -1,10 +1,9 @@
 //! Page identifiers and page ↔ cache-line geometry.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A database page: the unit of I/O against the stable database.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PageId(pub u32);
 
 impl fmt::Debug for PageId {
@@ -25,7 +24,7 @@ impl fmt::Display for PageId {
 /// is a cache line, and is typically smaller than a page."* A page occupies
 /// `lines_per_page` consecutive cache-line addresses; line index 0 of every
 /// page holds, by convention (§6), the Page-LSN field.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PageGeometry {
     /// Cache line size, bytes.
     pub line_size: usize,

@@ -1,7 +1,6 @@
 //! The stable database: a durable page store on the shared disks.
 
 use crate::page::{PageGeometry, PageId};
-use serde::{Deserialize, Serialize};
 use smdb_fault::{FaultCrash, FaultInjector};
 use std::collections::BTreeMap;
 
@@ -12,7 +11,7 @@ use std::collections::BTreeMap;
 pub const FAULT_FLUSH_LINE: &str = "storage.flush.line";
 
 /// I/O counters for the stable database.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct StableDbStats {
     /// Page reads served.
     pub page_reads: u64,

@@ -7,11 +7,10 @@
 //! checkpoint LSNs recorded here.
 
 use crate::lsn::Lsn;
-use serde::{Deserialize, Serialize};
 use smdb_sim::NodeId;
 
 /// Durable metadata describing the most recent checkpoint.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CheckpointMeta {
     /// For each node (indexed by `NodeId`), the LSN of its checkpoint
     /// record. Recovery scans each node's log strictly after this LSN.

@@ -1,13 +1,11 @@
 //! Logging-Before-Migration policy selection (§4.1.1, §5).
 
-use serde::{Deserialize, Serialize};
-
 /// Which LBM (Logging Before Migration) policy the engine enforces.
 ///
 /// All three guarantee that, before an uncommitted update migrates to
 /// another node, log records sufficient for recovery exist; they differ in
 /// *where* those records must reside at migration time.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LbmMode {
     /// **Volatile LBM** (§5.1): the undo/redo log record is written to the
     /// node's volatile log inside the line-lock critical section of the

@@ -1,6 +1,5 @@
 //! Log sequence numbers.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A log sequence number, monotonically increasing *per node log*.
@@ -8,7 +7,7 @@ use std::fmt;
 /// LSNs are node-local: each node numbers its own log records starting at 1
 /// (paper §2 — each node maintains a log). `Lsn::ZERO` means "before any
 /// record".
-#[derive(Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Lsn(pub u64);
 
 impl Lsn {

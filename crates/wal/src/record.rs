@@ -2,14 +2,13 @@
 
 use crate::lsn::Lsn;
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
 use smdb_sim::{NodeId, TxnId};
 use smdb_storage::PageId;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
 /// Identity of a database record: a slot within a heap page.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RecId {
     /// The heap page holding the record.
     pub page: PageId,
@@ -32,7 +31,7 @@ impl fmt::Debug for RecId {
 
 /// Lock mode as recorded in logical lock-log records. Mirrored by the lock
 /// manager's richer mode type; kept here so log records are self-contained.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LockModeRepr {
     /// Shared (read) lock. Logged too — the paper's protocols require the
     /// logging of read locks so lock state lost in a crash can be redone
@@ -46,7 +45,7 @@ pub enum LockModeRepr {
 /// management structures that are allowed to commit independently of the
 /// transaction that caused them (nested top-level actions), so no
 /// inter-node abort dependency can form through the changed structure.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum StructuralKind {
     /// A B-tree node split: the page `new_page` was allocated and keys ≥
     /// `split_key` moved into it from `old_page`.
@@ -64,7 +63,7 @@ pub enum StructuralKind {
 /// only if `txn`'s commit record at `lsn` (on `txn`'s home log) is durable
 /// and itself valid. The partially-constrained-logs idea: constraints ride
 /// in the log, so recovery can honour them without any engine state.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CommitDep {
     /// The predecessor transaction this commit depends on.
     pub txn: TxnId,
@@ -73,7 +72,7 @@ pub struct CommitDep {
 }
 
 /// Payload of one log record.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum LogPayload {
     /// Transaction start.
     Begin { txn: TxnId },
@@ -250,7 +249,7 @@ impl LogPayload {
 }
 
 /// One record in a node's log (the log knows its node).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LogRecord {
     /// Node-local sequence number.
     pub lsn: Lsn,
@@ -303,7 +302,7 @@ impl DataRef {
 }
 
 /// Counters for one node's log.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct NodeLogStats {
     /// Records appended.
     pub appends: u64,

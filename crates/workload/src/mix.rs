@@ -4,12 +4,11 @@ use crate::driver::{self, Hooks, Window};
 use crate::zipf::Zipf;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use smdb_core::{DbError, Op, RecoveryOutcome, SmDb};
 use smdb_sim::{NodeId, TxnId};
 
 /// Parameters for the record-update mix.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct MixParams {
     /// Transactions to run (committed ones count; conflict retries don't).
     pub txns: usize,
@@ -105,7 +104,7 @@ impl MixParams {
 }
 
 /// Outcome of a mix run.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MixReport {
     /// Transactions committed.
     pub committed: u64,
@@ -138,7 +137,7 @@ pub struct MixReport {
 
 /// A mid-workload crash schedule: after `after_txns` committed
 /// transactions, crash `nodes`.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct CrashPlan {
     /// Commit count that triggers the crash.
     pub after_txns: usize,

@@ -9,12 +9,11 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use smdb_core::{DbError, SmDb};
 use smdb_sim::NodeId;
 
 /// TP1 sizing and behaviour.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Tp1Params {
     /// Transactions to commit.
     pub txns: usize,
@@ -49,7 +48,7 @@ impl Default for Tp1Params {
 }
 
 /// Outcome of a TP1 run.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Tp1Report {
     /// Committed transactions.
     pub committed: u64,
