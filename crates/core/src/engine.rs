@@ -100,9 +100,6 @@ pub struct SmDb {
     pub(crate) gsn: u64,
     pub(crate) stats: EngineStats,
     pub(crate) shadow: ShadowDb,
-    /// Lock names on which each transaction has a queued (waiting)
-    /// request, so aborts can withdraw them (no-wait policy).
-    pub(crate) pending_waits: BTreeMap<TxnId, Vec<u64>>,
     /// Fault-injection handle shared with the machine, log set, and stable
     /// database (disabled by default: one relaxed load per crash point).
     pub(crate) fault: FaultInjector,
@@ -133,10 +130,6 @@ pub struct SmDb {
     /// Lock names released early by not-yet-acknowledged committers
     /// (controlled lock violation bookkeeping).
     pub(crate) violations: ViolationTable,
-    /// Commit-LSN dependencies each transaction inherited by touching a
-    /// violated name. Kept until the transaction is acknowledged or
-    /// aborted — recovery's cascade analysis reads the violated names.
-    pub(crate) inherited_deps: BTreeMap<TxnId, Vec<InheritedDep>>,
     /// What a restart still owes the heap: lost lines to install and, past
     /// an instant restart's early open, plan entries to apply.
     pub(crate) owed: OwedHeap,
@@ -229,7 +222,6 @@ impl SmDb {
             gsn: 0,
             stats: EngineStats::default(),
             shadow: ShadowDb::new(),
-            pending_waits: BTreeMap::new(),
             fault: FaultInjector::new(),
             sched: Scheduler::new(),
             pending_recovery: BTreeSet::new(),
@@ -239,7 +231,6 @@ impl SmDb {
             stale_tree_pages: BTreeSet::new(),
             pending_commits: Vec::new(),
             violations: ViolationTable::new(),
-            inherited_deps: BTreeMap::new(),
             owed: OwedHeap::default(),
             mt_plan: None,
         };
@@ -555,7 +546,7 @@ impl SmDb {
                 // A polled conflict parked nothing in the LCB, so there is
                 // no queued request to remember (or cancel on abort).
                 if !self.cfg.lock_poll {
-                    self.pending_waits.entry(txn).or_default().push(name);
+                    req(self.txns.get_mut(txn), "a waiting txn is live")?.waits.push(name);
                 }
                 Err(DbError::WouldBlock { txn, lock: name })
             }
@@ -575,13 +566,13 @@ impl SmDb {
             obs.metrics.add(names::TXN_COMMIT_DEPS, edges.len() as u64);
         }
         self.stats.commit_deps += edges.len() as u64;
-        self.inherited_deps.entry(txn).or_default().extend(
-            edges.into_iter().map(|e| InheritedDep {
+        if let Some(t) = self.txns.get_mut(txn) {
+            t.inherited.extend(edges.into_iter().map(|e| InheritedDep {
                 releaser: e.releaser,
                 commit_lsn: e.commit_lsn,
                 name,
-            }),
-        );
+            }));
+        }
     }
 
     /// Instant restart: a granted record lock must not let its holder
@@ -1065,7 +1056,7 @@ impl SmDb {
                 // down with the record unforced): this transaction saw
                 // data that will never commit. Surface a retryable
                 // conflict; the caller aborts and retries.
-                self.inherited_deps.remove(&txn);
+                req(self.txns.get_mut(txn), "txn checked active")?.inherited.clear();
                 return Err(DbError::WouldBlock { txn, lock: 0 });
             }
         }
@@ -1092,13 +1083,13 @@ impl SmDb {
     }
 
     /// The not-yet-acknowledged commit-LSN dependencies `txn` inherited,
-    /// deduplicated per predecessor. The per-name list stays in
-    /// `inherited_deps` until acknowledgement or abort — recovery's
+    /// deduplicated per predecessor. The per-name list stays in the
+    /// transaction's entry until acknowledgement or abort — recovery's
     /// cascade analysis needs the violated names.
     fn commit_deps_for(&self, txn: TxnId) -> Vec<CommitDep> {
         let mut deps: Vec<CommitDep> = Vec::new();
-        if let Some(list) = self.inherited_deps.get(&txn) {
-            for d in list {
+        if let Some(t) = self.txns.get(txn) {
+            for d in &t.inherited {
                 let unacked =
                     self.txns.status(d.releaser).is_some_and(|s| s != TxnStatus::Committed);
                 if unacked && !deps.iter().any(|c| c.txn == d.releaser) {
@@ -1157,14 +1148,14 @@ impl SmDb {
                 .collect();
             self.stats.early_lock_releases += xnames.len() as u64;
             self.violations.record_release(txn, lsn, &xnames);
-            self.pending_waits.remove(&txn);
+            req(self.txns.get_mut(txn), "txn checked active")?.waits.clear();
             // A promoted waiter acquires the (possibly still violated)
             // name without passing through the `lock_from` inheritance
             // hook — inherit its dependencies here.
             for (name, entry) in promoted {
                 self.inherit_violation_deps(entry.txn, name);
-                if let Some(waits) = self.pending_waits.get_mut(&entry.txn) {
-                    waits.retain(|n| *n != name);
+                if let Some(waiter) = self.txns.get_mut(entry.txn) {
+                    waiter.waits.retain(|n| *n != name);
                 }
             }
         }
@@ -1280,7 +1271,6 @@ impl SmDb {
             self.txns.restore(t);
             return Err(e);
         }
-        self.inherited_deps.remove(&txn);
         self.txns.settle_committed(txn);
         // Its lock releases are logged: nothing of it is appended again.
         self.logs.retire_txn(txn);
@@ -1366,7 +1356,6 @@ impl SmDb {
             self.violations.resolve(txn);
         } else {
             self.locks.release_all(&mut self.m, &mut self.logs, txn)?;
-            self.pending_waits.remove(&txn);
         }
         Ok(())
     }
@@ -1391,11 +1380,11 @@ impl SmDb {
             self.txns.restore(t);
             return Err(e);
         }
-        self.settle_aborted(txn);
         // A voluntary abort restores every inherited value itself; its
-        // commit dependencies die with it (it never appended a commit
-        // record — `check_active` rejects committing transactions here).
-        self.inherited_deps.remove(&txn);
+        // commit dependencies die with its entry (it never appended a
+        // commit record — `check_active` rejects committing transactions
+        // here).
+        self.settle_aborted(txn);
         self.shadow.drop_pending(txn);
         self.stats.voluntary_aborts += 1;
         if spans_on {
@@ -1482,10 +1471,8 @@ impl SmDb {
         }
         self.logs.append(node, LogPayload::Abort { txn });
         // Withdraw any queued lock requests, then release held locks.
-        if let Some(waits) = self.pending_waits.remove(&txn) {
-            for name in waits {
-                self.locks.cancel_wait(&mut self.m, &mut self.logs, txn, name)?;
-            }
+        for &name in &t.waits {
+            self.locks.cancel_wait(&mut self.m, &mut self.logs, txn, name)?;
         }
         self.locks.release_all(&mut self.m, &mut self.logs, txn)?;
         Ok(())

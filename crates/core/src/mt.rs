@@ -87,7 +87,7 @@ use smdb_obs::names;
 use smdb_sim::{LineId, MemError, NodeId, TxnId};
 use smdb_storage::{PageId, StableDb};
 use smdb_wal::{CheckpointStore, PageLsnTable};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 
 /// Schedule-tape site drawn once per admission candidate (after the
 /// footprint checks pass): choice `1` defers the transaction to a later
@@ -367,7 +367,6 @@ impl SmDb {
             gsn: 0,
             stats: EngineStats::default(),
             shadow: self.shadow.lane_fork(),
-            pending_waits: BTreeMap::new(),
             fault: self.fault.clone(),
             sched: Scheduler::new(),
             pending_recovery: BTreeSet::new(),
@@ -377,7 +376,6 @@ impl SmDb {
             stale_tree_pages: BTreeSet::new(),
             pending_commits: Vec::new(),
             violations: ViolationTable::new(),
-            inherited_deps: BTreeMap::new(),
             owed: OwedHeap::default(),
             mt_plan: Some(Vec::new()),
         }

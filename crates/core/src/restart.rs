@@ -584,8 +584,7 @@ impl SmDb {
             // never be ended consistently.
             self.m.obs().spans.discard(txn.0);
             // Its violation edges are satisfied: successors no longer
-            // inherit, and its own dependencies are settled.
-            self.inherited_deps.remove(&txn);
+            // inherit, and its own dependencies went with its entry.
             self.violations.resolve(txn);
         }
     }
@@ -620,8 +619,8 @@ impl SmDb {
         // restore the last committed payload instead.
         let mut contaminated: BTreeSet<RecId> = BTreeSet::new();
         for txn in crashed_active.iter().chain(dep_doomed.iter()) {
-            if let Some(deps) = self.inherited_deps.get(txn) {
-                for d in deps {
+            if let Some(t) = self.txns.get(*txn) {
+                for d in &t.inherited {
                     if let Some(slot) = smdb_lock::names::rec_slot_of_name(d.name) {
                         if slot < self.cfg.records as u64 {
                             contaminated.insert(self.layout.rec_of_global(slot));
@@ -749,18 +748,15 @@ impl SmDb {
         let mut dep_doomed: BTreeSet<TxnId> = BTreeSet::new();
         loop {
             let mut grew = false;
-            for (txn, deps) in &self.inherited_deps {
-                if doomed_seed.contains(txn) || dep_doomed.contains(txn) {
+            for t in self.txns.live().filter(|t| t.is_active()) {
+                if doomed_seed.contains(&t.id) || dep_doomed.contains(&t.id) {
                     continue;
                 }
-                if self.txns.status(*txn) != Some(TxnStatus::Active) {
-                    continue;
-                }
-                if deps
+                if t.inherited
                     .iter()
                     .any(|d| doomed_seed.contains(&d.releaser) || dep_doomed.contains(&d.releaser))
                 {
-                    dep_doomed.insert(*txn);
+                    dep_doomed.insert(t.id);
                     grew = true;
                 }
             }
@@ -811,7 +807,6 @@ impl SmDb {
         for p in settled {
             let committed = self.txns.status(p.txn) == Some(TxnStatus::Committed);
             self.violations.resolve(p.txn);
-            self.inherited_deps.remove(&p.txn);
             if committed && !self.cfg.early_lock_release {
                 // Promoted mid-pipeline while still holding its locks
                 // (without ELR they are released at acknowledgement):
@@ -820,13 +815,11 @@ impl SmDb {
                 if !self.m.is_crashed(p.txn.node()) {
                     self.locks.release_all(&mut self.m, &mut self.logs, p.txn)?;
                 }
-                self.pending_waits.remove(&p.txn);
             }
         }
         // Doomed dependents that never appended a commit record carry no
-        // pending entry but still hold inherited-dependency bookkeeping.
+        // pending entry but may still have violation edges.
         for txn in dep_doomed {
-            self.inherited_deps.remove(txn);
             self.violations.resolve(*txn);
         }
         Ok(())
@@ -1880,10 +1873,9 @@ impl SmDb {
         // node id, so the crash scrub did not remove them).
         for &txn in crashed_active {
             if !self.m.is_crashed(txn.node()) {
-                if let Some(waits) = self.pending_waits.get(&txn).cloned() {
-                    for name in waits {
-                        self.locks.cancel_wait(&mut self.m, &mut self.logs, txn, name)?;
-                    }
+                let waits = self.txns.get(txn).map_or(Vec::new(), |t| t.waits.clone());
+                for name in waits {
+                    self.locks.cancel_wait(&mut self.m, &mut self.logs, txn, name)?;
                 }
                 self.locks.release_all(&mut self.m, &mut self.logs, txn)?;
                 self.logs.append(txn.node(), LogPayload::Abort { txn });
@@ -1896,7 +1888,6 @@ impl SmDb {
         let span = self.begin_phase("txn_table");
         for &txn in crashed_active {
             self.settle_aborted(txn);
-            self.pending_waits.remove(&txn);
             self.locks.drop_chain(txn);
             self.shadow.drop_pending(txn);
             outcome.aborted.push(txn);
@@ -2083,7 +2074,6 @@ impl SmDb {
             self.m.install_line(recovery_node, line, &vec![0u8; line_size])?;
         }
         self.locks.drop_all_chains();
-        self.pending_waits.clear();
         // Abort everyone.
         self.note_table_walk();
         let active: Vec<TxnId> = self.active_txns(None);

@@ -1,5 +1,6 @@
 //! Transaction state tracking.
 
+use crate::engine::InheritedDep;
 use bytes::Bytes;
 use smdb_sim::{HolderSet, NodeId, TxnId};
 use smdb_wal::RecId;
@@ -83,6 +84,13 @@ pub struct TxnState {
     /// crash before the covering force dooms it exactly like any active
     /// transaction — but it accepts no further operations.
     pub committing: bool,
+    /// Lock names on which the transaction has a queued (waiting)
+    /// request, so an abort can withdraw them (no-wait policy).
+    pub(crate) waits: Vec<u64>,
+    /// Commit-LSN dependencies the transaction inherited by touching a
+    /// violated name. Kept until it is acknowledged or aborted —
+    /// recovery's cascade analysis reads the violated names.
+    pub(crate) inherited: Vec<InheritedDep>,
 }
 
 impl TxnState {
@@ -94,6 +102,8 @@ impl TxnState {
             ops: Vec::new(),
             participants: HolderSet::single(id.node()),
             committing: false,
+            waits: Vec::new(),
+            inherited: Vec::new(),
         }
     }
 
@@ -276,6 +286,8 @@ impl TxnTable {
             t.status = TxnStatus::Aborted;
             t.committing = false;
             t.ops = Vec::new();
+            t.waits = Vec::new();
+            t.inherited = Vec::new();
             self.active.insert(txn, t);
         }
     }
