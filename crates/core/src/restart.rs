@@ -741,9 +741,9 @@ impl SmDb {
         // inherited a commit-LSN dependency — transitively — on a doomed
         // predecessor saw data that will never commit; it dies with the
         // predecessor (cascade abort). The closure is recomputed from the
-        // inherited-dependency table on every entry, so an interrupted
-        // recovery re-derives the same set (statuses flip only in the
-        // final phase).
+        // live entries' inherited dependencies on every entry, so an
+        // interrupted recovery re-derives the same set (statuses flip only
+        // in the final phase).
         let doomed_seed: BTreeSet<TxnId> = crashed_active.iter().copied().collect();
         let mut dep_doomed: BTreeSet<TxnId> = BTreeSet::new();
         loop {

@@ -21,6 +21,11 @@
 //! Determinism is what makes exhaustive crash-point testing of the recovery
 //! protocols feasible; see `DESIGN.md` §5.
 //!
+//! Every coherence transition (read hit, remote read, write, migration,
+//! line lock, install, crash) is emitted onto the shared observability bus
+//! ([`obs`], off by default) — the machine keeps no trace ring of its own,
+//! so its events are numbered in one sequence with every other layer's.
+//!
 //! The central type is [`Machine`]. A minimal session:
 //!
 //! ```
