@@ -497,6 +497,10 @@ pub fn e7_recovery_scaling(
                     },
                 );
                 let _ = spawn_active(&mut db, 2, 2, true, 5);
+                // Barrier, as in E11: recovery cycles are a makespan, and
+                // the recovery node's clock may trail the furthest one by
+                // more than a whole recovery — which then reads as free.
+                db.sync_clocks();
                 let outcome = db.crash_and_recover(&[NodeId(0)]).expect("recovery");
                 db.check_ifa(NodeId(1)).assert_ok();
                 out.push(RecoveryScalingPoint {
