@@ -497,14 +497,18 @@ impl<'a> TreeCtx<'a> {
     /// log forces this flush triggered.
     pub fn flush_page(&mut self, node: NodeId, page: PageId) -> Result<u64, BtreeError> {
         let mut forces = 0;
-        for (n, lsn) in self.plt.flush_requirements(page) {
+        // The table is only read until the page is flushed, so its entries
+        // are walked in place while the logs and clocks beside it move.
+        for (n, lsn) in self.plt.updaters(page) {
             if !self.logs.log(n).is_stable(lsn) {
                 let obs_on = self.m.obs().is_enabled();
                 let stable_before = self.logs.log(n).stable_lsn();
                 if self.logs.force_to_checked(n, lsn).map_err(MemError::FaultCrash)? {
                     let cost = self.m.config().cost.log_force;
                     self.m.advance(n, cost);
-                    self.note_attr_force(n, cost);
+                    if self.attr_node == Some(n) {
+                        self.attr_force_cycles += cost;
+                    }
                     forces += 1;
                     if obs_on {
                         let records = lsn.0.saturating_sub(stable_before.0);

@@ -28,8 +28,8 @@ use smdb_obs::{names, Event as ObsEvent, ForceReason, Obs, Stage};
 use smdb_sim::{LineId, Machine, NodeId, SimConfig, TxnId};
 use smdb_storage::{PageGeometry, PageId, StableDb};
 use smdb_wal::{
-    CheckpointMeta, CheckpointStore, CommitDep, LbmMode, LogPayload, LogSet, Lsn, PageLsnTable,
-    RecId,
+    assign_flushers, CheckpointMeta, CheckpointStore, CommitDep, LbmMode, LogPayload, LogSet, Lsn,
+    PageLsnTable, RecId,
 };
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -323,6 +323,12 @@ impl SmDb {
     /// The sharp-checkpoint store (last installed checkpoint + count).
     pub fn checkpoint_store(&self) -> &CheckpointStore {
         &self.ckpt
+    }
+
+    /// The shared (page, LSN) table: which pages differ from their stable
+    /// images, and by whose updates.
+    pub fn page_lsn_table(&self) -> &PageLsnTable {
+        &self.plt
     }
 
     /// Record layout.
@@ -1521,7 +1527,8 @@ impl SmDb {
 
     /// Take a sharp checkpoint: flush every dirty page (WAL-safe), write a
     /// checkpoint record per node, force all logs, and durably install the
-    /// checkpoint metadata.
+    /// checkpoint metadata. `node` hosts it; every live node writes back a
+    /// share of the dirty set ([`assign_flushers`]).
     pub fn checkpoint(&mut self, node: NodeId) -> Result<(), DbError> {
         // A checkpoint advances the redo bound past the log records that
         // back any still-deferred instant-restart entries; drain them all
@@ -1529,8 +1536,19 @@ impl SmDb {
         while self.redo_pending() > 0 {
             self.drain_redo(node, usize::MAX)?;
         }
-        let dirty = self.plt.dirty_pages();
-        self.flush_pages(node, &dirty)?;
+        let live = self.m.surviving_nodes();
+        let updaters = self.plt.dirty().map(|(page, by)| (page, by.map(|(n, _)| n)));
+        let shares = assign_flushers(updaters, &live);
+        // The checkpoint is not complete before its last page is: the host
+        // waits for the latest flusher before it writes the records. (Its
+        // own clock may have passed that already — another node's flush of
+        // a page the host updated charges the WAL-rule force to the host.)
+        let mut flushed_at = 0;
+        for (&flusher, pages) in live.iter().zip(&shares).filter(|(_, pages)| !pages.is_empty()) {
+            self.flush_pages(flusher, pages)?;
+            flushed_at = flushed_at.max(self.m.now(flusher));
+        }
+        self.m.advance(node, flushed_at.saturating_sub(self.m.now(node)));
         let mut lsns = Vec::with_capacity(self.cfg.nodes as usize);
         for n in 0..self.cfg.nodes {
             let n = NodeId(n);

@@ -8,6 +8,7 @@
 
 use crate::lsn::Lsn;
 use smdb_sim::NodeId;
+use smdb_storage::PageId;
 
 /// Durable metadata describing the most recent checkpoint.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -28,6 +29,46 @@ impl CheckpointMeta {
     pub fn lsn_for(&self, node: NodeId) -> Lsn {
         self.node_lsns.get(node.0 as usize).copied().unwrap_or(Lsn::ZERO)
     }
+}
+
+/// Who writes which dirty page back: `dirty` is each dirty page once, in
+/// page order, with the nodes that updated it since its last flush
+/// ([`crate::PageLsnTable::dirty`]); `live` the nodes that can do I/O, in
+/// ascending id order. Returns one page list per node of `live`.
+///
+/// Each page goes to the node with the fewest pages so far among the live
+/// nodes that did *not* update it (ties to the lowest id), so the write
+/// back is spread over the machine and its coherent page read leaves a
+/// second cached copy of every checkpointed line outside its writer — a
+/// crash of the writer right after loses nothing a restart must redo.
+/// A page every live node updated goes to the least-loaded node. With one
+/// live node this is "that node flushes everything".
+pub fn assign_flushers<U: IntoIterator<Item = NodeId>>(
+    dirty: impl IntoIterator<Item = (PageId, U)>,
+    live: &[NodeId],
+) -> Vec<Vec<PageId>> {
+    debug_assert!(live.windows(2).all(|w| w[0] < w[1]), "live nodes in ascending id order");
+    let mut shares = vec![Vec::new(); live.len()];
+    if live.is_empty() {
+        return shares;
+    }
+    let mut updated = vec![false; live.len()];
+    for (page, updaters) in dirty {
+        updated.fill(false);
+        for node in updaters {
+            if let Ok(i) = live.binary_search(&node) {
+                updated[i] = true;
+            }
+        }
+        // `min_by_key` keeps the first of equal minima: the lowest id.
+        let flusher = (0..live.len())
+            .filter(|&i| !updated[i])
+            .min_by_key(|&i| shares[i].len())
+            .or_else(|| (0..live.len()).min_by_key(|&i| shares[i].len()))
+            .expect("live is not empty");
+        shares[flusher].push(page);
+    }
+    shares
 }
 
 /// Durable storage for checkpoint metadata (conceptually a well-known

@@ -34,11 +34,11 @@ mod record;
 
 mod lbm;
 
-pub use checkpoint::{CheckpointMeta, CheckpointStore};
+pub use checkpoint::{assign_flushers, CheckpointMeta, CheckpointStore};
 pub use lbm::LbmMode;
 pub use log_set::{LogSet, FAULT_CHECKPOINT_RECORD, FAULT_FORCE_RECORD, FAULT_TRUNCATE};
 pub use lsn::Lsn;
-pub use page_lsn::PageLsnTable;
+pub use page_lsn::{Dirty, PageLsnTable, Updaters};
 pub use record::{
     CommitDep, DataRef, LockModeRepr, LogIndex, LogPayload, LogRecord, NodeLog, NodeLogStats,
     RecId, Records, StructuralKind,

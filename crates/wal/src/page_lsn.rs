@@ -12,7 +12,7 @@
 use crate::lsn::Lsn;
 use smdb_sim::NodeId;
 use smdb_storage::PageId;
-use std::collections::BTreeMap;
+use std::collections::{btree_map, BTreeMap};
 use std::ops::RangeInclusive;
 
 /// Tracks, per page, the last update LSN of every node that has updated it
@@ -20,6 +20,48 @@ use std::ops::RangeInclusive;
 #[derive(Clone, Debug, Default)]
 pub struct PageLsnTable {
     entries: BTreeMap<(PageId, NodeId), Lsn>,
+}
+
+type Entries<'a> = btree_map::Range<'a, (PageId, NodeId), Lsn>;
+
+/// The `(node, lsn)` entries of one page, in node order: a cursor into the
+/// table, stopped at the page's last entry.
+#[derive(Clone, Debug)]
+pub struct Updaters<'a> {
+    page: PageId,
+    rest: Entries<'a>,
+}
+
+impl Iterator for Updaters<'_> {
+    type Item = (NodeId, Lsn);
+
+    fn next(&mut self) -> Option<(NodeId, Lsn)> {
+        match self.rest.next() {
+            Some((&(page, node), &lsn)) if page == self.page => Some((node, lsn)),
+            _ => None,
+        }
+    }
+}
+
+/// [`PageLsnTable::dirty`]'s walk. Each item's [`Updaters`] is a copy of
+/// the cursor where the page begins, so stepping to the next page never
+/// waits for (or disturbs) a reader of the last one.
+#[derive(Clone, Debug)]
+pub struct Dirty<'a> {
+    rest: Entries<'a>,
+}
+
+impl<'a> Iterator for Dirty<'a> {
+    type Item = (PageId, Updaters<'a>);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let updaters = self.rest.clone();
+        let &(page, _) = self.rest.next()?.0;
+        while self.rest.clone().next().is_some_and(|(&(p, _), _)| p == page) {
+            self.rest.next();
+        }
+        Some((page, Updaters { page, rest: updaters }))
+    }
 }
 
 /// The key range holding every entry of `page`.
@@ -41,10 +83,19 @@ impl PageLsnTable {
         }
     }
 
-    /// The per-node force requirements before `page` may be flushed: every
-    /// `(node, lsn)` pair returned must satisfy `stable_lsn(node) >= lsn`.
-    pub fn flush_requirements(&self, page: PageId) -> Vec<(NodeId, Lsn)> {
-        self.entries.range(page_keys(page)).map(|(&(_, n), &l)| (n, l)).collect()
+    /// The per-node force requirements before `page` may be flushed, in
+    /// node order: every `(node, lsn)` pair yielded must satisfy
+    /// `stable_lsn(node) >= lsn`. Borrowed from the table — a flush
+    /// allocates nothing to learn its WAL rule.
+    pub fn updaters(&self, page: PageId) -> Updaters<'_> {
+        Updaters { page, rest: self.entries.range(page_keys(page)) }
+    }
+
+    /// One ordered walk over the table: each dirty page once, in page
+    /// order, with its [`Updaters`]. A checkpoint assigns its flushers
+    /// from this without looking any page up.
+    pub fn dirty(&self) -> Dirty<'_> {
+        Dirty { rest: self.entries.range(..) }
     }
 
     /// Clear all entries for a page (after it has been flushed): its
@@ -71,10 +122,8 @@ impl PageLsnTable {
 
     /// All pages any node has updated since their last flush (the dirty
     /// page set from the WAL table's point of view).
-    pub fn dirty_pages(&self) -> Vec<PageId> {
-        let mut pages: Vec<PageId> = self.entries.keys().map(|&(p, _)| p).collect();
-        pages.dedup();
-        pages
+    pub fn dirty_pages(&self) -> impl Iterator<Item = PageId> + '_ {
+        self.dirty().map(|(page, _)| page)
     }
 
     /// Fold an execution lane's table into this one at an epoch barrier:
@@ -104,6 +153,10 @@ impl PageLsnTable {
 mod tests {
     use super::*;
 
+    fn reqs(t: &PageLsnTable, page: PageId) -> Vec<(NodeId, Lsn)> {
+        t.updaters(page).collect()
+    }
+
     #[test]
     fn requirements_track_max_lsn_per_node() {
         let mut t = PageLsnTable::new();
@@ -111,7 +164,7 @@ mod tests {
         t.note_update(PageId(1), NodeId(0), Lsn(7));
         t.note_update(PageId(1), NodeId(0), Lsn(5)); // lower: ignored
         t.note_update(PageId(1), NodeId(2), Lsn(1));
-        let req = t.flush_requirements(PageId(1));
+        let req = reqs(&t, PageId(1));
         assert_eq!(req, vec![(NodeId(0), Lsn(7)), (NodeId(2), Lsn(1))]);
     }
 
@@ -120,9 +173,9 @@ mod tests {
         let mut t = PageLsnTable::new();
         t.note_update(PageId(1), NodeId(0), Lsn(3));
         t.note_update(PageId(2), NodeId(1), Lsn(9));
-        assert_eq!(t.flush_requirements(PageId(1)), vec![(NodeId(0), Lsn(3))]);
-        assert_eq!(t.flush_requirements(PageId(2)), vec![(NodeId(1), Lsn(9))]);
-        assert_eq!(t.flush_requirements(PageId(3)), vec![]);
+        assert_eq!(reqs(&t, PageId(1)), vec![(NodeId(0), Lsn(3))]);
+        assert_eq!(reqs(&t, PageId(2)), vec![(NodeId(1), Lsn(9))]);
+        assert_eq!(reqs(&t, PageId(3)), vec![]);
     }
 
     #[test]
@@ -131,8 +184,8 @@ mod tests {
         t.note_update(PageId(1), NodeId(0), Lsn(3));
         t.note_update(PageId(2), NodeId(0), Lsn(4));
         t.page_flushed(PageId(1));
-        assert!(t.flush_requirements(PageId(1)).is_empty());
-        assert_eq!(t.dirty_pages(), vec![PageId(2)]);
+        assert!(reqs(&t, PageId(1)).is_empty());
+        assert_eq!(t.dirty_pages().collect::<Vec<_>>(), vec![PageId(2)]);
     }
 
     #[test]
@@ -146,9 +199,9 @@ mod tests {
         t.note_update(PageId(5), NodeId(u16::MAX), Lsn(4));
         t.note_update(PageId(6), NodeId(0), Lsn(5));
         t.page_flushed(PageId(5));
-        assert!(t.flush_requirements(PageId(5)).is_empty());
-        assert_eq!(t.flush_requirements(PageId(4)), vec![(NodeId(u16::MAX), Lsn(1))]);
-        assert_eq!(t.flush_requirements(PageId(6)), vec![(NodeId(0), Lsn(5))]);
+        assert!(reqs(&t, PageId(5)).is_empty());
+        assert_eq!(reqs(&t, PageId(4)), vec![(NodeId(u16::MAX), Lsn(1))]);
+        assert_eq!(reqs(&t, PageId(6)), vec![(NodeId(0), Lsn(5))]);
         assert_eq!(t.len(), 2);
         // Flushing a page with no entries is a no-op.
         t.page_flushed(PageId(5));
@@ -162,10 +215,33 @@ mod tests {
         t.note_update(PageId(1), NodeId(1), Lsn(5));
         t.note_update(PageId(2), NodeId(1), Lsn(6));
         t.reset_node(NodeId(1));
+        assert_eq!(reqs(&t, PageId(1)), vec![(NodeId(0), Lsn(3)), (NodeId(1), Lsn::ZERO)]);
+        assert_eq!(t.dirty_pages().collect::<Vec<_>>(), vec![PageId(1), PageId(2)]);
+    }
+
+    #[test]
+    fn dirty_walk_yields_each_page_once_with_its_updaters() {
+        let mut t = PageLsnTable::new();
+        assert!(t.dirty().next().is_none());
+        t.note_update(PageId(4), NodeId(u16::MAX), Lsn(1));
+        t.note_update(PageId(5), NodeId(0), Lsn(2));
+        t.note_update(PageId(5), NodeId(7), Lsn(3));
+        t.note_update(PageId(9), NodeId(3), Lsn(4));
+        // Collected first, read afterwards: an item's updaters do not
+        // depend on where the walk has got to since.
+        let walk: Vec<(PageId, Updaters<'_>)> = t.dirty().collect();
+        let walk: Vec<(PageId, Vec<(NodeId, Lsn)>)> =
+            walk.into_iter().map(|(p, u)| (p, u.collect())).collect();
         assert_eq!(
-            t.flush_requirements(PageId(1)),
-            vec![(NodeId(0), Lsn(3)), (NodeId(1), Lsn::ZERO)]
+            walk,
+            vec![
+                (PageId(4), vec![(NodeId(u16::MAX), Lsn(1))]),
+                (PageId(5), vec![(NodeId(0), Lsn(2)), (NodeId(7), Lsn(3))]),
+                (PageId(9), vec![(NodeId(3), Lsn(4))]),
+            ]
         );
-        assert_eq!(t.dirty_pages(), vec![PageId(1), PageId(2)]);
+        for (page, updaters) in t.dirty() {
+            assert_eq!(updaters.collect::<Vec<_>>(), reqs(&t, page));
+        }
     }
 }
