@@ -2,7 +2,7 @@
 
 use smdb_core::{DbConfig, ProtocolKind, RecoveryOutcome, SmDb};
 use smdb_lock::LcbGeometry;
-use smdb_obs::Stage;
+use smdb_obs::{Event, Stage};
 use smdb_sim::{contended_line_lock_costs, CoherenceKind, CostModel, NodeId};
 use smdb_workload::{
     run_mix, run_mix_mt, run_tp1, spawn_active, spawn_active_parallel, MixParams, Tp1Params,
@@ -1153,6 +1153,77 @@ pub fn e12_multicore(txns: usize) -> Vec<MulticorePoint> {
                 state_digest: digest,
             });
         }
+    }
+    out
+}
+
+// ----------------------------------------------------------------------
+// E13 — a checkpoint written back by every live node
+// ----------------------------------------------------------------------
+
+/// One node-count point of the checkpoint write-back experiment.
+#[derive(Clone, Debug)]
+pub struct CheckpointPoint {
+    /// Nodes in the machine (all live).
+    pub nodes: u16,
+    /// Pages the checkpoint wrote to the stable database.
+    pub pages_flushed: u64,
+    /// The largest share any one node wrote.
+    pub max_pages_per_flusher: u64,
+    /// Simulated cycles from a common clock origin to the end of the
+    /// checkpoint (the machine-wide makespan of the call).
+    pub makespan_cycles: u64,
+    /// Cache lines destroyed when the updater crashes right after.
+    pub lost_lines: u64,
+}
+
+/// One node commits the same updates — two records on each of `pages`
+/// heap pages — on machines of 1, 2, 4 and 8 nodes; node 0 then hosts a
+/// checkpoint and crashes. The dirty set is the same everywhere; what
+/// changes is who writes it back ([`smdb_wal::assign_flushers`]): alone,
+/// the updater flushes its own pages one after the other and its crash
+/// takes the only cached copies; with company the pages go round the
+/// other nodes, which keep what they read.
+pub fn e13_checkpoint(pages: u32) -> Vec<CheckpointPoint> {
+    let mut out = Vec::new();
+    for nodes in [1u16, 2, 4, 8] {
+        let mut cfg = DbConfig::bench(nodes, ProtocolKind::VolatileSelectiveRedo);
+        let layout = smdb_core::RecordLayout::new(
+            smdb_storage::PageGeometry::new(cfg.line_size, cfg.lines_per_page),
+            cfg.rec_data_size,
+        );
+        let per_page = layout.records_per_page() as u64;
+        cfg.records = pages * per_page as u32;
+        let mut db = SmDb::new(cfg);
+        for page in 0..pages as u64 {
+            let t = db.begin(NodeId(0)).expect("begin");
+            for slot in [page * per_page, page * per_page + per_page / 2] {
+                db.update(t, slot, &slot.to_le_bytes()).expect("update");
+            }
+            db.commit(t).expect("commit");
+        }
+        db.sync_clocks();
+        db.enable_observability(1 << 16);
+        let (clock0, flushed0) = (db.max_clock(), db.stats().page_flushes);
+        db.checkpoint(NodeId(0)).expect("checkpoint");
+        let makespan_cycles = db.max_clock() - clock0;
+        let mut shares = vec![0u64; nodes as usize];
+        for record in db.observability().bus.drain() {
+            if let Event::BufFlush { node, .. } | Event::BufSteal { node, .. } = record.event {
+                shares[node as usize] += 1;
+            }
+        }
+        let pages_flushed = db.stats().page_flushes - flushed0;
+        assert_eq!(shares.iter().sum::<u64>(), pages_flushed, "a flush left the event ring");
+        let outcome = db.crash_and_recover(&[NodeId(0)]).expect("recovery");
+        db.check_ifa(outcome.recovery_node).assert_ok();
+        out.push(CheckpointPoint {
+            nodes,
+            pages_flushed,
+            max_pages_per_flusher: shares.into_iter().max().unwrap_or(0),
+            makespan_cycles,
+            lost_lines: outcome.lost_lines,
+        });
     }
     out
 }

@@ -27,7 +27,7 @@ pub struct Cell {
 }
 
 /// Every cell, in report order.
-pub const CELLS: [Cell; 17] = [
+pub const CELLS: [Cell; 18] = [
     Cell { name: "table1", run: table1 },
     Cell { name: "e1_line_lock", run: e1_line_lock },
     Cell { name: "e2_abort_counts", run: e2_abort_counts },
@@ -45,6 +45,7 @@ pub const CELLS: [Cell; 17] = [
     Cell { name: "e10_elr", run: e10_elr },
     Cell { name: "e11_instant_restart", run: e11_instant_restart },
     Cell { name: "e12_multicore", run: e12_multicore },
+    Cell { name: "e13_checkpoint", run: e13_checkpoint },
 ];
 
 /// A rendered report: what `report` prints, and the CSV files `--csv`
@@ -532,6 +533,28 @@ fn e12_multicore(fast: bool) -> Section {
         "== E12: true multicore execution — epoch lanes on OS threads ==\n   \
          (8 nodes, 64 coherence shards, {txns} update txns per cell; every\n    \
          column is simulated and must not vary with the thread count)\n\n\
+         {}\n",
+        text_table(&cols, &pts)
+    );
+    Section { text, csv: Some(csv(&cols, &pts)) }
+}
+
+fn e13_checkpoint(_fast: bool) -> Section {
+    type C = Col<x::CheckpointPoint>;
+    let cols = [
+        C::new("nodes", R(6), "nodes", |p| p.nodes),
+        C::new("flushed", R(8), "pages_flushed", |p| p.pages_flushed),
+        C::new("max/node", R(9), "max_pages_per_flusher", |p| p.max_pages_per_flusher),
+        C::new("makespan", R(12), "makespan_cycles", |p| p.makespan_cycles),
+        C::new("lost", R(7), "lost_lines", |p| p.lost_lines),
+    ];
+    let pages = 84;
+    let pts = x::e13_checkpoint(pages);
+    let text = format!(
+        "== E13: a checkpoint written back by every live node ==\n   \
+         (node 0 commits two updates on each of {pages} pages, clocks are\n    \
+         synchronised, node 0 hosts a checkpoint and then crashes; a page is\n    \
+         flushed by the least-loaded live node that did not update it)\n\n\
          {}\n",
         text_table(&cols, &pts)
     );

@@ -97,6 +97,14 @@ echo "== one heap-recovery path: second crash + eager vs instant =="
 # owed it.
 cargo test --release -q -p smdb-core --test second_crash --test instant_restart
 
+echo "== E13: a checkpoint written back by every live node =="
+# The same 84-page dirty set checkpointed at 1 / 2 / 4 / 8 nodes (DESIGN
+# §9): pages flushed equal, makespan at 8 nodes <= 1/6 of one node's, no
+# more lines lost by a crash of the updater right after. Simulated
+# cycles only; the workspace test steps run it in a debug build, this is
+# the release build the report is printed from.
+cargo test --release -q -p smdb-bench --test e13_checkpoint
+
 echo "== schedule fuzz (bounded, fixed seeds) =="
 # Deterministic VOPR-style schedule fuzz (DESIGN §13): three fixed master
 # seeds (500 schedules each), so this step replays the same schedules on
