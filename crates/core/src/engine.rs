@@ -1600,39 +1600,33 @@ impl SmDb {
     // Non-transactional inspection (oracle, examples, tests)
     // ------------------------------------------------------------------
 
+    /// Record `slot`'s bytes (tag, then payload) as recovery would see
+    /// them: the coherent cached copy if any survives, else the stable
+    /// image. Zero-cost (no coherence side effects).
+    fn current_record(&self, slot: u64) -> Result<&[u8], DbError> {
+        let rec = self.check_slot(slot)?;
+        let (image, at) = match self.m.peek(self.rec_line(rec)) {
+            Some(cached) => (cached, self.layout.line_and_offset(rec.slot).1),
+            None => {
+                let page = rec.page;
+                let stable = self.sdb.peek_page(page).ok_or(DbError::StablePageMissing { page })?;
+                (stable, self.layout.page_offset(rec.slot))
+            }
+        };
+        req(image.get(at..at + self.layout.rec_size()), "a record lies inside its line and page")
+    }
+
     /// The current value of record `slot` as recovery would see it: the
     /// coherent cached copy if any survives, else the stable image.
     /// Zero-cost (no coherence side effects).
     pub fn current_value(&self, slot: u64) -> Result<Vec<u8>, DbError> {
-        let rec = self.check_slot(slot)?;
-        let (line_idx, within) = self.layout.line_and_offset(rec.slot);
-        let line = LineId(self.layout.geometry.line_addr(rec.page, line_idx));
-        if let Some(bytes) = self.m.peek(line) {
-            return Ok(bytes[within + TAG_SIZE..within + self.layout.rec_size()].to_vec());
-        }
-        let img = self
-            .sdb
-            .peek_page(rec.page)
-            .unwrap_or_else(|| panic!("heap page {} missing", rec.page));
-        let off = self.layout.payload_offset(rec.slot);
-        Ok(img[off..off + self.layout.data_size].to_vec())
+        Ok(self.current_record(slot)?[TAG_SIZE..].to_vec())
     }
 
     /// The current undo tag of record `slot` (same lookup rules as
     /// [`SmDb::current_value`]).
     pub fn current_tag(&self, slot: u64) -> Result<u16, DbError> {
-        let rec = self.check_slot(slot)?;
-        let (line_idx, within) = self.layout.line_and_offset(rec.slot);
-        let line = LineId(self.layout.geometry.line_addr(rec.page, line_idx));
-        if let Some(bytes) = self.m.peek(line) {
-            return Ok(u16::from_le_bytes(bytes[within..within + 2].try_into().expect("tag")));
-        }
-        let img = self
-            .sdb
-            .peek_page(rec.page)
-            .unwrap_or_else(|| panic!("heap page {} missing", rec.page));
-        let off = self.layout.page_offset(rec.slot);
-        Ok(u16::from_le_bytes(img[off..off + 2].try_into().expect("tag")))
+        Ok(RecordLayout::tag_of(self.current_record(slot)?))
     }
 
     /// Convenience: the committed value of `slot` per the shadow model.
@@ -1723,6 +1717,54 @@ impl SmDb {
             Ok(()) => Ok(false),
             Err(DbError::WouldBlock { .. }) => Ok(true),
             Err(e) => Err(e),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn db_with_slot_5_on_disk_only() -> SmDb {
+        let mut db = SmDb::new(DbConfig::small(2, ProtocolKind::VolatileSelectiveRedo));
+        let t = db.begin(NodeId(0)).unwrap();
+        db.update(t, 5, b"kept").unwrap();
+        db.commit(t).unwrap();
+        let page = db.layout.rec_of_global(5).page;
+        db.flush_page(NodeId(1), page).unwrap();
+        db.evict_page(page);
+        assert_eq!(&db.current_value(5).unwrap()[..4], b"kept");
+        assert_eq!(db.current_tag(5).unwrap(), NULL_TAG);
+        db
+    }
+
+    #[test]
+    fn inspecting_a_record_whose_stable_page_is_gone_is_an_error_not_a_panic() {
+        let mut db = db_with_slot_5_on_disk_only();
+        let page = db.layout.rec_of_global(5).page;
+        db.sdb = StableDb::new(db.layout.geometry);
+        assert_eq!(db.current_value(5), Err(DbError::StablePageMissing { page }));
+        assert_eq!(db.current_tag(5), Err(DbError::StablePageMissing { page }));
+        assert_eq!(db.read_degraded(NodeId(1), 5), Err(DbError::StablePageMissing { page }));
+    }
+
+    #[test]
+    fn inspecting_a_record_that_overruns_its_image_is_an_error_not_a_panic() {
+        // A layout that disagrees with the machine's lines and the disk's
+        // pages: the record's offset falls outside both images.
+        let mut db = db_with_slot_5_on_disk_only();
+        let t = db.begin(NodeId(0)).unwrap();
+        db.update(t, 30, b"cached").unwrap();
+        db.commit(t).unwrap();
+        let cached = db.rec_line(db.layout.rec_of_global(30));
+        let wide = PageGeometry::new(4 * db.layout.geometry.line_size, 8);
+        db.layout = RecordLayout::new(wide, db.layout.data_size);
+        // Slot 83 is looked up on disk, past the end of page 0; slot 124
+        // in the line slot 30 left cached, past the end of the line.
+        assert_eq!(db.rec_line(db.layout.rec_of_global(124)), cached);
+        for slot in [83, 124] {
+            assert!(matches!(db.current_value(slot), Err(DbError::Invariant { .. })), "{slot}");
+            assert!(matches!(db.current_tag(slot), Err(DbError::Invariant { .. })), "{slot}");
         }
     }
 }
