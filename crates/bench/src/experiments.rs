@@ -1,9 +1,10 @@
 //! Experiment implementations (T1, E1–E8 of `DESIGN.md` §3).
 
-use smdb_core::{DbConfig, ProtocolKind, RecoveryOutcome, SmDb};
+use smdb_core::{DbConfig, ProtocolKind, RecordLayout, RecoveryOutcome, SmDb};
 use smdb_lock::LcbGeometry;
 use smdb_obs::{Event, Stage};
 use smdb_sim::{contended_line_lock_costs, CoherenceKind, CostModel, NodeId};
+use smdb_storage::PageGeometry;
 use smdb_workload::{
     run_mix, run_mix_mt, run_tp1, spawn_active, spawn_active_parallel, MixParams, Tp1Params,
 };
@@ -1188,11 +1189,8 @@ pub fn e13_checkpoint(pages: u32) -> Vec<CheckpointPoint> {
     let mut out = Vec::new();
     for nodes in [1u16, 2, 4, 8] {
         let mut cfg = DbConfig::bench(nodes, ProtocolKind::VolatileSelectiveRedo);
-        let layout = smdb_core::RecordLayout::new(
-            smdb_storage::PageGeometry::new(cfg.line_size, cfg.lines_per_page),
-            cfg.rec_data_size,
-        );
-        let per_page = layout.records_per_page() as u64;
+        let geometry = PageGeometry::new(cfg.line_size, cfg.lines_per_page);
+        let per_page = RecordLayout::new(geometry, cfg.rec_data_size).records_per_page() as u64;
         cfg.records = pages * per_page as u32;
         let mut db = SmDb::new(cfg);
         for page in 0..pages as u64 {

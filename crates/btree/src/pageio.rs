@@ -498,7 +498,9 @@ impl<'a> TreeCtx<'a> {
     pub fn flush_page(&mut self, node: NodeId, page: PageId) -> Result<u64, BtreeError> {
         let mut forces = 0;
         // The table is only read until the page is flushed, so its entries
-        // are walked in place while the logs and clocks beside it move.
+        // are walked in place while the logs and clocks beside it move
+        // (hence `note_attr_force` spelled out: it would borrow all of
+        // `self`).
         for (n, lsn) in self.plt.updaters(page) {
             if !self.logs.log(n).is_stable(lsn) {
                 let obs_on = self.m.obs().is_enabled();
