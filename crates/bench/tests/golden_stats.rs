@@ -106,17 +106,19 @@ fn golden_e4(out: &mut String) {
 /// lock-recovery stats, recovery cycles and the phase order with its
 /// per-phase cycles.
 fn golden_restart(out: &mut String) {
-    for (p, instant) in restart_cells() {
-        let _ = writeln!(out, "[restart protocol={p:?} instant={instant}]");
+    for (p, instant, crashed) in restart_cells() {
+        let all = if crashed.len() > 1 { " crashed=all" } else { "" };
+        let _ = writeln!(out, "[restart protocol={p:?} instant={instant}{all}]");
         let (mut db, committed) = restart_scenario(p, instant);
         let _ = writeln!(out, "committed: {committed}");
-        let outcome = db.crash_and_recover(&[NodeId(0)]).expect("recovery");
+        let outcome = db.crash_and_recover(&crashed).expect("recovery");
         let _ = writeln!(out, "redo_pending_at_open: {}", db.redo_pending());
+        let scan = db.machine().surviving_nodes()[0];
         while db.redo_pending() > 0 {
-            db.drain_redo(NodeId(1), 64).expect("drain");
+            db.drain_redo(scan, 64).expect("drain");
         }
         db.drain_commit_pipeline().expect("pipeline drain");
-        db.check_ifa(NodeId(1)).assert_ok();
+        db.check_ifa(scan).assert_ok();
         render_outcome(out, &outcome);
         let _ = writeln!(out, "instant_redo: {:?}", db.instant_redo_counters());
         render_db(out, &db);
@@ -124,15 +126,18 @@ fn golden_restart(out: &mut String) {
     }
 }
 
-/// The nine cells of the restart scenario: four IFA protocols × eager /
-/// instant restart, plus the FA-only baseline.
-fn restart_cells() -> Vec<(ProtocolKind, bool)> {
-    let mut cells: Vec<(ProtocolKind, bool)> = Vec::new();
+/// The ten cells of the restart scenario: four IFA protocols × eager /
+/// instant restart and the FA-only baseline, each with node 0 crashed, plus
+/// a total failure — every node crashed — under Volatile LBM with Selective
+/// Redo. The last two run the full restart.
+fn restart_cells() -> Vec<(ProtocolKind, bool, Vec<NodeId>)> {
+    let mut cells = Vec::new();
     for p in ProtocolKind::ifa_protocols() {
-        cells.push((p, false));
-        cells.push((p, true));
+        cells.push((p, false, vec![NodeId(0)]));
+        cells.push((p, true, vec![NodeId(0)]));
     }
-    cells.push((ProtocolKind::FaOnly, false));
+    cells.push((ProtocolKind::FaOnly, false, vec![NodeId(0)]));
+    cells.push((ProtocolKind::VolatileSelectiveRedo, false, (0..8).map(NodeId).collect()));
     cells
 }
 
@@ -370,15 +375,16 @@ fn plan_sized_probe_equals_whole_cache_snapshot() {
         let diffs = db.check_redo_plan();
         assert!(diffs.is_empty(), "redo plan diverged {at}:\n  {}", diffs.join("\n  "));
     };
-    for (p, instant) in restart_cells() {
-        let at = format!("{p:?} instant={instant}");
+    for (p, instant, crashed) in restart_cells() {
+        let at = format!("{p:?} instant={instant} crashed={}", crashed.len());
         let (mut db, _) = restart_scenario(p, instant);
-        db.crash(&[NodeId(0)]);
+        db.crash(&crashed);
         assert_exact(&db, &at);
         db.recover().expect("recovery");
-        settle_and_check_ifa(&mut db, NodeId(1));
+        let scan = db.machine().surviving_nodes()[0];
+        settle_and_check_ifa(&mut db, scan);
 
-        if !p.guarantees_ifa() {
+        if !p.guarantees_ifa() || crashed.len() > 1 {
             continue; // the full restart has no reinstall phase to die after
         }
         for second_victim_is_host in [true, false] {
