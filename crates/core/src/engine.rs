@@ -14,7 +14,7 @@ use crate::config::{DbConfig, ProtocolKind};
 use crate::error::{req, DbError};
 use crate::oracle::ShadowDb;
 use crate::record::{RecordLayout, NULL_TAG, TAG_SIZE};
-use crate::restart::OwedHeap;
+use crate::restart::RestartState;
 use crate::stats::EngineStats;
 use crate::txn::{Op, TxnOp, TxnState, TxnStatus, TxnTable};
 use bytes::Bytes;
@@ -31,7 +31,7 @@ use smdb_wal::{
     assign_flushers, CheckpointMeta, CheckpointStore, CommitDep, LbmMode, LogPayload, LogSet, Lsn,
     PageLsnTable, RecId,
 };
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Slack between the page-backed line address range and the lock table.
 const LOCK_TABLE_GAP: u64 = 4096;
@@ -62,6 +62,13 @@ pub(crate) struct InheritedDep {
     pub commit_lsn: Lsn,
     /// The violated lock name the dependency was inherited through.
     pub name: u64,
+}
+
+/// How a transaction leaves the engine ([`SmDb::retire`]).
+#[derive(Clone, Copy)]
+pub(crate) enum Fate {
+    Committed,
+    Aborted,
 }
 
 /// A pipelined commit awaiting acknowledgement: its record is appended
@@ -107,32 +114,15 @@ pub struct SmDb {
     /// deterministic fuzzer (disabled by default: every choice is 0, the
     /// historical order, at the cost of one relaxed load per decision).
     pub(crate) sched: Scheduler,
-    /// Nodes crashed via [`SmDb::crash`] whose recovery has not completed.
-    pub(crate) pending_recovery: BTreeSet<NodeId>,
-    /// Cache lines destroyed by crashes since the last completed recovery.
-    pub(crate) pending_lost_lines: u64,
-    /// A crash took every node down; recovery must run the full restart
-    /// even if a survivor has since been rebooted by an interrupted
-    /// recovery attempt.
-    pub(crate) pending_total_failure: bool,
-    /// Heap lines reinstalled from (possibly stale) stable images by a
-    /// recovery attempt that did not complete. A re-entered restart must
-    /// not mistake them for coherent surviving copies: they are excluded
-    /// from the Selective-Redo cached probe and carried into the
-    /// reinstalled set of the next attempt. Cleared on completed recovery.
-    pub(crate) stale_heap_lines: BTreeSet<LineId>,
-    /// Index pages reinstalled/reloaded from stable images by an
-    /// incomplete recovery attempt (same hazard as `stale_heap_lines`:
-    /// their entries are stale until index redo completes).
-    pub(crate) stale_tree_pages: BTreeSet<PageId>,
+    /// What carries a restart across an interruption: the crashed nodes
+    /// awaiting recovery, what interrupted attempts left stale, and what
+    /// the restart still owes the heap.
+    pub(crate) restart: RestartState,
     /// Pipelined commits awaiting acknowledgement, in append order.
     pub(crate) pending_commits: Vec<PendingCommit>,
     /// Lock names released early by not-yet-acknowledged committers
     /// (controlled lock violation bookkeeping).
     pub(crate) violations: ViolationTable,
-    /// What a restart still owes the heap: lost lines to install and, past
-    /// an instant restart's early open, plan entries to apply.
-    pub(crate) owed: OwedHeap,
     /// Epoch-parallel lane marker (see [`crate::mt`]). `Some` makes this
     /// engine an execution lane, and holds the lock names of the plan of
     /// the one transaction the lane is running: the deterministic epoch
@@ -224,14 +214,9 @@ impl SmDb {
             shadow: ShadowDb::new(),
             fault: FaultInjector::new(),
             sched: Scheduler::new(),
-            pending_recovery: BTreeSet::new(),
-            pending_lost_lines: 0,
-            pending_total_failure: false,
-            stale_heap_lines: BTreeSet::new(),
-            stale_tree_pages: BTreeSet::new(),
+            restart: RestartState::default(),
             pending_commits: Vec::new(),
             violations: ViolationTable::new(),
-            owed: OwedHeap::default(),
             mt_plan: None,
         };
         if db.cfg.with_index {
@@ -702,7 +687,9 @@ impl SmDb {
         self.check_active(txn)?;
         self.check_participant(txn, node)?;
         let rec = self.check_slot(slot)?;
-        assert!(data.len() <= self.layout.data_size, "payload too large");
+        if data.len() > self.layout.data_size {
+            return Err(DbError::PayloadTooLarge { len: data.len(), max: self.layout.data_size });
+        }
         self.lock_from(txn, Self::lock_name_for_rec(slot), LockMode::Exclusive, node)?;
         let obs_on = self.m.obs().is_enabled();
         let update_t0 = if obs_on { self.m.now(node) } else { 0 };
@@ -1277,10 +1264,6 @@ impl SmDb {
             self.txns.restore(t);
             return Err(e);
         }
-        self.txns.settle_committed(txn);
-        // Its lock releases are logged: nothing of it is appended again.
-        self.logs.retire_txn(txn);
-        self.shadow.commit(txn);
         self.stats.commits += 1;
         let mut latency = 0u64;
         let obs = self.m.obs();
@@ -1299,7 +1282,45 @@ impl SmDb {
         if obs.timeline.is_enabled() {
             obs.timeline.on_commit(self.m.max_clock(), latency, self.txns.in_flight());
         }
+        // Its lock releases are logged: nothing of it is appended again.
+        self.retire(txn, Fate::Committed);
         Ok(())
+    }
+
+    /// **The** way out of the transaction table, whatever ends `txn` — a
+    /// commit or its pipelined acknowledgement, a voluntary abort, a
+    /// promotion by a crash, a restart's rollback. The table settles it,
+    /// the shadow keeps or drops its effects, and everything else keyed by
+    /// its id is let go: the logs' first-record entries (it appends nothing
+    /// further: callers retire after its last record), its lock chain (its
+    /// LCB entries were released, or scrubbed by lock recovery), its
+    /// violation edges (successors stop inheriting; its own dependencies
+    /// went with its entry) and a span its exit did not end on its home
+    /// clock, which can never be ended consistently. Counting the exit is
+    /// the caller's. Idempotent, so what a later step logs under a retired
+    /// id can be retired by calling it again.
+    pub(crate) fn retire(&mut self, txn: TxnId, fate: Fate) {
+        match fate {
+            Fate::Committed => {
+                self.txns.settle_committed(txn);
+                self.shadow.commit(txn);
+            }
+            Fate::Aborted => {
+                // The entry stays in the active table, stripped to the
+                // status, only if a commit record of its sits on its home
+                // log: stable now or forced later, that record keeps
+                // entering the commit-dependency fixpoint
+                // ([`SmDb::settled_unacked_commits`]), which must go on
+                // refusing it.
+                let owed = self.logs.log(txn.node()).index().commit_lsn(txn).is_some();
+                self.txns.settle_aborted(txn, owed);
+                self.shadow.drop_pending(txn);
+            }
+        }
+        self.logs.retire_txn(txn);
+        self.locks.drop_chain(txn);
+        self.violations.resolve(txn);
+        self.m.obs().spans.discard(txn.0);
     }
 
     /// The fallible half of [`Self::finish_commit`], over the retiring
@@ -1356,11 +1377,9 @@ impl SmDb {
                 tree.commit_key(&mut ctx, txn, key)?;
             }
         }
-        if early_released {
-            // Settle the violation edges so later acquirers stop
-            // inheriting.
-            self.violations.resolve(txn);
-        } else {
+        // Locks `early_released` at append time left violation edges
+        // instead; retiring the transaction settles those.
+        if !early_released {
             self.locks.release_all(&mut self.m, &mut self.logs, txn)?;
         }
         Ok(())
@@ -1386,12 +1405,6 @@ impl SmDb {
             self.txns.restore(t);
             return Err(e);
         }
-        // A voluntary abort restores every inherited value itself; its
-        // commit dependencies die with its entry (it never appended a
-        // commit record — `check_active` rejects committing transactions
-        // here).
-        self.settle_aborted(txn);
-        self.shadow.drop_pending(txn);
         self.stats.voluntary_aborts += 1;
         if spans_on {
             let end_at = self.m.now(node);
@@ -1408,20 +1421,12 @@ impl SmDb {
         if obs.timeline.is_enabled() {
             obs.timeline.on_abort(self.m.max_clock(), self.txns.in_flight());
         }
+        // A voluntary abort restores every inherited value itself; its
+        // commit dependencies die with its entry (it never appended a
+        // commit record — `check_active` rejects committing transactions
+        // here).
+        self.retire(txn, Fate::Aborted);
         Ok(())
-    }
-
-    /// Settle `txn` as aborted (voluntarily or by a recovery). Its entry
-    /// stays in the active table, stripped to the status, only if a commit
-    /// record of its sits on its home log: stable now or forced later,
-    /// that record keeps entering the commit-dependency fixpoint
-    /// ([`SmDb::settled_unacked_commits`]), which must go on refusing it.
-    /// Either way it appends nothing further (callers settle after the
-    /// rollback's records), so the logs retire its first-record entries.
-    pub(crate) fn settle_aborted(&mut self, txn: TxnId) {
-        let owed = self.logs.log(txn.node()).index().commit_lsn(txn).is_some();
-        self.txns.settle_aborted(txn, owed);
-        self.logs.retire_txn(txn);
     }
 
     /// The fallible half of [`Self::abort`], over the retiring entry `t`:

@@ -44,6 +44,13 @@ pub enum DbError {
         /// Global slot index requested.
         slot: u64,
     },
+    /// An update's payload is longer than a record's data area.
+    PayloadTooLarge {
+        /// Bytes offered.
+        len: usize,
+        /// Bytes a record holds ([`crate::DbConfig`]'s `rec_data_size`).
+        max: usize,
+    },
     /// Operation issued for a node that has crashed and not been rebooted.
     NodeDown {
         /// The node.
@@ -63,6 +70,13 @@ pub enum DbError {
     IndexOpInEpoch {
         /// The index key of the refused operation.
         key: u64,
+    },
+    /// The epoch scheduler ([`crate::SmDb::run_epochs`]) was asked to run
+    /// on an engine it does not support — it needs a quiescent engine, every
+    /// node up and the serial feature set — or could not finish an epoch.
+    EpochRefused {
+        /// The precondition that does not hold.
+        requires: &'static str,
     },
     /// An armed fault-injection point fired: the acting node must be
     /// treated as crashed at this instant. The crash driver catches this
@@ -154,11 +168,17 @@ impl fmt::Display for DbError {
                 write!(f, "{txn} does not run on {node}: attach() it first")
             }
             DbError::NoSuchRecord { slot } => write!(f, "no record slot {slot}"),
+            DbError::PayloadTooLarge { len, max } => {
+                write!(f, "payload of {len} bytes exceeds the record's {max}")
+            }
             DbError::NodeDown { node } => write!(f, "{node} is down"),
             DbError::NoIndex => write!(f, "engine configured without an index"),
             DbError::NoSuchNode { node } => write!(f, "the machine has no {node}"),
             DbError::IndexOpInEpoch { key } => {
                 write!(f, "index operation on key {key} submitted to the epoch scheduler")
+            }
+            DbError::EpochRefused { requires } => {
+                write!(f, "the epoch scheduler requires {requires}")
             }
             DbError::FaultCrash(c) => write!(f, "injected crash point fired: {c}"),
             DbError::StablePageMissing { page } => {

@@ -77,7 +77,7 @@
 
 use crate::engine::{engine_ctx, SmDb};
 use crate::error::DbError;
-use crate::restart::OwedHeap;
+use crate::restart::RestartState;
 use crate::stats::EngineStats;
 use crate::txn::Op;
 use smdb_btree::TreeCtx;
@@ -87,7 +87,7 @@ use smdb_obs::names;
 use smdb_sim::{LineId, MemError, NodeId, TxnId};
 use smdb_storage::{PageId, StableDb};
 use smdb_wal::{CheckpointStore, PageLsnTable};
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 /// Schedule-tape site drawn once per admission candidate (after the
 /// footprint checks pass): choice `1` defers the transaction to a later
@@ -298,11 +298,23 @@ fn assign_lanes(work: &[u64], threads: usize) -> Vec<usize> {
 }
 
 impl SmDb {
-    /// Refuse a batch the scheduler cannot run before anything is touched:
-    /// a node the machine does not have, an index operation, a record slot
-    /// outside the heap (which would also index past the admission
-    /// tables).
+    /// Refuse what the scheduler cannot run before anything is touched: an
+    /// engine outside the serial feature set or not quiescent, and a batch
+    /// naming a node the machine does not have, an index operation or a
+    /// record slot outside the heap (which would also index past the
+    /// admission tables).
     fn mt_validate(&self, txns: &[MtTxn]) -> Result<(), DbError> {
+        let preconditions = [
+            (!self.cfg.early_lock_release, "no early lock release"),
+            (self.redo_pending() == 0, "no instant-restart redo pending"),
+            (!self.recovery_pending(), "a completed recovery"),
+            (self.pending_commits.is_empty(), "a drained commit pipeline"),
+            (self.txns.in_flight() == 0, "no transaction in flight"),
+            (self.m.surviving_nodes().len() == self.cfg.nodes as usize, "every node up"),
+        ];
+        if let Some(&(_, requires)) = preconditions.iter().find(|(holds, _)| !holds) {
+            return Err(DbError::EpochRefused { requires });
+        }
         for t in txns {
             if t.node.0 >= self.cfg.nodes {
                 return Err(DbError::NoSuchNode { node: t.node });
@@ -369,14 +381,9 @@ impl SmDb {
             shadow: self.shadow.lane_fork(),
             fault: self.fault.clone(),
             sched: Scheduler::new(),
-            pending_recovery: BTreeSet::new(),
-            pending_lost_lines: 0,
-            pending_total_failure: false,
-            stale_heap_lines: BTreeSet::new(),
-            stale_tree_pages: BTreeSet::new(),
+            restart: RestartState::default(),
             pending_commits: Vec::new(),
             violations: ViolationTable::new(),
-            owed: OwedHeap::default(),
             mt_plan: Some(Vec::new()),
         }
     }
@@ -590,10 +597,11 @@ impl SmDb {
                 }
             }
         }
-        assert!(
-            admitted_total > 0,
-            "epoch admitted nothing with work pending: admission cannot stall every node"
-        );
+        if admitted_total == 0 {
+            // Admission cannot stall every node: the first candidate of an
+            // epoch meets no claim, no grant and no tape deferral.
+            return Err(DbError::EpochRefused { requires: "an epoch that admits a transaction" });
+        }
         out.epochs += 1;
         out.max_epoch_txns = out.max_epoch_txns.max(admitted_total);
         self.gsn = gsn_cursor;
@@ -607,19 +615,14 @@ impl SmDb {
     /// see the module docs for the argument.
     ///
     /// Requires a quiescent engine (no active transactions, no pending
-    /// recovery) and the serial feature set: no early lock release, no
-    /// instant restart, no pipelined commits. A batch naming a node the
-    /// machine does not have, a record slot outside the heap or an index
-    /// operation is refused with a typed error before anything is touched.
+    /// recovery, every node up) and the serial feature set: no early lock
+    /// release, no instant-restart redo pending, no pipelined commits;
+    /// anything else is [`DbError::EpochRefused`]. A batch naming a node
+    /// the machine does not have, a record slot outside the heap or an
+    /// index operation is refused too. All before anything is touched.
     pub fn run_epochs(&mut self, txns: Vec<MtTxn>, threads: usize) -> Result<MtOutcome, DbError> {
         let threads = threads.max(1);
         let nodes = self.cfg.nodes as usize;
-        assert!(!self.cfg.early_lock_release, "mt excludes early lock release");
-        assert!(self.redo_pending() == 0, "mt excludes instant restart");
-        assert!(self.pending_recovery.is_empty(), "mt requires completed recovery");
-        assert!(self.pending_commits.is_empty(), "mt requires drained commit pipeline");
-        assert_eq!(self.txns.in_flight(), 0, "mt requires a quiescent engine");
-        assert_eq!(self.m.surviving_nodes().len(), nodes, "mt requires every node up");
         self.mt_validate(&txns)?;
 
         self.settle_lbm_marks()?;
@@ -712,7 +715,7 @@ impl SmDb {
                         .collect();
                     handles
                         .into_iter()
-                        .flat_map(|h| h.join().expect("lane thread panicked"))
+                        .flat_map(|h| h.join().unwrap_or_default())
                         .collect::<Vec<_>>()
                 });
                 for (i, r) in bucket_results {
@@ -724,7 +727,10 @@ impl SmDb {
             let mut retries: Vec<(NodeId, Admitted)> = Vec::new();
             let mut first_error: Option<DbError> = None;
             for ((node, stripes, lane, _), result) in lanes.into_iter().zip(results) {
-                let report = result.expect("every lane produced a result");
+                // A lane with no result was on a thread that panicked.
+                let report = result.unwrap_or(Err(DbError::EpochRefused {
+                    requires: "lane threads that do not panic",
+                }));
                 self.lane_merge(node, lane);
                 match report {
                     Ok(rep) => {

@@ -307,7 +307,7 @@ impl SmDb {
         if self.recovery_pending() {
             report.violations.push(format!(
                 "recovery pending for {:?}: call SmDb::recover before check_ifa",
-                self.pending_recovery.iter().map(|n| n.0).collect::<Vec<_>>()
+                self.restart.crashed.iter().map(|n| n.0).collect::<Vec<_>>()
             ));
             return report;
         }
@@ -506,13 +506,13 @@ impl SmDb {
     /// [`SmDb::recover`] (also after an interrupted `recover`). Returns
     /// human-readable disagreements (empty = the analysis is exact).
     pub fn check_redo_plan(&self) -> Vec<String> {
-        let (analysed, doomed) = self.pending_restart_scope();
+        let scope = self.restart_scope();
         let unacked = self.settled_unacked_commits();
         let mut plan = BTreeMap::new();
         let mut values = BTreeMap::new();
         for n in self.m.node_ids() {
             let log = self.logs.log(n);
-            let is_analysed = analysed.contains(&n);
+            let is_analysed = scope.analysed.contains(&n);
             let bound = self.ckpt.last().lsn_for(n);
             let covered = if is_analysed { log.stable_records() } else { log.records() };
             for r in covered {
@@ -524,13 +524,14 @@ impl SmDb {
                 if committed && values.get(rec).is_none_or(|(g, _, _)| gsn >= g) {
                     values.insert(*rec, (*gsn, *txn, after.clone()));
                 }
-                let redo = r.lsn > bound && !doomed.contains(txn) && (committed || !is_analysed);
+                let redo =
+                    r.lsn > bound && !scope.doomed.contains(txn) && (committed || !is_analysed);
                 if redo && plan.get(rec).is_none_or(|(g, _, _)| gsn >= g) {
                     plan.insert(*rec, (*gsn, *txn, after.clone()));
                 }
             }
         }
-        let (got_plan, got_values) = match self.analysed_heap_images(&analysed, &doomed) {
+        let (got_plan, got_values) = match self.analysed_heap_images(&scope) {
             Ok(images) => images,
             Err(e) => return vec![format!("analysis failed: {e}")],
         };

@@ -24,9 +24,14 @@
 //! ([`SmDb::apply_heap_plan`]), an *instant* restart leaves the same plan
 //! pending and applies it on first access
 //! ([`SmDb::ensure_line_recovered`]) or from the background drain
-//! ([`SmDb::drain_redo`]). The FA-only baseline — abort *every* active
-//! transaction and rebuild, the behaviour the paper's protocols exist to
-//! avoid — applies the same kind of plan, always before the open.
+//! ([`SmDb::drain_redo`]).
+//!
+//! Every restart is the same phased routine over a [`RestartScope`]. The
+//! FA-only baseline — abort *every* active transaction and rebuild, the
+//! behaviour the paper's protocols exist to avoid — and a total failure
+//! are the scope in which every node is analysed and every active
+//! transaction is doomed: Redo All "after aborting everyone", always
+//! before the open.
 //!
 //! The two redo schemes of the paper differ in what the plan may skip:
 //! **Redo All** discards every cached database line first, **Selective
@@ -35,7 +40,7 @@
 //! plan; they run inside [`SmDb::recover`].
 
 use crate::config::{ProtocolKind, RestartScheme};
-use crate::engine::{engine_ctx, tree_ctx, PendingCommit, SmDb};
+use crate::engine::{engine_ctx, tree_ctx, Fate, SmDb};
 use crate::error::{req, DbError};
 use crate::record::{RecordLayout, NULL_TAG};
 use crate::txn::TxnStatus;
@@ -49,10 +54,10 @@ use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Fault-injection site visited between restart-recovery phases (after
-/// each of phases 1–6 of the IFA restart, and once mid full-restart). A
-/// fire here kills the *recovery node itself*: the crash driver crashes
-/// it and calls [`SmDb::recover`] again, which restarts recovery from a
-/// fresh survivor over the (possibly larger) crashed set.
+/// each of phases 1–6 of every restart). A fire here kills the *recovery
+/// node itself*: the crash driver crashes it and calls [`SmDb::recover`]
+/// again, which restarts recovery from a fresh survivor over the (possibly
+/// larger) crashed set.
 pub const FAULT_RECOVERY_PHASE: &str = "recovery.phase";
 
 /// Fault-injection site visited before an instant restart's *on-demand*
@@ -118,9 +123,7 @@ pub struct RecoveryOutcome {
     /// Highest per-node checkpoint LSN that bounded the redo scan (0 when
     /// no checkpoint had been taken).
     pub ckpt_bound_lsn: u64,
-    /// Per-phase simulated-cycle and wall-clock spans of the IFA restart
-    /// (empty for the FA-only full restart, which is a single monolithic
-    /// rebuild pass).
+    /// Per-phase simulated-cycle and wall-clock spans of the restart.
     pub phases: Vec<PhaseTiming>,
 }
 
@@ -187,15 +190,36 @@ pub struct InstantRedoCounters {
     pub skipped_stable: u64,
 }
 
-/// What the restart owes the heap: the plan entries not yet applied and
-/// the crash-lost lines not yet installed, plus the scrub set its installs
-/// use. An eager restart pays before the open, so it only ever sets
-/// `scrub_tags`, and clears it as it returns; an instant restart leaves
-/// the rest here past its early open, for first access and the background
-/// drain. The full restart sets nothing and installs raw stable images:
-/// its undo is all plan entries, and it runs no tag scan.
+/// What carries a restart across an interruption — from [`SmDb::crash`] to
+/// a completed [`SmDb::recover`], over however many attempts that takes,
+/// and past an instant restart's early open to the end of its drain.
+///
+/// From `entries` down it is what the restart owes the heap: the plan
+/// entries not yet applied and the crash-lost lines not yet installed, plus
+/// the scrub set its installs use. An eager restart pays before the open,
+/// so it only ever sets `scrub_tags`, and clears it as it returns; an
+/// instant restart leaves the rest here past its early open, for first
+/// access and the background drain.
 #[derive(Default)]
-pub(crate) struct OwedHeap {
+pub(crate) struct RestartState {
+    /// Nodes crashed via [`SmDb::crash`] whose recovery has not completed.
+    pub(crate) crashed: BTreeSet<NodeId>,
+    /// Cache lines destroyed by crashes since the last completed recovery.
+    lost_lines: u64,
+    /// A crash took every node down; recovery must run over the full scope
+    /// even if a survivor has since been rebooted by an interrupted
+    /// recovery attempt.
+    total_failure: bool,
+    /// Heap lines reinstalled from (possibly stale) stable images by a
+    /// recovery attempt that did not complete. A re-entered restart must
+    /// not mistake them for coherent surviving copies: they are excluded
+    /// from the Selective-Redo cached probe and carried into the
+    /// reinstalled set of the next attempt. Cleared on completed recovery.
+    stale_heap_lines: BTreeSet<LineId>,
+    /// Index pages reinstalled/reloaded from stable images by an
+    /// incomplete recovery attempt (same hazard as `stale_heap_lines`:
+    /// their entries are stale until index redo completes).
+    stale_tree_pages: BTreeSet<PageId>,
     /// The deferred plan in its own order; an entry flips to `None` once
     /// retired.
     entries: Vec<Option<HeapWrite>>,
@@ -212,16 +236,16 @@ pub(crate) struct OwedHeap {
     /// Lines under `lost_pages`.
     lost_left: usize,
     /// Node ids whose undo tags an install scrubs from the stable image:
-    /// the nodes down at plan time. Their transactions are rolled back by
+    /// the nodes the restart analyses. Their transactions are rolled back by
     /// this restart, so a tag of theirs on a record no plan entry
-    /// overwrites is stale. Set by [`SmDb::ifa_restart`], read by
+    /// overwrites is stale. Set by [`SmDb::restart_phases`], read by
     /// [`SmDb::install_lost_page`], cleared once nothing is owed.
     scrub_tags: BTreeSet<u16>,
     /// Lifetime counters.
     counters: InstantRedoCounters,
 }
 
-impl OwedHeap {
+impl RestartState {
     /// Leave `plan` pending past the open, and the crash-lost lines
     /// registered under their pages.
     fn defer(&mut self, plan: Vec<HeapWrite>, lost_pages: BTreeMap<PageId, Vec<LineId>>) {
@@ -247,9 +271,17 @@ impl OwedHeap {
     }
 
     /// Nothing owed any more: no install is left to read the scrub set.
+    /// Once no crash is pending either, every reinstalled line and page has
+    /// been redone and undone: their contents are authoritative again.
+    /// (With a crash pending, the stale knowledge is carried into the next
+    /// recovery attempt instead.)
     fn settle(&mut self) {
         if self.pending == 0 && self.lost_left == 0 {
             self.scrub_tags.clear();
+        }
+        if self.pending == 0 && self.crashed.is_empty() {
+            self.stale_heap_lines.clear();
+            self.stale_tree_pages.clear();
         }
     }
 
@@ -275,6 +307,46 @@ impl OwedHeap {
         }
         None
     }
+}
+
+/// What one restart covers, derived from the pending crash in one place
+/// ([`SmDb::restart_scope`]) and read by every phase — and by the oracles
+/// of the analysis, so they check what recovery does and not a
+/// re-derivation of it. The FA-only baseline and a total failure are the
+/// `full` scope: every node analysed, every active transaction doomed.
+pub(crate) struct RestartScope {
+    /// The nodes read over their stable prefix only, whose transactions'
+    /// durable traces are undone: every node that is *currently* down — not
+    /// just the ones that failed this instant — or, in the full scope,
+    /// every node. A node still down from an earlier crash must not be
+    /// mistaken for a survivor: its stable log may contain uncommitted
+    /// updates that were already rolled back, and replaying them as
+    /// "survivor redo" would resurrect aborted data. (Found by the IFA
+    /// property tests.)
+    pub(crate) analysed: Vec<NodeId>,
+    /// The transactions that die, in the order the last phase retires
+    /// them: those with a participant down, then their cascade victims —
+    /// or, in the full scope, every active one.
+    pub(crate) doomed: Vec<TxnId>,
+    /// The cascade victims among `doomed` (controlled lock violation),
+    /// counted as dependency aborts.
+    cascade: BTreeSet<TxnId>,
+    /// Records a doomed dependent reached through a violated lock name:
+    /// the dependent's logged before image may be the doomed predecessor's
+    /// own uncommitted value, so undo must restore the last committed
+    /// payload instead.
+    contaminated: BTreeSet<RecId>,
+    /// Active transactions whose effects are preserved.
+    surviving: Vec<TxnId>,
+    /// The node that orchestrates reconstruction: the lowest survivor, or
+    /// node 0 (which [`SmDb::recover`] reboots) when there is none.
+    recovery_node: NodeId,
+    /// What the heap plan may skip: under `full` it is Redo All whatever
+    /// the protocol pairs with.
+    scheme: RestartScheme,
+    /// FA-only or total failure. Where a phase does something else for it,
+    /// the read says why.
+    full: bool,
 }
 
 /// One redo candidate for the index (applied sequentially in GSN order —
@@ -491,18 +563,18 @@ impl SmDb {
             return crashed;
         }
         let report = self.m.crash(&crashed);
-        self.pending_lost_lines += report.lost_lines.len() as u64;
+        self.restart.lost_lines += report.lost_lines.len() as u64;
         self.logs.crash(&crashed);
         for &n in &crashed {
             self.plt.reset_node(n);
-            self.pending_recovery.insert(n);
+            self.restart.crashed.insert(n);
         }
         if self.m.surviving_nodes().is_empty() {
             // Machine-wide outage. Latch it: even if an interrupted
             // recovery attempt reboots a host node and then dies, later
-            // attempts must still run the full restart (every active
+            // attempts must still run over the full scope (every active
             // transaction died in the outage).
-            self.pending_total_failure = true;
+            self.restart.total_failure = true;
         }
         // The commit point is the durable commit record (§4.1.1). A node
         // can die *after* forcing its commit record but before finishing
@@ -575,17 +647,8 @@ impl SmDb {
             .filter(|t| self.txns.status(*t) == Some(TxnStatus::Active))
             .collect();
         for txn in promoted {
-            self.txns.settle_committed(txn);
-            self.logs.retire_txn(txn);
-            self.shadow.commit(txn);
+            self.retire(txn, Fate::Committed);
             self.stats.commits += 1;
-            // The commit settled off its home clock (mid-crash promotion
-            // or a pipelined append overtaken by the crash); the span can
-            // never be ended consistently.
-            self.m.obs().spans.discard(txn.0);
-            // Its violation edges are satisfied: successors no longer
-            // inherit, and its own dependencies went with its entry.
-            self.violations.resolve(txn);
         }
     }
 
@@ -597,59 +660,34 @@ impl SmDb {
     /// restart converges to the same IFA-consistent state. No-op when
     /// nothing is pending.
     pub fn recover(&mut self) -> Result<RecoveryOutcome, DbError> {
-        let crashed: Vec<NodeId> = self.pending_recovery.iter().copied().collect();
+        let crashed: Vec<NodeId> = self.restart.crashed.iter().copied().collect();
         let mut outcome = RecoveryOutcome { crashed: crashed.clone(), ..Default::default() };
         if crashed.is_empty() {
             return Ok(outcome);
         }
-        outcome.lost_lines = self.pending_lost_lines;
+        outcome.lost_lines = self.restart.lost_lines;
         // A new recovery supersedes any in-progress instant drain: the
         // analysis below re-derives the complete redo plan from the
         // retained logs (a checkpoint cannot have advanced the bound past
         // a pending entry — it drains first), so the stale deferred
         // entries and their coherence marks are dropped wholesale.
-        self.owed.clear_plan();
+        self.restart.clear_plan();
         self.m.clear_all_unrecovered();
         let clock0 = self.m.max_clock();
-        let (crashed_active, dep_doomed) = self.doomed_partition();
+        let mut scope = self.restart_scope();
         self.note_table_walk();
-        // Records a doomed dependent reached through a violated lock name
-        // are *contaminated*: the dependent's logged before image may be
-        // the doomed predecessor's own uncommitted value, so undo must
-        // restore the last committed payload instead.
-        let mut contaminated: BTreeSet<RecId> = BTreeSet::new();
-        for txn in crashed_active.iter().chain(dep_doomed.iter()) {
-            if let Some(t) = self.txns.get(*txn) {
-                for d in &t.inherited {
-                    if let Some(slot) = smdb_lock::names::rec_slot_of_name(d.name) {
-                        if slot < self.cfg.records as u64 {
-                            contaminated.insert(self.layout.rec_of_global(slot));
-                        }
-                    }
-                }
-            }
-        }
-        let doomed_all: Vec<TxnId> =
-            crashed_active.iter().copied().chain(dep_doomed.iter().copied()).collect();
-        self.note_table_walk();
-        let surviving_active: Vec<TxnId> =
-            self.active_txns(None).into_iter().filter(|t| !doomed_all.contains(t)).collect();
-
         let survivors = self.m.surviving_nodes();
-        let total_failure = self.pending_total_failure || survivors.is_empty();
         if survivors.is_empty() {
             // Machine-wide outage: reboot node 0 to host the rebuild.
             self.m.reboot_node(NodeId(0));
-        }
-        // The paper's IFA argument holds for *any* surviving host, so the
-        // choice is schedulable (choice 0 = lowest survivor, the
-        // historical pick) — a prime fuzz target.
-        let recovery_node = if survivors.is_empty() {
-            NodeId(0)
         } else {
-            survivors[self.sched.choose("core.recovery.host", survivors.len())]
-        };
-        outcome.recovery_node = recovery_node;
+            // The paper's IFA argument holds for *any* surviving host, so
+            // the choice is schedulable (choice 0 = lowest survivor, the
+            // historical pick) — a prime fuzz target.
+            scope.recovery_node =
+                survivors[self.sched.choose("core.recovery.host", survivors.len())];
+        }
+        outcome.recovery_node = scope.recovery_node;
 
         let protocol = self.cfg.protocol.name();
         let crashed_n = crashed.len() as u16;
@@ -657,25 +695,10 @@ impl SmDb {
             .obs()
             .bus
             .emit(self.m.max_clock(), || ObsEvent::RecoveryBegin { crashed: crashed_n, protocol });
-        if self.cfg.protocol == ProtocolKind::FaOnly || total_failure {
-            self.full_restart(&mut outcome, recovery_node)?;
-        } else {
-            self.ifa_restart(
-                &mut outcome,
-                recovery_node,
-                &doomed_all,
-                &surviving_active,
-                &contaminated,
-            )?;
-        }
-        self.resolve_commit_pipeline(&dep_doomed)?;
+        self.restart_phases(&mut outcome, &scope)?;
+        self.resolve_commit_pipeline()?;
         outcome.recovery_cycles = self.m.max_clock() - clock0;
         let cycles = outcome.recovery_cycles;
-        // Doomed transactions never reach a commit/abort on their home
-        // clock; drop their open spans so the tracker cannot leak.
-        for txn in &outcome.aborted {
-            self.m.obs().spans.discard(txn.0);
-        }
         let obs = self.m.obs();
         obs.metrics.observe(names::RECOVERY_TOTAL_CYCLES, cycles);
         obs.metrics.add(names::RESTART_SCAN_RECORDS, outcome.scan_records);
@@ -694,133 +717,117 @@ impl SmDb {
             outcome.redo_applied + outcome.redo_skipped_cached + outcome.redo_skipped_stable,
         );
         obs.timeline.on_recovery_end(self.m.max_clock());
-        self.pending_recovery.clear();
-        self.pending_lost_lines = 0;
-        self.pending_total_failure = false;
-        if self.owed.pending > 0 {
+        self.restart.crashed.clear();
+        self.restart.lost_lines = 0;
+        self.restart.total_failure = false;
+        if self.restart.pending > 0 {
             // Instant restart: the database opens *here*, with the heap
             // redo plan still pending. Mark every affected line so the
             // coherence layer refuses to migrate or replicate its stale
             // bytes before the deferred redo applies. The index is fully
             // recovered (index redo is never deferred), but reinstalled
             // heap lines stay stale until the drain completes.
-            for &line in self.owed.by_line.keys() {
+            for &line in self.restart.by_line.keys() {
                 self.m.mark_unrecovered(line);
             }
             self.m.obs().metrics.add(names::RESTART_OPEN_EARLY_CYCLES, cycles);
-            self.stale_tree_pages.clear();
+            self.restart.stale_tree_pages.clear();
         } else {
-            // Recovery completed: every reinstalled line/page has been
-            // redone and undone; their contents are authoritative again.
-            self.stale_heap_lines.clear();
-            self.stale_tree_pages.clear();
-            self.owed.settle();
+            self.restart.settle();
         }
         Ok(outcome)
     }
 
-    /// The transactions the pending crashes doom, from one walk of the
-    /// active table: those with a participant down, and — under controlled
-    /// lock violation — their cascade victims.
-    fn doomed_partition(&self) -> (Vec<TxnId>, BTreeSet<TxnId>) {
+    /// What the restart of the pending crash covers. **The** derivation of
+    /// "who is analysed, who is doomed": [`SmDb::recover`] runs over it and
+    /// the analysis oracles ([`SmDb::check_redo_plan`],
+    /// [`SmDb::check_cached_probe`]) check against it. Recomputed from the
+    /// machine on every entry (statuses only flip in the final phase), so
+    /// an interrupted recovery re-derives the same — or, after further
+    /// crashes, a larger — scope.
+    pub(crate) fn restart_scope(&self) -> RestartScope {
+        let full = self.cfg.protocol == ProtocolKind::FaOnly || self.restart.total_failure;
+        let active = self.active_txns(None);
         // A transaction dies if *any* node it executes on is down — for
         // single-node transactions that is just the home node; for
-        // parallel transactions (§9) it is any participant. Recomputed
-        // from the machine on every entry (statuses only flip in the final
-        // phase), so an interrupted recovery re-derives the same — or,
-        // after further crashes, a larger — doomed set.
-        let crashed_active: Vec<TxnId> = self
-            .txns
-            .live()
-            .filter(|t| {
-                t.is_active() && t.participants.as_slice().iter().any(|p| self.m.is_crashed(*p))
-            })
-            .map(|t| t.id)
-            .collect();
+        // parallel transactions (§9) it is any participant.
+        let down = |t: &TxnId| {
+            let t = self.txns.get(*t);
+            t.is_some_and(|t| t.participants.as_slice().iter().any(|p| self.m.is_crashed(*p)))
+        };
+        let crashed_active: Vec<TxnId> = active.iter().copied().filter(down).collect();
         // Controlled lock violation: every still-active transaction that
         // inherited a commit-LSN dependency — transitively — on a doomed
         // predecessor saw data that will never commit; it dies with the
-        // predecessor (cascade abort). The closure is recomputed from the
-        // live entries' inherited dependencies on every entry, so an
-        // interrupted recovery re-derives the same set (statuses flip only
-        // in the final phase).
-        let doomed_seed: BTreeSet<TxnId> = crashed_active.iter().copied().collect();
-        let mut dep_doomed: BTreeSet<TxnId> = BTreeSet::new();
+        // predecessor (cascade abort).
+        let mut dead: BTreeSet<TxnId> = crashed_active.iter().copied().collect();
+        let mut cascade: BTreeSet<TxnId> = BTreeSet::new();
         loop {
-            let mut grew = false;
-            for t in self.txns.live().filter(|t| t.is_active()) {
-                if doomed_seed.contains(&t.id) || dep_doomed.contains(&t.id) {
-                    continue;
-                }
-                if t.inherited
-                    .iter()
-                    .any(|d| doomed_seed.contains(&d.releaser) || dep_doomed.contains(&d.releaser))
-                {
-                    dep_doomed.insert(t.id);
-                    grew = true;
-                }
-            }
-            if !grew {
+            let inherits = |t: &&TxnId| {
+                let deps = self.txns.get(**t).map_or(&[][..], |t| &t.inherited);
+                !dead.contains(*t) && deps.iter().any(|d| dead.contains(&d.releaser))
+            };
+            let victims: Vec<TxnId> = active.iter().filter(inherits).copied().collect();
+            if victims.is_empty() {
                 break;
             }
+            dead.extend(&victims);
+            cascade.extend(victims);
         }
-        (crashed_active, dep_doomed)
+        let doomed: Vec<TxnId> = if full {
+            active.clone()
+        } else {
+            crashed_active.into_iter().chain(cascade.iter().copied()).collect()
+        };
+        let mut contaminated: BTreeSet<RecId> = BTreeSet::new();
+        for t in doomed.iter().filter_map(|txn| self.txns.get(*txn)) {
+            for d in &t.inherited {
+                if let Some(slot) = smdb_lock::names::rec_slot_of_name(d.name) {
+                    if slot < self.cfg.records as u64 {
+                        contaminated.insert(self.layout.rec_of_global(slot));
+                    }
+                }
+            }
+        }
+        RestartScope {
+            analysed: self.m.node_ids().filter(|n| full || self.m.is_crashed(*n)).collect(),
+            surviving: active.into_iter().filter(|t| !doomed.contains(t)).collect(),
+            doomed,
+            cascade,
+            contaminated,
+            recovery_node: self.m.surviving_nodes().first().copied().unwrap_or(NodeId(0)),
+            // With every transaction dead no cached copy is worth probing
+            // for: the full scope is Redo All "after aborting everyone".
+            scheme: if full { RestartScheme::RedoAll } else { self.cfg.protocol.restart_scheme() },
+            full,
+        }
     }
 
     /// Whether any crashed node awaits recovery (the window between
     /// [`SmDb::crash`] and a completed [`SmDb::recover`]).
     pub fn recovery_pending(&self) -> bool {
-        !self.pending_recovery.is_empty()
+        !self.restart.crashed.is_empty()
     }
 
-    /// Settle the pipelined-commit bookkeeping after a completed recovery:
-    /// count the cascade aborts, drop pending commits whose transaction
-    /// recovery settled (promoted to `Committed`, or aborted — doomed,
-    /// dep-doomed, or FA-only), release the locks of promoted non-ELR
-    /// pipeliners (their deferred acknowledgement never ran), and clear
-    /// the violation edges and inherited dependencies of everything that
-    /// is no longer in flight.
-    fn resolve_commit_pipeline(&mut self, dep_doomed: &BTreeSet<TxnId>) -> Result<(), DbError> {
-        for _ in dep_doomed {
-            self.stats.dep_aborts += 1;
-        }
-        if !dep_doomed.is_empty() {
-            let obs = self.m.obs();
-            if obs.metrics.is_enabled() {
-                obs.metrics.add(names::TXN_DEP_ABORTS, dep_doomed.len() as u64);
-            }
-        }
-        let settled: Vec<PendingCommit> = {
-            let txns = &self.txns;
-            let mut keep = Vec::new();
-            let mut settled = Vec::new();
-            for p in self.pending_commits.drain(..) {
-                if txns.status(p.txn) == Some(TxnStatus::Active) {
-                    keep.push(p);
-                } else {
-                    settled.push(p);
-                }
-            }
-            self.pending_commits = keep;
-            settled
-        };
+    /// Settle the commit pipeline after a completed restart: drop the
+    /// pending commits whose transaction it settled (promoted to
+    /// `Committed` by the crash, or aborted), and release the locks of
+    /// promoted non-ELR pipeliners — their deferred acknowledgement, which
+    /// releases, never ran.
+    fn resolve_commit_pipeline(&mut self) -> Result<(), DbError> {
+        let (keep, settled): (Vec<_>, Vec<_>) = std::mem::take(&mut self.pending_commits)
+            .into_iter()
+            .partition(|p| self.txns.status(p.txn) == Some(TxnStatus::Active));
+        self.pending_commits = keep;
         for p in settled {
-            let committed = self.txns.status(p.txn) == Some(TxnStatus::Committed);
-            self.violations.resolve(p.txn);
-            if committed && !self.cfg.early_lock_release {
-                // Promoted mid-pipeline while still holding its locks
-                // (without ELR they are released at acknowledgement):
-                // release them now. Crashed homes were scrubbed by lock
-                // recovery already.
-                if !self.m.is_crashed(p.txn.node()) {
-                    self.locks.release_all(&mut self.m, &mut self.logs, p.txn)?;
-                }
+            let promoted = self.txns.status(p.txn) == Some(TxnStatus::Committed);
+            // Crashed homes were scrubbed by lock recovery already.
+            if promoted && !self.cfg.early_lock_release && !self.m.is_crashed(p.txn.node()) {
+                self.locks.release_all(&mut self.m, &mut self.logs, p.txn)?;
+                // The releases were logged under an id the crash had already
+                // retired: retire those records too.
+                self.retire(p.txn, Fate::Committed);
             }
-        }
-        // Doomed dependents that never appended a commit record carry no
-        // pending entry but may still have violation edges.
-        for txn in dep_doomed {
-            self.violations.resolve(*txn);
         }
         Ok(())
     }
@@ -906,16 +913,12 @@ impl SmDb {
     /// transaction's update on a survivor's log (its before image).
     ///
     /// A log whose incremental index proves it retains no data records is
-    /// skipped without being read at all. With `full` set (FA-only / total
-    /// failure), every node is analysed, only stable prefixes are read,
-    /// and redo is restricted to committed transactions.
-    fn analyse_stable(
-        &self,
-        analysed: &[NodeId],
-        doomed: &BTreeSet<TxnId>,
-        full: bool,
-    ) -> Result<StableAnalysis, DbError> {
+    /// skipped without being read at all. Where the scope analyses every
+    /// node (FA-only / total failure), only stable prefixes are read and
+    /// redo is thereby restricted to committed transactions.
+    fn analyse_stable(&self, scope: &RestartScope) -> Result<StableAnalysis, DbError> {
         let mut a = StableAnalysis::default();
+        let doomed: BTreeSet<TxnId> = scope.doomed.iter().copied().collect();
         // Commit status covers *every* node: commit records are always
         // forced, and a parallel transaction's commit lives on its home
         // node, which may differ from the analysed nodes. Under
@@ -954,7 +957,7 @@ impl SmDb {
             if !log.has_data_after(log.truncation_point()) {
                 continue; // index proves no retained data records
             }
-            let is_analysed = full || analysed.contains(&n);
+            let is_analysed = scope.analysed.contains(&n);
             // The scan is charged for every retained record of the prefix
             // it covers, but only data records carry a GSN; control, lock
             // and structural records need no classification at all, and
@@ -984,8 +987,8 @@ impl SmDb {
                 };
                 let TxnClass { committed, doomed: is_doomed, settled_aborted } = class;
                 // Redo candidacy: strictly past the checkpoint bound and
-                // never doomed; analysed nodes (and everyone, under a
-                // full restart) contribute committed work only.
+                // never doomed; analysed nodes contribute committed work
+                // only.
                 let redo = d.lsn > bound && !is_doomed && (committed || !is_analysed);
                 let Some(rec) = d.rec() else {
                     // An index operation: key and value are log reads.
@@ -1108,18 +1111,12 @@ impl SmDb {
     /// only corrected copy then died with a cache — or with the pending
     /// plan, past an early open — over a stable image that still held the
     /// stolen update.
-    ///
-    /// With `own_node`, a redo entry is written by its update's own node
-    /// when that survives; the full restart, where every transaction dies,
-    /// writes everything as the recovery node.
     fn heap_plan(
         &mut self,
         analysis: &StableAnalysis,
         outcome: &mut RecoveryOutcome,
-        recovery_node: NodeId,
+        scope: &RestartScope,
         cached: &BTreeSet<LineId>,
-        contaminated: &BTreeSet<RecId>,
-        own_node: bool,
     ) -> Result<Vec<HeapWrite>, DbError> {
         // Doomed updates are rolled back in reverse GSN order, so the
         // lowest-GSN before image is the one that sticks. A doomed
@@ -1134,7 +1131,7 @@ impl SmDb {
         doomed.sort_by_key(|(gsn, _, _)| *gsn);
         for (_, rec, before) in doomed {
             if let std::collections::btree_map::Entry::Vacant(e) = undo.entry(*rec) {
-                let value = if contaminated.contains(rec) {
+                let value = if scope.contaminated.contains(rec) {
                     self.last_committed_payload(analysis, *rec)?
                 } else {
                     before.to_vec()
@@ -1168,8 +1165,10 @@ impl SmDb {
             }
             let (txn, _, image) = self.logged_update(analysis, kept.at, rec)?;
             let bytes = self.layout.encode(self.live_tag(txn), image);
-            let node =
-                if own_node && !self.m.is_crashed(txn.node()) { txn.node() } else { recovery_node };
+            // A full restart reboots the machine (§1): no survivor is up to
+            // redo its own updates, the host writes everything.
+            let own = !scope.full && !self.m.is_crashed(txn.node());
+            let node = if own { txn.node() } else { scope.recovery_node };
             plan.push(HeapWrite { rec, line, bytes, node, undo: false });
         }
         for (rec, bytes) in &undo {
@@ -1179,7 +1178,7 @@ impl SmDb {
             rec,
             line: self.rec_line(rec),
             bytes,
-            node: recovery_node,
+            node: scope.recovery_node,
             undo: true,
         }));
         Ok(plan)
@@ -1233,14 +1232,6 @@ impl SmDb {
         }
     }
 
-    /// Charge the sequential log-device read behind the analysis scan to
-    /// the recovery node's clock: restart time must scale with the log
-    /// actually retained, which is what checkpoint truncation bounds.
-    fn charge_analysis_scan(&mut self, recovery_node: NodeId, scanned: u64) {
-        let cost = self.m.config().cost.log_scan_record;
-        self.m.advance(recovery_node, cost * scanned);
-    }
-
     /// The line holding a record.
     pub(crate) fn rec_line(&self, rec: RecId) -> LineId {
         let (line_idx, _) = self.layout.line_and_offset(rec.slot);
@@ -1257,7 +1248,7 @@ impl SmDb {
         analysis
             .planned_recs()
             .map(|(rec, _)| self.rec_line(rec))
-            .filter(|l| self.m.probe_cached(*l) && !self.stale_heap_lines.contains(l))
+            .filter(|l| self.m.probe_cached(*l) && !self.restart.stale_heap_lines.contains(l))
             .collect()
     }
 
@@ -1271,15 +1262,14 @@ impl SmDb {
     /// [`SmDb::recover`] (also after an interrupted `recover`). Returns
     /// human-readable disagreements (empty = the probe is exact).
     pub fn check_cached_probe(&self) -> Vec<String> {
-        let (analysed, doomed) = self.pending_restart_scope();
-        let analysis = match self.analyse_stable(&analysed, &doomed, false) {
+        let analysis = match self.analyse_stable(&self.restart_scope()) {
             Ok(analysis) => analysis,
             Err(e) => return vec![format!("analysis failed: {e}")],
         };
         let probed = self.cached_plan_lines(&analysis);
         let mut snapshot: BTreeSet<LineId> =
             self.m.iter_held().map(|(_, l, _)| l).filter(|l| self.is_heap_line(*l)).collect();
-        for line in &self.stale_heap_lines {
+        for line in &self.restart.stale_heap_lines {
             snapshot.remove(line);
         }
         let mut diffs = Vec::new();
@@ -1296,34 +1286,15 @@ impl SmDb {
         diffs
     }
 
-    /// What the analysis of the pending crash covers, as [`SmDb::recover`]
-    /// would call it: the nodes read over their stable prefix only, and
-    /// the transactions that die. The full restart (FA-only, or no
-    /// survivor) analyses every node and dooms nobody — everything not
-    /// committed is simply never redone.
-    pub(crate) fn pending_restart_scope(&self) -> (Vec<NodeId>, BTreeSet<TxnId>) {
-        let full = self.cfg.protocol == ProtocolKind::FaOnly
-            || self.pending_total_failure
-            || self.m.surviving_nodes().is_empty();
-        if full {
-            return (self.m.node_ids().collect(), BTreeSet::new());
-        }
-        let down = self.m.node_ids().filter(|n| self.m.is_crashed(*n)).collect();
-        let (crashed_active, mut doomed) = self.doomed_partition();
-        doomed.extend(crashed_active);
-        (down, doomed)
-    }
-
     /// The analysis' two per-record reductions over the pending crash, for
     /// [`SmDb::check_redo_plan`]: the reduced heap redo plan and the last
     /// committed values, each position opened the way recovery opens it,
     /// as `(gsn the analysis kept, writer, after image)`.
     pub(crate) fn analysed_heap_images(
         &self,
-        analysed: &[NodeId],
-        doomed: &BTreeSet<TxnId>,
+        scope: &RestartScope,
     ) -> Result<(HeapImages, HeapImages), DbError> {
-        let a = self.analyse_stable(analysed, doomed, false)?;
+        let a = self.analyse_stable(scope)?;
         let (mut plan, mut values) = (HeapImages::new(), HeapImages::new());
         for (rec, fold) in a.heap.slots() {
             for (kept, images) in [(fold.redo, &mut plan), (fold.committed, &mut values)] {
@@ -1352,23 +1323,18 @@ impl SmDb {
 
     /// Replay the analysis' index redo candidates as `recovery_node`:
     /// logical B-tree ops, which do not commute, so none is superseded,
-    /// they run sequentially in GSN order, and they are never deferred.
-    /// `live_tags` keeps the undo tag of a writer that is still active on a
-    /// live node; the full restart, where every transaction dies, passes
-    /// `false`.
+    /// they run sequentially in GSN order, and they are never deferred. A
+    /// writer that is still active on a live node keeps its undo tag.
     fn replay_index(
         &mut self,
         outcome: &mut RecoveryOutcome,
         recovery_node: NodeId,
         analysis: &mut StableAnalysis,
-        live_tags: bool,
     ) -> Result<(), DbError> {
         analysis.index_redo.sort_by_key(|(gsn, _)| *gsn);
         for &(_, op) in &analysis.index_redo {
             let tag = match op {
-                IxRedo::Insert { txn, .. } | IxRedo::Delete { txn, .. } if live_tags => {
-                    self.live_tag(txn)
-                }
+                IxRedo::Insert { txn, .. } | IxRedo::Delete { txn, .. } => self.live_tag(txn),
                 _ => NULL_TAG,
             };
             let tree = req(self.tree.as_mut(), "index op implies an index")?;
@@ -1404,21 +1370,21 @@ impl SmDb {
     /// is not closed until they are resident again, or a raw full-page
     /// reader (checkpoint flush) trips over a still-lost line.
     pub fn redo_pending(&self) -> usize {
-        self.owed.pending + self.owed.lost_left
+        self.restart.pending + self.restart.lost_left
     }
 
     /// Lifetime instant-redo counters (entries planned at open points,
     /// applied on demand, applied by the background drain, retired as
     /// stable-image skips).
     pub fn instant_redo_counters(&self) -> InstantRedoCounters {
-        self.owed.counters
+        self.restart.counters
     }
 
     /// Whether a pending deferred entry holds `rec`'s final bytes.
     fn pending_covers(&self, rec: RecId) -> bool {
         let line = self.rec_line(rec);
-        self.owed.by_line.get(&line).is_some_and(|idxs| {
-            idxs.iter().any(|&i| self.owed.entries[i].as_ref().is_some_and(|e| e.rec == rec))
+        self.restart.by_line.get(&line).is_some_and(|idxs| {
+            idxs.iter().any(|&i| self.restart.entries[i].as_ref().is_some_and(|e| e.rec == rec))
         })
     }
 
@@ -1469,7 +1435,7 @@ impl SmDb {
             let stale_tag = |k: &usize| {
                 let tag = RecordLayout::tag_of(&bytes[k * rec_size..]);
                 tag != NULL_TAG
-                    && self.owed.scrub_tags.contains(&tag)
+                    && self.restart.scrub_tags.contains(&tag)
                     && !self.pending_covers(RecId::new(page, ((idx - 1) * rpl + k) as u16))
             };
             let scrub: Vec<usize> = (0..if idx == 0 { 0 } else { rpl }).filter(stale_tag).collect();
@@ -1482,7 +1448,7 @@ impl SmDb {
                 }
                 self.m.install_line(node, line, &bytes)?;
             }
-            self.stale_heap_lines.insert(line);
+            self.restart.stale_heap_lines.insert(line);
         }
         Ok(())
     }
@@ -1490,13 +1456,13 @@ impl SmDb {
     /// [`Self::install_lost_page`] over what is still registered for
     /// `page` past an instant restart's open (possibly nothing).
     fn install_registered(&mut self, node: NodeId, page: PageId) -> Result<(), DbError> {
-        let lost = self.owed.take_lost(page);
+        let lost = self.restart.take_lost(page);
         self.install_lost_page(node, page, &lost)
     }
 
     /// Install every page still carrying registered lost lines, as `node`.
     fn install_all_lost(&mut self, node: NodeId) -> Result<(), DbError> {
-        while let Some(&page) = self.owed.lost_pages.keys().next() {
+        while let Some(&page) = self.restart.lost_pages.keys().next() {
             self.install_registered(node, page)?;
         }
         Ok(())
@@ -1524,13 +1490,14 @@ impl SmDb {
             // The write below faults the whole page in from stable: every
             // line of it is a stale reinstall.
             let g = self.layout.geometry;
-            self.stale_heap_lines
+            self.restart
+                .stale_heap_lines
                 .extend((0..g.lines_per_page).map(|idx| LineId(g.line_addr(rec.page, idx))));
         }
         // A page with lost lines must be installed before the coherent
         // write can fault it in (the machine refuses lost lines); a page
         // held nowhere is installed the same way, for the tag scrub.
-        if !cached || self.owed.lost_pages.contains_key(&rec.page) {
+        if !cached || self.restart.lost_pages.contains_key(&rec.page) {
             self.install_registered(actor, rec.page)?;
         }
         let mut ctx = engine_ctx!(self);
@@ -1581,8 +1548,8 @@ impl SmDb {
         // The page-LSN header line gates every resident-page probe: if the
         // crash destroyed it (even with the record's own line intact), the
         // page must be installed before any access.
-        let lost = self.owed.is_lost(page, line) || self.owed.is_lost(page, header);
-        if !lost && !self.owed.by_line.contains_key(&line) {
+        let lost = self.restart.is_lost(page, line) || self.restart.is_lost(page, header);
+        if !lost && !self.restart.by_line.contains_key(&line) {
             return Ok(());
         }
         // Crash point: the accessing node dies before the inline redo.
@@ -1592,7 +1559,7 @@ impl SmDb {
         if lost {
             self.install_registered(node, page)?;
         }
-        if let Some(idxs) = self.owed.by_line.get(&line).cloned() {
+        if let Some(idxs) = self.restart.by_line.get(&line).cloned() {
             for idx in idxs {
                 self.apply_pending_entry(idx, node, false)?;
             }
@@ -1620,25 +1587,21 @@ impl SmDb {
         }
         let mut drained = 0usize;
         while drained < batch {
-            let Some(idx) = self.owed.next_pending() else {
+            let Some(idx) = self.restart.next_pending() else {
                 break;
             };
             self.apply_pending_entry(idx, node, true)?;
             drained += 1;
         }
-        if self.owed.pending == 0 {
+        if self.restart.pending == 0 {
             // Plan drained: install what is still lost too, so the
             // fully-drained state matches an eager recovery (every lost
             // line resident again, stale stable tags scrubbed).
             self.install_all_lost(node)?;
-            self.owed.settle();
-            if self.pending_recovery.is_empty() {
-                self.stale_heap_lines.clear();
-                self.stale_tree_pages.clear();
-            }
+            self.restart.settle();
         }
-        let planned = self.owed.entries.len() as u64;
-        let retired = planned - self.owed.pending as u64;
+        let planned = self.restart.entries.len() as u64;
+        let retired = planned - self.restart.pending as u64;
         let obs = self.m.obs();
         if obs.timeline.is_enabled() {
             obs.timeline.recovery_progress(self.m.max_clock(), 0, retired, planned);
@@ -1655,7 +1618,7 @@ impl SmDb {
         actor: NodeId,
         background: bool,
     ) -> Result<(), DbError> {
-        let Some(entry) = self.owed.entries[idx].take() else {
+        let Some(entry) = self.restart.entries[idx].take() else {
             return Ok(());
         };
         let line = entry.line;
@@ -1666,12 +1629,12 @@ impl SmDb {
             Ok(w) => w,
             Err(e) => {
                 self.m.mark_unrecovered(line);
-                self.owed.entries[idx] = Some(entry);
+                self.restart.entries[idx] = Some(entry);
                 return Err(e);
             }
         };
-        self.owed.pending -= 1;
-        let line_done = match self.owed.by_line.get_mut(&line) {
+        self.restart.pending -= 1;
+        let line_done = match self.restart.by_line.get_mut(&line) {
             Some(list) => {
                 list.retain(|&i| i != idx);
                 list.is_empty()
@@ -1679,7 +1642,7 @@ impl SmDb {
             None => true,
         };
         if line_done {
-            self.owed.by_line.remove(&line);
+            self.restart.by_line.remove(&line);
         } else {
             self.m.mark_unrecovered(line);
         }
@@ -1688,80 +1651,78 @@ impl SmDb {
             obs.metrics.inc(names::RESTART_REDO_APPLIED);
             if background {
                 obs.metrics.inc(names::RESTART_REDO_BACKGROUND);
-                self.owed.counters.background += 1;
+                self.restart.counters.background += 1;
             } else {
                 obs.metrics.inc(names::RESTART_REDO_ON_DEMAND);
-                self.owed.counters.on_demand += 1;
+                self.restart.counters.on_demand += 1;
             }
         } else {
             obs.metrics.inc(names::RESTART_REDO_SKIPPED);
-            self.owed.counters.skipped_stable += 1;
+            self.restart.counters.skipped_stable += 1;
         }
-        self.owed.settle();
-        if self.owed.pending == 0 && self.pending_recovery.is_empty() {
-            // Drain complete: every reinstalled heap line has its redo
-            // applied; contents are authoritative again. (With a crash
-            // pending, the stale knowledge is instead carried into the
-            // next recovery attempt.)
-            self.stale_heap_lines.clear();
-            self.stale_tree_pages.clear();
-        }
+        self.restart.settle();
         Ok(())
     }
 
     // ------------------------------------------------------------------
-    // IFA restart recovery
+    // The restart: seven phases over one scope
     // ------------------------------------------------------------------
 
-    fn ifa_restart(
+    fn restart_phases(
         &mut self,
         outcome: &mut RecoveryOutcome,
-        recovery_node: NodeId,
-        crashed_active: &[TxnId],
-        surviving_active: &[TxnId],
-        contaminated: &BTreeSet<RecId>,
+        scope: &RestartScope,
     ) -> Result<(), DbError> {
-        let doomed: BTreeSet<TxnId> = crashed_active.iter().copied().collect();
-        // Every node that is *currently* down matters to recovery — not
-        // just the ones that failed this instant. A node still down from
-        // an earlier crash must not be mistaken for a survivor: its
-        // stable log may contain uncommitted updates that were already
-        // rolled back, and replaying them as "survivor redo" would
-        // resurrect aborted data. (Found by the IFA property tests.)
-        let down: Vec<NodeId> = self.m.node_ids().filter(|n| self.m.is_crashed(*n)).collect();
-        let crashed_set: BTreeSet<NodeId> = down.iter().copied().collect();
-        let scheme = self.cfg.protocol.restart_scheme();
+        let recovery_node = scope.recovery_node;
         // Phase 1 ("stable_undo"): the single analysis scan over every
         // retained log. The undo it finds — stolen updates included — is
         // not applied here: it becomes plan entries ([`Self::heap_plan`]).
         let span = self.begin_phase("stable_undo");
         self.m.obs().metrics.inc(names::RESTART_ANALYSIS_SCANS);
         self.note_table_walk();
-        let mut analysis = self.analyse_stable(&down, &doomed, false)?;
+        let mut analysis = self.analyse_stable(scope)?;
         // The Selective-Redo probe, taken *before* any install (a line
         // installed from a stale stable image must not be mistaken for a
         // coherent surviving copy) and only over the lines the reduced
         // redo plan will ask about.
-        let cached_before: BTreeSet<LineId> = if scheme == RestartScheme::Selective {
+        let cached_before: BTreeSet<LineId> = if scope.scheme == RestartScheme::Selective {
             self.cached_plan_lines(&analysis)
         } else {
             BTreeSet::new()
         };
         outcome.scan_records = analysis.scanned_records;
         outcome.ckpt_bound_lsn = analysis.ckpt_bound;
-        self.charge_analysis_scan(recovery_node, analysis.scanned_records);
+        // The sequential log-device read behind the scan is the recovery
+        // node's: restart time must scale with the log actually retained,
+        // which is what checkpoint truncation bounds.
+        let cost = self.m.config().cost.log_scan_record;
+        self.m.advance(recovery_node, cost * analysis.scanned_records);
         self.end_phase(span, outcome);
         self.phase_crash_point(recovery_node)?;
 
         // Phase 2 ("reinstall"): take the census of what the crash
         // destroyed — the heap lines are installed with the plan, and the
-        // tags of the nodes down now scrubbed as they are — and restore
+        // tags of the analysed nodes scrubbed as they are — and restore
         // the index's structural skeleton (root, allocation map, lost
         // pages) from the forced structural records.
         let span = self.begin_phase("reinstall");
+        if scope.full {
+            // No cached line outlives a full restart — phase 3 reloads the
+            // index, phase 6 zeroes the lock space — so every cache is
+            // dropped here, before the skeleton is read back, and a lost
+            // heap line is forgotten rather than installed: the stable
+            // database and the plan are the authority.
+            for node in self.m.surviving_nodes() {
+                self.m.discard_matching(node, |_| true);
+            }
+            let lost: Vec<LineId> = self.m.iter_lost().filter(|l| self.is_heap_line(*l)).collect();
+            for line in lost {
+                self.m.clear_lost(line);
+            }
+        }
         let lost: Vec<LineId> = self.m.iter_lost().collect();
         let heap_lost = lost.partition_point(|l| self.is_heap_line(*l));
-        self.owed.scrub_tags.extend(down.iter().map(|n| n.0));
+        self.restart.scrub_tags.extend(scope.analysed.iter().map(|n| n.0));
         // Record whether the crash destroyed *any* tree line first: if it
         // did not, every index effect still lives in a coherent cache and
         // the Selective scheme can skip index replay entirely.
@@ -1769,7 +1730,7 @@ impl SmDb {
         // lost tree pages — they are no longer "lost", but their entries
         // are still the stale stable images, so index replay is required
         // all the same.
-        let mut tree_lost_any = !self.stale_tree_pages.is_empty();
+        let mut tree_lost_any = !self.restart.stale_tree_pages.is_empty();
         if let Some(tree) = self.tree.as_mut() {
             let g = self.layout.geometry;
             let pages = tree.allocated_pages();
@@ -1783,7 +1744,7 @@ impl SmDb {
             // crash window: if this restart is interrupted from here on,
             // the next attempt must still treat these pages as stale
             // images.
-            self.stale_tree_pages.extend(pages);
+            self.restart.stale_tree_pages.extend(pages);
         }
         self.end_phase(span, outcome);
         self.phase_crash_point(recovery_node)?;
@@ -1793,7 +1754,7 @@ impl SmDb {
         // uncommitted updates of crashed transactions — and reload the
         // index wholesale.
         let span = self.begin_phase("cache_discard");
-        if scheme == RestartScheme::RedoAll {
+        if scope.scheme == RestartScheme::RedoAll {
             // A pure cache drop (no disk reads — the reinstall cost lands
             // on whoever faults the page back in), and *required* whenever
             // the plan is applied: a migrated uncommitted update of a
@@ -1808,31 +1769,32 @@ impl SmDb {
             if let Some(tree) = self.tree.as_mut() {
                 let mut ctx = tree_ctx!(self);
                 tree.discard_and_reload_all(&mut ctx, recovery_node)?;
-                self.stale_tree_pages.extend(tree.allocated_pages());
+                self.restart.stale_tree_pages.extend(tree.allocated_pages());
             }
         }
         self.end_phase(span, outcome);
         self.phase_crash_point(recovery_node)?;
 
         // Phase 4 ("redo"): the analysis scan gathered the candidates
-        // (survivors' full logs + crashed nodes' committed stable records
+        // (survivors' full logs + analysed nodes' committed stable records
         // past the checkpoint bound). Index operations are logical and do
         // not commute, so they are replayed here, sequentially in GSN
         // order, whenever any tree line was lost; the heap side is the
         // plan.
         let span = self.begin_phase("redo");
-        if tree_lost_any || scheme == RestartScheme::RedoAll {
-            self.replay_index(outcome, recovery_node, &mut analysis, true)?;
+        if tree_lost_any || scope.scheme == RestartScheme::RedoAll {
+            self.replay_index(outcome, recovery_node, &mut analysis)?;
         }
-        let plan =
-            self.heap_plan(&analysis, outcome, recovery_node, &cached_before, contaminated, true)?;
-        // The one difference between the two restarts: *when* the plan is
-        // applied. Everything before and after this point is the same
-        // code.
+        let plan = self.heap_plan(&analysis, outcome, scope, &cached_before)?;
+        // The one difference between the eager and the instant restart:
+        // *when* the plan is applied. Everything before and after this
+        // point is the same code. A full restart leaves no transaction
+        // alive to open early for: it always applies here.
         let lost = &lost[..heap_lost];
-        if self.cfg.instant_restart {
+        if self.cfg.instant_restart && !scope.full {
             let lost_pages = by_page(self.layout.geometry, lost);
-            self.owed.defer(plan, lost_pages.map(|(page, lines)| (page, lines.to_vec())).collect());
+            self.restart
+                .defer(plan, lost_pages.map(|(page, lines)| (page, lines.to_vec())).collect());
         } else {
             self.apply_heap_plan(plan, lost, outcome, recovery_node)?;
         }
@@ -1841,15 +1803,16 @@ impl SmDb {
 
         // Phase 5 ("undo"): heap undo that the logs can tell is in the
         // plan already; what is left is the index — the doomed
-        // transactions' operations on surviving logs, then, wherever tags
-        // are not the undo vehicle, the uncommitted crashed transactions'
-        // flushed (steal / structural flush) and reloaded entries — and
-        // §4.1.2's tag scan of the surviving caches.
+        // transactions' operations on surviving logs, then the analysed
+        // nodes' uncommitted flushed (steal / structural flush) and
+        // reloaded entries. Tags are Selective Redo's undo vehicle — §4.1.2's
+        // scan of the caches that survive; where every cache was discarded
+        // the stable logs are.
         let span = self.begin_phase("undo");
         let doomed_index = std::mem::take(&mut analysis.doomed_index);
         self.undo_index_ops(outcome, recovery_node, doomed_index)?;
-        if self.cfg.protocol.uses_undo_tags() {
-            self.undo_by_tags(outcome, recovery_node, &crashed_set, &analysis)?;
+        if self.cfg.protocol.uses_undo_tags() && scope.scheme == RestartScheme::Selective {
+            self.undo_by_tags(outcome, scope, &analysis)?;
         } else {
             let uncommitted_index = std::mem::take(&mut analysis.uncommitted_index);
             self.undo_index_ops(outcome, recovery_node, uncommitted_index)?;
@@ -1859,41 +1822,53 @@ impl SmDb {
 
         // Phase 6 ("lock_recovery"): lock-space recovery (§4.2.2).
         let span = self.begin_phase("lock_recovery");
-        let active_surviving_set: BTreeSet<TxnId> = surviving_active.iter().copied().collect();
-        outcome.lock_recovery = self.locks.recover(
-            &mut self.m,
-            &mut self.logs,
-            &down,
-            &active_surviving_set,
-            recovery_node,
-        )?;
-
-        // Phase 6b: release the locks still held by doomed transactions
-        // whose home node survived (their LCB entries carry a surviving
-        // node id, so the crash scrub did not remove them).
-        for &txn in crashed_active {
-            if !self.m.is_crashed(txn.node()) {
-                let waits = self.txns.get(txn).map_or(Vec::new(), |t| t.waits.clone());
-                for name in waits {
-                    self.locks.cancel_wait(&mut self.m, &mut self.logs, txn, name)?;
+        if scope.full {
+            // Every transaction is dead, so no grant survives to be kept:
+            // the lock space is zeroed, not recovered.
+            let line_size = self.cfg.line_size;
+            for line in self.locks.table().all_lines() {
+                self.m.install_line(recovery_node, line, &vec![0u8; line_size])?;
+            }
+            self.locks.drop_all_chains();
+        } else {
+            let surviving: BTreeSet<TxnId> = scope.surviving.iter().copied().collect();
+            outcome.lock_recovery = self.locks.recover(
+                &mut self.m,
+                &mut self.logs,
+                &scope.analysed,
+                &surviving,
+                recovery_node,
+            )?;
+            // Phase 6b: release the locks still held by doomed
+            // transactions whose home node survived (their LCB entries
+            // carry a surviving node id, so the crash scrub did not remove
+            // them).
+            for &txn in &scope.doomed {
+                if !self.m.is_crashed(txn.node()) {
+                    let waits = self.txns.get(txn).map_or(Vec::new(), |t| t.waits.clone());
+                    for name in waits {
+                        self.locks.cancel_wait(&mut self.m, &mut self.logs, txn, name)?;
+                    }
+                    self.locks.release_all(&mut self.m, &mut self.logs, txn)?;
+                    self.logs.append(txn.node(), LogPayload::Abort { txn });
                 }
-                self.locks.release_all(&mut self.m, &mut self.logs, txn)?;
-                self.logs.append(txn.node(), LogPayload::Abort { txn });
             }
         }
         self.end_phase(span, outcome);
         self.phase_crash_point(recovery_node)?;
 
-        // Phase 7 ("txn_table"): transaction table + shadow bookkeeping.
+        // Phase 7 ("txn_table"): the doomed leave the transaction table.
         let span = self.begin_phase("txn_table");
-        for &txn in crashed_active {
-            self.settle_aborted(txn);
-            self.locks.drop_chain(txn);
-            self.shadow.drop_pending(txn);
-            outcome.aborted.push(txn);
+        for &txn in &scope.doomed {
+            self.retire(txn, Fate::Aborted);
         }
-        self.stats.crash_aborts += crashed_active.len() as u64;
-        outcome.preserved_active = surviving_active.to_vec();
+        outcome.aborted = scope.doomed.clone();
+        self.stats.crash_aborts += scope.doomed.len() as u64;
+        self.stats.dep_aborts += scope.cascade.len() as u64;
+        if !scope.cascade.is_empty() {
+            self.m.obs().metrics.add(names::TXN_DEP_ABORTS, scope.cascade.len() as u64);
+        }
+        outcome.preserved_active = scope.surviving.clone();
         outcome.log_records_read = analysis.records_read.get();
         self.end_phase(span, outcome);
         Ok(())
@@ -1908,10 +1883,11 @@ impl SmDb {
     fn undo_by_tags(
         &mut self,
         outcome: &mut RecoveryOutcome,
-        recovery_node: NodeId,
-        crashed: &BTreeSet<NodeId>,
+        scope: &RestartScope,
         analysis: &StableAnalysis,
     ) -> Result<(), DbError> {
+        let recovery_node = scope.recovery_node;
+        let crashed: BTreeSet<NodeId> = scope.analysed.iter().copied().collect();
         // Heap scan: one pass over the lines held by any survivor, in
         // place (the tag probe only reads the borrowed line bytes).
         let mut candidates: Vec<(NodeId, LineId, RecId, u16)> = Vec::new();
@@ -1946,14 +1922,14 @@ impl SmDb {
             // A line installed from a stable image, by this restart or by
             // an interrupted earlier attempt, may carry a stale tag on a
             // committed value.
-            let committed = self.stale_heap_lines.contains(&line)
+            let committed = self.restart.stale_heap_lines.contains(&line)
                 && analysis.is_committed_rec(NodeId(tag), rec);
             // The tagged line survives on another node, but the page's
             // Page-LSN header may still await its install — install it
             // before the coherent write below probes the page for
             // residency.
             let header = LineId(self.layout.geometry.line_addr(rec.page, 0));
-            if self.owed.is_lost(rec.page, header) {
+            if self.restart.is_lost(rec.page, header) {
                 self.install_registered(recovery_node, rec.page)?;
             }
             let off = self.layout.page_offset(rec.slot);
@@ -1976,8 +1952,8 @@ impl SmDb {
             let st = tree.undo_by_tags(
                 &mut ctx,
                 recovery_node,
-                crashed,
-                &self.stale_tree_pages,
+                &crashed,
+                &self.restart.stale_tree_pages,
                 |n, k| analysis.is_committed_key(n, k),
             )?;
             outcome.undo_records_applied += st.undo_inserts + st.undo_deletes;
@@ -2011,78 +1987,6 @@ impl SmDb {
             }
             outcome.undo_records_applied += 1;
         }
-        Ok(())
-    }
-
-    // ------------------------------------------------------------------
-    // FA-only baseline / total failure: full restart
-    // ------------------------------------------------------------------
-
-    /// Abort every active transaction and rebuild the machine state from
-    /// stable storage + stable logs. This is what a system *without* the
-    /// paper's protocols must do (§1: "a single node crash is likely to
-    /// require a reboot of the entire shared memory system").
-    fn full_restart(
-        &mut self,
-        outcome: &mut RecoveryOutcome,
-        recovery_node: NodeId,
-    ) -> Result<(), DbError> {
-        // The single analysis scan in full mode: every node analysed over
-        // its stable prefix, redo restricted to committed transactions.
-        self.m.obs().metrics.inc(names::RESTART_ANALYSIS_SCANS);
-        self.note_table_walk();
-        let mut analysis = self.analyse_stable(&[], &BTreeSet::new(), true)?;
-        outcome.scan_records = analysis.scanned_records;
-        outcome.ckpt_bound_lsn = analysis.ckpt_bound;
-        self.charge_analysis_scan(recovery_node, analysis.scanned_records);
-        // Discard all cached database lines machine-wide, and forget lost
-        // ones: the stable database and the plan are now the authority.
-        for node in self.m.surviving_nodes() {
-            self.m.discard_matching(node, |_| true);
-        }
-        let lost: Vec<LineId> = self.m.iter_lost().filter(|l| self.is_heap_line(*l)).collect();
-        for line in lost {
-            self.m.clear_lost(line);
-        }
-        // Rebuild the index structure + contents.
-        if let Some(tree) = self.tree.as_mut() {
-            let mut ctx = tree_ctx!(self);
-            let (st, _) = tree.recover_structure(&mut ctx, recovery_node)?;
-            outcome.btree_recovery = st;
-            tree.discard_and_reload_all(&mut ctx, recovery_node)?;
-        }
-        // The heap plan in full mode: committed work redone from the
-        // stable logs (everyone's commit records were forced), every
-        // durable trace of every not-committed transaction undone. Never
-        // left pending: nobody is alive to open for.
-        let no_lines = BTreeSet::new();
-        let plan =
-            self.heap_plan(&analysis, outcome, recovery_node, &no_lines, &BTreeSet::new(), false)?;
-        self.apply_heap_plan(plan, &[], outcome, recovery_node)?;
-        // Index redo past the checkpoint bound, sequentially in GSN order,
-        // then undo of uncommitted index entries that had been flushed.
-        self.replay_index(outcome, recovery_node, &mut analysis, false)?;
-        let uncommitted_index = std::mem::take(&mut analysis.uncommitted_index);
-        self.undo_index_ops(outcome, recovery_node, uncommitted_index)?;
-        outcome.log_records_read = analysis.records_read.get();
-        // Crash point: the rebuild host dies mid full-restart (data redone,
-        // lock space and transaction table not yet reset).
-        self.phase_crash_point(recovery_node)?;
-        // Reset the lock space: every transaction is dead.
-        let line_size = self.cfg.line_size;
-        for line in self.locks.table().all_lines() {
-            self.m.install_line(recovery_node, line, &vec![0u8; line_size])?;
-        }
-        self.locks.drop_all_chains();
-        // Abort everyone.
-        self.note_table_walk();
-        let active: Vec<TxnId> = self.active_txns(None);
-        for txn in &active {
-            self.settle_aborted(*txn);
-            self.shadow.drop_pending(*txn);
-        }
-        self.stats.crash_aborts += active.len() as u64;
-        outcome.aborted = active;
         Ok(())
     }
 }

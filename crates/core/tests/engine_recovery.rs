@@ -47,6 +47,29 @@ fn voluntary_abort_restores_before_image() {
 }
 
 #[test]
+fn an_oversized_payload_is_refused_before_any_lock_and_the_txn_lives_on() {
+    let mut db = mk(ProtocolKind::VolatileSelectiveRedo);
+    let max = db.record_layout().data_size;
+    let t = db.begin(N0).unwrap();
+    let locks = db.lock_stats().acquires;
+    for node_api in [false, true] {
+        let big = vec![7u8; max + 1];
+        let got = if node_api { db.update_on(t, N0, 5, &big) } else { db.update(t, 5, &big) };
+        assert_eq!(got, Err(DbError::PayloadTooLarge { len: max + 1, max }));
+    }
+    assert_eq!(db.lock_stats().acquires, locks, "the refusal took a lock");
+    assert_eq!(db.held_lock_names(t), Vec::<u64>::new());
+    // Slot 5 is free for anyone, and the refused transaction is usable.
+    let other = db.begin(N1).unwrap();
+    db.update(other, 5, b"other").unwrap();
+    db.commit(other).unwrap();
+    db.update(t, 5, &vec![9u8; max]).expect("a payload of exactly the record's size fits");
+    db.commit(t).unwrap();
+    assert_eq!(db.current_value(5).unwrap(), vec![9u8; max]);
+    db.check_ifa(N0).assert_ok();
+}
+
+#[test]
 fn no_wait_conflict_surfaces_would_block() {
     let mut db = mk(ProtocolKind::VolatileSelectiveRedo);
     let t0 = db.begin(N0).unwrap();
@@ -587,30 +610,71 @@ fn interrupted_recovery_restarted_from_new_survivor_converges() {
 }
 
 /// Total failure *during* recovery: every node is down, the rebooted host
-/// dies mid full-restart, and the next attempt must still run the full
-/// restart (the outage is latched) and reach the committed state.
+/// dies at each phase boundary of the restart in turn, and the next attempt
+/// must still run over the full scope (the outage is latched) and reach
+/// the committed state.
 #[test]
 fn total_failure_interrupted_mid_restart_still_full_restarts() {
     for p in ProtocolKind::all() {
+        for k in 0..6u64 {
+            let mut db = mk(p);
+            let f = FaultInjector::new();
+            db.set_fault_injector(f.clone());
+            let t = db.begin(N0).unwrap();
+            db.update(t, 7, b"keep!").unwrap();
+            db.commit(t).unwrap();
+            let t2 = db.begin(N1).unwrap();
+            db.update(t2, 8, b"lose!").unwrap();
+            let all: Vec<NodeId> = (0..4).map(NodeId).collect();
+            db.crash(&all);
+            f.arm(FaultPlan::single(CrashPoint::new(FAULT_RECOVERY_PHASE, k)));
+            let err = db.recover().expect_err("armed phase point must fire");
+            let victim = NodeId(err.fault_crash().unwrap_or_else(|| panic!("{p:?}: {err}")).node);
+            db.crash(&[victim]);
+            let outcome = db.recover().unwrap_or_else(|e| panic!("{p:?} phase {k}: {e}"));
+            assert_eq!(outcome.aborted, vec![t2], "{p:?} phase {k}: outage dooms every active");
+            assert_eq!(outcome.phases.len(), 7, "{p:?} phase {k}");
+            assert_eq!(&db.current_value(7).unwrap()[..5], b"keep!", "{p:?} phase {k}");
+            assert_eq!(&db.current_value(8).unwrap()[..5], &[0u8; 5][..], "{p:?} phase {k}");
+            db.check_ifa(db.machine().surviving_nodes()[0]).assert_ok();
+        }
+    }
+}
+
+/// The analysis oracles read the scope recovery runs over. With a restart
+/// over the *full* scope pending — FA-only after a one-node crash, and a
+/// total failure under an IFA protocol — the analysis must equal the fold
+/// over every retained record and the plan-sized probe the whole-cache
+/// snapshot: right after the crash, after an attempt that died with the
+/// heap redone, and after the host's own crash. The scope itself shows in
+/// the outcome: every active transaction dies, none is preserved.
+#[test]
+fn analysis_oracles_hold_with_a_full_restart_pending() {
+    let all: Vec<NodeId> = (0..4).map(NodeId).collect();
+    for (p, victims) in [(ProtocolKind::FaOnly, vec![N2]), (ProtocolKind::StableEager, all)] {
         let mut db = mk(p);
         let f = FaultInjector::new();
         db.set_fault_injector(f.clone());
-        let t = db.begin(N0).unwrap();
-        db.update(t, 7, b"keep!").unwrap();
-        db.commit(t).unwrap();
-        let t2 = db.begin(N1).unwrap();
-        db.update(t2, 8, b"lose!").unwrap();
-        let all: Vec<NodeId> = (0..4).map(NodeId).collect();
-        db.crash(&all);
-        // The full restart has one mid-rebuild crash point.
-        f.arm(FaultPlan::single(CrashPoint::new(FAULT_RECOVERY_PHASE, 0)));
-        let err = db.recover().expect_err("armed full-restart point must fire");
-        let victim = NodeId(err.fault_crash().unwrap_or_else(|| panic!("{p:?}: {err}")).node);
-        db.crash(&[victim]);
+        let (ts, td) = seed_workload(&mut db);
+        // A stolen update: the doomed writer's page reaches disk.
+        let stolen = db.record_layout().rec_of_global(0).page;
+        db.flush_page(N3, stolen).unwrap();
+        let assert_exact = |db: &SmDb, at: &str| {
+            let diffs = [db.check_redo_plan(), db.check_cached_probe()].concat();
+            assert!(diffs.is_empty(), "{p:?} {at}:\n  {}", diffs.join("\n  "));
+        };
+        db.crash(&victims);
+        assert_exact(&db, "after the crash");
+        f.arm(FaultPlan::single(CrashPoint::new(FAULT_RECOVERY_PHASE, 3)));
+        let err = db.recover().expect_err("armed phase point must fire");
+        assert_exact(&db, "after the interrupted attempt");
+        db.crash(&[NodeId(err.fault_crash().expect("a crash point").node)]);
+        assert_exact(&db, "after the host's crash");
         let outcome = db.recover().unwrap_or_else(|e| panic!("{p:?}: {e}"));
-        assert_eq!(outcome.aborted, vec![t2], "{p:?}: outage must doom every active txn");
-        assert_eq!(&db.current_value(7).unwrap()[..5], b"keep!", "{p:?}");
-        assert_eq!(&db.current_value(8).unwrap()[..5], &[0u8; 5][..], "{p:?}");
+        assert_eq!(outcome.aborted, vec![ts, td], "{p:?}");
+        assert_eq!(outcome.preserved_active, vec![], "{p:?}");
+        assert_eq!(&db.current_value(0).unwrap()[..5], b"base0", "{p:?}: stolen update undone");
+        assert_eq!(&db.current_value(4).unwrap()[..5], &[0u8; 5][..], "{p:?}");
         db.check_ifa(db.machine().surviving_nodes()[0]).assert_ok();
     }
 }

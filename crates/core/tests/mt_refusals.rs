@@ -74,6 +74,73 @@ fn a_bad_transaction_is_refused_before_anything_is_touched() {
     db.commit(t).unwrap();
 }
 
+/// Each precondition of the epoch scheduler, broken in turn: the engine
+/// names it in a typed error and is left as it was.
+#[test]
+fn an_engine_the_scheduler_cannot_run_on_is_refused_by_name() {
+    let small = || DbConfig::small(NODES, ProtocolKind::VolatileSelectiveRedo).with_sim_shards(32);
+    let one_committed = |db: &mut SmDb| {
+        let t = db.begin(NodeId(0)).unwrap();
+        db.update(t, 1, b"lost").unwrap();
+        db.commit(t).unwrap();
+    };
+    type Setup = Box<dyn Fn(&mut SmDb)>;
+    let cases: Vec<(&str, DbConfig, Setup)> = vec![
+        (
+            "no early lock release",
+            small().with_early_lock_release().with_lock_polling(),
+            Box::new(|_| {}),
+        ),
+        (
+            "no instant-restart redo pending",
+            small().with_instant_restart(),
+            Box::new(move |db| {
+                one_committed(db);
+                db.crash_and_recover(&[NodeId(0)]).unwrap();
+                db.reboot(NodeId(0));
+                assert!(db.redo_pending() > 0, "the early open leaves redo pending");
+            }),
+        ),
+        (
+            "a completed recovery",
+            small(),
+            Box::new(|db| {
+                db.crash(&[NodeId(3)]);
+            }),
+        ),
+        (
+            "a drained commit pipeline",
+            small(),
+            Box::new(|db| {
+                let t = db.begin(NodeId(2)).unwrap();
+                db.commit_pipelined(t).unwrap();
+            }),
+        ),
+        (
+            "no transaction in flight",
+            small(),
+            Box::new(|db| {
+                db.begin(NodeId(2)).unwrap();
+            }),
+        ),
+        (
+            "every node up",
+            small(),
+            Box::new(|db| {
+                db.crash_and_recover(&[NodeId(3)]).unwrap();
+            }),
+        ),
+    ];
+    for (requires, cfg, setup) in cases {
+        let mut db = SmDb::new(cfg);
+        setup(&mut db);
+        let before = observe(&db);
+        let got = db.run_epochs(vec![update(0, 1), update(1, 70)], 2);
+        assert_eq!(got, Err(DbError::EpochRefused { requires }), "{requires}");
+        assert_eq!(observe(&db), before, "the refusal ({requires}) touched the engine");
+    }
+}
+
 #[test]
 fn an_error_inside_admission_gives_the_epochs_grants_back() {
     // One epoch of private updates; a crash point at the k-th invalidation

@@ -591,8 +591,8 @@ fn restart_and_checkpoint_visit_live_entries_only() {
     let after_5k = entries_visited(5_000);
     let after_50k = entries_visited(50_000);
     assert_eq!(after_5k, after_50k, "the walk must not grow with history");
-    // crash: the promotion walk; recover: doomed partition, survivor list,
-    // the analysis' fixpoint; checkpoint: the undo-floor walk — a handful
+    // crash: the promotion walk; recover: the scope's walk, the analysis'
+    // fixpoint; checkpoint: the undo-floor walk — a handful
     // of walks over the four live entries (three once node 0's has died).
     assert!((4..=8 * 4).contains(&after_50k), "visited {after_50k} entries for 4 live ones");
 }

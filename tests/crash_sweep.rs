@@ -20,12 +20,12 @@
 use smdb::core::fault::sweep::{sweep, RunMode, RunOutput, SweepConfig, SweepReport};
 use smdb::core::fault::{CrashPoint, FaultInjector, FaultPlan, Mode, SiteVisits};
 use smdb::core::{
-    DbConfig, DbError, ProtocolKind, SmDb, FAULT_COMMIT_DEP, FAULT_REDO_BACKGROUND,
-    FAULT_REDO_ON_DEMAND,
+    DbConfig, DbError, ProtocolKind, SmDb, FAULT_COMMIT_DEP, FAULT_RECOVERY_PHASE,
+    FAULT_REDO_BACKGROUND, FAULT_REDO_ON_DEMAND,
 };
 use smdb::sim::NodeId;
 use smdb::wal::{FAULT_CHECKPOINT_RECORD, FAULT_TRUNCATE};
-use smdb::workload::{run_mix_with_crash, MixParams};
+use smdb::workload::{run_mix_with_crash, spawn_active, MixParams};
 
 const SEED: u64 = 0x5EED_CAFE;
 
@@ -543,4 +543,79 @@ fn sweep_fa_only_baseline() {
     let report = sweep(&cfg, |mode| run_scenario(ProtocolKind::FaOnly, SEED, mode));
     assert!(report.passed(), "{}", report.failures.join("\n"));
     assert!(report.single_runs >= 15, "fa_only: only {} single replays", report.single_runs);
+}
+
+/// One full restart — the seeded mix, a post-checkpoint committed tail and
+/// in-flight transactions on every node, then `victims` die — with the
+/// recovery host killed at its `boundary`-th `recovery.phase` visit (never,
+/// for `None`). Returns every record's value once the restart converged
+/// and the oracles passed.
+fn run_full_restart(
+    protocol: ProtocolKind,
+    victims: &[NodeId],
+    boundary: Option<u64>,
+) -> Result<Vec<Vec<u8>>, String> {
+    let cfg = DbConfig::small(4, protocol).with_coalesced_forces().with_sim_shards(sweep_shards());
+    let mut db = SmDb::new(cfg);
+    let f = FaultInjector::new();
+    db.set_fault_injector(f.clone());
+    run_mix_with_crash(&mut db, params(SEED), None).map_err(|e| format!("mix: {e}"))?;
+    for (i, slot) in [1u64, 5, 9, 13, 17, 21].into_iter().enumerate() {
+        let t = db.begin(NodeId(i as u16 % 4)).map_err(|e| format!("tail begin: {e}"))?;
+        db.update(t, slot, format!("tail-{i}").as_bytes()).map_err(|e| format!("tail: {e}"))?;
+        db.commit(t).map_err(|e| format!("tail commit: {e}"))?;
+    }
+    let active = spawn_active(&mut db, 1, 2, false, 7);
+    db.crash(victims);
+    check_commit_predicate(&db, "crash")?;
+    check_redo_plan(&db)?;
+    if let Some(k) = boundary {
+        f.arm(FaultPlan::single(CrashPoint::new(FAULT_RECOVERY_PHASE, k)));
+    }
+    match (db.recover(), boundary) {
+        (Ok(outcome), None) => {
+            if outcome.phases.len() != 7 || outcome.aborted != active {
+                return Err(format!(
+                    "{} phases, aborted {:?}",
+                    outcome.phases.len(),
+                    outcome.aborted
+                ));
+            }
+        }
+        (Ok(_), Some(k)) => return Err(format!("boundary {k} was never visited")),
+        (Err(e), None) => return Err(format!("uninterrupted restart failed: {e}")),
+        (Err(e), Some(_)) => drive_recovery(&mut db, e)?,
+    }
+    f.off();
+    check_oracles(&mut db)?;
+    (0..db.record_count() as u64)
+        .map(|slot| db.current_value(slot).map_err(|e| format!("slot {slot}: {e}")))
+        .collect()
+}
+
+/// Every restart runs the same seven phases, so the full restart — FA-only
+/// with survivors, and a total failure — has a `recovery.phase` boundary
+/// after each of phases 1–6. The host dies at each in turn; the re-entered
+/// restart must converge to the state the uninterrupted one reaches.
+#[test]
+fn full_restart_phase_boundaries_swept_exhaustively() {
+    let all: Vec<NodeId> = (0..4).map(NodeId).collect();
+    let cells = [
+        (ProtocolKind::FaOnly, vec![NodeId(1)]),
+        (ProtocolKind::FaOnly, all.clone()),
+        (ProtocolKind::VolatileSelectiveRedo, all.clone()),
+        (ProtocolKind::StableTriggered, all),
+    ];
+    for (protocol, victims) in cells {
+        let at = format!("{protocol:?}, {} victims", victims.len());
+        let want =
+            run_full_restart(protocol, &victims, None).unwrap_or_else(|e| panic!("{at}: {e}"));
+        for k in 0..6 {
+            let got = run_full_restart(protocol, &victims, Some(k))
+                .unwrap_or_else(|e| panic!("{at} plan={FAULT_RECOVERY_PHASE}#{k} :: {e}"));
+            assert!(got == want, "{at}: dying at boundary {k} converged to another state");
+        }
+        let past = run_full_restart(protocol, &victims, Some(6));
+        assert!(past.is_err(), "{at}: a seventh boundary exists");
+    }
 }
