@@ -18,8 +18,7 @@
 use smdb_core::{DbConfig, MtOutcome, ProtocolKind, RecoveryOutcome, SmDb};
 use smdb_sim::NodeId;
 use smdb_workload::{
-    run_mix, run_mix_mt, run_mix_with_crash, spawn_active, threads_from_env, CrashPlan, MixParams,
-    MixReport,
+    run_mix, run_mix_mt, run_mix_with_crash, spawn_active, CrashPlan, MixParams, MixReport,
 };
 use std::fmt::Write as _;
 
@@ -264,7 +263,6 @@ fn golden_driver(out: &mut String) {
         }
 
         let _ = writeln!(out, "[driver epoch-mt protocol={p:?}]");
-        let mut db = SmDb::new(DbConfig::small(4, p).with_sim_shards(32));
         let params = MixParams {
             txns: 200,
             sharing: 0.6,
@@ -273,10 +271,18 @@ fn golden_driver(out: &mut String) {
             seed: 0xD5,
             ..Default::default()
         };
-        let (report, mt) = run_mix_mt(&mut db, params, threads_from_env()).expect("mt run");
-        assert!(mt.epoch_waits > 0, "{p:?}: sharing must split the run into epochs");
-        let _ = writeln!(out, "mt: {mt:?}");
-        render_run(out, &report, &db);
+        // The same cell at 1, 2, 3 and 4 OS threads, rendered once.
+        let mut cell = None;
+        for threads in 1..=4 {
+            let mut db = SmDb::new(DbConfig::small(4, p).with_sim_shards(32));
+            let (report, mt) = run_mix_mt(&mut db, params.clone(), threads).expect("mt run");
+            assert!(mt.epoch_waits > 0, "{p:?}: sharing must split the run into epochs");
+            let mut got = format!("mt: {mt:?}\n");
+            render_run(&mut got, &report, &db);
+            let want = cell.get_or_insert_with(|| got.clone());
+            assert_eq!(*want, got, "{p:?}: {threads} threads diverged from 1 thread");
+        }
+        out.push_str(&cell.expect("four repetitions ran"));
     }
 }
 
@@ -363,7 +369,8 @@ fn settle_and_check_ifa(db: &mut SmDb, scan_node: NodeId) {
 /// after its reinstall phase and left stale stable images in a cache,
 /// whether the node that holds them dies next (the usual continuation) or
 /// survives into the second attempt (where trusting them would skip redo
-/// the records still need). The plan itself, and the committed values
+/// the records still need) — the full-scope cells included, whose restart
+/// has the same phase boundaries. The plan itself, and the committed values
 /// beside it, must be what a fold over every retained log record says
 /// (`check_redo_plan`) at the same points.
 #[test]
@@ -384,9 +391,6 @@ fn plan_sized_probe_equals_whole_cache_snapshot() {
         let scan = db.machine().surviving_nodes()[0];
         settle_and_check_ifa(&mut db, scan);
 
-        if !p.guarantees_ifa() || crashed.len() > 1 {
-            continue; // the full restart has no reinstall phase to die after
-        }
         for second_victim_is_host in [true, false] {
             let at = format!("{at}, interrupted, host dies next: {second_victim_is_host}");
             let (mut db, _) = restart_scenario(p, instant);

@@ -33,6 +33,6 @@ pub use mix::{
     run_mix, run_mix_with_crash, spawn_active, spawn_active_parallel, CrashPlan, MixParams,
     MixReport,
 };
-pub use mt::{run_mix_mt, threads_from_env};
+pub use mt::run_mix_mt;
 pub use tp1::{run_tp1, Tp1Params, Tp1Report};
 pub use zipf::Zipf;

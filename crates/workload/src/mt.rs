@@ -14,16 +14,6 @@ use smdb_core::mt::{MtOutcome, MtTxn};
 use smdb_core::{DbError, SmDb};
 use smdb_sim::NodeId;
 
-/// Thread count for multicore runs, from the `SMDB_THREADS` environment
-/// variable (default 1, the serial execution of the same scheduler).
-pub fn threads_from_env() -> usize {
-    std::env::var("SMDB_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&t| t >= 1)
-        .unwrap_or(1)
-}
-
 /// Generate the mix and run it through the epoch scheduler on up to
 /// `threads` OS threads. Returns the usual report plus the scheduler's
 /// outcome. Requires the serial feature set: no index operations

@@ -5,7 +5,7 @@
 
 use smdb_core::{DbConfig, MtTxn, Op, ProtocolKind, SmDb};
 use smdb_sim::NodeId;
-use smdb_workload::{run_mix_mt, threads_from_env, MixParams};
+use smdb_workload::{run_mix_mt, MixParams};
 
 fn engine(protocol: ProtocolKind) -> SmDb {
     SmDb::new(DbConfig::small(4, protocol).with_sim_shards(32))
@@ -87,13 +87,11 @@ fn one_node_owns_most_of_the_work(db: &mut SmDb, threads: usize) -> String {
 
 #[test]
 fn same_seed_same_bytes_at_every_thread_count() {
-    // 3 divides neither workload's lane count (4). `SMDB_THREADS` joins
-    // the sweep so the CI matrix drives this gate at the matrix value even
-    // if the literal list changes.
+    // 3 divides neither workload's lane count (4).
     type Run = fn(&mut SmDb, usize) -> String;
     for run in [even_mix as Run, one_node_owns_most_of_the_work] {
         let mut base = None;
-        for threads in [1usize, 2, 3, 4, threads_from_env()] {
+        for threads in [1usize, 2, 3, 4] {
             let mut db = engine(ProtocolKind::VolatileSelectiveRedo);
             let reports = run(&mut db, threads);
             let snapshot = (reports, data_digest(&db), log_digests(&db), db.max_clock());

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Full CI gate, runnable offline: the workspace resolves every third-party
 # dependency to the stand-ins under vendor/, so no network or crates.io
-# cache is needed. Mirrors .github/workflows/ci.yml.
+# cache is needed. .github/workflows/ci.yml runs exactly this script.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -10,24 +10,13 @@ export CARGO_NET_OFFLINE=true
 echo "== build (release) =="
 cargo build --release --workspace
 
-echo "== tests (SMDB_THREADS=1) =="
-SMDB_THREADS=1 cargo test -q --workspace
-
-echo "== tests (SMDB_THREADS=4) =="
-# Same binaries, multicore default: tests that read SMDB_THREADS drive
-# four OS threads through the epoch scheduler, and the determinism gates
-# assert the results stay byte-identical to the serial run.
-SMDB_THREADS=4 cargo test -q --workspace
-
-echo "== epoch scheduler at an odd thread count (SMDB_THREADS=3) =="
-# The matrix above runs 1 and 4 threads, and both divide the lane counts
-# the tests produce (4 and 8); 3 does not, so lanes meet threads unevenly
-# and the longest-first assignment (DESIGN §15) has something to decide.
-# mt_determinism asserts byte-identical results at 1/2/3/4 and the matrix
-# value; golden_stats holds the epoch-scheduler fixtures
-# (mt_schedule.golden, the run_mix_mt cells of driver_corners.golden).
-SMDB_THREADS=3 cargo test --release -q -p smdb-workload --test mt_determinism
-SMDB_THREADS=3 cargo test --release -q -p smdb-bench --test golden_stats
+echo "== tests =="
+# The epoch-scheduler gates (mt_determinism, mt_schedule.golden, the
+# run_mix_mt cells of driver_corners.golden) each run at 1, 2, 3 and 4 OS
+# threads and assert byte-identical results; 3 divides none of the lane
+# counts they produce, so the longest-first assignment (DESIGN §15) has
+# something to decide.
+cargo test -q --workspace
 
 echo "== crash-point sweep (bounded) =="
 # Deterministic fault-injection sweep over all protocols (DESIGN §8);
