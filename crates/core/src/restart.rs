@@ -43,7 +43,7 @@ use crate::config::{ProtocolKind, RestartScheme};
 use crate::engine::{engine_ctx, tree_ctx, Fate, SmDb};
 use crate::error::{req, DbError};
 use crate::record::{RecordLayout, NULL_TAG};
-use crate::txn::TxnStatus;
+use crate::txn::{TxnState, TxnStatus};
 use smdb_btree::{BtreeRecoveryStats, TreeCtx};
 use smdb_lock::LockRecoveryStats;
 use smdb_obs::{names, Event as ObsEvent, PhaseSpan, PhaseTiming};
@@ -747,15 +747,15 @@ impl SmDb {
     /// crashes, a larger — scope.
     pub(crate) fn restart_scope(&self) -> RestartScope {
         let full = self.cfg.protocol == ProtocolKind::FaOnly || self.restart.total_failure;
-        let active = self.active_txns(None);
+        let active: Vec<&TxnState> = self.txns.live().filter(|t| t.is_active()).collect();
         // A transaction dies if *any* node it executes on is down — for
         // single-node transactions that is just the home node; for
         // parallel transactions (§9) it is any participant.
-        let down = |t: &TxnId| {
-            let t = self.txns.get(*t);
-            t.is_some_and(|t| t.participants.as_slice().iter().any(|p| self.m.is_crashed(*p)))
-        };
-        let crashed_active: Vec<TxnId> = active.iter().copied().filter(down).collect();
+        let crashed_active: Vec<TxnId> = active
+            .iter()
+            .filter(|t| t.participants.as_slice().iter().any(|p| self.m.is_crashed(*p)))
+            .map(|t| t.id)
+            .collect();
         // Controlled lock violation: every still-active transaction that
         // inherited a commit-LSN dependency — transitively — on a doomed
         // predecessor saw data that will never commit; it dies with the
@@ -763,11 +763,12 @@ impl SmDb {
         let mut dead: BTreeSet<TxnId> = crashed_active.iter().copied().collect();
         let mut cascade: BTreeSet<TxnId> = BTreeSet::new();
         loop {
-            let inherits = |t: &&TxnId| {
-                let deps = self.txns.get(**t).map_or(&[][..], |t| &t.inherited);
-                !dead.contains(*t) && deps.iter().any(|d| dead.contains(&d.releaser))
-            };
-            let victims: Vec<TxnId> = active.iter().filter(inherits).copied().collect();
+            let victims: Vec<TxnId> = active
+                .iter()
+                .filter(|t| !dead.contains(&t.id))
+                .filter(|t| t.inherited.iter().any(|d| dead.contains(&d.releaser)))
+                .map(|t| t.id)
+                .collect();
             if victims.is_empty() {
                 break;
             }
@@ -775,23 +776,21 @@ impl SmDb {
             cascade.extend(victims);
         }
         let doomed: Vec<TxnId> = if full {
-            active.clone()
+            active.iter().map(|t| t.id).collect()
         } else {
             crashed_active.into_iter().chain(cascade.iter().copied()).collect()
         };
         let mut contaminated: BTreeSet<RecId> = BTreeSet::new();
-        for t in doomed.iter().filter_map(|txn| self.txns.get(*txn)) {
-            for d in &t.inherited {
-                if let Some(slot) = smdb_lock::names::rec_slot_of_name(d.name) {
-                    if slot < self.cfg.records as u64 {
-                        contaminated.insert(self.layout.rec_of_global(slot));
-                    }
+        for d in active.iter().filter(|t| doomed.contains(&t.id)).flat_map(|t| &t.inherited) {
+            if let Some(slot) = smdb_lock::names::rec_slot_of_name(d.name) {
+                if slot < self.cfg.records as u64 {
+                    contaminated.insert(self.layout.rec_of_global(slot));
                 }
             }
         }
         RestartScope {
             analysed: self.m.node_ids().filter(|n| full || self.m.is_crashed(*n)).collect(),
-            surviving: active.into_iter().filter(|t| !doomed.contains(t)).collect(),
+            surviving: active.iter().map(|t| t.id).filter(|t| !doomed.contains(t)).collect(),
             doomed,
             cascade,
             contaminated,

@@ -404,6 +404,17 @@ fn checkpoint_and_truncate_crash_points_swept_exhaustively() {
     }
 }
 
+/// Commit six single-update transactions round the first `nodes` nodes.
+fn commit_tail(db: &mut SmDb, nodes: u16) -> Result<(), String> {
+    for (i, slot) in [1u64, 5, 9, 13, 17, 21].into_iter().enumerate() {
+        let t = db.begin(NodeId(i as u16 % nodes)).map_err(|e| format!("tail begin: {e}"))?;
+        db.update(t, slot, format!("tail-{i}").as_bytes())
+            .map_err(|e| format!("tail update: {e}"))?;
+        db.commit(t).map_err(|e| format!("tail commit: {e}"))?;
+    }
+    Ok(())
+}
+
 /// One instant-restart scenario: seeded mix, node 0 dies with the mix's
 /// committed effects in its cache, recovery opens early with deferred
 /// redo pending, then the forward path (a locked scan of every record,
@@ -427,12 +438,7 @@ fn run_instant_scenario(
     // commit a post-checkpoint tail on the doomed node: these updates sit
     // only in node 0's cache when it dies, guaranteeing the instant
     // recovery actually defers a plan for the window loops to exercise.
-    for (i, slot) in [1u64, 5, 9, 13, 17, 21].into_iter().enumerate() {
-        let t = db.begin(NodeId(0)).map_err(|e| format!("tail begin: {e}"))?;
-        db.update(t, slot, format!("tail-{i}").as_bytes())
-            .map_err(|e| format!("tail update: {e}"))?;
-        db.commit(t).map_err(|e| format!("tail commit: {e}"))?;
-    }
+    commit_tail(&mut db, 1)?;
     match plan {
         Some(p) => f.arm(p.clone()),
         None => f.start_counting(),
@@ -560,11 +566,7 @@ fn run_full_restart(
     let f = FaultInjector::new();
     db.set_fault_injector(f.clone());
     run_mix_with_crash(&mut db, params(SEED), None).map_err(|e| format!("mix: {e}"))?;
-    for (i, slot) in [1u64, 5, 9, 13, 17, 21].into_iter().enumerate() {
-        let t = db.begin(NodeId(i as u16 % 4)).map_err(|e| format!("tail begin: {e}"))?;
-        db.update(t, slot, format!("tail-{i}").as_bytes()).map_err(|e| format!("tail: {e}"))?;
-        db.commit(t).map_err(|e| format!("tail commit: {e}"))?;
-    }
+    commit_tail(&mut db, 4)?;
     let active = spawn_active(&mut db, 1, 2, false, 7);
     db.crash(victims);
     check_commit_predicate(&db, "crash")?;
