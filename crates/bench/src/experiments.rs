@@ -194,7 +194,9 @@ pub fn e3_recovery_cost(txns: usize, sharings: &[f64]) -> Vec<RecoveryCostPoint>
             let _ = spawn_active(&mut db, 2, 2, true, 5);
             // Crash node 0: it touched the shared region first, so its
             // uncommitted updates have migrated to later touchers and the
-            // undo machinery has real work.
+            // undo machinery has real work. Behind the clock barrier (E7b's
+            // reason): the cycle columns are makespan deltas.
+            db.sync_clocks();
             let outcome = db.crash_and_recover(&[NodeId(0)]).expect("recovery");
             db.check_ifa(NodeId(1)).assert_ok();
             out.push(RecoveryCostPoint {
@@ -312,6 +314,7 @@ pub fn e5_coherence_comparison(txns: usize) -> Vec<CoherencePoint> {
         );
         let _ = spawn_active(&mut db, 2, 2, true, 5);
         let traffic = db.machine().stats().invalidations + db.machine().stats().broadcast_updates;
+        db.sync_clocks();
         let outcome = db.crash_and_recover(&[NodeId(0)]).expect("recovery");
         db.check_ifa(NodeId(1)).assert_ok();
         out.push(CoherencePoint {
@@ -586,6 +589,7 @@ pub fn e8_btree_recovery(txns: usize) -> BtreeRecoveryPoint {
     let lost_commit = db.begin(NodeId(7)).expect("node alive");
     db.insert(lost_commit, 2_000_500, [9u8; 8]).expect("insert");
     db.commit(lost_commit).expect("commit");
+    db.sync_clocks();
     let outcome = db.crash_and_recover(&[NodeId(7)]).expect("recovery");
     db.check_ifa(NodeId(0)).assert_ok();
     let mut db2_check = db.index_scan(NodeId(0)).expect("scan");

@@ -68,6 +68,7 @@ fn golden_e3(out: &mut String) {
                 MixParams { txns: 60, sharing, read_fraction: 0.2, ..Default::default() },
             );
             let _ = spawn_active(&mut db, 2, 2, true, 5);
+            db.sync_clocks();
             let outcome = db.crash_and_recover(&[NodeId(0)]).expect("recovery");
             db.check_ifa(NodeId(1)).assert_ok();
             render_outcome(out, &outcome);
