@@ -1230,6 +1230,62 @@ pub fn e13_checkpoint(pages: u32) -> Vec<CheckpointPoint> {
     out
 }
 
+// ----------------------------------------------------------------------
+// E14 — every live node scans a log
+// ----------------------------------------------------------------------
+
+/// One node-count point of the restart-scan experiment.
+#[derive(Clone, Debug)]
+pub struct RestartScanPoint {
+    /// Nodes in the machine (node 0 crashes).
+    pub nodes: u16,
+    /// Log records the analysis scan visited, over every log.
+    pub scan_records: u64,
+    /// Log records the busiest reader visited.
+    pub scan_records_max: u64,
+    /// Simulated cycles of the analysis phase (`stable_undo`).
+    pub stable_undo_cycles: u64,
+    /// Simulated cycles of the whole restart.
+    pub recovery_cycles: u64,
+}
+
+/// Every node commits the same un-checkpointed history — `txns` two-update
+/// transactions in a partition of its own — on machines of 2, 4 and 8
+/// nodes; the clocks are synchronised and node 0 crashes. The retained log
+/// grows with the machine; what one reader reads does not
+/// ([`smdb_wal::assign_scanners`]): every survivor reads its own log, one
+/// of them node 0's as well, so the analysis phase costs two logs at any
+/// size.
+pub fn e14_restart_scan(txns: u64) -> Vec<RestartScanPoint> {
+    let mut out = Vec::new();
+    for nodes in [2u16, 4, 8] {
+        let mut db =
+            SmDb::new(DbConfig::bench(nodes, ProtocolKind::VolatileSelectiveRedo).without_index());
+        let partition = db.record_count() as u64 / 8;
+        for i in 0..txns {
+            for n in 0..nodes {
+                let t = db.begin(NodeId(n)).expect("begin");
+                for slot in [2 * i, 2 * i + 1] {
+                    let slot = n as u64 * partition + slot % partition;
+                    db.update(t, slot, &i.to_le_bytes()).expect("update");
+                }
+                db.commit(t).expect("commit");
+            }
+        }
+        db.sync_clocks();
+        let outcome = db.crash_and_recover(&[NodeId(0)]).expect("recovery");
+        db.check_ifa(outcome.recovery_node).assert_ok();
+        out.push(RestartScanPoint {
+            nodes,
+            scan_records: outcome.scan_records,
+            scan_records_max: outcome.scan_records_max,
+            stable_undo_cycles: phase_cycles(&outcome, "stable_undo"),
+            recovery_cycles: outcome.recovery_cycles,
+        });
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -27,7 +27,7 @@ pub struct Cell {
 }
 
 /// Every cell, in report order.
-pub const CELLS: [Cell; 18] = [
+pub const CELLS: [Cell; 19] = [
     Cell { name: "table1", run: table1 },
     Cell { name: "e1_line_lock", run: e1_line_lock },
     Cell { name: "e2_abort_counts", run: e2_abort_counts },
@@ -46,6 +46,7 @@ pub const CELLS: [Cell; 18] = [
     Cell { name: "e11_instant_restart", run: e11_instant_restart },
     Cell { name: "e12_multicore", run: e12_multicore },
     Cell { name: "e13_checkpoint", run: e13_checkpoint },
+    Cell { name: "e14_restart_scan", run: e14_restart_scan },
 ];
 
 /// A rendered report: what `report` prints, and the CSV files `--csv`
@@ -555,6 +556,28 @@ fn e13_checkpoint(_fast: bool) -> Section {
          (node 0 commits two updates on each of {pages} pages, clocks are\n    \
          synchronised, node 0 hosts a checkpoint and then crashes; a page is\n    \
          flushed by the least-loaded live node that did not update it)\n\n\
+         {}\n",
+        text_table(&cols, &pts)
+    );
+    Section { text, csv: Some(csv(&cols, &pts)) }
+}
+
+fn e14_restart_scan(_fast: bool) -> Section {
+    type C = Col<x::RestartScanPoint>;
+    let cols = [
+        C::new("nodes", R(6), "nodes", |p| p.nodes),
+        C::new("scanned", R(9), "scan_records", |p| p.scan_records),
+        C::new("max/node", R(9), "scan_records_max", |p| p.scan_records_max),
+        C::new("st-undo", R(12), "phase_stable_undo_cycles", |p| p.stable_undo_cycles),
+        C::new("rec cycles", R(12), "recovery_cycles", |p| p.recovery_cycles),
+    ];
+    let txns = 150;
+    let pts = x::e14_restart_scan(txns);
+    let text = format!(
+        "== E14: every live node scans a log ==\n   \
+         (every node commits the same {txns} two-update transactions in its own\n    \
+         partition, no checkpoint; clocks are synchronised, node 0 crashes; a\n    \
+         survivor reads its own log, the least-loaded one node 0's as well)\n\n\
          {}\n",
         text_table(&cols, &pts)
     );

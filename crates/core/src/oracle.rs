@@ -531,12 +531,12 @@ impl SmDb {
                 }
             }
         }
-        let (got_plan, got_values) = match self.analysed_heap_images(&scope) {
-            Ok(images) => images,
+        let got = match self.scan_products(&scope, self.m.node_ids()) {
+            Ok(products) => products,
             Err(e) => return vec![format!("analysis failed: {e}")],
         };
-        let mut diffs = diff_per_record("redo plan", &got_plan, &plan);
-        diffs.extend(diff_per_record("committed value", &got_values, &values));
+        let mut diffs = diff_per_record("redo plan", &got.plan, &plan);
+        diffs.extend(diff_per_record("committed value", &got.values, &values));
         diffs
     }
 

@@ -49,7 +49,7 @@ use smdb_lock::LockRecoveryStats;
 use smdb_obs::{names, Event as ObsEvent, PhaseSpan, PhaseTiming};
 use smdb_sim::{LineId, NodeId, TxnId};
 use smdb_storage::{PageGeometry, PageId};
-use smdb_wal::{LogPayload, LogRecord, Lsn, NodeLog, RecId};
+use smdb_wal::{assign_scanners, DataRef, LogPayload, LogRecord, Lsn, NodeLog, RecId};
 use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -71,6 +71,13 @@ pub const FAULT_REDO_ON_DEMAND: &str = "restart.redo.on_demand";
 /// *background* drain batch ([`SmDb::drain_redo`]). A fire kills the
 /// draining node mid-drain, same contract as [`FAULT_REDO_ON_DEMAND`].
 pub const FAULT_REDO_BACKGROUND: &str = "restart.redo.background";
+
+/// Fault-injection site visited once per log reader of the analysis scan
+/// other than the recovery node, on that reader's behalf, before the
+/// recovery node joins them ([`SmDb::restart_phases`], phase 1). A fire
+/// kills the *reader* mid-scan: the crash driver crashes it and calls
+/// [`SmDb::recover`] again, which hands its logs to the readers left.
+pub const FAULT_RESTART_SCAN: &str = "restart.scan";
 
 /// What one crash-and-recover episode did.
 #[derive(Clone, Debug, Default)]
@@ -114,8 +121,13 @@ pub struct RecoveryOutcome {
     pub recovery_cycles: u64,
     /// The surviving node that orchestrated reconstruction.
     pub recovery_node: NodeId,
-    /// Log records visited by the single analysis scan.
+    /// Log records visited by the single analysis scan, over every log.
     pub scan_records: u64,
+    /// Log records the busiest reader of that scan visited: every live node
+    /// reads its own log and a share of the down nodes'
+    /// ([`smdb_wal::assign_scanners`]), so this — not the sum — is what the
+    /// scan costs in simulated time.
+    pub scan_records_max: u64,
     /// Log records the recovery *opened*: the analysis' slow paths (index
     /// operations, undo images) plus one per heap write it resolved. The
     /// scan itself reads the logs' data-record indexes.
@@ -155,6 +167,25 @@ struct LogPos {
 
 /// What an oracle compares per record: `(gsn, writer, after image)`.
 pub(crate) type HeapImages = BTreeMap<RecId, (u64, TxnId, bytes::Bytes)>;
+
+/// What restart takes from an analysis, in a form two analyses can be
+/// compared in: every list by GSN (restart sorts each where it uses it).
+#[derive(Debug, PartialEq)]
+pub(crate) struct ScanProducts {
+    /// The reduced heap redo plan, each position opened the way recovery
+    /// opens it.
+    pub(crate) plan: HeapImages,
+    /// The last committed values, likewise.
+    pub(crate) values: HeapImages,
+    /// Where undo wins: the analysed nodes' stable uncommitted records, and
+    /// the doomed transactions' updates on surviving logs.
+    undo_recs: BTreeSet<RecId>,
+    doomed_updates: Vec<(u64, RecId, bytes::Bytes)>,
+    index_redo: Vec<(u64, IxRedo)>,
+    /// The doomed transactions' index operations, then the analysed nodes'.
+    index_undo: [Vec<(u64, IxUndo)>; 2],
+    scans: Vec<LogScan>,
+}
 
 /// One entry of the heap plan: the *final* on-page bytes (tag + payload)
 /// of one record, computed by the recovery pass (the tag decision reads
@@ -351,7 +382,7 @@ pub(crate) struct RestartScope {
 
 /// One redo candidate for the index (applied sequentially in GSN order —
 /// logical B-tree ops don't commute).
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 enum IxRedo {
     Insert { key: u64, value: [u8; 8], txn: TxnId },
     Delete { key: u64, value: [u8; 8], txn: TxnId },
@@ -360,6 +391,7 @@ enum IxRedo {
 }
 
 /// The logical inverse of an index operation that restart rolls back.
+#[derive(Clone, Copy, Debug, PartialEq)]
 enum IxUndo {
     RemoveKey(u64),
     UnmarkKey(u64),
@@ -458,6 +490,15 @@ struct RecFold {
     redo: Latest,
 }
 
+/// What reading one log amounted to.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+struct LogScan {
+    /// Records of the prefix the scan covered.
+    records: u64,
+    /// Heap redo candidates met in it.
+    heap_candidates: u64,
+}
+
 /// Per-crash analysis of the logs, built by **one pass over each retained
 /// log** ([`SmDb::analyse_stable`]): durable traces of not-committed
 /// transactions, last-writer commit status for the stale-tag predicate,
@@ -489,9 +530,10 @@ struct StableAnalysis {
     /// committed value when the committed update itself has been
     /// truncated but the record's stable image was stolen over.
     uncommitted_undo: RecTable<Vec<(u64, TxnId, bytes::Bytes)>>,
-    /// Heap redo candidates the scan met (`heap` keeps one per record;
-    /// the difference is `redo_superseded`).
-    heap_candidates: u64,
+    /// What each node's log held, by node id (zeroes for a log skipped).
+    /// `heap` keeps one of the heap redo candidates per record; the rest
+    /// are `redo_superseded`.
+    scans: Vec<LogScan>,
     /// Index redo candidates past the checkpoint bound, in scan order
     /// (logical B-tree ops don't commute, so none is superseded).
     index_redo: Vec<(u64, IxRedo)>,
@@ -503,8 +545,6 @@ struct StableAnalysis {
     /// The inverses of doomed transactions' index operations on surviving
     /// logs, by GSN.
     doomed_index: Vec<(u64, IxUndo)>,
-    /// Log records visited by the scan.
-    scanned_records: u64,
     /// Log records *opened* — by the scan's slow paths and by whatever
     /// later resolves one of this analysis' positions.
     records_read: Cell<u64>,
@@ -522,6 +562,11 @@ impl StableAnalysis {
     /// The records the reduced redo plan writes, ascending.
     fn planned_recs(&self) -> impl Iterator<Item = (RecId, Latest)> + '_ {
         self.heap.slots().filter(|(_, f)| f.redo.is_some()).map(|(rec, f)| (rec, f.redo))
+    }
+
+    /// Heap redo candidates the scan met, over every log.
+    fn heap_candidates(&self) -> u64 {
+        self.scans.iter().map(|s| s.heap_candidates).sum()
     }
 
     fn is_committed_rec(&self, node: NodeId, rec: RecId) -> bool {
@@ -915,8 +960,25 @@ impl SmDb {
     /// skipped without being read at all. Where the scope analyses every
     /// node (FA-only / total failure), only stable prefixes are read and
     /// redo is thereby restricted to committed transactions.
+    ///
+    /// The logs are independent inputs: every product is a max-GSN fold, a
+    /// per-log table, a sum, or a list sorted by GSN where it is used, so
+    /// the order they are read in — and hence who reads which — changes
+    /// nothing ([`SmDb::check_scan_order`]).
     fn analyse_stable(&self, scope: &RestartScope) -> Result<StableAnalysis, DbError> {
-        let mut a = StableAnalysis::default();
+        self.analyse_in_order(scope, self.m.node_ids())
+    }
+
+    /// [`Self::analyse_stable`], reading the logs in `order`.
+    fn analyse_in_order(
+        &self,
+        scope: &RestartScope,
+        order: impl Iterator<Item = NodeId>,
+    ) -> Result<StableAnalysis, DbError> {
+        let mut a = StableAnalysis {
+            scans: vec![LogScan::default(); self.m.node_count() as usize],
+            ..Default::default()
+        };
         let doomed: BTreeSet<TxnId> = scope.doomed.iter().copied().collect();
         // Commit status covers *every* node: commit records are always
         // forced, and a parallel transaction's commit lives on its home
@@ -949,7 +1011,7 @@ impl SmDb {
             v[..n].copy_from_slice(&b[..n]);
             v
         };
-        for n in self.m.node_ids() {
+        for n in order {
             let log = self.logs.log(n);
             let bound = self.ckpt.last().lsn_for(n);
             a.ckpt_bound = a.ckpt_bound.max(bound.0);
@@ -962,7 +1024,7 @@ impl SmDb {
             // and structural records need no classification at all, and
             // the log hands out the data records' index entries alone.
             let covered = if is_analysed { log.stable_records() } else { log.records() };
-            a.scanned_records += covered.len() as u64;
+            let mut scan = LogScan { records: covered.len() as u64, heap_candidates: 0 };
             let mut last_rec = is_analysed.then(RecTable::default);
             let mut memo: Option<(TxnId, TxnClass)> = None;
             for d in log.data_refs(is_analysed) {
@@ -1060,13 +1122,14 @@ impl SmDb {
                     }
                     if redo {
                         fold.redo.keep(gsn, at);
-                        a.heap_candidates += 1;
+                        scan.heap_candidates += 1;
                     }
                 }
             }
             if let Some(last_rec) = last_rec {
                 a.last_rec_committed.insert(n, last_rec);
             }
+            a.scans[n.0 as usize] = scan;
         }
         Ok(a)
     }
@@ -1147,11 +1210,12 @@ impl SmDb {
         }
         let mut redo: Vec<(RecId, Latest)> = analysis.planned_recs().collect();
         redo.sort_by_key(|(_, kept)| kept.gsn);
+        let heap_candidates = analysis.heap_candidates();
         self.m.obs().metrics.observe(
             names::RECOVERY_REDO_BATCH,
-            analysis.heap_candidates + analysis.index_redo.len() as u64,
+            heap_candidates + analysis.index_redo.len() as u64,
         );
-        outcome.redo_superseded += analysis.heap_candidates - redo.len() as u64;
+        outcome.redo_superseded += heap_candidates - redo.len() as u64;
         let mut plan = Vec::with_capacity(redo.len() + undo.len());
         for (rec, kept) in redo {
             let line = self.rec_line(rec);
@@ -1285,15 +1349,14 @@ impl SmDb {
         diffs
     }
 
-    /// The analysis' two per-record reductions over the pending crash, for
-    /// [`SmDb::check_redo_plan`]: the reduced heap redo plan and the last
-    /// committed values, each position opened the way recovery opens it,
-    /// as `(gsn the analysis kept, writer, after image)`.
-    pub(crate) fn analysed_heap_images(
+    /// What restart takes from the analysis of the pending crash with the
+    /// logs read in `order`, for the oracles ([`ScanProducts`]).
+    pub(crate) fn scan_products(
         &self,
         scope: &RestartScope,
-    ) -> Result<(HeapImages, HeapImages), DbError> {
-        let a = self.analyse_stable(scope)?;
+        order: impl Iterator<Item = NodeId>,
+    ) -> Result<ScanProducts, DbError> {
+        let mut a = self.analyse_in_order(scope, order)?;
         let (mut plan, mut values) = (HeapImages::new(), HeapImages::new());
         for (rec, fold) in a.heap.slots() {
             for (kept, images) in [(fold.redo, &mut plan), (fold.committed, &mut values)] {
@@ -1303,7 +1366,50 @@ impl SmDb {
                 }
             }
         }
-        Ok((plan, values))
+        a.doomed_updates.sort_by_key(|(gsn, _, _)| *gsn);
+        a.index_redo.sort_by_key(|(gsn, _)| *gsn);
+        a.doomed_index.sort_by_key(|(gsn, _)| *gsn);
+        a.uncommitted_index.sort_by_key(|(gsn, _)| *gsn);
+        Ok(ScanProducts {
+            plan,
+            values,
+            undo_recs: a.uncommitted_recs,
+            doomed_updates: a.doomed_updates,
+            index_redo: a.index_redo,
+            index_undo: [a.doomed_index, a.uncommitted_index],
+            scans: a.scans,
+        })
+    }
+
+    /// The proof that who reads which log cannot matter
+    /// ([`smdb_wal::assign_scanners`]): the analysis of the pending crash
+    /// with the logs taken in every rotation of node order, each compared
+    /// with the first — the reduced heap redo plan and the committed values
+    /// (all [`SmDb::check_redo_plan`] looks at, so its verdict is the same
+    /// for every order too), where undo wins, the index redo and undo lists,
+    /// the per-log counts. Call between [`SmDb::crash`] and
+    /// [`SmDb::recover`] (also after an interrupted `recover`). Returns
+    /// human-readable disagreements (empty = the per-log reductions commute).
+    pub fn check_scan_order(&self) -> Vec<String> {
+        let scope = self.restart_scope();
+        let nodes: Vec<NodeId> = self.m.node_ids().collect();
+        let rotated = |first: usize| {
+            self.scan_products(&scope, nodes[first..].iter().chain(&nodes[..first]).copied())
+        };
+        let base = match rotated(0) {
+            Ok(products) => products,
+            Err(e) => return vec![format!("analysis failed: {e}")],
+        };
+        (1..nodes.len())
+            .filter_map(|first| match rotated(first) {
+                Ok(products) if products == base => None,
+                Ok(products) => Some(format!(
+                    "logs read from {:?} on: {products:?}\n  from {:?} on: {base:?}",
+                    nodes[first], nodes[0]
+                )),
+                Err(e) => Some(format!("analysis from {:?} on failed: {e}", nodes[first])),
+            })
+            .collect()
     }
 
     /// The undo tag a redone effect of `txn` carries: its home node while
@@ -1689,13 +1795,41 @@ impl SmDb {
         } else {
             BTreeSet::new()
         };
-        outcome.scan_records = analysis.scanned_records;
         outcome.ckpt_bound_lsn = analysis.ckpt_bound;
-        // The sequential log-device read behind the scan is the recovery
-        // node's: restart time must scale with the log actually retained,
-        // which is what checkpoint truncation bounds.
+        // The sequential log-device read behind the scan is its reader's:
+        // every live node reads its own log where it is, plus whole logs of
+        // the down nodes ([`assign_scanners`]). Restart time must scale with
+        // the log actually retained — what checkpoint truncation bounds —
+        // on the busiest reader, not with the sum over the machine.
+        let live = self.m.surviving_nodes();
+        let covered: Vec<u64> = analysis.scans.iter().map(|s| s.records).collect();
+        outcome.scan_records = covered.iter().sum();
         let cost = self.m.config().cost.log_scan_record;
-        self.m.advance(recovery_node, cost * analysis.scanned_records);
+        let (mut scanned_at, mut handed_over) = (0, 0);
+        for (&reader, logs) in live.iter().zip(assign_scanners(&covered, &live)) {
+            let read = || logs.iter().map(|log| &analysis.scans[log.0 as usize]);
+            let records: u64 = read().map(|s| s.records).sum();
+            if reader != recovery_node && records > 0 {
+                // Crash point: a reader dies mid-scan.
+                if let Some(c) = self.fault.hit(FAULT_RESTART_SCAN, reader.0) {
+                    return Err(DbError::FaultCrash(c));
+                }
+                handed_over += read().map(|s| s.heap_candidates).sum::<u64>();
+            }
+            self.m.advance(reader, cost * records);
+            scanned_at = scanned_at.max(self.m.now(reader));
+            outcome.scan_records_max = outcome.scan_records_max.max(records);
+        }
+        // The analysis is not complete before its last log is read: the
+        // recovery node waits for the latest reader (the checkpoint's join).
+        self.m.advance(recovery_node, scanned_at.saturating_sub(self.m.now(recovery_node)));
+        // What the other readers found has to reach the recovery node,
+        // which builds the plan: the heap redo candidates they met, as the
+        // data-record references the scan deals in (32 bytes, four to a
+        // 128-byte line), one cache-to-cache transfer per line.
+        let refs_per_line = (self.cfg.line_size / std::mem::size_of::<DataRef>()).max(1) as u64;
+        let merge = self.m.config().cost.remote_transfer * handed_over.div_ceil(refs_per_line);
+        self.m.advance(recovery_node, merge);
         self.end_phase(span, outcome);
         self.phase_crash_point(recovery_node)?;
 

@@ -9,7 +9,9 @@
 //!   the engine answers from the table with what a whole-history map
 //!   kept beside it answers — and, between every crash and its recovery,
 //!   the pending restart's analysis with a fold over every retained log
-//!   record ([`SmDb::check_redo_plan`]);
+//!   record ([`SmDb::check_redo_plan`]) and with itself over every rotation
+//!   of the order the logs are read in ([`SmDb::check_scan_order`]: the
+//!   per-log reductions commute, so who reads which log cannot matter);
 //! * a scenario pins the one settled transaction that must stay in the
 //!   active table: a recovery victim whose commit record is durable;
 //! * a count pins the property the split exists for: what `crash`,
@@ -171,12 +173,15 @@ fn predicate_exact(db: &SmDb, at: &str) -> Result<(), TestCaseError> {
 /// Between a crash and its recovery: the pending restart's analysis —
 /// derived from the logs' data-record indexes, as truncation, lost tails
 /// and earlier recoveries' appends have left them — holds what a fold
-/// over every retained log record holds.
+/// over every retained log record holds, in whatever order the logs are
+/// read.
 fn analysis_exact(db: &SmDb, at: &str) -> Result<(), TestCaseError> {
     let diffs = db.check_redo_plan();
     prop_assert!(diffs.is_empty(), "redo plan diverged {}:\n  {}", at, diffs.join("\n  "));
     let diffs = db.check_cached_probe();
     prop_assert!(diffs.is_empty(), "cached probe diverged {}:\n  {}", at, diffs.join("\n  "));
+    let diffs = db.check_scan_order();
+    prop_assert!(diffs.is_empty(), "scan order matters {}:\n  {}", at, diffs.join("\n  "));
     Ok(())
 }
 

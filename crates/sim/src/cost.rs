@@ -35,6 +35,9 @@ pub struct CostModel {
     pub log_force: u64,
     /// Reading and parsing one retained log record during the restart
     /// analysis scan (sequential log-device read, amortized per record).
+    /// Per *reader*: every live node reads its own log and a share of the
+    /// down nodes', each on its own clock, so a restart pays this times the
+    /// busiest reader's records — not times the records of the machine.
     pub log_scan_record: u64,
     /// One page read or write against the stable database.
     pub disk_io: u64,

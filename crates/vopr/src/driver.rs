@@ -177,9 +177,10 @@ impl Harness<'_> {
 
     /// Standing oracle between every crash and its recovery: the analysis'
     /// reduced redo plan and committed values must equal a fold over every
-    /// retained log record ([`SmDb::check_redo_plan`]).
+    /// retained log record ([`SmDb::check_redo_plan`]), whatever order the
+    /// logs are read in ([`SmDb::check_scan_order`]).
     fn redo_plan_oracle(&self, db: &SmDb) -> Result<(), Fatal> {
-        match db.check_redo_plan().as_slice() {
+        match [db.check_redo_plan(), db.check_scan_order()].concat().as_slice() {
             [] => Ok(()),
             diffs => Err(fatal("redo-plan", diffs.join("; "))),
         }

@@ -32,7 +32,8 @@ mod shrink;
 pub use config::VoprConfig;
 pub use driver::{run_schedule, run_schedule_with, ExtraOracle, RunOutcome, SchedInput};
 pub use repro::{
-    decode_plan, decode_tape, encode_plan, encode_tape, site_by_name, Repro, FAULT_SITES,
+    decode_plan, decode_tape, encode_plan, encode_tape, site_by_name, Repro, DRAWN_SITES,
+    FAULT_SITES,
 };
 pub use shrink::{shrink, ShrinkStats};
 
@@ -42,7 +43,8 @@ use std::collections::BTreeSet;
 
 /// Draw a fault plan from the schedule seed: ~25% no faults, ~50% a
 /// single crash point, ~25% a nested (crash-during-recovery) pair. Sites
-/// come from the [`FAULT_SITES`] catalog; ordinals are bounded so most
+/// come from the front of the [`FAULT_SITES`] catalog ([`DRAWN_SITES`]);
+/// ordinals are bounded so most
 /// armed points actually fire inside the bounded workloads the fuzzer
 /// drives (an unreached point simply never fires — still a valid run).
 pub fn draw_plan(seed: u64) -> FaultPlan {
@@ -54,7 +56,7 @@ pub fn draw_plan(seed: u64) -> FaultPlan {
     };
     let mut points = Vec::with_capacity(n);
     for k in 0..n {
-        let site = FAULT_SITES[(splitmix64(&mut rng) % FAULT_SITES.len() as u64) as usize];
+        let site = FAULT_SITES[(splitmix64(&mut rng) % DRAWN_SITES as u64) as usize];
         // Nested (secondary) points get a tighter ordinal bound: recovery
         // visits far fewer points than the forward workload.
         let bound = if k == 0 { 24 } else { 6 };

@@ -71,6 +71,37 @@ pub fn assign_flushers<U: IntoIterator<Item = NodeId>>(
     shares
 }
 
+/// Who reads which log at restart: `covered[n]` is how many records of node
+/// `n`'s log the analysis covers (a down node's stable prefix, a live
+/// node's whole retained log; 0 where there is nothing to read), `live` the
+/// nodes that can read, in ascending id order. Returns one list of logs per
+/// node of `live`.
+///
+/// A live node reads its own log, where it is. A down node's log goes
+/// *whole* — a log is one sequential device stream; two readers do not make
+/// the disk stream faster — to the live node with the fewest records so far
+/// (ties to the lowest id), the longest such log first (ties to the lowest
+/// id). A log with nothing covered is nobody's. With one live node this is
+/// "that node reads everything".
+pub fn assign_scanners(covered: &[u64], live: &[NodeId]) -> Vec<Vec<NodeId>> {
+    debug_assert!(live.windows(2).all(|w| w[0] < w[1]), "live nodes in ascending id order");
+    let of = |log: NodeId| covered[log.0 as usize];
+    let logs = || (0..covered.len() as u16).map(NodeId).filter(|&log| of(log) > 0);
+    let mut shares: Vec<Vec<NodeId>> =
+        live.iter().map(|&n| logs().filter(|&log| log == n).collect()).collect();
+    let mut loads: Vec<u64> = live.iter().map(|&n| of(n)).collect();
+    let mut orphans: Vec<NodeId> = logs().filter(|log| live.binary_search(log).is_err()).collect();
+    // A stable sort: equal lengths stay in id order.
+    orphans.sort_by_key(|&log| std::cmp::Reverse(of(log)));
+    for log in orphans {
+        // `min_by_key` keeps the first of equal minima: the lowest id.
+        let Some(reader) = (0..live.len()).min_by_key(|&i| loads[i]) else { break };
+        shares[reader].push(log);
+        loads[reader] += of(log);
+    }
+    shares
+}
+
 /// Durable storage for checkpoint metadata (conceptually a well-known
 /// location on the shared disks; survives all node crashes).
 #[derive(Clone, Debug)]

@@ -34,7 +34,7 @@ mod record;
 
 mod lbm;
 
-pub use checkpoint::{assign_flushers, CheckpointMeta, CheckpointStore};
+pub use checkpoint::{assign_flushers, assign_scanners, CheckpointMeta, CheckpointStore};
 pub use lbm::LbmMode;
 pub use log_set::{LogSet, FAULT_CHECKPOINT_RECORD, FAULT_FORCE_RECORD, FAULT_TRUNCATE};
 pub use lsn::Lsn;

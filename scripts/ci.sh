@@ -21,9 +21,10 @@ cargo test -q --workspace
 echo "== crash-point sweep (bounded) =="
 # Deterministic fault-injection sweep over all protocols (DESIGN §8);
 # release build keeps the bounded sweep fast. The checkpoint-machinery
-# crash points (wal.checkpoint.record, wal.truncate) are replayed
-# exhaustively even in this bounded run. The exhaustive variant of the
-# whole sweep is scripts/crash_sweep.sh.
+# crash points (wal.checkpoint.record, wal.truncate) and the analysis
+# scan's (restart.scan: a log reader beside the recovery node dies) are
+# replayed exhaustively even in this bounded run. The exhaustive variant
+# of the whole sweep is scripts/crash_sweep.sh.
 cargo test --release -q --test crash_sweep
 
 echo "== crash-point sweep (bounded, striped directory) =="
@@ -93,6 +94,16 @@ echo "== E13: a checkpoint written back by every live node =="
 # cycles only; the workspace test steps run it in a debug build, this is
 # the release build the report is printed from.
 cargo test --release -q -p smdb-bench --test e13_checkpoint
+
+echo "== E14: every live node scans a log =="
+# The same per-node un-checkpointed history on machines of 2 / 4 / 8 nodes,
+# node 0 crashes (DESIGN §9): the analysis scan grows 4x, its phase
+# (stable_undo) by <= 10 % — a reader's share is two logs at any size.
+# Beside it: the wal crate's assign_scanners rules and the core
+# tests of the join, the merge charge and the barrier at the open.
+cargo test --release -q -p smdb-bench --test e14_restart_scan
+cargo test --release -q -p smdb-wal --test assign_scanners
+cargo test --release -q -p smdb-core --test restart_scan
 
 echo "== schedule fuzz (bounded, fixed seeds) =="
 # Deterministic VOPR-style schedule fuzz (DESIGN §13): three fixed master

@@ -1,8 +1,11 @@
 #!/usr/bin/env bash
 # Exhaustive crash-point sweep (DESIGN §8): replay the seeded workload
 # once per *every* enumerated crash point under each protocol, plus the
-# full nested-schedule budget. The bounded variant runs in tier-1 CI
-# (scripts/ci.sh); this one is for local soak runs and release gates.
+# full nested-schedule budget — restart.scan (a log reader of the restart's
+# analysis dies mid-scan) included: it is enumerated with every other site
+# recovery visits, and swept on its own for every protocol, eager and
+# instant. The bounded variant runs in tier-1 CI (scripts/ci.sh); this one
+# is for local soak runs and release gates.
 #
 # Every failure prints a one-line repro:
 #   FAIL scenario=<label> seed=<seed> plan=<site#hit[+site#hit]> :: <msg>

@@ -4,7 +4,8 @@
 //! For each Table-1 protocol, a seeded workload is dry-run once with a
 //! counting injector to enumerate every crash point it visits (WAL record
 //! forces, line migrations and invalidations, stable-page line flushes,
-//! commit-path points, recovery-phase boundaries). The sweep driver then
+//! commit-path points, recovery-phase boundaries, the analysis scan's log
+//! readers). The sweep driver then
 //! replays the scenario once per sampled point — the victim node dies
 //! mid-operation with whatever partial state the layer left behind — and
 //! once per sampled (primary, secondary) pair, where a second node dies
@@ -21,7 +22,7 @@ use smdb::core::fault::sweep::{sweep, RunMode, RunOutput, SweepConfig, SweepRepo
 use smdb::core::fault::{CrashPoint, FaultInjector, FaultPlan, Mode, SiteVisits};
 use smdb::core::{
     DbConfig, DbError, ProtocolKind, SmDb, FAULT_COMMIT_DEP, FAULT_RECOVERY_PHASE,
-    FAULT_REDO_BACKGROUND, FAULT_REDO_ON_DEMAND,
+    FAULT_REDO_BACKGROUND, FAULT_REDO_ON_DEMAND, FAULT_RESTART_SCAN,
 };
 use smdb::sim::NodeId;
 use smdb::wal::{FAULT_CHECKPOINT_RECORD, FAULT_TRUNCATE};
@@ -125,9 +126,10 @@ fn check_commit_predicate(db: &SmDb, after: &str) -> Result<(), String> {
 }
 
 /// The analysis' reduced redo plan and committed values for the pending
-/// crash against a fold over every retained log record.
+/// crash against a fold over every retained log record, and the whole
+/// analysis against itself with the logs read in every other order.
 fn check_redo_plan(db: &SmDb) -> Result<(), String> {
-    match db.check_redo_plan().as_slice() {
+    match [db.check_redo_plan(), db.check_scan_order()].concat().as_slice() {
         [] => Ok(()),
         diffs => Err(format!("redo plan: {}", diffs.join("; "))),
     }
@@ -619,5 +621,92 @@ fn full_restart_phase_boundaries_swept_exhaustively() {
         }
         let past = run_full_restart(protocol, &victims, Some(6));
         assert!(past.is_err(), "{at}: a seventh boundary exists");
+    }
+}
+
+/// One restart of node 0's crash — the seeded mix, a post-checkpoint
+/// committed tail and in-flight transactions on every node — with the
+/// `visit`-th log reader beside the recovery node killed mid-scan (nobody,
+/// for `None`). Returns how often `restart.scan` was visited and every
+/// record's value once the restart converged, an instant restart's window
+/// was drained, the transactions still in flight were rolled back and the
+/// oracles passed.
+fn run_scan_restart(
+    protocol: ProtocolKind,
+    instant: bool,
+    visit: Option<u64>,
+) -> Result<(usize, Vec<Vec<u8>>), String> {
+    let mut cfg =
+        DbConfig::small(4, protocol).with_coalesced_forces().with_sim_shards(sweep_shards());
+    if instant {
+        cfg = cfg.with_instant_restart();
+    }
+    let mut db = SmDb::new(cfg);
+    let f = FaultInjector::new();
+    db.set_fault_injector(f.clone());
+    run_mix_with_crash(&mut db, params(SEED), None).map_err(|e| format!("mix: {e}"))?;
+    commit_tail(&mut db, 4)?;
+    spawn_active(&mut db, 1, 2, false, 7);
+    db.crash(&[NodeId(0)]);
+    check_commit_predicate(&db, "crash")?;
+    check_redo_plan(&db)?;
+    match visit {
+        Some(k) => f.arm(FaultPlan::single(CrashPoint::new(FAULT_RESTART_SCAN, k))),
+        None => f.start_counting(),
+    }
+    match (db.recover(), visit) {
+        (Ok(_), None) => {}
+        (Ok(_), Some(k)) => return Err(format!("visit {k} never came")),
+        (Err(e), None) => return Err(format!("uninterrupted restart failed: {e}")),
+        (Err(e), Some(_)) => {
+            let fired = e.fault_crash().map(|c| (c.site, db.machine().is_crashed(NodeId(c.node))));
+            if fired != Some((FAULT_RESTART_SCAN, false)) {
+                return Err(format!("expected a live reader to die mid-scan, got {e}"));
+            }
+            drive_recovery(&mut db, e)?;
+        }
+    }
+    let visits = if visit.is_none() { f.take_visits() } else { Vec::new() };
+    f.off();
+    let scan = *db.machine().surviving_nodes().first().ok_or("no survivors")?;
+    while db.redo_pending() > 0 {
+        db.drain_redo(scan, 4).map_err(|e| format!("drain: {e}"))?;
+    }
+    for t in db.active_txns(None) {
+        db.abort(t).map_err(|e| format!("abort {t}: {e}"))?;
+    }
+    check_oracles(&mut db)?;
+    let visited =
+        visits.iter().find(|sv| sv.site == FAULT_RESTART_SCAN).map_or(0, |sv| sv.nodes.len());
+    let values = (0..db.record_count() as u64)
+        .map(|slot| db.current_value(slot).map_err(|e| format!("slot {slot}: {e}")))
+        .collect::<Result<_, _>>()?;
+    Ok((visited, values))
+}
+
+/// The analysis scan is read by every live node, and a reader can die
+/// mid-scan: every enumerated visit of `restart.scan` (one per reader
+/// beside the recovery node, on that reader's behalf) is replayed as a
+/// single failure for each protocol, eager and instant; the restart
+/// re-entered over the larger crashed set hands the dead reader's logs to
+/// the ones left and must converge to the state the uninterrupted restart
+/// reaches.
+#[test]
+fn scan_reader_crash_point_swept_exhaustively() {
+    let mut protocols = ProtocolKind::ifa_protocols().to_vec();
+    protocols.push(ProtocolKind::FaOnly);
+    for protocol in protocols {
+        for instant in [false, true] {
+            let at = format!("{protocol:?} instant={instant}");
+            let (visited, want) =
+                run_scan_restart(protocol, instant, None).unwrap_or_else(|e| panic!("{at}: {e}"));
+            // Four nodes, one down, one hosting: two readers beside it.
+            assert_eq!(visited, 2, "{at}: {FAULT_RESTART_SCAN} visits");
+            for k in 0..visited as u64 {
+                let (_, got) = run_scan_restart(protocol, instant, Some(k))
+                    .unwrap_or_else(|e| panic!("{at} plan={FAULT_RESTART_SCAN}#{k} :: {e}"));
+                assert!(got == want, "{at}: reader {k} dying converged to another state");
+            }
+        }
     }
 }
