@@ -703,7 +703,8 @@ impl SmDb {
     /// [`DbError::FaultCrash`] or a crash of its own), call `crash` on the
     /// victim and `recover` again — a fresh survivor is elected and the
     /// restart converges to the same IFA-consistent state. No-op when
-    /// nothing is pending.
+    /// nothing is pending. On return every live node's clock stands at the
+    /// open.
     pub fn recover(&mut self) -> Result<RecoveryOutcome, DbError> {
         let crashed: Vec<NodeId> = self.restart.crashed.iter().copied().collect();
         let mut outcome = RecoveryOutcome { crashed: crashed.clone(), ..Default::default() };
@@ -743,6 +744,10 @@ impl SmDb {
         self.restart_phases(&mut outcome, &scope)?;
         self.resolve_commit_pipeline()?;
         outcome.recovery_cycles = self.m.max_clock() - clock0;
+        // The open is a barrier: no node runs a transaction at a simulated
+        // time before the restart that admitted it was over (an instant
+        // restart: before its early open).
+        self.m.sync_clocks();
         let cycles = outcome.recovery_cycles;
         let obs = self.m.obs();
         obs.metrics.observe(names::RECOVERY_TOTAL_CYCLES, cycles);

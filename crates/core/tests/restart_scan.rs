@@ -1,7 +1,7 @@
 //! The restart's analysis scan is read by every live node: each reads its
 //! own log and a share of the down nodes' (`smdb_wal::assign_scanners`),
 //! the recovery node joins the latest reader and pays for what the others
-//! hand it.
+//! hand it, and the open is a barrier for every live clock.
 
 use smdb_core::fault::{CrashPoint, FaultInjector, FaultPlan};
 use smdb_core::{DbConfig, ProtocolKind, RecoveryOutcome, SmDb, FAULT_RESTART_SCAN};
@@ -163,5 +163,28 @@ fn a_reader_can_die_mid_scan() {
                 assert!(settle(&mut db) == want, "{at} #{k}: converged to another state");
             }
         }
+    }
+}
+
+/// The open is a barrier: every live node's clock stands at the end of the
+/// restart, so a first transaction anywhere runs after it.
+#[test]
+fn every_live_clock_joins_the_open() {
+    for instant in [false, true] {
+        let cfg = small(ProtocolKind::VolatileSelectiveRedo);
+        let mut db = history(if instant { cfg.with_instant_restart() } else { cfg });
+        db.sync_clocks();
+        let crashed_at = db.max_clock();
+        let outcome = db.crash_and_recover(&[NodeId(0)]).unwrap();
+        let open = crashed_at + outcome.recovery_cycles;
+        for n in 1..NODES {
+            assert_eq!(db.machine().now(NodeId(n)), open, "instant={instant}: node {n}");
+        }
+        // Not the recovery node (node 1), and still not early.
+        let t = db.begin(NodeId(3)).unwrap();
+        db.read(t, 7).unwrap();
+        db.commit(t).unwrap();
+        assert!(db.machine().now(NodeId(3)) > open);
+        settle(&mut db);
     }
 }
