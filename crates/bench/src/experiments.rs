@@ -1308,6 +1308,19 @@ mod tests {
     }
 
     #[test]
+    fn e3_redo_all_costs_more_than_selective_redo_at_every_sharing_rate() {
+        let pts = e3_recovery_cost(60, &[0.1, 0.5, 0.9]);
+        for pair in pts.chunks(2) {
+            let (all, selective) = (&pair[0], &pair[1]);
+            assert!(all.protocol.contains("RedoAll") && selective.protocol.contains("Selective"));
+            assert_eq!(all.scan_records, selective.scan_records, "same logs, same scan");
+            assert_eq!(all.phase_stable_undo, selective.phase_stable_undo);
+            assert!(selective.redo_skipped_cached > 0 && all.redo_applied > selective.redo_applied);
+            assert!(all.recovery_cycles > selective.recovery_cycles, "{all:?} vs {selective:?}");
+        }
+    }
+
+    #[test]
     fn e4_volatile_never_lbm_forces() {
         let pts = e4_log_forces(20, &[0.5], false);
         let vol = pts.iter().find(|p| p.protocol.contains("VolatileSelective")).unwrap();
