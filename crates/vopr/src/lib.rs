@@ -44,9 +44,9 @@ use std::collections::BTreeSet;
 /// Draw a fault plan from the schedule seed: ~25% no faults, ~50% a
 /// single crash point, ~25% a nested (crash-during-recovery) pair. Sites
 /// come from the front of the [`FAULT_SITES`] catalog ([`DRAWN_SITES`]);
-/// ordinals are bounded so most
-/// armed points actually fire inside the bounded workloads the fuzzer
-/// drives (an unreached point simply never fires — still a valid run).
+/// ordinals are bounded so most armed points actually fire inside the
+/// bounded workloads the fuzzer drives (an unreached point simply never
+/// fires — still a valid run).
 pub fn draw_plan(seed: u64) -> FaultPlan {
     let mut rng = seed ^ 0xFA17_7F1A_4B0B_CA7A;
     let n = match splitmix64(&mut rng) % 4 {

@@ -86,11 +86,13 @@ pub fn assign_flushers<U: IntoIterator<Item = NodeId>>(
 pub fn assign_scanners(covered: &[u64], live: &[NodeId]) -> Vec<Vec<NodeId>> {
     debug_assert!(live.windows(2).all(|w| w[0] < w[1]), "live nodes in ascending id order");
     let of = |log: NodeId| covered[log.0 as usize];
-    let logs = || (0..covered.len() as u16).map(NodeId).filter(|&log| of(log) > 0);
     let mut shares: Vec<Vec<NodeId>> =
-        live.iter().map(|&n| logs().filter(|&log| log == n).collect()).collect();
+        live.iter().map(|&n| if of(n) > 0 { vec![n] } else { Vec::new() }).collect();
     let mut loads: Vec<u64> = live.iter().map(|&n| of(n)).collect();
-    let mut orphans: Vec<NodeId> = logs().filter(|log| live.binary_search(log).is_err()).collect();
+    let mut orphans: Vec<NodeId> = (0..covered.len() as u16)
+        .map(NodeId)
+        .filter(|&log| of(log) > 0 && live.binary_search(&log).is_err())
+        .collect();
     // A stable sort: equal lengths stay in id order.
     orphans.sort_by_key(|&log| std::cmp::Reverse(of(log)));
     for log in orphans {
