@@ -1286,6 +1286,68 @@ pub fn e14_restart_scan(txns: u64) -> Vec<RestartScanPoint> {
     out
 }
 
+// ----------------------------------------------------------------------
+// E15 — every live node reads a share of the restart's pages
+// ----------------------------------------------------------------------
+
+/// One node-count point of the restart page-read experiment.
+#[derive(Clone, Debug)]
+pub struct RestartReadsPoint {
+    /// Nodes in the machine (node 0 crashes).
+    pub nodes: u16,
+    /// Heap pages holding a line the crash destroyed.
+    pub lost_pages: u64,
+    /// Pages the eager plan read from the stable database.
+    pub pages_read: u64,
+    /// Pages the busiest reader read.
+    pub pages_read_max: u64,
+    /// Simulated cycles of the redo phase.
+    pub redo_cycles: u64,
+    /// Simulated cycles of the whole restart.
+    pub recovery_cycles: u64,
+}
+
+/// Node 0 commits one update on each of `pages` heap pages — the only
+/// cached copy of every line of them — on machines of 2, 4 and 8 nodes;
+/// the clocks are synchronised and node 0 crashes. The pages the restart
+/// reads back are the same on every machine; what changes is how many live
+/// nodes share them ([`smdb_wal::assign_flushers`], nobody excluded).
+pub fn e15_restart_reads(pages: u32) -> Vec<RestartReadsPoint> {
+    let mut out = Vec::new();
+    for nodes in [2u16, 4, 8] {
+        let mut cfg = DbConfig::bench(nodes, ProtocolKind::VolatileSelectiveRedo).without_index();
+        let geometry = PageGeometry::new(cfg.line_size, cfg.lines_per_page);
+        let per_page = RecordLayout::new(geometry, cfg.rec_data_size).records_per_page() as u64;
+        cfg.records = pages * per_page as u32;
+        let mut db = SmDb::new(cfg);
+        for page in 0..pages as u64 {
+            let t = db.begin(NodeId(0)).expect("begin");
+            db.update(t, page * per_page, &page.to_le_bytes()).expect("update");
+            db.commit(t).expect("commit");
+        }
+        db.sync_clocks();
+        db.crash(&[NodeId(0)]);
+        let heap_lines = db.heap_pages() as u64 * geometry.lines_per_page as u64;
+        let lost: std::collections::BTreeSet<_> = db
+            .machine()
+            .iter_lost()
+            .filter(|l| l.0 < heap_lines)
+            .map(|l| geometry.page_of_addr(l.0).0)
+            .collect();
+        let outcome = db.recover().expect("recovery");
+        db.check_ifa(outcome.recovery_node).assert_ok();
+        out.push(RestartReadsPoint {
+            nodes,
+            lost_pages: lost.len() as u64,
+            pages_read: outcome.pages_read,
+            pages_read_max: outcome.pages_read_max,
+            redo_cycles: phase_cycles(&outcome, "redo"),
+            recovery_cycles: outcome.recovery_cycles,
+        });
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

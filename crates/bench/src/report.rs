@@ -27,7 +27,7 @@ pub struct Cell {
 }
 
 /// Every cell, in report order.
-pub const CELLS: [Cell; 19] = [
+pub const CELLS: [Cell; 20] = [
     Cell { name: "table1", run: table1 },
     Cell { name: "e1_line_lock", run: e1_line_lock },
     Cell { name: "e2_abort_counts", run: e2_abort_counts },
@@ -47,6 +47,7 @@ pub const CELLS: [Cell; 19] = [
     Cell { name: "e12_multicore", run: e12_multicore },
     Cell { name: "e13_checkpoint", run: e13_checkpoint },
     Cell { name: "e14_restart_scan", run: e14_restart_scan },
+    Cell { name: "e15_restart_reads", run: e15_restart_reads },
 ];
 
 /// A rendered report: what `report` prints, and the CSV files `--csv`
@@ -578,6 +579,29 @@ fn e14_restart_scan(_fast: bool) -> Section {
          (every node commits the same {txns} two-update transactions in its own\n    \
          partition, no checkpoint; clocks are synchronised, node 0 crashes; a\n    \
          survivor reads its own log, the least-loaded one node 0's as well)\n\n\
+         {}\n",
+        text_table(&cols, &pts)
+    );
+    Section { text, csv: Some(csv(&cols, &pts)) }
+}
+
+fn e15_restart_reads(_fast: bool) -> Section {
+    type C = Col<x::RestartReadsPoint>;
+    let cols = [
+        C::new("nodes", R(6), "nodes", |p| p.nodes),
+        C::new("lost", R(6), "lost_pages", |p| p.lost_pages),
+        C::new("read", R(6), "pages_read", |p| p.pages_read),
+        C::new("max/node", R(9), "pages_read_max", |p| p.pages_read_max),
+        C::new("redo", R(12), "phase_redo_cycles", |p| p.redo_cycles),
+        C::new("rec cycles", R(12), "recovery_cycles", |p| p.recovery_cycles),
+    ];
+    let pages = 84;
+    let pts = x::e15_restart_reads(pages);
+    let text = format!(
+        "== E15: every live node reads a share of the restart's pages ==\n   \
+         (node 0 commits one update on each of {pages} pages, clocks are\n    \
+         synchronised, node 0 crashes; each lost page is read back by the\n    \
+         least-loaded live node, between two barriers)\n\n\
          {}\n",
         text_table(&cols, &pts)
     );

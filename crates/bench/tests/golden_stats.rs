@@ -37,6 +37,8 @@ fn render_outcome(out: &mut String, o: &RecoveryOutcome) {
     let _ = writeln!(out, "outcome.redo_superseded: {}", o.redo_superseded);
     let _ = writeln!(out, "outcome.scan_records: {}", o.scan_records);
     let _ = writeln!(out, "outcome.scan_records_max: {}", o.scan_records_max);
+    let _ = writeln!(out, "outcome.pages_read: {}", o.pages_read);
+    let _ = writeln!(out, "outcome.pages_read_max: {}", o.pages_read_max);
     let _ = writeln!(out, "outcome.ckpt_bound_lsn: {}", o.ckpt_bound_lsn);
     let _ = writeln!(out, "outcome.index_redo_applied: {}", o.index_redo_applied);
     let _ = writeln!(out, "outcome.undo_records_applied: {}", o.undo_records_applied);

@@ -74,7 +74,7 @@ pub use oracle::{IfaReport, ShadowDb};
 pub use record::RecordLayout;
 pub use restart::{
     InstantRedoCounters, RecoveryOutcome, FAULT_RECOVERY_PHASE, FAULT_REDO_BACKGROUND,
-    FAULT_REDO_ON_DEMAND, FAULT_RESTART_SCAN,
+    FAULT_REDO_ON_DEMAND, FAULT_RESTART_INSTALL, FAULT_RESTART_SCAN,
 };
 pub use stats::EngineStats;
 pub use txn::{Op, TxnOp, TxnState, TxnStatus};

@@ -20,7 +20,8 @@
 //! as the plan is built: no later restart could re-derive them). One
 //! routine installs a lost page ([`SmDb::install_lost_page`]) and one
 //! writes a plan entry ([`SmDb::write_heap_entry`]); an *eager* restart
-//! applies the plan before the database opens
+//! applies the plan before the database opens, every live node reading a
+//! share of the pages it needs from the stable database
 //! ([`SmDb::apply_heap_plan`]), an *instant* restart leaves the same plan
 //! pending and applies it on first access
 //! ([`SmDb::ensure_line_recovered`]) or from the background drain
@@ -49,7 +50,9 @@ use smdb_lock::LockRecoveryStats;
 use smdb_obs::{names, Event as ObsEvent, PhaseSpan, PhaseTiming};
 use smdb_sim::{LineId, NodeId, TxnId};
 use smdb_storage::{PageGeometry, PageId};
-use smdb_wal::{assign_scanners, DataRef, LogPayload, LogRecord, Lsn, NodeLog, RecId};
+use smdb_wal::{
+    assign_flushers, assign_scanners, DataRef, LogPayload, LogRecord, Lsn, NodeLog, RecId,
+};
 use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -78,6 +81,14 @@ pub const FAULT_REDO_BACKGROUND: &str = "restart.redo.background";
 /// kills the *reader* mid-scan: the crash driver crashes it and calls
 /// [`SmDb::recover`] again, which hands its logs to the readers left.
 pub const FAULT_RESTART_SCAN: &str = "restart.scan";
+
+/// Fault-injection site visited once per page reader of an eager apply
+/// other than the recovery node, on that reader's behalf, before it reads
+/// its share ([`SmDb::apply_heap_plan`]). A fire kills the *reader*: the
+/// pages the readers before it installed stay behind as stale reinstalls,
+/// the crash driver crashes it and calls [`SmDb::recover`] again, which
+/// deals the pages out over the readers left.
+pub const FAULT_RESTART_INSTALL: &str = "restart.install";
 
 /// What one crash-and-recover episode did.
 #[derive(Clone, Debug, Default)]
@@ -128,6 +139,15 @@ pub struct RecoveryOutcome {
     /// ([`smdb_wal::assign_scanners`]), so this — not the sum — is what the
     /// scan costs in simulated time.
     pub scan_records_max: u64,
+    /// Pages the eager plan read from the stable database before the open:
+    /// the crash-lost pages and every page an entry would otherwise have
+    /// faulted in, each once (0 for an instant restart, which reads past
+    /// its open).
+    pub pages_read: u64,
+    /// Pages the busiest reader of those read: every live node reads a
+    /// share ([`smdb_wal::assign_flushers`]), so this — not the sum — is
+    /// what the reads cost in simulated time.
+    pub pages_read_max: u64,
     /// Log records the recovery *opened*: the analysis' slow paths (index
     /// operations, undo images) plus one per heap write it resolved. The
     /// scan itself reads the logs' data-record indexes.
@@ -1578,6 +1598,24 @@ impl SmDb {
         Ok(())
     }
 
+    /// Whether the stable image already holds `entry`'s bytes.
+    fn stable_agrees(&self, entry: &HeapWrite) -> Result<bool, DbError> {
+        let HeapWrite { rec, ref bytes, .. } = *entry;
+        let off = self.layout.page_offset(rec.slot);
+        let img =
+            self.sdb.peek_page(rec.page).ok_or(DbError::StablePageMissing { page: rec.page })?;
+        Ok(img[off..off + bytes.len()] == bytes[..])
+    }
+
+    /// An entry's page is about to be faulted in from stable: every line of
+    /// it is a stale reinstall.
+    fn mark_page_stale(&mut self, page: PageId) {
+        let g = self.layout.geometry;
+        self.restart
+            .stale_heap_lines
+            .extend((0..g.lines_per_page).map(|idx| LineId(g.line_addr(page, idx))));
+    }
+
     /// **The** heap write of recovery, one plan entry as `actor`: skip when
     /// nothing is cached and the stable image already agrees; otherwise
     /// write through the coherent store. The page is dirty to the next
@@ -1590,19 +1628,14 @@ impl SmDb {
         let off = self.layout.page_offset(rec.slot);
         let cached = self.m.probe_cached(line);
         if !cached {
-            let img = self
-                .sdb
-                .peek_page(rec.page)
-                .ok_or(DbError::StablePageMissing { page: rec.page })?;
-            if img[off..off + bytes.len()] == bytes[..] {
+            if self.stable_agrees(entry)? {
                 return Ok(false);
             }
-            // The write below faults the whole page in from stable: every
-            // line of it is a stale reinstall.
-            let g = self.layout.geometry;
-            self.restart
-                .stale_heap_lines
-                .extend((0..g.lines_per_page).map(|idx| LineId(g.line_addr(rec.page, idx))));
+            // The fault-in: reached only past an instant restart's open,
+            // and charged to whoever touches the line first. Before the
+            // open the eager apply has read every such page already
+            // ([`Self::apply_heap_plan`]).
+            self.mark_page_stale(rec.page);
         }
         // A page with lost lines must be installed before the coherent
         // write can fault it in (the machine refuses lost lines); a page
@@ -1615,11 +1648,22 @@ impl SmDb {
         Ok(true)
     }
 
-    /// Apply the plan **before the open** — what makes a restart *eager*:
-    /// every `lost` page installed as the recovery node, every entry
-    /// written as its own node, in plan order. Nothing of the deferred
-    /// window is built: no registration, no per-line index, no coherence
-    /// marks.
+    /// Apply the plan **before the open** — what makes a restart *eager*.
+    ///
+    /// First the pages the plan reads from the stable database: the
+    /// census' `lost` pages, and each page an entry would fault in — its
+    /// line held nowhere, its bytes not the stable image's, the test of
+    /// [`Self::write_heap_entry`] taken in plan order, as the writes would
+    /// meet it (a page read for an earlier entry holds the line; an entry
+    /// the stable image already agrees with is skipped). The reads are a
+    /// checkpoint's write-back in the other direction, dealt out the same
+    /// way ([`assign_flushers`], nobody excluded): every live node reads a
+    /// share on its own clock, between two barriers — no read before the
+    /// recovery node has the plan, no write before the last page is in.
+    ///
+    /// Then every entry is written as its own node, in plan order; none
+    /// faults. Nothing of the deferred window is built: no registration,
+    /// no per-line index, no coherence marks.
     fn apply_heap_plan(
         &mut self,
         plan: Vec<HeapWrite>,
@@ -1627,11 +1671,43 @@ impl SmDb {
         outcome: &mut RecoveryOutcome,
         recovery_node: NodeId,
     ) -> Result<(), DbError> {
-        for (page, lines) in by_page(self.layout.geometry, lost) {
-            self.install_lost_page(recovery_node, page, lines)?;
+        let mut reads: BTreeMap<PageId, &[LineId]> = by_page(self.layout.geometry, lost).collect();
+        let mut skip = vec![false; plan.len()];
+        for (entry, skip) in plan.iter().zip(&mut skip) {
+            let page = entry.rec.page;
+            if self.m.probe_cached(entry.line) || reads.contains_key(&page) {
+                continue;
+            }
+            if self.stable_agrees(entry)? {
+                *skip = true;
+            } else {
+                self.mark_page_stale(page);
+                reads.insert(page, &[]);
+            }
         }
-        for entry in &plan {
-            if self.write_heap_entry(entry.node, entry)? {
+        let live = self.m.surviving_nodes();
+        let shares = assign_flushers(reads.keys().map(|&page| (page, [])), &live);
+        outcome.pages_read = reads.len() as u64;
+        outcome.pages_read_max = shares.iter().map(|s| s.len() as u64).max().unwrap_or(0);
+        if !reads.is_empty() {
+            // No reader starts before the recovery node has the plan.
+            self.m.sync_clocks();
+            for (&reader, pages) in live.iter().zip(&shares) {
+                if reader != recovery_node && !pages.is_empty() {
+                    // Crash point: a reader dies before its share.
+                    if let Some(c) = self.fault.hit(FAULT_RESTART_INSTALL, reader.0) {
+                        return Err(DbError::FaultCrash(c));
+                    }
+                }
+                for page in pages {
+                    self.install_lost_page(reader, *page, reads[page])?;
+                }
+            }
+            // No entry is written before the last page is in.
+            self.m.sync_clocks();
+        }
+        for (entry, skip) in plan.iter().zip(skip) {
+            if !skip && self.write_heap_entry(entry.node, entry)? {
                 outcome.redo_applied += 1;
                 outcome.undo_records_applied += entry.undo as u64;
             } else {

@@ -21,7 +21,7 @@ use smdb_fault::{CrashPoint, FaultPlan};
 /// parsed against this catalog and fault plans drawn from its first
 /// [`DRAWN_SITES`] entries; it must stay in sync with the `FAULT_*`
 /// constants of the instrumented crates.
-pub const FAULT_SITES: [&str; 12] = [
+pub const FAULT_SITES: [&str; 13] = [
     smdb_sim::FAULT_MIGRATE,
     smdb_sim::FAULT_INVALIDATE,
     smdb_wal::FAULT_FORCE_RECORD,
@@ -34,13 +34,15 @@ pub const FAULT_SITES: [&str; 12] = [
     smdb_core::FAULT_REDO_ON_DEMAND,
     smdb_core::FAULT_REDO_BACKGROUND,
     smdb_core::FAULT_RESTART_SCAN,
+    smdb_core::FAULT_RESTART_INSTALL,
 ];
 
 /// How many sites, from the front of [`FAULT_SITES`], a plan is drawn from.
 /// A seed's plan is `rng % DRAWN_SITES`: drawing from one more site deals
 /// every seed of the fixed battery (and the pinned `known_defect_*` repros'
-/// seeds) a different plan. `restart.scan` therefore stays out of the draw;
-/// `tests/crash_sweep.rs` sweeps it exhaustively instead.
+/// seeds) a different plan. `restart.scan` and `restart.install` therefore
+/// stay out of the draw; `tests/crash_sweep.rs` sweeps them exhaustively
+/// instead.
 pub const DRAWN_SITES: usize = 11;
 
 /// Resolve a site name to its `&'static str` catalog entry (the injector

@@ -43,6 +43,13 @@ impl CheckpointMeta {
 /// crash of the writer right after loses nothing a restart must redo.
 /// A page every live node updated goes to the least-loaded node. With one
 /// live node this is "that node flushes everything".
+///
+/// The same page I/O in the other direction is dealt out here too: an
+/// eager restart's reads from the stable database (the crash-lost pages
+/// and the pages its plan would fault in) pass each page with no updaters,
+/// so nobody is excluded and each page goes to the least-loaded live node,
+/// ties to the lowest id — round the live nodes in page order, the shares
+/// differing by at most one.
 pub fn assign_flushers<U: IntoIterator<Item = NodeId>>(
     dirty: impl IntoIterator<Item = (PageId, U)>,
     live: &[NodeId],

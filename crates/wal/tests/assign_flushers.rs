@@ -1,5 +1,7 @@
 //! Who flushes which page of a checkpoint: [`assign_flushers`] over the
-//! [`PageLsnTable`]'s dirty walk, the composition `SmDb::checkpoint` runs.
+//! [`PageLsnTable`]'s dirty walk, the composition `SmDb::checkpoint` runs —
+//! and who reads which page of an eager restart: the same function over
+//! pages nobody updated.
 
 use proptest::prelude::*;
 use smdb_sim::NodeId;
@@ -59,7 +61,40 @@ fn one_live_node_flushes_the_dirty_set_in_page_order() {
     assert_eq!(assign(&PageLsnTable::new(), &nodes(&[0, 1])), vec![vec![], vec![]]);
 }
 
+/// A restart's page reads: nobody updated anything, so the pages go round
+/// the live nodes in page order, the lowest id first on every lap.
+#[test]
+fn with_no_updaters_the_pages_go_round_the_live_nodes() {
+    let reads = |pages: &[u32], live: &[u16]| {
+        assign_flushers(pages.iter().map(|&p| (PageId(p), [])), &nodes(live))
+    };
+    let shares = reads(&[2, 3, 5, 7, 11, 13, 17], &[1, 2, 3]);
+    assert_eq!(shares, vec![pages(&[2, 7, 17]), pages(&[3, 11]), pages(&[5, 13])]);
+    assert_eq!(reads(&[4, 9], &[0, 2, 5]), vec![pages(&[4]), pages(&[9]), vec![]]);
+    assert_eq!(reads(&[4, 9, 10], &[6]), vec![pages(&[4, 9, 10])]);
+}
+
 proptest! {
+    #[test]
+    fn with_no_updaters_the_shares_differ_by_at_most_one(
+        pages in proptest::collection::vec(0..200u32, 0..80),
+        up in 1..256u32,
+    ) {
+        let pages: std::collections::BTreeSet<u32> = pages.into_iter().collect();
+        let live: Vec<NodeId> = (0..8u16).filter(|&n| up & (1 << n) != 0).map(NodeId).collect();
+        let shares = assign_flushers(pages.iter().map(|&p| (PageId(p), [])), &live);
+        // Every page exactly once, each share in page order.
+        let mut all: Vec<PageId> = shares.iter().flatten().copied().collect();
+        all.sort();
+        prop_assert_eq!(all, pages.iter().copied().map(PageId).collect::<Vec<_>>());
+        // The first `pages % live` nodes by id carry one page more.
+        let (n, k) = (pages.len(), live.len());
+        for (i, share) in shares.iter().enumerate() {
+            prop_assert!(share.windows(2).all(|w| w[0] < w[1]));
+            prop_assert_eq!(share.len(), n / k + usize::from(i < n % k), "share {}", i);
+        }
+    }
+
     #[test]
     fn assignment_rules_hold(
         updates in proptest::collection::vec((0..40u32, 0..8u16), 0..120),

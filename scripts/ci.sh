@@ -21,9 +21,11 @@ cargo test -q --workspace
 echo "== crash-point sweep (bounded) =="
 # Deterministic fault-injection sweep over all protocols (DESIGN §8);
 # release build keeps the bounded sweep fast. The checkpoint-machinery
-# crash points (wal.checkpoint.record, wal.truncate) and the analysis
-# scan's (restart.scan: a log reader beside the recovery node dies) are
-# replayed exhaustively even in this bounded run. The exhaustive variant
+# crash points (wal.checkpoint.record, wal.truncate), the analysis
+# scan's (restart.scan: a log reader beside the recovery node dies) and
+# the eager plan's page reads' (restart.install: a page reader beside the
+# recovery node dies before its share) are replayed exhaustively even in
+# this bounded run. The exhaustive variant
 # of the whole sweep is scripts/crash_sweep.sh.
 cargo test --release -q --test crash_sweep
 
@@ -104,6 +106,18 @@ echo "== E14: every live node scans a log =="
 cargo test --release -q -p smdb-bench --test e14_restart_scan
 cargo test --release -q -p smdb-wal --test assign_scanners
 cargo test --release -q -p smdb-core --test restart_scan
+
+echo "== E15: every live node reads a share of the restart's pages =="
+# The same 84 crash-lost pages on machines of 2 / 4 / 8 nodes, node 0
+# crashes (DESIGN §9): every page is read once on every machine, the redo
+# phase at 8 nodes is <= 1/4 of its value at 2 — the reads are dealt out
+# over the live nodes between two barriers. Beside it: assign_flushers
+# over empty updater sets and the core tests of the reads (each page
+# once, the busiest reader's charge, the lone reader, none before an
+# instant open).
+cargo test --release -q -p smdb-bench --test e15_restart_reads
+cargo test --release -q -p smdb-wal --test assign_flushers
+cargo test --release -q -p smdb-core --test restart_reads
 
 echo "== schedule fuzz (bounded, fixed seeds) =="
 # Deterministic VOPR-style schedule fuzz (DESIGN §13): three fixed master

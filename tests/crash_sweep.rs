@@ -5,7 +5,7 @@
 //! counting injector to enumerate every crash point it visits (WAL record
 //! forces, line migrations and invalidations, stable-page line flushes,
 //! commit-path points, recovery-phase boundaries, the analysis scan's log
-//! readers). The sweep driver then
+//! readers, the eager plan's page readers). The sweep driver then
 //! replays the scenario once per sampled point — the victim node dies
 //! mid-operation with whatever partial state the layer left behind — and
 //! once per sampled (primary, secondary) pair, where a second node dies
@@ -22,7 +22,7 @@ use smdb::core::fault::sweep::{sweep, RunMode, RunOutput, SweepConfig, SweepRepo
 use smdb::core::fault::{CrashPoint, FaultInjector, FaultPlan, Mode, SiteVisits};
 use smdb::core::{
     DbConfig, DbError, ProtocolKind, SmDb, FAULT_COMMIT_DEP, FAULT_RECOVERY_PHASE,
-    FAULT_REDO_BACKGROUND, FAULT_REDO_ON_DEMAND, FAULT_RESTART_SCAN,
+    FAULT_REDO_BACKGROUND, FAULT_REDO_ON_DEMAND, FAULT_RESTART_INSTALL, FAULT_RESTART_SCAN,
 };
 use smdb::sim::NodeId;
 use smdb::wal::{FAULT_CHECKPOINT_RECORD, FAULT_TRUNCATE};
@@ -624,16 +624,19 @@ fn full_restart_phase_boundaries_swept_exhaustively() {
     }
 }
 
-/// One restart of node 0's crash — the seeded mix, a post-checkpoint
-/// committed tail and in-flight transactions on every node — with the
-/// `visit`-th log reader beside the recovery node killed mid-scan (nobody,
-/// for `None`). Returns how often `restart.scan` was visited and every
-/// record's value once the restart converged, an instant restart's window
-/// was drained, the transactions still in flight were rolled back and the
-/// oracles passed.
-fn run_scan_restart(
+/// One restart of `victims`' crash — the seeded mix, a post-checkpoint
+/// committed tail, node 0 the last writer of a record on every heap page,
+/// and in-flight transactions on every node — with the
+/// `visit`-th visit of the reader crash point `site` fired: a node reading
+/// for the restart beside the recovery node dies (nobody, for `None`).
+/// Returns how often `site` was visited and every record's value once the
+/// restart converged, an instant restart's window was drained, the
+/// transactions still in flight were rolled back and the oracles passed.
+fn run_reader_restart(
     protocol: ProtocolKind,
     instant: bool,
+    victims: &[NodeId],
+    site: &'static str,
     visit: Option<u64>,
 ) -> Result<(usize, Vec<Vec<u8>>), String> {
     let mut cfg =
@@ -646,12 +649,20 @@ fn run_scan_restart(
     db.set_fault_injector(f.clone());
     run_mix_with_crash(&mut db, params(SEED), None).map_err(|e| format!("mix: {e}"))?;
     commit_tail(&mut db, 4)?;
+    // Node 0's crash loses a line of every heap page: the eager plan reads
+    // enough pages for every reader to have a share.
+    let per_page = db.record_layout().records_per_page() as u64;
+    let t = db.begin(NodeId(0)).map_err(|e| format!("spread begin: {e}"))?;
+    for page in 0..db.heap_pages() as u64 {
+        db.update(t, page * per_page + 2, b"spread").map_err(|e| format!("spread: {e}"))?;
+    }
+    db.commit(t).map_err(|e| format!("spread commit: {e}"))?;
     spawn_active(&mut db, 1, 2, false, 7);
-    db.crash(&[NodeId(0)]);
+    db.crash(victims);
     check_commit_predicate(&db, "crash")?;
     check_redo_plan(&db)?;
     match visit {
-        Some(k) => f.arm(FaultPlan::single(CrashPoint::new(FAULT_RESTART_SCAN, k))),
+        Some(k) => f.arm(FaultPlan::single(CrashPoint::new(site, k))),
         None => f.start_counting(),
     }
     match (db.recover(), visit) {
@@ -660,8 +671,8 @@ fn run_scan_restart(
         (Err(e), None) => return Err(format!("uninterrupted restart failed: {e}")),
         (Err(e), Some(_)) => {
             let fired = e.fault_crash().map(|c| (c.site, db.machine().is_crashed(NodeId(c.node))));
-            if fired != Some((FAULT_RESTART_SCAN, false)) {
-                return Err(format!("expected a live reader to die mid-scan, got {e}"));
+            if fired != Some((site, false)) {
+                return Err(format!("expected a live reader to die at {site}, got {e}"));
             }
             drive_recovery(&mut db, e)?;
         }
@@ -676,12 +687,29 @@ fn run_scan_restart(
         db.abort(t).map_err(|e| format!("abort {t}: {e}"))?;
     }
     check_oracles(&mut db)?;
-    let visited =
-        visits.iter().find(|sv| sv.site == FAULT_RESTART_SCAN).map_or(0, |sv| sv.nodes.len());
+    let visited = visits.iter().find(|sv| sv.site == site).map_or(0, |sv| sv.nodes.len());
     let values = (0..db.record_count() as u64)
         .map(|slot| db.current_value(slot).map_err(|e| format!("slot {slot}: {e}")))
         .collect::<Result<_, _>>()?;
     Ok((visited, values))
+}
+
+/// Replay every enumerated visit of `site` as a single failure of `cells`
+/// (protocol, instant, victims, visits expected); each re-entered restart
+/// must converge to the state the uninterrupted restart reaches.
+fn sweep_reader_site(site: &'static str, cells: &[(ProtocolKind, bool, Vec<NodeId>, usize)]) {
+    for (protocol, instant, victims, expected) in cells {
+        let (protocol, instant) = (*protocol, *instant);
+        let at = format!("{protocol:?} instant={instant} victims={victims:?}");
+        let (visited, want) = run_reader_restart(protocol, instant, victims, site, None)
+            .unwrap_or_else(|e| panic!("{at}: {e}"));
+        assert_eq!(visited, *expected, "{at}: {site} visits");
+        for k in 0..visited as u64 {
+            let (_, got) = run_reader_restart(protocol, instant, victims, site, Some(k))
+                .unwrap_or_else(|e| panic!("{at} plan={site}#{k} :: {e}"));
+            assert!(got == want, "{at}: reader {k} dying at {site} converged to another state");
+        }
+    }
 }
 
 /// The analysis scan is read by every live node, and a reader can die
@@ -695,18 +723,33 @@ fn run_scan_restart(
 fn scan_reader_crash_point_swept_exhaustively() {
     let mut protocols = ProtocolKind::ifa_protocols().to_vec();
     protocols.push(ProtocolKind::FaOnly);
-    for protocol in protocols {
-        for instant in [false, true] {
-            let at = format!("{protocol:?} instant={instant}");
-            let (visited, want) =
-                run_scan_restart(protocol, instant, None).unwrap_or_else(|e| panic!("{at}: {e}"));
-            // Four nodes, one down, one hosting: two readers beside it.
-            assert_eq!(visited, 2, "{at}: {FAULT_RESTART_SCAN} visits");
-            for k in 0..visited as u64 {
-                let (_, got) = run_scan_restart(protocol, instant, Some(k))
-                    .unwrap_or_else(|e| panic!("{at} plan={FAULT_RESTART_SCAN}#{k} :: {e}"));
-                assert!(got == want, "{at}: reader {k} dying converged to another state");
-            }
-        }
+    // Four nodes, one down, one hosting: two readers beside it.
+    let cells: Vec<_> = protocols
+        .into_iter()
+        .flat_map(|p| [false, true].map(|instant| (p, instant, vec![NodeId(0)], 2)))
+        .collect();
+    sweep_reader_site(FAULT_RESTART_SCAN, &cells);
+}
+
+/// The eager plan's page reads are made by every live node, and a reader
+/// can die before its share: every enumerated visit of `restart.install`
+/// is replayed as a single failure for each protocol, and for the full
+/// scope — FA-only with survivors, and a total failure, where node 0 reads
+/// alone and the site is never visited. The pages the readers before the
+/// dead one installed stay behind as stale reinstalls; the restart
+/// re-entered over the larger crashed set must not take them for surviving
+/// copies and must converge to the state the uninterrupted restart
+/// reaches. An instant restart reads no page before its open.
+#[test]
+fn install_reader_crash_point_swept_exhaustively() {
+    let all: Vec<NodeId> = (0..4).map(NodeId).collect();
+    let mut cells = Vec::new();
+    for protocol in ProtocolKind::ifa_protocols() {
+        cells.push((protocol, false, vec![NodeId(0)], 2));
+        cells.push((protocol, true, vec![NodeId(0)], 0));
     }
+    cells.push((ProtocolKind::FaOnly, false, vec![NodeId(0)], 2));
+    cells.push((ProtocolKind::VolatileSelectiveRedo, false, all.clone(), 0));
+    cells.push((ProtocolKind::StableTriggered, false, all, 0));
+    sweep_reader_site(FAULT_RESTART_INSTALL, &cells);
 }
