@@ -39,7 +39,11 @@ pub struct CostModel {
     /// down nodes', each on its own clock, so a restart pays this times the
     /// busiest reader's records — not times the records of the machine.
     pub log_scan_record: u64,
-    /// One page read or write against the stable database.
+    /// One page read or write against the stable database. Per *node*: the
+    /// stable database is a shared disk on which each node does its own
+    /// page I/O, on its own clock — a checkpoint's write-back and an eager
+    /// restart's page reads are dealt over the live nodes, so they cost this
+    /// times the busiest node's pages, not times the pages of the machine.
     pub disk_io: u64,
     /// Calibration constant: cycles per microsecond, used only when
     /// reporting µs-equivalents.
