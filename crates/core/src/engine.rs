@@ -71,6 +71,18 @@ pub(crate) enum Fate {
     Aborted,
 }
 
+/// When the step after a fan-out ([`SmDb::fan_out`]) may start.
+#[derive(Clone, Copy)]
+pub(crate) enum Join {
+    /// The caller waits for the latest node that had a share, no other
+    /// clock moves: the next step is the caller's alone.
+    Caller,
+    /// Every live clock is synced before the first share and after the
+    /// last, if any share is non-empty: the shares need what the caller
+    /// has, and every node takes part in the next step.
+    Barrier,
+}
+
 /// A pipelined commit awaiting acknowledgement: its record is appended
 /// (and under early lock release its locks are gone) but the
 /// acknowledgement is deferred until a physical force covers `lsn` *and*
@@ -1523,6 +1535,43 @@ impl SmDb {
         Ok(())
     }
 
+    /// **The** fan-out: each live node does a share, on its own clock
+    /// (§4.1.2). `shares` is one list per node of `live` ([`assign_flushers`],
+    /// [`smdb_wal::assign_scanners`]), an empty one skipped. Before the share
+    /// of every node but `caller`, `site` is visited on that node's behalf;
+    /// `share` does the work as that node and returns its weight. Returns
+    /// `(items, max)`, the weights' sum and the busiest node's, after `join`.
+    pub(crate) fn fan_out<T>(
+        &mut self,
+        caller: NodeId,
+        live: &[NodeId],
+        shares: &[Vec<T>],
+        site: Option<&'static str>,
+        join: Join,
+        mut share: impl FnMut(&mut Self, NodeId, &[T]) -> Result<u64, DbError>,
+    ) -> Result<(u64, u64), DbError> {
+        let busy = || live.iter().zip(shares).filter(|(_, items)| !items.is_empty());
+        let barrier = matches!(join, Join::Barrier) && busy().next().is_some();
+        if barrier {
+            self.m.sync_clocks();
+        }
+        let (mut items, mut max, mut done_at) = (0, 0, 0);
+        for (&n, of) in busy() {
+            if let Some(c) = site.filter(|_| n != caller).and_then(|s| self.fault.hit(s, n.0)) {
+                return Err(DbError::FaultCrash(c));
+            }
+            let weight = share(self, n, of)?;
+            (items, max) = (items + weight, max.max(weight));
+            done_at = done_at.max(self.m.now(n));
+        }
+        match join {
+            Join::Caller => self.m.advance(caller, done_at.saturating_sub(self.m.now(caller))),
+            Join::Barrier if barrier => self.m.sync_clocks(),
+            Join::Barrier => {}
+        }
+        Ok((items, max))
+    }
+
     /// Evict a page's lines from every cache (requires a prior flush; the
     /// stable image must be authoritative).
     pub fn evict_page(&mut self, page: PageId) {
@@ -1548,12 +1597,9 @@ impl SmDb {
         // waits for the latest flusher before it writes the records. (Its
         // own clock may have passed that already — another node's flush of
         // a page the host updated charges the WAL-rule force to the host.)
-        let mut flushed_at = 0;
-        for (&flusher, pages) in live.iter().zip(&shares).filter(|(_, pages)| !pages.is_empty()) {
-            self.flush_pages(flusher, pages)?;
-            flushed_at = flushed_at.max(self.m.now(flusher));
-        }
-        self.m.advance(node, flushed_at.saturating_sub(self.m.now(node)));
+        self.fan_out(node, &live, &shares, None, Join::Caller, |db, flusher, pages| {
+            db.flush_pages(flusher, pages).map(|()| pages.len() as u64)
+        })?;
         let mut lsns = Vec::with_capacity(self.cfg.nodes as usize);
         for n in 0..self.cfg.nodes {
             let n = NodeId(n);

@@ -41,7 +41,7 @@
 //! plan; they run inside [`SmDb::recover`].
 
 use crate::config::{ProtocolKind, RestartScheme};
-use crate::engine::{engine_ctx, tree_ctx, Fate, SmDb};
+use crate::engine::{engine_ctx, tree_ctx, Fate, Join, SmDb};
 use crate::error::{req, DbError};
 use crate::record::{RecordLayout, NULL_TAG};
 use crate::txn::{TxnState, TxnStatus};
@@ -75,19 +75,21 @@ pub const FAULT_REDO_ON_DEMAND: &str = "restart.redo.on_demand";
 /// draining node mid-drain, same contract as [`FAULT_REDO_ON_DEMAND`].
 pub const FAULT_REDO_BACKGROUND: &str = "restart.redo.background";
 
-/// Fault-injection site visited once per log reader of the analysis scan
-/// other than the recovery node, on that reader's behalf, before the
-/// recovery node joins them ([`SmDb::restart_phases`], phase 1). A fire
-/// kills the *reader* mid-scan: the crash driver crashes it and calls
-/// [`SmDb::recover`] again, which hands its logs to the readers left.
+/// Fault-injection site of the analysis scan's fan-out
+/// ([`SmDb::restart_phases`], phase 1): visited once per reader with a
+/// share other than the caller, before its share, on that reader's behalf
+/// ([`SmDb::fan_out`]). A fire kills the *reader* mid-scan: the crash
+/// driver crashes it and calls [`SmDb::recover`] again, which hands its
+/// logs to the readers left.
 pub const FAULT_RESTART_SCAN: &str = "restart.scan";
 
-/// Fault-injection site visited once per page reader of an eager apply
-/// other than the recovery node, on that reader's behalf, before it reads
-/// its share ([`SmDb::apply_heap_plan`]). A fire kills the *reader*: the
-/// pages the readers before it installed stay behind as stale reinstalls,
-/// the crash driver crashes it and calls [`SmDb::recover`] again, which
-/// deals the pages out over the readers left.
+/// Fault-injection site of an eager apply's page reads
+/// ([`SmDb::apply_heap_plan`]): visited once per reader with a share other
+/// than the caller, before its share, on that reader's behalf
+/// ([`SmDb::fan_out`]). A fire kills the *reader*: the pages the readers
+/// before it installed stay behind as stale reinstalls, the crash driver
+/// crashes it and calls [`SmDb::recover`] again, which deals the pages out
+/// over the readers left.
 pub const FAULT_RESTART_INSTALL: &str = "restart.install";
 
 /// What one crash-and-recover episode did.
@@ -135,18 +137,15 @@ pub struct RecoveryOutcome {
     /// Log records visited by the single analysis scan, over every log.
     pub scan_records: u64,
     /// Log records the busiest reader of that scan visited: every live node
-    /// reads its own log and a share of the down nodes'
-    /// ([`smdb_wal::assign_scanners`]), so this — not the sum — is what the
-    /// scan costs in simulated time.
+    /// reads a share ([`smdb_wal::assign_scanners`]), so this — not the
+    /// sum — is what the scan costs in simulated time.
     pub scan_records_max: u64,
-    /// Pages the eager plan read from the stable database before the open:
-    /// the crash-lost pages and every page an entry would otherwise have
-    /// faulted in, each once (0 for an instant restart, which reads past
-    /// its open).
+    /// Pages the eager plan read from the stable database before the open,
+    /// lost pages and would-be fault-ins each once (0 for an instant
+    /// restart, which reads past its open).
     pub pages_read: u64,
-    /// Pages the busiest reader of those read: every live node reads a
-    /// share ([`smdb_wal::assign_flushers`]), so this — not the sum — is
-    /// what the reads cost in simulated time.
+    /// Pages the busiest reader of those read
+    /// ([`smdb_wal::assign_flushers`]; as for `scan_records_max`).
     pub pages_read_max: u64,
     /// Log records the recovery *opened*: the analysis' slow paths (index
     /// operations, undo images) plus one per heap write it resolved. The
@@ -436,16 +435,11 @@ struct TxnClass {
 /// not pay for the heap's size), and read back in ascending page and slot,
 /// which is [`RecId`] order. A slot the scan never wrote holds
 /// `V::default()`.
+#[derive(Default)]
 struct RecTable<V> {
     /// `pages[p]` is page `p`'s chunk, grown to the highest slot touched;
     /// empty until the first touch.
     pages: Vec<Vec<V>>,
-}
-
-impl<V> Default for RecTable<V> {
-    fn default() -> Self {
-        RecTable { pages: Vec::new() }
-    }
 }
 
 impl<V: Default> RecTable<V> {
@@ -1078,53 +1072,31 @@ impl SmDb {
                 let redo = d.lsn > bound && !is_doomed && (committed || !is_analysed);
                 let Some(rec) = d.rec() else {
                     // An index operation: key and value are log reads.
-                    let lrec = a.open(log, d.lsn)?;
-                    match &lrec.payload {
-                        LogPayload::IndexInsert { key, value, .. } => {
-                            if is_analysed {
-                                a.last_key_committed.insert((n, *key), committed);
-                                if !committed && !settled_aborted {
-                                    a.uncommitted_index.push((gsn, IxUndo::RemoveKey(*key)));
-                                }
-                            } else if is_doomed {
-                                a.doomed_index.push((gsn, IxUndo::RemoveKey(*key)));
-                            }
-                            if redo {
-                                let ix = IxRedo::Insert { key: *key, value: to_arr(value), txn };
-                                a.index_redo.push((gsn, ix));
-                            }
+                    // Only an insert or a delete mark is undone; the
+                    // compensations (remove, unmark) are redone alone.
+                    let (key, undo, ix) = match a.open(log, d.lsn)?.payload {
+                        LogPayload::IndexInsert { key, ref value, .. } => {
+                            let value = to_arr(value);
+                            (key, Some(IxUndo::RemoveKey(key)), IxRedo::Insert { key, value, txn })
                         }
-                        LogPayload::IndexDelete { key, value, .. } => {
-                            if is_analysed {
-                                a.last_key_committed.insert((n, *key), committed);
-                                if !committed && !settled_aborted {
-                                    a.uncommitted_index.push((gsn, IxUndo::UnmarkKey(*key)));
-                                }
-                            } else if is_doomed {
-                                a.doomed_index.push((gsn, IxUndo::UnmarkKey(*key)));
-                            }
-                            if redo {
-                                let ix = IxRedo::Delete { key: *key, value: to_arr(value), txn };
-                                a.index_redo.push((gsn, ix));
-                            }
+                        LogPayload::IndexDelete { key, ref value, .. } => {
+                            let value = to_arr(value);
+                            (key, Some(IxUndo::UnmarkKey(key)), IxRedo::Delete { key, value, txn })
                         }
-                        LogPayload::IndexRemove { key, .. } => {
-                            if is_analysed {
-                                a.last_key_committed.insert((n, *key), committed);
-                            }
-                            if redo {
-                                a.index_redo.push((gsn, IxRedo::Remove { key: *key }));
-                            }
+                        LogPayload::IndexRemove { key, .. } => (key, None, IxRedo::Remove { key }),
+                        LogPayload::IndexUnmark { key, .. } => (key, None, IxRedo::Unmark { key }),
+                        _ => continue,
+                    };
+                    if is_analysed {
+                        a.last_key_committed.insert((n, key), committed);
+                        if let Some(undo) = undo.filter(|_| !committed && !settled_aborted) {
+                            a.uncommitted_index.push((gsn, undo));
                         }
-                        LogPayload::IndexUnmark { key, .. } => {
-                            if is_analysed {
-                                a.last_key_committed.insert((n, *key), committed);
-                            }
-                            if redo {
-                                a.index_redo.push((gsn, IxRedo::Unmark { key: *key }));
-                            }
-                        }
-                        _ => {}
+                    } else if let Some(undo) = undo.filter(|_| is_doomed) {
+                        a.doomed_index.push((gsn, undo));
+                    }
+                    if redo {
+                        a.index_redo.push((gsn, ix));
                     }
                     continue;
                 };
@@ -1590,14 +1562,6 @@ impl SmDb {
         self.install_lost_page(node, page, &lost)
     }
 
-    /// Install every page still carrying registered lost lines, as `node`.
-    fn install_all_lost(&mut self, node: NodeId) -> Result<(), DbError> {
-        while let Some(&page) = self.restart.lost_pages.keys().next() {
-            self.install_registered(node, page)?;
-        }
-        Ok(())
-    }
-
     /// Whether the stable image already holds `entry`'s bytes.
     fn stable_agrees(&self, entry: &HeapWrite) -> Result<bool, DbError> {
         let HeapWrite { rec, ref bytes, .. } = *entry;
@@ -1658,8 +1622,7 @@ impl SmDb {
     /// the stable image already agrees with is skipped). The reads are a
     /// checkpoint's write-back in the other direction, dealt out the same
     /// way ([`assign_flushers`], nobody excluded): every live node reads a
-    /// share on its own clock, between two barriers — no read before the
-    /// recovery node has the plan, no write before the last page is in.
+    /// share on its own clock ([`Self::fan_out`]), between two barriers.
     ///
     /// Then every entry is written as its own node, in plan order; none
     /// faults. Nothing of the deferred window is built: no registration,
@@ -1685,27 +1648,18 @@ impl SmDb {
                 reads.insert(page, &[]);
             }
         }
+        // No reader starts before the recovery node has the plan, and no
+        // entry is written before the last page is in.
         let live = self.m.surviving_nodes();
         let shares = assign_flushers(reads.keys().map(|&page| (page, [])), &live);
-        outcome.pages_read = reads.len() as u64;
-        outcome.pages_read_max = shares.iter().map(|s| s.len() as u64).max().unwrap_or(0);
-        if !reads.is_empty() {
-            // No reader starts before the recovery node has the plan.
-            self.m.sync_clocks();
-            for (&reader, pages) in live.iter().zip(&shares) {
-                if reader != recovery_node && !pages.is_empty() {
-                    // Crash point: a reader dies before its share.
-                    if let Some(c) = self.fault.hit(FAULT_RESTART_INSTALL, reader.0) {
-                        return Err(DbError::FaultCrash(c));
-                    }
-                }
+        let site = Some(FAULT_RESTART_INSTALL);
+        (outcome.pages_read, outcome.pages_read_max) =
+            self.fan_out(recovery_node, &live, &shares, site, Join::Barrier, |db, node, pages| {
                 for page in pages {
-                    self.install_lost_page(reader, *page, reads[page])?;
+                    db.install_lost_page(node, *page, reads[page])?;
                 }
-            }
-            // No entry is written before the last page is in.
-            self.m.sync_clocks();
-        }
+                Ok(pages.len() as u64)
+            })?;
         for (entry, skip) in plan.iter().zip(skip) {
             if !skip && self.write_heap_entry(entry.node, entry)? {
                 outcome.redo_applied += 1;
@@ -1783,7 +1737,9 @@ impl SmDb {
             // Plan drained: install what is still lost too, so the
             // fully-drained state matches an eager recovery (every lost
             // line resident again, stale stable tags scrubbed).
-            self.install_all_lost(node)?;
+            while let Some(&page) = self.restart.lost_pages.keys().next() {
+                self.install_registered(node, page)?;
+            }
             self.restart.settle();
         }
         let planned = self.restart.entries.len() as u64;
@@ -1877,33 +1833,26 @@ impl SmDb {
             BTreeSet::new()
         };
         outcome.ckpt_bound_lsn = analysis.ckpt_bound;
-        // The sequential log-device read behind the scan is its reader's:
-        // every live node reads its own log where it is, plus whole logs of
-        // the down nodes ([`assign_scanners`]). Restart time must scale with
-        // the log actually retained — what checkpoint truncation bounds —
-        // on the busiest reader, not with the sum over the machine.
+        // The sequential log-device read behind the scan is its reader's
+        // ([`assign_scanners`]): restart time scales with the retained log
+        // on the busiest reader, not with the sum over the machine, and the
+        // recovery node waits for the latest reader (the checkpoint's join).
         let live = self.m.surviving_nodes();
         let covered: Vec<u64> = analysis.scans.iter().map(|s| s.records).collect();
-        outcome.scan_records = covered.iter().sum();
+        let shares = assign_scanners(&covered, &live);
         let cost = self.m.config().cost.log_scan_record;
-        let (mut scanned_at, mut handed_over) = (0, 0);
-        for (&reader, logs) in live.iter().zip(assign_scanners(&covered, &live)) {
-            let read = || logs.iter().map(|log| &analysis.scans[log.0 as usize]);
-            let records: u64 = read().map(|s| s.records).sum();
-            if reader != recovery_node && records > 0 {
-                // Crash point: a reader dies mid-scan.
-                if let Some(c) = self.fault.hit(FAULT_RESTART_SCAN, reader.0) {
-                    return Err(DbError::FaultCrash(c));
+        let mut handed_over = 0;
+        let site = Some(FAULT_RESTART_SCAN);
+        (outcome.scan_records, outcome.scan_records_max) =
+            self.fan_out(recovery_node, &live, &shares, site, Join::Caller, |db, reader, logs| {
+                let read = || logs.iter().map(|log| &analysis.scans[log.0 as usize]);
+                if reader != recovery_node {
+                    handed_over += read().map(|s| s.heap_candidates).sum::<u64>();
                 }
-                handed_over += read().map(|s| s.heap_candidates).sum::<u64>();
-            }
-            self.m.advance(reader, cost * records);
-            scanned_at = scanned_at.max(self.m.now(reader));
-            outcome.scan_records_max = outcome.scan_records_max.max(records);
-        }
-        // The analysis is not complete before its last log is read: the
-        // recovery node waits for the latest reader (the checkpoint's join).
-        self.m.advance(recovery_node, scanned_at.saturating_sub(self.m.now(recovery_node)));
+                let records = read().map(|s| s.records).sum();
+                db.m.advance(reader, cost * records);
+                Ok(records)
+            })?;
         // What the other readers found has to reach the recovery node,
         // which builds the plan: the heap redo candidates they met, as the
         // data-record references the scan deals in (32 bytes, four to a

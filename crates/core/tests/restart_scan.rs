@@ -1,7 +1,9 @@
 //! The restart's analysis scan is read by every live node: each reads its
 //! own log and a share of the down nodes' (`smdb_wal::assign_scanners`),
-//! the recovery node joins the latest reader and pays for what the others
-//! hand it, and the open is a barrier for every live clock.
+//! through the engine's one fan-out (DESIGN §9). The recovery node joins
+//! the latest reader that had a share — a node with nothing to read takes
+//! no part — and pays for what the others hand it, and the open is a
+//! barrier for every live clock.
 
 use smdb_core::fault::{CrashPoint, FaultInjector, FaultPlan};
 use smdb_core::{DbConfig, ProtocolKind, RecoveryOutcome, SmDb, FAULT_RESTART_SCAN};

@@ -51,7 +51,8 @@ pub type ExtraOracle<'a> = &'a dyn Fn(&mut SmDb, u64) -> Result<(), String>;
 /// Outcome of one driven schedule.
 #[derive(Clone, Debug, Default)]
 pub struct RunOutcome {
-    /// `Some((oracle, detail))` if an oracle failed; `None` = run passed.
+    /// `Some((oracle, detail))` if an oracle failed — `"panic"` if anything
+    /// in the run panicked; `None` = run passed.
     pub failure: Option<(String, String)>,
     /// The driver event log: one compact token per observable step
     /// (admit, op, commit, crash, recovery, drain, checkpoint). Two runs
@@ -134,6 +135,14 @@ impl From<DbError> for Fatal {
 
 fn fatal(oracle: &str, detail: impl Into<String>) -> Fatal {
     Fatal(oracle.into(), detail.into())
+}
+
+/// What a caught panic said.
+fn panic_message(p: Box<dyn std::any::Any + Send>) -> String {
+    p.downcast_ref::<String>()
+        .cloned()
+        .or_else(|| p.downcast_ref::<&str>().map(|s| s.to_string()))
+        .unwrap_or_else(|| "non-string panic".into())
 }
 
 /// Conflict aborts a transaction may suffer before it is given up.
@@ -247,14 +256,7 @@ impl Harness<'_> {
         match tree {
             Ok(Ok(())) => {}
             Ok(Err(e)) => return Err(fatal("btree", format!("unreadable: {e}"))),
-            Err(p) => {
-                let msg = p
-                    .downcast_ref::<String>()
-                    .cloned()
-                    .or_else(|| p.downcast_ref::<&str>().map(|s| s.to_string()))
-                    .unwrap_or_else(|| "non-string panic".into());
-                return Err(fatal("btree", msg));
-            }
+            Err(p) => return Err(fatal("btree", panic_message(p))),
         }
         // Lock lockstep: volatile chains vs the durable LCB table.
         match db.check_lock_chains(scan) {
@@ -484,7 +486,12 @@ pub fn run_schedule_with(
         admitted: 0,
     };
     let mut report = MixReport::default();
-    let failure = h.run(&mut db, &mut report).err().map(|Fatal(oracle, detail)| (oracle, detail));
+    // A panic anywhere in the round — engine, driver or oracle — is a
+    // finding with a repro line, not a dead harness.
+    let run =
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| h.run(&mut db, &mut report)));
+    let run = run.unwrap_or_else(|p| Err(fatal("panic", panic_message(p))));
+    let failure = run.err().map(|Fatal(oracle, detail)| (oracle, detail));
     RunOutcome {
         failure,
         events: h.events,

@@ -67,6 +67,32 @@ fn shrinker_output_still_reproduces() {
     }
 }
 
+/// A panic anywhere in a round is a finding, not a dead harness: an extra
+/// oracle that panics fails the run as the `panic` oracle with the panic's
+/// message, the fuzzer shrinks it to a repro line like any other, and the
+/// line replays to the same verdict.
+#[test]
+fn a_panic_in_a_round_is_a_finding() {
+    let boom: &dyn Fn(&mut smdb_core::SmDb, u64) -> Result<(), String> = &|_db, committed| {
+        if committed >= 2 {
+            panic!("boom at {committed} commits");
+        }
+        Ok(())
+    };
+    let mut lines = Vec::new();
+    smdb_vopr::fuzz_with(0xCAFE, 3, 20, Some(boom), &mut |f| {
+        assert_eq!(f.oracle, "panic", "unexpected oracle {}", f.oracle);
+        assert!(f.detail.starts_with("boom at "), "panic message lost: {}", f.detail);
+        lines.push(f.line.clone());
+    });
+    assert!(!lines.is_empty(), "the panicking oracle should fail some schedule");
+    for line in &lines {
+        assert!(line.ends_with(" oracle=panic"), "repro line names another oracle: {line}");
+        let report = replay_line_with(line, Some(boom)).expect("repro line parses");
+        assert!(report.reproduced, "shrunk line no longer reproduces its panic: {line}");
+    }
+}
+
 /// Replay a repro line the fuzzer emitted when it found a (now fixed)
 /// engine bug, and assert the schedule passes every oracle today.
 fn assert_repro_fixed(line: &str) {

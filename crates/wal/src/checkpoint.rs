@@ -49,7 +49,9 @@ impl CheckpointMeta {
 /// and the pages its plan would fault in) pass each page with no updaters,
 /// so nobody is excluded and each page goes to the least-loaded live node,
 /// ties to the lowest id — round the live nodes in page order, the shares
-/// differing by at most one.
+/// differing by at most one. Both uses hand the shares to the engine's one
+/// fan-out (`SmDb::fan_out` in `smdb-core`, DESIGN §9), which runs each on
+/// its node's clock and joins them.
 pub fn assign_flushers<U: IntoIterator<Item = NodeId>>(
     dirty: impl IntoIterator<Item = (PageId, U)>,
     live: &[NodeId],

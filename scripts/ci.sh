@@ -89,35 +89,22 @@ echo "== one heap-recovery path: second crash + eager vs instant =="
 # owed it.
 cargo test --release -q -p smdb-core --test second_crash --test instant_restart
 
-echo "== E13: a checkpoint written back by every live node =="
-# The same 84-page dirty set checkpointed at 1 / 2 / 4 / 8 nodes (DESIGN
-# §9): pages flushed equal, makespan at 8 nodes <= 1/6 of one node's, no
-# more lines lost by a crash of the updater right after. Simulated
-# cycles only; the workspace test steps run it in a debug build, this is
-# the release build the report is printed from.
-cargo test --release -q -p smdb-bench --test e13_checkpoint
-
-echo "== E14: every live node scans a log =="
-# The same per-node un-checkpointed history on machines of 2 / 4 / 8 nodes,
-# node 0 crashes (DESIGN §9): the analysis scan grows 4x, its phase
-# (stable_undo) by <= 10 % — a reader's share is two logs at any size.
-# Beside it: the wal crate's assign_scanners rules and the core
-# tests of the join, the merge charge and the barrier at the open.
-cargo test --release -q -p smdb-bench --test e14_restart_scan
-cargo test --release -q -p smdb-wal --test assign_scanners
-cargo test --release -q -p smdb-core --test restart_scan
-
-echo "== E15: every live node reads a share of the restart's pages =="
-# The same 84 crash-lost pages on machines of 2 / 4 / 8 nodes, node 0
-# crashes (DESIGN §9): every page is read once on every machine, the redo
-# phase at 8 nodes is <= 1/4 of its value at 2 — the reads are dealt out
-# over the live nodes between two barriers. Beside it: assign_flushers
-# over empty updater sets and the core tests of the reads (each page
-# once, the busiest reader's charge, the lone reader, none before an
-# instant open).
-cargo test --release -q -p smdb-bench --test e15_restart_reads
-cargo test --release -q -p smdb-wal --test assign_flushers
-cargo test --release -q -p smdb-core --test restart_reads
+echo "== E13-E15: each live node does a share (one fan-out) =="
+# The checkpoint's write-back, the restart's analysis scan and an eager
+# restart's page reads go through one helper, SmDb::fan_out (DESIGN §9).
+# E13: the same 84-page dirty set checkpointed at 1 / 2 / 4 / 8 nodes,
+# makespan at 8 nodes <= 1/6 of one node's, no more lines lost by a crash
+# of the updater right after. E14: the analysis scan grows 4x from 2 to 8
+# nodes, its phase by <= 10 %. E15: every lost page read once, the redo
+# phase at 8 nodes <= 1/4 of its value at 2. Beside them the core tests of
+# the scan (join, merge charge, the open) and of the reads (each page once,
+# the busiest reader's charge, the lone reader, none before an instant
+# open). Simulated cycles only, in the release build the report is printed
+# from. The two assigners' own tests run in the segmented-log step above
+# (the whole smdb-wal package, at 2000 cases).
+cargo test --release -q -p smdb-bench --test e13_checkpoint --test e14_restart_scan \
+    --test e15_restart_reads
+cargo test --release -q -p smdb-core --test restart_scan --test restart_reads
 
 echo "== schedule fuzz (bounded, fixed seeds) =="
 # Deterministic VOPR-style schedule fuzz (DESIGN §13): three fixed master
