@@ -4,7 +4,7 @@ use smdb_core::{DbConfig, ProtocolKind, RecordLayout, RecoveryOutcome, SmDb};
 use smdb_lock::LcbGeometry;
 use smdb_obs::{Event, Stage};
 use smdb_sim::{contended_line_lock_costs, CoherenceKind, CostModel, NodeId};
-use smdb_storage::PageGeometry;
+use smdb_storage::{PageGeometry, PageId};
 use smdb_workload::{
     run_mix, run_mix_mt, run_tp1, spawn_active, spawn_active_parallel, MixParams, Tp1Params,
 };
@@ -1342,6 +1342,73 @@ pub fn e15_restart_reads(pages: u32) -> Vec<RestartReadsPoint> {
             pages_read: outcome.pages_read,
             pages_read_max: outcome.pages_read_max,
             redo_cycles: phase_cycles(&outcome, "redo"),
+            recovery_cycles: outcome.recovery_cycles,
+        });
+    }
+    out
+}
+
+// ----------------------------------------------------------------------
+// E16 — every live node reads a share of the index skeleton
+// ----------------------------------------------------------------------
+
+/// One node-count point of the restart skeleton-read experiment.
+#[derive(Clone, Debug)]
+pub struct RestartSkeletonPoint {
+    /// Nodes in the machine (node 0 crashes).
+    pub nodes: u16,
+    /// Tree pages holding a line the crash destroyed.
+    pub lost_pages: u64,
+    /// Tree pages the restart read back from the stable database.
+    pub pages_read: u64,
+    /// Simulated cycles of the reinstall phase: the busiest reader's share.
+    pub reinstall_cycles: u64,
+    /// Simulated cycles of the whole restart.
+    pub recovery_cycles: u64,
+}
+
+/// Node 0 alone commits `keys` index inserts, one a transaction — every
+/// line of every tree page is in its cache only — on machines of 2, 4 and 8
+/// nodes, and checkpoints; the clocks are synchronised and node 0 crashes.
+/// The skeleton the restart reads back is the same on every machine, and
+/// almost all the restart does; what changes is how many live nodes share
+/// it ([`smdb_wal::assign_flushers`], nobody excluded).
+pub fn e16_restart_skeleton(keys: u64) -> Vec<RestartSkeletonPoint> {
+    let mut out = Vec::new();
+    for nodes in [2u16, 4, 8] {
+        let mut db = SmDb::new(DbConfig::bench(nodes, ProtocolKind::VolatileSelectiveRedo));
+        for key in 0..keys {
+            let t = db.begin(NodeId(0)).expect("begin");
+            db.insert(t, key, key.to_le_bytes()).expect("insert");
+            db.commit(t).expect("commit");
+        }
+        // Node 0 writes its own tree pages back, so the checkpoint after
+        // puts no copy in another cache and leaves nothing to redo.
+        let grown = db.tree_stats();
+        let tree_pages = 1 + (grown.splits + grown.root_grows) as u32;
+        for page in db.heap_pages()..db.heap_pages() + tree_pages {
+            db.flush_page(NodeId(0), PageId(page)).expect("flush");
+        }
+        db.checkpoint(NodeId(0)).expect("checkpoint");
+        db.sync_clocks();
+        db.crash(&[NodeId(0)]);
+        let cfg = db.config();
+        let per_page = cfg.lines_per_page as u64;
+        let heap = db.heap_pages() as u64 * per_page;
+        let tree = heap..heap + cfg.index_pages as u64 * per_page;
+        let lost: std::collections::BTreeSet<_> = db
+            .machine()
+            .iter_lost()
+            .filter(|l| tree.contains(&l.0))
+            .map(|l| l.0 / per_page)
+            .collect();
+        let outcome = db.recover().expect("recovery");
+        db.check_ifa(outcome.recovery_node).assert_ok();
+        out.push(RestartSkeletonPoint {
+            nodes,
+            lost_pages: lost.len() as u64,
+            pages_read: outcome.btree_recovery.pages_reinstalled,
+            reinstall_cycles: phase_cycles(&outcome, "reinstall"),
             recovery_cycles: outcome.recovery_cycles,
         });
     }

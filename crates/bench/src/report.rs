@@ -27,7 +27,7 @@ pub struct Cell {
 }
 
 /// Every cell, in report order.
-pub const CELLS: [Cell; 20] = [
+pub const CELLS: [Cell; 21] = [
     Cell { name: "table1", run: table1 },
     Cell { name: "e1_line_lock", run: e1_line_lock },
     Cell { name: "e2_abort_counts", run: e2_abort_counts },
@@ -48,6 +48,7 @@ pub const CELLS: [Cell; 20] = [
     Cell { name: "e13_checkpoint", run: e13_checkpoint },
     Cell { name: "e14_restart_scan", run: e14_restart_scan },
     Cell { name: "e15_restart_reads", run: e15_restart_reads },
+    Cell { name: "e16_restart_skeleton", run: e16_restart_skeleton },
 ];
 
 /// A rendered report: what `report` prints, and the CSV files `--csv`
@@ -602,6 +603,28 @@ fn e15_restart_reads(_fast: bool) -> Section {
          (node 0 commits one update on each of {pages} pages, clocks are\n    \
          synchronised, node 0 crashes; each lost page is read back by the\n    \
          least-loaded live node, between two barriers)\n\n\
+         {}\n",
+        text_table(&cols, &pts)
+    );
+    Section { text, csv: Some(csv(&cols, &pts)) }
+}
+
+fn e16_restart_skeleton(_fast: bool) -> Section {
+    type C = Col<x::RestartSkeletonPoint>;
+    let cols = [
+        C::new("nodes", R(6), "nodes", |p| p.nodes),
+        C::new("lost", R(6), "lost_tree_pages", |p| p.lost_pages),
+        C::new("read", R(6), "tree_pages_read", |p| p.pages_read),
+        C::new("reinstall", R(12), "phase_reinstall_cycles", |p| p.reinstall_cycles),
+        C::new("rec cycles", R(12), "recovery_cycles", |p| p.recovery_cycles),
+    ];
+    let keys = 2000;
+    let pts = x::e16_restart_skeleton(keys);
+    let text = format!(
+        "== E16: every live node reads a share of the index skeleton ==\n   \
+         (node 0 commits {keys} index inserts, writes its tree pages back and\n    \
+         checkpoints; clocks are synchronised, node 0 crashes; each tree page\n    \
+         is read back by the least-loaded live node, between two barriers)\n\n\
          {}\n",
         text_table(&cols, &pts)
     );

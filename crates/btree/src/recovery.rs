@@ -5,9 +5,11 @@
 //!
 //! * **structure recovery** — recompute the root pointer and allocation
 //!   high-water mark from the (always forced) structural log records, and
-//!   reinstall pages whose lines were destroyed from their stable images
-//!   (structural changes flush eagerly, so stable images are structurally
-//!   current);
+//!   name the pages to reinstall from their stable images (structural
+//!   changes flush eagerly, so stable images are structurally current).
+//!   This crate reads no page during recovery: the engine deals the named
+//!   pages over its live nodes and each reads its share
+//!   ([`TreeCtx::install_page_from_stable`]);
 //! * **logical redo** — idempotent re-application of `IndexInsert` /
 //!   `IndexDelete` effects for surviving transactions whose updates were
 //!   lost with a crashed node's cache;
@@ -28,7 +30,8 @@ use std::collections::BTreeSet;
 /// Counters from one B-tree recovery pass.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct BtreeRecoveryStats {
-    /// Pages reinstalled from stable images.
+    /// Pages reinstalled from stable images: the engine's count of the
+    /// pages [`BTree::recover_structure`] named, each read once.
     pub pages_reinstalled: u64,
     /// Structural log records replayed for root/allocation recovery.
     pub structural_replays: u64,
@@ -50,15 +53,17 @@ impl BTree {
     /// Re-derives the root page and the allocation high-water mark from
     /// structural log records (stable prefixes for crashed nodes, full logs
     /// for survivors — structural records are always forced before use, so
-    /// the stable prefixes suffice), then reinstalls from stable storage
-    /// every tree page with lost lines.
+    /// the stable prefixes suffice). With `discard` (Redo All) every cached
+    /// line of every tree page is then dropped. Returns the pages that must
+    /// be reinstalled from stable storage before the tree is used — those
+    /// with lost lines or held nowhere, every page after a discard — in
+    /// page order, without reading any of them.
     pub fn recover_structure(
         &mut self,
         ctx: &mut TreeCtx<'_>,
-        recovery_node: NodeId,
-    ) -> Result<(BtreeRecoveryStats, Vec<PageId>), BtreeError> {
+        discard: bool,
+    ) -> (BtreeRecoveryStats, Vec<PageId>) {
         let mut stats = BtreeRecoveryStats::default();
-        let mut reinstalled = Vec::new();
         let (first_page, _max) = self.page_range();
         let mut root = PageId(first_page);
         let mut high_water = self.allocated_pages().last().copied().unwrap_or(PageId(first_page));
@@ -88,31 +93,12 @@ impl BTree {
         }
         self.set_root(root);
         self.set_next_page(high_water.0 + 1);
-        // Reinstall any page with destroyed lines from its stable image.
-        for page in self.allocated_pages() {
-            if ctx.page_needs_reinstall(page) {
-                ctx.install_page_from_stable(recovery_node, page)?;
-                stats.pages_reinstalled += 1;
-                reinstalled.push(page);
-            }
+        let mut pages = self.allocated_pages();
+        if discard {
+            pages.iter().for_each(|&page| ctx.evict_page(page));
         }
-        Ok((stats, reinstalled))
-    }
-
-    /// Redo-All support: discard every cached tree line on every node and
-    /// reinstall all pages from stable images. Returns pages reinstalled.
-    pub fn discard_and_reload_all(
-        &mut self,
-        ctx: &mut TreeCtx<'_>,
-        recovery_node: NodeId,
-    ) -> Result<u64, BtreeError> {
-        let mut n = 0;
-        for page in self.allocated_pages() {
-            ctx.evict_page(page);
-            ctx.install_page_from_stable(recovery_node, page)?;
-            n += 1;
-        }
-        Ok(n)
+        pages.retain(|&page| ctx.page_needs_reinstall(page));
+        (stats, pages)
     }
 
     /// Idempotent redo of an insert: ensure a (possibly tagged) entry for
@@ -318,10 +304,13 @@ mod tests {
         o.m.crash(&[N0]);
         o.logs.crash(&[N0]);
         let mut c = ctx!(o);
-        let (st, _reinstalled) = tree.recover_structure(&mut c, N1).unwrap();
+        let (_, lost) = tree.recover_structure(&mut c, false);
         assert_eq!(tree.root(), root_before, "root recomputed from structural records");
         assert_eq!(tree.allocated_pages(), pages_before, "allocation high-water recomputed");
-        assert!(st.pages_reinstalled > 0, "lost pages reinstalled from stable");
+        assert!(!lost.is_empty(), "the crash lost pages to reinstall");
+        for &page in &lost {
+            c.install_page_from_stable(N1, page).unwrap();
+        }
         tree.check_invariants(&mut c, N1).unwrap();
     }
 
@@ -377,13 +366,14 @@ mod tests {
             .into_iter()
             .filter(|&p| c.page_has_lost_lines(p) || !c.page_cached_anywhere(p))
             .collect();
-        let (st, reinstalled) = tree.recover_structure(&mut c, N1).unwrap();
+        let reads = c.db.stats().page_reads;
+        let (st, reinstall) = tree.recover_structure(&mut c, false);
         assert_eq!(tree.root(), root);
         assert_eq!(tree.allocated_pages().last().copied(), Some(high_water));
         assert_eq!(st.structural_replays, replays);
-        assert_eq!(reinstalled, lost);
-        assert_eq!(st.pages_reinstalled, lost.len() as u64);
+        assert_eq!(reinstall, lost);
         assert!(!lost.is_empty(), "the crash destroyed n0's pages");
+        assert_eq!(c.db.stats().page_reads, reads, "structure recovery reads no page");
     }
 
     #[test]
@@ -514,19 +504,23 @@ mod tests {
     }
 
     #[test]
-    fn discard_and_reload_restores_flushed_state() {
+    fn discard_names_every_page_and_the_reads_restore_flushed_state() {
         let mut o = setup();
         let mut c = ctx!(o);
         let mut tree = BTree::create(&mut c, N0, 10, 40).unwrap();
         let txn = t(0, 1);
         tree.insert(&mut c, txn, 9, val(90)).unwrap();
         tree.commit_key(&mut c, txn, 9).unwrap();
-        // Flush everything, then discard all caches (Redo-All step 1).
+        // Flush everything; Redo All then discards every cached tree line.
         for p in tree.allocated_pages() {
             c.flush_page(N0, p).unwrap();
         }
-        let n = tree.discard_and_reload_all(&mut c, N1).unwrap();
-        assert!(n >= 1);
+        let (_, pages) = tree.recover_structure(&mut c, true);
+        assert_eq!(pages, tree.allocated_pages(), "a discard leaves every page to read");
+        assert!(pages.iter().all(|&p| !c.page_cached_anywhere(p)));
+        for &page in &pages {
+            c.install_page_from_stable(N1, page).unwrap();
+        }
         let hit = tree.search(&mut c, N1, 9).unwrap().unwrap();
         assert_eq!(hit.entry.value, val(90));
     }

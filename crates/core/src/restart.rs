@@ -83,8 +83,10 @@ pub const FAULT_REDO_BACKGROUND: &str = "restart.redo.background";
 /// logs to the readers left.
 pub const FAULT_RESTART_SCAN: &str = "restart.scan";
 
-/// Fault-injection site of an eager apply's page reads
-/// ([`SmDb::apply_heap_plan`]): visited once per reader with a share other
+/// Fault-injection site of the restart's stable-database page reads: the
+/// index skeleton's ([`SmDb::restart_phases`], phase 2, every restart —
+/// the B-tree crate names the pages but reads none) and an eager apply's
+/// ([`SmDb::apply_heap_plan`]). Visited once per reader with a share other
 /// than the caller, before its share, on that reader's behalf
 /// ([`SmDb::fan_out`]). A fire kills the *reader*: the pages the readers
 /// before it installed stay behind as stale reinstalls, the crash driver
@@ -266,9 +268,10 @@ pub(crate) struct RestartState {
     /// from the Selective-Redo cached probe and carried into the
     /// reinstalled set of the next attempt. Cleared on completed recovery.
     stale_heap_lines: BTreeSet<LineId>,
-    /// Index pages reinstalled/reloaded from stable images by an
-    /// incomplete recovery attempt (same hazard as `stale_heap_lines`:
-    /// their entries are stale until index redo completes).
+    /// Index pages reinstalled from stable images by an incomplete
+    /// recovery attempt, each entered before its read (same hazard as
+    /// `stale_heap_lines`: their entries are stale until index redo and the
+    /// tag scan complete).
     stale_tree_pages: BTreeSet<PageId>,
     /// The deferred plan in its own order; an entry flips to `None` once
     /// retired.
@@ -1865,13 +1868,13 @@ impl SmDb {
 
         // Phase 2 ("reinstall"): take the census of what the crash
         // destroyed — the heap lines are installed with the plan, and the
-        // tags of the analysed nodes scrubbed as they are — and restore
-        // the index's structural skeleton (root, allocation map, lost
-        // pages) from the forced structural records.
+        // tags of the analysed nodes scrubbed as they are — restore the
+        // index's skeleton (root, allocation map) from the forced structural
+        // records, and read back its lost pages (Redo All: every page).
         let span = self.begin_phase("reinstall");
         if scope.full {
-            // No cached line outlives a full restart — phase 3 reloads the
-            // index, phase 6 zeroes the lock space — so every cache is
+            // No cached line outlives a full restart — the skeleton is read
+            // whole, phase 6 zeroes the lock space — so every cache is
             // dropped here, before the skeleton is read back, and a lost
             // heap line is forgotten rather than installed: the stable
             // database and the plan are the authority.
@@ -1886,14 +1889,12 @@ impl SmDb {
         let lost: Vec<LineId> = self.m.iter_lost().collect();
         let heap_lost = lost.partition_point(|l| self.is_heap_line(*l));
         self.restart.scrub_tags.extend(scope.analysed.iter().map(|n| n.0));
-        // Record whether the crash destroyed *any* tree line first: if it
-        // did not, every index effect still lives in a coherent cache and
-        // the Selective scheme can skip index replay entirely.
-        // An earlier interrupted attempt may already have reinstalled the
-        // lost tree pages — they are no longer "lost", but their entries
-        // are still the stale stable images, so index replay is required
-        // all the same.
+        // Whether the crash destroyed *any* tree line: if not, every index
+        // effect still lives in a coherent cache and the Selective scheme
+        // skips index replay — unless an interrupted attempt reinstalled
+        // tree pages, whose entries are still the stale stable images.
         let mut tree_lost_any = !self.restart.stale_tree_pages.is_empty();
+        let mut skeleton = Vec::new();
         if let Some(tree) = self.tree.as_mut() {
             let g = self.layout.geometry;
             let pages = tree.allocated_pages();
@@ -1901,21 +1902,29 @@ impl SmDb {
                 .iter()
                 .any(|l| pages.binary_search(&g.page_of_addr(l.0).0).is_ok());
             let mut ctx = tree_ctx!(self);
-            let (st, pages) = tree.recover_structure(&mut ctx, recovery_node)?;
-            outcome.btree_recovery = st;
-            // Persist the stale-reinstall knowledge *before* the next
-            // crash window: if this restart is interrupted from here on,
-            // the next attempt must still treat these pages as stale
-            // images.
-            self.restart.stale_tree_pages.extend(pages);
+            let redo_all = scope.scheme == RestartScheme::RedoAll;
+            (outcome.btree_recovery, skeleton) = tree.recover_structure(&mut ctx, redo_all);
         }
+        // Dealt as the eager plan's reads are ([`Self::apply_heap_plan`]):
+        // after the replay fixed the set, and before index replay.
+        let shares = assign_flushers(skeleton.iter().map(|&page| (page, [])), &live);
+        let site = Some(FAULT_RESTART_INSTALL);
+        (outcome.btree_recovery.pages_reinstalled, _) =
+            self.fan_out(recovery_node, &live, &shares, site, Join::Barrier, |db, node, pages| {
+                for &page in pages {
+                    // Stale before the read: should a later reader die, the
+                    // next attempt must not take this page for a survivor's.
+                    db.restart.stale_tree_pages.insert(page);
+                    tree_ctx!(db).install_page_from_stable(node, page)?;
+                }
+                Ok(pages.len() as u64)
+            })?;
         self.end_phase(span, outcome);
         self.phase_crash_point(recovery_node)?;
 
         // Phase 3 ("cache_discard", Redo All only): discard every cached
-        // database line on every survivor — implicitly undoing migrated
-        // uncommitted updates of crashed transactions — and reload the
-        // index wholesale.
+        // heap line on every survivor (phase 2 did the index's), implicitly
+        // undoing migrated uncommitted updates of crashed transactions.
         let span = self.begin_phase("cache_discard");
         if scope.scheme == RestartScheme::RedoAll {
             // A pure cache drop (no disk reads — the reinstall cost lands
@@ -1928,11 +1937,6 @@ impl SmDb {
             let heap_limit = self.heap_pages as u64 * self.cfg.lines_per_page as u64;
             for node in self.m.surviving_nodes() {
                 self.m.discard_matching(node, |l| l.0 < heap_limit);
-            }
-            if let Some(tree) = self.tree.as_mut() {
-                let mut ctx = tree_ctx!(self);
-                tree.discard_and_reload_all(&mut ctx, recovery_node)?;
-                self.restart.stale_tree_pages.extend(tree.allocated_pages());
             }
         }
         self.end_phase(span, outcome);

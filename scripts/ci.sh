@@ -23,10 +23,12 @@ echo "== crash-point sweep (bounded) =="
 # release build keeps the bounded sweep fast. The checkpoint-machinery
 # crash points (wal.checkpoint.record, wal.truncate), the analysis
 # scan's (restart.scan: a log reader beside the recovery node dies) and
-# the eager plan's page reads' (restart.install: a page reader beside the
-# recovery node dies before its share) are replayed exhaustively even in
-# this bounded run. The exhaustive variant
-# of the whole sweep is scripts/crash_sweep.sh.
+# the restart's page reads' — the index skeleton's, the fourth user of the
+# fan-out, and the eager plan's (restart.install: a page reader beside the
+# recovery node dies before its share; cells where node 0 owns the tree
+# pages put two readers on the skeleton) — are replayed exhaustively even
+# in this bounded run. The exhaustive variant of the whole sweep is
+# scripts/crash_sweep.sh.
 cargo test --release -q --test crash_sweep
 
 echo "== crash-point sweep (bounded, striped directory) =="
@@ -89,21 +91,24 @@ echo "== one heap-recovery path: second crash + eager vs instant =="
 # owed it.
 cargo test --release -q -p smdb-core --test second_crash --test instant_restart
 
-echo "== E13-E15: each live node does a share (one fan-out) =="
-# The checkpoint's write-back, the restart's analysis scan and an eager
-# restart's page reads go through one helper, SmDb::fan_out (DESIGN §9).
+echo "== E13-E16: each live node does a share (one fan-out) =="
+# The checkpoint's write-back, the restart's analysis scan, an eager
+# restart's page reads and every restart's index-skeleton reads (the
+# fourth user) go through one helper, SmDb::fan_out (DESIGN §9).
 # E13: the same 84-page dirty set checkpointed at 1 / 2 / 4 / 8 nodes,
 # makespan at 8 nodes <= 1/6 of one node's, no more lines lost by a crash
 # of the updater right after. E14: the analysis scan grows 4x from 2 to 8
 # nodes, its phase by <= 10 %. E15: every lost page read once, the redo
-# phase at 8 nodes <= 1/4 of its value at 2. Beside them the core tests of
-# the scan (join, merge charge, the open) and of the reads (each page once,
-# the busiest reader's charge, the lone reader, none before an instant
-# open). Simulated cycles only, in the release build the report is printed
-# from. The two assigners' own tests run in the segmented-log step above
-# (the whole smdb-wal package, at 2000 cases).
+# phase at 8 nodes <= 1/4 of its value at 2. E16: every lost tree page
+# read once, the reinstall phase at 8 nodes <= 1/4 of its value at 2.
+# Beside them the core tests of the scan (join, merge charge, the open)
+# and of the reads (each heap and tree page once, the busiest reader's
+# charge, the lone reader, no heap page before an instant open, a
+# skeleton reader's death). Simulated cycles only, in the release build
+# the report is printed from. The two assigners' own tests run in the
+# segmented-log step above (the whole smdb-wal package, at 2000 cases).
 cargo test --release -q -p smdb-bench --test e13_checkpoint --test e14_restart_scan \
-    --test e15_restart_reads
+    --test e15_restart_reads --test e16_restart_skeleton
 cargo test --release -q -p smdb-core --test restart_scan --test restart_reads
 
 echo "== schedule fuzz (bounded, fixed seeds) =="

@@ -624,24 +624,49 @@ fn full_restart_phase_boundaries_swept_exhaustively() {
     }
 }
 
-/// One restart of `victims`' crash — the seeded mix, a post-checkpoint
-/// committed tail, node 0 the last writer of a record on every heap page,
-/// and in-flight transactions on every node — with the
-/// `visit`-th visit of the reader crash point `site` fired: a node reading
-/// for the restart beside the recovery node dies (nobody, for `None`).
-/// Returns how often `site` was visited and every record's value once the
-/// restart converged, an instant restart's window was drained, the
-/// transactions still in flight were rolled back and the oracles passed.
-fn run_reader_restart(
+/// One cell of a reader-site sweep: the scenario of [`run_reader_restart`]
+/// and how often the uninterrupted restart visits the site.
+struct ReaderCell {
     protocol: ProtocolKind,
     instant: bool,
-    victims: &[NodeId],
+    victims: Vec<NodeId>,
+    /// Node 0 grows the index past the mix's keys before the crash, so it
+    /// alone holds most tree pages and the skeleton has a reader for every
+    /// live node.
+    skeleton: bool,
+    visits: usize,
+}
+
+impl ReaderCell {
+    fn new(protocol: ProtocolKind, instant: bool, victims: Vec<NodeId>, visits: usize) -> Self {
+        ReaderCell { protocol, instant, victims, skeleton: false, visits }
+    }
+
+    fn with_skeleton(self) -> Self {
+        ReaderCell { skeleton: true, ..self }
+    }
+}
+
+/// What a converged restart left: every record's value and the live index.
+type EndState = (Vec<Vec<u8>>, Vec<(u64, [u8; 8])>);
+
+/// One restart of the cell's crash — the seeded mix, a post-checkpoint
+/// committed tail, node 0 the last writer of a record on every heap page
+/// (and, for a skeleton cell, of most tree pages), and in-flight
+/// transactions on every node — with the `visit`-th visit of the reader
+/// crash point `site` fired: a node reading for the restart beside the
+/// recovery node dies (nobody, for `None`). Returns how often `site` was
+/// visited and the end state once the restart converged, an instant
+/// restart's window was drained, the transactions still in flight were
+/// rolled back and the oracles passed.
+fn run_reader_restart(
+    cell: &ReaderCell,
     site: &'static str,
     visit: Option<u64>,
-) -> Result<(usize, Vec<Vec<u8>>), String> {
+) -> Result<(usize, EndState), String> {
     let mut cfg =
-        DbConfig::small(4, protocol).with_coalesced_forces().with_sim_shards(sweep_shards());
-    if instant {
+        DbConfig::small(4, cell.protocol).with_coalesced_forces().with_sim_shards(sweep_shards());
+    if cell.instant {
         cfg = cfg.with_instant_restart();
     }
     let mut db = SmDb::new(cfg);
@@ -657,8 +682,15 @@ fn run_reader_restart(
         db.update(t, page * per_page + 2, b"spread").map_err(|e| format!("spread: {e}"))?;
     }
     db.commit(t).map_err(|e| format!("spread commit: {e}"))?;
+    if cell.skeleton {
+        for key in 1_000_000..1_000_160u64 {
+            let t = db.begin(NodeId(0)).map_err(|e| format!("grow begin: {e}"))?;
+            db.insert(t, key, key.to_le_bytes()).map_err(|e| format!("grow: {e}"))?;
+            db.commit(t).map_err(|e| format!("grow commit: {e}"))?;
+        }
+    }
     spawn_active(&mut db, 1, 2, false, 7);
-    db.crash(victims);
+    db.crash(&cell.victims);
     check_commit_predicate(&db, "crash")?;
     check_redo_plan(&db)?;
     match visit {
@@ -691,21 +723,25 @@ fn run_reader_restart(
     let values = (0..db.record_count() as u64)
         .map(|slot| db.current_value(slot).map_err(|e| format!("slot {slot}: {e}")))
         .collect::<Result<_, _>>()?;
-    Ok((visited, values))
+    let index = db.index_scan(scan).map_err(|e| format!("index scan: {e}"))?;
+    Ok((visited, (values, index)))
 }
 
-/// Replay every enumerated visit of `site` as a single failure of `cells`
-/// (protocol, instant, victims, visits expected); each re-entered restart
-/// must converge to the state the uninterrupted restart reaches.
-fn sweep_reader_site(site: &'static str, cells: &[(ProtocolKind, bool, Vec<NodeId>, usize)]) {
-    for (protocol, instant, victims, expected) in cells {
-        let (protocol, instant) = (*protocol, *instant);
-        let at = format!("{protocol:?} instant={instant} victims={victims:?}");
-        let (visited, want) = run_reader_restart(protocol, instant, victims, site, None)
-            .unwrap_or_else(|e| panic!("{at}: {e}"));
-        assert_eq!(visited, *expected, "{at}: {site} visits");
+/// Replay every enumerated visit of `site` as a single failure of each
+/// cell; each re-entered restart must converge to the state the
+/// uninterrupted restart reaches.
+fn sweep_reader_site(site: &'static str, cells: &[ReaderCell]) {
+    for cell in cells {
+        let at = format!(
+            "{:?} instant={} victims={:?} skeleton={}",
+            cell.protocol, cell.instant, cell.victims, cell.skeleton
+        );
+        let (visited, want) =
+            run_reader_restart(cell, site, None).unwrap_or_else(|e| panic!("{at}: {e}"));
+        println!("{at}: {site} visited {visited} times");
+        assert_eq!(visited, cell.visits, "{at}: {site} visits");
         for k in 0..visited as u64 {
-            let (_, got) = run_reader_restart(protocol, instant, victims, site, Some(k))
+            let (_, got) = run_reader_restart(cell, site, Some(k))
                 .unwrap_or_else(|e| panic!("{at} plan={site}#{k} :: {e}"));
             assert!(got == want, "{at}: reader {k} dying at {site} converged to another state");
         }
@@ -726,30 +762,37 @@ fn scan_reader_crash_point_swept_exhaustively() {
     // Four nodes, one down, one hosting: two readers beside it.
     let cells: Vec<_> = protocols
         .into_iter()
-        .flat_map(|p| [false, true].map(|instant| (p, instant, vec![NodeId(0)], 2)))
+        .flat_map(|p| [false, true].map(|instant| ReaderCell::new(p, instant, vec![NodeId(0)], 2)))
         .collect();
     sweep_reader_site(FAULT_RESTART_SCAN, &cells);
 }
 
-/// The eager plan's page reads are made by every live node, and a reader
-/// can die before its share: every enumerated visit of `restart.install`
-/// is replayed as a single failure for each protocol, and for the full
-/// scope — FA-only with survivors, and a total failure, where node 0 reads
-/// alone and the site is never visited. The pages the readers before the
-/// dead one installed stay behind as stale reinstalls; the restart
-/// re-entered over the larger crashed set must not take them for surviving
-/// copies and must converge to the state the uninterrupted restart
-/// reaches. An instant restart reads no page before its open.
+/// The restart's page reads are made by every live node — the index
+/// skeleton's, before the open of every restart, and the eager plan's —
+/// and a reader can die before its share: every enumerated visit of
+/// `restart.install` is replayed as a single failure for each protocol,
+/// and for the full scope — FA-only with survivors, and a total failure,
+/// where node 0 reads alone and the site is never visited. The pages the
+/// readers before the dead one installed stay behind as stale reinstalls;
+/// the restart re-entered over the larger crashed set must not take them
+/// for surviving copies and must converge to the state the uninterrupted
+/// restart reaches. An instant restart reads no heap page before its open.
+/// The mix's own index is one page, read by the recovery node alone; the
+/// skeleton cells grow it on node 0, so two readers beside the host read
+/// tree pages too, eager and instant.
 #[test]
 fn install_reader_crash_point_swept_exhaustively() {
     let all: Vec<NodeId> = (0..4).map(NodeId).collect();
     let mut cells = Vec::new();
     for protocol in ProtocolKind::ifa_protocols() {
-        cells.push((protocol, false, vec![NodeId(0)], 2));
-        cells.push((protocol, true, vec![NodeId(0)], 0));
+        let cell = |instant, visits| ReaderCell::new(protocol, instant, vec![NodeId(0)], visits);
+        cells.push(cell(false, 2));
+        cells.push(cell(true, 0));
+        cells.push(cell(false, 4).with_skeleton());
+        cells.push(cell(true, 2).with_skeleton());
     }
-    cells.push((ProtocolKind::FaOnly, false, vec![NodeId(0)], 2));
-    cells.push((ProtocolKind::VolatileSelectiveRedo, false, all.clone(), 0));
-    cells.push((ProtocolKind::StableTriggered, false, all, 0));
+    cells.push(ReaderCell::new(ProtocolKind::FaOnly, false, vec![NodeId(0)], 2));
+    cells.push(ReaderCell::new(ProtocolKind::VolatileSelectiveRedo, false, all.clone(), 0));
+    cells.push(ReaderCell::new(ProtocolKind::StableTriggered, false, all, 0));
     sweep_reader_site(FAULT_RESTART_INSTALL, &cells);
 }
