@@ -120,7 +120,7 @@ pub fn e2_abort_counts(node_counts: &[u16], per_node: usize) -> Vec<AbortCountPo
             let mut cfg = DbConfig::bench(n, proto);
             cfg.records = (n as u32 * (per_node as u32 + 2) * 4).max(4096);
             cfg.lock_buckets = (n as usize * per_node * 2).max(256);
-            cfg.with_index = false;
+            cfg.index_pages = 0;
             let mut db = SmDb::new(cfg);
             let txns = spawn_active(&mut db, per_node, 2, true, 11);
             point.active = txns.len() as u64;
@@ -686,7 +686,7 @@ pub fn e10_parallel_blast_radius(per_node: usize) -> Vec<ParallelBlastPoint> {
     let mut out = Vec::new();
     for fan in [1u16, 2, 4, 8] {
         let mut cfg = DbConfig::bench(8, ProtocolKind::VolatileSelectiveRedo);
-        cfg.with_index = false;
+        cfg.index_pages = 0;
         let mut db = SmDb::new(cfg);
         let txns = spawn_active_parallel(&mut db, per_node, fan, 31);
         let active = txns.len() as u64;
@@ -752,7 +752,8 @@ pub fn e8_forward_throughput(txns: usize) -> Vec<ForwardPoint> {
                 coalesce,
                 committed: report.committed,
                 cycles_per_txn: report.sim_cycles / report.committed.max(1),
-                tps_per_mcycle: report.tps_per_mcycle,
+                tps_per_mcycle: report.committed as f64
+                    / (report.sim_cycles as f64 / 1_000_000.0).max(f64::EPSILON),
                 forces_requested: report.forces_requested,
                 physical_forces: report.physical_forces,
                 records_forced: report.records_forced,

@@ -12,24 +12,9 @@ pub fn peak_rss_kb() -> Option<u64> {
     None
 }
 
-/// Minimal JSON string escaping for `perf`'s hand-rolled writers (the
-/// container has no serde; names and labels are ASCII identifiers but we
-/// escape defensively anyway).
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
+/// JSON string escaping for `perf`'s hand-rolled writers: the one copy,
+/// which lives in `smdb-obs`.
+pub use smdb_obs::json_escape;
 
 #[cfg(test)]
 mod tests {

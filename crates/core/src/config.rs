@@ -143,9 +143,7 @@ pub struct DbConfig {
     pub lock_buckets: usize,
     /// LCB layout.
     pub lcb_geometry: LcbGeometry,
-    /// Whether to create the B+-tree index.
-    pub with_index: bool,
-    /// Page budget for the index.
+    /// Page budget for the B+-tree index; 0 creates no index.
     pub index_pages: u32,
     /// §4.2.2 hardware stall option for references to lost lines.
     pub stall_on_lost: bool,
@@ -213,7 +211,6 @@ impl DbConfig {
             rec_data_size: 40,
             lock_buckets: 32,
             lcb_geometry: LcbGeometry::co_located(),
-            with_index: true,
             index_pages: 64,
             stall_on_lost: false,
             coalesce_forces: false,
@@ -238,7 +235,6 @@ impl DbConfig {
             rec_data_size: 40,
             lock_buckets: 256,
             lcb_geometry: LcbGeometry::co_located(),
-            with_index: true,
             index_pages: 256,
             stall_on_lost: false,
             coalesce_forces: false,
@@ -269,8 +265,13 @@ impl DbConfig {
 
     /// Disable the index.
     pub fn without_index(mut self) -> Self {
-        self.with_index = false;
+        self.index_pages = 0;
         self
+    }
+
+    /// Whether the engine has a B+-tree index.
+    pub fn has_index(&self) -> bool {
+        self.index_pages > 0
     }
 
     /// Enable coalesced (group) log forces.

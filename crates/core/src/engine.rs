@@ -179,7 +179,7 @@ impl SmDb {
         let geometry = PageGeometry::new(cfg.line_size, cfg.lines_per_page);
         let layout = RecordLayout::new(geometry, cfg.rec_data_size);
         let heap_pages = layout.pages_for(cfg.records);
-        let total_pages = heap_pages + if cfg.with_index { cfg.index_pages } else { 0 };
+        let total_pages = heap_pages + cfg.index_pages;
         let sim_cfg = SimConfig {
             nodes: cfg.nodes,
             line_size: cfg.line_size,
@@ -231,7 +231,7 @@ impl SmDb {
             violations: ViolationTable::new(),
             mt_plan: None,
         };
-        if db.cfg.with_index {
+        if db.cfg.has_index() {
             let mut ctx = tree_ctx!(db);
             db.tree = Some(
                 BTree::create(&mut ctx, NodeId(0), heap_pages, db.cfg.index_pages)
@@ -357,8 +357,8 @@ impl SmDb {
         self.m.obs_handle()
     }
 
-    /// Convenience: switch on the event bus (ring of `bus_capacity`
-    /// records; 0 means the default) and the metrics registry together.
+    /// Convenience: switch observability on — bus (ring of `bus_capacity`
+    /// records; 0 means the default), metrics, spans and timeline.
     pub fn enable_observability(&self, bus_capacity: usize) {
         self.m.obs().enable(bus_capacity);
     }
@@ -518,7 +518,7 @@ impl SmDb {
             self.stats.would_blocks += 1;
             return Err(DbError::WouldBlock { txn, lock: name });
         }
-        let spans_on = self.m.obs().spans.is_enabled();
+        let spans_on = self.m.obs().is_enabled();
         let t0 = if spans_on { self.m.now(acting) } else { 0 };
         let outcome = if self.cfg.lock_poll {
             self.locks.poll_from(&mut self.m, &mut self.logs, txn, name, mode, acting)
@@ -565,7 +565,7 @@ impl SmDb {
             return;
         }
         let obs = self.m.obs();
-        if obs.metrics.is_enabled() {
+        if obs.is_enabled() {
             obs.metrics.add(names::TXN_COMMIT_DEPS, edges.len() as u64);
         }
         self.stats.commit_deps += edges.len() as u64;
@@ -594,7 +594,7 @@ impl SmDb {
             return Ok(());
         }
         let line = self.rec_line(self.layout.rec_of_global(slot));
-        let spans_on = self.m.obs().spans.is_enabled();
+        let spans_on = self.m.obs().is_enabled();
         let t0 = if spans_on { self.m.now(acting) } else { 0 };
         self.ensure_line_recovered(acting, line)?;
         if spans_on {
@@ -619,10 +619,8 @@ impl SmDb {
         self.logs.append(node, LogPayload::Begin { txn });
         self.stats.begins += 1;
         let obs = self.m.obs();
-        if obs.spans.is_enabled() {
+        if obs.is_enabled() {
             obs.spans.begin(txn.0, node.0, self.m.now(node));
-        }
-        if obs.timeline.is_enabled() {
             obs.timeline.on_begin(self.m.max_clock(), self.txns.in_flight());
         }
         Ok(txn)
@@ -653,7 +651,7 @@ impl SmDb {
         self.check_participant(txn, node)?;
         let rec = self.check_slot(slot)?;
         self.lock_from(txn, Self::lock_name_for_rec(slot), LockMode::Shared, node)?;
-        let spans_on = self.m.obs().spans.is_enabled();
+        let spans_on = self.m.obs().is_enabled();
         let t0 = if spans_on { self.m.now(node) } else { 0 };
         let off = self.layout.payload_offset(rec.slot);
         let mut buf = vec![0u8; self.layout.data_size];
@@ -844,7 +842,7 @@ impl SmDb {
             return Err(DbError::NoIndex);
         }
         self.lock(txn, Self::lock_name_for_key(key), LockMode::Exclusive)?;
-        let spans_on = self.m.obs().spans.is_enabled();
+        let spans_on = self.m.obs().is_enabled();
         let t0 = if spans_on { self.m.now(txn.node()) } else { 0 };
         let tree = req(self.tree.as_mut(), "index op on an engine with an index")?;
         let mut ctx = engine_ctx!(self).with_attribution(txn.node());
@@ -877,7 +875,7 @@ impl SmDb {
         }
         self.lock(txn, Self::lock_name_for_key(key), LockMode::Shared)?;
         let node = txn.node();
-        let spans_on = self.m.obs().spans.is_enabled();
+        let spans_on = self.m.obs().is_enabled();
         let t0 = if spans_on { self.m.now(node) } else { 0 };
         let tree = req(self.tree.as_mut(), "index op on an engine with an index")?;
         let mut ctx = engine_ctx!(self).with_attribution(node);
@@ -909,7 +907,7 @@ impl SmDb {
             return Err(DbError::NoIndex);
         }
         let node = txn.node();
-        let spans_on = self.m.obs().spans.is_enabled();
+        let spans_on = self.m.obs().is_enabled();
         let t0 = if spans_on { self.m.now(node) } else { 0 };
         let (hits, force_cycles) = {
             let tree = req(self.tree.as_mut(), "index op on an engine with an index")?;
@@ -936,7 +934,7 @@ impl SmDb {
             return Err(DbError::NoIndex);
         }
         self.lock(txn, Self::lock_name_for_key(key), LockMode::Exclusive)?;
-        let spans_on = self.m.obs().spans.is_enabled();
+        let spans_on = self.m.obs().is_enabled();
         let t0 = if spans_on { self.m.now(txn.node()) } else { 0 };
         let tree = req(self.tree.as_mut(), "index op on an engine with an index")?;
         let mut ctx = engine_ctx!(self).with_attribution(txn.node());
@@ -964,11 +962,20 @@ impl SmDb {
     /// Apply one generated operation on behalf of `txn`. An insert of a
     /// key that is already present, or a delete of one that is not, counts
     /// as done: a retried transaction may meet the effects of an
-    /// independent earlier attempt at the same keys.
+    /// independent earlier attempt at the same keys. An add on records
+    /// shorter than eight bytes is refused before it touches the machine.
     pub fn apply(&mut self, txn: TxnId, op: &Op) -> Result<(), DbError> {
         match op {
             Op::Read(slot) => self.read(txn, *slot).map(drop),
             Op::Update(slot, v) => self.update(txn, *slot, v),
+            Op::Add(slot, delta) => {
+                if self.layout.data_size < 8 {
+                    return Err(DbError::PayloadTooLarge { len: 8, max: self.layout.data_size });
+                }
+                let cur = self.read(txn, *slot)?;
+                let bal = i64::from_le_bytes(cur[..8].try_into().expect("8 bytes"));
+                self.update(txn, *slot, &bal.wrapping_add(*delta).to_le_bytes())
+            }
             Op::Insert(k, v) => match self.insert(txn, *k, *v) {
                 Err(DbError::Btree(BtreeError::DuplicateKey { .. })) => Ok(()),
                 other => other,
@@ -1000,7 +1007,7 @@ impl SmDb {
                 self.commit_force(p, None)?;
             }
         }
-        Ok(if self.m.obs().spans.is_enabled() { self.m.now(node) } else { 0 })
+        Ok(if self.m.obs().is_enabled() { self.m.now(node) } else { 0 })
     }
 
     /// A commit-path log force on `node` — through `lsn`, or to the log's
@@ -1080,7 +1087,7 @@ impl SmDb {
         if let Some(c) = self.fault.hit(FAULT_COMMIT, node.0) {
             return Err(DbError::FaultCrash(c));
         }
-        if self.m.obs().spans.is_enabled() {
+        if self.m.obs().is_enabled() {
             let appended = self.m.now(node).saturating_sub(commit_t0 + force_wait);
             self.m.obs().spans.add(txn.0, Stage::Commit, appended);
         }
@@ -1176,7 +1183,7 @@ impl SmDb {
             self.logs.request_force_to(node, lsn);
         }
         let appended_at = self.m.now(node);
-        if self.m.obs().spans.is_enabled() {
+        if self.m.obs().is_enabled() {
             self.m.obs().spans.add(txn.0, Stage::Commit, appended_at.saturating_sub(commit_t0));
         }
         req(self.txns.get_mut(txn), "txn checked active")?.committing = true;
@@ -1245,7 +1252,7 @@ impl SmDb {
             let i = ready[self.sched.choose("core.ack.pick", ready.len())];
             let p = self.pending_commits.remove(i);
             // The wait since the append was force wait.
-            let spans_on = self.m.obs().spans.is_enabled();
+            let spans_on = self.m.obs().is_enabled();
             let waited =
                 if spans_on { self.m.now(p.node).saturating_sub(p.appended_at) } else { 0 };
             self.finish_commit(p.txn, waited, self.cfg.early_lock_release)?;
@@ -1267,7 +1274,7 @@ impl SmDb {
         early_released: bool,
     ) -> Result<(), DbError> {
         let node = txn.node();
-        let spans_on = self.m.obs().spans.is_enabled();
+        let spans_on = self.m.obs().is_enabled();
         let t0 = if spans_on { self.m.now(node) } else { 0 };
         // The entry retires here, so its operation list moves out with it;
         // a failure (an injected crash mid-processing) puts it back.
@@ -1277,21 +1284,17 @@ impl SmDb {
             return Err(e);
         }
         self.stats.commits += 1;
-        let mut latency = 0u64;
         let obs = self.m.obs();
         if spans_on {
             let end_at = self.m.now(node);
             obs.spans.add(txn.0, Stage::ForceWait, force_wait);
             obs.spans.add(txn.0, Stage::Commit, end_at.saturating_sub(t0));
+            let mut latency = 0;
             if let Some(span) = obs.spans.end(txn.0, end_at, true) {
                 latency = span.latency();
                 obs.metrics.observe(names::TXN_LATENCY_CYCLES, latency);
             }
-        }
-        if obs.is_enabled() {
             obs.metrics.inc(names::TXN_COMMITTED);
-        }
-        if obs.timeline.is_enabled() {
             obs.timeline.on_commit(self.m.max_clock(), latency, self.txns.in_flight());
         }
         // Its lock releases are logged: nothing of it is appended again.
@@ -1408,7 +1411,7 @@ impl SmDb {
     pub fn abort(&mut self, txn: TxnId) -> Result<(), DbError> {
         self.check_active(txn)?;
         let node = txn.node();
-        let spans_on = self.m.obs().spans.is_enabled();
+        let spans_on = self.m.obs().is_enabled();
         // The whole rollback body is finalization work: attributed to the
         // commit/abort stage rather than re-execution.
         let abort_t0 = if spans_on { self.m.now(node) } else { 0 };
@@ -1425,12 +1428,7 @@ impl SmDb {
             if let Some(span) = obs.spans.end(txn.0, end_at, false) {
                 obs.metrics.observe(names::TXN_LATENCY_CYCLES, span.latency());
             }
-        }
-        let obs = self.m.obs();
-        if obs.metrics.is_enabled() {
             obs.metrics.inc(names::TXN_ABORTED);
-        }
-        if obs.timeline.is_enabled() {
             obs.timeline.on_abort(self.m.max_clock(), self.txns.in_flight());
         }
         // A voluntary abort restores every inherited value itself; its

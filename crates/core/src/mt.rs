@@ -102,7 +102,7 @@ pub const SITE_ADMIT: &str = "mt.admit";
 fn rec_access(op: &Op) -> Result<(u64, LockMode), DbError> {
     match op {
         Op::Read(slot) => Ok((*slot, LockMode::Shared)),
-        Op::Update(slot, _) => Ok((*slot, LockMode::Exclusive)),
+        Op::Update(slot, _) | Op::Add(slot, _) => Ok((*slot, LockMode::Exclusive)),
         Op::Insert(key, _) | Op::Delete(key) => Err(DbError::IndexOpInEpoch { key: *key }),
     }
 }

@@ -123,12 +123,6 @@ impl ShadowDb {
         self.pending.retain(|t, _| !nodes.contains(&t.node()));
     }
 
-    /// Discard all pending effects (the FA-only baseline's "abort
-    /// everyone").
-    pub fn drop_all_pending(&mut self) {
-        self.pending.clear();
-    }
-
     /// The committed value of a record (zeros if never written).
     pub fn committed_value(&self, slot: u64, data_size: usize) -> Vec<u8> {
         self.committed.get(&slot).map(|(_, v)| v.clone()).unwrap_or_else(|| vec![0u8; data_size])

@@ -919,12 +919,8 @@ impl SmDb {
         let t = span.end(self.m.max_clock());
         let obs = self.m.obs();
         obs.metrics.observe(phase_histogram(t.phase), t.sim_cycles);
-        let (phase, sim_cycles, wall_ns) = (t.phase, t.sim_cycles, t.wall_ns);
-        obs.bus.emit(self.m.max_clock(), || ObsEvent::RecoveryPhaseEnd {
-            phase,
-            sim_cycles,
-            wall_ns,
-        });
+        let (phase, sim_cycles) = (t.phase, t.sim_cycles);
+        obs.bus.emit(self.m.max_clock(), || ObsEvent::RecoveryPhaseEnd { phase, sim_cycles });
         // Progress gauges accumulate phase by phase; each phase boundary
         // lands a sample in the availability timeline's current bucket.
         obs.timeline.recovery_progress(
@@ -1748,7 +1744,7 @@ impl SmDb {
         let planned = self.restart.entries.len() as u64;
         let retired = planned - self.restart.pending as u64;
         let obs = self.m.obs();
-        if obs.timeline.is_enabled() {
+        if obs.is_enabled() {
             obs.timeline.recovery_progress(self.m.max_clock(), 0, retired, planned);
         }
         Ok(drained)

@@ -26,6 +26,9 @@ pub enum Op {
     Read(u64),
     /// Update a record slot under an exclusive lock.
     Update(u64, [u8; 8]),
+    /// Read-modify-write: add a delta to the little-endian `i64` in a
+    /// record's first eight payload bytes (a read, then an 8-byte update).
+    Add(u64, i64),
     /// Insert an index key under an exclusive key lock.
     Insert(u64, [u8; 8]),
     /// Logically delete an index key under an exclusive key lock.

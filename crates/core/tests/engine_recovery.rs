@@ -1,7 +1,7 @@
 //! End-to-end engine + recovery scenarios, including the paper's Figure 2
 //! crash cases, under every protocol.
 
-use smdb_core::{DbConfig, DbError, ProtocolKind, SmDb};
+use smdb_core::{DbConfig, DbError, Op, ProtocolKind, SmDb};
 use smdb_sim::NodeId;
 
 const N0: NodeId = NodeId(0);
@@ -67,6 +67,19 @@ fn an_oversized_payload_is_refused_before_any_lock_and_the_txn_lives_on() {
     db.commit(t).unwrap();
     assert_eq!(db.current_value(5).unwrap(), vec![9u8; max]);
     db.check_ifa(N0).assert_ok();
+}
+
+#[test]
+fn an_add_on_records_shorter_than_eight_bytes_is_a_typed_error() {
+    let mut db =
+        SmDb::new(DbConfig::small(2, ProtocolKind::VolatileSelectiveRedo).with_rec_data_size(4));
+    let t = db.begin(N0).unwrap();
+    let (clock, locks) = (db.max_clock(), db.lock_stats().acquires);
+    assert_eq!(db.apply(t, &Op::Add(5, 1)), Err(DbError::PayloadTooLarge { len: 8, max: 4 }));
+    assert_eq!((db.max_clock(), db.lock_stats().acquires), (clock, locks), "touched the machine");
+    db.apply(t, &Op::Update(5, [0; 8])).expect_err("an 8-byte update does not fit either");
+    db.update(t, 5, b"four").expect("the transaction lives on");
+    db.commit(t).unwrap();
 }
 
 #[test]

@@ -53,8 +53,7 @@ fn lost_pages(db: &SmDb) -> BTreeSet<PageId> {
 /// beyond).
 fn db_lines(db: &SmDb) -> u64 {
     let cfg = db.config();
-    let index_pages = if cfg.with_index { cfg.index_pages } else { 0 };
-    (db.heap_pages() + index_pages) as u64 * cfg.lines_per_page as u64
+    (db.heap_pages() + cfg.index_pages) as u64 * cfg.lines_per_page as u64
 }
 
 /// What one restart read: who installed each heap or tree page, and how

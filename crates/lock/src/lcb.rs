@@ -217,11 +217,6 @@ impl Lcb {
         self.waiters.clear();
     }
 
-    /// The current (strongest) granted mode, if any holder exists.
-    pub fn current_mode(&self) -> Option<LockMode> {
-        self.holders.iter().map(|e| e.mode).max()
-    }
-
     /// Whether a request in `mode` can be granted now: compatible with all
     /// holders, and no conflicting waiter is queued ahead (§4.2.2: *"If the
     /// requested mode is compatible with the mode stored in the LCB, and

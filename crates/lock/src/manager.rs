@@ -770,7 +770,7 @@ impl LockManager {
             }
         })();
         m.releaseline(node, line)?;
-        if m.obs().bus.is_enabled() || m.obs().metrics.is_enabled() {
+        if m.obs().is_enabled() {
             let now = m.now(node);
             match &result {
                 Ok(LockOutcome::Granted) => {
@@ -880,7 +880,7 @@ impl LockManager {
         })();
         m.releaseline(node, line)?;
         let acquired_at = self.chains.remove_name(txn, name);
-        if m.obs().bus.is_enabled() || m.obs().metrics.is_enabled() {
+        if m.obs().is_enabled() {
             let now = m.now(node);
             if let Ok(promoted) = &result {
                 let held = acquired_at.map(|t0| now.saturating_sub(t0)).unwrap_or(0);

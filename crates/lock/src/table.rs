@@ -206,11 +206,6 @@ impl LockTable {
         &self.geom
     }
 
-    /// Number of base buckets.
-    pub fn bucket_count(&self) -> usize {
-        self.n_buckets
-    }
-
     /// The bucket line a lock name hashes to.
     pub fn bucket_line(&self, name: u64) -> LineId {
         LineId(self.base + bucket_hash(name) % self.n_buckets as u64)

@@ -9,9 +9,8 @@
 //! exact, which is what matters for a simulator.
 //!
 //! The output is deterministic for a deterministic run: fields are
-//! written in a fixed order, one event per line, and wall-clock values
-//! (the one nondeterministic field the bus carries) are excluded —
-//! golden-file tests diff the bytes.
+//! written in a fixed order, one event per line, and the bus carries
+//! simulated time only — golden-file tests diff the bytes.
 
 use crate::bus::{Event, ForceReason, Record};
 use crate::span::{FinishedSpan, Stage};
@@ -54,8 +53,7 @@ fn event_tid(e: &Event) -> u16 {
     }
 }
 
-/// Event payload as deterministic JSON args (fixed field order, `wall_ns`
-/// deliberately omitted).
+/// Event payload as deterministic JSON args (fixed field order).
 fn write_event_args(out: &mut String, e: &Event) {
     match e {
         Event::ReadHit { line, .. }
@@ -108,8 +106,7 @@ fn write_event_args(out: &mut String, e: &Event) {
         Event::RecoveryPhaseBegin { phase } => {
             let _ = write!(out, "\"phase\":\"{phase}\"");
         }
-        Event::RecoveryPhaseEnd { phase, sim_cycles, .. } => {
-            // wall_ns omitted: host wall-clock would break determinism.
+        Event::RecoveryPhaseEnd { phase, sim_cycles } => {
             let _ = write!(out, "\"phase\":\"{phase}\",\"sim_cycles\":{sim_cycles}");
         }
         Event::RecoveryEnd { sim_cycles } => {
@@ -222,18 +219,6 @@ mod tests {
         assert!(json.contains("\"dur\":100"));
         assert!(json.contains("\"force_wait\":4"));
         assert!(json.contains("\"attributed\":15"));
-    }
-
-    #[test]
-    fn wall_clock_fields_are_excluded() {
-        let records = vec![record(
-            3,
-            99,
-            Event::RecoveryPhaseEnd { phase: "redo", sim_cycles: 42, wall_ns: 123_456 },
-        )];
-        let json = chrome_trace(&records, &[]);
-        assert!(json.contains("\"sim_cycles\":42"));
-        assert!(!json.contains("123456"), "wall_ns must not leak into the trace");
     }
 
     #[test]

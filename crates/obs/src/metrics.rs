@@ -1,15 +1,15 @@
 //! Named counters, gauges, and fixed-bucket log₂ histograms.
 //!
 //! The [`Registry`] is a shared handle (`Clone` = same storage) guarded by
-//! an enabled flag: while disabled every mutator is a single relaxed
-//! atomic load + branch. Histograms use 65 power-of-two buckets, so a
+//! the [`crate::Obs`] switch: while it is off every mutator is a single
+//! relaxed atomic load + branch. Histograms use 65 power-of-two buckets, so a
 //! recorded value costs one `leading_zeros` plus a few adds, and
 //! percentile queries resolve to the upper bound of the containing bucket
 //! (≤ 2× relative error, plenty for latency distributions).
 
+use crate::Switch;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 const BUCKETS: usize = 65;
@@ -160,36 +160,15 @@ struct RegInner {
 }
 
 /// Shared metrics registry. `Clone` yields a handle to the same storage.
-#[derive(Clone, Default)]
+#[derive(Clone)]
 pub struct Registry {
-    enabled: Arc<AtomicBool>,
+    on: Switch,
     inner: Arc<Mutex<RegInner>>,
 }
 
 impl Registry {
-    /// New disabled registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Whether mutators currently record.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Start recording.
-    pub fn enable(&self) {
-        self.enabled.store(true, Ordering::Relaxed);
-    }
-
-    /// Stop recording; accumulated values remain readable.
-    pub fn disable(&self) {
-        self.enabled.store(false, Ordering::Relaxed);
-    }
-
-    /// Discard all recorded values.
-    pub fn reset(&self) {
-        *self.inner.lock().unwrap() = RegInner::default();
+    pub(crate) fn new(on: Switch) -> Self {
+        Registry { on, inner: Arc::default() }
     }
 
     /// Increment counter `name` by 1.
@@ -201,7 +180,7 @@ impl Registry {
     /// Increment counter `name` by `delta`.
     #[inline]
     pub fn add(&self, name: &'static str, delta: u64) {
-        if !self.enabled.load(Ordering::Relaxed) {
+        if !self.on.is_on() {
             return;
         }
         *self.inner.lock().unwrap().counters.entry(name).or_insert(0) += delta;
@@ -210,7 +189,7 @@ impl Registry {
     /// Set gauge `name` to `value`.
     #[inline]
     pub fn gauge_set(&self, name: &'static str, value: i64) {
-        if !self.enabled.load(Ordering::Relaxed) {
+        if !self.on.is_on() {
             return;
         }
         self.inner.lock().unwrap().gauges.insert(name, value);
@@ -219,7 +198,7 @@ impl Registry {
     /// Record `value` into histogram `name`.
     #[inline]
     pub fn observe(&self, name: &'static str, value: u64) {
-        if !self.enabled.load(Ordering::Relaxed) {
+        if !self.on.is_on() {
             return;
         }
         self.inner.lock().unwrap().histograms.entry(name).or_default().record(value);
@@ -262,15 +241,23 @@ pub struct MetricsSnapshot {
     pub histograms: Vec<(String, HistogramSnapshot)>,
 }
 
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
+/// Minimal JSON string escaping for hand-rolled writers (no serde here):
+/// quotes, backslashes, `\n` / `\r` / `\t`, and other control characters
+/// as `\u00XX`.
+pub fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
 }
 
 impl MetricsSnapshot {
@@ -427,11 +414,12 @@ mod tests {
 
     #[test]
     fn registry_gates_on_enabled() {
-        let r = Registry::new();
+        let obs = crate::Obs::new();
+        let r = obs.metrics.clone();
         r.inc("a");
         r.observe("h", 5);
-        assert_eq!(r.counter("a"), 0, "disabled registry records nothing");
-        r.enable();
+        assert_eq!(r.counter("a"), 0, "a registry switched off records nothing");
+        obs.enable(0);
         r.inc("a");
         r.add("a", 4);
         r.gauge_set("g", -3);
@@ -439,15 +427,13 @@ mod tests {
         assert_eq!(r.counter("a"), 5);
         assert_eq!(r.gauge("g"), Some(-3));
         assert_eq!(r.histogram("h").unwrap().count, 1);
-        r.disable();
-        r.inc("a");
-        assert_eq!(r.counter("a"), 5, "values retained but frozen");
     }
 
     #[test]
     fn csv_and_json_exports() {
-        let r = Registry::new();
-        r.enable();
+        let obs = crate::Obs::new();
+        obs.enable(0);
+        let r = obs.metrics;
         r.add("ops", 7);
         r.gauge_set("depth", 2);
         r.observe("lat", 8);

@@ -1261,11 +1261,6 @@ impl Machine {
         self.unrecovered.contains(&line)
     }
 
-    /// Number of lines currently marked as carrying pending redo.
-    pub fn unrecovered_count(&self) -> usize {
-        self.unrecovered.len()
-    }
-
     /// Discard `node`'s cached copy of `line` (no writeback — the caller is
     /// responsible for durability). If this removes the last copy the
     /// directory entry disappears entirely (the line becomes

@@ -1,6 +1,6 @@
 //! The transaction driver: the one interactive loop every harness runs
-//! its transactions through — the record-update mix, the crash sweep and
-//! the schedule fuzzer alike, so a throughput measured here and an
+//! its transactions through — the record-update mix, TP1, the crash sweep
+//! and the schedule fuzzer alike, so a throughput measured here and an
 //! invariant fuzzed here are statements about the same executions.
 //!
 //! The loop keeps up to `window` transactions in flight and proceeds in
@@ -69,7 +69,9 @@ pub trait Hooks {
 
     /// Called before each admission: the node that should take a sharp
     /// checkpoint first, if one is due (and a transaction is left to admit).
-    fn checkpoint_host(&mut self, db: &SmDb) -> Option<NodeId>;
+    fn checkpoint_host(&mut self, _db: &SmDb) -> Option<NodeId> {
+        None
+    }
 
     /// The next transaction to admit — its index (for the event log), home
     /// node and operations — or `None` once the stream is exhausted.
@@ -139,7 +141,7 @@ struct Entry {
 /// so a read and an update of the same slot keep their program order.
 pub fn sort_for_pipeline(ops: &mut [Op]) {
     ops.sort_by_key(|op| match op {
-        Op::Read(s) | Op::Update(s, _) => (0u8, *s),
+        Op::Read(s) | Op::Update(s, _) | Op::Add(s, _) => (0u8, *s),
         Op::Insert(k, _) | Op::Delete(k) => (1u8, *k),
     });
 }

@@ -19,9 +19,9 @@
 //!   so is the schedule fuzzer (`smdb-vopr`): a serial window aborts and
 //!   retries a blocked transaction (the engine's no-wait policy), a
 //!   pipelined window (`MixParams::commit_window > 1`) stalls it in place.
-//!   [`run_tp1`] (data-dependent read-modify-write) keeps a no-wait loop
-//!   of its own, and [`run_mix_mt`] hands the mix to the engine's epoch
-//!   scheduler.
+//!   [`run_tp1`] is a source too: its read-modify-writes are `Op::Add`s.
+//!   Only [`run_mix_mt`] runs elsewhere: it hands the mix to the engine's
+//!   epoch scheduler.
 
 pub mod driver;
 mod mix;
@@ -34,5 +34,5 @@ pub use mix::{
     MixReport,
 };
 pub use mt::run_mix_mt;
-pub use tp1::{run_tp1, Tp1Params, Tp1Report};
+pub use tp1::{run_tp1, Tp1Params};
 pub use zipf::Zipf;

@@ -171,7 +171,7 @@ impl Generator {
             private_dist: Zipf::new(private_per_node.max(1), params.zipf_theta),
             params: MixParams { shared_slots: shared, ..params },
             nodes,
-            with_index: db.config().with_index,
+            with_index: db.config().has_index(),
             private_per_node,
             live_keys: Vec::new(),
             next_key: 1,
@@ -264,6 +264,17 @@ pub fn run_mix(db: &mut SmDb, params: MixParams) -> MixReport {
         .0
 }
 
+/// Home of a workload's transaction `i`: round-robin over the nodes,
+/// routed around down ones.
+pub(crate) fn home(db: &SmDb, i: usize) -> NodeId {
+    let node = NodeId((i % db.config().nodes as usize) as u16);
+    if !db.machine().is_crashed(node) {
+        return node;
+    }
+    let survivors = db.machine().surviving_nodes();
+    survivors[i % survivors.len()]
+}
+
 /// The mix as a transaction source for [`driver::run`]: round-robin homes
 /// over the live nodes, the seeded generator's operations, periodic
 /// checkpoints, and the crash plan.
@@ -274,18 +285,6 @@ struct MixHooks {
     recovery: Option<RecoveryOutcome>,
 }
 
-impl MixHooks {
-    /// Home of the next transaction: round-robin, routed around down nodes.
-    fn home(&self, db: &SmDb) -> NodeId {
-        let node = NodeId((self.issued % self.g.nodes as usize) as u16);
-        if !db.machine().is_crashed(node) {
-            return node;
-        }
-        let survivors = db.machine().surviving_nodes();
-        survivors[self.issued % survivors.len()]
-    }
-}
-
 impl Hooks for MixHooks {
     type Fatal = DbError;
 
@@ -294,14 +293,14 @@ impl Hooks for MixHooks {
     /// point, so the checkpointed stable image is consistent.)
     fn checkpoint_host(&mut self, db: &SmDb) -> Option<NodeId> {
         let (i, ck) = (self.issued, self.g.params.checkpoint_every);
-        (i < self.g.params.txns && ck > 0 && i > 0 && i.is_multiple_of(ck)).then(|| self.home(db))
+        (i < self.g.params.txns && ck > 0 && i > 0 && i.is_multiple_of(ck)).then(|| home(db, i))
     }
 
     fn next_txn(&mut self, db: &SmDb) -> Option<(usize, NodeId, Vec<Op>)> {
         if self.issued == self.g.params.txns {
             return None;
         }
-        let node = self.home(db);
+        let node = home(db, self.issued);
         let ops = self.g.gen_txn_ops(node);
         self.issued += 1;
         Some((self.issued - 1, node, ops))

@@ -25,9 +25,11 @@ fn main() {
 
     println!("=== phase 1: 300 TP1 transactions over 8 nodes ===");
     let r1 = run_tp1(&mut db, params.clone());
+    let tps_per_mcycle =
+        r1.committed as f64 / (r1.sim_cycles as f64 / 1_000_000.0).max(f64::EPSILON);
     println!(
-        "committed {} (conflict aborts {}), {:.1} txns per Mcycle",
-        r1.committed, r1.conflict_aborts, r1.tps_per_mcycle
+        "committed {} (conflict aborts {}), {tps_per_mcycle:.1} txns per Mcycle",
+        r1.committed, r1.conflict_aborts
     );
     let branches_total = total_balance(&db, 0, 8);
     println!("sum of branch balances: {branches_total}");

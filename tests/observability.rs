@@ -5,6 +5,7 @@
 use smdb::core::{DbConfig, ProtocolKind, SmDb};
 use smdb::obs::{Event, ForceReason, Record};
 use smdb::sim::NodeId;
+use smdb::workload::{run_tp1, Tp1Params};
 
 /// Two uncommitted updates to records co-located in cache line 0, from
 /// different nodes, under Stable-Triggered LBM — the second update
@@ -201,4 +202,32 @@ fn disabled_observability_records_nothing_but_phases_still_time() {
     // Phase timings feed the E3 bench report, so they are captured even
     // with observability off.
     assert_eq!(outcome.phases.len(), 7);
+}
+
+/// Bus, metrics, spans and timeline share one switch: an engine never
+/// enabled records nothing in any of them across TP1, a crash and a
+/// recovery, and `Obs::enable` turns all four on.
+#[test]
+fn one_switch_turns_every_recorder_on_or_none() {
+    let run = |enable: bool| {
+        let mut db = SmDb::new(DbConfig::small(4, ProtocolKind::VolatileSelectiveRedo));
+        if enable {
+            db.observability().enable(0);
+        }
+        run_tp1(&mut db, Tp1Params { txns: 20, ..Default::default() });
+        db.crash_and_recover(&[NodeId(1)]).unwrap();
+        run_tp1(&mut db, Tp1Params { txns: 4, seed: 8, ..Default::default() });
+        let obs = db.observability();
+        assert_eq!(obs.is_enabled(), enable);
+        let m = obs.metrics.snapshot();
+        [
+            obs.bus.emitted() as usize,
+            m.counters.len() + m.gauges.len() + m.histograms.len(),
+            obs.spans.aggregate().started as usize,
+            obs.timeline.snapshot().len() + obs.timeline.time_to_first_txn().is_some() as usize,
+        ]
+    };
+    assert_eq!(run(false), [0; 4], "an engine never enabled records nothing");
+    let on = run(true);
+    assert!(on.iter().all(|&n| n > 0), "enable turns all four on: {on:?}");
 }
