@@ -83,7 +83,7 @@ use crate::txn::Op;
 use smdb_btree::TreeCtx;
 use smdb_fault::Scheduler;
 use smdb_lock::{LockMode, LockOutcome, ViolationTable};
-use smdb_obs::names;
+use smdb_obs::{names, ForceReason};
 use smdb_sim::{LineId, MemError, NodeId, TxnId};
 use smdb_storage::{PageId, StableDb};
 use smdb_wal::{CheckpointStore, PageLsnTable};
@@ -413,10 +413,8 @@ impl SmDb {
         let all_stripes: Vec<u32> = (0..self.m.shard_count() as u32).collect();
         for n in 0..self.cfg.nodes {
             let node = NodeId(n);
-            if self.logs.force_all_checked(node)? {
-                let cost = self.m.config().cost.log_force;
-                self.m.advance(node, cost);
-            }
+            let last = self.logs.log(node).last_lsn();
+            self.logs.force(&mut self.m, node, last, ForceReason::Lbm)?;
             self.m.clear_active_in_stripes(node, &all_stripes);
         }
         Ok(())
@@ -750,12 +748,8 @@ impl SmDb {
                 // (abort compensation tails, a pending coalesced-force
                 // window) becomes durable before the active marks that
                 // defer to it are cleared.
-                let log = self.logs.log(node);
-                if (log.pending_force().is_some() || log.stable_lsn() < log.last_lsn())
-                    && self.logs.force_all_checked(node)?
-                {
-                    let cost = self.m.config().cost.log_force;
-                    self.m.advance(node, cost);
+                let last = self.logs.log(node).last_lsn();
+                if self.logs.force(&mut self.m, node, last, ForceReason::Lbm)? > 0 {
                     out.appender_stalls += 1;
                     if obs_on {
                         self.m.obs().metrics.inc(names::WAL_APPENDER_STALLS);

@@ -18,7 +18,7 @@
 use crate::lcb::{Lcb, LockEntry};
 use crate::mode::LockMode;
 use crate::table::LockTable;
-use smdb_obs::Event as ObsEvent;
+use smdb_obs::{Event as ObsEvent, ForceReason};
 use smdb_sim::{LineId, Machine, MemError, NodeId, TxnId};
 use smdb_wal::{LogPayload, LogSet, StructuralKind};
 use std::fmt;
@@ -823,10 +823,7 @@ impl LockManager {
                 kind: StructuralKind::LockSpaceAlloc { line: new_line.0, parent: tail.0 },
             },
         );
-        if logs.log_mut(node).force_to(lsn) {
-            let force_cost = m.config().cost.log_force;
-            m.advance(node, force_cost);
-        }
+        logs.force(m, node, lsn, ForceReason::Commit).map_err(MemError::FaultCrash)?;
         self.stats.overflow_allocs += 1;
         Ok((new_line, 0))
     }

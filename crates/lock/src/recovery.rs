@@ -16,6 +16,7 @@
 use crate::lcb::{Lcb, LockEntry};
 use crate::manager::LockManager;
 use crate::mode::LockMode;
+use smdb_obs::ForceReason;
 use smdb_sim::{LineId, Machine, MemError, NodeId, TxnId};
 use smdb_wal::{LogPayload, LogSet, Lsn, Records, StructuralKind};
 use std::collections::{BTreeMap, BTreeSet};
@@ -304,15 +305,10 @@ impl LockManager {
                                         },
                                     },
                                 );
-                                // Checked force: a mid-recovery crash point —
-                                // the recovery node itself can die here.
-                                if logs
-                                    .force_to_checked(recovery_node, lsn)
-                                    .map_err(MemError::FaultCrash)?
-                                {
-                                    let cost = m.config().cost.log_force;
-                                    m.advance(recovery_node, cost);
-                                }
+                                // A mid-recovery crash point: the recovery
+                                // node itself can die here.
+                                logs.force(m, recovery_node, lsn, ForceReason::Commit)
+                                    .map_err(MemError::FaultCrash)?;
                                 (new_line, 0)
                             }
                         };
