@@ -1,5 +1,7 @@
 //! Engine-level counters, including the Table 1 overhead breakdown.
 
+use smdb_btree::TreeCtx;
+
 /// Counters maintained by the engine during normal operation. The fields
 /// marked *(Table 1)* quantify the paper's qualitative overhead matrix:
 /// a protocol "checks the box" exactly when its counter is non-zero under
@@ -62,6 +64,13 @@ pub struct EngineStats {
 }
 
 impl EngineStats {
+    /// Fold a forward-path context's LBM counters in: the physical LBM
+    /// forces it ran and the force requests it left in the window.
+    pub(crate) fn add_lbm(&mut self, ctx: &TreeCtx<'_>) {
+        self.lbm_forces += ctx.lbm_forces;
+        self.lbm_force_requests += ctx.force_requests;
+    }
+
     /// Counter-wise difference `self - earlier`. Saturates at zero: an
     /// `earlier` snapshot taken after a counter reset (or from a different
     /// engine) yields zeros instead of panicking on underflow.
