@@ -52,8 +52,13 @@ fn marked_experiment_tables_match_the_report_golden() {
     let golden = read("tests/golden/report_fast.golden");
     let tables = marked_tables(&doc);
     let cells: Vec<&str> = tables.iter().map(|(cell, _)| *cell).collect();
-    let required =
-        ["e13_checkpoint", "e14_restart_scan", "e15_restart_reads", "e16_restart_skeleton"];
+    let required = [
+        "table1",
+        "e13_checkpoint",
+        "e14_restart_scan",
+        "e15_restart_reads",
+        "e16_restart_skeleton",
+    ];
     for cell in required {
         assert!(cells.contains(&cell), "EXPERIMENTS.md lost its `{cell}` marker: {cells:?}");
     }
