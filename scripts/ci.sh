@@ -27,8 +27,9 @@ echo "== crash-point sweep (bounded) =="
 # fan-out, and the eager plan's (restart.install: a page reader beside the
 # recovery node dies before its share; cells where node 0 owns the tree
 # pages put two readers on the skeleton) — are replayed exhaustively even
-# in this bounded run. The exhaustive variant of the whole sweep is
-# scripts/crash_sweep.sh.
+# in this bounded run. wal.force.record is visited by every physical log
+# force, the early commit of a lock-space overflow line included. The
+# exhaustive variant of the whole sweep is scripts/crash_sweep.sh.
 cargo test --release -q --test crash_sweep
 
 echo "== crash-point sweep (bounded, striped directory) =="

@@ -7,7 +7,10 @@
 # enumerated with every other site recovery visits, and swept on their
 # own — restart.scan for every protocol, eager and instant;
 # restart.install for every protocol, eager and instant, with and without
-# an index node 0 grew, plus the FA-only and total-failure scopes. The bounded variant
+# an index node 0 grew, plus the FA-only and total-failure scopes.
+# wal.force.record (a log force torn after a durable prefix) is visited by
+# every physical force, the early commit of a lock-space overflow line
+# included. The bounded variant
 # runs in tier-1 CI (scripts/ci.sh); this one is for local soak runs and
 # release gates.
 #
