@@ -648,28 +648,22 @@ impl SmDb {
     }
 
     /// The not-yet-acknowledged transactions whose commit is nevertheless
-    /// durably *settled*: their commit record reached their home node's
-    /// stable log **and** — under controlled lock violation — every
-    /// commit dependency recorded inside it is itself durably settled.
+    /// durably *settled*: the commit record reached its home's stable log
+    /// and every dependency recorded in it is settled — the acknowledgement's
+    /// predicate ([`SmDb::deps_settled`]), also counting this fixpoint.
     ///
-    /// Acknowledged commits never enter the computation. An
-    /// acknowledgement (`TxnStatus::Committed`) is only given once the
-    /// commit record is durable and every dependency predecessor has been
-    /// acknowledged, so **acknowledged ⇒ settled** by induction, and the
-    /// transaction table (shared memory, crash-surviving) answers for
-    /// them. The dependency fixpoint therefore runs only over the active
-    /// table — the handful in flight at the crash plus earlier recovery
-    /// victims kept there for their commit record
-    /// ([`SmDb::settle_aborted`]) — never over history: chains
-    /// of violated commits drop from the successor end until only fully
-    /// covered chains remain. A dependency on a commit record that was
-    /// lost with its node's volatile log tail can never be satisfied (its
-    /// transaction is never acknowledged and never re-enters a stable
-    /// log), so the exclusion is permanent across however many recoveries
-    /// follow. No scan: `commit_lsns`/`commit_deps` are per-log
-    /// incremental indexes that survive checkpoint truncation.
+    /// Acknowledged commits never enter it. An acknowledgement is given
+    /// only to a durable record whose predecessors are acknowledged (a
+    /// drain) or durable with the whole chain under them (a synchronous
+    /// commit), so **acknowledged ⇒ settled** by induction and the
+    /// crash-surviving transaction table answers for them. The fixpoint
+    /// runs over the active table only — those in flight at the crash plus
+    /// recovery victims kept for their commit record
+    /// ([`SmDb::settle_aborted`]) — dropping violated chains from the
+    /// successor end. A dependency on a record lost with its node's
+    /// volatile tail never settles, across any number of later recoveries.
+    /// No scan: the per-log commit indexes survive checkpoint truncation.
     pub fn settled_unacked_commits(&self) -> BTreeSet<TxnId> {
-        let acked = |t: TxnId| self.txns.status(t) == Some(TxnStatus::Committed);
         let mut set: BTreeSet<TxnId> = self
             .txns
             .live()
@@ -682,7 +676,7 @@ impl SmDb {
                 .copied()
                 .filter(|t| {
                     let deps = self.logs.log(t.node()).index().commit_deps_of(*t);
-                    deps.iter().any(|d| !acked(d.txn) && !set.contains(&d.txn))
+                    !self.deps_settled(deps, |d| set.contains(&d))
                 })
                 .collect();
             if dropped.is_empty() {
@@ -695,12 +689,10 @@ impl SmDb {
         set
     }
 
-    /// Flip to `Committed` every transaction still marked active whose
-    /// commit record reached a stable log with all its dependencies
-    /// durably settled (see [`SmDb::crash`]). Promotion applies the very
-    /// test an acknowledgement applies (record durable, predecessors
-    /// settled), so it preserves the acknowledged ⇒ settled invariant
-    /// [`SmDb::settled_unacked_commits`] rests on.
+    /// Flip to `Committed` every transaction still marked active that
+    /// [`SmDb::settled_unacked_commits`] finds settled (see [`SmDb::crash`]).
+    /// That is an acknowledgement's own test, so promotion preserves the
+    /// acknowledged ⇒ settled invariant the fixpoint rests on.
     fn promote_durably_committed(&mut self) {
         self.note_table_walk();
         let promoted: Vec<TxnId> = self
@@ -877,18 +869,17 @@ impl SmDb {
 
     /// Settle the commit pipeline after a completed restart: drop the
     /// pending commits whose transaction it settled (promoted to
-    /// `Committed` by the crash, or aborted), and release the locks of
-    /// promoted non-ELR pipeliners — their deferred acknowledgement, which
-    /// releases, never ran.
+    /// `Committed` by the crash, or aborted), and release the locks that
+    /// promoted ones still hold — their acknowledgement, which releases,
+    /// never ran.
     fn resolve_commit_pipeline(&mut self) -> Result<(), DbError> {
         let (keep, settled): (Vec<_>, Vec<_>) = std::mem::take(&mut self.pending_commits)
             .into_iter()
             .partition(|p| self.txns.status(p.txn) == Some(TxnStatus::Active));
         self.pending_commits = keep;
         for p in settled {
-            let promoted = self.txns.status(p.txn) == Some(TxnStatus::Committed);
             // Crashed homes were scrubbed by lock recovery already.
-            if promoted && !self.cfg.early_lock_release && !self.m.is_crashed(p.txn.node()) {
+            if self.acknowledged(p.txn) && p.locks_held && !self.m.is_crashed(p.txn.node()) {
                 self.locks.release_all(&mut self.m, &mut self.logs, p.txn)?;
                 // The releases were logged under an id the crash had already
                 // retired: retire those records too.

@@ -58,6 +58,23 @@ echo "== transaction-table lockstep (2000 cases) + live-entries count =="
 # cascade-victim scenario. The workspace test steps run 256 cases.
 PROPTEST_CASES=2000 cargo test --release -q -p smdb-core --test txn_table
 
+echo "== one commit rule: drain_for, one acknowledgement, one settled predicate =="
+# Every commit-record force is SmDb::drain_for over an unacknowledged
+# chain, and every acknowledgement is SmDb::acknowledge (DESIGN §12).
+# commit_predicate: restart's commit predicate equals the whole-history
+# fixpoint across ELR chains, LSN reuse, lane merges and an FA-only
+# outage; a synchronous commit over a pipelined chain makes the chain
+# durable and acknowledges only itself, forcing each home once; a
+# predecessor lost with its home is WouldBlock with nothing appended; the
+# next drain acknowledges the predecessors with no new force.
+# force_accounting: every physical force is counted once, in the logs,
+# the metrics and the event bus. coalesce_equivalence: on 128
+# fuzzer-drawn scenarios, coalesced StableEager equals StableTriggered
+# and coalescing on equals off for every protocol (ROADMAP item 13).
+cargo test --release -q -p smdb-core --test commit_predicate
+cargo test --release -q --test force_accounting
+cargo test --release -q -p smdb-vopr --test coalesce_equivalence
+
 echo "== segmented-log model (2000 cases) =="
 # The segmented NodeLog against one plain Vec<LogRecord> with a
 # whole-history index, after every step of random append / force / torn
