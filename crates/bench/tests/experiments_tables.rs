@@ -54,6 +54,7 @@ fn marked_experiment_tables_match_the_report_golden() {
     let cells: Vec<&str> = tables.iter().map(|(cell, _)| *cell).collect();
     let required = [
         "table1",
+        "e3_recovery_cost",
         "e13_checkpoint",
         "e14_restart_scan",
         "e15_restart_reads",
