@@ -923,7 +923,10 @@ impl SmDb {
     /// Commit `txn` synchronously: make the chain it rests on durable,
     /// append its commit record, force it, and acknowledge it at once
     /// (strict 2PL: its locks go then). Only `txn` is acknowledged; its
-    /// predecessors stay pending for the next drain.
+    /// predecessors stay pending for the next drain. A transaction that
+    /// logged no data record (no heap update, no index insert or delete)
+    /// has nothing a commit record would make durable: once the chain it
+    /// read from is durable it is acknowledged with no record and no force.
     pub fn commit(&mut self, txn: TxnId) -> Result<(), DbError> {
         let node = txn.node();
         let commit_t0 = self.commit_prologue(txn)?;
@@ -936,19 +939,27 @@ impl SmDb {
             req(self.txns.get_mut(txn), "txn checked active")?.inherited.clear();
             return Err(DbError::WouldBlock { txn, lock: 0 });
         }
-        let lsn = self.append_commit(txn, deps);
-        let appended_at = self.m.now(node);
-        let had_window = self.logs.log(node).pending_force().is_some();
-        self.drain_for(&[CommitDep { txn, lsn }])?;
-        // In an execution lane (see [`crate::mt`]) the per-node appender
-        // stalled the committer to drain a pending coalesced-force window
-        // it would otherwise have absorbed.
-        if self.m.now(node) > appended_at && had_window && self.mt_plan.is_some() {
-            self.m.obs().metrics.inc(names::WAL_APPENDER_STALLS);
-        }
+        let read_only = req(self.txns.get(txn), "txn checked active")?.ops.is_empty();
+        let (lsn, appended_at) = if read_only {
+            (Lsn::ZERO, self.m.now(node))
+        } else {
+            let lsn = self.append_commit(txn, deps);
+            let appended_at = self.m.now(node);
+            let had_window = self.logs.log(node).pending_force().is_some();
+            self.drain_for(&[CommitDep { txn, lsn }])?;
+            // In an execution lane (see [`crate::mt`]) the per-node appender
+            // stalled the committer to drain a pending coalesced-force
+            // window it would otherwise have absorbed.
+            if self.m.now(node) > appended_at && had_window && self.mt_plan.is_some() {
+                self.m.obs().metrics.inc(names::WAL_APPENDER_STALLS);
+            }
+            (lsn, appended_at)
+        };
         // Crash point: the commit record is durable but post-commit
         // processing (tag clears, delete reclaim, lock release) has not
-        // run — recovery must treat the transaction as committed.
+        // run — recovery must treat the transaction as committed. A
+        // read-only transaction has no record: it dies active and is
+        // aborted, which undoes nothing.
         if let Some(c) = self.fault.hit(FAULT_COMMIT, node.0) {
             return Err(DbError::FaultCrash(c));
         }
@@ -957,7 +968,11 @@ impl SmDb {
         }
         // Its dependencies are durable already; the entry waits on none.
         let deps = Vec::new();
-        self.acknowledge(PendingCommit { txn, lsn, deps, appended_at, locks_held: true })
+        self.acknowledge(PendingCommit { txn, lsn, deps, appended_at, locks_held: true })?;
+        if read_only {
+            self.m.obs().metrics.inc(names::TXN_COMMITTED_READ_ONLY);
+        }
+        Ok(())
     }
 
     /// The not-yet-acknowledged commit-LSN dependencies `txn` inherited,

@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 pub enum TxnStatus {
     /// Running; holds locks; effects are uncommitted.
     Active,
-    /// Durably committed.
+    /// Committed: every effect durable; a read-only transaction has none.
     Committed,
     /// Rolled back (voluntarily, or by crash recovery).
     Aborted,

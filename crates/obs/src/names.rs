@@ -55,6 +55,9 @@ pub const ENGINE_UPDATE_CYCLES: &str = "engine.update_cycles";
 pub const TXN_ABORTED: &str = "txn.aborted";
 /// Transactions finished by commit.
 pub const TXN_COMMITTED: &str = "txn.committed";
+/// Synchronous commits of transactions that logged no data record,
+/// acknowledged with no commit record and no log force.
+pub const TXN_COMMITTED_READ_ONLY: &str = "txn.committed_read_only";
 /// Commit-LSN dependencies inherited through violated locks.
 pub const TXN_COMMIT_DEPS: &str = "txn.commit_deps";
 /// Cascade aborts caused by a crashed commit-dependency predecessor.
@@ -341,6 +344,12 @@ pub const CATALOG: &[MetricDef] = &[
         kind: MetricKind::Counter,
         layer: "core",
         help: "Transactions finished by commit",
+    },
+    MetricDef {
+        name: TXN_COMMITTED_READ_ONLY,
+        kind: MetricKind::Counter,
+        layer: "core",
+        help: "Read-only commits: no commit record, no log force",
     },
     MetricDef {
         name: TXN_DEP_ABORTS,

@@ -15,9 +15,12 @@
 //! interleaving that exposed its bug; the engine-level regression tests
 //! (`crates/core/tests`) carry that burden.
 
+use smdb_core::SmDb;
+use smdb_obs::names;
 use smdb_vopr::{
     draw_plan, encode_tape, replay_line, replay_line_with, run_schedule, SchedInput, VoprConfig,
 };
+use std::cell::Cell;
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
@@ -337,4 +340,29 @@ fn window_one_schedules_match_golden() {
         assert_eq!(g, w, "window-1 schedule diverged from the fixture at line {}", i + 1);
     }
     assert_eq!(got.lines().count(), want.lines().count(), "fixture length");
+}
+
+/// The fuzzer reaches the read-only commit path: its scenarios draw the
+/// read fraction, so some transactions draw only reads and commit with no
+/// record and no force. An extra oracle switches each schedule's engine's
+/// observability on at its first round and reads `txn.committed_read_only`
+/// at every round after it; every schedule must still pass.
+#[test]
+fn fixed_seed_sweep_reaches_read_only_commits() {
+    let (total, last) = (Cell::new(0u64), Cell::new(0u64));
+    let count = |db: &mut SmDb, _: u64| {
+        let obs = db.observability();
+        if !obs.is_enabled() {
+            // A fresh engine: the previous schedule's count is final.
+            total.set(total.get() + last.replace(0));
+            db.enable_observability(64);
+        }
+        last.set(obs.metrics.counter(names::TXN_COMMITTED_READ_ONLY));
+        Ok(())
+    };
+    let out = smdb_vopr::fuzz_with(0xC0DE, 500, 0, Some(&count), &mut |f| eprintln!("{}", f.line));
+    let read_only = total.get() + last.get();
+    println!("0xC0DE x 500: committed={} read_only={read_only}", out.committed);
+    assert!(out.passed(), "{} schedules failed", out.failures.len());
+    assert!(read_only > 0, "no schedule committed a read-only transaction");
 }

@@ -58,7 +58,7 @@ echo "== transaction-table lockstep (2000 cases) + live-entries count =="
 # cascade-victim scenario. The workspace test steps run 256 cases.
 PROPTEST_CASES=2000 cargo test --release -q -p smdb-core --test txn_table
 
-echo "== one commit rule: drain_for, one acknowledgement, one settled predicate =="
+echo "== one commit rule: drain_for, one acknowledgement, one settled predicate, read-only commits =="
 # Every commit-record force is SmDb::drain_for over an unacknowledged
 # chain, and every acknowledgement is SmDb::acknowledge (DESIGN §12).
 # commit_predicate: restart's commit predicate equals the whole-history
@@ -66,14 +66,27 @@ echo "== one commit rule: drain_for, one acknowledgement, one settled predicate 
 # outage; a synchronous commit over a pipelined chain makes the chain
 # durable and acknowledges only itself, forcing each home once; a
 # predecessor lost with its home is WouldBlock with nothing appended; the
-# next drain acknowledges the predecessors with no new force.
+# next drain acknowledges the predecessors with no new force. Its
+# read-only corners: a reader of an early-released write commits only once
+# the writer's record is durable, and is WouldBlock with nothing appended
+# when the writer's home crashed first; a read-only commit stays Committed
+# across a crash of its home; it appends no commit record and adds no
+# force, while an updating commit on the same node forces once.
 # force_accounting: every physical force is counted once, in the logs,
 # the metrics and the event bus. coalesce_equivalence: on 128
 # fuzzer-drawn scenarios, coalesced StableEager equals StableTriggered
 # and coalescing on equals off for every protocol (ROADMAP item 13).
+# e17_read_only_commit: on VolatileSelectiveRedo the serial mix's
+# physical forces equal its writing commits (committed minus read-only
+# commits), and cycles per transaction fall as the read fraction rises.
+# fixed_seed_sweep_reaches_read_only_commits: over 0xC0DE x 500 the
+# fuzzer's schedules commit read-only transactions (txn.committed_read_only
+# > 0) and every one passes the restated commit-predicate oracle.
 cargo test --release -q -p smdb-core --test commit_predicate
 cargo test --release -q --test force_accounting
 cargo test --release -q -p smdb-vopr --test coalesce_equivalence
+cargo test --release -q -p smdb-bench --test e17_read_only_commit
+cargo test --release -q -p smdb-vopr --test vopr fixed_seed_sweep_reaches_read_only_commits
 
 echo "== segmented-log model (2000 cases) =="
 # The segmented NodeLog against one plain Vec<LogRecord> with a
