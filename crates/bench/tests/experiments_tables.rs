@@ -55,10 +55,12 @@ fn marked_experiment_tables_match_the_report_golden() {
     let required = [
         "table1",
         "e3_recovery_cost",
+        "e11_instant_restart",
         "e13_checkpoint",
         "e14_restart_scan",
         "e15_restart_reads",
         "e16_restart_skeleton",
+        "e17_read_only_commit",
     ];
     for cell in required {
         assert!(cells.contains(&cell), "EXPERIMENTS.md lost its `{cell}` marker: {cells:?}");
