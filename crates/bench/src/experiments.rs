@@ -232,6 +232,9 @@ pub struct LogForcePoint {
     pub protocol: String,
     /// Workload sharing rate.
     pub sharing: f64,
+    /// Commit window: 1 is the serial driver with blocking locks; a wider
+    /// window pipelines commits over polling locks, as E10-elr does.
+    pub window: usize,
     /// Total physical log forces.
     pub total_forces: u64,
     /// Log-force requests (physical forces plus requests absorbed by the
@@ -248,10 +251,19 @@ pub struct LogForcePoint {
 }
 
 /// Sweep the sharing rate under every protocol and measure force counts
-/// and simulated cost. Expected shape: Volatile stays at ~1 force/txn
-/// (commit only); Stable-eager pays one per update regardless of sharing;
-/// Stable-triggered grows with the sharing rate.
-pub fn e4_log_forces(txns: usize, sharings: &[f64], nvram: bool) -> Vec<LogForcePoint> {
+/// and simulated cost, with commits `window` at a time (1: the serial
+/// driver). Expected shape: Volatile stays at ~1 force/txn (commit only);
+/// Stable-eager pays one per update regardless of sharing; Stable-triggered
+/// grows with the sharing rate — in the pipelined rows. In a serial
+/// strict-2PL mix a line only migrates after its updater committed, so the
+/// trigger finds nothing unforced and Stable-triggered pays commit forces
+/// only.
+pub fn e4_log_forces(
+    txns: usize,
+    sharings: &[f64],
+    nvram: bool,
+    window: usize,
+) -> Vec<LogForcePoint> {
     let mut out = Vec::new();
     for &sharing in sharings {
         for p in ProtocolKind::ifa_protocols() {
@@ -259,15 +271,26 @@ pub fn e4_log_forces(txns: usize, sharings: &[f64], nvram: bool) -> Vec<LogForce
             if nvram {
                 cfg = cfg.with_cost(CostModel::default().with_nvram_log());
             }
+            if window > 1 {
+                cfg = cfg.with_lock_polling();
+            }
             let mut db = SmDb::new(cfg);
             let report = run_mix(
                 &mut db,
-                MixParams { txns, sharing, read_fraction: 0.3, ..Default::default() },
+                MixParams {
+                    txns,
+                    sharing,
+                    read_fraction: 0.3,
+                    commit_window: window,
+                    drain_every: window,
+                    ..Default::default()
+                },
             );
             let stats = db.stats();
             out.push(LogForcePoint {
                 protocol: format!("{p:?}"),
                 sharing,
+                window,
                 total_forces: db.total_log_forces(),
                 forces_requested: db.logs().total_forces_requested(),
                 commit_forces: stats.commit_forces,
@@ -887,9 +910,13 @@ pub struct ElrPoint {
 /// protocol is when write locks come off: at commit acknowledgement
 /// (strict 2PL) versus at commit-record append (violation edges +
 /// dependency-covered acknowledgement). Early release lets successors
-/// run during the force window, so the hot-set serialisation stalls —
-/// and with them whole-run cycles — collapse, while the logged record
-/// stream (and hence `records_forced`) is byte-for-byte the same.
+/// run during the force window, so the hot-set serialisation stalls
+/// collapse, while the logged record stream (and hence `records_forced`)
+/// is byte-for-byte the same. Whole-run cycles follow on the Volatile
+/// protocols; on the Stable ones a successor's update re-marks the hot
+/// line while its predecessor's commit is unforced, and the §5.2 trigger
+/// forces it when the line migrates, so ELR pays at least strict 2PL's
+/// physical forces there.
 pub fn e10_elr(txns: usize) -> Vec<ElrPoint> {
     let mut out = Vec::new();
     for p in ProtocolKind::ifa_protocols() {
@@ -1503,7 +1530,7 @@ mod tests {
 
     #[test]
     fn e4_volatile_never_lbm_forces() {
-        let pts = e4_log_forces(20, &[0.5], false);
+        let pts = e4_log_forces(20, &[0.5], false, 1);
         let vol = pts.iter().find(|p| p.protocol.contains("VolatileSelective")).unwrap();
         assert_eq!(vol.lbm_forces, 0);
         let eager = pts.iter().find(|p| p.protocol.contains("Eager")).unwrap();

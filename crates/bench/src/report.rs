@@ -139,7 +139,7 @@ fn table1(fast: bool) -> Section {
     };
     let matrix = [
         Col::text_only("overhead", L(32), |class: &Class| class.0),
-        protocol("Stable LBM", 12, "StableTriggered"),
+        protocol("Stable LBM", 12, "StableEager"),
         protocol("Vol.+SelectiveRedo", 18, "VolatileSelective"),
         protocol("Vol.+RedoAll", 12, "VolatileRedoAll"),
     ];
@@ -232,6 +232,7 @@ fn e4_log_forces(fast: bool) -> Section {
     let cols = [
         C::new("protocol", L(24), "protocol", |p| p.protocol.clone()),
         C::new("sharing", R(8), "sharing", |p| p.sharing).text_as(|p| format!("{:.1}", p.sharing)),
+        C::new("window", R(7), "window", |p| p.window),
         C::new("forces", R(8), "total_forces", |p| p.total_forces),
         C::csv_only("forces_requested", |p| p.forces_requested),
         C::new("commit", R(8), "commit_forces", |p| p.commit_forces),
@@ -239,15 +240,17 @@ fn e4_log_forces(fast: bool) -> Section {
         C::new("txns", R(8), "committed", |p| p.committed),
         C::new("cyc/txn", R(12), "cycles_per_txn", |p| p.cycles_per_txn),
     ];
-    let pts = x::e4_log_forces(mix_txns(fast), &[0.0, 0.5, 1.0], false);
-    let nvram = x::e4_log_forces(mix_txns(fast), &[0.5], true);
+    let sharings = [0.0, 0.5, 1.0];
+    let mut pts = x::e4_log_forces(mix_txns(fast), &sharings, false, 1);
+    pts.extend(x::e4_log_forces(mix_txns(fast), &sharings, false, 8));
+    let nvram = x::e4_log_forces(mix_txns(fast), &[0.5], true, 1);
     let text = format!(
         "== E4 (§5.2/§7): log-force frequency by LBM policy and sharing rate ==\n\n\
          {}\n   \
          ablation: NVRAM log device (§7: Stable LBM becomes affordable)\n\n\
          {}\n",
         text_table(&cols, &pts),
-        text_table([&cols[0], &cols[1], &cols[2], &cols[7]], &nvram)
+        text_table([&cols[0], &cols[1], &cols[3], &cols[8]], &nvram)
     );
     Section { text, csv: Some(csv(&cols, &pts)) }
 }

@@ -55,6 +55,8 @@ fn marked_experiment_tables_match_the_report_golden() {
     let required = [
         "table1",
         "e3_recovery_cost",
+        "e4_log_forces",
+        "e10_elr",
         "e11_instant_restart",
         "e13_checkpoint",
         "e14_restart_scan",

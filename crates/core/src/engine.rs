@@ -1197,7 +1197,8 @@ impl SmDb {
             obs.metrics.inc(names::TXN_COMMITTED);
             obs.timeline.on_commit(self.m.max_clock(), latency, self.txns.in_flight());
         }
-        // Its lock releases are logged: nothing of it is appended again.
+        // Its lock releases were its last act and are not logged: nothing
+        // of it is appended again.
         self.retire(txn, Fate::Committed);
         Ok(())
     }

@@ -761,7 +761,8 @@ impl SmDb {
             // (admission granted them there), in admission order.
             for &txn in &epoch_txns {
                 self.locks.release_all(&mut self.m, &mut self.logs, txn)?;
-                // The lane settled it; these releases were its last records.
+                // The lane settled it; its grants here were logged, its
+                // releases are not: retire the records admission logged.
                 self.logs.retire_txn(txn);
             }
             if let Some(e) = first_error {

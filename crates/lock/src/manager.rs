@@ -4,7 +4,11 @@
 //! logical lock-log record written *before* the updated line is released —
 //! so lock state can never migrate to another node without the acquiring
 //! node's log describing it (the Volatile LBM discipline applied to the
-//! lock table, §4.2.2 + §5.1).
+//! lock table, §4.2.2 + §5.1). A transaction's final release
+//! ([`LockManager::release_all`], [`LockManager::early_release_all`]) is
+//! the one update not logged: recovery rebuilds the grants of active
+//! transactions only, so a release that ends the transaction's lock
+//! state has nothing to tell it.
 //!
 //! Forward-path fast lane: under strict 2PL only the owning transaction
 //! ever releases its own grant, so the volatile per-transaction chain
@@ -839,6 +843,22 @@ impl LockManager {
         txn: TxnId,
         name: u64,
     ) -> Result<Vec<LockEntry>, LockError> {
+        self.release_one(m, logs, txn, name, true)
+    }
+
+    /// [`release`](Self::release), appending the `LockRelease` record only
+    /// when `logged`. A transaction's final release is not logged: lock
+    /// recovery rebuilds the grants of *active* transactions only, and the
+    /// transaction leaves that set before (or, under early lock release,
+    /// at) its final release.
+    fn release_one(
+        &mut self,
+        m: &mut Machine,
+        logs: &mut LogSet,
+        txn: TxnId,
+        name: u64,
+        logged: bool,
+    ) -> Result<Vec<LockEntry>, LockError> {
         let node = txn.node();
         let lcb = &mut self.scratch;
         let (line, slot) =
@@ -848,7 +868,9 @@ impl LockManager {
         }
         m.getline(node, line)?;
         let result = (|| {
-            logs.append(node, LogPayload::LockRelease { txn, name, wait_only: false });
+            if logged {
+                logs.append(node, LogPayload::LockRelease { txn, name, wait_only: false });
+            }
             lcb.remove(txn);
             let promoted = lcb.promote_waiters(self.table.geometry().max_holders);
             for p in promoted.iter() {
@@ -954,6 +976,10 @@ impl LockManager {
     /// Release every lock held by `txn` (commit/abort path under strict
     /// 2PL: locks are not released until the transaction ends — §2).
     /// Returns all promoted entries with the lock they were granted.
+    ///
+    /// The releases are not logged (promotions are): this is the
+    /// transaction's last act, and lock recovery rebuilds only the grants
+    /// of transactions still active at the crash.
     pub fn release_all(
         &mut self,
         m: &mut Machine,
@@ -962,20 +988,23 @@ impl LockManager {
     ) -> Result<Vec<(u64, LockEntry)>, LockError> {
         let mut promoted = Vec::new();
         while let Some((name, _)) = self.chains.first_entry(txn) {
-            promoted.extend(self.release(m, logs, txn, name)?.into_iter().map(|e| (name, e)));
+            let granted = self.release_one(m, logs, txn, name, false)?;
+            promoted.extend(granted.into_iter().map(|e| (name, e)));
         }
         Ok(promoted)
     }
 
     /// Release every lock held by `txn` at commit-record *append* time
     /// (early lock release / controlled lock violation). Mechanically
-    /// identical to [`release_all`](Self::release_all) — the LCB updates
-    /// and log records are the same, which is exactly why recovery needs
-    /// no changes — but it additionally reports which names were held
-    /// exclusively (those become violation edges: the data they guard
-    /// carries a not-yet-durable commit) and counts them in
+    /// identical to [`release_all`](Self::release_all) — the same LCB
+    /// updates, the same promotions logged, no release logged — but it
+    /// additionally reports which names were held exclusively (those
+    /// become violation edges: the data they guard carries a
+    /// not-yet-durable commit) and counts them in
     /// [`LockStats::early_released`] and the `lock.early_released`
-    /// counter.
+    /// counter. The transaction stays active until its commit settles
+    /// while holding nothing: restart leaves it out of the set whose
+    /// grants it rebuilds.
     ///
     /// Returns `(released, promoted)`: every released `(name, mode)` in
     /// acquisition order, and the waiter entries promoted by the releases.
@@ -994,7 +1023,8 @@ impl LockManager {
                 m.obs().metrics.inc(EARLY_RELEASED_COUNTER);
             }
             released.push((name, mode));
-            promoted.extend(self.release(m, logs, txn, name)?.into_iter().map(|e| (name, e)));
+            let granted = self.release_one(m, logs, txn, name, false)?;
+            promoted.extend(granted.into_iter().map(|e| (name, e)));
         }
         Ok((released, promoted))
     }

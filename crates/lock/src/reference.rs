@@ -10,7 +10,9 @@
 //! state this model keeps.
 //!
 //! It also records the logical lock-log stream (acquires — queued ones
-//! included — and releases) per node, in the same order the real manager
+//! included — and the releases that are logged: single-name releases and
+//! withdrawn waits, not a transaction's final release) per node, in the
+//! same order the real manager
 //! appends them, so a differential test can assert that the flat-slot
 //! implementation would drive recovery identically.
 //!
@@ -203,9 +205,9 @@ impl ReferenceLockManager {
 
     /// Mirror of [`LockManager::early_release_all`](crate::LockManager::early_release_all):
     /// identical LCB transitions and log records to
-    /// [`release_all`](Self::release_all), additionally reporting the
-    /// released `(name, mode)` pairs in acquisition order (the exclusive
-    /// ones become violation edges).
+    /// [`release_all`](Self::release_all) (no release logged), additionally
+    /// reporting the released `(name, mode)` pairs in acquisition order
+    /// (the exclusive ones become violation edges).
     #[allow(clippy::type_complexity)]
     pub fn early_release_all(
         &mut self,
@@ -222,18 +224,31 @@ impl ReferenceLockManager {
                 .expect("held_locks listed it")
                 .mode;
             released.push((name, mode));
-            promoted.extend(self.release(txn, name)?.into_iter().map(|e| (name, e)));
+            promoted.extend(self.release_one(txn, name, false)?.into_iter().map(|e| (name, e)));
         }
         Ok((released, promoted))
     }
 
     /// Mirror of [`LockManager::release`](crate::LockManager::release).
     pub fn release(&mut self, txn: TxnId, name: u64) -> Result<Vec<LockEntry>, LockError> {
+        self.release_one(txn, name, true)
+    }
+
+    /// [`release`](Self::release), logging the release only when `logged`
+    /// (a transaction's final release is not logged).
+    fn release_one(
+        &mut self,
+        txn: TxnId,
+        name: u64,
+        logged: bool,
+    ) -> Result<Vec<LockEntry>, LockError> {
         let holds = self.lcbs.get(&name).map(|l| l.holds(txn)).unwrap_or(false);
         if !holds {
             return Err(LockError::NotHolder { txn, name });
         }
-        self.log(txn.node(), RefLockRecord::Release { txn, name, wait_only: false });
+        if logged {
+            self.log(txn.node(), RefLockRecord::Release { txn, name, wait_only: false });
+        }
         let max_holders = self.max_holders;
         let lcb = self.lcbs.get_mut(&name).expect("holds checked");
         lcb.remove(txn);
@@ -279,12 +294,13 @@ impl ReferenceLockManager {
         Ok(true)
     }
 
-    /// Mirror of [`LockManager::release_all`](crate::LockManager::release_all).
+    /// Mirror of [`LockManager::release_all`](crate::LockManager::release_all):
+    /// the releases are not logged, the promotions are.
     pub fn release_all(&mut self, txn: TxnId) -> Result<Vec<(u64, LockEntry)>, LockError> {
         let names = self.held_locks(txn);
         let mut promoted = Vec::new();
         for name in names {
-            promoted.extend(self.release(txn, name)?.into_iter().map(|e| (name, e)));
+            promoted.extend(self.release_one(txn, name, false)?.into_iter().map(|e| (name, e)));
         }
         Ok(promoted)
     }

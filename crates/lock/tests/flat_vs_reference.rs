@@ -8,13 +8,18 @@
 //! lists, identical per-transaction chains, identical violation-edge
 //! inheritance, and — because the lock log is what recovery replays —
 //! identical per-node lock-record streams.
+//!
+//! A release-all or early-release-all is its transaction's end, as in the
+//! engine: its queued requests are withdrawn first, its releases are not
+//! logged, and the schedule's next op on that `(node, seq)` slot starts a
+//! fresh transaction id. Recovery is told only the live transactions.
 
 use proptest::prelude::*;
 use smdb_lock::reference::{RefLockRecord, ReferenceLockManager};
 use smdb_lock::{LcbGeometry, LockManager, LockMode, LockOutcome, LockTable, ViolationTable};
 use smdb_sim::{Machine, NodeId, SimConfig, TxnId};
 use smdb_wal::{LogPayload, LogSet, Lsn};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 const NODES: u16 = 4;
 const SEQS: u64 = 4;
@@ -61,6 +66,63 @@ fn t(node: u16, seq: u64) -> TxnId {
     TxnId::new(NodeId(node), seq)
 }
 
+/// The transaction ids a schedule's `(node, seq)` slots stand for: a slot
+/// names a fresh transaction after each end (the engine never reuses an
+/// id).
+#[derive(Default)]
+struct Ids {
+    ends: BTreeMap<(u16, u64), u64>,
+}
+
+impl Ids {
+    fn current(&self, node: u16, seq: u64) -> TxnId {
+        t(node, seq + SEQS * self.ends.get(&(node, seq)).copied().unwrap_or(0))
+    }
+
+    fn end(&mut self, node: u16, seq: u64) {
+        *self.ends.entry((node, seq)).or_default() += 1;
+    }
+
+    /// The live transactions: each slot's current one.
+    fn live(&self) -> Vec<TxnId> {
+        (0..NODES)
+            .flat_map(|n| (1..=SEQS).map(move |s| (n, s)))
+            .map(|(n, s)| self.current(n, s))
+            .collect()
+    }
+
+    /// Every transaction the schedule named, ended ones included.
+    fn all(&self) -> Vec<TxnId> {
+        let mut ids = Vec::new();
+        for node in 0..NODES {
+            for seq in 1..=SEQS {
+                let ends = self.ends.get(&(node, seq)).copied().unwrap_or(0);
+                ids.extend((0..=ends).map(|e| t(node, seq + SEQS * e)));
+            }
+        }
+        ids
+    }
+}
+
+/// Withdraw every queued request of `txn`, on both managers, before its
+/// final release (the engine's abort does the same; a committer has none).
+fn withdraw_waits(
+    m: &mut Machine,
+    logs: &mut LogSet,
+    mgr: &mut LockManager,
+    reference: &mut ReferenceLockManager,
+    txn: TxnId,
+) -> Result<(), TestCaseError> {
+    for name in 1..=NAMES {
+        if reference.waiters_of(name).iter().any(|w| w.txn == txn) {
+            let real = mgr.cancel_wait(m, logs, txn, name);
+            let model = reference.cancel_wait(txn, name);
+            prop_assert_eq!(&real, &model, "withdraw {:?} {}", txn, name);
+        }
+    }
+    Ok(())
+}
+
 /// The real manager's logical lock-record stream for `node` (recovery's
 /// input), in the reference model's vocabulary.
 fn lock_stream(logs: &LogSet, node: NodeId) -> Vec<RefLockRecord> {
@@ -87,7 +149,8 @@ fn run_schedule(
     logs: &mut LogSet,
     mgr: &mut LockManager,
     reference: &mut ReferenceLockManager,
-) -> Result<(), TestCaseError> {
+) -> Result<Ids, TestCaseError> {
+    let mut ids = Ids::default();
     // Violation-edge lockstep: one table fed by the real manager's
     // early releases, one by the model's. Granted acquires must then
     // inherit identical dependency edges from both.
@@ -97,7 +160,7 @@ fn run_schedule(
     for op in ops {
         match *op {
             Op::Acquire { node, seq, name, exclusive } => {
-                let txn = t(node, seq);
+                let txn = ids.current(node, seq);
                 let mode = if exclusive { LockMode::Exclusive } else { LockMode::Shared };
                 let real = mgr.acquire(m, logs, txn, name, mode);
                 let model = reference.acquire_from(txn, name, mode, txn.node());
@@ -113,7 +176,7 @@ fn run_schedule(
                 }
             }
             Op::Poll { node, seq, name, exclusive } => {
-                let txn = t(node, seq);
+                let txn = ids.current(node, seq);
                 let mode = if exclusive { LockMode::Exclusive } else { LockMode::Shared };
                 let real = mgr.poll_from(m, logs, txn, name, mode, txn.node());
                 let model = reference.poll_from(txn, name, mode, txn.node());
@@ -129,7 +192,9 @@ fn run_schedule(
                 }
             }
             Op::EarlyReleaseAll { node, seq } => {
-                let txn = t(node, seq);
+                let txn = ids.current(node, seq);
+                withdraw_waits(m, logs, mgr, reference, txn)?;
+                ids.end(node, seq);
                 let real = mgr.early_release_all(m, logs, txn);
                 let model = reference.early_release_all(txn);
                 prop_assert_eq!(&real, &model, "early_release_all {:?}", txn);
@@ -152,19 +217,21 @@ fn run_schedule(
                 }
             }
             Op::Release { node, seq, name } => {
-                let txn = t(node, seq);
+                let txn = ids.current(node, seq);
                 let real = mgr.release(m, logs, txn, name);
                 let model = reference.release(txn, name);
                 prop_assert_eq!(&real, &model, "release {:?} {}", txn, name);
             }
             Op::CancelWait { node, seq, name } => {
-                let txn = t(node, seq);
+                let txn = ids.current(node, seq);
                 let real = mgr.cancel_wait(m, logs, txn, name);
                 let model = reference.cancel_wait(txn, name);
                 prop_assert_eq!(&real, &model, "cancel {:?} {}", txn, name);
             }
             Op::ReleaseAll { node, seq } => {
-                let txn = t(node, seq);
+                let txn = ids.current(node, seq);
+                withdraw_waits(m, logs, mgr, reference, txn)?;
+                ids.end(node, seq);
                 let real = mgr.release_all(m, logs, txn);
                 let model = reference.release_all(txn);
                 prop_assert_eq!(&real, &model, "release_all {:?}", txn);
@@ -178,13 +245,14 @@ fn run_schedule(
     }
     prop_assert_eq!(real_viol.edges_recorded(), model_viol.edges_recorded(), "edge totals");
     prop_assert_eq!(real_viol.violated_names(), model_viol.violated_names(), "violated names");
-    Ok(())
+    Ok(ids)
 }
 
 fn assert_equivalent_state(
     m: &mut Machine,
     mgr: &LockManager,
     reference: &ReferenceLockManager,
+    ids: &Ids,
     query_node: NodeId,
     sorted: bool,
 ) -> Result<(), TestCaseError> {
@@ -203,35 +271,37 @@ fn assert_equivalent_state(
         prop_assert_eq!(&real_h, &model_h, "holders of {}", name);
         prop_assert_eq!(&real_w, &model_w, "waiters of {}", name);
     }
-    for node in 0..NODES {
-        for seq in 1..=SEQS {
-            let txn = t(node, seq);
-            let real = mgr.held_locks(txn);
-            let model = reference.held_locks(txn);
-            if sorted {
-                let real: BTreeSet<u64> = real.into_iter().collect();
-                let model: BTreeSet<u64> = model.into_iter().collect();
-                prop_assert_eq!(real, model, "chain of {:?}", txn);
-            } else {
-                prop_assert_eq!(real, model, "chain of {:?}", txn);
-            }
+    for txn in ids.all() {
+        let real = mgr.held_locks(txn);
+        let model = reference.held_locks(txn);
+        if sorted {
+            let real: BTreeSet<u64> = real.into_iter().collect();
+            let model: BTreeSet<u64> = model.into_iter().collect();
+            prop_assert_eq!(real, model, "chain of {:?}", txn);
+        } else {
+            prop_assert_eq!(real, model, "chain of {:?}", txn);
         }
     }
     Ok(())
 }
 
+/// `PROPTEST_CASES` from the environment (a deeper run), else `default`.
+fn cases_or(default: u32) -> u32 {
+    std::env::var("PROPTEST_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(default)
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: cases_or(64), ..ProptestConfig::default() })]
 
     #[test]
     fn flat_lock_table_matches_reference(
         ops in proptest::collection::vec(op_strategy(), 1..120),
     ) {
         let (mut m, mut logs, mut mgr, mut reference) = setup();
-        run_schedule(&ops, &mut m, &mut logs, &mut mgr, &mut reference)?;
+        let ids = run_schedule(&ops, &mut m, &mut logs, &mut mgr, &mut reference)?;
         // Identical lock state, chain state (order included), and — the
         // part recovery depends on — identical per-node lock-log streams.
-        assert_equivalent_state(&mut m, &mgr, &reference, NodeId(0), false)?;
+        assert_equivalent_state(&mut m, &mgr, &reference, &ids, NodeId(0), false)?;
         for node in 0..NODES {
             prop_assert_eq!(
                 lock_stream(&logs, NodeId(node)),
@@ -248,7 +318,7 @@ proptest! {
         crash_node in 0..NODES,
     ) {
         let (mut m, mut logs, mut mgr, mut reference) = setup();
-        run_schedule(&ops, &mut m, &mut logs, &mut mgr, &mut reference)?;
+        let ids = run_schedule(&ops, &mut m, &mut logs, &mut mgr, &mut reference)?;
         // Wait-queue order is not durable state (§4.2.2 reconstructs queued
         // requests from per-node logs, losing global FIFO order), so a
         // promotion race between two queued waiters after the crash could
@@ -274,15 +344,15 @@ proptest! {
         logs.crash(&[crashed]);
         reference.crash_node(crashed);
         let recovery_node = m.surviving_nodes()[0];
-        let active: BTreeSet<TxnId> = (0..NODES)
-            .filter(|n| *n != crash_node)
-            .flat_map(|n| (1..=SEQS).map(move |s| t(n, s)))
-            .collect();
+        // The live transactions of the surviving nodes: an ended one's
+        // grants are gone from the LCBs, and its releases are not logged.
+        let active: BTreeSet<TxnId> =
+            ids.live().into_iter().filter(|txn| txn.node() != crashed).collect();
         mgr.recover(&mut m, &mut logs, &[crashed], &active, recovery_node)
             .map_err(|e| TestCaseError::fail(format!("recover: {e}")))?;
         // Reconstruction packs multi-holder LCBs in log-scan order, so
         // compare entry *sets* (with modes), not entry order.
-        assert_equivalent_state(&mut m, &mgr, &reference, recovery_node, true)?;
+        assert_equivalent_state(&mut m, &mgr, &reference, &ids, recovery_node, true)?;
         // The fast lane must stay truthful after recovery: every grant the
         // reference still sees is answerable from the rebuilt chains.
         for name in 1..=NAMES {

@@ -1,6 +1,11 @@
 //! Property tests for the shared-memory lock manager: compatibility
 //! invariants under random acquire/release traffic, and §4.2.2 recovery
 //! invariants under random crashes.
+//!
+//! A release-all is its transaction's end, as in the engine: its queued
+//! requests are withdrawn first, its releases are not logged, and the next
+//! op on that `(node, seq)` slot starts a fresh transaction id. Recovery
+//! is told only the live transactions.
 
 use proptest::prelude::*;
 use smdb_lock::{LcbGeometry, LockManager, LockMode, LockOutcome, LockTable};
@@ -51,8 +56,13 @@ fn check_lcb_invariants(
     Ok(())
 }
 
+/// `PROPTEST_CASES` from the environment (a deeper run), else `default`.
+fn cases_or(default: u32) -> u32 {
+    std::env::var("PROPTEST_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(default)
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: cases_or(48), ..ProptestConfig::default() })]
 
     #[test]
     fn lock_invariants_under_random_traffic(
@@ -64,12 +74,18 @@ proptest! {
         let table = LockTable::create(&mut m, NodeId(0), 9000, 8, LcbGeometry::co_located())
             .expect("create table");
         let mut mgr = LockManager::new(table);
-        // Model: which (txn) → granted names, to know who is active.
+        // Model: which (txn) → granted names and queued names, and how
+        // many transactions each `(node, seq)` slot has ended.
         let mut granted: BTreeMap<TxnId, BTreeSet<u64>> = BTreeMap::new();
+        let mut queued: BTreeMap<TxnId, BTreeSet<u64>> = BTreeMap::new();
+        let mut ends: BTreeMap<(u16, u64), u64> = BTreeMap::new();
+        let current = |ends: &BTreeMap<(u16, u64), u64>, node: u16, seq: u64| {
+            TxnId::new(NodeId(node), seq + 3 * ends.get(&(node, seq)).copied().unwrap_or(0))
+        };
         for op in &ops {
             match *op {
                 Op::Acquire { node, seq, name, exclusive } => {
-                    let txn = TxnId::new(NodeId(node), seq);
+                    let txn = current(&ends, node, seq);
                     let mode = if exclusive { LockMode::Exclusive } else { LockMode::Shared };
                     match mgr.acquire(&mut m, &mut logs, txn, name, mode) {
                         Ok(LockOutcome::Granted) => {
@@ -78,13 +94,30 @@ proptest! {
                         Ok(LockOutcome::AlreadyHeld) => {
                             prop_assert!(granted.get(&txn).map(|g| g.contains(&name)).unwrap_or(false));
                         }
-                        Ok(LockOutcome::Waiting) => {}
+                        Ok(LockOutcome::Waiting) => {
+                            queued.entry(txn).or_default().insert(name);
+                        }
                         Err(smdb_lock::LockError::CapacityExceeded { .. }) => {}
                         Err(e) => return Err(TestCaseError::fail(format!("acquire: {e}"))),
                     }
                 }
                 Op::ReleaseAll { node, seq } => {
-                    let txn = TxnId::new(NodeId(node), seq);
+                    let txn = current(&ends, node, seq);
+                    *ends.entry((node, seq)).or_default() += 1;
+                    // Withdraw its queued requests first (the engine's
+                    // abort does; a committer has none). A withdrawal can
+                    // promote the waiters behind it.
+                    for name in queued.remove(&txn).unwrap_or_default() {
+                        let before = mgr.holders_of(&mut m, NodeId(0), name)
+                            .map_err(|e| TestCaseError::fail(format!("holders_of: {e}")))?;
+                        mgr.cancel_wait(&mut m, &mut logs, txn, name)
+                            .map_err(|e| TestCaseError::fail(format!("cancel_wait: {e}")))?;
+                        let after = mgr.holders_of(&mut m, NodeId(0), name)
+                            .map_err(|e| TestCaseError::fail(format!("holders_of: {e}")))?;
+                        for h in after.iter().filter(|h| !before.iter().any(|b| b.txn == h.txn)) {
+                            granted.entry(h.txn).or_default().insert(name);
+                        }
+                    }
                     let promoted = mgr
                         .release_all(&mut m, &mut logs, txn)
                         .map_err(|e| TestCaseError::fail(format!("release: {e}")))?;
@@ -103,10 +136,13 @@ proptest! {
         logs.crash(&[crashed]);
         let survivors: Vec<NodeId> = m.surviving_nodes();
         let recovery_node = survivors[0];
-        // Active survivors: every txn with a chain whose node survived.
+        // Active survivors: each surviving slot's live transaction. An
+        // ended one's grants are gone from the LCBs, and its releases are
+        // not logged.
         let active: BTreeSet<TxnId> = (0..4u16)
             .filter(|n| *n != crash_node)
-            .flat_map(|n| (1u64..4).map(move |s| TxnId::new(NodeId(n), s)))
+            .flat_map(|n| (1u64..4).map(move |s| (n, s)))
+            .map(|(n, s)| current(&ends, n, s))
             .collect();
         mgr.recover(&mut m, &mut logs, &[crashed], &active, recovery_node)
             .map_err(|e| TestCaseError::fail(format!("recover: {e}")))?;
