@@ -88,6 +88,30 @@ cargo test --release -q -p smdb-vopr --test coalesce_equivalence
 cargo test --release -q -p smdb-bench --test e17_read_only_commit
 cargo test --release -q -p smdb-vopr --test vopr fixed_seed_sweep_reaches_read_only_commits
 
+echo "== lock releases: a transaction's final release is not logged =="
+# release_all and early_release_all log no LockRelease (DESIGN §4): lock
+# recovery rebuilds only the grants of transactions still active at the
+# crash, and restart leaves out an early-lock-release committer, which is
+# active but holds nothing. lock_release: that committer holds nothing
+# after its released name's LCB line dies; a surviving holder gets exactly
+# its S and X locks back; a fault inside release_all leaves no grant of
+# its victim; and a record handed from n0 to n1 on StableTriggered makes
+# the trigger force nothing on n0. flat_vs_reference: the lock manager
+# equals its reference model, lock-record streams included, and after a
+# crash recovery told only the live transactions rebuilds the same
+# state. lock_proptest: LCB invariants hold under random traffic and after
+# a crash. Both at 2000 cases (the workspace steps run 64 and 48). E10:
+# lock waiting drops under ELR on every protocol, the durability volume
+# does not change, and on the Stable protocols ELR pays at least strict
+# 2PL's physical forces. E4: with commits pipelined, StableTriggered's
+# forces grow with sharing, strictly between Volatile's and StableEager's;
+# in the serial mix it pays commit forces only (at most one trigger force
+# in twenty transactions). experiments_tables holds EXPERIMENTS.md's E4
+# and E10-elr tables (and the other marked ones) to report_fast.golden.
+cargo test --release -q -p smdb-core --test lock_release
+PROPTEST_CASES=2000 cargo test --release -q -p smdb-lock --test flat_vs_reference --test lock_proptest
+cargo test --release -q -p smdb-bench --test e10_elr --test e4_log_forces --test experiments_tables
+
 echo "== segmented-log model (2000 cases) =="
 # The segmented NodeLog against one plain Vec<LogRecord> with a
 # whole-history index, after every step of random append / force / torn
