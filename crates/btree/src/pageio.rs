@@ -27,10 +27,6 @@ use smdb_sim::{span_bytes, LineId, Machine, MemError, NodeId, SpanResidency, Tri
 use smdb_storage::{PageGeometry, PageId, StableDb, PAGE_LSN_OFFSET, PAGE_LSN_SIZE};
 use smdb_wal::{LbmMode, LogSet, Lsn, PageLsnTable};
 
-/// Counter of LBM force requests absorbed by the coalescing window
-/// instead of paying a physical force.
-const COALESCED_FORCES_COUNTER: &str = smdb_obs::names::WAL_FORCES_COALESCED;
-
 /// Counter of log-record payload bytes appended to the per-node logs.
 pub const APPEND_BYTES_COUNTER: &str = smdb_obs::names::WAL_APPEND_BYTES;
 
@@ -94,13 +90,6 @@ pub struct TreeCtx<'a> {
     /// forces, shared-line forces and eager per-update forces (feeds the
     /// Table 1 "higher frequency of log forces" accounting).
     pub lbm_forces: u64,
-    /// Count of LBM force requests registered with the coalescing window
-    /// (deferred, not physical) during this context's lifetime.
-    pub force_requests: u64,
-    /// Whether LBM force requests go through the coalescing window
-    /// (forward path) instead of each paying a physical force. Always off
-    /// for recovery-side contexts: recovery forces are physical.
-    coalesce: bool,
     /// Node whose force charges this context should tally into
     /// [`TreeCtx::attr_force_cycles`] — the acting transaction's home,
     /// set by the engine's index operations for span attribution. Forces
@@ -135,8 +124,6 @@ impl<'a> TreeCtx<'a> {
             lbm,
             gsn,
             lbm_forces: 0,
-            force_requests: 0,
-            coalesce: false,
             attr_node: None,
             attr_force_cycles: 0,
             scratch: Vec::new(),
@@ -156,14 +143,6 @@ impl<'a> TreeCtx<'a> {
         if self.attr_node == Some(node) {
             self.attr_force_cycles += cost;
         }
-    }
-
-    /// Route LBM force requests through the coalescing window. The log
-    /// set's own coalescing must be enabled
-    /// ([`LogSet::set_coalescing`]) when this is.
-    pub fn with_coalescing(mut self, on: bool) -> Self {
-        self.coalesce = on;
-        self
     }
 
     /// Draw the next global update sequence number.
@@ -202,12 +181,10 @@ impl<'a> TreeCtx<'a> {
     }
 
     /// Whether the §5.2 coherence trigger is live under this context's
-    /// policy. Volatile logging needs no force and uncoalesced eager
-    /// forcing never leaves active lines behind; coalesced StableEager
-    /// defers its per-update force requests to the same trigger
-    /// StableTriggered uses, so the trigger must be live for it too.
+    /// policy. Volatile logging needs no force and eager forcing never
+    /// leaves active lines behind.
     fn trigger_live(&self) -> bool {
-        self.lbm.uses_triggers() || (self.coalesce && self.lbm.forces_eagerly())
+        self.lbm.uses_triggers()
     }
 
     /// Enforce the §5.2 trigger for an impending access: if the line is
@@ -295,40 +272,17 @@ impl<'a> TreeCtx<'a> {
     pub fn after_update(&mut self, node: NodeId, spans: &[LineSpan]) -> Result<(), BtreeError> {
         match self.lbm {
             LbmMode::Volatile => {}
-            LbmMode::StableEager => {
-                if self.coalesce {
-                    // Group commit of LBM forces: raise the pending
-                    // high-water mark (one word) instead of paying the
-                    // physical force, then defer to the coherence
-                    // trigger exactly like StableTriggered — the
-                    // request only becomes physical when uncommitted
-                    // bytes would actually publish.
-                    let last = self.logs.log(node).last_lsn();
-                    if self.logs.request_force_to(node, last) {
-                        self.force_requests += 1;
-                        let obs = self.m.obs();
-                        if obs.is_enabled() {
-                            obs.metrics.inc(COALESCED_FORCES_COUNTER);
-                        }
-                    }
-                    self.mark_or_force(node, spans)?;
-                } else {
-                    self.lbm_force(node)?;
-                }
-            }
-            LbmMode::StableTriggered => {
-                self.mark_or_force(node, spans)?;
-            }
+            LbmMode::StableEager => self.lbm_force(node)?,
+            LbmMode::StableTriggered => self.mark_or_force(node, spans)?,
         }
         Ok(())
     }
 
-    /// Deferred-force line handling shared by `StableTriggered` and
-    /// coalesced `StableEager`: under write-broadcast, a write to a
-    /// *shared* line has already replicated the uncommitted bytes into
-    /// other caches — the "migration" happened at the write itself, so
-    /// the log must be forced now. Only exclusively-held lines can defer
-    /// to the coherence trigger.
+    /// `StableTriggered`'s deferred-force line handling: under
+    /// write-broadcast, a write to a *shared* line has already replicated
+    /// the uncommitted bytes into other caches — the "migration" happened
+    /// at the write itself, so the log must be forced now. Only
+    /// exclusively-held lines can defer to the coherence trigger.
     fn mark_or_force(&mut self, node: NodeId, spans: &[LineSpan]) -> Result<(), BtreeError> {
         let mut forced = false;
         for l in spans.iter().flat_map(LineSpan::iter) {
@@ -709,13 +663,12 @@ mod tests {
     /// Three nodes; `P` resident with two *active* lines owned by
     /// different nodes (n0's update on line 1, n1's on line 2), event bus
     /// on. What a third node's page access must cut its span around.
-    fn two_active_lines(lbm: LbmMode, coalesce: bool) -> Owned {
+    fn two_active_lines() -> Owned {
         let m = Machine::new(SimConfig::new(3));
         let mut db = StableDb::new(PageGeometry::new(128, 4));
         db.format(8);
         let mut o = Owned { m, db, logs: LogSet::new(3), plt: PageLsnTable::new(), gsn: 0 };
-        o.logs.set_coalescing(coalesce);
-        let mut c = ctx(&mut o, lbm).with_coalescing(coalesce);
+        let mut c = ctx(&mut o, LbmMode::StableTriggered);
         for (node, offset) in [(N0, 130), (N1, 300)] {
             let touched = c.write(node, P, offset, &[node.0 as u8 + 1; 4]).unwrap();
             c.logs.append(node, smdb_wal::LogPayload::Checkpoint);
@@ -741,47 +694,44 @@ mod tests {
     #[test]
     fn page_spans_fire_triggers_where_the_per_line_loop_did() {
         const N2: NodeId = NodeId(2);
-        for (lbm, coalesce) in [(LbmMode::StableTriggered, false), (LbmMode::StableEager, true)] {
-            // Whole-page read by the third node: both owners downgraded.
-            let (mut span, mut per_line) =
-                (two_active_lines(lbm, coalesce), two_active_lines(lbm, coalesce));
-            let (mut a, mut b) = ([0u8; 512], [0u8; 512]);
-            let mut c = ctx(&mut span, lbm).with_coalescing(coalesce);
-            c.read(N2, P, 0, &mut a).unwrap();
-            let span_forces = c.lbm_forces;
-            let mut c = ctx(&mut per_line, lbm).with_coalescing(coalesce);
-            for (idx, chunk) in b.chunks_mut(128).enumerate() {
-                let line = c.line_of(P, idx * 128);
-                c.enforce_trigger(N2, line, false).unwrap();
-                c.m.read_into(N2, line, 0, chunk).unwrap();
-            }
-            let line_forces = c.lbm_forces;
-            assert_eq!(span_forces, 2, "{lbm:?}: one force per owner");
-            assert_eq!(a, b);
-            assert_eq!(observed(&span, span_forces), observed(&per_line, line_forces), "{lbm:?}");
-
-            // Multi-line write by the third node, lines 1–3 from mid-line:
-            // both owners invalidated.
-            let (mut span, mut per_line) =
-                (two_active_lines(lbm, coalesce), two_active_lines(lbm, coalesce));
-            let bytes = [9u8; 300];
-            let mut c = ctx(&mut span, lbm).with_coalescing(coalesce);
-            let touched = c.write(N2, P, 200, &bytes).unwrap();
-            let span_forces = c.lbm_forces;
-            assert_eq!(touched, LineSpan::new(c.line_of(P, 128), 3));
-            let mut c = ctx(&mut per_line, lbm).with_coalescing(coalesce);
-            for (offset, within, chunk) in
-                [(200, 72, &bytes[..56]), (256, 0, &bytes[56..184]), (384, 0, &bytes[184..])]
-            {
-                let line = c.line_of(P, offset);
-                c.enforce_trigger(N2, line, true).unwrap();
-                c.m.write(N2, line, within, chunk).unwrap();
-            }
-            let line_forces = c.lbm_forces;
-            assert_eq!(span_forces, 2, "{lbm:?}: one force per owner");
-            assert_eq!(observed(&span, span_forces), observed(&per_line, line_forces), "{lbm:?}");
-            assert_eq!(span.m.peek(LineId(9)), per_line.m.peek(LineId(9)));
+        const LBM: LbmMode = LbmMode::StableTriggered;
+        // Whole-page read by the third node: both owners downgraded.
+        let (mut span, mut per_line) = (two_active_lines(), two_active_lines());
+        let (mut a, mut b) = ([0u8; 512], [0u8; 512]);
+        let mut c = ctx(&mut span, LBM);
+        c.read(N2, P, 0, &mut a).unwrap();
+        let span_forces = c.lbm_forces;
+        let mut c = ctx(&mut per_line, LBM);
+        for (idx, chunk) in b.chunks_mut(128).enumerate() {
+            let line = c.line_of(P, idx * 128);
+            c.enforce_trigger(N2, line, false).unwrap();
+            c.m.read_into(N2, line, 0, chunk).unwrap();
         }
+        let line_forces = c.lbm_forces;
+        assert_eq!(span_forces, 2, "one force per owner");
+        assert_eq!(a, b);
+        assert_eq!(observed(&span, span_forces), observed(&per_line, line_forces));
+
+        // Multi-line write by the third node, lines 1–3 from mid-line:
+        // both owners invalidated.
+        let (mut span, mut per_line) = (two_active_lines(), two_active_lines());
+        let bytes = [9u8; 300];
+        let mut c = ctx(&mut span, LBM);
+        let touched = c.write(N2, P, 200, &bytes).unwrap();
+        let span_forces = c.lbm_forces;
+        assert_eq!(touched, LineSpan::new(c.line_of(P, 128), 3));
+        let mut c = ctx(&mut per_line, LBM);
+        for (offset, within, chunk) in
+            [(200, 72, &bytes[..56]), (256, 0, &bytes[56..184]), (384, 0, &bytes[184..])]
+        {
+            let line = c.line_of(P, offset);
+            c.enforce_trigger(N2, line, true).unwrap();
+            c.m.write(N2, line, within, chunk).unwrap();
+        }
+        let line_forces = c.lbm_forces;
+        assert_eq!(span_forces, 2, "one force per owner");
+        assert_eq!(observed(&span, span_forces), observed(&per_line, line_forces));
+        assert_eq!(span.m.peek(LineId(9)), per_line.m.peek(LineId(9)));
     }
 
     #[test]

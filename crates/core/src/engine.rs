@@ -147,9 +147,8 @@ pub struct SmDb {
     pub(crate) mt_plan: Option<Vec<u64>>,
 }
 
-/// Construct a [`TreeCtx`] over the engine's split-borrowed fields, with
-/// physical log forces: what restart's index operations run on (recovery
-/// forces are never coalesced).
+/// Construct a [`TreeCtx`] over the engine's split-borrowed fields: what
+/// every forward and restart index or page operation runs on.
 macro_rules! tree_ctx {
     ($self:expr) => {
         TreeCtx::new(
@@ -163,15 +162,6 @@ macro_rules! tree_ctx {
     };
 }
 pub(crate) use tree_ctx;
-
-/// [`tree_ctx!`] for the forward path: LBM force requests go through the
-/// coalescing window when the configuration has one.
-macro_rules! engine_ctx {
-    ($self:expr) => {
-        $crate::engine::tree_ctx!($self).with_coalescing($self.cfg.coalesce_forces)
-    };
-}
-pub(crate) use engine_ctx;
 
 impl SmDb {
     /// Build and initialise an engine from a configuration: formats the
@@ -202,8 +192,7 @@ impl SmDb {
                 sdb.patch(PageId(p), off, &NULL_TAG.to_le_bytes());
             }
         }
-        let mut logs = LogSet::new(cfg.nodes);
-        logs.set_coalescing(cfg.coalesce_forces);
+        let logs = LogSet::new(cfg.nodes);
         let lock_base = total_pages as u64 * cfg.lines_per_page as u64 + LOCK_TABLE_GAP;
         let table =
             LockTable::create(&mut m, NodeId(0), lock_base, cfg.lock_buckets, cfg.lcb_geometry)
@@ -625,7 +614,7 @@ impl SmDb {
     ) -> Result<R, DbError> {
         let spans_on = self.m.obs().is_enabled();
         let t0 = if spans_on { self.m.now(node) } else { 0 };
-        let mut ctx = engine_ctx!(self).with_attribution(node);
+        let mut ctx = tree_ctx!(self).with_attribution(node);
         let out = op(&mut ctx, self.tree.as_mut())?;
         let force_cycles = ctx.attr_force_cycles;
         self.stats.add_lbm(&ctx);
@@ -685,7 +674,7 @@ impl SmDb {
         let rec_off = self.layout.page_offset(rec.slot);
         let payload_off = self.layout.payload_offset(rec.slot);
 
-        let mut ctx = engine_ctx!(self).with_attribution(node);
+        let mut ctx = tree_ctx!(self).with_attribution(node);
         // Fault the page in before taking line locks.
         ctx.ensure_resident(node, rec.page)?;
         // §5.2 triggers must fire *before* the line locks migrate the
@@ -743,9 +732,8 @@ impl SmDb {
             let _ = ctx.m.releaseline(node, rec_line);
         }
         let (_gsn, touched, before) = result?;
-        // LBM policy (eager force, coalesced force request or active-bit
-        // marking): the forces it charges to this node's clock are the
-        // force-wait span stage.
+        // LBM policy (eager force or active-bit marking): the forces it
+        // charges to this node's clock are the force-wait span stage.
         let policy = ctx.after_update(node, &touched);
         let force_cycles = ctx.attr_force_cycles;
         self.stats.add_lbm(&ctx);
@@ -945,14 +933,7 @@ impl SmDb {
         } else {
             let lsn = self.append_commit(txn, deps);
             let appended_at = self.m.now(node);
-            let had_window = self.logs.log(node).pending_force().is_some();
             self.drain_for(&[CommitDep { txn, lsn }])?;
-            // In an execution lane (see [`crate::mt`]) the per-node appender
-            // stalled the committer to drain a pending coalesced-force
-            // window it would otherwise have absorbed.
-            if self.m.now(node) > appended_at && had_window && self.mt_plan.is_some() {
-                self.m.obs().metrics.inc(names::WAL_APPENDER_STALLS);
-            }
             (lsn, appended_at)
         };
         // Crash point: the commit record is durable but post-commit
@@ -1084,11 +1065,6 @@ impl SmDb {
         // must cascade through every dependent.
         if let Some(c) = self.fault.hit(FAULT_COMMIT_DEP, node.0) {
             return Err(DbError::FaultCrash(c));
-        }
-        if self.cfg.coalesce_forces {
-            // Widen the coalescing window so a later physical force on
-            // this log covers the commit record in the same sweep.
-            self.logs.request_force_to(node, lsn);
         }
         let appended_at = self.m.now(node);
         if self.m.obs().is_enabled() {
@@ -1268,7 +1244,7 @@ impl SmDb {
                 // deferred redo entry afterwards would resurrect the tag.
                 self.ensure_line_recovered(node, self.rec_line(rec))?;
                 let off = self.layout.page_offset(rec.slot);
-                let mut ctx = engine_ctx!(self);
+                let mut ctx = tree_ctx!(self);
                 ctx.write(node, rec.page, off, &NULL_TAG.to_le_bytes())?;
             }
         }
@@ -1282,7 +1258,7 @@ impl SmDb {
                     _ => None,
                 })
                 .collect();
-            let mut ctx = engine_ctx!(self);
+            let mut ctx = tree_ctx!(self);
             for key in t.index_keys() {
                 // The physical reclaim of a committed delete is logged so
                 // log replay converges to the same physical state.
@@ -1356,7 +1332,7 @@ impl SmDb {
                     // recovered line, and no deferred entry may land on
                     // top of the restored value afterwards.
                     self.ensure_line_recovered(node, self.rec_line(*rec))?;
-                    let mut ctx = engine_ctx!(self);
+                    let mut ctx = tree_ctx!(self);
                     let gsn = ctx.next_gsn();
                     let off = self.layout.page_offset(rec.slot);
                     // Compensation record: redo-image = the restored value.
@@ -1378,14 +1354,14 @@ impl SmDb {
                 }
                 TxnOp::IndexInsert { key } => {
                     let tree = req(self.tree.as_mut(), "logged op implies an index")?;
-                    let mut ctx = engine_ctx!(self);
+                    let mut ctx = tree_ctx!(self);
                     let gsn = ctx.next_gsn();
                     ctx.logs.append(node, LogPayload::IndexRemove { txn, key: *key, gsn });
                     tree.undo_insert(&mut ctx, node, *key)?;
                 }
                 TxnOp::IndexDelete { key } => {
                     let tree = req(self.tree.as_mut(), "logged op implies an index")?;
-                    let mut ctx = engine_ctx!(self);
+                    let mut ctx = tree_ctx!(self);
                     let gsn = ctx.next_gsn();
                     ctx.logs.append(node, LogPayload::IndexUnmark { txn, key: *key, gsn });
                     tree.undo_delete(&mut ctx, node, *key)?;
@@ -1417,7 +1393,7 @@ impl SmDb {
     /// checkpoint's dirty set shares one allocation instead of paying one
     /// (and its zero-fill) per page.
     fn flush_pages(&mut self, node: NodeId, pages: &[PageId]) -> Result<(), DbError> {
-        let mut ctx = engine_ctx!(self);
+        let mut ctx = tree_ctx!(self);
         for &page in pages {
             let forces = ctx.flush_page(node, page)?;
             self.stats.wal_flush_forces += forces;
@@ -1475,7 +1451,7 @@ impl SmDb {
     /// Evict a page's lines from every cache (requires a prior flush; the
     /// stable image must be authoritative).
     pub fn evict_page(&mut self, page: PageId) {
-        let mut ctx = engine_ctx!(self);
+        let mut ctx = tree_ctx!(self);
         ctx.evict_page(page);
     }
 
@@ -1581,7 +1557,7 @@ impl SmDb {
     /// Live index contents, scanned by `node` (coherent reads).
     pub fn index_scan(&mut self, node: NodeId) -> Result<Vec<(u64, [u8; VAL_SIZE])>, DbError> {
         let tree = self.tree.as_mut().ok_or(DbError::NoIndex)?;
-        let mut ctx = engine_ctx!(self);
+        let mut ctx = tree_ctx!(self);
         Ok(tree.scan_live(&mut ctx, node)?)
     }
 
@@ -1593,7 +1569,7 @@ impl SmDb {
         let Some(tree) = self.tree.as_mut() else {
             return Ok(());
         };
-        let mut ctx = engine_ctx!(self);
+        let mut ctx = tree_ctx!(self);
         tree.check_invariants(&mut ctx, node)?;
         Ok(())
     }
@@ -1622,7 +1598,7 @@ impl SmDb {
         self.ensure_line_recovered(node, self.rec_line(rec))?;
         let off = self.layout.payload_offset(rec.slot);
         let mut buf = vec![0u8; self.layout.data_size];
-        let mut ctx = engine_ctx!(self);
+        let mut ctx = tree_ctx!(self);
         ctx.read(node, rec.page, off, &mut buf)?;
         self.stats.add_lbm(&ctx);
         self.stats.reads += 1;

@@ -41,7 +41,7 @@
 //! plan; they run inside [`SmDb::recover`].
 
 use crate::config::{ProtocolKind, RestartScheme};
-use crate::engine::{engine_ctx, tree_ctx, Fate, Join, SmDb};
+use crate::engine::{tree_ctx, Fate, Join, SmDb};
 use crate::error::{req, DbError};
 use crate::record::{RecordLayout, NULL_TAG};
 use crate::txn::{TxnState, TxnStatus};
@@ -1594,7 +1594,7 @@ impl SmDb {
         if !cached || self.restart.lost_pages.contains_key(&rec.page) {
             self.install_registered(actor, rec.page)?;
         }
-        let mut ctx = engine_ctx!(self);
+        let mut ctx = tree_ctx!(self);
         ctx.write(actor, rec.page, off, bytes)?;
         Ok(true)
     }
@@ -2092,13 +2092,13 @@ impl SmDb {
             let off = self.layout.page_offset(rec.slot);
             if committed {
                 // Stale tag on a committed value: scrub the tag only.
-                let mut ctx = engine_ctx!(self);
+                let mut ctx = tree_ctx!(self);
                 ctx.write(recovery_node, rec.page, off, &NULL_TAG.to_le_bytes())?;
                 outcome.tags_cleared += 1;
             } else {
                 let value = self.last_committed_payload(analysis, rec)?;
                 let bytes = self.layout.encode(NULL_TAG, &value);
-                let mut ctx = engine_ctx!(self);
+                let mut ctx = tree_ctx!(self);
                 ctx.write(recovery_node, rec.page, off, &bytes)?;
                 outcome.undo_records_applied += 1;
             }

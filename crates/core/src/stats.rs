@@ -36,10 +36,6 @@ pub struct EngineStats {
     /// the Stable LBM policy (eager per-update forces and trigger-driven
     /// forces), beyond commit/WAL forces.
     pub lbm_forces: u64,
-    /// LBM force *requests* absorbed by the coalescing window instead of
-    /// paying a physical force (zero unless
-    /// [`DbConfig::coalesce_forces`](crate::DbConfig) is set).
-    pub lbm_force_requests: u64,
     /// Forces required by the WAL rule at page flush.
     pub wal_flush_forces: u64,
     /// *(Table 1: Early Commit of Structural Changes)* structural changes
@@ -64,11 +60,9 @@ pub struct EngineStats {
 }
 
 impl EngineStats {
-    /// Fold a forward-path context's LBM counters in: the physical LBM
-    /// forces it ran and the force requests it left in the window.
+    /// Fold a forward-path context's physical LBM forces in.
     pub(crate) fn add_lbm(&mut self, ctx: &TreeCtx<'_>) {
         self.lbm_forces += ctx.lbm_forces;
-        self.lbm_force_requests += ctx.force_requests;
     }
 
     /// Counter-wise difference `self - earlier`. Saturates at zero: an
@@ -93,7 +87,6 @@ impl EngineStats {
             undo_tag_bytes,
             commit_forces,
             lbm_forces,
-            lbm_force_requests,
             wal_flush_forces,
             structural_early_commits,
             page_flushes,
@@ -127,7 +120,6 @@ impl EngineStats {
             undo_tag_bytes,
             commit_forces,
             lbm_forces,
-            lbm_force_requests,
             wal_flush_forces,
             structural_early_commits,
             page_flushes,

@@ -92,14 +92,11 @@ pub const SIM_SHARD_CONFLICTS: &str = "sim.shard_conflicts";
 // -- wal ----------------------------------------------------------------
 /// Undo+redo image bytes appended to in-memory log tails.
 pub const WAL_APPEND_BYTES: &str = "wal.append_bytes";
-/// Per-node WAL appender synchronous drains: a lane commit (or the epoch
-/// barrier) had to drain a pending coalesced-force window physically
-/// before proceeding.
+/// Per-node WAL appender drains at an epoch barrier: the lane left an
+/// unforced log tail that the barrier had to force.
 pub const WAL_APPENDER_STALLS: &str = "wal.appender_stalls";
 /// Records made durable per physical force.
 pub const WAL_FORCE_RECORDS: &str = "wal.force_records";
-/// Force requests absorbed into the coalescing window.
-pub const WAL_FORCES_COALESCED: &str = "wal.forces_coalesced";
 /// Physical log forces that reached stable storage.
 pub const WAL_PHYSICAL_FORCES: &str = "wal.physical_forces";
 
@@ -373,19 +370,13 @@ pub const CATALOG: &[MetricDef] = &[
         name: WAL_APPENDER_STALLS,
         kind: MetricKind::Counter,
         layer: "wal",
-        help: "Per-node appender drains of a pending coalesced-force window",
+        help: "Epoch-barrier forces of an unforced lane log tail",
     },
     MetricDef {
         name: WAL_FORCE_RECORDS,
         kind: MetricKind::Histogram,
         layer: "wal",
         help: "Records made durable per physical force",
-    },
-    MetricDef {
-        name: WAL_FORCES_COALESCED,
-        kind: MetricKind::Counter,
-        layer: "wal",
-        help: "Force requests absorbed into the coalescing window",
     },
     MetricDef {
         name: WAL_PHYSICAL_FORCES,

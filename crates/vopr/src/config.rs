@@ -39,7 +39,10 @@ pub struct VoprConfig {
     pub drain_every: usize,
     /// Early lock release (controlled lock violation; pipelined only).
     pub elr: bool,
-    /// Coalesced log forces.
+    /// Coalesced log forces (`co:`): still drawn and encoded so every
+    /// seed and repro line keeps its scenario. [`VoprConfig::db_config`]
+    /// passes it through [`DbConfig::with_coalesced_forces`], which runs
+    /// StableEager as StableTriggered and leaves other protocols alone.
     pub coalesce: bool,
     /// Instant restart: recovery opens the database after analysis and
     /// defers heap redo to on-demand application plus a background drain

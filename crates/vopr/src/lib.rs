@@ -15,7 +15,7 @@
 //!
 //! After every driver round the standing oracles run: `check_ifa`,
 //! B+-tree structural invariants, the lock chains↔LCB lockstep check,
-//! force-request parity, and (at the end) the committed-data check. A
+//! and (at the end) the committed-data check. A
 //! panic anywhere in the run fails it too, as the `panic` oracle. A
 //! failing schedule is [auto-shrunk](shrink) along three axes and
 //! reported as a single [`Repro`] line that [`replay_line`] re-executes

@@ -228,17 +228,6 @@ impl LogSet {
         self.logs.iter().map(|l| l.stats().forces).sum()
     }
 
-    /// Total logical durability requests across all logs (physical forces
-    /// plus coalesced requests).
-    pub fn total_forces_requested(&self) -> u64 {
-        self.logs.iter().map(|l| l.stats().forces_requested).sum()
-    }
-
-    /// Total requests absorbed into pending-force windows across all logs.
-    pub fn total_forces_coalesced(&self) -> u64 {
-        self.logs.iter().map(|l| l.stats().forces_coalesced).sum()
-    }
-
     /// Total records made stable by forces across all logs.
     pub fn total_records_forced(&self) -> u64 {
         self.logs.iter().map(|l| l.stats().records_forced).sum()

@@ -153,45 +153,6 @@ fn recovery_performs_exactly_one_analysis_scan() {
     db.check_ifa(NodeId(0)).assert_ok();
 }
 
-/// Coalesced (group) log forces under Stable-Eager: per-update force
-/// *requests* are absorbed into the pending window and the commit-time
-/// force makes the whole window durable in one physical force. The
-/// `wal.physical_forces` / `wal.forces_coalesced` counters expose the
-/// split, and the records made durable are identical either way.
-#[test]
-fn stable_eager_coalescing_absorbs_physical_forces() {
-    let run = |coalesce: bool| {
-        let mut cfg = DbConfig::small(4, ProtocolKind::StableEager);
-        if coalesce {
-            cfg = cfg.with_coalesced_forces();
-        }
-        let mut db = SmDb::new(cfg);
-        db.observability().enable(8192);
-        let t = db.begin(NodeId(0)).unwrap();
-        for slot in 0..6 {
-            db.update(t, slot, b"coalesce-me").unwrap();
-        }
-        db.commit(t).unwrap();
-        db.check_ifa(NodeId(0)).assert_ok();
-        let physical = db.observability().metrics.counter("wal.physical_forces");
-        let coalesced = db.observability().metrics.counter("wal.forces_coalesced");
-        (physical, coalesced, db.logs().total_records_forced())
-    };
-    let (phys_off, coal_off, records_off) = run(false);
-    let (phys_on, coal_on, records_on) = run(true);
-
-    // Eager mode without coalescing forces on every update; with
-    // coalescing those become window requests and only the commit-time
-    // force is physical.
-    assert_eq!(coal_off, 0, "coalescing off absorbs nothing");
-    assert!(coal_on >= 6, "every per-update request is absorbed, got {coal_on}");
-    assert!(phys_on < phys_off, "coalescing must reduce physical forces ({phys_on} vs {phys_off})");
-
-    // Durability volume is unchanged: the same records reach the stable
-    // log, just in fewer (batched) forces.
-    assert_eq!(records_on, records_off, "coalescing must not change durable records");
-}
-
 #[test]
 fn disabled_observability_records_nothing_but_phases_still_time() {
     let (mut db, records) = contended_line_scenario(false);
