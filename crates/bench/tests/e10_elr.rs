@@ -6,9 +6,11 @@
 //! behind a handful of hot record locks. Under strict 2PL those locks
 //! only come off once the commit force completes; controlled lock
 //! violation releases them at commit-record *append*, letting successors
-//! run inside the force window. On the Stable protocols that buys no
-//! forces: a successor's update makes the hot line active again, and the
-//! §5.2 trigger re-imposes the force when the line migrates. The gate is
+//! run inside the force window. On StableTriggered that buys no forces: a
+//! successor's update makes the hot line active again, and the §5.2
+//! trigger re-imposes the force when the line migrates. StableEager
+//! forces every update at once, so there is nothing for a migration to
+//! force, and ELR pays no more forces than strict 2PL. The gate is
 //! comparative — both cells run in-process on the identical operation
 //! stream — so it holds on any host.
 
@@ -30,21 +32,38 @@ fn pair<'a>(pts: &'a [ElrPoint], protocol: &str) -> (&'a ElrPoint, &'a ElrPoint)
 /// force, so its hot lines hand over with nothing left to force. Under ELR
 /// the successor updates a line whose predecessor's commit is still
 /// unforced, and the trigger forces it: ELR never pays fewer physical
-/// forces than strict 2PL on a Stable protocol.
+/// forces than strict 2PL on StableTriggered.
 #[test]
 fn stable_elr_pays_at_least_the_strict_2pl_physical_forces() {
     let pts = cells();
-    for p in ["StableEager", "StableTriggered"] {
-        let (off, on) = pair(&pts, p);
-        assert_eq!(off.committed, TXNS as u64, "{off:?}");
-        assert_eq!(on.committed, TXNS as u64, "{on:?}");
-        assert!(
-            on.physical_forces >= off.physical_forces,
-            "{p}: ELR paid fewer physical forces than strict 2PL: off={} on={}",
-            off.physical_forces,
-            on.physical_forces
-        );
-    }
+    let p = "StableTriggered";
+    let (off, on) = pair(&pts, p);
+    assert_eq!(off.committed, TXNS as u64, "{off:?}");
+    assert_eq!(on.committed, TXNS as u64, "{on:?}");
+    assert!(
+        on.physical_forces >= off.physical_forces,
+        "{p}: ELR paid fewer physical forces than strict 2PL: off={} on={}",
+        off.physical_forces,
+        on.physical_forces
+    );
+}
+
+/// StableEager forces each update the moment it is logged, so a
+/// successor never finds a line whose update still owes a force, and ELR
+/// adds no trigger forces. What it changes is the commit forces: a drain
+/// may cover several pipelined commit records in one force. ELR never
+/// pays more physical forces than strict 2PL on StableEager.
+#[test]
+fn eager_elr_pays_at_most_the_strict_2pl_physical_forces() {
+    let pts = cells();
+    let (off, on) = pair(&pts, "StableEager");
+    assert_eq!((off.committed, on.committed), (TXNS as u64, TXNS as u64), "{off:?} {on:?}");
+    assert!(
+        on.physical_forces <= off.physical_forces,
+        "StableEager: ELR paid more physical forces than strict 2PL: off={} on={}",
+        off.physical_forces,
+        on.physical_forces
+    );
 }
 
 #[test]

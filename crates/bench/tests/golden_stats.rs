@@ -147,11 +147,8 @@ fn restart_cells() -> Vec<(ProtocolKind, bool, Vec<NodeId>)> {
 /// One cell of the restart scenario up to the moment before the crash:
 /// the engine and the number of transactions the forward run committed.
 fn restart_scenario(p: ProtocolKind, instant: bool) -> (SmDb, u64) {
-    let mut cfg = DbConfig::bench(8, p)
-        .without_index()
-        .with_early_lock_release()
-        .with_lock_polling()
-        .with_coalesced_forces();
+    let mut cfg =
+        DbConfig::bench(8, p).without_index().with_early_lock_release().with_lock_polling();
     if instant {
         cfg = cfg.with_instant_restart();
     }
@@ -196,7 +193,7 @@ fn render_run(out: &mut String, report: &MixReport, db: &SmDb) {
 }
 
 fn pipelined_cfg(p: ProtocolKind) -> DbConfig {
-    DbConfig::small(4, p).with_coalesced_forces().with_lock_polling()
+    DbConfig::small(4, p).with_lock_polling()
 }
 
 /// The transaction drivers' corners no other fixture reaches, for all
@@ -570,7 +567,7 @@ fn golden_mt_schedule() {
         seed: 0xC0,
         ..Default::default()
     };
-    let cfg = small(ProtocolKind::StableEager).with_coalesced_forces();
+    let cfg = small(ProtocolKind::StableEager);
     let (mt, _) = mt_cell(&mut got, "full-sharing zipf stable-eager", &cfg, &params, None);
     assert!(mt.lock_conflicts > 0, "four hot names must collide in the lock space");
 

@@ -247,13 +247,10 @@ struct Lockstep {
 }
 
 impl Lockstep {
-    fn new(protocol: ProtocolKind, elr: bool, coalesce: bool) -> Self {
+    fn new(protocol: ProtocolKind, elr: bool) -> Self {
         let mut cfg = DbConfig::small(NODES, protocol).without_index().with_sim_shards(8);
         if elr {
             cfg = cfg.with_early_lock_release().with_lock_polling();
-        }
-        if coalesce {
-            cfg = cfg.with_coalesced_forces();
         }
         let mut db = SmDb::new(cfg);
         let fault = FaultInjector::new();
@@ -474,10 +471,9 @@ proptest! {
     fn table_agrees_with_whole_history_map(
         protocol in protocol_strategy(),
         elr in any::<bool>(),
-        coalesce in any::<bool>(),
         steps in proptest::collection::vec(step_strategy(), 1..90),
     ) {
-        let mut ls = Lockstep::new(protocol, elr, coalesce);
+        let mut ls = Lockstep::new(protocol, elr);
         for (i, step) in steps.iter().enumerate() {
             ls.run(step)?;
             ls.model.compare(&ls.db, &format!("after step {i} {step:?}"))?;

@@ -803,8 +803,8 @@ impl LockManager {
     /// is full. Overflow allocation is a structural change: it is logged
     /// and *forced* (early commit, §4.2) before the new space is linked,
     /// so no transaction can become dependent on volatile structural
-    /// state. The force is always physical — even under coalescing, an
-    /// early commit by definition cannot wait in a pending window.
+    /// state. The force is physical and immediate: an early commit by
+    /// definition cannot wait for a later force.
     fn ensure_empty_slot(
         &mut self,
         m: &mut Machine,

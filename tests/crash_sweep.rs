@@ -201,11 +201,7 @@ fn run_scenario_cfg(
     mode: &RunMode,
     elr: bool,
 ) -> Result<RunOutput, String> {
-    // Coalesced (group) log forces stay on for every sweep scenario: the
-    // sweep is the proof that deferring force requests into the pending
-    // window preserves recovery semantics at every crash point.
-    let mut cfg =
-        DbConfig::small(4, protocol).with_coalesced_forces().with_sim_shards(sweep_shards());
+    let mut cfg = DbConfig::small(4, protocol).with_sim_shards(sweep_shards());
     if elr {
         cfg = cfg.with_early_lock_release().with_lock_polling();
     }
@@ -428,10 +424,7 @@ fn run_instant_scenario(
     protocol: ProtocolKind,
     plan: Option<&FaultPlan>,
 ) -> Result<Vec<SiteVisits>, String> {
-    let cfg = DbConfig::small(4, protocol)
-        .with_coalesced_forces()
-        .with_instant_restart()
-        .with_sim_shards(sweep_shards());
+    let cfg = DbConfig::small(4, protocol).with_instant_restart().with_sim_shards(sweep_shards());
     let mut db = SmDb::new(cfg);
     let f = FaultInjector::new();
     db.set_fault_injector(f.clone());
@@ -563,7 +556,7 @@ fn run_full_restart(
     victims: &[NodeId],
     boundary: Option<u64>,
 ) -> Result<Vec<Vec<u8>>, String> {
-    let cfg = DbConfig::small(4, protocol).with_coalesced_forces().with_sim_shards(sweep_shards());
+    let cfg = DbConfig::small(4, protocol).with_sim_shards(sweep_shards());
     let mut db = SmDb::new(cfg);
     let f = FaultInjector::new();
     db.set_fault_injector(f.clone());
@@ -664,8 +657,7 @@ fn run_reader_restart(
     site: &'static str,
     visit: Option<u64>,
 ) -> Result<(usize, EndState), String> {
-    let mut cfg =
-        DbConfig::small(4, cell.protocol).with_coalesced_forces().with_sim_shards(sweep_shards());
+    let mut cfg = DbConfig::small(4, cell.protocol).with_sim_shards(sweep_shards());
     if cell.instant {
         cfg = cfg.with_instant_restart();
     }

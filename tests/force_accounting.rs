@@ -139,7 +139,6 @@ fn crash_and_recover_forces_are_recorded_once() {
 #[test]
 fn pipelined_elr_forces_are_recorded_once() {
     let cfg = DbConfig::small(4, ProtocolKind::StableTriggered)
-        .with_coalesced_forces()
         .with_early_lock_release()
         .with_lock_polling();
     let mut db = observed(cfg);
