@@ -1040,6 +1040,9 @@ pub struct MulticorePoint {
     pub committed: u64,
     /// Simulated machine makespan, cycles (thread-count-invariant).
     pub sim_cycles: u64,
+    /// Physical commit-record forces: one per lane that committed a
+    /// writer, per epoch, plus one per serial retry.
+    pub commit_forces: u64,
     /// Epochs the scheduler split the run into.
     pub epochs: u64,
     /// Largest single-epoch admission.
@@ -1118,6 +1121,7 @@ pub fn e12_multicore(txns: usize) -> Vec<MulticorePoint> {
                 threads,
                 committed: report.committed,
                 sim_cycles: report.sim_cycles,
+                commit_forces: db.stats().commit_forces,
                 epochs: o.epochs,
                 max_epoch_txns: o.max_epoch_txns,
                 data_conflicts: o.data_conflicts,

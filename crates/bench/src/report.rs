@@ -500,6 +500,8 @@ fn e12_multicore(fast: bool) -> Section {
         C::new("threads", R(7), "threads", |p| p.threads),
         C::new("txns", R(6), "committed", |p| p.committed),
         C::csv_only("sim_cycles", |p| p.sim_cycles),
+        C::new("cyc/txn", R(8), "cycles_per_txn", |p| p.sim_cycles / p.committed.max(1)),
+        C::new("forces", R(7), "commit_forces", |p| p.commit_forces),
         C::new("epochs", R(7), "epochs", |p| p.epochs),
         C::new("max-ep", R(7), "max_epoch_txns", |p| p.max_epoch_txns),
         C::new("d-conf", R(7), "data_conflicts", |p| p.data_conflicts),

@@ -5,12 +5,14 @@
 //! * **Structure gates** (always run): the epoch scheduler must pack the
 //!   low-contention cell into a few large epochs (that is what creates
 //!   parallel work), keep every deterministic column thread-count
-//!   invariant, and commit every transaction.
+//!   invariant, commit every transaction, and pay at most one commit
+//!   force per lane per epoch (epoch group commit).
 //! * **The wall-clock gate** (runs only on hosts with ≥ 4 cores): the
 //!   low-contention cell at 4 threads must beat 1 thread by ≥ 1.6×.
 //!   Wall-clock is inherently host-dependent, so on smaller machines the
 //!   gate prints a skip message instead of lying with noise.
 
+use smdb_bench::e12_multicore;
 use smdb_core::{DbConfig, ProtocolKind, SmDb};
 use smdb_workload::{run_mix_mt, MixParams};
 
@@ -79,6 +81,18 @@ fn deterministic_columns_are_thread_count_invariant() {
         })
         .collect();
     assert_eq!(runs[0], runs[1], "4-thread run diverged from the 1-thread run");
+}
+
+#[test]
+fn each_lane_forces_its_commits_once_per_epoch() {
+    // Both cells at 1/2/4/8 threads: a lane's commits share one force, so
+    // an epoch pays at most one per node (8), and no retry escaped the
+    // lanes to pay its own.
+    for p in e12_multicore(400) {
+        assert_eq!(p.serial_retries, 0, "{p:?}");
+        assert!(p.commit_forces <= p.epochs * 8, "more commit forces than lanes: {p:?}");
+        assert!(p.commit_forces < p.committed / 4, "still a force per transaction: {p:?}");
+    }
 }
 
 #[test]

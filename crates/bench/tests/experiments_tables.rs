@@ -58,6 +58,7 @@ fn marked_experiment_tables_match_the_report_golden() {
         "e4_log_forces",
         "e10_elr",
         "e11_instant_restart",
+        "e12_multicore",
         "e13_checkpoint",
         "e14_restart_scan",
         "e15_restart_reads",

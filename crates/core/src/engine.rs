@@ -890,7 +890,7 @@ impl SmDb {
     }
 
     /// A commit-path log force on `node` through `upto`.
-    fn commit_force(&mut self, node: NodeId, upto: Lsn) -> Result<(), DbError> {
+    pub(crate) fn commit_force(&mut self, node: NodeId, upto: Lsn) -> Result<(), DbError> {
         if self.logs.force(&mut self.m, node, upto, ForceReason::Commit)? > 0 {
             self.stats.commit_forces += 1;
         }
@@ -915,6 +915,10 @@ impl SmDb {
     /// logged no data record (no heap update, no index insert or delete)
     /// has nothing a commit record would make durable: once the chain it
     /// read from is durable it is acknowledged with no record and no force.
+    ///
+    /// Inside an epoch lane the record is appended but not forced: the
+    /// lane forces its last commit record once, before it returns (`mt`
+    /// module docs, step 2).
     pub fn commit(&mut self, txn: TxnId) -> Result<(), DbError> {
         let node = txn.node();
         let commit_t0 = self.commit_prologue(txn)?;
@@ -933,14 +937,21 @@ impl SmDb {
         } else {
             let lsn = self.append_commit(txn, deps);
             let appended_at = self.m.now(node);
-            self.drain_for(&[CommitDep { txn, lsn }])?;
+            // A lane's commit is invisible outside the lane until the
+            // barrier merges it, and the lane forces first.
+            if self.mt_plan.is_none() {
+                self.drain_for(&[CommitDep { txn, lsn }])?;
+            }
             (lsn, appended_at)
         };
         // Crash point: the commit record is durable but post-commit
         // processing (tag clears, delete reclaim, lock release) has not
         // run — recovery must treat the transaction as committed. A
         // read-only transaction has no record: it dies active and is
-        // aborted, which undoes nothing.
+        // aborted, which undoes nothing. Inside an epoch lane the record
+        // here is not yet durable (the lane's one force comes last);
+        // lanes are not crash-hardened, and VOPR pauses its faults across
+        // `run_epochs` (ROADMAP item 2).
         if let Some(c) = self.fault.hit(FAULT_COMMIT, node.0) {
             return Err(DbError::FaultCrash(c));
         }

@@ -5,6 +5,7 @@ use smdb_fault::FaultCrash;
 use smdb_lock::LockError;
 use smdb_sim::{MemError, TxnId};
 use smdb_storage::PageId;
+use smdb_wal::Lsn;
 use std::fmt;
 
 /// Errors surfaced by the [`crate::SmDb`] engine.
@@ -77,6 +78,18 @@ pub enum DbError {
     EpochRefused {
         /// The precondition that does not hold.
         requires: &'static str,
+    },
+    /// The epoch barrier found a transaction a lane committed whose commit
+    /// record is not durable on its home log: the lane returned without
+    /// its commit force, and merging it would let the parent observe a
+    /// commit a crash can still lose.
+    LaneCommitNotDurable {
+        /// The transaction the lane committed.
+        txn: TxnId,
+        /// Its commit record's LSN.
+        lsn: Lsn,
+        /// The home log's durable LSN at the barrier.
+        durable: Lsn,
     },
     /// An armed fault-injection point fired: the acting node must be
     /// treated as crashed at this instant. The crash driver catches this
@@ -180,6 +193,11 @@ impl fmt::Display for DbError {
             DbError::EpochRefused { requires } => {
                 write!(f, "the epoch scheduler requires {requires}")
             }
+            DbError::LaneCommitNotDurable { txn, lsn, durable } => write!(
+                f,
+                "{txn} committed in a lane, but its commit record {lsn:?} is above \
+                 the durable LSN {durable:?}"
+            ),
             DbError::FaultCrash(c) => write!(f, "injected crash point fired: {c}"),
             DbError::StablePageMissing { page } => {
                 write!(f, "stable database page {page} missing during recovery")

@@ -38,13 +38,24 @@
 //!    epoch out, so lanes are routinely lopsided by two orders of
 //!    magnitude, and a round-robin deal can put the two big ones on one
 //!    thread.
+//!    **One force per lane** (epoch group commit): a lane's commits
+//!    append their records unforced, and the lane's last act is one
+//!    commit force through the highest of them — on an error exit too. No
+//!    observer outside the lane can see a lane commit before the barrier:
+//!    its locks are held on the parent until step 3, its stripes are its
+//!    own for the epoch, and its status segment and shadow are adopted
+//!    only by the merge, which comes after that force (and checks it:
+//!    [`DbError::LaneCommitNotDurable`]). A lane that committed no writer
+//!    forces nothing.
 //! 3. **Epoch barrier.** Lanes are merged back in node order (machine,
 //!    logs, page-LSN table, transaction table, stats, shadow — every merge
 //!    operator commutes or is order-fixed), each appender's unforced
-//!    tail is forced (`wal.appender_stalls`), the
-//!    admitted transactions' locks are released on the parent in admission
-//!    order, and active LBM marks in the lane stripes are cleared —
-//!    *after* the force, preserving the Stable-LBM invariant.
+//!    tail is forced (`wal.appender_stalls`; admission logged the grants
+//!    before the lane ran, so the lane's own force covers them, and the
+//!    tail is only an all-read lane's grants or an abort's compensation),
+//!    the admitted transactions' locks are released on the parent in
+//!    admission order, and active LBM marks in the lane stripes are
+//!    cleared — *after* the force, preserving the Stable-LBM invariant.
 //!
 //! **Determinism argument.** A lane's inputs are fixed at the barrier
 //! (admitted transactions, stripe contents, pre-assigned GSN blocks and
@@ -86,7 +97,7 @@ use smdb_lock::{LockMode, LockOutcome, ViolationTable};
 use smdb_obs::{names, ForceReason};
 use smdb_sim::{LineId, MemError, NodeId, TxnId};
 use smdb_storage::{PageId, StableDb};
-use smdb_wal::{CheckpointStore, PageLsnTable};
+use smdb_wal::{CheckpointStore, Lsn, PageLsnTable};
 use std::collections::VecDeque;
 
 /// Schedule-tape site drawn once per admission candidate (after the
@@ -137,8 +148,10 @@ pub struct MtOutcome {
     /// incompatible mode (`lock.shard_conflicts`).
     pub lock_conflicts: u64,
     /// Lane log tails the epoch barrier had to force
-    /// (`wal.appender_stalls`): the grants admission logged for a lane
-    /// that committed no write, or an abort's compensation records.
+    /// (`wal.appender_stalls`). A lane that committed a writer forced its
+    /// log through its last commit record, which covers the grants
+    /// admission logged for it; what is left is the grants of a lane that
+    /// committed no writer, or an abort's compensation records.
     pub appender_stalls: u64,
     /// Admissions deferred by the schedule tape ([`SITE_ADMIT`]).
     pub deferred: u64,
@@ -393,9 +406,17 @@ impl SmDb {
     /// lane's own slice of parent state (its shards, its node's log and
     /// its node's segment of the transaction-status index, which the lane
     /// extended from the parent's high-water mark), so the node-ordered
-    /// merge is deterministic.
-    fn lane_merge(&mut self, node: NodeId, lane: SmDb) {
+    /// merge is deterministic. The lane is merged whole either way; the
+    /// merge is an error if it adopts a commit whose record the lane left
+    /// volatile (`run_lane` forces them all before it returns).
+    fn lane_merge(&mut self, node: NodeId, lane: SmDb) -> Result<(), DbError> {
         let SmDb { m, logs, plt, locks, txns, stats, shadow, .. } = lane;
+        let log = logs.log(node);
+        let durable = log.durable_lsn();
+        let volatile = txns.committed_on(node).find_map(|txn| {
+            let lsn = log.index().commit_lsn(txn).filter(|&lsn| lsn > durable)?;
+            Some(DbError::LaneCommitNotDurable { txn, lsn, durable })
+        });
         self.m.lane_merge(node, m);
         self.logs.lane_merge(node, logs);
         self.plt.absorb(&plt);
@@ -403,6 +424,7 @@ impl SmDb {
         self.txns.lane_absorb(node, txns);
         self.stats.absorb(&stats);
         self.shadow.absorb(shadow);
+        volatile.map_or(Ok(()), Err)
     }
 
     /// Drain every appender and clear every active LBM mark, so no
@@ -729,8 +751,8 @@ impl SmDb {
                 let report = result.unwrap_or(Err(DbError::EpochRefused {
                     requires: "lane threads that do not panic",
                 }));
-                self.lane_merge(node, lane);
-                match report {
+                let merged = self.lane_merge(node, lane);
+                match report.and_then(|rep| merged.map(|()| rep)) {
                     Ok(rep) => {
                         out.committed += rep.committed;
                         for a in rep.retries {
@@ -747,8 +769,8 @@ impl SmDb {
                 // Drain the appender: anything the lane left volatile
                 // becomes durable before the active marks that defer to
                 // it are cleared. Admission logged the lane's grants
-                // before it ran, so a writing commit covers them; an
-                // all-read lane (read-only commits force nothing) or an
+                // before it ran, so the lane's one commit force covers
+                // them; an all-read lane (it forces nothing) or an
                 // aborted transaction's compensation leaves a tail.
                 let last = self.logs.log(node).last_lsn();
                 if self.logs.force(&mut self.m, node, last, ForceReason::Lbm)? > 0 {
@@ -796,36 +818,114 @@ impl SmDb {
 
 /// Execute one lane's admitted transactions in program order. Runs on a
 /// worker thread; touches only the lane engine.
+///
+/// The lane's commits append their records unforced; its last act is one
+/// commit force through the highest of them (module docs, step 2), on
+/// every exit — an error's too, since the barrier merges the lane either
+/// way and adopts what it committed.
 fn run_lane(lane: &mut SmDb, work: &[Admitted]) -> Result<LaneReport, DbError> {
     let mut report = LaneReport::default();
-    for a in work {
-        lane.gsn = a.gsn_base;
-        // The grants travel with the transaction: what `lock_from` checks
-        // is the plan of the one transaction running.
-        lane.mt_plan.get_or_insert_with(Vec::new).clone_from(&a.names);
-        let txn = lane.begin(a.txn.node())?;
-        debug_assert_eq!(txn, a.txn, "lane sequence drifted from admission");
-        let outcome =
-            a.ops.iter().try_for_each(|op| lane.apply(txn, op)).and_then(|()| lane.commit(txn));
-        match outcome {
-            Ok(()) => report.committed += 1,
-            Err(e) if escalates(&e) => {
-                lane.abort(txn)?;
-                report.retries.push(a.clone());
+    let mut upto = Lsn::ZERO;
+    let mut run = || -> Result<(), DbError> {
+        for a in work {
+            lane.gsn = a.gsn_base;
+            // The grants travel with the transaction: what `lock_from`
+            // checks is the plan of the one transaction running.
+            lane.mt_plan.get_or_insert_with(Vec::new).clone_from(&a.names);
+            let txn = lane.begin(a.txn.node())?;
+            debug_assert_eq!(txn, a.txn, "lane sequence drifted from admission");
+            let outcome =
+                a.ops.iter().try_for_each(|op| lane.apply(txn, op)).and_then(|()| lane.commit(txn));
+            match outcome {
+                Ok(()) => {
+                    report.committed += 1;
+                    // A read-only commit has no record.
+                    let lsn = lane.logs.log(txn.node()).index().commit_lsn(txn);
+                    upto = upto.max(lsn.unwrap_or(Lsn::ZERO));
+                }
+                Err(e) if escalates(&e) => {
+                    lane.abort(txn)?;
+                    report.retries.push(a.clone());
+                }
+                Err(e) => return Err(e),
             }
-            Err(e) => return Err(e),
+            assert!(
+                lane.gsn <= a.gsn_base + a.gsn_block,
+                "transaction overran its pre-assigned GSN block"
+            );
         }
-        assert!(
-            lane.gsn <= a.gsn_base + a.gsn_block,
-            "transaction overran its pre-assigned GSN block"
-        );
-    }
-    Ok(report)
+        Ok(())
+    };
+    let ran = run();
+    // A lane that committed no writer forces nothing: its grant records
+    // stay for the barrier's tail force (`wal.appender_stalls`).
+    let forced = match work.first() {
+        Some(a) if upto > Lsn::ZERO => lane.commit_force(a.txn.node(), upto),
+        _ => Ok(()),
+    };
+    ran.and(forced).map(|()| report)
 }
 
 #[cfg(test)]
 mod tests {
-    use super::assign_lanes;
+    use super::{assign_lanes, run_lane, Admitted};
+    use crate::engine::{tree_ctx, SmDb};
+    use crate::{DbConfig, DbError, Op, ProtocolKind};
+    use smdb_btree::TreeCtx;
+    use smdb_sim::{NodeId, TxnId};
+
+    /// A lane for `node` over every stripe of `db`, with `slot`'s page
+    /// pre-faulted as admission would have.
+    fn lane_over(db: &mut SmDb, node: NodeId, slot: u64) -> SmDb {
+        let page = db.layout.rec_of_global(slot).page;
+        tree_ctx!(db).ensure_resident(node, page).expect("pre-fault");
+        let stripes: Vec<u32> = (0..db.m.shard_count() as u32).collect();
+        db.lane_for(node, &stripes)
+    }
+
+    fn two_nodes() -> SmDb {
+        SmDb::new(DbConfig::small(2, ProtocolKind::VolatileSelectiveRedo))
+    }
+
+    #[test]
+    fn merging_a_volatile_lane_commit_is_a_typed_error() {
+        let (mut db, node) = (two_nodes(), NodeId(1));
+        let mut lane = lane_over(&mut db, node, 70);
+        lane.mt_plan = Some(vec![SmDb::lock_name_for_rec(70)]);
+        let txn = lane.begin(node).unwrap();
+        lane.update(txn, 70, b"x").unwrap();
+        lane.commit(txn).unwrap();
+        let lsn = lane.logs.log(node).index().commit_lsn(txn).expect("a commit record");
+        let durable = lane.logs.log(node).durable_lsn();
+        assert!(lsn > durable, "a lane commit forced its own record");
+        let merged = db.lane_merge(node, lane);
+        assert_eq!(merged, Err(DbError::LaneCommitNotDurable { txn, lsn, durable }));
+        // Merged whole all the same: the lane's log is back on the parent.
+        assert_eq!(db.logs.log(node).index().commit_lsn(txn), Some(lsn));
+    }
+
+    #[test]
+    fn a_failing_lane_still_forces_what_it_committed() {
+        let (mut db, node) = (two_nodes(), NodeId(1));
+        let mut lane = lane_over(&mut db, node, 70);
+        let admitted = |seq, slot| Admitted {
+            txn: TxnId::new(node, seq),
+            ops: vec![Op::Update(slot, [7; 8])],
+            names: vec![SmDb::lock_name_for_rec(slot)],
+            gsn_base: 8 * seq,
+            gsn_block: 8,
+        };
+        // The second transaction fails with an error that does not
+        // escalate: the lane stops there.
+        let beyond = db.record_count() as u64;
+        let work = [admitted(1, 70), admitted(2, beyond)];
+        let got = run_lane(&mut lane, &work).map(|_| ());
+        assert_eq!(got, Err(DbError::NoSuchRecord { slot: beyond }));
+        let log = lane.logs.log(node);
+        let lsn = log.index().commit_lsn(TxnId::new(node, 1)).expect("the first one committed");
+        assert!(lsn <= log.durable_lsn(), "the lane returned with its commit volatile");
+        assert_eq!(db.lane_merge(node, lane), Ok(()));
+    }
 
     /// The busiest thread's work under an assignment.
     fn max_load(work: &[u64], thread_of: &[usize]) -> u64 {

@@ -309,6 +309,14 @@ impl TxnTable {
         }
     }
 
+    /// The transactions of `node`'s segment that settled committed: what
+    /// the barrier adopts as committed from a lane.
+    pub(crate) fn committed_on(&self, node: NodeId) -> impl Iterator<Item = TxnId> + '_ {
+        let seg = &self.settled[node.0 as usize];
+        let committed = seg.status.iter().enumerate().filter(|(_, s)| **s == TxnStatus::Committed);
+        committed.map(move |(i, _)| TxnId::new(node, seg.base + 1 + i as u64))
+    }
+
     /// Epoch barrier: append the lane's status segment for `node` (the
     /// only node a lane begins transactions on) and adopt whatever it left
     /// live (nothing, unless the lane failed mid-transaction).

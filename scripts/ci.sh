@@ -85,6 +85,22 @@ cargo test --release -q --test force_accounting
 cargo test --release -q -p smdb-bench --test e17_read_only_commit
 cargo test --release -q -p smdb-vopr --test vopr fixed_seed_sweep_reaches_read_only_commits
 
+echo "== epoch group commit: one commit force per lane per epoch =="
+# Inside an epoch lane a commit appends its record unforced; the lane's
+# last act, on every exit, is one force through its last commit record
+# (DESIGN §15, "Lane group commit"). The mt unit tests: a failing lane
+# still forces what it committed, and the barrier refuses a lane commit
+# left volatile with a typed error. mt_group_commit: after run_epochs the
+# commit predicate holds and every commit record is durable; a fixed
+# batch pays exactly one commit force per (epoch, lane that committed a
+# writer); an all-read lane forces nothing and leaves its grant records
+# to the barrier. e12_multicore: commit forces <= epochs x nodes on both
+# E12 cells. experiments_tables holds EXPERIMENTS.md's E12 table (and the
+# other marked ones) to report_fast.golden.
+cargo test --release -q -p smdb-core --lib mt::
+cargo test --release -q -p smdb-core --test mt_group_commit
+cargo test --release -q -p smdb-bench --test e12_multicore --test experiments_tables
+
 echo "== lock releases: a transaction's final release is not logged =="
 # release_all and early_release_all log no LockRelease (DESIGN §4): lock
 # recovery rebuilds only the grants of transactions still active at the
