@@ -553,13 +553,15 @@ impl SmDb {
     // Transaction API
     // ------------------------------------------------------------------
 
-    /// Begin a transaction on `node`.
+    /// Begin a transaction on `node`. Nothing is logged: the transaction
+    /// table records it, and its first record on any log is its first
+    /// lock or data record — where the checkpoint's undo floor and lock
+    /// replay start for it.
     pub fn begin(&mut self, node: NodeId) -> Result<TxnId, DbError> {
         if self.m.is_crashed(node) {
             return Err(DbError::NodeDown { node });
         }
         let txn = self.txns.begin(node);
-        self.logs.append(node, LogPayload::Begin { txn });
         self.stats.begins += 1;
         let obs = self.m.obs();
         if obs.is_enabled() {

@@ -595,7 +595,7 @@ impl SmDb {
                 let names =
                     cand.plan.iter().map(|&(slot, _)| Self::lock_name_for_rec(slot)).collect();
                 // Worst case per operation: one Update record (undo +
-                // redo GSN) plus slack for Begin/Commit bookkeeping.
+                // redo GSN), plus a fixed slack of 8 per transaction.
                 let gsn_block = t.ops.len() as u64 * 2 + 8;
                 admitted[n].push(Admitted {
                     txn,

@@ -275,8 +275,8 @@ mod tests {
         let mut set = LogSet::new(3);
         let t0 = TxnId::new(NodeId(0), 1);
         let t2 = TxnId::new(NodeId(2), 1);
-        set.append(NodeId(0), LogPayload::Begin { txn: t0 });
-        set.append(NodeId(2), LogPayload::Begin { txn: t2 });
+        set.append(NodeId(0), LogPayload::Abort { txn: t0 });
+        set.append(NodeId(2), LogPayload::Abort { txn: t2 });
         assert_eq!(set.log(NodeId(0)).len(), 1);
         assert_eq!(set.log(NodeId(1)).len(), 0);
         assert_eq!(set.log(NodeId(2)).len(), 1);
@@ -288,8 +288,8 @@ mod tests {
         let mut set = LogSet::new(2);
         let t0 = TxnId::new(NodeId(0), 1);
         let t1 = TxnId::new(NodeId(1), 1);
-        set.append(NodeId(0), LogPayload::Begin { txn: t0 });
-        set.append(NodeId(1), LogPayload::Begin { txn: t1 });
+        set.append(NodeId(0), LogPayload::Abort { txn: t0 });
+        set.append(NodeId(1), LogPayload::Abort { txn: t1 });
         set.crash(&[NodeId(0)]);
         assert!(set.log(NodeId(0)).is_empty());
         assert_eq!(set.log(NodeId(1)).len(), 1);

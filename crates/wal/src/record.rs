@@ -74,8 +74,6 @@ pub struct CommitDep {
 /// Payload of one log record.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum LogPayload {
-    /// Transaction start.
-    Begin { txn: TxnId },
     /// Transaction commit. Forcing the log up to this record makes the
     /// transaction durable — *provided* every recorded dependency is
     /// durably committed too. `deps` is empty except under early lock
@@ -201,8 +199,7 @@ impl LogPayload {
     /// The transaction this record belongs to, if any.
     pub fn txn(&self) -> Option<TxnId> {
         match self {
-            LogPayload::Begin { txn }
-            | LogPayload::Commit { txn, .. }
+            LogPayload::Commit { txn, .. }
             | LogPayload::Abort { txn }
             | LogPayload::Update { txn, .. }
             | LogPayload::IndexInsert { txn, .. }
@@ -942,23 +939,30 @@ mod tests {
         NodeId(0)
     }
 
-    fn begin(seq: u64) -> LogPayload {
-        LogPayload::Begin { txn: TxnId::new(NodeId(0), seq) }
+    /// One record of transaction `seq`: its first lock acquisition, which
+    /// is what a transaction's first record on a log usually is.
+    pub(super) fn acquire(seq: u64) -> LogPayload {
+        LogPayload::LockAcquire {
+            txn: TxnId::new(NodeId(0), seq),
+            name: seq,
+            mode: LockModeRepr::Exclusive,
+            queued: false,
+        }
     }
 
     #[test]
     fn append_assigns_sequential_lsns() {
         let mut log = NodeLog::new(n0());
-        assert_eq!(log.append(begin(1)), Lsn(1));
-        assert_eq!(log.append(begin(2)), Lsn(2));
+        assert_eq!(log.append(acquire(1)), Lsn(1));
+        assert_eq!(log.append(acquire(2)), Lsn(2));
         assert_eq!(log.last_lsn(), Lsn(2));
     }
 
     #[test]
     fn force_moves_stable_boundary_once() {
         let mut log = NodeLog::new(n0());
-        log.append(begin(1));
-        log.append(begin(2));
+        log.append(acquire(1));
+        log.append(acquire(2));
         assert!(log.force_to(Lsn(1)));
         assert!(!log.force_to(Lsn(1)), "already stable: no physical force");
         assert!(log.is_stable(Lsn(1)));
@@ -973,8 +977,8 @@ mod tests {
     fn coalesced_requests_batch_into_one_physical_force() {
         let mut log = NodeLog::new(n0());
         log.set_coalescing(true);
-        let l1 = log.append(begin(1));
-        let l2 = log.append(begin(2));
+        let l1 = log.append(acquire(1));
+        let l2 = log.append(acquire(2));
         assert!(log.request_force_to(l1), "deferred into the window");
         assert!(log.request_force_to(l2), "window grows, still no physical force");
         assert_eq!(log.stats().forces, 0);
@@ -982,7 +986,7 @@ mod tests {
         assert_eq!(log.stats().forces_coalesced, 2);
         assert_eq!(log.pending_force(), Some(l2));
         // One physical force (e.g. the commit force) drains the window.
-        let l3 = log.append(begin(3));
+        let l3 = log.append(acquire(3));
         assert!(log.force_to(l3));
         assert_eq!(log.pending_force(), None);
         assert_eq!(log.stats().forces, 1);
@@ -997,8 +1001,8 @@ mod tests {
     fn partial_force_keeps_uncovered_window() {
         let mut log = NodeLog::new(n0());
         log.set_coalescing(true);
-        log.append(begin(1));
-        let l2 = log.append(begin(2));
+        log.append(acquire(1));
+        let l2 = log.append(acquire(2));
         log.request_force_to(l2);
         // A torn force that persisted only the first record leaves the
         // window demanding the rest.
@@ -1012,7 +1016,7 @@ mod tests {
     fn crash_discards_pending_window() {
         let mut log = NodeLog::new(n0());
         log.set_coalescing(true);
-        let l1 = log.append(begin(1));
+        let l1 = log.append(acquire(1));
         log.request_force_to(l1);
         log.crash();
         assert_eq!(log.pending_force(), None, "deferred requests die with the tail");
@@ -1022,16 +1026,16 @@ mod tests {
     #[test]
     fn crash_destroys_volatile_tail_only() {
         let mut log = NodeLog::new(n0());
-        log.append(begin(1));
-        log.append(begin(2));
-        log.append(begin(3));
+        log.append(acquire(1));
+        log.append(acquire(2));
+        log.append(acquire(3));
         log.force_to(Lsn(2));
         log.crash();
         assert_eq!(log.len(), 2);
         assert_eq!(log.records().next_back().unwrap().lsn, Lsn(2));
         // The paper's "left no trace" scenario: nothing forced, all gone.
         let mut log2 = NodeLog::new(n0());
-        log2.append(begin(9));
+        log2.append(acquire(9));
         log2.crash();
         assert!(log2.is_empty());
     }
@@ -1040,7 +1044,7 @@ mod tests {
     fn records_after_slices_by_lsn() {
         let mut log = NodeLog::new(n0());
         for i in 1..=5 {
-            log.append(begin(i));
+            log.append(acquire(i));
         }
         assert_eq!(log.records_after(Lsn(3)).len(), 2);
         assert_eq!(log.records_after(Lsn(0)).len(), 5);
@@ -1080,8 +1084,8 @@ mod tests {
     #[test]
     fn force_all_covers_everything() {
         let mut log = NodeLog::new(n0());
-        log.append(begin(1));
-        log.append(begin(2));
+        log.append(acquire(1));
+        log.append(acquire(2));
         assert!(log.force_all());
         assert_eq!(log.stable_lsn(), Lsn(2));
         log.crash();
@@ -1113,21 +1117,18 @@ mod tests {
 
 #[cfg(test)]
 mod truncation_tests {
+    use super::tests::acquire;
     use super::*;
 
     fn n0() -> NodeId {
         NodeId(0)
     }
 
-    fn begin(seq: u64) -> LogPayload {
-        LogPayload::Begin { txn: TxnId::new(NodeId(0), seq) }
-    }
-
     #[test]
     fn truncate_preserves_lsn_identity() {
         let mut log = NodeLog::new(n0());
         for i in 1..=6 {
-            log.append(begin(i));
+            log.append(acquire(i));
         }
         log.force_all();
         log.truncate_through(Lsn(3));
@@ -1136,14 +1137,14 @@ mod truncation_tests {
         assert_eq!(log.records().next().unwrap().lsn, Lsn(4), "LSNs survive truncation");
         assert_eq!(log.last_lsn(), Lsn(6));
         // Appends continue the sequence.
-        assert_eq!(log.append(begin(7)), Lsn(7));
+        assert_eq!(log.append(acquire(7)), Lsn(7));
     }
 
     #[test]
     fn records_after_respects_truncation() {
         let mut log = NodeLog::new(n0());
         for i in 1..=6 {
-            log.append(begin(i));
+            log.append(acquire(i));
         }
         log.force_all();
         log.truncate_through(Lsn(3));
@@ -1156,7 +1157,7 @@ mod truncation_tests {
     fn stable_records_after_truncation() {
         let mut log = NodeLog::new(n0());
         for i in 1..=6 {
-            log.append(begin(i));
+            log.append(acquire(i));
         }
         log.force_to(Lsn(4));
         log.truncate_through(Lsn(2));
@@ -1172,7 +1173,7 @@ mod truncation_tests {
     #[should_panic(expected = "unforced")]
     fn truncating_volatile_tail_rejected() {
         let mut log = NodeLog::new(n0());
-        log.append(begin(1));
+        log.append(acquire(1));
         log.truncate_through(Lsn(1));
     }
 
@@ -1180,7 +1181,7 @@ mod truncation_tests {
     fn idempotent_truncation() {
         let mut log = NodeLog::new(n0());
         for i in 1..=4 {
-            log.append(begin(i));
+            log.append(acquire(i));
         }
         log.force_all();
         log.truncate_through(Lsn(2));
@@ -1192,6 +1193,7 @@ mod truncation_tests {
 
 #[cfg(test)]
 mod index_tests {
+    use super::tests::acquire;
     use super::*;
 
     fn txn(seq: u64) -> TxnId {
@@ -1215,7 +1217,7 @@ mod index_tests {
     #[test]
     fn commit_entries_require_stability() {
         let mut log = NodeLog::new(NodeId(0));
-        log.append(LogPayload::Begin { txn: txn(1) });
+        log.append(acquire(1));
         log.append(LogPayload::Commit { txn: txn(1), deps: vec![] });
         assert!(!log.is_commit_stable(txn(1)), "commit still volatile");
         assert_eq!(log.stable_commits().count(), 0);
@@ -1227,11 +1229,11 @@ mod index_tests {
     #[test]
     fn crash_purges_volatile_index_entries() {
         let mut log = NodeLog::new(NodeId(0));
-        log.append(LogPayload::Begin { txn: txn(1) });
+        log.append(acquire(1));
         log.force_all();
         log.append(update(1, 3, 10));
         log.append(LogPayload::Commit { txn: txn(1), deps: vec![] });
-        log.append(LogPayload::Begin { txn: txn(2) });
+        log.append(acquire(2));
         log.crash();
         assert!(!log.is_commit_stable(txn(1)), "commit died with the tail");
         assert_eq!(log.index().first_txn_lsn(txn(1)), Some(Lsn(1)));
@@ -1246,7 +1248,7 @@ mod index_tests {
     #[test]
     fn commit_entries_survive_truncation() {
         let mut log = NodeLog::new(NodeId(0));
-        log.append(LogPayload::Begin { txn: txn(1) });
+        log.append(acquire(1));
         log.append(update(1, 0, 1));
         log.append(LogPayload::Commit { txn: txn(1), deps: vec![] });
         log.force_all();
@@ -1261,7 +1263,7 @@ mod index_tests {
     fn data_refs_follow_force_crash_and_truncation() {
         let mut log = NodeLog::with_segment_len(NodeId(0), 2);
         log.append(update(1, 7, 1)); // lsn 1
-        log.append(LogPayload::Begin { txn: txn(2) }); // lsn 2
+        log.append(acquire(2)); // lsn 2
         log.append(update(2, 7, 2)); // lsn 3
         log.append(update(2, 9, 3)); // lsn 4
         log.append(LogPayload::IndexRemove { txn: txn(2), key: 5, gsn: 4 }); // lsn 5
@@ -1294,7 +1296,7 @@ mod index_tests {
     #[test]
     fn first_txn_lsn_is_first_append() {
         let mut log = NodeLog::new(NodeId(0));
-        log.append(LogPayload::Begin { txn: txn(5) }); // lsn 1
+        log.append(acquire(5)); // lsn 1
         log.append(update(5, 0, 1)); // lsn 2
         assert_eq!(log.index().first_txn_lsn(txn(5)), Some(Lsn(1)));
     }
@@ -1302,9 +1304,9 @@ mod index_tests {
     #[test]
     fn first_txn_entries_go_at_retire_and_below_a_truncation() {
         let mut log = NodeLog::new(NodeId(0));
-        log.append(LogPayload::Begin { txn: txn(1) }); // lsn 1
-        log.append(LogPayload::Begin { txn: txn(2) }); // lsn 2
-        log.append(LogPayload::Begin { txn: txn(3) }); // lsn 3
+        log.append(acquire(1)); // lsn 1
+        log.append(acquire(2)); // lsn 2
+        log.append(acquire(3)); // lsn 3
         assert_eq!(log.index().first_txn_entries(), 3);
         log.retire_txn(txn(2));
         log.retire_txn(txn(9)); // never wrote here

@@ -132,7 +132,7 @@ impl Model {
         self.gsn += 1;
         let gsn = self.gsn;
         match kind {
-            0 => LogPayload::Begin { txn },
+            0 => LogPayload::LockRelease { txn, name: gsn, wait_only: false },
             1 => LogPayload::Update {
                 txn,
                 rec: RecId::new(PageId(gsn as u32 % 7), 0),
@@ -413,7 +413,7 @@ proptest! {
 fn append_never_moves_a_retained_record() {
     let mut log = NodeLog::new(HOME);
     let txn = TxnId::new(HOME, 1);
-    log.append(LogPayload::Begin { txn });
+    log.append(LogPayload::Abort { txn });
     let first = log.records().next().expect("one record") as *const LogRecord;
     for i in 0..100_000u64 {
         log.append(LogPayload::LockAcquire {

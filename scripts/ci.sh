@@ -125,6 +125,10 @@ cargo test --release -q -p smdb-core --test lock_release
 PROPTEST_CASES=2000 cargo test --release -q -p smdb-lock --test flat_vs_reference --test lock_proptest
 cargo test --release -q -p smdb-bench --test e10_elr --test e9_latency --test e4_log_forces --test experiments_tables
 
+echo "== unlogged begin: a transaction's first record is its first lock or data record =="
+# begin appends nothing; a silent open transaction pins no truncation (DESIGN §10.2).
+cargo test --release -q -p smdb-core --test begin_unlogged
+
 echo "== segmented-log model (2000 cases) =="
 # The segmented NodeLog against one plain Vec<LogRecord> with a
 # whole-history index, after every step of random append / force / torn
