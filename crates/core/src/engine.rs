@@ -16,6 +16,7 @@ use crate::oracle::ShadowDb;
 use crate::record::{RecordLayout, NULL_TAG, TAG_SIZE};
 use crate::restart::RestartState;
 use crate::stats::EngineStats;
+use crate::tag_ledger::TagLedger;
 use crate::txn::{Op, TxnOp, TxnState, TxnStatus, TxnTable};
 use bytes::Bytes;
 use smdb_btree::{BTree, BtreeError, LineSpan, TreeCtx, APPEND_BYTES_COUNTER, VAL_SIZE};
@@ -132,6 +133,9 @@ pub struct SmDb {
     /// awaiting recovery, what interrupted attempts left stale, and what
     /// the restart still owes the heap.
     pub(crate) restart: RestartState,
+    /// Which heap lines may carry each node's undo tag: what restart's tag
+    /// scan visits ([`crate::tag_ledger`]).
+    pub(crate) tags: TagLedger,
     /// Pipelined commits awaiting acknowledgement, in append order.
     pub(crate) pending_commits: Vec<PendingCommit>,
     /// Lock names released early by not-yet-acknowledged committers
@@ -200,6 +204,7 @@ impl SmDb {
         let locks = LockManager::new(table);
         let txns = TxnTable::new(cfg.nodes);
         let ckpt = CheckpointStore::new(cfg.nodes);
+        let cfg_nodes = cfg.nodes;
         let mut db = SmDb {
             cfg,
             m,
@@ -218,6 +223,7 @@ impl SmDb {
             fault: FaultInjector::new(),
             sched: Scheduler::new(),
             restart: RestartState::default(),
+            tags: TagLedger::new(cfg_nodes),
             pending_commits: Vec::new(),
             violations: ViolationTable::new(),
             mt_plan: None,
@@ -675,6 +681,9 @@ impl SmDb {
         let rec_line = LineId(geometry.line_addr(rec.page, line_idx));
         let rec_off = self.layout.page_offset(rec.slot);
         let payload_off = self.layout.payload_offset(rec.slot);
+        if tagging {
+            self.tags.set(node.0, rec_line);
+        }
 
         let mut ctx = tree_ctx!(self).with_attribution(node);
         // Fault the page in before taking line locks.

@@ -64,6 +64,7 @@ mod oracle;
 mod record;
 mod restart;
 mod stats;
+mod tag_ledger;
 mod txn;
 
 pub use config::{DbConfig, ProtocolKind, RestartScheme};

@@ -25,7 +25,8 @@
 //! 2. **Lane execution.** Each participating node gets a lane: a real
 //!    [`SmDb`] assembled from the parent's detached parts — its admitted
 //!    stripes ([`Machine::lane_split`]), its own WAL appender
-//!    (`LogSet::lane_split`), a forked lock manager, shadow, and stats.
+//!    (`LogSet::lane_split`), a forked lock manager, shadow, and stats,
+//!    and an empty undo-tag ledger the barrier ORs back.
 //!    The lane runs the §6 update protocol *verbatim*; only record-lock
 //!    acquisition short-circuits: an admitted transaction carries the
 //!    lock names of its plan, the lane holds the running transaction's,
@@ -90,6 +91,7 @@ use crate::engine::{tree_ctx, SmDb};
 use crate::error::DbError;
 use crate::restart::RestartState;
 use crate::stats::EngineStats;
+use crate::tag_ledger::TagLedger;
 use crate::txn::Op;
 use smdb_btree::TreeCtx;
 use smdb_fault::Scheduler;
@@ -395,6 +397,7 @@ impl SmDb {
             fault: self.fault.clone(),
             sched: Scheduler::new(),
             restart: RestartState::default(),
+            tags: TagLedger::new(self.cfg.nodes),
             pending_commits: Vec::new(),
             violations: ViolationTable::new(),
             mt_plan: Some(Vec::new()),
@@ -410,7 +413,7 @@ impl SmDb {
     /// merge is an error if it adopts a commit whose record the lane left
     /// volatile (`run_lane` forces them all before it returns).
     fn lane_merge(&mut self, node: NodeId, lane: SmDb) -> Result<(), DbError> {
-        let SmDb { m, logs, plt, locks, txns, stats, shadow, .. } = lane;
+        let SmDb { m, logs, plt, locks, txns, stats, shadow, tags, .. } = lane;
         let log = logs.log(node);
         let durable = log.durable_lsn();
         let volatile = txns.committed_on(node).find_map(|txn| {
@@ -424,6 +427,7 @@ impl SmDb {
         self.txns.lane_absorb(node, txns);
         self.stats.absorb(&stats);
         self.shadow.absorb(shadow);
+        self.tags.absorb(&tags);
         volatile.map_or(Ok(()), Err)
     }
 

@@ -128,6 +128,9 @@ pub struct RecoveryOutcome {
     pub undo_records_applied: u64,
     /// Stale committed tags cleared during the undo scan.
     pub tags_cleared: u64,
+    /// Heap lines the tag scan visited: the lines the analysed nodes' tag
+    /// ledgers name (0 where no tag scan ran).
+    pub tag_scan_lines: u64,
     /// Lock-space recovery counters.
     pub lock_recovery: LockRecoveryStats,
     /// B-tree recovery counters.
@@ -206,6 +209,16 @@ pub(crate) struct ScanProducts {
     /// The doomed transactions' index operations, then the analysed nodes'.
     index_undo: [Vec<(u64, IxUndo)>; 2],
     scans: Vec<LogScan>,
+}
+
+/// One record the tag scan found: the lowest survivor holding its line,
+/// the line, the record, and the crashed node's tag it carries.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct TagHit {
+    holder: NodeId,
+    line: LineId,
+    rec: RecId,
+    tag: u16,
 }
 
 /// One entry of the heap plan: the *final* on-page bytes (tag + payload)
@@ -762,6 +775,7 @@ impl SmDb {
         obs.metrics.observe(names::RECOVERY_TOTAL_CYCLES, cycles);
         obs.metrics.add(names::RESTART_SCAN_RECORDS, outcome.scan_records);
         obs.metrics.add(names::RESTART_LOG_RECORDS_READ, outcome.log_records_read);
+        obs.metrics.add(names::RESTART_TAG_SCAN_LINES, outcome.tag_scan_lines);
         obs.metrics.add(names::RESTART_REDO_APPLIED, outcome.redo_applied);
         obs.metrics.add(
             names::RESTART_REDO_SKIPPED,
@@ -1162,7 +1176,7 @@ impl SmDb {
         analysis: &StableAnalysis,
         outcome: &mut RecoveryOutcome,
         scope: &RestartScope,
-        cached: &BTreeSet<LineId>,
+        cached: &[LineId],
     ) -> Result<Vec<HeapWrite>, DbError> {
         // Doomed updates are rolled back in reverse GSN order, so the
         // lowest-GSN before image is the one that sticks. A doomed
@@ -1203,7 +1217,7 @@ impl SmDb {
         let mut plan = Vec::with_capacity(redo.len() + undo.len());
         for (rec, kept) in redo {
             let line = self.rec_line(rec);
-            if cached.contains(&line) {
+            if cached.binary_search(&line).is_ok() {
                 outcome.redo_skipped_cached += 1;
                 continue;
             }
@@ -1211,7 +1225,11 @@ impl SmDb {
                 continue;
             }
             let (txn, _, image) = self.logged_update(analysis, kept.at, rec)?;
-            let bytes = self.layout.encode(self.live_tag(txn), image);
+            let tag = self.live_tag(txn);
+            let bytes = self.layout.encode(tag, image);
+            if tag != NULL_TAG {
+                self.tags.set(tag, line);
+            }
             // A full restart reboots the machine (§1): no survivor is up to
             // redo its own updates, the host writes everything.
             let own = !scope.full && !self.m.is_crashed(txn.node());
@@ -1290,13 +1308,16 @@ impl SmDb {
     /// surviving cache still holds coherently. Lines reinstalled by an
     /// *interrupted earlier attempt* are excluded — they sit in a
     /// survivor's cache now, but their content is the stale stable image,
-    /// not the coherent pre-crash copy.
-    fn cached_plan_lines(&self, analysis: &StableAnalysis) -> BTreeSet<LineId> {
-        analysis
+    /// not the coherent pre-crash copy. Ascending and without repeats: the
+    /// plan's records are, and a record's line grows with it.
+    fn cached_plan_lines(&self, analysis: &StableAnalysis) -> Vec<LineId> {
+        let mut lines: Vec<LineId> = analysis
             .planned_recs()
             .map(|(rec, _)| self.rec_line(rec))
             .filter(|l| self.m.probe_cached(*l) && !self.restart.stale_heap_lines.contains(l))
-            .collect()
+            .collect();
+        lines.dedup();
+        lines
     }
 
     /// Independent oracle for the Selective-Redo probe. Restart asks "does
@@ -1322,10 +1343,10 @@ impl SmDb {
         let mut diffs = Vec::new();
         for (rec, _) in analysis.planned_recs() {
             let line = self.rec_line(rec);
-            if probed.contains(&line) != snapshot.contains(&line) {
+            let cached = probed.binary_search(&line).is_ok();
+            if cached != snapshot.contains(&line) {
                 diffs.push(format!(
-                    "{rec:?} on {line:?}: plan-sized probe says cached={}, whole-cache snapshot says {}",
-                    probed.contains(&line),
+                    "{rec:?} on {line:?}: plan-sized probe says cached={cached}, whole-cache snapshot says {}",
                     snapshot.contains(&line)
                 ));
             }
@@ -1807,6 +1828,9 @@ impl SmDb {
         // retained log. The undo it finds — stolen updates included — is
         // not applied here: it becomes plan entries ([`Self::heap_plan`]).
         let span = self.begin_phase("stable_undo");
+        // The stale reinstalls an interrupted attempt left, for the tag
+        // scan (this attempt's own installs scrub the analysed nodes' tags).
+        let carried: Vec<LineId> = self.restart.stale_heap_lines.iter().copied().collect();
         self.m.obs().metrics.inc(names::RESTART_ANALYSIS_SCANS);
         self.note_table_walk();
         let mut analysis = self.analyse_stable(scope)?;
@@ -1814,10 +1838,10 @@ impl SmDb {
         // installed from a stale stable image must not be mistaken for a
         // coherent surviving copy) and only over the lines the reduced
         // redo plan will ask about.
-        let cached_before: BTreeSet<LineId> = if scope.scheme == RestartScheme::Selective {
+        let cached_before = if scope.scheme == RestartScheme::Selective {
             self.cached_plan_lines(&analysis)
         } else {
-            BTreeSet::new()
+            Vec::new()
         };
         outcome.ckpt_bound_lsn = analysis.ckpt_bound;
         // The sequential log-device read behind the scan is its reader's
@@ -1963,7 +1987,7 @@ impl SmDb {
         let doomed_index = std::mem::take(&mut analysis.doomed_index);
         self.undo_index_ops(outcome, recovery_node, doomed_index)?;
         if self.cfg.protocol.uses_undo_tags() && scope.scheme == RestartScheme::Selective {
-            self.undo_by_tags(outcome, scope, &analysis)?;
+            self.undo_by_tags(outcome, scope, &analysis, &carried)?;
         } else {
             let uncommitted_index = std::mem::take(&mut analysis.uncommitted_index);
             self.undo_index_ops(outcome, recovery_node, uncommitted_index)?;
@@ -2036,44 +2060,32 @@ impl SmDb {
     /// candidate; committed-but-stale tags (possible only on lines
     /// reinstalled from stale stable images) are merely cleared; genuinely
     /// uncommitted updates get the record's last committed value
-    /// installed.
+    /// installed. The scan visits the lines the analysed nodes' tag
+    /// ledgers name ([`Self::tag_scan`]), then drops the ledger bits of
+    /// lines that carry the node's tag nowhere any more.
     fn undo_by_tags(
         &mut self,
         outcome: &mut RecoveryOutcome,
         scope: &RestartScope,
         analysis: &StableAnalysis,
+        carried: &[LineId],
     ) -> Result<(), DbError> {
         let recovery_node = scope.recovery_node;
         let crashed: BTreeSet<NodeId> = scope.analysed.iter().copied().collect();
-        // Heap scan: one pass over the lines held by any survivor, in
-        // place (the tag probe only reads the borrowed line bytes).
-        let mut candidates: Vec<(NodeId, LineId, RecId, u16)> = Vec::new();
-        let rpl = self.layout.records_per_line();
-        for (holder, line, bytes) in self.m.iter_held() {
-            if !self.is_heap_line(line) {
-                continue;
-            }
-            let (page, line_idx) = self.layout.geometry.page_of_addr(line.0);
-            if line_idx == 0 {
-                continue; // Page-LSN line holds no records
-            }
-            for k in 0..rpl {
-                let tag = RecordLayout::tag_of(&bytes[k * self.layout.rec_size()..]);
-                if tag != NULL_TAG && crashed.contains(&NodeId(tag)) {
-                    let slot = ((line_idx - 1) * rpl + k) as u16;
-                    candidates.push((holder, line, RecId::new(page, slot), tag));
-                }
-            }
-        }
-        // Undo writes advance clocks and migrate lines, so their order is
-        // observable: keep the order of a survivor-by-survivor cache scan
-        // (each line at its lowest holder; stable within a holder).
-        candidates.sort_by_key(|c| c.0);
-        for (_, line, rec, tag) in candidates {
+        let (candidates, visited) = self.tag_scan(&crashed, carried);
+        debug_assert_eq!(
+            candidates,
+            self.tag_scan_by_directory(&crashed),
+            "the tag ledger scan and the whole-cache scan disagree"
+        );
+        outcome.tag_scan_lines = visited.len() as u64;
+        let mut skipped = Vec::new();
+        for TagHit { line, rec, tag, .. } in candidates {
             if self.pending_covers(rec) {
                 // A pending plan entry holds this record's final bytes;
                 // applying it (on access or drain) overwrites tag and
                 // payload both.
+                skipped.push((tag, line));
                 continue;
             }
             // A line installed from a stable image, by this restart or by
@@ -2103,6 +2115,7 @@ impl SmDb {
                 outcome.undo_records_applied += 1;
             }
         }
+        self.prune_ledgers(&scope.analysed, &visited, &skipped)?;
         // Index scan (the tree's own tag walk).
         if let Some(tree) = self.tree.as_mut() {
             let mut ctx = tree_ctx!(self);
@@ -2120,6 +2133,144 @@ impl SmDb {
             outcome.btree_recovery.tags_cleared += st.tags_cleared;
         }
         Ok(())
+    }
+
+    /// The records of cached heap line `line` (its bytes, its lowest
+    /// holder) that carry the tag of a node in `crashed`, in slot order.
+    fn push_tagged(
+        &self,
+        crashed: &BTreeSet<NodeId>,
+        (holder, line, bytes): (NodeId, LineId, &[u8]),
+        hits: &mut Vec<TagHit>,
+    ) {
+        if !self.is_heap_line(line) {
+            return;
+        }
+        let (page, line_idx) = self.layout.geometry.page_of_addr(line.0);
+        if line_idx == 0 {
+            return; // Page-LSN line holds no records
+        }
+        let rpl = self.layout.records_per_line();
+        for k in 0..rpl {
+            let tag = RecordLayout::tag_of(&bytes[k * self.layout.rec_size()..]);
+            if tag != NULL_TAG && crashed.contains(&NodeId(tag)) {
+                let rec = RecId::new(page, ((line_idx - 1) * rpl + k) as u16);
+                hits.push(TagHit { holder, line, rec, tag });
+            }
+        }
+    }
+
+    /// The tag scan's candidates, and the lines it visited: the lines in
+    /// the ledgers of `crashed` ([`crate::tag_ledger`]) and `carried`, the
+    /// stale reinstalls an interrupted attempt left. Undo writes advance
+    /// clocks and migrate lines, so the order is observable: it is the
+    /// order of a survivor-by-survivor cache scan (each line at its lowest
+    /// holder, in [`smdb_sim::Machine::iter_held`] order within a holder),
+    /// as [`Self::tag_scan_by_directory`] finds it walking every line.
+    fn tag_scan(
+        &self,
+        crashed: &BTreeSet<NodeId>,
+        carried: &[LineId],
+    ) -> (Vec<TagHit>, Vec<LineId>) {
+        let mut lines = self.tags.union(crashed.iter());
+        if !carried.is_empty() {
+            lines.extend_from_slice(carried);
+            lines.sort_unstable();
+            lines.dedup();
+        }
+        let mut keyed: Vec<((NodeId, u64), TagHit)> = Vec::new();
+        let mut hits = Vec::new();
+        for (holder, at, line, bytes) in self.m.held_lines(&lines) {
+            self.push_tagged(crashed, (holder, line, bytes), &mut hits);
+            keyed.extend(hits.drain(..).map(|hit| ((holder, at), hit)));
+        }
+        keyed.sort_by_key(|(key, _)| *key);
+        (keyed.into_iter().map(|(_, hit)| hit).collect(), lines)
+    }
+
+    /// The tag scan the long way: one pass over every line any survivor
+    /// holds ([`smdb_sim::Machine::iter_held`]). The reference
+    /// [`Self::tag_scan`] is held to.
+    fn tag_scan_by_directory(&self, crashed: &BTreeSet<NodeId>) -> Vec<TagHit> {
+        let mut hits = Vec::new();
+        for held in self.m.iter_held() {
+            self.push_tagged(crashed, held, &mut hits);
+        }
+        hits.sort_by_key(|hit| hit.holder);
+        hits
+    }
+
+    /// Drop the bits of `nodes` (the analysed ones, after their tag scan)
+    /// for the `visited` lines that carry their tag nowhere any more. The
+    /// scan has undone or cleared every tag of theirs on a surviving copy
+    /// but the `skipped` ones (a pending entry covers the record); an
+    /// install on the way copied the stable image. So a bit stays where a
+    /// skipped record or the stable image carries the node's tag. (Not a
+    /// pending entry: this restart's carry live tags only, and `recover`
+    /// dropped any earlier plan.)
+    fn prune_ledgers(
+        &mut self,
+        nodes: &[NodeId],
+        visited: &[LineId],
+        skipped: &[(u16, LineId)],
+    ) -> Result<(), DbError> {
+        let g = self.layout.geometry;
+        let (rpl, rec_size) = (self.layout.records_per_line(), self.layout.rec_size());
+        let mut gone = Vec::new();
+        // `visited` is ascending: a page's lines come together.
+        let mut image: Option<(PageId, &[u8])> = None;
+        for &line in visited {
+            let (page, idx) = g.page_of_addr(line.0);
+            let img = match image {
+                Some((at, img)) if at == page => img,
+                _ => self.sdb.peek_page(page).ok_or(DbError::StablePageMissing { page })?,
+            };
+            image = Some((page, img));
+            let stable = &img[g.line_offset(idx)..][..g.line_size];
+            for tag in nodes.iter().map(|n| n.0).filter(|&tag| self.tags.has(tag, line)) {
+                let kept = skipped.contains(&(tag, line))
+                    || (0..rpl).any(|k| RecordLayout::tag_of(&stable[k * rec_size..]) == tag);
+                if !kept {
+                    gone.push((tag, line));
+                }
+            }
+        }
+        for (tag, line) in gone {
+            self.tags.clear(tag, line);
+        }
+        Ok(())
+    }
+
+    /// Independent oracle for the tag scan. Restart visits only the lines
+    /// the analysed nodes' tag ledgers name ([`Self::tag_scan`]); this
+    /// reference walks every line a survivor holds, as the scan did before
+    /// the ledger, and compares the two candidate lists — which records,
+    /// in which order — for the pending crash. Call between
+    /// [`SmDb::crash`] and [`SmDb::recover`] (also after an interrupted
+    /// `recover`). Returns human-readable disagreements (empty = the
+    /// ledger is a superset of the tagged lines).
+    pub fn check_tag_scan(&self) -> Vec<String> {
+        let crashed: BTreeSet<NodeId> = self.restart_scope().analysed.into_iter().collect();
+        let carried: Vec<LineId> = self.restart.stale_heap_lines.iter().copied().collect();
+        let (got, _) = self.tag_scan(&crashed, &carried);
+        let want = self.tag_scan_by_directory(&crashed);
+        if got == want {
+            return Vec::new();
+        }
+        let mut diffs: Vec<String> = want
+            .iter()
+            .filter(|hit| !got.contains(hit))
+            .map(|hit| format!("{hit:?}: found by the whole-cache scan, not by the ledger's"))
+            .chain(
+                got.iter()
+                    .filter(|hit| !want.contains(hit))
+                    .map(|hit| format!("{hit:?}: found by the ledger's scan only")),
+            )
+            .collect();
+        if diffs.is_empty() {
+            diffs.push(format!("same records, other order: ledger {got:?}, whole cache {want:?}"));
+        }
+        diffs
     }
 
     /// Apply the logical inverses of index operations that are rolled back

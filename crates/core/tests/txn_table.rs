@@ -11,7 +11,9 @@
 //!   the pending restart's analysis with a fold over every retained log
 //!   record ([`SmDb::check_redo_plan`]) and with itself over every rotation
 //!   of the order the logs are read in ([`SmDb::check_scan_order`]: the
-//!   per-log reductions commute, so who reads which log cannot matter);
+//!   per-log reductions commute, so who reads which log cannot matter),
+//!   and the tag scan over the tag ledgers with a walk of every cached
+//!   line ([`SmDb::check_tag_scan`]);
 //! * a scenario pins the one settled transaction that must stay in the
 //!   active table: a recovery victim whose commit record is durable;
 //! * a count pins the property the split exists for: what `crash`,
@@ -182,6 +184,8 @@ fn analysis_exact(db: &SmDb, at: &str) -> Result<(), TestCaseError> {
     prop_assert!(diffs.is_empty(), "cached probe diverged {}:\n  {}", at, diffs.join("\n  "));
     let diffs = db.check_scan_order();
     prop_assert!(diffs.is_empty(), "scan order matters {}:\n  {}", at, diffs.join("\n  "));
+    let diffs = db.check_tag_scan();
+    prop_assert!(diffs.is_empty(), "tag scan diverged {}:\n  {}", at, diffs.join("\n  "));
     Ok(())
 }
 

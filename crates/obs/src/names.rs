@@ -123,6 +123,10 @@ pub const RESTART_REDO_ON_DEMAND: &str = "restart.redo_on_demand";
 pub const RESTART_REDO_SKIPPED: &str = "restart.redo_skipped";
 /// Log records visited by analysis scans.
 pub const RESTART_SCAN_RECORDS: &str = "restart.scan_records";
+/// Heap lines restart's undo-tag scans visited: the lines the analysed
+/// nodes' tag ledgers name (follows what the crashed nodes wrote, never
+/// the size of the caches).
+pub const RESTART_TAG_SCAN_LINES: &str = "restart.tag_scan_lines";
 /// Transaction-table entries visited by `crash`, `recover` and
 /// `checkpoint` (follows the transactions live at the time, never the
 /// history behind them).
@@ -299,6 +303,12 @@ pub const CATALOG: &[MetricDef] = &[
         kind: MetricKind::Counter,
         layer: "core",
         help: "Log records visited by analysis scans",
+    },
+    MetricDef {
+        name: RESTART_TAG_SCAN_LINES,
+        kind: MetricKind::Counter,
+        layer: "core",
+        help: "Heap lines visited by restart's undo-tag scans (the analysed nodes' tag ledgers)",
     },
     MetricDef {
         name: RESTART_TXN_ENTRIES_VISITED,

@@ -236,6 +236,14 @@ pub struct Machine {
     /// coherence protocol can never migrate or replicate stale bytes;
     /// `peek*` and `install_line` stay available for the recovery owner.
     unrecovered: BTreeSet<LineId>,
+    /// The lines crashes marked lost, ascending, each with its slot: what
+    /// [`Machine::iter_lost`] serves instead of walking every slot. An
+    /// install or a `clear_lost` leaves its entry in place and sets
+    /// `lost_pruned`; the entries are then checked against their slots as
+    /// they are read, and dropped at the next crash or lane split.
+    lost: Vec<(LineId, Loc)>,
+    /// Some entry of `lost` may name a line that is no longer lost.
+    lost_pruned: bool,
 }
 
 /// Which bytes of a transfer its lines `lines` hold, when the transfer is
@@ -250,6 +258,15 @@ pub fn span_bytes(
     lines: Range<usize>,
 ) -> Range<usize> {
     (lines.start * line_size).saturating_sub(offset)..(lines.end * line_size - offset).min(len)
+}
+
+/// Whether the slot at `at` still holds `line`, lost. A slot of a stripe
+/// detached into a lane reads as not lost.
+fn still_lost(shards: &[CoherShard], line: LineId, at: Loc) -> bool {
+    shards[at.sh as usize]
+        .slots
+        .get(at.slot as usize)
+        .is_some_and(|sl| sl.live && sl.lost && sl.line == line)
 }
 
 impl Machine {
@@ -270,6 +287,8 @@ impl Machine {
             next_dynamic: LineId::DYNAMIC_BASE,
             lane: false,
             unrecovered: BTreeSet::new(),
+            lost: Vec::new(),
+            lost_pruned: false,
         }
     }
 
@@ -526,6 +545,7 @@ impl Machine {
         let shard = &mut self.shards[l.sh as usize];
         let sl = &mut shard.slots[l.slot as usize];
         debug_assert!(sl.live);
+        self.lost_pruned |= sl.lost;
         shard.index.remove(sl.line.0);
         sl.live = false;
         sl.lost = false;
@@ -1144,9 +1164,11 @@ impl Machine {
         if report.crashed.is_empty() {
             return report;
         }
+        self.prune_lost();
         let crashed = &report.crashed;
-        for shard in self.shards.iter_mut() {
-            for sl in shard.slots.iter_mut() {
+        let mut lost = Vec::new();
+        for (sh, shard) in self.shards.iter_mut().enumerate() {
+            for (slot, sl) in shard.slots.iter_mut().enumerate() {
                 if !sl.live {
                     continue;
                 }
@@ -1154,7 +1176,7 @@ impl Machine {
                     sl.holders.retain(|n| !crashed.contains(&n));
                     if sl.holders.is_empty() {
                         sl.lost = true;
-                        report.lost_lines.push(sl.line);
+                        lost.push((sl.line, Loc { sh: sh as u32, slot: slot as u32 }));
                         self.stats.lines_lost += 1;
                     }
                 }
@@ -1175,8 +1197,17 @@ impl Machine {
         }
         // Slot order is allocation order; reports are sorted by line id
         // (the order the old BTreeMap directory yielded them in).
-        report.lost_lines.sort();
+        lost.sort_unstable_by_key(|&(line, _)| line);
+        report.lost_lines = lost.iter().map(|&(line, _)| line).collect();
         report.broken_line_locks.sort();
+        // The entries kept are still lost and the new ones were not: the
+        // two lists are disjoint.
+        if self.lost.is_empty() {
+            self.lost = lost;
+        } else {
+            self.lost.extend(lost);
+            self.lost.sort_unstable_by_key(|&(line, _)| line);
+        }
         self.obs.bus.emit(self.max_clock(), || ObsEvent::CrashInjected {
             nodes: report.crashed.len() as u16,
             lost_lines: report.lost_lines.len() as u64,
@@ -1366,6 +1397,7 @@ impl Machine {
                 Some(s) => {
                     // Install is authoritative: any surviving copies elsewhere
                     // are dropped along with locks and active bits.
+                    self.lost_pruned |= self.slot(s).lost;
                     let sl = self.slot_mut(s);
                     sl.lost = false;
                     sl.locked_by = None;
@@ -1465,19 +1497,55 @@ impl Machine {
         })
     }
 
+    /// [`Machine::iter_held`]'s view of the ascending `lines`: for each one
+    /// a survivor holds, its lowest holder, its position in that walk's
+    /// order (shard-major, then slot) and its bytes. What a scan over a
+    /// chosen set of lines sorts by to visit them in the whole walk's
+    /// order. A page's lines sit in consecutive slots of one shard when it
+    /// was installed whole, so each line is first looked for as far past
+    /// the previous line's slot as it lies past that line; the index is
+    /// probed only on a miss.
+    pub fn held_lines<'a>(
+        &'a self,
+        lines: &'a [LineId],
+    ) -> impl Iterator<Item = (NodeId, u64, LineId, &'a [u8])> + 'a {
+        let mut prev: Option<(LineId, Loc)> = None;
+        lines.iter().filter_map(move |&line| {
+            let near = prev.and_then(|(before, p)| {
+                let d = line.0.checked_sub(before.0).filter(|&d| d <= self.cfg.stripe_lines)?;
+                let slot = p.slot.checked_add(d as u32)?;
+                let sl = self.shards[p.sh as usize].slots.get(slot as usize)?;
+                (sl.live && sl.line == line).then_some(Loc { sh: p.sh, slot })
+            });
+            let at = near.or_else(|| self.slot_of(line))?;
+            prev = Some((line, at));
+            let holder = self.slot(at).holders.first()?;
+            Some((holder, (at.sh as u64) << 32 | at.slot as u64, line, self.line_data(at)))
+        })
+    }
+
+    /// Drop the entries of the lost list whose line an install or a
+    /// `clear_lost` has taken back (usually all of them, once a restart
+    /// is over).
+    fn prune_lost(&mut self) {
+        if self.lost_pruned {
+            self.lost.retain(|&(line, at)| still_lost(&self.shards, line, at));
+            self.lost_pruned = false;
+        }
+    }
+
     /// Every line a crash destroyed that has not been reinstalled or
     /// forgotten since ([`Machine::is_lost`]), in ascending address order
     /// — the twin of [`Machine::iter_held`] for the other half of the
-    /// directory. One walk of the slots, so restart finds what to
-    /// reinstall without probing every line of every page.
-    pub fn iter_lost(&self) -> impl Iterator<Item = LineId> {
-        let mut lost: Vec<LineId> = self
-            .shards
+    /// directory. Served from the list the crashes collected (no walk of
+    /// the slots), so restart finds what to reinstall in time proportional
+    /// to what the crash destroyed.
+    pub fn iter_lost(&self) -> impl Iterator<Item = LineId> + '_ {
+        let check = self.lost_pruned;
+        self.lost
             .iter()
-            .flat_map(|shard| shard.slots.iter().filter(|sl| sl.live && sl.lost).map(|sl| sl.line))
-            .collect();
-        lost.sort_unstable();
-        lost.into_iter()
+            .filter(move |&&(line, at)| !check || still_lost(&self.shards, line, at))
+            .map(|&(line, _)| line)
     }
 
     /// The nodes currently holding valid copies of `line`, as a sorted
@@ -1513,8 +1581,10 @@ impl Machine {
     }
 
     /// Check every structural invariant of the flat line store, panicking
-    /// with a description on violation. O(slots × nodes); meant for tests
-    /// and property checks, not the hot path.
+    /// with a description on violation — the crashes' lost list
+    /// ([`Machine::iter_lost`]) against a walk of every slot included.
+    /// O(slots × nodes); meant for tests and property checks, not the hot
+    /// path.
     pub fn validate_flat(&self) {
         for (shn, shard) in self.shards.iter().enumerate() {
             let mut live = 0usize;
@@ -1579,6 +1649,17 @@ impl Machine {
                 "shard {shn} arena size disagrees with slot count"
             );
         }
+        let mut walked: Vec<LineId> = self
+            .shards
+            .iter()
+            .flat_map(|shard| shard.slots.iter().filter(|sl| sl.live && sl.lost).map(|sl| sl.line))
+            .collect();
+        walked.sort_unstable();
+        assert_eq!(
+            self.iter_lost().collect::<Vec<_>>(),
+            walked,
+            "the crashes' lost list disagrees with a walk of the slots"
+        );
     }
 
     // ------------------------------------------------------------------
@@ -1603,6 +1684,7 @@ impl Machine {
     pub fn lane_split(&mut self, stripes: &[u32]) -> Machine {
         assert!(!self.lane, "cannot split a lane machine");
         assert!(self.unrecovered.is_empty(), "lane_split with pending instant-restart redo");
+        self.prune_lost();
         let mut shards: Vec<CoherShard> =
             (0..self.shards.len()).map(|_| CoherShard::foreign()).collect();
         for &s in stripes {
@@ -1627,6 +1709,8 @@ impl Machine {
             next_dynamic: self.next_dynamic,
             lane: true,
             unrecovered: BTreeSet::new(),
+            lost: self.lost.iter().filter(|(_, at)| stripes.contains(&at.sh)).copied().collect(),
+            lost_pruned: false,
         }
     }
 
@@ -1643,6 +1727,7 @@ impl Machine {
             }
         }
         self.stats.absorb(&lane.stats);
+        self.lost_pruned |= lane.lost_pruned;
         self.nodes[node.0 as usize].clock = lane.nodes[node.0 as usize].clock;
     }
 

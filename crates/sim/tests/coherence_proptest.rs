@@ -14,12 +14,41 @@ use std::collections::BTreeMap;
 
 #[derive(Clone, Debug)]
 enum Op {
-    Read { node: u16, line: u64 },
-    Write { node: u16, line: u64, byte: u8 },
-    Lock { node: u16, line: u64 },
-    Unlock { node: u16, line: u64 },
-    Crash { node: u16 },
-    Reboot { node: u16 },
+    Read {
+        node: u16,
+        line: u64,
+    },
+    Write {
+        node: u16,
+        line: u64,
+        byte: u8,
+    },
+    Lock {
+        node: u16,
+        line: u64,
+    },
+    Unlock {
+        node: u16,
+        line: u64,
+    },
+    Crash {
+        node: u16,
+    },
+    Reboot {
+        node: u16,
+    },
+    /// Recovery's reinstall of a line (lost or not).
+    Install {
+        node: u16,
+        line: u64,
+        byte: u8,
+    },
+    /// Recovery forgets a lost line, and the line is created afresh (in
+    /// the slot just freed, when the free list hands it back).
+    Forget {
+        node: u16,
+        line: u64,
+    },
 }
 
 fn op_strategy(nodes: u16, lines: u64) -> impl Strategy<Value = Op> {
@@ -31,6 +60,9 @@ fn op_strategy(nodes: u16, lines: u64) -> impl Strategy<Value = Op> {
         1 => (0..nodes, 0..lines).prop_map(|(node, line)| Op::Unlock { node, line }),
         1 => (0..nodes).prop_map(|node| Op::Crash { node }),
         1 => (0..nodes).prop_map(|node| Op::Reboot { node }),
+        1 => (0..nodes, 0..lines, any::<u8>())
+            .prop_map(|(node, line, byte)| Op::Install { node, line, byte }),
+        1 => (0..nodes, 0..lines).prop_map(|(node, line)| Op::Forget { node, line }),
     ]
 }
 
@@ -134,6 +166,19 @@ fn run_model(kind: CoherenceKind, ops: Vec<Op>) -> Result<(), TestCaseError> {
                     m.reboot_node(NodeId(node));
                 }
             }
+            Op::Install { node, line, byte } => {
+                if m.install_line(NodeId(node), LineId(line), &[byte]).is_ok() {
+                    model.values.insert(line, Some(byte));
+                    locked.remove(&line);
+                }
+            }
+            Op::Forget { node, line } => {
+                if m.is_lost(LineId(line)) && !m.is_crashed(NodeId(node)) {
+                    m.clear_lost(LineId(line));
+                    m.create_line_at(NodeId(node), LineId(line), &[0]).expect("recreate");
+                    model.values.insert(line, Some(0));
+                }
+            }
         }
         // Global invariants after every step.
         //
@@ -145,6 +190,12 @@ fn run_model(kind: CoherenceKind, ops: Vec<Op>) -> Result<(), TestCaseError> {
         // with the flat representation the directory *is* the cache state,
         // and this checks its internal consistency after crash+restore).
         m.validate_flat();
+        // The lost half of the directory is served from the lines the
+        // crashes collected: it must be what a walk of every slot finds
+        // (`validate_flat` above), and what the per-line probe finds.
+        let lost: Vec<LineId> = m.iter_lost().collect();
+        let probed: Vec<LineId> = (0..8).map(LineId).filter(|l| m.is_lost(*l)).collect();
+        prop_assert_eq!(lost, probed, "iter_lost disagrees with the is_lost probe");
         for l in 0..8u64 {
             let line = LineId(l);
             let holders = m.holders(line);
@@ -327,7 +378,16 @@ fn machine_state(m: &Machine) -> String {
         );
     }
     // Slot order (which slot each line was given) shows in scan order.
-    out += &format!("held {:?}\n", m.iter_held().map(|(n, l, _)| (n, l)).collect::<Vec<_>>());
+    let walk: Vec<(NodeId, LineId)> = m.iter_held().map(|(n, l, _)| (n, l)).collect();
+    out += &format!("held {walk:?}\n");
+    // Asked about every address, `held_lines` finds the walk's lines, and
+    // their positions put them in the walk's order.
+    let all: Vec<LineId> = (0..SPAN_LINES + 8).map(LineId).collect();
+    let mut asked: Vec<(u64, NodeId, LineId)> =
+        m.held_lines(&all).map(|(n, at, l, _)| (at, n, l)).collect();
+    asked.sort_unstable();
+    let asked: Vec<(NodeId, LineId)> = asked.into_iter().map(|(_, n, l)| (n, l)).collect();
+    assert_eq!(asked, walk, "held_lines disagrees with iter_held");
     // The lost half of the directory: the walk must find exactly what the
     // per-line probe finds, in address order.
     let lost: Vec<LineId> = m.iter_lost().collect();

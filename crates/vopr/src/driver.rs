@@ -187,9 +187,12 @@ impl Harness<'_> {
     /// Standing oracle between every crash and its recovery: the analysis'
     /// reduced redo plan and committed values must equal a fold over every
     /// retained log record ([`SmDb::check_redo_plan`]), whatever order the
-    /// logs are read in ([`SmDb::check_scan_order`]).
+    /// logs are read in ([`SmDb::check_scan_order`]), and the tag scan over
+    /// the analysed nodes' tag ledgers must find what a walk of every
+    /// cached line finds ([`SmDb::check_tag_scan`]).
     fn redo_plan_oracle(&self, db: &SmDb) -> Result<(), Fatal> {
-        match [db.check_redo_plan(), db.check_scan_order()].concat().as_slice() {
+        match [db.check_redo_plan(), db.check_scan_order(), db.check_tag_scan()].concat().as_slice()
+        {
             [] => Ok(()),
             diffs => Err(fatal("redo-plan", diffs.join("; "))),
         }

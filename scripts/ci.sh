@@ -163,6 +163,21 @@ echo "== one heap-recovery path: second crash + eager vs instant =="
 # owed it.
 cargo test --release -q -p smdb-core --test second_crash --test instant_restart
 
+echo "== tag ledger: the undo-tag scan visits the crashed nodes' ledgers =="
+# Restart's Selective-Redo tag scan (DESIGN §9) visits the lines the
+# analysed nodes' tag ledgers name instead of every cached line.
+# tag_ledger: one scenario per way a tag can reach a surviving copy (a
+# stolen image reinstalled, an early-lock-release successor's re-tag, a
+# parallel participant's tag, a total failure then a forward fault, an
+# epoch lane, an interrupted restart's stale lines, an instant restart's
+# pending entry), each held to the whole-cache scan (check_tag_scan).
+# tag_scan_lines: on the crash_eager shape the scan visits under a fifth
+# of the held lines. The fixed-seed VOPR batteries run check_tag_scan
+# between every crash and its recovery.
+cargo test --release -q -p smdb-core --test tag_ledger
+cargo test --release -q -p smdb-bench --test tag_scan_lines
+cargo test --release -q -p smdb-vopr --test vopr fixed_seed
+
 echo "== E13-E16: each live node does a share (one fan-out) =="
 # The checkpoint's write-back, the restart's analysis scan, an eager
 # restart's page reads and every restart's index-skeleton reads (the

@@ -126,10 +126,11 @@ fn check_commit_predicate(db: &SmDb, after: &str) -> Result<(), String> {
 }
 
 /// The analysis' reduced redo plan and committed values for the pending
-/// crash against a fold over every retained log record, and the whole
-/// analysis against itself with the logs read in every other order.
+/// crash against a fold over every retained log record, the whole
+/// analysis against itself with the logs read in every other order, and
+/// the tag scan over the tag ledgers against a walk of every cached line.
 fn check_redo_plan(db: &SmDb) -> Result<(), String> {
-    match [db.check_redo_plan(), db.check_scan_order()].concat().as_slice() {
+    match [db.check_redo_plan(), db.check_scan_order(), db.check_tag_scan()].concat().as_slice() {
         [] => Ok(()),
         diffs => Err(format!("redo plan: {}", diffs.join("; "))),
     }
