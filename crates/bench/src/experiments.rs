@@ -1099,9 +1099,7 @@ pub fn e12_multicore(txns: usize) -> Vec<MulticorePoint> {
     for (cell, params) in cells {
         let mut cell_digest = None;
         for threads in [1usize, 2, 4, 8] {
-            let mut db = SmDb::new(
-                DbConfig::bench(8, ProtocolKind::VolatileSelectiveRedo).with_sim_shards(64),
-            );
+            let mut db = SmDb::new(DbConfig::bench(8, ProtocolKind::VolatileSelectiveRedo));
             let (report, o) = run_mix_mt(&mut db, params.clone(), threads).expect("multicore run");
             db.check_ifa(NodeId(0)).assert_ok();
             let mut digest = 0xcbf2_9ce4_8422_2325u64;

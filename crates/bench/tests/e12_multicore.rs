@@ -30,7 +30,7 @@ fn low_contention(txns: usize) -> MixParams {
 }
 
 fn engine() -> SmDb {
-    SmDb::new(DbConfig::bench(8, ProtocolKind::VolatileSelectiveRedo).with_sim_shards(64))
+    SmDb::new(DbConfig::bench(8, ProtocolKind::VolatileSelectiveRedo))
 }
 
 /// Wall-clock for one run at `threads`, best of `reps` (spawn jitter and

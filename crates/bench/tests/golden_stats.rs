@@ -275,7 +275,7 @@ fn golden_driver(out: &mut String) {
         // The same cell at 1, 2, 3 and 4 OS threads, rendered once.
         let mut cell = None;
         for threads in 1..=4 {
-            let mut db = SmDb::new(DbConfig::small(4, p).with_sim_shards(32));
+            let mut db = SmDb::new(DbConfig::small(4, p));
             let (report, mt) = run_mix_mt(&mut db, params.clone(), threads).expect("mt run");
             assert!(mt.epoch_waits > 0, "{p:?}: sharing must split the run into epochs");
             let mut got = format!("mt: {mt:?}\n");
@@ -523,13 +523,13 @@ fn sibling_upgrades(db: &SmDb) -> usize {
 #[test]
 fn golden_mt_schedule() {
     let mut got = String::new();
-    let small = |p| DbConfig::small(4, p).with_sim_shards(32);
+    let small = |p| DbConfig::small(4, p);
 
     // `perf`'s `epoch_mt2` at a tenth of one driver call: private
     // partitions, pure write. Neighbouring partitions meet in a boundary
     // page, so a node stalls on a stripe and sits the epoch out while the
     // others keep admitting.
-    let mut cfg = DbConfig::bench(8, ProtocolKind::VolatileSelectiveRedo).with_sim_shards(64);
+    let mut cfg = DbConfig::bench(8, ProtocolKind::VolatileSelectiveRedo);
     cfg.records = 4096;
     let params = MixParams {
         txns: 1000,

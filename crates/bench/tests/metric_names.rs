@@ -116,13 +116,13 @@ fn multicore_counters_fire_and_are_catalogued() {
     // The epoch-scheduler quadruple never fires in the serial
     // representative run: light it up with a half-shared Zipf mix under
     // Stable LBM on four threads. Hot shared slots collide on record
-    // names (`lock.shard_conflicts`), private traffic over eight stripes
-    // collides by page hash (`sim.shard_conflicts`), and both stall nodes
+    // names (`lock.shard_conflicts`), private traffic collides on
+    // stripes (`sim.shard_conflicts`), and both stall nodes
     // across epochs (`engine.epoch_waits`). A second, read-only mix feeds
     // `wal.appender_stalls`: admission logs each lane's lock grants, a
     // read-only commit forces nothing, so the epoch barrier must force
     // them.
-    let mut db = SmDb::new(DbConfig::small(4, ProtocolKind::StableEager).with_sim_shards(8));
+    let mut db = SmDb::new(DbConfig::small(4, ProtocolKind::StableEager));
     db.enable_observability(0);
     let p = MixParams {
         txns: 120,

@@ -1,7 +1,7 @@
 //! Engine configuration: protocol selection and machine/database sizing.
 
 use smdb_lock::LcbGeometry;
-use smdb_sim::{CoherenceKind, CostModel};
+use smdb_sim::{CoherenceKind, CostModel, STRIPES};
 use smdb_wal::LbmMode;
 
 /// Which restart-recovery scheme runs after a crash (§4.1.2).
@@ -177,14 +177,6 @@ pub struct DbConfig {
     /// the full redo pass. The FA-only baseline and total failures always
     /// recover eagerly.
     pub instant_restart: bool,
-    /// Number of independent shards the simulated machine's coherence
-    /// directory and line store are striped into. `1` (the default)
-    /// reproduces the historical single-array layout byte-for-byte; larger
-    /// values enable the multicore execution engine
-    /// ([`crate::mt`]), which detaches disjoint stripe sets into
-    /// per-thread execution lanes. The stripe granule is always
-    /// `lines_per_page` so one page never straddles shards.
-    pub sim_shards: usize,
 }
 
 impl DbConfig {
@@ -208,7 +200,6 @@ impl DbConfig {
             early_lock_release: false,
             lock_poll: false,
             instant_restart: false,
-            sim_shards: 1,
         }
     }
 
@@ -231,7 +222,6 @@ impl DbConfig {
             early_lock_release: false,
             lock_poll: false,
             instant_restart: false,
-            sim_shards: 1,
         }
     }
 
@@ -295,11 +285,12 @@ impl DbConfig {
         self
     }
 
-    /// Stripe the machine's coherence directory into `shards` shards
-    /// (enables [`crate::mt`] execution lanes). Must be non-zero.
-    pub fn with_sim_shards(mut self, shards: usize) -> Self {
-        assert!(shards > 0, "shard count must be non-zero");
-        self.sim_shards = shards;
+    /// Change nothing: the machine always stripes its coherence directory
+    /// into [`STRIPES`] stripes, and `shards` must be that count.
+    /// Kept only because the benchmark's `epoch_mt2` workload (`perf/`)
+    /// calls it; ROADMAP item 5 deletes it.
+    pub fn with_sim_shards(self, shards: usize) -> Self {
+        assert_eq!(shards, STRIPES, "the machine always has STRIPES stripes");
         self
     }
 }
@@ -341,8 +332,7 @@ mod tests {
             let base = DbConfig::small(4, p)
                 .with_early_lock_release()
                 .with_lock_polling()
-                .with_instant_restart()
-                .with_sim_shards(8);
+                .with_instant_restart();
             let remapped = base.clone().with_coalesced_forces();
             let want =
                 if p == ProtocolKind::StableEager { ProtocolKind::StableTriggered } else { p };

@@ -182,7 +182,6 @@ impl SmDb {
             coherence: cfg.coherence,
             cost: cfg.cost.clone(),
             stall_on_lost: cfg.stall_on_lost,
-            shards: cfg.sim_shards,
             stripe_lines: cfg.lines_per_page as u64,
         };
         let mut m = Machine::new(sim_cfg);

@@ -97,7 +97,7 @@ use smdb_btree::TreeCtx;
 use smdb_fault::Scheduler;
 use smdb_lock::{LockMode, LockOutcome, ViolationTable};
 use smdb_obs::{names, ForceReason};
-use smdb_sim::{LineId, MemError, NodeId, TxnId};
+use smdb_sim::{LineId, MemError, NodeId, TxnId, STRIPES};
 use smdb_storage::{PageId, StableDb};
 use smdb_wal::{CheckpointStore, Lsn, PageLsnTable};
 use std::collections::VecDeque;
@@ -252,11 +252,11 @@ struct EpochTables {
 }
 
 impl EpochTables {
-    fn new(stripes: usize, records: usize, heap_pages: usize) -> Self {
+    fn new(records: usize, heap_pages: usize) -> Self {
         let empty = Holder { stamp: 0, node: 0, txn: TxnId(0), mode: LockMode::Shared };
         EpochTables {
             stamp: 0,
-            claimed: vec![(0, 0); stripes],
+            claimed: vec![(0, 0); STRIPES],
             holders: vec![empty; records],
             faulted: vec![0; heap_pages],
         }
@@ -436,7 +436,7 @@ impl SmDb {
     /// force the mark owner's log (forcing first keeps the Stable-LBM
     /// invariant while clearing).
     fn settle_lbm_marks(&mut self) -> Result<(), DbError> {
-        let all_stripes: Vec<u32> = (0..self.m.shard_count() as u32).collect();
+        let all_stripes: Vec<u32> = (0..STRIPES as u32).collect();
         for n in 0..self.cfg.nodes {
             let node = NodeId(n);
             let last = self.logs.log(node).last_lsn();
@@ -657,9 +657,7 @@ impl SmDb {
         }
         let mut out = MtOutcome::default();
         let obs_on = self.m.obs().is_enabled();
-        let stripe_count = self.m.shard_count();
-        let mut tables =
-            EpochTables::new(stripe_count, self.cfg.records as usize, self.heap_pages as usize);
+        let mut tables = EpochTables::new(self.cfg.records as usize, self.heap_pages as usize);
         let mut cand = Candidate::default();
         let mut epoch_txns: Vec<TxnId> = Vec::new();
 
@@ -689,7 +687,7 @@ impl SmDb {
 
             // ---- lane assembly (serial) --------------------------------
             let mut lane_stripes: Vec<Vec<u32>> = (0..nodes).map(|_| Vec::new()).collect();
-            for s in 0..stripe_count as u32 {
+            for s in 0..STRIPES as u32 {
                 if let Some(n) = tables.claimant(s) {
                     lane_stripes[n].push(s);
                 }
@@ -876,14 +874,14 @@ mod tests {
     use crate::engine::{tree_ctx, SmDb};
     use crate::{DbConfig, DbError, Op, ProtocolKind};
     use smdb_btree::TreeCtx;
-    use smdb_sim::{NodeId, TxnId};
+    use smdb_sim::{NodeId, TxnId, STRIPES};
 
     /// A lane for `node` over every stripe of `db`, with `slot`'s page
     /// pre-faulted as admission would have.
     fn lane_over(db: &mut SmDb, node: NodeId, slot: u64) -> SmDb {
         let page = db.layout.rec_of_global(slot).page;
         tree_ctx!(db).ensure_resident(node, page).expect("pre-fault");
-        let stripes: Vec<u32> = (0..db.m.shard_count() as u32).collect();
+        let stripes: Vec<u32> = (0..STRIPES as u32).collect();
         db.lane_for(node, &stripes)
     }
 

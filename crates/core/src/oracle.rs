@@ -200,11 +200,13 @@ impl ShadowDb {
     }
 
     /// Fold a lane shadow back into the parent at an epoch barrier,
-    /// applying the same newest-write-wins rule as [`ShadowDb::commit`].
-    /// The parent's sequence counter advances past every stamp the lane
-    /// issued, so later epochs always out-stamp earlier ones.
+    /// applying the same newest-write-wins rule as [`ShadowDb::commit`],
+    /// and adopt whatever the lane left pending (nothing, unless the lane
+    /// failed mid-transaction), as the transaction table adopts its live
+    /// entries. The parent's sequence counter advances past every stamp
+    /// the lane issued, so later epochs always out-stamp earlier ones.
     pub fn absorb(&mut self, lane: ShadowDb) {
-        assert!(lane.pending.is_empty(), "lane shadow merged with pending transactions");
+        self.pending.extend(lane.pending);
         for (slot, (seq, v)) in lane.committed {
             match self.committed.get(&slot) {
                 Some((have, _)) if *have > seq => {}

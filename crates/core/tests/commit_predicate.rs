@@ -161,8 +161,7 @@ fn sync_commit_over_a_pipelined_chain_settles_the_whole_chain() {
 /// `lane_merge`; the predicate must know every one of them.
 #[test]
 fn run_epochs_lane_merged_table_answers_for_lane_commits() {
-    let cfg =
-        DbConfig::small(4, ProtocolKind::VolatileSelectiveRedo).without_index().with_sim_shards(8);
+    let cfg = DbConfig::small(4, ProtocolKind::VolatileSelectiveRedo).without_index();
     let mut db = SmDb::new(cfg);
     let txns: Vec<MtTxn> = (0..64u64)
         .map(|i| MtTxn {

@@ -4,13 +4,14 @@
 //! pays one commit force per lane that committed a writer, per epoch —
 //! and the parent still never sees a commit whose record is volatile.
 
-use smdb_core::{DbConfig, MtTxn, Op, ProtocolKind, SmDb, TxnStatus};
+use smdb_core::fault::{CrashPoint, FaultInjector, FaultPlan};
+use smdb_core::{DbConfig, MtTxn, Op, ProtocolKind, SmDb, TxnStatus, FAULT_COMMIT};
 use smdb_sim::{NodeId, TxnId};
 
 const NODES: u16 = 4;
 
 fn engine() -> SmDb {
-    SmDb::new(DbConfig::small(NODES, ProtocolKind::VolatileSelectiveRedo).with_sim_shards(32))
+    SmDb::new(DbConfig::small(NODES, ProtocolKind::VolatileSelectiveRedo))
 }
 
 fn update(node: u16, slots: &[u64]) -> MtTxn {
@@ -114,5 +115,28 @@ fn an_all_read_lane_leaves_its_grants_to_the_barrier() {
     for n in 0..NODES {
         let log = db.logs().log(NodeId(n));
         assert_eq!(log.durable_lsn(), log.last_lsn(), "n{n}'s grant records stayed volatile");
+    }
+}
+
+/// A fault inside a lane comes back from `run_epochs` as its own
+/// `FaultCrash`: the barrier adopts the failed lane's pending transaction
+/// (shadow and transaction table alike), so crashing the victim and
+/// recovering leaves the committed state the oracle expects.
+#[test]
+fn a_commit_fault_inside_a_lane_is_a_fault_crash() {
+    for hit in 0..3 {
+        let mut db = engine();
+        let fault = FaultInjector::new();
+        db.set_fault_injector(fault.clone());
+        fault.arm(FaultPlan::single(CrashPoint::new(FAULT_COMMIT, hit)));
+        let batch = vec![update(0, &[own(0, 1)]), update(1, &[own(1, 1)])];
+        let err = db.run_epochs(batch, 1).expect_err("the armed commit point fires in a lane");
+        let c = *err.fault_crash().unwrap_or_else(|| panic!("hit {hit}: {err}"));
+        assert_eq!(c.site, FAULT_COMMIT, "hit {hit}");
+        let victim = NodeId(c.node);
+        db.crash(&[victim]);
+        db.recover().unwrap_or_else(|e| panic!("hit {hit}: recover: {e}"));
+        let survivor = NodeId(if c.node == 0 { 1 } else { 0 });
+        db.check_ifa(survivor).assert_ok();
     }
 }

@@ -1,7 +1,8 @@
 //! `SmDb::run_epochs` on work it cannot run: a batch it must refuse is
 //! refused before anything is touched, and an error that leaves admission
 //! after a grant gives the epoch's parent-side grants back — the names must
-//! not stay locked by transactions that never begin.
+//! not stay locked by transactions that never begin. A plain engine, which
+//! asked for no stripes, is one the scheduler runs on in parallel.
 
 use smdb_core::fault::{CrashPoint, FaultInjector, FaultPlan};
 use smdb_core::{DbConfig, DbError, MtTxn, Op, ProtocolKind, SmDb};
@@ -11,7 +12,7 @@ use smdb_wal::Lsn;
 const NODES: u16 = 4;
 
 fn engine() -> SmDb {
-    SmDb::new(DbConfig::small(NODES, ProtocolKind::VolatileSelectiveRedo).with_sim_shards(32))
+    SmDb::new(DbConfig::small(NODES, ProtocolKind::VolatileSelectiveRedo))
 }
 
 /// What a refusal must leave exactly as a fresh engine has it.
@@ -78,7 +79,7 @@ fn a_bad_transaction_is_refused_before_anything_is_touched() {
 /// names it in a typed error and is left as it was.
 #[test]
 fn an_engine_the_scheduler_cannot_run_on_is_refused_by_name() {
-    let small = || DbConfig::small(NODES, ProtocolKind::VolatileSelectiveRedo).with_sim_shards(32);
+    let small = || DbConfig::small(NODES, ProtocolKind::VolatileSelectiveRedo);
     let one_committed = |db: &mut SmDb| {
         let t = db.begin(NodeId(0)).unwrap();
         db.update(t, 1, b"lost").unwrap();
@@ -139,6 +140,16 @@ fn an_engine_the_scheduler_cannot_run_on_is_refused_by_name() {
         assert_eq!(got, Err(DbError::EpochRefused { requires }), "{requires}");
         assert_eq!(observe(&db), before, "the refusal ({requires}) touched the engine");
     }
+}
+
+/// Every machine is striped: a plain configuration, with no stripe
+/// request, puts slot 0's page and slot 100's page in different stripes,
+/// so two nodes' updates of them share one epoch.
+#[test]
+fn a_plain_engine_admits_disjoint_pages_into_one_epoch() {
+    let mut db = engine();
+    let out = db.run_epochs(vec![update(0, 0), update(1, 100)], 1).expect("epoch run");
+    assert_eq!((out.committed, out.epochs, out.data_conflicts), (2, 1, 0));
 }
 
 #[test]

@@ -252,7 +252,7 @@ struct Lockstep {
 
 impl Lockstep {
     fn new(protocol: ProtocolKind, elr: bool) -> Self {
-        let mut cfg = DbConfig::small(NODES, protocol).without_index().with_sim_shards(8);
+        let mut cfg = DbConfig::small(NODES, protocol).without_index();
         if elr {
             cfg = cfg.with_early_lock_release().with_lock_polling();
         }

@@ -36,17 +36,11 @@ pub struct SimConfig {
     /// while recovery runs. If false, such references return
     /// [`crate::MemError::LineLost`].
     pub stall_on_lost: bool,
-    /// Number of independent shards the coherence directory and line store
-    /// are striped into. `1` (the default) reproduces the historical
-    /// single-array layout byte-for-byte; larger values let disjoint
-    /// stripe sets be detached into per-thread execution lanes
-    /// ([`crate::Machine::lane_split`]) so N OS threads can drive N nodes
-    /// concurrently.
-    pub shards: usize,
     /// Stripe granule in lines: consecutive runs of `stripe_lines` line
-    /// addresses map to the same shard (round-robin across shards). The
-    /// database engine sets this to its lines-per-page so one page —
-    /// record lines plus the Page-LSN line — never straddles shards.
+    /// addresses map to the same stripe, round-robin across the
+    /// [`crate::STRIPES`] stripes. The database engine sets this to its
+    /// lines-per-page so one page — record lines plus the Page-LSN line —
+    /// never straddles stripes.
     pub stripe_lines: u64,
 }
 
@@ -60,7 +54,6 @@ impl SimConfig {
             coherence: CoherenceKind::WriteInvalidate,
             cost: CostModel::default(),
             stall_on_lost: false,
-            shards: 1,
             stripe_lines: 32,
         }
     }
@@ -87,14 +80,6 @@ impl SimConfig {
     /// Enable stalling references to lost lines (§4.2.2).
     pub fn with_stall_on_lost(mut self, stall: bool) -> Self {
         self.stall_on_lost = stall;
-        self
-    }
-
-    /// Stripe the directory and line store into `shards` independent
-    /// shards (see [`SimConfig::shards`]). Must be non-zero.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        assert!(shards > 0, "shard count must be non-zero");
-        self.shards = shards;
         self
     }
 

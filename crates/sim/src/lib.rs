@@ -78,3 +78,10 @@ pub use smdb_fault as fault;
 /// Cache line size used by default throughout the reproduction: 128 bytes,
 /// the line size of both the KSR-1/KSR-2 and Stanford FLASH (paper, §3).
 pub const DEFAULT_LINE_SIZE: usize = 128;
+
+/// Number of stripes every [`Machine`] splits its coherence directory and
+/// line store into. A power of two, so a line's stripe is a mask. The
+/// layout is invisible to both clocks; what it buys is that disjoint
+/// stripe sets can be detached into execution lanes
+/// ([`Machine::lane_split`]) and driven by concurrent OS threads.
+pub const STRIPES: usize = 64;

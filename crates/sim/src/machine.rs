@@ -32,6 +32,7 @@ use crate::error::MemError;
 use crate::flat::{HolderSet, LineIndex};
 use crate::ids::{LineId, NodeId};
 use crate::stats::SimStats;
+use crate::STRIPES;
 use smdb_fault::FaultInjector;
 use smdb_obs::{Event as ObsEvent, Obs};
 use std::collections::BTreeSet;
@@ -101,10 +102,9 @@ struct NodeState {
     crashed: bool,
 }
 
-/// One independent stripe of the coherence directory and line store: its
-/// own open-addressed index, slot array, data arena, and free list. With
-/// `SimConfig::shards == 1` the single shard reproduces the historical
-/// flat layout exactly. Shards are the unit of ownership transfer for
+/// One of the [`STRIPES`] stripes of the coherence directory and line
+/// store: its own open-addressed index, slot array, data arena, and free
+/// list. Shards are the unit of ownership transfer for
 /// parallel execution lanes ([`Machine::lane_split`]): a lane machine
 /// holds the detached shards it owns and an unowned sentinel (empty,
 /// `owned == false`) in every other position, so any access outside the
@@ -273,10 +273,9 @@ impl Machine {
     /// Build a machine from a configuration.
     pub fn new(cfg: SimConfig) -> Self {
         assert!(cfg.nodes > 0, "machine needs at least one node");
-        assert!(cfg.shards > 0, "machine needs at least one shard");
         assert!(cfg.stripe_lines > 0, "stripe granule must be non-zero");
         let nodes = (0..cfg.nodes).map(|_| NodeState { clock: 0, crashed: false }).collect();
-        let shards = (0..cfg.shards).map(|_| CoherShard::new()).collect();
+        let shards = (0..STRIPES).map(|_| CoherShard::new()).collect();
         Machine {
             cfg,
             shards,
@@ -347,16 +346,11 @@ impl Machine {
         fs
     }
 
-    /// Number of directory/line-store shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Which stripe (shard) `line` maps to: consecutive runs of
     /// `stripe_lines` line addresses share a stripe, round-robin across
-    /// the shards.
+    /// the [`STRIPES`] stripes.
     pub fn stripe_of(&self, line: LineId) -> u32 {
-        ((line.0 / self.cfg.stripe_lines) % self.shards.len() as u64) as u32
+        self.shard_idx(line) as u32
     }
 
     /// The machine-wide observability handle (event bus + metrics). The
@@ -441,10 +435,8 @@ impl Machine {
     /// sentinel inside a lane machine).
     #[inline]
     fn shard_idx(&self, line: LineId) -> usize {
-        if self.shards.len() == 1 {
-            return 0;
-        }
-        ((line.0 / self.cfg.stripe_lines) % self.shards.len() as u64) as usize
+        const { assert!(STRIPES.is_power_of_two()) };
+        (line.0 / self.cfg.stripe_lines) as usize & (STRIPES - 1)
     }
 
     /// Error unless `line`'s stripe is owned by this machine. Only lane
@@ -1270,7 +1262,7 @@ impl Machine {
     /// coherent access (read, write, line lock) fails with
     /// [`MemError::Unrecovered`] until [`Machine::clear_unrecovered`], so
     /// the coherence protocol cannot migrate or replicate the stale bytes.
-    /// `peek`/`peek_local`/`iter_cached` (inspection) and `install_line`
+    /// `peek`/`peek_local`/`iter_held` (inspection) and `install_line`
     /// (authoritative reinstall) are exempt.
     pub fn mark_unrecovered(&mut self, line: LineId) {
         self.unrecovered.insert(line);
@@ -1458,33 +1450,15 @@ impl Machine {
         Some(self.line_data(slot))
     }
 
-    /// Iterate over the lines currently valid in `node`'s cache. This is
-    /// the sequential cache scan Selective Redo performs to find records
-    /// tagged by crashed nodes (§4.1.2). Iteration is shard-major, in
-    /// slot (allocation) order within each shard — with a single shard
-    /// this is exactly the historical allocation order, and for any shard
-    /// count it is a canonical order independent of how many OS threads
-    /// drove the machine.
-    pub fn iter_cached(&self, node: NodeId) -> impl Iterator<Item = (LineId, &[u8])> {
-        let ls = self.cfg.line_size;
-        self.shards.iter().flat_map(move |shard| {
-            shard.slots.iter().enumerate().filter_map(move |(i, sl)| {
-                if sl.live && sl.holders.contains(node) {
-                    Some((sl.line, &shard.data[i * ls..(i + 1) * ls]))
-                } else {
-                    None
-                }
-            })
-        })
-    }
-
     /// Iterate once over every line valid in *some* cache, with its
-    /// lowest-numbered holder — the machine-wide form of
-    /// [`Machine::iter_cached`], in the same shard-major slot order.
-    /// Holders are always live nodes (a crash scrubs the crashed nodes
-    /// from every holder set), so this visits exactly the lines the
-    /// per-survivor scans visit, each at the survivor that would have
-    /// reached it first.
+    /// lowest-numbered holder. This is the sequential cache scan Selective
+    /// Redo performs to find records tagged by crashed nodes (§4.1.2).
+    /// Iteration is shard-major, in slot (allocation) order within each
+    /// shard: a canonical order independent of how many OS threads drove
+    /// the machine. Holders are always live nodes (a crash scrubs the
+    /// crashed nodes from every holder set), so this visits exactly the
+    /// lines a per-survivor scan would visit, each at the survivor that
+    /// would have reached it first.
     pub fn iter_held(&self) -> impl Iterator<Item = (NodeId, LineId, &[u8])> {
         let ls = self.cfg.line_size;
         self.shards.iter().flat_map(move |shard| {

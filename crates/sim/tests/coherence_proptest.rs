@@ -8,7 +8,7 @@ use rand::prelude::*;
 use smdb_sim::fault::{CrashPoint, FaultInjector, FaultPlan};
 use smdb_sim::{
     CoherenceKind, LineId, Machine, MemError, NodeId, SimConfig, SpanResidency, TriggerEvent,
-    FAULT_INVALIDATE, FAULT_MIGRATE,
+    FAULT_INVALIDATE, FAULT_MIGRATE, STRIPES,
 };
 use std::collections::BTreeMap;
 
@@ -265,10 +265,10 @@ const SPAN_LINES: u64 = 48;
 const SPAN_LINE_SIZE: usize = 16;
 
 /// One random machine, fully determined by `seed`: both coherence kinds,
-/// 1 or 8 shards with stripes short enough that spans cross them, a lane
-/// machine owning only some stripes half of the time a sharded machine
-/// comes up, and in the line range a mix of never-created, shared,
-/// migrated, line-locked, active, crash-lost and pending-redo lines.
+/// stripes short enough that spans cross them, a lane machine owning only
+/// some stripes half of the time, and in the line range a mix of
+/// never-created, shared, migrated, line-locked, active, crash-lost and
+/// pending-redo lines.
 fn span_machine(seed: u64) -> (Machine, bool) {
     let mut rng = StdRng::seed_from_u64(seed);
     let kind = if rng.gen_bool(0.5) {
@@ -276,11 +276,9 @@ fn span_machine(seed: u64) -> (Machine, bool) {
     } else {
         CoherenceKind::WriteBroadcast
     };
-    let shards = if rng.gen_bool(0.5) { 1 } else { 8 };
     let cfg = SimConfig { coherence: kind, ..SimConfig::new(SPAN_NODES) }
         .with_line_size(SPAN_LINE_SIZE)
         .with_stall_on_lost(rng.gen_bool(0.3))
-        .with_shards(shards)
         .with_stripe_lines([2, 4, 32][rng.gen_range(0..3usize)]);
     let mut m = Machine::new(cfg);
     // Residency: mostly whole runs installed in address order (adjacent
@@ -338,9 +336,9 @@ fn span_machine(seed: u64) -> (Machine, bool) {
     }
     // A lane owns only some stripes: everything else is foreign. (Lanes
     // refuse pending-redo marks at the split, so those come after.)
-    let lane = shards > 1 && rng.gen_bool(0.5);
+    let lane = rng.gen_bool(0.5);
     if lane {
-        let stripes: Vec<u32> = (0..shards as u32).filter(|_| rng.gen_bool(0.7)).collect();
+        let stripes: Vec<u32> = (0..STRIPES as u32).filter(|_| rng.gen_bool(0.7)).collect();
         m = m.lane_split(&stripes);
     }
     for _ in 0..rng.gen_range(0..4usize) {

@@ -51,8 +51,8 @@ pub struct VoprConfig {
     /// Multicore epoch-scheduler preamble: before the interactive rounds
     /// the driver runs a deterministic record-only batch through
     /// `SmDb::run_epochs` (one lane thread — VOPR replay is sequential by
-    /// design), with striping enabled and the admission deferral site
-    /// (`mt.admit`) drawn from the shared schedule tape. Never combined
+    /// design), with the admission deferral site (`mt.admit`) drawn
+    /// from the shared schedule tape. Never combined
     /// with early lock release: the epoch scheduler requires the serial
     /// lock discipline.
     pub mt: bool,
@@ -147,11 +147,6 @@ impl VoprConfig {
         }
         if self.instant {
             cfg = cfg.with_instant_restart();
-        }
-        if self.mt {
-            // The preamble is the only fuzzed path through the striped
-            // coherence directory; everything else is striping-agnostic.
-            cfg = cfg.with_sim_shards(8);
         }
         cfg
     }

@@ -8,7 +8,7 @@ use smdb_sim::NodeId;
 use smdb_workload::{run_mix_mt, MixParams};
 
 fn engine(protocol: ProtocolKind) -> SmDb {
-    SmDb::new(DbConfig::small(4, protocol).with_sim_shards(32))
+    SmDb::new(DbConfig::small(4, protocol))
 }
 
 fn params() -> MixParams {
@@ -149,7 +149,7 @@ fn engine_recovers_after_multicore_run() {
 fn contended_stable_run_reports_scheduler_pressure() {
     // Full-sharing Zipf mix on Stable LBM: epochs must split (stripe and
     // lock collisions).
-    let mut db = SmDb::new(DbConfig::small(4, ProtocolKind::StableEager).with_sim_shards(32));
+    let mut db = SmDb::new(DbConfig::small(4, ProtocolKind::StableEager));
     db.enable_observability(1024);
     let p = MixParams {
         txns: 120,

@@ -28,22 +28,18 @@ echo "== crash-point sweep (bounded) =="
 # recovery node dies before its share; cells where node 0 owns the tree
 # pages put two readers on the skeleton) — are replayed exhaustively even
 # in this bounded run. wal.force.record is visited by every physical log
-# force, the early commit of a lock-space overflow line included. The
+# force, the early commit of a lock-space overflow line included. Every
+# engine runs the striped coherence directory (DESIGN §15). The
 # exhaustive variant of the whole sweep is scripts/crash_sweep.sh.
 cargo test --release -q --test crash_sweep
-
-echo "== crash-point sweep (bounded, striped directory) =="
-# The same bounded sweep once more with the coherence directory split
-# into 8 stripes (DESIGN §15). The driver stays serial — striping must be
-# behavior-invisible outside the epoch scheduler — so every crash point
-# also replays through the sharded directory and its recovery paths.
-SMDB_SIM_SHARDS=8 cargo test --release -q --test crash_sweep
 
 echo "== span-op lockstep (2000 cases) =="
 # Every simulator span operation against its per-line sequence on a twin
 # machine (DESIGN §10): same result, same machine state, stats, clocks
-# and event bus. The workspace test steps above run the default 256
-# cases; this one digs deeper (~1 s in release).
+# and event bus. Every case runs the striped machine with stripes short
+# enough that spans cross them, and half the cases a lane machine whose
+# foreign stripes the spans run into. The workspace test steps above run
+# the default 256 cases; this one digs deeper (~1 s in release).
 PROPTEST_CASES=2000 cargo test --release -q -p smdb-sim --test coherence_proptest span_ops
 
 echo "== transaction-table lockstep (2000 cases) + live-entries count =="

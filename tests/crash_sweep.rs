@@ -30,19 +30,6 @@ use smdb::workload::{run_mix_with_crash, spawn_active, MixParams};
 
 const SEED: u64 = 0x5EED_CAFE;
 
-/// Coherence-directory stripe count for every sweep engine, from
-/// `SMDB_SIM_SHARDS` (default 1, the unsharded directory). CI re-runs
-/// the bounded sweep once at 8 stripes: the serial driver is unchanged —
-/// striping must be behavior-invisible — so the same crash points replay
-/// through the sharded directory and recovery paths.
-fn sweep_shards() -> usize {
-    std::env::var("SMDB_SIM_SHARDS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&s| s >= 1)
-        .unwrap_or(1)
-}
-
 fn params(seed: u64) -> MixParams {
     MixParams {
         txns: 16,
@@ -202,7 +189,7 @@ fn run_scenario_cfg(
     mode: &RunMode,
     elr: bool,
 ) -> Result<RunOutput, String> {
-    let mut cfg = DbConfig::small(4, protocol).with_sim_shards(sweep_shards());
+    let mut cfg = DbConfig::small(4, protocol);
     if elr {
         cfg = cfg.with_early_lock_release().with_lock_polling();
     }
@@ -425,7 +412,7 @@ fn run_instant_scenario(
     protocol: ProtocolKind,
     plan: Option<&FaultPlan>,
 ) -> Result<Vec<SiteVisits>, String> {
-    let cfg = DbConfig::small(4, protocol).with_instant_restart().with_sim_shards(sweep_shards());
+    let cfg = DbConfig::small(4, protocol).with_instant_restart();
     let mut db = SmDb::new(cfg);
     let f = FaultInjector::new();
     db.set_fault_injector(f.clone());
@@ -557,7 +544,7 @@ fn run_full_restart(
     victims: &[NodeId],
     boundary: Option<u64>,
 ) -> Result<Vec<Vec<u8>>, String> {
-    let cfg = DbConfig::small(4, protocol).with_sim_shards(sweep_shards());
+    let cfg = DbConfig::small(4, protocol);
     let mut db = SmDb::new(cfg);
     let f = FaultInjector::new();
     db.set_fault_injector(f.clone());
@@ -658,7 +645,7 @@ fn run_reader_restart(
     site: &'static str,
     visit: Option<u64>,
 ) -> Result<(usize, EndState), String> {
-    let mut cfg = DbConfig::small(4, cell.protocol).with_sim_shards(sweep_shards());
+    let mut cfg = DbConfig::small(4, cell.protocol);
     if cell.instant {
         cfg = cfg.with_instant_restart();
     }

@@ -74,7 +74,7 @@ fn lbm_forces_counts_every_lbm_force() {
 
 #[test]
 fn epoch_batch_forces_are_recorded_once() {
-    let mut db = observed(DbConfig::small(4, ProtocolKind::StableEager).with_sim_shards(32));
+    let mut db = observed(DbConfig::small(4, ProtocolKind::StableEager));
     // A serial transaction leaves its lock releases unforced: the epoch
     // barrier forces them before the lanes split.
     let t = db.begin(NodeId(1)).unwrap();
