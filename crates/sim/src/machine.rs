@@ -348,9 +348,12 @@ impl Machine {
 
     /// Which stripe (shard) `line` maps to: consecutive runs of
     /// `stripe_lines` line addresses share a stripe, round-robin across
-    /// the [`STRIPES`] stripes.
+    /// the [`STRIPES`] stripes. Always in range; inside a lane machine
+    /// the stripe may be an unowned sentinel.
+    #[inline]
     pub fn stripe_of(&self, line: LineId) -> u32 {
-        self.shard_idx(line) as u32
+        const { assert!(STRIPES.is_power_of_two()) };
+        (line.0 / self.cfg.stripe_lines) as u32 & (STRIPES as u32 - 1)
     }
 
     /// The machine-wide observability handle (event bus + metrics). The
@@ -431,19 +434,11 @@ impl Machine {
     // Slot plumbing
     // ------------------------------------------------------------------
 
-    /// Shard index for `line` (always in range; may be an unowned
-    /// sentinel inside a lane machine).
-    #[inline]
-    fn shard_idx(&self, line: LineId) -> usize {
-        const { assert!(STRIPES.is_power_of_two()) };
-        (line.0 / self.cfg.stripe_lines) as usize & (STRIPES - 1)
-    }
-
     /// Error unless `line`'s stripe is owned by this machine. Only lane
     /// machines can fail this check.
     #[inline]
     fn check_owned(&self, line: LineId) -> Result<usize, MemError> {
-        let sh = self.shard_idx(line);
+        let sh = self.stripe_of(line) as usize;
         if self.shards[sh].owned {
             Ok(sh)
         } else {
@@ -456,7 +451,7 @@ impl Machine {
     /// Unowned sentinel shards are empty, so foreign lines simply miss.
     #[inline]
     fn slot_of(&self, line: LineId) -> Option<Loc> {
-        let sh = self.shard_idx(line);
+        let sh = self.stripe_of(line) as usize;
         let shard = &self.shards[sh];
         let before = shard.index.probe_count();
         let slot = shard.index.get(line.0);
@@ -504,7 +499,7 @@ impl Machine {
     /// `owner`. Recycles the shard's free list before growing its arena.
     /// The caller must have verified ownership via [`Machine::check_owned`].
     fn alloc_slot(&mut self, line: LineId, owner: NodeId) -> Loc {
-        let sh = self.shard_idx(line);
+        let sh = self.stripe_of(line) as usize;
         debug_assert!(self.shards[sh].owned, "alloc_slot on a foreign stripe");
         let line_size = self.cfg.line_size;
         let shard = &mut self.shards[sh];
@@ -1572,11 +1567,11 @@ impl Machine {
                 }
                 live += 1;
                 assert_eq!(
-                    self.shard_idx(sl.line),
+                    self.stripe_of(sl.line) as usize,
                     shn,
                     "line {:?} stored in shard {shn} but stripes to {}",
                     sl.line,
-                    self.shard_idx(sl.line)
+                    self.stripe_of(sl.line) as usize
                 );
                 assert_eq!(
                     shard.index.get(sl.line.0),

@@ -261,15 +261,18 @@ proptest! {
 // record, and the bytes copied before an error.
 
 const SPAN_NODES: u16 = 4;
-const SPAN_LINES: u64 = 48;
+const SPAN_LINES: u64 = 72;
 const SPAN_LINE_SIZE: usize = 16;
 
 /// One random machine, fully determined by `seed`: both coherence kinds,
 /// stripes short enough that spans cross them, a lane machine owning only
 /// some stripes half of the time, and in the line range a mix of
 /// never-created, shared, migrated, line-locked, active, crash-lost and
-/// pending-redo lines.
-fn span_machine(seed: u64) -> (Machine, bool) {
+/// pending-redo lines. The range is `base..base + SPAN_LINES`: half of
+/// the cases start it one stripe before the wrap from the last stripe
+/// back to stripe 0, and at a one-line granule the range holds more
+/// pieces than there are stripes, so two pieces share a stripe.
+fn span_machine(seed: u64) -> (Machine, bool, u64) {
     let mut rng = StdRng::seed_from_u64(seed);
     let kind = if rng.gen_bool(0.5) {
         CoherenceKind::WriteInvalidate
@@ -279,7 +282,8 @@ fn span_machine(seed: u64) -> (Machine, bool) {
     let cfg = SimConfig { coherence: kind, ..SimConfig::new(SPAN_NODES) }
         .with_line_size(SPAN_LINE_SIZE)
         .with_stall_on_lost(rng.gen_bool(0.3))
-        .with_stripe_lines([2, 4, 32][rng.gen_range(0..3usize)]);
+        .with_stripe_lines([1, 2, 4, 32][rng.gen_range(0..4usize)]);
+    let base = if rng.gen_bool(0.5) { (STRIPES as u64 - 1) * cfg.stripe_lines } else { 0 };
     let mut m = Machine::new(cfg);
     // Residency: mostly whole runs installed in address order (adjacent
     // slots, as a page fault leaves them), some created out of order,
@@ -292,14 +296,15 @@ fn span_machine(seed: u64) -> (Machine, bool) {
             1 | 2 => {
                 for k in (0..run).rev() {
                     let byte = rng.gen::<u8>();
-                    m.create_line_at(NodeId(rng.gen_range(0..SPAN_NODES)), LineId(l + k), &[byte])
-                        .unwrap();
+                    let line = LineId(base + l + k);
+                    m.create_line_at(NodeId(rng.gen_range(0..SPAN_NODES)), line, &[byte]).unwrap();
                 }
             }
             _ => {
                 let img: Vec<u8> =
                     (0..run as usize * SPAN_LINE_SIZE).map(|_| rng.gen::<u8>()).collect();
-                m.install_span(NodeId(rng.gen_range(0..SPAN_NODES)), LineId(l), &img).unwrap();
+                m.install_span(NodeId(rng.gen_range(0..SPAN_NODES)), LineId(base + l), &img)
+                    .unwrap();
             }
         }
         l += run;
@@ -308,7 +313,7 @@ fn span_machine(seed: u64) -> (Machine, bool) {
     // the script: both twins hit the same ones.
     for _ in 0..rng.gen_range(0..120usize) {
         let node = NodeId(rng.gen_range(0..SPAN_NODES));
-        let line = LineId(rng.gen_range(0..SPAN_LINES));
+        let line = LineId(base + rng.gen_range(0..SPAN_LINES));
         match rng.gen_range(0..12u32) {
             0..=3 => {
                 let _ = m.read_into(node, line, 0, &mut [0u8; 3]);
@@ -342,7 +347,7 @@ fn span_machine(seed: u64) -> (Machine, bool) {
         m = m.lane_split(&stripes);
     }
     for _ in 0..rng.gen_range(0..4usize) {
-        m.mark_unrecovered(LineId(rng.gen_range(0..SPAN_LINES)));
+        m.mark_unrecovered(LineId(base + rng.gen_range(0..SPAN_LINES)));
     }
     m.obs().enable(4096);
     // A crash point somewhere among the coming migrations/invalidations.
@@ -352,17 +357,18 @@ fn span_machine(seed: u64) -> (Machine, bool) {
         fault.arm(FaultPlan::single(CrashPoint::new(site, rng.gen_range(0..6u64))));
         m.set_fault_injector(fault);
     }
-    (m, lane)
+    (m, lane, base)
 }
 
 /// Everything observable about a machine (the index probe count aside:
 /// probing less is what the span walk is for).
-fn machine_state(m: &Machine) -> String {
+fn machine_state(m: &Machine, base: u64) -> String {
     let mut out = format!("{:?}\n", m.stats());
     for n in 0..SPAN_NODES {
         out += &format!("n{n}: clock {} crashed {}\n", m.now(NodeId(n)), m.is_crashed(NodeId(n)));
     }
-    for l in 0..SPAN_LINES + 8 {
+    let range = base..base + SPAN_LINES + 8;
+    for l in range.clone() {
         let line = LineId(l);
         out += &format!(
             "l{l}: exists {} lost {} holders {:?} lock {:?} active {:?} unrecovered {} data {:?}\n",
@@ -380,7 +386,7 @@ fn machine_state(m: &Machine) -> String {
     out += &format!("held {walk:?}\n");
     // Asked about every address, `held_lines` finds the walk's lines, and
     // their positions put them in the walk's order.
-    let all: Vec<LineId> = (0..SPAN_LINES + 8).map(LineId).collect();
+    let all: Vec<LineId> = range.clone().map(LineId).collect();
     let mut asked: Vec<(u64, NodeId, LineId)> =
         m.held_lines(&all).map(|(n, at, l, _)| (at, n, l)).collect();
     asked.sort_unstable();
@@ -389,7 +395,7 @@ fn machine_state(m: &Machine) -> String {
     // The lost half of the directory: the walk must find exactly what the
     // per-line probe finds, in address order.
     let lost: Vec<LineId> = m.iter_lost().collect();
-    let probed: Vec<LineId> = (0..SPAN_LINES + 8).map(LineId).filter(|l| m.is_lost(*l)).collect();
+    let probed: Vec<LineId> = range.map(LineId).filter(|l| m.is_lost(*l)).collect();
     assert_eq!(lost, probed, "iter_lost disagrees with the is_lost probe");
     out += &format!("lost {lost:?}\n");
     let fs = m.flat_stats();
@@ -422,12 +428,13 @@ fn span_chunks(
 }
 
 fn span_lockstep(seed: u64) -> Result<(), TestCaseError> {
-    let ((mut span, lane), (mut per_line, _)) = (span_machine(seed), span_machine(seed));
-    prop_assert_eq!(machine_state(&span), machine_state(&per_line), "twins differ before the op");
+    let ((mut span, lane, base), (mut per_line, ..)) = (span_machine(seed), span_machine(seed));
+    let state = |m: &Machine| machine_state(m, base);
+    prop_assert_eq!(state(&span), state(&per_line), "twins differ before the op");
     // The operation draws from its own stream so both twins see the same.
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED_5EED);
     let node = NodeId(rng.gen_range(0..SPAN_NODES + 1)); // one past: NoSuchNode
-    let first = rng.gen_range(0..SPAN_LINES);
+    let first = base + rng.gen_range(0..SPAN_LINES);
     let count = rng.gen_range(0..12usize);
     let offset = rng.gen_range(0..=SPAN_LINE_SIZE);
     let len = match rng.gen_range(0..4u32) {
@@ -496,7 +503,7 @@ fn span_lockstep(seed: u64) -> Result<(), TestCaseError> {
             prop_assert_eq!(span.next_trigger(node, LineId(first), count, is_write), want);
         }
     }
-    prop_assert_eq!(machine_state(&span), machine_state(&per_line), "op {} diverged", op);
+    prop_assert_eq!(state(&span), state(&per_line), "op {} diverged", op);
     span.validate_flat();
     Ok(())
 }

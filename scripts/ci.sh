@@ -37,7 +37,9 @@ echo "== span-op lockstep (2000 cases) =="
 # Every simulator span operation against its per-line sequence on a twin
 # machine (DESIGN §10): same result, same machine state, stats, clocks
 # and event bus. Every case runs the striped machine with stripes short
-# enough that spans cross them, and half the cases a lane machine whose
+# enough that spans cross them, half the cases a line range that wraps
+# from the last stripe to stripe 0, a quarter one-line stripes with two
+# pieces of the range in one stripe, and half a lane machine whose
 # foreign stripes the spans run into. The workspace test steps above run
 # the default 256 cases; this one digs deeper (~1 s in release).
 PROPTEST_CASES=2000 cargo test --release -q -p smdb-sim --test coherence_proptest span_ops
