@@ -71,7 +71,7 @@ pub use config::{DbConfig, ProtocolKind, RestartScheme};
 pub use engine::{SmDb, FAULT_COMMIT, FAULT_COMMIT_DEP};
 pub use error::DbError;
 pub use mt::{MtOutcome, MtTxn, SITE_ADMIT};
-pub use oracle::{IfaReport, ShadowDb};
+pub use oracle::{IfaReport, OracleViolation, ShadowDb};
 pub use record::RecordLayout;
 pub use restart::{
     InstantRedoCounters, RecoveryOutcome, FAULT_RECOVERY_PHASE, FAULT_REDO_BACKGROUND,

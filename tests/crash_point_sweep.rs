@@ -1,6 +1,7 @@
 //! Deterministic crash-point sweep: for a fixed workload, crash at every
-//! k-th transaction boundary under every protocol and verify IFA each
-//! time. Complements the randomized property tests with exhaustive
+//! k-th transaction boundary under every protocol and run the oracle
+//! battery's second call (`SmDb::check_after_recover`: IFA and the rest)
+//! each time. Complements the randomized property tests with exhaustive
 //! coverage of one trace.
 
 use smdb::core::{DbConfig, ProtocolKind, SmDb};
@@ -27,9 +28,9 @@ fn sweep(protocol: ProtocolKind, crash_nodes: Vec<NodeId>) {
             "{protocol:?}@{crash_after}: too few commits ({})",
             report.committed
         );
-        let survivor = db.machine().surviving_nodes()[0];
-        let r = db.check_ifa(survivor);
-        assert!(r.ok(), "{protocol:?}@{crash_after}: {:?}", r.violations);
+        if let Err(v) = db.check_after_recover() {
+            panic!("{protocol:?}@{crash_after}: {v}");
+        }
     }
 }
 
@@ -89,8 +90,8 @@ fn fine_sweep_with_checkpoint() {
         )
         .expect("recovery succeeds");
         assert!(recovery.is_some());
-        let survivor = db.machine().surviving_nodes()[0];
-        let r = db.check_ifa(survivor);
-        assert!(r.ok(), "@{crash_after}: {:?}", r.violations);
+        if let Err(v) = db.check_after_recover() {
+            panic!("@{crash_after}: {v}");
+        }
     }
 }
