@@ -39,11 +39,6 @@ pub struct VoprConfig {
     pub drain_every: usize,
     /// Early lock release (controlled lock violation; pipelined only).
     pub elr: bool,
-    /// Coalesced log forces (`co:`): still drawn and encoded so every
-    /// seed and repro line keeps its scenario. [`VoprConfig::db_config`]
-    /// passes it through [`DbConfig::with_coalesced_forces`], which runs
-    /// StableEager as StableTriggered and leaves other protocols alone.
-    pub coalesce: bool,
     /// Instant restart: recovery opens the database after analysis and
     /// defers heap redo to on-demand application plus a background drain
     /// the driver schedules between rounds.
@@ -119,10 +114,12 @@ impl VoprConfig {
             window,
             drain_every: if window > 1 { pick(&mut rng, &[0usize, 2, 3]) } else { 0 },
             elr: window > 1 && splitmix64(&mut rng) % 2 == 1,
-            coalesce: splitmix64(&mut rng) % 2 == 1,
-            // Drawn last so the new knob does not shift any earlier
-            // field's position in the seed stream.
-            instant: splitmix64(&mut rng) % 2 == 1,
+            // The bit after `elr` belonged to a retired knob; it is still
+            // drawn so no later field's position in the seed stream moves.
+            instant: {
+                splitmix64(&mut rng);
+                splitmix64(&mut rng) % 2 == 1
+            },
             mt: false,
         };
         // Same rule, one knob later: `mt` draws after `instant` so seeds
@@ -136,9 +133,6 @@ impl VoprConfig {
     /// The engine configuration this scenario runs under.
     pub fn db_config(&self) -> DbConfig {
         let mut cfg = DbConfig::small(self.nodes, self.protocol);
-        if self.coalesce {
-            cfg = cfg.with_coalesced_forces();
-        }
         if self.window > 1 {
             cfg = cfg.with_lock_polling();
         }
@@ -152,10 +146,10 @@ impl VoprConfig {
     }
 
     /// Compact one-token encoding for the repro line, e.g.
-    /// `p:SE,n:4,t:12,o:4,rf:20,sh:60,ss:16,zf:95,ix:25,ck:5,w:4,d:3,elr:1,co:1,ir:0,mt:1`.
+    /// `p:SE,n:4,t:12,o:4,rf:20,sh:60,ss:16,zf:95,ix:25,ck:5,w:4,d:3,elr:1,ir:0,mt:1`.
     pub fn encode(&self) -> String {
         format!(
-            "p:{},n:{},t:{},o:{},rf:{},sh:{},ss:{},zf:{},ix:{},ck:{},w:{},d:{},elr:{},co:{},ir:{},mt:{}",
+            "p:{},n:{},t:{},o:{},rf:{},sh:{},ss:{},zf:{},ix:{},ck:{},w:{},d:{},elr:{},ir:{},mt:{}",
             protocol_tag(self.protocol),
             self.nodes,
             self.txns,
@@ -169,7 +163,6 @@ impl VoprConfig {
             self.window,
             self.drain_every,
             self.elr as u8,
-            self.coalesce as u8,
             self.instant as u8,
             self.mt as u8,
         )
@@ -193,7 +186,6 @@ impl VoprConfig {
             window: 1,
             drain_every: 0,
             elr: false,
-            coalesce: false,
             // Repro lines predating these knobs carry no `ir:`/`mt:`
             // token; they replay as the eager, serial runs they were
             // recorded under.
@@ -220,7 +212,6 @@ impl VoprConfig {
                 "w" => cfg.window = num()? as usize,
                 "d" => cfg.drain_every = num()? as usize,
                 "elr" => cfg.elr = num()? != 0,
-                "co" => cfg.coalesce = num()? != 0,
                 "ir" => cfg.instant = num()? != 0,
                 "mt" => cfg.mt = num()? != 0,
                 other => return Err(format!("unknown cfg key {other:?}")),
@@ -259,7 +250,7 @@ mod tests {
         // A repro line recorded before `ir:`/`mt:` existed must replay
         // the scenario it was recorded under.
         let cfg = VoprConfig::decode(
-            "p:SE,n:4,t:12,o:4,rf:20,sh:60,ss:16,zf:95,ix:25,ck:5,w:1,d:0,elr:0,co:1",
+            "p:SE,n:4,t:12,o:4,rf:20,sh:60,ss:16,zf:95,ix:25,ck:5,w:1,d:0,elr:0",
         )
         .expect("pre-knob line decodes");
         assert!(!cfg.instant);
@@ -282,5 +273,8 @@ mod tests {
         assert!(VoprConfig::decode("p:XX,n:4").is_err());
         assert!(VoprConfig::decode("nonsense").is_err());
         assert!(VoprConfig::decode("p:SE,n:4,bogus:1").is_err());
+        // The retired `co:` knob ran StableEager as StableTriggered; a
+        // line carrying it names a scenario no run draws any more.
+        assert!(VoprConfig::decode("p:SE,n:4,t:12,o:4,w:1,co:1").is_err());
     }
 }

@@ -114,10 +114,10 @@ fn assert_repro_fixed(line: &str) {
 #[test]
 fn regression_elr_pending_write_ambiguity() {
     assert_repro_fixed(
-        "VOPR seed=0x12879fa94cefe854 cfg=p:SE,n:5,t:11,o:6,rf:0,sh:30,ss:4,zf:0,ix:0,ck:0,w:6,d:3,elr:1,co:0 skip=0,1,2,3,4,5,6,7,8 sched=23 plan=- oracle=IFA",
+        "VOPR seed=0x12879fa94cefe854 cfg=p:SE,n:5,t:11,o:6,rf:0,sh:30,ss:4,zf:0,ix:0,ck:0,w:6,d:3,elr:1 skip=0,1,2,3,4,5,6,7,8 sched=23 plan=- oracle=IFA",
     );
     assert_repro_fixed(
-        "VOPR seed=0x8056e5c0756a3d4 cfg=p:ST,n:4,t:8,o:6,rf:0,sh:100,ss:16,zf:95,ix:0,ck:0,w:6,d:0,elr:1,co:1 skip=0,1,2,3,4,5 sched=- plan=- oracle=IFA",
+        "VOPR seed=0x8056e5c0756a3d4 cfg=p:ST,n:4,t:8,o:6,rf:0,sh:100,ss:16,zf:95,ix:0,ck:0,w:6,d:0,elr:1 skip=0,1,2,3,4,5 sched=- plan=- oracle=IFA",
     );
 }
 
@@ -126,7 +126,7 @@ fn regression_elr_pending_write_ambiguity() {
 #[test]
 fn regression_lcb_backpressure_capacity() {
     assert_repro_fixed(
-        "VOPR seed=0x3b823cb606bb2d52 cfg=p:SE,n:3,t:10,o:5,rf:50,sh:60,ss:4,zf:95,ix:0,ck:3,w:6,d:0,elr:1,co:1 skip=0,5,6,7,8,9 sched=- plan=- oracle=engine-error",
+        "VOPR seed=0x3b823cb606bb2d52 cfg=p:ST,n:3,t:10,o:5,rf:50,sh:60,ss:4,zf:95,ix:0,ck:3,w:6,d:0,elr:1 skip=0,5,6,7,8,9 sched=- plan=- oracle=engine-error",
     );
 }
 
@@ -137,7 +137,7 @@ fn regression_lcb_backpressure_capacity() {
 #[test]
 fn regression_settled_aborted_not_reundone() {
     assert_repro_fixed(
-        "VOPR seed=0xf8f0592ae1c2fcde cfg=p:ST,n:4,t:11,o:5,rf:0,sh:60,ss:32,zf:95,ix:0,ck:5,w:6,d:0,elr:0,co:1 skip=2,4,5,6,7,8,9,10 sched=- plan=sim.migrate#9+core.commit.dep#0 oracle=IFA",
+        "VOPR seed=0xf8f0592ae1c2fcde cfg=p:ST,n:4,t:11,o:5,rf:0,sh:60,ss:32,zf:95,ix:0,ck:5,w:6,d:0,elr:0 skip=2,4,5,6,7,8,9,10 sched=- plan=sim.migrate#9+core.commit.dep#0 oracle=IFA",
     );
 }
 
@@ -148,7 +148,7 @@ fn regression_settled_aborted_not_reundone() {
 #[test]
 fn regression_overflow_relink_survives_truncation() {
     assert_repro_fixed(
-        "VOPR seed=0xd04f5fd560e27ddd cfg=p:ST,n:3,t:10,o:6,rf:50,sh:30,ss:16,zf:0,ix:0,ck:3,w:4,d:2,elr:1,co:1 skip=- sched=00000000000000000000000000001000022 plan=core.commit.dep#7 oracle=lock-chains",
+        "VOPR seed=0xd04f5fd560e27ddd cfg=p:ST,n:3,t:10,o:6,rf:50,sh:30,ss:16,zf:0,ix:0,ck:3,w:4,d:2,elr:1 skip=- sched=00000000000000000000000000001000022 plan=core.commit.dep#7 oracle=lock-chains",
     );
 }
 
@@ -159,13 +159,13 @@ fn regression_overflow_relink_survives_truncation() {
 #[test]
 fn regression_redo_remarks_wal_table() {
     assert_repro_fixed(
-        "VOPR seed=0xeb3f784cabff9521 cfg=p:VRA,n:4,t:8,o:2,rf:20,sh:0,ss:32,zf:95,ix:0,ck:5,w:2,d:2,elr:1,co:0 skip=- sched=0000002001 plan=core.commit.dep#3+core.commit#4 oracle=IFA",
+        "VOPR seed=0xeb3f784cabff9521 cfg=p:VRA,n:4,t:8,o:2,rf:20,sh:0,ss:32,zf:95,ix:0,ck:5,w:2,d:2,elr:1 skip=- sched=0000002001 plan=core.commit.dep#3+core.commit#4 oracle=IFA",
     );
     assert_repro_fixed(
-        "VOPR seed=0x95584bd6ed606e89 cfg=p:VRA,n:2,t:12,o:4,rf:50,sh:0,ss:4,zf:0,ix:0,ck:3,w:2,d:3,elr:0,co:0 skip=1,2,3,4,5 sched=0100001 plan=storage.flush.line#6+core.commit.dep#4 oracle=IFA",
+        "VOPR seed=0x95584bd6ed606e89 cfg=p:VRA,n:2,t:12,o:4,rf:50,sh:0,ss:4,zf:0,ix:0,ck:3,w:2,d:3,elr:0 skip=1,2,3,4,5 sched=0100001 plan=storage.flush.line#6+core.commit.dep#4 oracle=IFA",
     );
     assert_repro_fixed(
-        "VOPR seed=0x1506568a5a4f0989 cfg=p:SE,n:3,t:16,o:4,rf:0,sh:0,ss:16,zf:95,ix:0,ck:5,w:1,d:0,elr:0,co:0 skip=- sched=- plan=storage.flush.line#1+wal.checkpoint.record#2 oracle=IFA",
+        "VOPR seed=0x1506568a5a4f0989 cfg=p:SE,n:3,t:16,o:4,rf:0,sh:0,ss:16,zf:95,ix:0,ck:5,w:1,d:0,elr:0 skip=- sched=- plan=storage.flush.line#1+wal.checkpoint.record#2 oracle=IFA",
     );
 }
 
@@ -176,7 +176,7 @@ fn regression_redo_remarks_wal_table() {
 #[test]
 fn regression_shadow_commit_write_order() {
     assert_repro_fixed(
-        "VOPR seed=0x17293b09efde3a51 cfg=p:VRA,n:3,t:12,o:4,rf:0,sh:30,ss:4,zf:95,ix:0,ck:3,w:4,d:0,elr:1,co:1 skip=0,1,2,3,5,6,7,8,11 sched=- plan=wal.force.record#20 oracle=IFA",
+        "VOPR seed=0x17293b09efde3a51 cfg=p:VRA,n:3,t:12,o:4,rf:0,sh:30,ss:4,zf:95,ix:0,ck:3,w:4,d:0,elr:1 skip=0,1,2,3,5,6,7,8,11 sched=- plan=wal.force.record#20 oracle=IFA",
     );
 }
 
@@ -190,10 +190,10 @@ fn regression_shadow_commit_write_order() {
 #[test]
 fn regression_empty_plan_window_still_reinstalls_lost_lines() {
     assert_repro_fixed(
-        "VOPR seed=0x53 cfg=p:VSR,n:3,t:12,o:5,rf:20,sh:30,ss:16,zf:0,ix:0,ck:3,w:2,d:3,elr:0,co:0,ir:1 skip=2,3,6,7,8 sched=1200000001 plan=sim.invalidate#10 oracle=engine-error",
+        "VOPR seed=0x53 cfg=p:VSR,n:3,t:12,o:5,rf:20,sh:30,ss:16,zf:0,ix:0,ck:3,w:2,d:3,elr:0,ir:1 skip=2,3,6,7,8 sched=1200000001 plan=sim.invalidate#10 oracle=engine-error",
     );
     assert_repro_fixed(
-        "VOPR seed=0x60 cfg=p:SE,n:4,t:16,o:6,rf:50,sh:60,ss:32,zf:0,ix:50,ck:3,w:1,d:0,elr:0,co:1,ir:1 skip=1,5,6,7,10,14 sched=- plan=sim.migrate#5+wal.truncate#3 oracle=engine-error",
+        "VOPR seed=0x60 cfg=p:ST,n:4,t:16,o:6,rf:50,sh:60,ss:32,zf:0,ix:50,ck:3,w:1,d:0,elr:0,ir:1 skip=1,5,6,7,10,14 sched=- plan=sim.migrate#5+wal.truncate#3 oracle=engine-error",
     );
 }
 
@@ -205,7 +205,7 @@ fn regression_empty_plan_window_still_reinstalls_lost_lines() {
 #[test]
 fn regression_tag_undo_installs_deferred_lost_header() {
     assert_repro_fixed(
-        "VOPR seed=0xfda8ddaf1a7174b2 cfg=p:VSR,n:3,t:11,o:5,rf:20,sh:100,ss:16,zf:95,ix:0,ck:0,w:6,d:3,elr:0,co:1,ir:1,mt:0 skip=0,1,2,3,4,5,6,9,10 sched=- plan=wal.force.record#1 oracle=recovery-error",
+        "VOPR seed=0xfda8ddaf1a7174b2 cfg=p:VSR,n:3,t:11,o:5,rf:20,sh:100,ss:16,zf:95,ix:0,ck:0,w:6,d:3,elr:0,ir:1,mt:0 skip=0,1,2,3,4,5,6,9,10 sched=- plan=wal.force.record#1 oracle=recovery-error",
     );
 }
 
@@ -220,7 +220,7 @@ fn regression_tag_undo_installs_deferred_lost_header() {
 #[ignore = "known defect: crash mid-invalidate leaves a doomed index insert live (IFA: unexpected entry); suspected uncompensated rollback"]
 fn known_defect_mt_preamble_invalidate_crash() {
     assert_repro_fixed(
-        "VOPR seed=0x3e29b4550e206c3 cfg=p:VSR,n:5,t:7,o:6,rf:0,sh:0,ss:16,zf:95,ix:25,ck:5,w:1,d:0,elr:0,co:1,ir:0,mt:1 skip=0,2,3,4,5,6 sched=- plan=sim.invalidate#7 oracle=IFA",
+        "VOPR seed=0x3e29b4550e206c3 cfg=p:VSR,n:5,t:7,o:6,rf:0,sh:0,ss:16,zf:95,ix:25,ck:5,w:1,d:0,elr:0,ir:0,mt:1 skip=0,2,3,4,5,6 sched=- plan=sim.invalidate#7 oracle=IFA",
     );
 }
 
@@ -228,7 +228,7 @@ fn known_defect_mt_preamble_invalidate_crash() {
 #[ignore = "known defect: second crash during on-demand redo restores a stale record value (IFA); suspected replay of the first victim's uncompensated rollback"]
 fn known_defect_commit_crash_then_on_demand_redo_crash() {
     assert_repro_fixed(
-        "VOPR seed=0xf710fe6e6e9a40fc cfg=p:SE,n:4,t:14,o:3,rf:50,sh:100,ss:32,zf:95,ix:0,ck:3,w:4,d:2,elr:0,co:1,ir:1,mt:0 skip=- sched=- plan=core.commit#12+restart.redo.on_demand#0 oracle=IFA",
+        "VOPR seed=0xf710fe6e6e9a40fc cfg=p:ST,n:4,t:14,o:3,rf:50,sh:100,ss:32,zf:95,ix:0,ck:3,w:4,d:2,elr:0,ir:1,mt:0 skip=- sched=- plan=core.commit#12+restart.redo.on_demand#0 oracle=IFA",
     );
 }
 
