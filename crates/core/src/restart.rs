@@ -1309,15 +1309,18 @@ impl SmDb {
     /// *interrupted earlier attempt* are excluded — they sit in a
     /// survivor's cache now, but their content is the stale stable image,
     /// not the coherent pre-crash copy. Ascending and without repeats: the
-    /// plan's records are, and a record's line grows with it.
+    /// plan's records are, and a record's line grows with it — so one
+    /// directory walk ([`Machine::held_lines`](smdb_sim::Machine::held_lines))
+    /// finds them, a page's lines in consecutive slots.
     fn cached_plan_lines(&self, analysis: &StableAnalysis) -> Vec<LineId> {
-        let mut lines: Vec<LineId> = analysis
-            .planned_recs()
-            .map(|(rec, _)| self.rec_line(rec))
-            .filter(|l| self.m.probe_cached(*l) && !self.restart.stale_heap_lines.contains(l))
-            .collect();
-        lines.dedup();
-        lines
+        let mut planned: Vec<LineId> =
+            analysis.planned_recs().map(|(rec, _)| self.rec_line(rec)).collect();
+        planned.dedup();
+        self.m
+            .held_lines(&planned)
+            .map(|(_, _, line, _)| line)
+            .filter(|l| !self.restart.stale_heap_lines.contains(l))
+            .collect()
     }
 
     /// Independent oracle for the Selective-Redo probe. Restart asks "does
