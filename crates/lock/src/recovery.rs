@@ -206,19 +206,7 @@ impl LockManager {
                     continue;
                 }
                 stats.crashed_entries_released += removed as u64;
-                let promoted = lcb.promote_waiters(self.table().geometry().max_holders);
-                for p in &promoted {
-                    logs.append(
-                        p.txn.node(),
-                        LogPayload::LockAcquire {
-                            txn: p.txn,
-                            name: lcb.name,
-                            mode: p.mode.into(),
-                            queued: false,
-                        },
-                    );
-                }
-                stats.promotions += promoted.len() as u64;
+                self.promote_logged(&mut lcb, logs, &mut stats);
                 if lcb.is_empty() {
                     self.table().clear_lcb(m, recovery_node, *line, slot)?;
                 } else {
@@ -269,20 +257,7 @@ impl LockManager {
                             changed = true;
                         }
                     }
-                    let promoted = existing.promote_waiters(self.table().geometry().max_holders);
-                    for p in &promoted {
-                        logs.append(
-                            p.txn.node(),
-                            LogPayload::LockAcquire {
-                                txn: p.txn,
-                                name: *name,
-                                mode: p.mode.into(),
-                                queued: false,
-                            },
-                        );
-                        changed = true;
-                    }
-                    stats.promotions += promoted.len() as u64;
+                    changed |= self.promote_logged(&mut existing, logs, &mut stats);
                     if changed {
                         self.table().write_lcb(m, recovery_node, line, slot, &existing)?;
                     }
@@ -328,19 +303,7 @@ impl LockManager {
                     let mut rebuilt = want.clone();
                     stats.survivor_entries_restored +=
                         (rebuilt.holders.len() + rebuilt.waiters.len()) as u64;
-                    let promoted = rebuilt.promote_waiters(self.table().geometry().max_holders);
-                    for p in &promoted {
-                        logs.append(
-                            p.txn.node(),
-                            LogPayload::LockAcquire {
-                                txn: p.txn,
-                                name: *name,
-                                mode: p.mode.into(),
-                                queued: false,
-                            },
-                        );
-                    }
-                    stats.promotions += promoted.len() as u64;
+                    self.promote_logged(&mut rebuilt, logs, &mut stats);
                     self.table().write_lcb(m, recovery_node, line, slot, &rebuilt)?;
                     stats.lcbs_reconstructed += 1;
                 }
@@ -365,6 +328,29 @@ impl LockManager {
         self.rebuild_chains(&grants);
         self.stats_mut().promotions += stats.promotions;
         Ok(stats)
+    }
+
+    /// Promote the waiters `lcb`'s holders no longer block, each logged
+    /// as a grant on its transaction's home log (what a later replay reads
+    /// back) and counted. Returns whether any was promoted.
+    fn promote_logged(
+        &self,
+        lcb: &mut Lcb,
+        logs: &mut LogSet,
+        stats: &mut LockRecoveryStats,
+    ) -> bool {
+        let promoted = lcb.promote_waiters(self.table().geometry().max_holders);
+        for p in &promoted {
+            let grant = LogPayload::LockAcquire {
+                txn: p.txn,
+                name: lcb.name,
+                mode: p.mode.into(),
+                queued: false,
+            };
+            logs.append(p.txn.node(), grant);
+        }
+        stats.promotions += promoted.len() as u64;
+        !promoted.is_empty()
     }
 }
 
