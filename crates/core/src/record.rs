@@ -59,11 +59,6 @@ impl RecordLayout {
         records.div_ceil(self.records_per_page() as u32)
     }
 
-    /// The heap slot id of a record id (`page`-local slot → global).
-    pub fn global_slot(&self, rec: RecId) -> u64 {
-        rec.page.0 as u64 * self.records_per_page() as u64 + rec.slot as u64
-    }
-
     /// Record id of global slot `slot`.
     pub fn rec_of_global(&self, slot: u64) -> RecId {
         let rpp = self.records_per_page() as u64;
@@ -135,7 +130,7 @@ mod tests {
         let l = layout();
         for slot in 0..100u64 {
             let rec = l.rec_of_global(slot);
-            assert_eq!(l.global_slot(rec), slot);
+            assert_eq!(rec.page.0 as u64 * l.records_per_page() as u64 + rec.slot as u64, slot);
         }
     }
 

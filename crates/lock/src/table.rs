@@ -211,12 +211,6 @@ impl LockTable {
         LineId(self.base + bucket_hash(name) % self.n_buckets as u64)
     }
 
-    /// Whether `line` belongs to the lock table (base bucket or overflow).
-    pub fn owns_line(&self, line: LineId) -> bool {
-        (line.0 >= self.base && line.0 < self.base + self.n_buckets as u64)
-            || self.overflow_lines.iter().any(|&(_, l)| l == line)
-    }
-
     /// Every line of the table: base buckets then overflow lines.
     pub fn all_lines(&self) -> Vec<LineId> {
         let mut v: Vec<LineId> =
@@ -498,7 +492,7 @@ mod tests {
         t.write_lcb(&mut m, N0, line, slot, &Lcb::new(name)).unwrap();
         let (fline, _) = t.find(&mut m, N0, name, &mut Lcb::default()).unwrap().unwrap();
         assert_eq!(fline, of);
-        assert!(t.owns_line(of));
+        assert!(t.all_lines().contains(&of));
         assert_eq!(t.all_lines().len(), 9);
     }
 

@@ -66,11 +66,6 @@ impl ViolationTable {
             .unwrap_or_default()
     }
 
-    /// Whether `name` currently carries any violation edge.
-    pub fn is_violated(&self, name: u64) -> bool {
-        self.by_name.get(&name).is_some_and(|v| !v.is_empty())
-    }
-
     /// Remove every edge of `releaser` (it was acknowledged or its cascade
     /// was resolved).
     pub fn resolve(&mut self, releaser: TxnId) {
@@ -110,12 +105,11 @@ mod tests {
         let mut v = ViolationTable::new();
         v.record_release(t(0, 1), Lsn(5), &[7, 9]);
         v.record_release(t(1, 1), Lsn(3), &[7]);
-        assert!(v.is_violated(7));
         assert_eq!(v.deps_for(7, t(2, 1)).len(), 2, "both releasers constrain 7");
         assert_eq!(v.deps_for(9, t(2, 1)).len(), 1);
         assert_eq!(v.deps_for(9, t(0, 1)).len(), 0, "no self-dependency");
         v.resolve(t(0, 1));
-        assert!(!v.is_violated(9));
+        assert!(v.deps_for(9, t(2, 1)).is_empty());
         assert_eq!(
             v.deps_for(7, t(2, 1)),
             vec![ViolationEdge { releaser: t(1, 1), commit_lsn: Lsn(3) }]

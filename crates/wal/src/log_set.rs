@@ -1,7 +1,7 @@
 //! The collection of all nodes' logs.
 
 use crate::lsn::Lsn;
-use crate::record::{LogPayload, LogRecord, NodeLog};
+use crate::record::{LogPayload, NodeLog};
 use smdb_fault::{FaultCrash, FaultInjector};
 use smdb_obs::{names, Event, ForceReason};
 use smdb_sim::{LineId, Machine, NodeId, TxnId};
@@ -200,14 +200,6 @@ impl LogSet {
         self.logs.iter_mut()
     }
 
-    /// All records of every node, in (node, lsn) order. Restart recovery
-    /// for lost lock-control blocks reconstructs lock state "based on the
-    /// log records on all surviving nodes" (§4.2.2); this view (filtered by
-    /// the caller to surviving nodes) is that merged log.
-    pub fn all_records(&self) -> impl Iterator<Item = &LogRecord> {
-        self.logs.iter().flat_map(|l| l.records())
-    }
-
     /// Enable or disable force coalescing on every node's log.
     pub fn set_coalescing(&mut self, on: bool) {
         for l in &mut self.logs {
@@ -231,11 +223,6 @@ impl LogSet {
     /// Total records made stable by forces across all logs.
     pub fn total_records_forced(&self) -> u64 {
         self.logs.iter().map(|l| l.stats().records_forced).sum()
-    }
-
-    /// Total appended records across all logs.
-    pub fn total_appends(&self) -> u64 {
-        self.logs.iter().map(|l| l.stats().appends).sum()
     }
 
     /// Detach `node`'s log into a fresh [`LogSet`] for an execution lane
@@ -280,7 +267,6 @@ mod tests {
         assert_eq!(set.log(NodeId(0)).len(), 1);
         assert_eq!(set.log(NodeId(1)).len(), 0);
         assert_eq!(set.log(NodeId(2)).len(), 1);
-        assert_eq!(set.total_appends(), 2);
     }
 
     #[test]
@@ -293,14 +279,5 @@ mod tests {
         set.crash(&[NodeId(0)]);
         assert!(set.log(NodeId(0)).is_empty());
         assert_eq!(set.log(NodeId(1)).len(), 1);
-    }
-
-    #[test]
-    fn all_records_merges_logs() {
-        let mut set = LogSet::new(2);
-        set.append(NodeId(0), LogPayload::Checkpoint);
-        set.append(NodeId(1), LogPayload::Checkpoint);
-        set.append(NodeId(1), LogPayload::Checkpoint);
-        assert_eq!(set.all_records().count(), 3);
     }
 }

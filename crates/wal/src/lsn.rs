@@ -18,11 +18,6 @@ impl Lsn {
     pub fn next(self) -> Lsn {
         Lsn(self.0 + 1)
     }
-
-    /// Whether this LSN refers to an actual record.
-    pub fn is_real(self) -> bool {
-        self.0 > 0
-    }
 }
 
 impl fmt::Debug for Lsn {
@@ -40,12 +35,6 @@ impl fmt::Display for Lsn {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn zero_is_not_real() {
-        assert!(!Lsn::ZERO.is_real());
-        assert!(Lsn::ZERO.next().is_real());
-    }
 
     #[test]
     fn ordering() {
