@@ -326,11 +326,6 @@ impl Machine {
         &self.stats
     }
 
-    /// Reset all statistics counters.
-    pub fn reset_stats(&mut self) {
-        self.stats = SimStats::default();
-    }
-
     /// Diagnostic counters for the flat line store (slot/index health),
     /// aggregated across shards.
     pub fn flat_stats(&self) -> FlatStats {

@@ -43,9 +43,8 @@ pub struct SimStats {
 
 impl SimStats {
     /// Difference `self - earlier`, counter-wise. Useful for measuring one
-    /// phase of a workload. Saturates at zero: an `earlier` snapshot taken
-    /// after a counter reset (or from a different machine) yields zeros
-    /// instead of panicking on underflow.
+    /// phase of a workload. Saturates at zero: an `earlier` snapshot from
+    /// a different machine yields zeros instead of panicking on underflow.
     pub fn delta_since(&self, earlier: &SimStats) -> SimStats {
         SimStats {
             reads: self.reads.saturating_sub(earlier.reads),
@@ -106,8 +105,8 @@ mod tests {
 
     #[test]
     fn delta_saturates_on_counter_regress() {
-        // `earlier` ahead of `self` (e.g. snapshot taken before a
-        // reset_stats): the delta clamps to zero instead of panicking.
+        // `earlier` ahead of `self` (e.g. a snapshot of another
+        // machine): the delta clamps to zero instead of panicking.
         let after_reset = SimStats { reads: 2, ..Default::default() };
         let before_reset = SimStats { reads: 100, writes: 5, ..Default::default() };
         let d = after_reset.delta_since(&before_reset);
