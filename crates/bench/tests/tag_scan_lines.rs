@@ -1,7 +1,9 @@
-//! Restart's undo-tag scan follows what the crashed node wrote, not the
-//! size of the caches: it visits the lines the analysed nodes' tag ledgers
-//! name (`restart.tag_scan_lines`), where it used to walk every line any
-//! survivor held. A count, so the claim holds whatever the host's speed.
+//! Restart's undo-tag scan follows what the crashed node wrote since the
+//! last checkpoint, not the size of the caches or the history: it visits
+//! the lines the analysed nodes' tag ledgers name
+//! (`restart.tag_scan_lines`), where it used to walk every line any
+//! survivor held, and each checkpoint prunes the ledgers. A count, so the
+//! claim holds whatever the host's speed.
 
 use smdb_core::{DbConfig, ProtocolKind, SmDb};
 use smdb_obs::names;
@@ -45,6 +47,13 @@ fn tag_scan_visits_under_a_fifth_of_the_held_lines() {
         assert!(
             visited * 5 < held,
             "instant={instant}: the tag scan visited {visited} lines of the {held} held"
+        );
+        // Each checkpoint prunes the ledgers, so they name the lines
+        // written since the last one (250 transactions), not the whole mix.
+        assert!(
+            visited <= 250,
+            "instant={instant}: the tag scan visited {visited} lines, more than one \
+             checkpoint interval's writes"
         );
         let snap = db.observability().metrics.snapshot();
         let counted = snap.counters.iter().find(|(n, _)| n == names::RESTART_TAG_SCAN_LINES);

@@ -1472,9 +1472,10 @@ impl SmDb {
     }
 
     /// Take a sharp checkpoint: flush every dirty page (WAL-safe), write a
-    /// checkpoint record per node, force all logs, and durably install the
-    /// checkpoint metadata. `node` hosts it; every live node writes back a
-    /// share of the dirty set ([`assign_flushers`]).
+    /// checkpoint record per node, force all logs, durably install the
+    /// checkpoint metadata, and prune the undo-tag ledgers
+    /// ([`crate::tag_ledger`]). `node` hosts it; every live node writes
+    /// back a share of the dirty set ([`assign_flushers`]).
     pub fn checkpoint(&mut self, node: NodeId) -> Result<(), DbError> {
         // A checkpoint advances the redo bound past the log records that
         // back any still-deferred instant-restart entries; drain them all
@@ -1527,6 +1528,13 @@ impl SmDb {
             let cutoff = cutoff.min(self.logs.log(nid).stable_lsn());
             self.logs.truncate_through_checked(nid, cutoff)?;
         }
+        // Every page is flushed and no plan entry is pending: a ledger bit
+        // whose line carries its node's tag neither in a cached copy nor in
+        // the stable image can go, so the ledgers hold one interval's
+        // writes, not the whole history.
+        let all: Vec<NodeId> = (0..self.cfg.nodes).map(NodeId).collect();
+        let tagged = self.tags.union(all.iter());
+        self.prune_ledgers(&all, &tagged)?;
         self.stats.checkpoints += 1;
         Ok(())
     }

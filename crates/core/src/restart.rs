@@ -1528,7 +1528,7 @@ impl SmDb {
         let todo = if r.lost == lost.len() && r.lost + r.cached == g.lines_per_page {
             lost
         } else {
-            let holderless = |l: &LineId| lost.contains(l) || self.m.holders(*l).is_empty();
+            let holderless = |l: &LineId| lost.contains(l) || self.m.holder_count(*l) == 0;
             probed =
                 (first..first + g.lines_per_page as u64).map(LineId).filter(holderless).collect();
             &probed
@@ -2082,13 +2082,11 @@ impl SmDb {
             "the tag ledger scan and the whole-cache scan disagree"
         );
         outcome.tag_scan_lines = visited.len() as u64;
-        let mut skipped = Vec::new();
         for TagHit { line, rec, tag, .. } in candidates {
             if self.pending_covers(rec) {
                 // A pending plan entry holds this record's final bytes;
                 // applying it (on access or drain) overwrites tag and
                 // payload both.
-                skipped.push((tag, line));
                 continue;
             }
             // A line installed from a stable image, by this restart or by
@@ -2118,7 +2116,7 @@ impl SmDb {
                 outcome.undo_records_applied += 1;
             }
         }
-        self.prune_ledgers(&scope.analysed, &visited, &skipped)?;
+        self.prune_ledgers(&scope.analysed, &visited)?;
         // Index scan (the tree's own tag walk).
         if let Some(tree) = self.tree.as_mut() {
             let mut ctx = tree_ctx!(self);
@@ -2203,26 +2201,29 @@ impl SmDb {
         hits
     }
 
-    /// Drop the bits of `nodes` (the analysed ones, after their tag scan)
-    /// for the `visited` lines that carry their tag nowhere any more. The
-    /// scan has undone or cleared every tag of theirs on a surviving copy
-    /// but the `skipped` ones (a pending entry covers the record); an
-    /// install on the way copied the stable image. So a bit stays where a
-    /// skipped record or the stable image carries the node's tag. (Not a
-    /// pending entry: this restart's carry live tags only, and `recover`
-    /// dropped any earlier plan.)
-    fn prune_ledgers(
+    /// Drop the bits of `nodes` for the ascending `lines` that carry their
+    /// tag nowhere any more: neither on the surviving cached copy nor on
+    /// the stable image ([`crate::tag_ledger`]). No pending plan entry can
+    /// carry such a tag either. Restart calls this for the analysed nodes
+    /// after their tag scan, which rewrote every tag of theirs on a
+    /// surviving copy but those a pending entry covers (and this restart's
+    /// entries carry live tags only; `recover` dropped any earlier plan).
+    /// [`SmDb::checkpoint`] calls it for every node after its flush, with
+    /// no entry pending: it drained them first.
+    pub(crate) fn prune_ledgers(
         &mut self,
         nodes: &[NodeId],
-        visited: &[LineId],
-        skipped: &[(u16, LineId)],
+        lines: &[LineId],
     ) -> Result<(), DbError> {
         let g = self.layout.geometry;
         let (rpl, rec_size) = (self.layout.records_per_line(), self.layout.rec_size());
+        let tagged = |bytes: &[u8], tag: u16| {
+            (0..rpl).any(|k| RecordLayout::tag_of(&bytes[k * rec_size..]) == tag)
+        };
         let mut gone = Vec::new();
-        // `visited` is ascending: a page's lines come together.
+        // `lines` is ascending: a page's lines come together.
         let mut image: Option<(PageId, &[u8])> = None;
-        for &line in visited {
+        for &line in lines {
             let (page, idx) = g.page_of_addr(line.0);
             let img = match image {
                 Some((at, img)) if at == page => img,
@@ -2230,10 +2231,9 @@ impl SmDb {
             };
             image = Some((page, img));
             let stable = &img[g.line_offset(idx)..][..g.line_size];
+            let cached = self.m.peek(line);
             for tag in nodes.iter().map(|n| n.0).filter(|&tag| self.tags.has(tag, line)) {
-                let kept = skipped.contains(&(tag, line))
-                    || (0..rpl).any(|k| RecordLayout::tag_of(&stable[k * rec_size..]) == tag);
-                if !kept {
+                if !(cached.is_some_and(|c| tagged(c, tag)) || tagged(stable, tag)) {
                     gone.push((tag, line));
                 }
             }

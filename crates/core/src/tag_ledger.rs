@@ -9,15 +9,22 @@
 //! **Set** wherever a non-null tag is written: a forward update
 //! ([`SmDb::update_on`](crate::SmDb::update_on)), a heap-plan redo entry
 //! that keeps its writer's live tag, and inside an epoch lane, whose ledger
-//! the barrier ORs into the engine's. **Cleared** only by the node's own
-//! restart tag scan, for a line whose surviving copy and stable image
-//! carry no tag of the node (its pending plan entries cannot: they carry
-//! live tags, and the node is down). A stable image gains a tag only when
-//! a tagged cached copy is flushed, and that copy's bit is still set; an
-//! install or a fault-in copies the stable image's tags. So by induction
-//! every line that carries a node's tag anywhere has the node's bit set:
-//! the ledger is a superset of the tagged lines, through steals,
-//! reinstalls and forward faults.
+//! the barrier ORs into the engine's. **Cleared** by the node's own
+//! restart tag scan and by every [`SmDb::checkpoint`](crate::SmDb::checkpoint),
+//! through one predicate (`SmDb::prune_ledgers`): a line whose cached copy
+//! and stable image carry no tag of the node loses the node's bit. No
+//! pending plan entry can carry that tag either: after a tag scan the
+//! entries carry live tags and the node is down, and a checkpoint drains
+//! every entry first. A stable image gains a tag only when a tagged cached
+//! copy is flushed, and that copy's bit is still set; an install or a
+//! fault-in copies the stable image's tags. So by induction every line that
+//! carries a node's tag anywhere has the node's bit set: the ledger is a
+//! superset of the tagged lines, through steals, reinstalls, checkpoints
+//! and forward faults. A checkpoint flushes every page, so after it a
+//! ledger names only the lines whose tag outlived the flush (an update
+//! still in flight, or a stable image whose tag a commit cleared in the
+//! cache alone): a tag scan visits one checkpoint interval's writes, not
+//! the node's whole history.
 
 use smdb_sim::{LineId, NodeId};
 

@@ -60,6 +60,46 @@ fn a_crash_and_an_interrupted_recovery_pass_the_battery() {
     }
 }
 
+/// The index grows past one leaf, so a split's separator routes every
+/// lookup, and the node that did the inserting dies with more inserts in
+/// flight. Under every protocol, eager and instant, `recover_checked`
+/// holds the restart to the battery, whose `btree` oracle checks the
+/// split tree's separator ranges, and the index then holds exactly the
+/// committed keys.
+#[test]
+fn a_split_index_survives_the_inserting_nodes_crash() {
+    for protocol in ProtocolKind::all() {
+        for instant in [false, true] {
+            let at = format!("{protocol:?} instant={instant}");
+            let cfg = DbConfig::small(4, protocol);
+            let mut db = SmDb::new(if instant { cfg.with_instant_restart() } else { cfg });
+            let mut committed = Vec::new();
+            for i in 0..12u64 {
+                let t = db.begin(N1).unwrap();
+                for k in 0..8u64 {
+                    let key = 10 * (8 * i + k);
+                    db.insert(t, key, key.to_le_bytes()).unwrap();
+                    committed.push(key);
+                }
+                db.commit(t).unwrap();
+            }
+            assert!(db.tree_stats().splits > 0, "{at}: the index outgrew its first leaf");
+            let t = db.begin(N1).unwrap();
+            for key in (5..960).step_by(40) {
+                db.insert(t, key, key.to_le_bytes()).unwrap();
+            }
+            db.crash(&[N1]);
+            db.recover_checked().unwrap_or_else(|v| panic!("{at}: {v}")).unwrap();
+            while db.redo_pending() > 0 {
+                db.drain_redo(N0, 8).unwrap();
+            }
+            assert_eq!(db.check_after_recover(), Ok(()), "{at}: drained");
+            let keys: Vec<u64> = db.index_scan(N0).unwrap().into_iter().map(|(k, _)| k).collect();
+            assert_eq!(keys, committed, "{at}: the in-flight inserts are gone, the rest kept");
+        }
+    }
+}
+
 /// Node 1's cache vanishes behind the engine's back (a reboot of a node
 /// that never crashed), taking a committed update that never reached the
 /// stable database: the violation names its oracle as the fuzzer prints it.

@@ -259,3 +259,81 @@ fn instant_restart_keeps_the_bit_of_a_pending_entry() {
     ledger_exact(&db, "after the second crash");
     recover_clean(&mut db, 0);
 }
+
+/// The page of record `slot`.
+fn page_of(db: &SmDb, slot: u64) -> smdb_storage::PageId {
+    db.record_layout().rec_of_global(slot).page
+}
+
+/// A checkpoint flushes every page, so the lines a node wrote and
+/// committed carry its tag nowhere afterwards: their bits go, and the
+/// node's next crash visits only the line of its in-flight update, whose
+/// bit the stolen image keeps.
+#[test]
+fn a_checkpoint_clears_the_bits_of_committed_lines() {
+    for instant in [false, true] {
+        let mut db = mk(instant);
+        let rpp = db.record_layout().records_per_page() as u64;
+        for p in 0..4 {
+            commit_value(&mut db, N1, p * rpp, b"done");
+        }
+        let t = db.begin(N1).unwrap();
+        db.update(t, 4 * rpp, b"inflight").unwrap();
+        db.read_dirty(N2, 4 * rpp + 1).unwrap();
+        db.checkpoint(N3).unwrap();
+        db.crash(&[N1]);
+        ledger_exact(&db, "after the writer's crash");
+        let outcome = db.recover().unwrap();
+        assert_eq!(outcome.tag_scan_lines, 1, "instant={instant}: only the in-flight line");
+        drain_all(&mut db);
+        assert_eq!(db.current_tag(4 * rpp).unwrap(), NULL_TAG);
+        db.check_ifa(N2).assert_ok();
+    }
+}
+
+/// An uncommitted update the checkpoint steals keeps its tag on the
+/// survivor's copy and on the stable image: its bit stays, and the
+/// writer's crash after the checkpoint finds it.
+#[test]
+fn a_steal_flushed_update_keeps_its_bit_across_the_checkpoint() {
+    let mut db = mk(false);
+    commit_value(&mut db, N3, 0, b"base");
+    let t = db.begin(N1).unwrap();
+    db.update(t, 0, b"stolen").unwrap();
+    db.read_dirty(N2, 1).unwrap();
+    db.checkpoint(N3).unwrap();
+    db.evict_page(page_of(&db, 0));
+    assert_eq!(db.current_tag(0).unwrap(), N1.0, "the checkpoint stole the tagged value");
+    db.read_dirty(N2, 1).unwrap();
+    db.crash(&[N1]);
+    assert_eq!(held_tag(&db, 0), Some(N1.0), "a survivor's copy carries the tag");
+    ledger_exact(&db, "after the writer's crash");
+    recover_clean(&mut db, 0);
+}
+
+/// The commit clears a tag in the cache only; a steal had already taken
+/// the tagged value to the stable image, and a later checkpoint flushes
+/// nothing of the page (no update dirtied it since). The cached copy is
+/// clean but the image is not, so the bit stays — and once the page is
+/// evicted and faulted back in, the writer's crash finds the tag.
+#[test]
+fn a_line_whose_stable_image_keeps_the_tag_keeps_its_bit() {
+    let mut db = mk(false);
+    commit_value(&mut db, N3, 0, b"base");
+    let t = db.begin(N1).unwrap();
+    db.update(t, 0, b"kept").unwrap();
+    db.checkpoint(N3).unwrap();
+    db.commit(t).unwrap();
+    assert_eq!(db.current_tag(0).unwrap(), NULL_TAG, "the commit cleared the cached tag");
+    db.checkpoint(N3).unwrap();
+    db.evict_page(page_of(&db, 0));
+    assert_eq!(db.current_tag(0).unwrap(), N1.0, "the stable image still carries the tag");
+    let r = db.begin(N2).unwrap();
+    db.read(r, 0).unwrap();
+    db.commit(r).unwrap();
+    db.crash(&[N1]);
+    assert_eq!(held_tag(&db, 0), Some(N1.0), "the faulted-in image carries N1's tag");
+    ledger_exact(&db, "after the writer's crash");
+    recover_clean(&mut db, 0);
+    assert_eq!(&db.current_value(0).unwrap()[..4], b"kept");
+}

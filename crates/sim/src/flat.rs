@@ -10,12 +10,13 @@
 //!   Linear probing over two flat arrays, Fibonacci hashing, tombstone
 //!   deletion, amortised O(1) lookup with a single cache miss in the
 //!   common case.
-//! * [`HolderSet`] — the set of nodes holding a valid copy of a line.
-//!   Sorted, deduplicated, and stored inline (no heap) for up to
-//!   [`HOLDERS_INLINE`] nodes, spilling to a `Vec` only for very widely
-//!   shared lines. Iteration order is ascending `NodeId`, matching the
-//!   `BTreeSet` the directory used before, so "first holder" choices are
-//!   unchanged.
+//! * [`HolderColumn`] — which nodes hold a valid copy of each slot's line:
+//!   one bitmask of `nodes.div_ceil(64)` words per slot, in one dense
+//!   column. Every query walks the bits in ascending `NodeId` order, the
+//!   order of the `BTreeSet` the directory used before, so "first holder"
+//!   choices are unchanged; a crash is one AND-NOT pass over the column.
+//! * [`HolderSet`] — a small sorted node set (inline up to
+//!   [`HOLDERS_INLINE`] nodes): a transaction's participants.
 //!
 //! Line *data* lives in one arena owned by the machine (slot `i` owns the
 //! `i*line_size..` window): because the hardware coherence protocol keeps
@@ -180,12 +181,158 @@ impl LineIndex {
     }
 }
 
+/// The holder sets of a shard's slots: slot `i` owns the `words` words at
+/// `i * words`, and bit `n % 64` of word `n / 64` is set while node `n`
+/// holds a valid copy. A free slot's mask is all zero, and so is a lost
+/// line's: its every copy died with a crashed node. A machine of at most
+/// 64 nodes has one-word masks, and the queries on the coherence hot path
+/// read that word directly instead of walking a slice.
+#[derive(Debug)]
+pub(crate) struct HolderColumn {
+    words: usize,
+    bits: Vec<u64>,
+}
+
+impl HolderColumn {
+    /// An empty column for a machine of `nodes` nodes.
+    pub fn new(nodes: u16) -> Self {
+        HolderColumn { words: (nodes as usize).div_ceil(64), bits: Vec::new() }
+    }
+
+    /// Number of slot masks.
+    pub fn mask_count(&self) -> usize {
+        self.bits.len() / self.words
+    }
+
+    /// Append one slot with an empty mask.
+    pub fn push_empty(&mut self) {
+        self.bits.resize(self.bits.len() + self.words, 0);
+    }
+
+    /// Slot `slot`'s mask.
+    #[inline]
+    pub fn mask(&self, slot: u32) -> &[u64] {
+        let at = slot as usize * self.words;
+        &self.bits[at..at + self.words]
+    }
+
+    #[inline]
+    fn mask_mut(&mut self, slot: u32) -> &mut [u64] {
+        let at = slot as usize * self.words;
+        &mut self.bits[at..at + self.words]
+    }
+
+    /// Whether `n` holds a copy of slot `slot`'s line.
+    #[inline]
+    pub fn contains(&self, slot: u32, n: NodeId) -> bool {
+        let word = self.bits[slot as usize * self.words + n.0 as usize / 64];
+        word >> (n.0 % 64) & 1 != 0
+    }
+
+    /// Number of holders.
+    #[inline]
+    pub fn count(&self, slot: u32) -> usize {
+        if self.words == 1 {
+            return self.bits[slot as usize].count_ones() as usize;
+        }
+        self.mask(slot).iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Whether the slot has no holder (free, or lost).
+    #[inline]
+    pub fn is_empty(&self, slot: u32) -> bool {
+        if self.words == 1 {
+            return self.bits[slot as usize] == 0;
+        }
+        self.mask(slot).iter().all(|&w| w == 0)
+    }
+
+    /// The lowest holder, if any.
+    #[inline]
+    pub fn first(&self, slot: u32) -> Option<NodeId> {
+        let (i, w) = self.mask(slot).iter().enumerate().find(|(_, w)| **w != 0)?;
+        Some(NodeId((i * 64) as u16 + w.trailing_zeros() as u16))
+    }
+
+    /// The holders, ascending.
+    pub fn iter(&self, slot: u32) -> impl Iterator<Item = NodeId> + '_ {
+        self.mask(slot).iter().enumerate().flat_map(|(i, &w)| {
+            let mut w = w;
+            std::iter::from_fn(move || {
+                (w != 0).then(|| {
+                    let bit = w.trailing_zeros() as u16;
+                    w &= w - 1;
+                    NodeId((i * 64) as u16 + bit)
+                })
+            })
+        })
+    }
+
+    /// Add `n` to the holders.
+    #[inline]
+    pub fn insert(&mut self, slot: u32, n: NodeId) {
+        self.bits[slot as usize * self.words + n.0 as usize / 64] |= 1 << (n.0 % 64);
+    }
+
+    /// Remove `n` from the holders.
+    #[inline]
+    pub fn remove(&mut self, slot: u32, n: NodeId) {
+        self.bits[slot as usize * self.words + n.0 as usize / 64] &= !(1 << (n.0 % 64));
+    }
+
+    /// Make `n` the only holder.
+    #[inline]
+    pub fn set_single(&mut self, slot: u32, n: NodeId) {
+        if self.words == 1 {
+            self.bits[slot as usize] = 1 << n.0;
+            return;
+        }
+        self.clear(slot);
+        self.insert(slot, n);
+    }
+
+    /// Drop every holder.
+    #[inline]
+    pub fn clear(&mut self, slot: u32) {
+        self.mask_mut(slot).fill(0);
+    }
+
+    /// Remove the nodes of `crashed` (a mask of `words` words) from every
+    /// slot, and call `lost` with each slot that held a copy only on them,
+    /// in slot order. One pass over the column; free and already-lost
+    /// slots have empty masks and never report.
+    pub fn purge(&mut self, crashed: &[u64], mut lost: impl FnMut(u32)) {
+        debug_assert_eq!(crashed.len(), self.words);
+        if let &[c] = crashed {
+            for (slot, w) in self.bits.iter_mut().enumerate() {
+                let before = *w;
+                *w = before & !c;
+                if before != 0 && *w == 0 {
+                    lost(slot as u32);
+                }
+            }
+            return;
+        }
+        for (slot, ws) in self.bits.chunks_exact_mut(self.words).enumerate() {
+            let (mut before, mut after) = (0, 0);
+            for (w, c) in ws.iter_mut().zip(crashed) {
+                before |= *w;
+                *w &= !c;
+                after |= *w;
+            }
+            if before != 0 && after == 0 {
+                lost(slot as u32);
+            }
+        }
+    }
+}
+
 /// How many holders fit inline (no heap) in a [`HolderSet`]. Lines shared
 /// by more nodes — rare outside write-broadcast torture tests — spill to a
 /// `Vec`.
 pub const HOLDERS_INLINE: usize = 8;
 
-/// Sorted, deduplicated set of nodes holding a valid copy of one line.
+/// Sorted, deduplicated set of nodes (a transaction's participants).
 #[derive(Clone, Debug)]
 pub enum HolderSet {
     /// Up to [`HOLDERS_INLINE`] holders, stored inline and sorted.
@@ -414,5 +561,49 @@ mod tests {
         assert!(h.contains(NodeId(4)) && !h.contains(NodeId(5)));
         h.clear();
         assert!(h.is_empty());
+    }
+
+    #[test]
+    fn holder_column_spans_words_in_ascending_order() {
+        let mut col = HolderColumn::new(130);
+        for _ in 0..3 {
+            col.push_empty();
+        }
+        assert_eq!((col.mask_count(), col.mask(0).len()), (3, 3));
+        for n in [129u16, 0, 64, 63] {
+            col.insert(1, NodeId(n));
+        }
+        col.set_single(2, NodeId(70));
+        assert_eq!(col.iter(1).map(|n| n.0).collect::<Vec<_>>(), vec![0, 63, 64, 129]);
+        assert_eq!((col.count(1), col.first(1)), (4, Some(NodeId(0))));
+        assert!(col.contains(1, NodeId(64)) && !col.contains(1, NodeId(65)));
+        assert!(col.is_empty(0) && col.first(0).is_none());
+        col.remove(1, NodeId(0));
+        assert_eq!(col.first(1), Some(NodeId(63)));
+        // Crash 63, 64, 70 and 129: slot 1 and slot 2 lose their last
+        // copies, slot 0 was empty already.
+        let mut crashed = vec![0u64; 3];
+        for n in [63usize, 64, 70, 129] {
+            crashed[n / 64] |= 1 << (n % 64);
+        }
+        let mut lost = Vec::new();
+        col.purge(&crashed, |slot| lost.push(slot));
+        assert_eq!(lost, vec![1, 2]);
+        assert!((0..3).all(|s| col.is_empty(s)));
+    }
+
+    #[test]
+    fn holder_column_one_word_purge_reports_sole_holders_only() {
+        let mut col = HolderColumn::new(8);
+        for _ in 0..3 {
+            col.push_empty();
+        }
+        col.set_single(0, NodeId(3));
+        col.set_single(1, NodeId(3));
+        col.insert(1, NodeId(5));
+        let mut lost = Vec::new();
+        col.purge(&[1 << 3], |slot| lost.push(slot));
+        assert_eq!(lost, vec![0]);
+        assert_eq!(col.iter(1).collect::<Vec<_>>(), vec![NodeId(5)]);
     }
 }

@@ -12,24 +12,35 @@
 //!
 //! # Representation
 //!
-//! The hot path is flat and allocation-free. Lines live in a dense slot
-//! array (`Vec<Slot>`) addressed through a compact open-addressed
-//! [`LineIndex`]; line *data* lives in a single arena (`Vec<u8>`, slot `i`
-//! owning the `i × line_size` window). Because the coherence protocol keeps
-//! every valid copy byte-identical, per-node "caches" reduce to holder-set
-//! membership in each slot's [`HolderSet`] — replication and migration are
-//! membership updates, not byte copies, and a read/write/lock costs one
-//! hash probe plus direct array indexing instead of multiple `BTreeMap`
-//! walks and a `Box<[u8]>` clone. Freed slots are recycled through a free
-//! list, so steady-state operation performs no allocation at all.
+//! The hot path is flat and allocation-free. Each shard keeps its lines
+//! in dense columns addressed through a compact open-addressed
+//! [`LineIndex`]: the slot array (`Vec<Slot>`: which line, whether
+//! occupied), the holder column ([`HolderColumn`]: a bitmask of
+//! `nodes.div_ceil(64)` words per slot — one word on machines of up to 64
+//! nodes), the marks column (line-lock holder and §5.2 active owner, two
+//! `u16`s per slot) and the data arena (`Vec<u8>`, slot `i` owning the
+//! `i × line_size` window). Because the coherence protocol keeps every
+//! valid copy byte-identical, per-node "caches" reduce to holder bits —
+//! replication and migration are bit updates, not byte copies, and a
+//! read/write/lock costs one hash probe plus direct array indexing instead
+//! of multiple `BTreeMap` walks and a `Box<[u8]>` clone. Freed slots are
+//! recycled through a free list, so steady-state operation performs no
+//! allocation at all.
 //!
 //! The directory states of the old representation are derived views:
-//! *Exclusive(n)* ⇔ exactly one holder, *Shared* ⇔ several holders,
-//! *Lost* ⇔ the `lost` flag (holders empty, data destroyed by a crash).
+//! *Exclusive(n)* ⇔ exactly one holder bit, *Shared* ⇔ several, *Lost* ⇔
+//! a live slot with no holder bit (its data destroyed by a crash; a free
+//! slot's mask is empty too, and only `Slot::live` tells the two apart).
+//! Every holder query walks the bits in ascending node order, the order of
+//! the sorted sets this column replaced, so every coherence decision and
+//! simulated cycle is what it was. A crash ([`Machine::crash`]) is one
+//! AND-NOT pass over the holder column and one pass over the marks column;
+//! it reads a `Slot` only for the lines it loses (and, on a
+//! write-broadcast machine, for those whose line lock it breaks).
 
 use crate::config::{CoherenceKind, SimConfig};
 use crate::error::MemError;
-use crate::flat::{HolderSet, LineIndex};
+use crate::flat::{HolderColumn, LineIndex};
 use crate::ids::{LineId, NodeId};
 use crate::stats::SimStats;
 use crate::STRIPES;
@@ -57,42 +68,48 @@ pub const METRIC_INDEX_PROBES: &str = smdb_obs::names::SIM_INDEX_PROBES;
 /// allocation-free.
 pub const METRIC_BUF_REUSE: &str = smdb_obs::names::SIM_BUF_REUSE;
 
-/// One line's directory entry + metadata. Data lives in the machine's
-/// arena at `slot_index × line_size`.
+/// One line's directory entry. Its holders and marks sit at the same
+/// index of the shard's holder and marks columns, its data in the arena at
+/// `slot_index × line_size`.
 #[derive(Clone, Debug)]
 struct Slot {
     /// The line this slot holds (meaningful only while `live`).
     line: LineId,
-    /// Whether the slot is occupied (false ⇒ on the free list).
+    /// Whether the slot is occupied (false ⇒ on the free list). A live slot
+    /// with no holder is *lost*: every valid copy resided on a crashed
+    /// node. The low-level recovery step leaves it so software recovery can
+    /// distinguish *lost* from *never existed*.
     live: bool,
-    /// Every valid copy resided on a crashed node: the data is destroyed.
-    /// The low-level recovery step leaves this marker so software recovery
-    /// can distinguish *lost* from *never existed*. Implies no holders.
-    lost: bool,
+}
+
+/// The raw value of an empty [`Marks`] field. Node ids are below
+/// `cfg.nodes`, a `u16`, so no node has it.
+const NO_NODE: u16 = u16::MAX;
+
+/// A slot's entry in the marks column.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Marks {
     /// Line-lock holder, if the line is held in mutually-exclusive state
     /// via `getline` (§5.1).
-    locked_by: Option<NodeId>,
+    locked_by: u16,
     /// The §5.2 "active bit" extension: set while the line carries an
     /// uncommitted update whose log records have not been forced, together
     /// with the node that performed that update. Coherence transitions that
     /// would move or destroy such a line are reported by
     /// [`Machine::pending_triggers`] so a Stable-LBM engine can force the
     /// owner's log first.
-    active_owner: Option<NodeId>,
-    /// Nodes holding a valid copy (sorted; empty ⇔ `lost`).
-    holders: HolderSet,
+    active_owner: u16,
 }
 
-impl Slot {
-    fn vacant() -> Self {
-        Slot {
-            line: LineId(0),
-            live: false,
-            lost: false,
-            locked_by: None,
-            active_owner: None,
-            holders: HolderSet::empty(),
-        }
+impl Marks {
+    const NONE: Marks = Marks { locked_by: NO_NODE, active_owner: NO_NODE };
+
+    fn locked_by(self) -> Option<NodeId> {
+        (self.locked_by != NO_NODE).then_some(NodeId(self.locked_by))
+    }
+
+    fn active_owner(self) -> Option<NodeId> {
+        (self.active_owner != NO_NODE).then_some(NodeId(self.active_owner))
     }
 }
 
@@ -113,6 +130,10 @@ struct NodeState {
 struct CoherShard {
     index: LineIndex,
     slots: Vec<Slot>,
+    /// Each slot's holders (empty for a free or lost slot).
+    holders: HolderColumn,
+    /// Each slot's line lock and active owner ([`Marks::NONE`] when free).
+    marks: Vec<Marks>,
     /// Line data arena: slot `i` owns bytes `i*line_size .. (i+1)*line_size`.
     data: Vec<u8>,
     free: Vec<u32>,
@@ -123,10 +144,12 @@ struct CoherShard {
 }
 
 impl CoherShard {
-    fn new() -> Self {
+    fn new(nodes: u16) -> Self {
         CoherShard {
             index: LineIndex::with_capacity(1024),
             slots: Vec::new(),
+            holders: HolderColumn::new(nodes),
+            marks: Vec::new(),
             data: Vec::new(),
             free: Vec::new(),
             buf_reuse: 0,
@@ -137,8 +160,8 @@ impl CoherShard {
     /// Empty unowned sentinel for lane positions outside the lane's
     /// stripe set. Lookups against it find nothing; mutation paths check
     /// `owned` and fail with [`MemError::ForeignStripe`].
-    fn foreign() -> Self {
-        CoherShard { owned: false, ..CoherShard::new() }
+    fn foreign(nodes: u16) -> Self {
+        CoherShard { owned: false, ..CoherShard::new(nodes) }
     }
 }
 
@@ -263,10 +286,9 @@ pub fn span_bytes(
 /// Whether the slot at `at` still holds `line`, lost. A slot of a stripe
 /// detached into a lane reads as not lost.
 fn still_lost(shards: &[CoherShard], line: LineId, at: Loc) -> bool {
-    shards[at.sh as usize]
-        .slots
-        .get(at.slot as usize)
-        .is_some_and(|sl| sl.live && sl.lost && sl.line == line)
+    let shard = &shards[at.sh as usize];
+    shard.slots.get(at.slot as usize).is_some_and(|sl| sl.live && sl.line == line)
+        && shard.holders.is_empty(at.slot)
 }
 
 impl Machine {
@@ -275,7 +297,7 @@ impl Machine {
         assert!(cfg.nodes > 0, "machine needs at least one node");
         assert!(cfg.stripe_lines > 0, "stripe granule must be non-zero");
         let nodes = (0..cfg.nodes).map(|_| NodeState { clock: 0, crashed: false }).collect();
-        let shards = (0..STRIPES).map(|_| CoherShard::new()).collect();
+        let shards = (0..STRIPES).map(|_| CoherShard::new(cfg.nodes)).collect();
         Machine {
             cfg,
             shards,
@@ -473,14 +495,31 @@ impl Machine {
         self.slot_of(line)
     }
 
+    /// The holder column of `l`'s shard (index it with `l.slot`).
     #[inline]
-    fn slot(&self, l: Loc) -> &Slot {
-        &self.shards[l.sh as usize].slots[l.slot as usize]
+    fn col(&self, l: Loc) -> &HolderColumn {
+        &self.shards[l.sh as usize].holders
     }
 
     #[inline]
-    fn slot_mut(&mut self, l: Loc) -> &mut Slot {
-        &mut self.shards[l.sh as usize].slots[l.slot as usize]
+    fn col_mut(&mut self, l: Loc) -> &mut HolderColumn {
+        &mut self.shards[l.sh as usize].holders
+    }
+
+    #[inline]
+    fn marks(&self, l: Loc) -> Marks {
+        self.shards[l.sh as usize].marks[l.slot as usize]
+    }
+
+    #[inline]
+    fn marks_mut(&mut self, l: Loc) -> &mut Marks {
+        &mut self.shards[l.sh as usize].marks[l.slot as usize]
+    }
+
+    /// Whether the live slot `l` is lost: no node holds its line.
+    #[inline]
+    fn lost_at(&self, l: Loc) -> bool {
+        self.col(l).is_empty(l.slot)
     }
 
     #[inline]
@@ -506,18 +545,15 @@ impl Machine {
             }
             None => {
                 let s = shard.slots.len() as u32;
-                shard.slots.push(Slot::vacant());
+                shard.slots.push(Slot { line, live: false });
+                shard.holders.push_empty();
+                shard.marks.push(Marks::NONE);
                 shard.data.resize(shard.data.len() + line_size, 0);
                 s
             }
         };
-        let sl = &mut shard.slots[slot as usize];
-        sl.line = line;
-        sl.live = true;
-        sl.lost = false;
-        sl.locked_by = None;
-        sl.active_owner = None;
-        sl.holders = HolderSet::single(owner);
+        shard.slots[slot as usize] = Slot { line, live: true };
+        shard.holders.set_single(slot, owner);
         shard.index.insert(line.0, slot);
         Loc { sh: sh as u32, slot }
     }
@@ -527,13 +563,11 @@ impl Machine {
         let shard = &mut self.shards[l.sh as usize];
         let sl = &mut shard.slots[l.slot as usize];
         debug_assert!(sl.live);
-        self.lost_pruned |= sl.lost;
+        self.lost_pruned |= shard.holders.is_empty(l.slot);
         shard.index.remove(sl.line.0);
         sl.live = false;
-        sl.lost = false;
-        sl.locked_by = None;
-        sl.active_owner = None;
-        sl.holders.clear();
+        shard.holders.clear(l.slot);
+        shard.marks[l.slot as usize] = Marks::NONE;
         shard.free.push(l.slot);
     }
 
@@ -633,8 +667,7 @@ impl Machine {
             self.check_owned(line)?;
             return Err(MemError::NotResident { line });
         };
-        let sl = self.slot(slot);
-        if sl.lost {
+        if self.lost_at(slot) {
             self.stats.lost_line_accesses += 1;
             return if self.cfg.stall_on_lost {
                 Err(MemError::Stalled { line, holder: None })
@@ -642,7 +675,7 @@ impl Machine {
                 Err(MemError::LineLost { line })
             };
         }
-        if let Some(holder) = sl.locked_by {
+        if let Some(holder) = self.marks(slot).locked_by() {
             if holder != node {
                 self.stats.line_lock_conflicts += 1;
                 return Err(MemError::Stalled { line, holder: Some(holder) });
@@ -678,8 +711,7 @@ impl Machine {
     #[inline]
     fn do_read(&mut self, node: NodeId, line: LineId, slot: Loc) {
         self.stats.reads += 1;
-        let sl = self.slot(slot);
-        if sl.holders.contains(node) {
+        if self.col(slot).contains(slot.slot, node) {
             self.stats.local_hits += 1;
             self.charge(node, self.cfg.cost.local_hit);
             self.obs.bus.emit(self.nodes[node.0 as usize].clock, || ObsEvent::ReadHit {
@@ -690,12 +722,12 @@ impl Machine {
             // Replicate into `node`'s cache; an exclusive owner is
             // downgraded to shared (the `H_wr` pattern). All copies are
             // identical, so replication is pure membership.
-            let downgraded = sl.holders.len() == 1;
+            let downgraded = self.col(slot).count(slot.slot) == 1;
             if downgraded {
                 self.stats.replications += 1;
                 self.stats.downgrades += 1;
             }
-            self.slot_mut(slot).holders.insert(node);
+            self.col_mut(slot).insert(slot.slot, node);
             self.stats.remote_transfers += 1;
             self.charge(node, self.cfg.cost.remote_transfer);
             self.obs.bus.emit(self.nodes[node.0 as usize].clock, || ObsEvent::ReadRemote {
@@ -792,10 +824,8 @@ impl Machine {
     /// check succeeded (the caller stores the bytes afterwards).
     fn do_write(&mut self, node: NodeId, line: LineId, slot: Loc) -> Result<(), MemError> {
         self.stats.writes += 1;
-        let (holder_count, locally_held) = {
-            let h = &self.slot(slot).holders;
-            (h.len(), h.contains(node))
-        };
+        let (holder_count, locally_held) =
+            (self.col(slot).count(slot.slot), self.col(slot).contains(slot.slot, node));
         // Crash point: the transition is about to move or destroy copies.
         // Fires *before* any directory or data mutation, so the victim
         // dies exactly as the hardware request would have been issued.
@@ -835,7 +865,7 @@ impl Machine {
                         migration,
                     });
                 }
-                self.slot_mut(slot).holders = HolderSet::single(node);
+                self.col_mut(slot).set_single(slot.slot, node);
             }
             CoherenceKind::WriteBroadcast => {
                 if !locally_held {
@@ -855,7 +885,7 @@ impl Machine {
                     line: line.0,
                     updated,
                 });
-                self.slot_mut(slot).holders.insert(node);
+                self.col_mut(slot).insert(slot.slot, node);
             }
         }
         Ok(())
@@ -922,13 +952,11 @@ impl Machine {
     /// Re-acquisition by the current holder is a no-op.
     pub fn getline(&mut self, node: NodeId, line: LineId) -> Result<(), MemError> {
         let slot = self.check_access(node, line)?;
-        if self.slot(slot).locked_by == Some(node) {
+        if self.marks(slot).locked_by() == Some(node) {
             return Ok(());
         }
-        let (holder_count, locally_held) = {
-            let h = &self.slot(slot).holders;
-            (h.len(), h.contains(node))
-        };
+        let (holder_count, locally_held) =
+            (self.col(slot).count(slot.slot), self.col(slot).contains(slot.slot, node));
         // Crash point: acquiring the line lock migrates/invalidates copies.
         if !(locally_held && holder_count == 1) {
             let site = if locally_held { FAULT_INVALIDATE } else { FAULT_MIGRATE };
@@ -941,11 +969,11 @@ impl Machine {
             // remote copies (writes update them in place); it only pins
             // mutual exclusion and ensures a local copy.
             if !locally_held {
-                self.slot_mut(slot).holders.insert(node);
+                self.col_mut(slot).insert(slot.slot, node);
                 self.stats.remote_transfers += 1;
                 self.charge(node, self.cfg.cost.remote_transfer);
             }
-            self.slot_mut(slot).locked_by = Some(node);
+            self.marks_mut(slot).locked_by = node.0;
             self.stats.line_lock_acquires += 1;
             self.charge(node, self.cfg.cost.line_lock_acquire);
             return Ok(());
@@ -964,9 +992,8 @@ impl Machine {
             self.stats.invalidations += invalidated;
             self.charge(node, self.cfg.cost.invalidate * invalidated);
         }
-        let sl = self.slot_mut(slot);
-        sl.holders = HolderSet::single(node);
-        sl.locked_by = Some(node);
+        self.col_mut(slot).set_single(slot.slot, node);
+        self.marks_mut(slot).locked_by = node.0;
         self.stats.line_lock_acquires += 1;
         self.charge(node, self.cfg.cost.line_lock_acquire);
         self.obs.bus.emit(self.nodes[node.0 as usize].clock, || ObsEvent::LineLock {
@@ -981,11 +1008,11 @@ impl Machine {
         self.check_node(node)?;
         self.check_owned(line)?;
         let slot = self.slot_of(line).ok_or(MemError::NotResident { line })?;
-        let sl = self.slot_mut(slot);
-        if sl.locked_by != Some(node) {
+        let marks = self.marks_mut(slot);
+        if marks.locked_by() != Some(node) {
             return Err(MemError::NotLockHolder { line, node });
         }
-        sl.locked_by = None;
+        marks.locked_by = NO_NODE;
         self.charge(node, self.cfg.cost.line_lock_release);
         self.obs.bus.emit(self.nodes[node.0 as usize].clock, || ObsEvent::LineUnlock {
             node: node.0,
@@ -996,7 +1023,7 @@ impl Machine {
 
     /// The current line-lock holder, if any.
     pub fn line_lock_holder(&self, line: LineId) -> Option<NodeId> {
-        self.slot_of(line).and_then(|s| self.slot(s).locked_by)
+        self.slot_of(line).and_then(|s| self.marks(s).locked_by())
     }
 
     // ------------------------------------------------------------------
@@ -1009,7 +1036,7 @@ impl Machine {
     pub fn set_active(&mut self, line: LineId, owner: NodeId) {
         debug_assert!(self.check_owned(line).is_ok(), "set_active on a foreign stripe");
         if let Some(s) = self.slot_of(line) {
-            self.slot_mut(s).active_owner = Some(owner);
+            self.marks_mut(s).active_owner = owner.0;
         }
     }
 
@@ -1029,14 +1056,14 @@ impl Machine {
             debug_assert!(self.check_owned(line).is_ok(), "clear_active on a foreign stripe");
             prev = self.next_slot(prev, line);
             if let Some(s) = prev {
-                self.slot_mut(s).active_owner = None;
+                self.marks_mut(s).active_owner = NO_NODE;
             }
         }
     }
 
     /// The node whose unforced update marks this line active, if any.
     pub fn active_owner(&self, line: LineId) -> Option<NodeId> {
-        self.slot_of(line).and_then(|s| self.slot(s).active_owner)
+        self.slot_of(line).and_then(|s| self.marks(s).active_owner())
     }
 
     /// Report the coherence transition that an access by `node` to `line`
@@ -1071,8 +1098,7 @@ impl Machine {
         for i in 0..count {
             let line = LineId(first.0 + i as u64);
             prev = self.next_slot(prev, line);
-            if let Some(ev) = prev.and_then(|s| self.trigger_on(self.slot(s), node, line, is_write))
-            {
+            if let Some(ev) = prev.and_then(|s| self.trigger_on(s, node, line, is_write)) {
                 return Some(ev);
             }
         }
@@ -1083,20 +1109,21 @@ impl Machine {
     #[inline]
     fn trigger_on(
         &self,
-        sl: &Slot,
+        slot: Loc,
         node: NodeId,
         line: LineId,
         is_write: bool,
     ) -> Option<TriggerEvent> {
-        let owner = sl.active_owner?;
+        let owner = self.marks(slot).active_owner()?;
         if owner == node {
             return None;
         }
         // Does `owner` still hold a valid copy that this access endangers?
-        if !sl.holders.contains(owner) {
+        // (A lost line has no holder.)
+        if !self.col(slot).contains(slot.slot, owner) {
             return None;
         }
-        let exclusive = !sl.lost && sl.holders.len() == 1;
+        let exclusive = self.col(slot).count(slot.slot) == 1;
         match self.cfg.coherence {
             CoherenceKind::WriteInvalidate => {
                 if is_write {
@@ -1133,6 +1160,11 @@ impl Machine {
     /// entries are purged of failed holders, lines with no surviving copy
     /// are marked [`lost`](Machine::is_lost), and line locks held by failed
     /// nodes are broken.
+    ///
+    /// The restore is one AND-NOT of the failed nodes' mask over each
+    /// shard's holder column and one pass over its marks column; a slot's
+    /// `Slot` entry is read only for a line the crash loses or whose line
+    /// lock it breaks.
     pub fn crash(&mut self, nodes: &[NodeId]) -> CrashReport {
         let mut report = CrashReport::default();
         for &n in nodes {
@@ -1147,36 +1179,30 @@ impl Machine {
             return report;
         }
         self.prune_lost();
-        let crashed = &report.crashed;
+        let mut mask = vec![0u64; (self.cfg.nodes as usize).div_ceil(64)];
+        for n in &report.crashed {
+            mask[n.0 as usize / 64] |= 1 << (n.0 % 64);
+        }
+        let failed = |raw: u16| raw != NO_NODE && mask[raw as usize / 64] >> (raw % 64) & 1 != 0;
         let mut lost = Vec::new();
         for (sh, shard) in self.shards.iter_mut().enumerate() {
-            for (slot, sl) in shard.slots.iter_mut().enumerate() {
-                if !sl.live {
-                    continue;
+            let slots = &shard.slots;
+            shard.holders.purge(&mask, |slot| {
+                lost.push((slots[slot as usize].line, Loc { sh: sh as u32, slot }));
+            });
+            for (slot, marks) in shard.marks.iter_mut().enumerate() {
+                if failed(marks.locked_by) {
+                    marks.locked_by = NO_NODE;
+                    report.broken_line_locks.push(slots[slot].line);
                 }
-                if !sl.lost {
-                    sl.holders.retain(|n| !crashed.contains(&n));
-                    if sl.holders.is_empty() {
-                        sl.lost = true;
-                        lost.push((sl.line, Loc { sh: sh as u32, slot: slot as u32 }));
-                        self.stats.lines_lost += 1;
-                    }
-                }
-                if let Some(h) = sl.locked_by {
-                    if crashed.contains(&h) {
-                        sl.locked_by = None;
-                        report.broken_line_locks.push(sl.line);
-                    }
-                }
-                if let Some(o) = sl.active_owner {
-                    if crashed.contains(&o) {
-                        // The owner's volatile log died with it; the active
-                        // bit is meaningless now.
-                        sl.active_owner = None;
-                    }
+                if failed(marks.active_owner) {
+                    // The owner's volatile log died with it; the active
+                    // bit is meaningless now.
+                    marks.active_owner = NO_NODE;
                 }
             }
         }
+        self.stats.lines_lost += lost.len() as u64;
         // Slot order is allocation order; reports are sorted by line id
         // (the order the old BTreeMap directory yielded them in).
         lost.sort_unstable_by_key(|&(line, _)| line);
@@ -1218,7 +1244,7 @@ impl Machine {
     /// Whether the line's data was destroyed by a crash and has not been
     /// reinstalled.
     pub fn is_lost(&self, line: LineId) -> bool {
-        self.slot_of(line).map(|s| self.slot(s).lost).unwrap_or(false)
+        self.slot_of(line).is_some_and(|s| self.lost_at(s))
     }
 
     /// Whether any surviving cache holds a valid copy. This is the §4.1.2
@@ -1227,7 +1253,7 @@ impl Machine {
     /// with a cache line in a surviving node, an invalid flag is
     /// returned."*
     pub fn probe_cached(&self, line: LineId) -> bool {
-        self.slot_of(line).map(|s| !self.slot(s).lost).unwrap_or(false)
+        self.slot_of(line).is_some_and(|s| !self.lost_at(s))
     }
 
     /// How many of `count` consecutive lines starting at `first` are lost
@@ -1240,7 +1266,7 @@ impl Machine {
         for i in 0..count {
             prev = self.next_slot(prev, LineId(first.0 + i as u64));
             match prev {
-                Some(s) if self.slot(s).lost => r.lost += 1,
+                Some(s) if self.lost_at(s) => r.lost += 1,
                 Some(_) => r.cached += 1,
                 None => {}
             }
@@ -1286,11 +1312,13 @@ impl Machine {
             None => return Ok(()), // already gone
             Some(s) => s,
         };
-        let sl = self.slot_mut(slot);
-        if sl.holders.contains(node) {
-            sl.holders.remove(node);
-            if sl.holders.is_empty() && !sl.lost {
+        let col = self.col_mut(slot);
+        if col.contains(slot.slot, node) {
+            if col.count(slot.slot) == 1 {
+                // The last copy goes: the directory entry with it.
                 self.free_slot(slot);
+            } else {
+                col.remove(slot.slot, node);
             }
         }
         self.stats.evictions += 1;
@@ -1308,13 +1336,13 @@ impl Machine {
         for i in 0..count {
             prev = self.next_slot(prev, LineId(first.0 + i as u64));
             let Some(slot) = prev else { continue };
-            let holders = std::mem::replace(&mut self.slot_mut(slot).holders, HolderSet::empty());
-            if holders.is_empty() {
+            if self.lost_at(slot) {
                 continue;
             }
-            for &holder in holders.as_slice() {
+            let shard = &self.shards[slot.sh as usize];
+            for holder in shard.holders.iter(slot.slot) {
                 self.stats.evictions += 1;
-                self.charge(holder, local_hit);
+                self.nodes[holder.0 as usize].clock += local_hit;
             }
             // Freeing keeps the slot's position, so it still anchors the
             // walk to the next line.
@@ -1331,8 +1359,9 @@ impl Machine {
         for sh in 0..self.shards.len() {
             for i in 0..self.shards[sh].slots.len() {
                 let (live, line, holds) = {
-                    let sl = &self.shards[sh].slots[i];
-                    (sl.live, sl.line, sl.holders.contains(node))
+                    let shard = &self.shards[sh];
+                    let sl = &shard.slots[i];
+                    (sl.live, sl.line, shard.holders.contains(i as u32, node))
                 };
                 if live && holds && pred(line) {
                     let _ = self.discard(node, line);
@@ -1379,12 +1408,9 @@ impl Machine {
                 Some(s) => {
                     // Install is authoritative: any surviving copies elsewhere
                     // are dropped along with locks and active bits.
-                    self.lost_pruned |= self.slot(s).lost;
-                    let sl = self.slot_mut(s);
-                    sl.lost = false;
-                    sl.locked_by = None;
-                    sl.active_owner = None;
-                    sl.holders = HolderSet::single(node);
+                    self.lost_pruned |= self.lost_at(s);
+                    *self.marks_mut(s) = Marks::NONE;
+                    self.col_mut(s).set_single(s.slot, node);
                     s
                 }
                 None => {
@@ -1409,7 +1435,7 @@ impl Machine {
     pub fn clear_lost(&mut self, line: LineId) {
         debug_assert!(self.check_owned(line).is_ok(), "clear_lost on a foreign stripe");
         if let Some(s) = self.slot_of(line) {
-            if self.slot(s).lost {
+            if self.lost_at(s) {
                 self.free_slot(s);
             }
         }
@@ -1425,7 +1451,7 @@ impl Machine {
     /// the coherent access path.
     pub fn peek(&self, line: LineId) -> Option<&[u8]> {
         let slot = self.slot_of(line)?;
-        if self.slot(slot).lost {
+        if self.lost_at(slot) {
             return None;
         }
         Some(self.line_data(slot))
@@ -1434,7 +1460,7 @@ impl Machine {
     /// Zero-cost view of `node`'s own cached copy, if valid.
     pub fn peek_local(&self, node: NodeId, line: LineId) -> Option<&[u8]> {
         let slot = self.slot_of(line)?;
-        if !self.slot(slot).holders.contains(node) {
+        if !self.col(slot).contains(slot.slot, node) {
             return None;
         }
         Some(self.line_data(slot))
@@ -1456,7 +1482,8 @@ impl Machine {
                 if !sl.live {
                     return None;
                 }
-                Some((sl.holders.first()?, sl.line, &shard.data[i * ls..(i + 1) * ls]))
+                let holder = shard.holders.first(i as u32)?;
+                Some((holder, sl.line, &shard.data[i * ls..(i + 1) * ls]))
             })
         })
     }
@@ -1483,7 +1510,7 @@ impl Machine {
             });
             let at = near.or_else(|| self.slot_of(line))?;
             prev = Some((line, at));
-            let holder = self.slot(at).holders.first()?;
+            let holder = self.col(at).first(at.slot)?;
             Some((holder, (at.sh as u64) << 32 | at.slot as u64, line, self.line_data(at)))
         })
     }
@@ -1512,27 +1539,26 @@ impl Machine {
             .map(|&(line, _)| line)
     }
 
-    /// The nodes currently holding valid copies of `line`, as a sorted
-    /// slice borrowed from the directory (no allocation; empty if the line
-    /// is lost or not resident).
-    pub fn holders(&self, line: LineId) -> &[NodeId] {
+    /// The nodes currently holding valid copies of `line`, ascending
+    /// (empty if the line is lost or not resident).
+    pub fn holders(&self, line: LineId) -> Vec<NodeId> {
         match self.slot_of(line) {
-            Some(s) => self.slot(s).holders.as_slice(),
-            None => &[],
+            Some(s) => self.col(s).iter(s.slot).collect(),
+            None => Vec::new(),
         }
     }
 
     /// Number of nodes holding a valid copy of `line`.
     pub fn holder_count(&self, line: LineId) -> usize {
-        self.holders(line).len()
+        self.slot_of(line).map_or(0, |s| self.col(s).count(s.slot))
     }
 
     /// The exclusive owner of `line`, if it is held exclusively.
     pub fn exclusive_owner(&self, line: LineId) -> Option<NodeId> {
         let slot = self.slot_of(line)?;
-        let sl = self.slot(slot);
-        if !sl.lost && sl.holders.len() == 1 {
-            sl.holders.first()
+        let col = self.col(slot);
+        if col.count(slot.slot) == 1 {
+            col.first(slot.slot)
         } else {
             None
         }
@@ -1550,13 +1576,31 @@ impl Machine {
     /// O(slots × nodes); meant for tests and property checks, not the hot
     /// path.
     pub fn validate_flat(&self) {
+        let nodes = self.cfg.nodes as usize;
+        let mut walked = Vec::new();
         for (shn, shard) in self.shards.iter().enumerate() {
             let mut live = 0usize;
             for (i, sl) in shard.slots.iter().enumerate() {
+                let slot = i as u32;
+                let mask = shard.holders.mask(slot);
+                let marks = shard.marks[i];
+                for (w, word) in mask.iter().enumerate() {
+                    let beyond = if (w + 1) * 64 <= nodes { 0 } else { !0u64 << (nodes - w * 64) };
+                    assert_eq!(
+                        word & beyond,
+                        0,
+                        "slot {i} (shard {shn}) has a holder bit at or above node {nodes}"
+                    );
+                }
                 if !sl.live {
                     assert!(
-                        shard.free.contains(&(i as u32)),
+                        shard.free.contains(&slot),
                         "dead slot {i} (shard {shn}) missing from the free list"
+                    );
+                    // So a live slot with an empty mask is exactly a lost one.
+                    assert!(
+                        mask.iter().all(|&w| w == 0) && marks == Marks::NONE,
+                        "free slot {i} (shard {shn}) keeps holders or marks"
                     );
                     continue;
                 }
@@ -1570,30 +1614,23 @@ impl Machine {
                 );
                 assert_eq!(
                     shard.index.get(sl.line.0),
-                    Some(i as u32),
+                    Some(slot),
                     "live slot {i} (line {:?}) not indexed back to itself",
                     sl.line
                 );
-                let h = sl.holders.as_slice();
-                assert!(
-                    h.windows(2).all(|w| w[0] < w[1]),
-                    "holder set of {:?} not sorted/deduped: {h:?}",
-                    sl.line
-                );
-                if sl.lost {
-                    assert!(h.is_empty(), "lost line {:?} still has holders {h:?}", sl.line);
-                    assert!(sl.locked_by.is_none(), "lost line {:?} still locked", sl.line);
-                } else {
-                    assert!(!h.is_empty(), "valid line {:?} has no holders", sl.line);
+                let h: Vec<NodeId> = shard.holders.iter(slot).collect();
+                if h.is_empty() {
+                    walked.push(sl.line);
+                    assert!(marks.locked_by().is_none(), "lost line {:?} still locked", sl.line);
                 }
-                for n in h {
+                for n in &h {
                     assert!(
                         !self.nodes[n.0 as usize].crashed,
                         "crashed node {n:?} still holds {:?}",
                         sl.line
                     );
                 }
-                if let Some(l) = sl.locked_by {
+                if let Some(l) = marks.locked_by() {
                     assert!(h.contains(&l), "lock holder {l:?} of {:?} holds no copy", sl.line);
                 }
             }
@@ -1608,16 +1645,16 @@ impl Machine {
                 "shard {shn} slot accounting: live + free ≠ total"
             );
             assert_eq!(
+                (shard.holders.mask_count(), shard.marks.len()),
+                (shard.slots.len(), shard.slots.len()),
+                "shard {shn} columns disagree with the slot count"
+            );
+            assert_eq!(
                 shard.data.len(),
                 shard.slots.len() * self.cfg.line_size,
                 "shard {shn} arena size disagrees with slot count"
             );
         }
-        let mut walked: Vec<LineId> = self
-            .shards
-            .iter()
-            .flat_map(|shard| shard.slots.iter().filter(|sl| sl.live && sl.lost).map(|sl| sl.line))
-            .collect();
         walked.sort_unstable();
         assert_eq!(
             self.iter_lost().collect::<Vec<_>>(),
@@ -1650,7 +1687,7 @@ impl Machine {
         assert!(self.unrecovered.is_empty(), "lane_split with pending instant-restart redo");
         self.prune_lost();
         let mut shards: Vec<CoherShard> =
-            (0..self.shards.len()).map(|_| CoherShard::foreign()).collect();
+            (0..self.shards.len()).map(|_| CoherShard::foreign(self.cfg.nodes)).collect();
         for &s in stripes {
             let s = s as usize;
             assert!(s < self.shards.len(), "stripe {s} out of range");
@@ -1701,9 +1738,9 @@ impl Machine {
     pub fn clear_active_in_stripes(&mut self, node: NodeId, stripes: &[u32]) -> u64 {
         let mut cleared = 0u64;
         for &s in stripes {
-            for sl in self.shards[s as usize].slots.iter_mut() {
-                if sl.live && sl.active_owner == Some(node) {
-                    sl.active_owner = None;
+            for marks in self.shards[s as usize].marks.iter_mut() {
+                if marks.active_owner == node.0 {
+                    marks.active_owner = NO_NODE;
                     cleared += 1;
                 }
             }
@@ -2097,6 +2134,33 @@ mod tests {
         m.install_line(NodeId(1), LineId(2), &[9]).unwrap();
         m.clear_lost(LineId(5));
         assert_eq!(m.iter_lost().collect::<Vec<_>>(), vec![LineId(1)]);
+    }
+
+    /// A 100-node machine keeps two mask words per slot: node 70's crash
+    /// loses the lines it alone held and leaves those it shared, with a
+    /// node of either word, on their other holders.
+    #[test]
+    fn crash_of_a_second_word_node_loses_exactly_its_sole_held_lines() {
+        let mut m = machine(100);
+        let n70 = NodeId(70);
+        for l in 0..8u64 {
+            m.create_line_at(n70, LineId(l), &[l as u8]).unwrap();
+        }
+        m.read_into(N1, LineId(2), 0, &mut [0u8]).unwrap();
+        m.read_into(NodeId(71), LineId(5), 0, &mut [0u8]).unwrap();
+        m.read_into(NodeId(99), LineId(5), 0, &mut [0u8]).unwrap();
+        m.create_line_at(NodeId(69), LineId(8), &[8]).unwrap();
+        m.getline(n70, LineId(7)).unwrap();
+        let rep = m.crash(&[n70]);
+        let lost: Vec<LineId> = [0, 1, 3, 4, 6, 7].map(LineId).to_vec();
+        assert_eq!(rep.lost_lines, lost);
+        assert_eq!(rep.broken_line_locks, vec![LineId(7)]);
+        assert_eq!(m.iter_lost().collect::<Vec<_>>(), lost);
+        assert_eq!(m.holders(LineId(2)), vec![N1]);
+        assert_eq!(m.holders(LineId(5)), vec![NodeId(71), NodeId(99)]);
+        assert_eq!(m.exclusive_owner(LineId(8)), Some(NodeId(69)));
+        assert_eq!(m.stats().lines_lost, 6);
+        m.validate_flat();
     }
 
     #[test]

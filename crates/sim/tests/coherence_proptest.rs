@@ -12,6 +12,8 @@ use smdb_sim::{
 };
 use std::collections::BTreeMap;
 
+/// One step of a reference-model script. Each `node` is a script index,
+/// mapped to a node id by [`node_of`].
 #[derive(Clone, Debug)]
 enum Op {
     Read {
@@ -51,6 +53,25 @@ enum Op {
     },
 }
 
+/// How many distinct nodes a script names.
+const PICKS: u16 = 6;
+
+/// The machine sizes the reference-model scripts run on: one word of
+/// holder mask, two, and three.
+const WIDTHS: [u16; 3] = [4, 70, 130];
+
+/// The node id script index `i` names on a machine of `nodes` nodes. A
+/// small machine's nodes are all named; a wide one's are both sides of
+/// the first 64-node word boundary and its last two nodes, so holder
+/// masks span words.
+fn node_of(i: u16, nodes: u16) -> NodeId {
+    NodeId(if nodes <= PICKS {
+        i % nodes
+    } else {
+        [0, 1, 63, 64, nodes - 2, nodes - 1][i as usize]
+    })
+}
+
 fn op_strategy(nodes: u16, lines: u64) -> impl Strategy<Value = Op> {
     prop_oneof![
         4 => (0..nodes, 0..lines).prop_map(|(node, line)| Op::Read { node, line }),
@@ -74,21 +95,21 @@ struct Model {
     values: BTreeMap<u64, Option<u8>>,
 }
 
-fn run_model(kind: CoherenceKind, ops: Vec<Op>) -> Result<(), TestCaseError> {
-    const NODES: u16 = 4;
-    let mut m = Machine::new(SimConfig { coherence: kind, ..SimConfig::new(NODES) });
+fn run_model(kind: CoherenceKind, nodes: u16, ops: Vec<Op>) -> Result<(), TestCaseError> {
+    let mut m = Machine::new(SimConfig { coherence: kind, ..SimConfig::new(nodes) });
+    let id = |i: u16| node_of(i, nodes);
     let mut model = Model::default();
     // Pre-create every line on node 0 with value 0.
     for l in 0..8u64 {
         m.create_line_at(NodeId(0), LineId(l), &[0]).expect("create");
         model.values.insert(l, Some(0));
     }
-    let mut locked: BTreeMap<u64, u16> = BTreeMap::new();
+    let mut locked: BTreeMap<u64, NodeId> = BTreeMap::new();
     for op in ops {
         match op {
             Op::Read { node, line } => {
                 let mut b = [0u8];
-                match m.read_into(NodeId(node), LineId(line), 0, &mut b) {
+                match m.read_into(id(node), LineId(line), 0, &mut b) {
                     Ok(()) => {
                         let expected = model.values[&line];
                         prop_assert_eq!(
@@ -103,7 +124,7 @@ fn run_model(kind: CoherenceKind, ops: Vec<Op>) -> Result<(), TestCaseError> {
                     }
                     Err(MemError::Stalled { .. }) => {
                         prop_assert!(
-                            locked.get(&line).map(|h| *h != node).unwrap_or(false),
+                            locked.get(&line).map(|h| *h != id(node)).unwrap_or(false),
                             "spurious stall"
                         );
                     }
@@ -111,23 +132,23 @@ fn run_model(kind: CoherenceKind, ops: Vec<Op>) -> Result<(), TestCaseError> {
                         prop_assert_eq!(model.values[&line], None, "spurious loss report");
                     }
                     Err(MemError::NodeCrashed { .. }) => {
-                        prop_assert!(m.is_crashed(NodeId(node)));
+                        prop_assert!(m.is_crashed(id(node)));
                     }
                     Err(e) => return Err(TestCaseError::fail(format!("unexpected: {e}"))),
                 }
             }
             Op::Write { node, line, byte } => {
-                match m.write(NodeId(node), LineId(line), 0, &[byte]) {
+                match m.write(id(node), LineId(line), 0, &[byte]) {
                     Ok(()) => {
                         model.values.insert(line, Some(byte));
                         // Single-writer invariant under write-invalidate:
                         // the writer is the sole holder.
                         if kind == CoherenceKind::WriteInvalidate {
-                            prop_assert_eq!(m.holders(LineId(line)), vec![NodeId(node)]);
+                            prop_assert_eq!(m.holders(LineId(line)), vec![id(node)]);
                         } else {
                             // Broadcast: every holder's copy agrees.
                             for h in m.holders(LineId(line)) {
-                                let c = m.peek_local(*h, LineId(line)).expect("holder has copy");
+                                let c = m.peek_local(h, LineId(line)).expect("holder has copy");
                                 prop_assert_eq!(c[0], byte);
                             }
                         }
@@ -139,43 +160,43 @@ fn run_model(kind: CoherenceKind, ops: Vec<Op>) -> Result<(), TestCaseError> {
                 }
             }
             Op::Lock { node, line } => {
-                if let Ok(()) = m.getline(NodeId(node), LineId(line)) {
-                    locked.insert(line, node);
+                if let Ok(()) = m.getline(id(node), LineId(line)) {
+                    locked.insert(line, id(node));
                 }
             }
             Op::Unlock { node, line } => {
-                if let Ok(()) = m.releaseline(NodeId(node), LineId(line)) {
+                if let Ok(()) = m.releaseline(id(node), LineId(line)) {
                     locked.remove(&line);
                 }
             }
             Op::Crash { node } => {
-                let report = m.crash(&[NodeId(node)]);
+                let report = m.crash(&[id(node)]);
                 for l in report.lost_lines {
                     model.values.insert(l.0, None);
                 }
                 for l in report.broken_line_locks {
                     locked.remove(&l.0);
                 }
-                locked.retain(|_, h| *h != node);
+                locked.retain(|_, h| *h != id(node));
             }
             Op::Reboot { node } => {
                 // Rebooting a live node is a power-cycle (destroys its
                 // cache); the model only tracks clean restarts of crashed
                 // nodes, so restrict to those here.
-                if m.is_crashed(NodeId(node)) {
-                    m.reboot_node(NodeId(node));
+                if m.is_crashed(id(node)) {
+                    m.reboot_node(id(node));
                 }
             }
             Op::Install { node, line, byte } => {
-                if m.install_line(NodeId(node), LineId(line), &[byte]).is_ok() {
+                if m.install_line(id(node), LineId(line), &[byte]).is_ok() {
                     model.values.insert(line, Some(byte));
                     locked.remove(&line);
                 }
             }
             Op::Forget { node, line } => {
-                if m.is_lost(LineId(line)) && !m.is_crashed(NodeId(node)) {
+                if m.is_lost(LineId(line)) && !m.is_crashed(id(node)) {
                     m.clear_lost(LineId(line));
-                    m.create_line_at(NodeId(node), LineId(line), &[0]).expect("recreate");
+                    m.create_line_at(id(node), LineId(line), &[0]).expect("recreate");
                     model.values.insert(line, Some(0));
                 }
             }
@@ -183,9 +204,10 @@ fn run_model(kind: CoherenceKind, ops: Vec<Op>) -> Result<(), TestCaseError> {
         // Global invariants after every step.
         //
         // Structural invariants of the flat line store first: the
-        // open-addressed index maps every live slot back to itself, holder
-        // sets are sorted/deduped, lost ⇔ no holders, no crashed node
-        // appears in any holder set, and slot/free-list/arena accounting
+        // open-addressed index maps every live slot back to itself, a free
+        // slot's holder mask is empty (so lost ⇔ a live slot with no
+        // holder bit), no bit at or above the node count is set, no
+        // crashed node holds a copy, and slot/free-list/arena accounting
         // balances (the "directory matches surviving caches" property —
         // with the flat representation the directory *is* the cache state,
         // and this checks its internal consistency after crash+restore).
@@ -212,7 +234,7 @@ fn run_model(kind: CoherenceKind, ops: Vec<Op>) -> Result<(), TestCaseError> {
                 "holders of l{l} unsorted: {holders:?}"
             );
             // Only surviving nodes hold copies.
-            for h in holders {
+            for h in &holders {
                 prop_assert!(!m.is_crashed(*h), "crashed node {h:?} holds l{l}");
             }
             // All valid copies agree byte-for-byte.
@@ -235,16 +257,21 @@ fn run_model(kind: CoherenceKind, ops: Vec<Op>) -> Result<(), TestCaseError> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
-
+    // Default case count, so CI can raise it with PROPTEST_CASES.
     #[test]
-    fn write_invalidate_coherence(ops in proptest::collection::vec(op_strategy(4, 8), 1..120)) {
-        run_model(CoherenceKind::WriteInvalidate, ops)?;
+    fn write_invalidate_coherence(
+        width in 0..WIDTHS.len(),
+        ops in proptest::collection::vec(op_strategy(PICKS, 8), 1..120),
+    ) {
+        run_model(CoherenceKind::WriteInvalidate, WIDTHS[width], ops)?;
     }
 
     #[test]
-    fn write_broadcast_coherence(ops in proptest::collection::vec(op_strategy(4, 8), 1..120)) {
-        run_model(CoherenceKind::WriteBroadcast, ops)?;
+    fn write_broadcast_coherence(
+        width in 0..WIDTHS.len(),
+        ops in proptest::collection::vec(op_strategy(PICKS, 8), 1..120),
+    ) {
+        run_model(CoherenceKind::WriteBroadcast, WIDTHS[width], ops)?;
     }
 }
 

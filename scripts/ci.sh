@@ -40,9 +40,11 @@ echo "== oracle battery =="
 # check_after_recover after it (commit predicate, IFA, B+-tree
 # invariants, lock chains, committed data), the predicate alone after an
 # interrupted recover. oracle_battery: a crash and an interrupted
-# recovery pass under every protocol, eager and instant; a violation names
-# its oracle; oracle reads leave an armed crash point alone. The step-
-# boundary harnesses run the battery around every recovery.
+# recovery pass under every protocol, eager and instant, and so does a
+# crash of the node that split the index with inserts in flight; a
+# violation names its oracle; oracle reads leave an armed crash point
+# alone. The step-boundary harnesses run the battery around every
+# recovery.
 cargo test --release -q -p smdb-core --test oracle_battery --test protocol_matrix
 cargo test --release -q --test crash_point_sweep --test ifa_proptest
 
@@ -177,17 +179,25 @@ echo "== one heap-recovery path: second crash + eager vs instant =="
 # owed it.
 cargo test --release -q -p smdb-core --test second_crash --test instant_restart
 
-echo "== tag ledger: the undo-tag scan visits the crashed nodes' ledgers =="
-# Restart's Selective-Redo tag scan (DESIGN §9) visits the lines the
-# analysed nodes' tag ledgers name instead of every cached line.
-# tag_ledger: one scenario per way a tag can reach a surviving copy (a
-# stolen image reinstalled, an early-lock-release successor's re-tag, a
-# parallel participant's tag, a total failure then a forward fault, an
-# epoch lane, an interrupted restart's stale lines, an instant restart's
-# pending entry), each held to the whole-cache scan (check_tag_scan).
-# tag_scan_lines: on the crash_eager shape the scan visits under a fifth
-# of the held lines. The fixed-seed VOPR batteries run check_tag_scan
-# between every crash and its recovery.
+echo "== crash walk and ledger prune =="
+# A crash costs what it destroys (DESIGN §9). The directory keeps each
+# shard's holder sets as a dense bitmask column, and a crash is one
+# AND-NOT pass over it: the reference-model properties draw machines of
+# 4, 70 and 130 nodes (one, two and three mask words) and check every step
+# against the model and validate_flat; the sim unit tests crash node 70 of
+# a 100-node machine. Restart's Selective-Redo tag scan visits the lines
+# the analysed nodes' tag ledgers name instead of every cached line, and
+# every checkpoint prunes the ledgers. tag_ledger: one scenario per way a
+# tag can reach a surviving copy (a stolen image reinstalled, an
+# early-lock-release successor's re-tag, a parallel participant's tag, a
+# total failure then a forward fault, an epoch lane, an interrupted
+# restart's stale lines, an instant restart's pending entry) and per bit a
+# checkpoint must clear or keep, each held to the whole-cache scan
+# (check_tag_scan). tag_scan_lines: on the crash_eager shape the scan
+# visits at most one checkpoint interval's lines (≤ 250). The fixed-seed
+# VOPR batteries run check_tag_scan between every crash and its recovery.
+PROPTEST_CASES=2000 cargo test --release -q -p smdb-sim --test coherence_proptest _coherence
+cargo test --release -q -p smdb-sim --lib
 cargo test --release -q -p smdb-core --test tag_ledger
 cargo test --release -q -p smdb-bench --test tag_scan_lines
 cargo test --release -q -p smdb-vopr --test vopr fixed_seed
