@@ -225,6 +225,7 @@ struct TagHit {
 /// of one record, computed by the recovery pass (the tag decision reads
 /// transaction statuses, which the last phase flips; the entry owns its
 /// bytes, so it outlives the analysis' log positions).
+#[derive(Debug, PartialEq)]
 struct HeapWrite {
     rec: RecId,
     line: LineId,
@@ -445,40 +446,60 @@ struct TxnClass {
     settled_aborted: bool,
 }
 
-/// A page-major table over heap records: one chunk of slots per heap
-/// page, allocated the first time the analysis scan touches the page
-/// (never per database record — a restart that scans 95 log records must
-/// not pay for the heap's size), and read back in ascending page and slot,
-/// which is [`RecId`] order. A slot the scan never wrote holds
-/// `V::default()`.
-#[derive(Default)]
+/// A page-major table over heap records: one arena, in which each heap
+/// page the analysis scan touches gets a chunk of `records_per_page`
+/// slots at its first touch (never per database record — a restart that
+/// scans 95 log records must not pay for the heap's size), read back in
+/// ascending page and slot, which is [`RecId`] order. A slot the scan
+/// never wrote holds `V::default()`.
 struct RecTable<V> {
-    /// `pages[p]` is page `p`'s chunk, grown to the highest slot touched;
-    /// empty until the first touch.
-    pages: Vec<Vec<V>>,
+    /// `offsets[p]` is where page `p`'s chunk starts in `arena`;
+    /// [`UNTOUCHED`] until the first touch.
+    offsets: Vec<u32>,
+    /// The touched pages' chunks, in the order the scan touched them.
+    arena: Vec<V>,
+    /// Slots per chunk: the layout's records per page.
+    width: usize,
 }
 
+/// A [`RecTable`] page the scan has not touched.
+const UNTOUCHED: u32 = u32::MAX;
+
 impl<V: Default> RecTable<V> {
+    fn new(records_per_page: usize) -> Self {
+        RecTable { offsets: Vec::new(), arena: Vec::new(), width: records_per_page }
+    }
+
+    /// `None` on a page the scan never touched.
     fn get(&self, rec: RecId) -> Option<&V> {
-        self.pages.get(rec.page.0 as usize)?.get(rec.slot as usize)
+        let start = *self.offsets.get(rec.page.0 as usize).filter(|&&s| s != UNTOUCHED)?;
+        let slot = rec.slot as usize;
+        (slot < self.width).then(|| &self.arena[start as usize + slot])
     }
 
     fn slot_mut(&mut self, rec: RecId) -> &mut V {
-        let page = rec.page.0 as usize;
-        if page >= self.pages.len() {
-            self.pages.resize_with(page + 1, Vec::new);
+        let (page, slot) = (rec.page.0 as usize, rec.slot as usize);
+        assert!(slot < self.width, "{rec:?} lies past its page's last record");
+        if page >= self.offsets.len() {
+            self.offsets.resize(page + 1, UNTOUCHED);
         }
-        let chunk = &mut self.pages[page];
-        let slot = rec.slot as usize;
-        if slot >= chunk.len() {
-            chunk.resize_with(slot + 1, V::default);
-        }
-        &mut chunk[slot]
+        let start = match self.offsets[page] {
+            UNTOUCHED => {
+                let start = self.arena.len();
+                self.offsets[page] = start as u32;
+                self.arena.resize_with(start + self.width, V::default);
+                start
+            }
+            start => start as usize,
+        };
+        &mut self.arena[start + slot]
     }
 
-    /// Every slot of every touched chunk, ascending.
+    /// Every slot of every touched page, ascending.
     fn slots(&self) -> impl Iterator<Item = (RecId, &V)> + '_ {
-        self.pages.iter().enumerate().flat_map(|(page, chunk)| {
+        let touched = self.offsets.iter().enumerate().filter(|(_, &start)| start != UNTOUCHED);
+        touched.flat_map(move |(page, &start)| {
+            let chunk = &self.arena[start as usize..start as usize + self.width];
             chunk
                 .iter()
                 .enumerate()
@@ -507,6 +528,15 @@ impl Latest {
     fn is_some(&self) -> bool {
         self.gsn != 0
     }
+}
+
+/// One record of the reduced redo plan: the line it lives on and the
+/// update the analysis kept for it.
+#[derive(Clone, Copy)]
+struct Planned {
+    rec: RecId,
+    line: LineId,
+    kept: Latest,
 }
 
 /// What the scan reduces one heap record's retained history to.
@@ -539,7 +569,6 @@ struct LogScan {
 /// The per-record reductions are [`RecTable`]s: the scan meets the same
 /// record again and again (a hot record's whole retained history), and
 /// each meeting is two array indexings.
-#[derive(Default)]
 struct StableAnalysis {
     /// Records with a stable-logged update of a *not-committed*
     /// transaction of an analysed node.
@@ -580,18 +609,35 @@ struct StableAnalysis {
     records_read: Cell<u64>,
     /// Highest per-node checkpoint LSN bounding the redo scan.
     ckpt_bound: u64,
+    /// The records the reduced redo plan writes, ascending: the one walk
+    /// of `heap` that the Selective-Redo probe ([`SmDb::cached_plan_lines`])
+    /// and the plan ([`SmDb::heap_plan`]) both read.
+    planned: Vec<Planned>,
 }
 
 impl StableAnalysis {
+    fn new(nodes: usize, records_per_page: usize) -> Self {
+        StableAnalysis {
+            uncommitted_recs: BTreeSet::new(),
+            uncommitted_index: Vec::new(),
+            last_rec_committed: BTreeMap::new(),
+            last_key_committed: BTreeMap::new(),
+            heap: RecTable::new(records_per_page),
+            uncommitted_undo: RecTable::new(records_per_page),
+            scans: vec![LogScan::default(); nodes],
+            index_redo: Vec::new(),
+            doomed_updates: Vec::new(),
+            doomed_index: Vec::new(),
+            records_read: Cell::new(0),
+            ckpt_bound: 0,
+            planned: Vec::new(),
+        }
+    }
+
     /// Open the record at a retained `lsn` of `log`.
     fn open<'l>(&self, log: &'l NodeLog, lsn: Lsn) -> Result<&'l LogRecord, DbError> {
         self.records_read.set(self.records_read.get() + 1);
         req(log.record(lsn), "an analysis position names a retained log record")
-    }
-
-    /// The records the reduced redo plan writes, ascending.
-    fn planned_recs(&self) -> impl Iterator<Item = (RecId, Latest)> + '_ {
-        self.heap.slots().filter(|(_, f)| f.redo.is_some()).map(|(rec, f)| (rec, f.redo))
     }
 
     /// Heap redo candidates the scan met, over every log.
@@ -995,10 +1041,8 @@ impl SmDb {
         scope: &RestartScope,
         order: impl Iterator<Item = NodeId>,
     ) -> Result<StableAnalysis, DbError> {
-        let mut a = StableAnalysis {
-            scans: vec![LogScan::default(); self.m.node_count() as usize],
-            ..Default::default()
-        };
+        let rpp = self.layout.records_per_page();
+        let mut a = StableAnalysis::new(self.m.node_count() as usize, rpp);
         let doomed: BTreeSet<TxnId> = scope.doomed.iter().copied().collect();
         // Commit status covers *every* node: commit records are always
         // forced, and a parallel transaction's commit lives on its home
@@ -1045,7 +1089,7 @@ impl SmDb {
             // the log hands out the data records' index entries alone.
             let covered = if is_analysed { log.stable_records() } else { log.records() };
             let mut scan = LogScan { records: covered.len() as u64, heap_candidates: 0 };
-            let mut last_rec = is_analysed.then(RecTable::default);
+            let mut last_rec = is_analysed.then(|| RecTable::new(rpp));
             let mut memo: Option<(TxnId, TxnClass)> = None;
             for d in log.data_refs(is_analysed) {
                 let (txn, gsn) = (d.txn, d.gsn);
@@ -1129,6 +1173,12 @@ impl SmDb {
             }
             a.scans[n.0 as usize] = scan;
         }
+        a.planned = a
+            .heap
+            .slots()
+            .filter(|(_, f)| f.redo.is_some())
+            .map(|(rec, f)| Planned { rec, line: self.rec_line(rec), kept: f.redo })
+            .collect();
         Ok(a)
     }
 
@@ -1153,24 +1203,15 @@ impl SmDb {
     }
 
     /// Reduce the analysis to the **heap plan**: per record, its final
-    /// on-page bytes and the node that writes them. Redo entries come
-    /// first, in GSN order (GSNs are globally unique, so the order is
-    /// total): the analysis already kept one final image per record, a
-    /// line in `cached` is skipped before anything is installed (the
-    /// Selective-Redo probe), and only an entry that is planned opens its
-    /// log record. Then, in record order, the entries where **undo wins**
-    /// — a stable-logged uncommitted update of an analysed node, or a
-    /// doomed transaction's update on a surviving log: undo runs after
-    /// redo, so such a record gets no redo entry and one write of its last
-    /// committed value under a null tag instead.
-    ///
-    /// An entry where undo wins is also written through to the **stable
-    /// image**, here, while its transaction still counts as doomed: the
-    /// last phase settles it, every later analysis skips a settled
-    /// transaction's records, and nothing would re-derive the entry if the
-    /// only corrected copy then died with a cache — or with the pending
-    /// plan, past an early open — over a stable image that still held the
-    /// stolen update.
+    /// on-page bytes and the node that writes them ([`Self::plan_writes`]),
+    /// then the plan's two effects: a redo entry's live tag enters its
+    /// node's ledger, and an entry where undo wins is written through to
+    /// the **stable image**, here, while its transaction still counts as
+    /// doomed: the last phase settles it, every later analysis skips a
+    /// settled transaction's records, and nothing would re-derive the
+    /// entry if the only corrected copy then died with a cache — or with
+    /// the pending plan, past an early open — over a stable image that
+    /// still held the stolen update.
     fn heap_plan(
         &mut self,
         analysis: &StableAnalysis,
@@ -1178,6 +1219,35 @@ impl SmDb {
         scope: &RestartScope,
         cached: &[LineId],
     ) -> Result<Vec<HeapWrite>, DbError> {
+        self.m.obs().metrics.observe(
+            names::RECOVERY_REDO_BATCH,
+            analysis.heap_candidates() + analysis.index_redo.len() as u64,
+        );
+        let undo = self.undo_images(analysis, scope)?;
+        let plan = self.plan_writes(analysis, outcome, scope, cached, undo)?;
+        for w in &plan {
+            if w.undo {
+                self.sdb.patch(w.rec.page, self.layout.page_offset(w.rec.slot), &w.bytes);
+            } else {
+                let tag = RecordLayout::tag_of(&w.bytes);
+                if tag != NULL_TAG {
+                    self.tags.set(tag, w.line);
+                }
+            }
+        }
+        Ok(plan)
+    }
+
+    /// Where undo wins, per record, the bytes the plan writes there: the
+    /// last committed value under a null tag. Such a record is a
+    /// stable-logged uncommitted update of an analysed node, or a doomed
+    /// transaction's update on a surviving log: undo runs after redo, so
+    /// it gets no redo entry and this one write instead.
+    fn undo_images(
+        &self,
+        analysis: &StableAnalysis,
+        scope: &RestartScope,
+    ) -> Result<BTreeMap<RecId, Vec<u8>>, DbError> {
         // Doomed updates are rolled back in reverse GSN order, so the
         // lowest-GSN before image is the one that sticks. A doomed
         // dependent that reached the record through a violated lock name
@@ -1206,38 +1276,59 @@ impl SmDb {
             let value = self.last_committed_payload(analysis, rec)?;
             undo.insert(rec, self.layout.encode(NULL_TAG, &value));
         }
-        let mut redo: Vec<(RecId, Latest)> = analysis.planned_recs().collect();
-        redo.sort_by_key(|(_, kept)| kept.gsn);
-        let heap_candidates = analysis.heap_candidates();
-        self.m.obs().metrics.observe(
-            names::RECOVERY_REDO_BATCH,
-            heap_candidates + analysis.index_redo.len() as u64,
-        );
-        outcome.redo_superseded += heap_candidates - redo.len() as u64;
-        let mut plan = Vec::with_capacity(redo.len() + undo.len());
-        for (rec, kept) in redo {
-            let line = self.rec_line(rec);
-            if cached.binary_search(&line).is_ok() {
+        Ok(undo)
+    }
+
+    /// The heap plan, derived without touching anything. Redo entries come
+    /// first, in GSN order (GSNs are globally unique, so the order is
+    /// total); then, in record order, the entries where undo wins
+    /// (`undo`). The analysis already kept one final image per record; a
+    /// record on a line in `cached` is skipped (the Selective-Redo probe)
+    /// and so is one where undo wins, both *before* the sort — the planned
+    /// records and the probe's lines both ascend, so one merge finds every
+    /// cached one — and only an entry that is written opens its log
+    /// record.
+    fn plan_writes(
+        &self,
+        analysis: &StableAnalysis,
+        outcome: &mut RecoveryOutcome,
+        scope: &RestartScope,
+        cached: &[LineId],
+        undo: BTreeMap<RecId, Vec<u8>>,
+    ) -> Result<Vec<HeapWrite>, DbError> {
+        outcome.redo_superseded += analysis.heap_candidates() - analysis.planned.len() as u64;
+        let mut cached = cached.iter().peekable();
+        let mut redo = Vec::new();
+        for p in &analysis.planned {
+            while cached.next_if(|&&line| line < p.line).is_some() {}
+            if cached.peek() == Some(&&p.line) {
                 outcome.redo_skipped_cached += 1;
-                continue;
+            } else if !undo.contains_key(&p.rec) {
+                redo.push(*p);
             }
-            if undo.contains_key(&rec) {
-                continue;
-            }
+        }
+        redo.sort_unstable_by_key(|p| p.kept.gsn);
+        self.assemble_plan(analysis, scope, redo, undo)
+    }
+
+    /// The plan's entries: one write of each redo record in the order
+    /// given, then one of each record where undo wins.
+    fn assemble_plan(
+        &self,
+        analysis: &StableAnalysis,
+        scope: &RestartScope,
+        redo: Vec<Planned>,
+        undo: BTreeMap<RecId, Vec<u8>>,
+    ) -> Result<Vec<HeapWrite>, DbError> {
+        let mut plan = Vec::with_capacity(redo.len() + undo.len());
+        for Planned { rec, line, kept } in redo {
             let (txn, _, image) = self.logged_update(analysis, kept.at, rec)?;
-            let tag = self.live_tag(txn);
-            let bytes = self.layout.encode(tag, image);
-            if tag != NULL_TAG {
-                self.tags.set(tag, line);
-            }
+            let bytes = self.layout.encode(self.live_tag(txn), image);
             // A full restart reboots the machine (§1): no survivor is up to
             // redo its own updates, the host writes everything.
             let own = !scope.full && !self.m.is_crashed(txn.node());
             let node = if own { txn.node() } else { scope.recovery_node };
             plan.push(HeapWrite { rec, line, bytes, node, undo: false });
-        }
-        for (rec, bytes) in &undo {
-            self.sdb.patch(rec.page, self.layout.page_offset(rec.slot), bytes);
         }
         plan.extend(undo.into_iter().map(|(rec, bytes)| HeapWrite {
             rec,
@@ -1313,8 +1404,7 @@ impl SmDb {
     /// directory walk ([`Machine::held_lines`](smdb_sim::Machine::held_lines))
     /// finds them, a page's lines in consecutive slots.
     fn cached_plan_lines(&self, analysis: &StableAnalysis) -> Vec<LineId> {
-        let mut planned: Vec<LineId> =
-            analysis.planned_recs().map(|(rec, _)| self.rec_line(rec)).collect();
+        let mut planned: Vec<LineId> = analysis.planned.iter().map(|p| p.line).collect();
         planned.dedup();
         self.m
             .held_lines(&planned)
@@ -1344,8 +1434,7 @@ impl SmDb {
             snapshot.remove(line);
         }
         let mut diffs = Vec::new();
-        for (rec, _) in analysis.planned_recs() {
-            let line = self.rec_line(rec);
+        for &Planned { rec, line, .. } in &analysis.planned {
             let cached = probed.binary_search(&line).is_ok();
             if cached != snapshot.contains(&line) {
                 diffs.push(format!(
@@ -2301,3 +2390,6 @@ impl SmDb {
         Ok(())
     }
 }
+
+#[cfg(test)]
+mod tests;

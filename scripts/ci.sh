@@ -179,6 +179,20 @@ echo "== one heap-recovery path: second crash + eager vs instant =="
 # owed it.
 cargo test --release -q -p smdb-core --test second_crash --test instant_restart
 
+echo "== restart plan: one pass =="
+# The heap plan is built in one pass over what the scan kept (DESIGN §9):
+# the planned records and the Selective-Redo probe's lines are merged,
+# cached candidates and those where undo wins are dropped before the GSN
+# sort. plan_lockstep builds it beside the old derivation (every
+# candidate sorted by GSN, then each binary-searched in the probe list)
+# at every crash of random scripts under all five protocols, eager and
+# instant: entries, order, writer, bytes, undo flag, redo_skipped_cached
+# and redo_superseded must match. The record table's unit tests ride
+# along (rec_table_*). golden_stats holds restart_outcome.golden and the
+# other simulated-cycle fixtures byte for byte.
+PROPTEST_CASES=2000 cargo test --release -q -p smdb-core --lib restart::tests
+cargo test --release -q -p smdb-bench --test golden_stats
+
 echo "== crash walk and ledger prune =="
 # A crash costs what it destroys (DESIGN §9). The directory keeps each
 # shard's holder sets as a dense bitmask column, and a crash is one
