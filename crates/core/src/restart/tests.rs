@@ -2,8 +2,9 @@
 //! table the analysis folds into.
 //!
 //! * a lockstep proptest drives random begin / update / parallel update /
-//!   commit / abort / steal / checkpoint / crash / reboot / drain sequences
-//!   under all five protocols, eager and instant, and at every crash builds
+//!   commit / abort / steal / checkpoint / crash / interrupted recovery /
+//!   reboot / drain sequences under all five protocols, eager and instant,
+//!   and at every crash (an interrupted restart's included) builds
 //!   the pending restart's heap plan twice: as restart does (the planned
 //!   records merged with the Selective-Redo probe's lines, only what gets
 //!   written sorted by GSN) and as it used to (every candidate sorted by
@@ -16,6 +17,7 @@
 
 use super::*;
 use crate::config::DbConfig;
+use crate::fault::{CrashPoint, FaultInjector, FaultPlan};
 use proptest::prelude::*;
 
 const NODES: u16 = 4;
@@ -116,8 +118,10 @@ enum Step {
     /// uncommitted updates included.
     Flush(u64),
     Checkpoint(u16),
-    /// Crash the nodes in the mask, build both plans, recover.
-    Crash(u8),
+    /// Crash the nodes in the mask, build both plans, recover; `Some(k)`
+    /// kills the recovery node at the restart's `k`-th phase boundary, and
+    /// the plans are built again before the restart that follows.
+    Crash(u8, Option<u64>),
     Reboot(u16),
     Drain(u16),
 }
@@ -134,7 +138,8 @@ fn step_strategy() -> impl Strategy<Value = Step> {
         1 => pick.prop_map(Step::Abort),
         1 => (0..SLOTS).prop_map(Step::Flush),
         1 => (0..NODES).prop_map(Step::Checkpoint),
-        2 => (1u8..16).prop_map(Step::Crash),
+        2 => (1u8..16).prop_map(|m| Step::Crash(m, None)),
+        1 => (1u8..16, 0u64..7).prop_map(|(m, k)| Step::Crash(m, Some(k))),
         2 => (0..NODES).prop_map(Step::Reboot),
         1 => (0..NODES).prop_map(Step::Drain),
     ]
@@ -149,6 +154,8 @@ fn run_script(protocol: ProtocolKind, instant: bool, steps: &[Step]) -> Result<C
         cfg = cfg.with_instant_restart();
     }
     let mut db = SmDb::new(cfg);
+    let fault = FaultInjector::new();
+    db.set_fault_injector(fault.clone());
     let mut live: Vec<TxnId> = Vec::new();
     let mut cov = Coverage::default();
     let mut stamp = 0u32;
@@ -189,14 +196,29 @@ fn run_script(protocol: ProtocolKind, instant: bool, steps: &[Step]) -> Result<C
             Step::Checkpoint(n) => {
                 let _ = db.checkpoint(NodeId(n));
             }
-            Step::Crash(mask) => {
+            Step::Crash(mask, interrupt) => {
                 let nodes: Vec<NodeId> =
                     (0..NODES).filter(|n| mask & (1 << n) != 0).map(NodeId).collect();
                 if db.crash(&nodes).is_empty() {
                     continue;
                 }
                 compare_plans(&db, &mut cov).map_err(|e| format!("at step {i} {step:?}: {e}"))?;
-                db.recover().map_err(|e| format!("recover at step {i}: {e}"))?;
+                if let Some(k) = interrupt {
+                    fault.arm(FaultPlan::single(CrashPoint::new(FAULT_RECOVERY_PHASE, k)));
+                }
+                let mut result = db.recover();
+                fault.off();
+                if let Err(e) = &result {
+                    // The recovery node died at a phase boundary; the next
+                    // restart starts over with its installs marked stale.
+                    let victim =
+                        e.fault_crash().ok_or_else(|| format!("recover at step {i}: {e}"))?;
+                    db.crash(&[NodeId(victim.node)]);
+                    compare_plans(&db, &mut cov)
+                        .map_err(|e| format!("after the interrupted restart of step {i}: {e}"))?;
+                    result = db.recover();
+                }
+                result.map_err(|e| format!("recover at step {i}: {e}"))?;
             }
             Step::Reboot(n) => db.reboot(NodeId(n)),
             Step::Drain(n) => {
@@ -249,7 +271,7 @@ fn plan_lockstep_meets_every_kind_of_entry() {
                     11..=13 => Step::Commit(next(64) as usize),
                     14 => Step::Flush(next(SLOTS)),
                     15 => Step::Checkpoint(next(nodes) as u16),
-                    16 => Step::Crash(1 + next(14) as u8),
+                    16 => Step::Crash(1 + next(14) as u8, (next(3) == 0).then(|| next(7))),
                     17 => Step::Drain(next(nodes) as u16),
                     _ => Step::Reboot(next(nodes) as u16),
                 })
